@@ -1,0 +1,14 @@
+"""Self-tests of the benchmark package.
+
+Run with ``python -m pytest benchmarks/perf/tests`` from the checkout
+root; tier-1 (``testpaths = ["tests"]``) does not collect them.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
