@@ -165,16 +165,15 @@ def bench_dispatch(n_events: int = 40_000,
                    repeats: int = 3) -> Dict[str, Any]:
     """Per-backend scheduler dispatch overhead on one churn workload.
 
-    Runs the same churn workload on every distinct event-queue
-    implementation the backend registry knows about (``turbo`` reuses
-    the hybrid queue, so only ``reference`` and ``hybrid`` are
-    measured).  The headline is ``hybrid_vs_reference`` — hybrid ops
-    per second over reference ops per second — which CI bounds from
-    below: if registry indirection or fast-path notification hooks ever
-    bloat the hybrid dispatch loop, the ratio sinks and the gate trips,
-    machine speed cancelled out by construction.  Repeats are
-    interleaved across backends and each side keeps its best, so a load
-    spike hits both queues rather than skewing the ratio.
+    Runs the same churn workload on both event-queue implementations
+    the backend registry knows about (``reference`` and ``hybrid``).
+    The headline is ``hybrid_vs_reference`` — hybrid ops per second
+    over reference ops per second — which CI bounds from below: if
+    registry indirection or a per-dispatch hook ever bloats the hybrid
+    dispatch loop, the ratio sinks and the gate trips, machine speed
+    cancelled out by construction.  Repeats are interleaved across
+    backends and each side keeps its best, so a load spike hits both
+    queues rather than skewing the ratio.
     """
     from repro.sim.backend import resolve
 
@@ -301,10 +300,7 @@ def bench_dd(best_of: int = 3, check: bool = False,
             else:
                 os.environ[BACKEND_ENV] = saved
     return {"wall_s": min(runs), "runs_s": runs,
-            "throughput_gbps": round(metrics["throughput_gbps"], 6),
-            "fastpath_batches": metrics["fastpath_batches"],
-            "fastpath_tlps": metrics["fastpath_tlps"],
-            "fastpath_standdowns": metrics["fastpath_standdowns"]}
+            "throughput_gbps": round(metrics["throughput_gbps"], 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +316,6 @@ def run_suite(quick: bool = False, skip_checked: bool = False) -> Dict[str, Any]
     link = bench_link_saturation()
     best_of = 2 if quick else 3
     dd = bench_dd(best_of=best_of, backend="hybrid")
-    dd_turbo = bench_dd(best_of=best_of, backend="turbo")
-    # The backends-are-interchangeable contract, enforced where the
-    # numbers are produced: a turbo run that drifts from hybrid by even
-    # one bit is a broken fast path, not a benchmark result.
-    if dd_turbo["throughput_gbps"] != dd["throughput_gbps"]:
-        raise RuntimeError(
-            "turbo backend changed simulated throughput: "
-            f"{dd_turbo['throughput_gbps']} != {dd['throughput_gbps']}")
     block: Dict[str, Any] = {
         "backend": default_backend_name(),
         "calibration_s": round(calib, 4),
@@ -341,16 +329,9 @@ def run_suite(quick: bool = False, skip_checked: bool = False) -> Dict[str, Any]
         "dd_gen2x1_wall_s": dd["wall_s"],
         "dd_gen2x1_runs_s": dd["runs_s"],
         "dd_gen2x1_throughput_gbps": dd["throughput_gbps"],
-        "dd_gen2x1_turbo_wall_s": dd_turbo["wall_s"],
-        "dd_gen2x1_turbo_runs_s": dd_turbo["runs_s"],
-        "dd_gen2x1_turbo_fastpath_batches": dd_turbo["fastpath_batches"],
-        "dd_gen2x1_turbo_fastpath_tlps": dd_turbo["fastpath_tlps"],
-        "dd_gen2x1_turbo_fastpath_standdowns":
-            dd_turbo["fastpath_standdowns"],
         # Machine-normalised: wall clock in units of the calibration
         # loop.  These are what the CI thresholds bound.
         "dd_gen2x1_norm": round(dd["wall_s"] / calib, 3),
-        "dd_gen2x1_turbo_norm": round(dd_turbo["wall_s"] / calib, 3),
         "link_norm": round(link["wall_s"] / calib, 3),
         "eventq_norm": round(eventq["wall_s"] / calib, 3),
         "python": platform.python_version(),

@@ -127,15 +127,8 @@ def run_dd(block_bytes: int, startup_overhead: Optional[int] = None,
                          meta={"workload": "dd", "block_bytes": block_bytes})
     stats = link_replay_stats(system.disk_link)
     sector_mean = system.disk.sector_transfer_ticks.mean
-    # Fast-forward engine counters (zero unless the active backend
-    # installs a link fast path — see repro.sim.backend).
-    fastpath = system.disk_link.fastpath
     return {
         "throughput_gbps": dd.result.throughput_gbps,
-        "fastpath_batches": fastpath.batches.value() if fastpath else 0,
-        "fastpath_tlps": fastpath.tlps.value() if fastpath else 0,
-        "fastpath_standdowns": (fastpath.standdowns.value()
-                                if fastpath else 0),
         "transfer_gbps": dd.result.transfer_gbps,
         "replay_fraction": stats["replay_fraction"],
         "fc_stall_ticks": stats["fc_stall_ticks"],
@@ -268,14 +261,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "the choice does not enter sweep cache keys — "
                              "it is recorded in BENCH_sweeps.json for "
                              "wall-clock forensics only")
-    parser.add_argument("--partitions", type=int, default=None, metavar="N",
-                        help="ask the partitioned engine to cut the fabric "
-                             "into N subtree partitions (requires a "
-                             "partitioned backend such as 'parallel'; "
-                             "exported as $REPRO_PARTITIONS so sweep "
-                             "workers inherit the hint).  Runs that cannot "
-                             "engage N partitions fall back to the serial "
-                             "drain with identical results")
     parser.add_argument("--results-dir", default=None, metavar="DIR",
                         help=f"artifact directory (default: {RESULTS_DIR})")
     parser.add_argument("--profile", action="store_true",
@@ -295,24 +280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Exported (not passed around) so cache-miss worker processes
         # inherit the same engine as the parent.
         os.environ[BACKEND_ENV] = args.backend
-
-    if args.partitions is not None:
-        from repro.sim.backend import resolve
-        from repro.sim.partition import PARTITIONS_ENV
-
-        if args.partitions < 1:
-            print(f"error: --partitions must be >= 1 "
-                  f"(got {args.partitions})", file=sys.stderr)
-            return 2
-        effective = resolve(args.backend)
-        if not getattr(effective, "partitioned", False):
-            print(f"error: --partitions requires a partitioned backend; "
-                  f"{effective.name!r} runs single-process "
-                  f"(try --backend parallel)", file=sys.stderr)
-            return 2
-        # Exported for the same reason as --backend: sweep cache-miss
-        # workers must build the same partition plan as the parent.
-        os.environ[PARTITIONS_ENV] = str(args.partitions)
 
     if args.list:
         from repro.sim.backend import backend_names, default_backend_name, resolve

@@ -148,11 +148,6 @@ class UnidirectionalLink(SimObject):
         self.busy = False
         self._tx_done_event = _TxDoneEvent(self)
         self._deliver_pool: list = []
-        # Installed by the partitioned-parallel engine when this wire
-        # half crosses a partition boundary: called as
-        # ``remote_delivery(ppkt, send_tick, arrival_tick)`` instead of
-        # scheduling a local delivery event (repro.sim.partition).
-        self.remote_delivery = None
         self.packets = self.stats.scalar("packets", "pcie-pkts transmitted")
         self.bytes = self.stats.scalar("bytes", "wire bytes transmitted")
         self.busy_ticks = self.stats.scalar("busy_ticks", "ticks spent transmitting")
@@ -176,10 +171,6 @@ class UnidirectionalLink(SimObject):
         tx_done = self._tx_done_event
         tx_done.sender = sender
         eventq.schedule(tx_done, now + tx_time)
-        if self.remote_delivery is not None:
-            self.remote_delivery(ppkt, now,
-                                 now + tx_time + self.propagation_delay)
-            return
         pool = self._deliver_pool
         deliver = pool.pop() if pool else _DeliverEvent(self)
         deliver.receiver = receiver
@@ -200,10 +191,6 @@ class PcieLinkInterface(SimObject):
         self.link_parent = parent
         self.tx_link: Optional[UnidirectionalLink] = None  # wired by PcieLink
         self.peer: Optional["PcieLinkInterface"] = None
-        # Installed by PcieLink under the turbo backend when the link is
-        # statically eligible (repro.pcie.fastpath); None otherwise, so
-        # the hot paths below pay one attribute load and branch.
-        self._fp = None
 
         # Ports facing the attached component.  The master port carries
         # requests *off* the link into the component and responses from
@@ -353,12 +340,6 @@ class PcieLinkInterface(SimObject):
     def _recv_from_component(self, pkt: Packet) -> bool:
         """A TLP offered by the attached component (request via our slave
         port or response via our master port)."""
-        fp = self._fp
-        if fp is not None and fp.active:
-            # Late-apply the burst's earlier virtual actions before the
-            # queues change: a past credit-grant kick must not see the
-            # TLP being offered now.
-            fp.before_mutation(self)
         queue = self._in_cpl if pkt.is_response else self._in_req
         if len(queue) >= self.input_queue_size:
             return False
@@ -369,26 +350,13 @@ class PcieLinkInterface(SimObject):
     def _component_req_retry(self) -> None:
         """The component can accept a previously-refused delivery again:
         resume draining the request receive buffer."""
-        fp = self._fp
-        if fp is not None and fp.active:
-            fp.before_rx_mutation()
         self._drain_rx()
 
     def _component_resp_retry(self) -> None:
         """Symmetric to :meth:`_component_req_retry` for completions."""
-        fp = self._fp
-        if fp is not None and fp.active:
-            fp.before_rx_mutation()
         self._drain_rx()
 
     def _kick_tx(self) -> None:
-        fp = self._fp
-        if fp is not None:
-            if fp.active:
-                fp.notify_tx(self)
-                return
-            if fp.try_engage(self):
-                return
         if self.tx_link is None or self.tx_link.busy:
             return
         ppkt = self._pick_next()
@@ -544,13 +512,6 @@ class PcieLinkInterface(SimObject):
     # ===================== RX: link -> component =========================
     def receive_from_link(self, ppkt: PciePacket) -> None:
         """Entry point for everything arriving off the wire."""
-        fp = self._fp
-        if fp is not None and fp.active:
-            # A real delivery scheduled before the fast-forward burst
-            # began: route it through the engine, which orders it
-            # against the burst's virtual actions.
-            fp.on_wire_arrival(self, ppkt)
-            return
         if ppkt.is_dllp:
             self._receive_dllp(ppkt)
         else:
@@ -741,18 +702,6 @@ class PcieLinkInterface(SimObject):
         A non-empty buffer raises :class:`~repro.sim.checkpoint.
         CheckpointError` instead of silently dropping traffic.
         """
-        if self._fp is not None and self._fp.mid_burst:
-            # Mid-burst, wire occupancy and in-flight DLLPs live as
-            # virtual integers on the fast-forward engine — invisible
-            # to event capture — so a snapshot here would silently drop
-            # traffic even when every buffer below happens to be empty.
-            # (A *parked* engine is fine: real and virtual state
-            # coincide, nothing is in flight.)
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} is inside a fast-forward burst; "
-                f"checkpoints require a quiescent link")
         pending = {
             "replay_buffer": self.replay_buffer,
             "retransmit_queue": self.retransmit_queue,
@@ -902,19 +851,6 @@ class PcieLink(SimObject):
         for iface in (self.upstream_if, self.downstream_if):
             for cls in (0, 1, 2):
                 iface.fc.advertise(cls, iface.peer.fc.rx_limit(cls))
-        # The turbo backend's analytic fast-forward engine.  Static
-        # eligibility: error injection takes RNG draws per received
-        # packet and the timer ACK policy coalesces on a timer, neither
-        # of which the virtual model replicates — such links simply stay
-        # on the event-by-event path.
-        self.fastpath = None
-        if (sim.backend.link_fastpath and error_rate == 0.0
-                and dllp_error_rate == 0.0 and ack_policy == "immediate"):
-            from repro.pcie.fastpath import LinkFastPath
-
-            self.fastpath = LinkFastPath(self)
-            self.upstream_if._fp = self.fastpath
-            self.downstream_if._fp = self.fastpath
 
     @property
     def gen(self) -> PcieGen:

@@ -55,8 +55,8 @@ VALID_WIDTHS = (1, 2, 4, 8, 12, 16, 32)
 _TX_TICKS_CACHE: dict = {}
 
 #: Memoised exact symbol times per generation (``PcieGen.symbol_time_exact``
-#: builds a Fraction on every property read; link construction and the
-#: fast path want a plain dict hit).
+#: builds a Fraction on every property read; link construction wants a
+#: plain dict hit).
 _SYMBOL_TIME_CACHE: dict = {}
 
 

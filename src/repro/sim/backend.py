@@ -1,21 +1,16 @@
 """The simulation-engine registry (``Simulator(backend=...)``).
 
-The repository grew three ways to drive the same component models:
+Two engines drive the same component models:
 
 * ``reference`` — the original pure-binary-heap scheduler
-  (:class:`~repro.sim.eventq.ReferenceEventQueue`).  Slowest, smallest,
-  and the executable specification of dispatch order that everything
-  else must match.
+  (:class:`~repro.sim.eventq.ReferenceEventQueue`).  Smallest, and the
+  executable specification of dispatch order that the default must
+  match.
 * ``hybrid`` — the PR-4 bucket/heap calendar queue
   (:class:`~repro.sim.eventq.EventQueue`).  The default engine.
-* ``turbo`` — the hybrid queue plus the link-layer fast-forward path
-  (:mod:`repro.pcie.fastpath`): quiescent link directions advance
-  analytically, scheduling one pump event per component-visible tick
-  instead of the full per-TLP event cascade.
 
-This module makes that choice a first-class, named object instead of an
-ad-hoc constructor argument, so future engines (compiled kernels,
-partitioned-parallel schedulers) slot in beside these three:
+This module makes that choice a named object instead of an ad-hoc
+constructor argument:
 
 * :func:`register` adds a :class:`Backend` under a unique name;
 * :func:`resolve` maps a name (or None) to a Backend, consulting the
@@ -48,7 +43,7 @@ __all__ = [
 
 #: Environment variable consulted when ``Simulator(backend=None)``: set
 #: to a registered backend name to select the engine process-wide (how
-#: the CI ``backend-identity`` job runs everything under ``turbo``).
+#: the CI ``backend-identity`` job runs everything under each name).
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Backend used when neither the constructor nor the environment picks.
@@ -66,29 +61,18 @@ class Backend:
         description: one line for ``--list`` style output.
         make_eventq: factory producing the engine's event queue given
             the queue name.
-        link_fastpath: True when PCIe link interfaces should install
-            the analytic fast-forward engine (:mod:`repro.pcie.fastpath`)
-            under this backend.
-        partitioned: True when ``Simulator.run`` should route eligible
-            runs through the partitioned-parallel engine
-            (:mod:`repro.sim.partition`).
     """
 
-    __slots__ = ("name", "description", "make_eventq", "link_fastpath",
-                 "partitioned")
+    __slots__ = ("name", "description", "make_eventq")
 
     def __init__(self, name: str, description: str,
-                 make_eventq: Callable[[str], object],
-                 link_fastpath: bool = False,
-                 partitioned: bool = False):
+                 make_eventq: Callable[[str], object]):
         self.name = name
         self.description = description
         self.make_eventq = make_eventq
-        self.link_fastpath = link_fastpath
-        self.partitioned = partitioned
 
     def __repr__(self) -> str:
-        return f"<Backend {self.name!r} fastpath={self.link_fastpath}>"
+        return f"<Backend {self.name!r}>"
 
 
 def register(backend: Backend) -> Backend:
@@ -135,29 +119,4 @@ register(Backend(
     "hybrid",
     "bucket/heap calendar queue (PR 4); the default engine",
     lambda name: EventQueue(name),
-))
-register(Backend(
-    "turbo",
-    "hybrid queue + analytic link-layer fast-forward for quiescent links",
-    lambda name: EventQueue(name),
-    link_fastpath=True,
-))
-
-
-def _partition_eventq(name: str):
-    """Build the ``parallel`` backend's partition-aware event queue.
-
-    Imported lazily so merely registering the backend never pays for
-    (or cycles through) the partition engine module.
-    """
-    from repro.sim.partition import PartitionEventQueue
-    return PartitionEventQueue(name)
-
-
-register(Backend(
-    "parallel",
-    "process-per-subtree partitioned engine; conservative link-latency "
-    "sync, byte-identical to hybrid",
-    _partition_eventq,
-    partitioned=True,
 ))

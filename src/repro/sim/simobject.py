@@ -59,8 +59,7 @@ class Simulator:
         # Components cache the reference, so it is never replaced.
         self.tracer = tracer if tracer is not None else Tracer()
         #: The resolved simulation engine (:class:`repro.sim.backend
-        #: .Backend`); components consult ``backend.link_fastpath`` at
-        #: construction time to decide whether to install fast paths.
+        #: .Backend`), which builds the event queue.
         self.backend = backend_registry.resolve(backend)
         self.eventq = self.backend.make_eventq(f"{name}.eventq")
         self.eventq.tracer = self.tracer
@@ -107,18 +106,8 @@ class Simulator:
         event queue fully drained, the quiescence watchdog fires: a
         non-empty replay buffer with no event left to drain it is
         reported as a deadlock rather than silently swallowed.
-
-        Partitioned backends (``backend.partitioned``) route eligible
-        runs through :func:`repro.sim.partition.run_partitioned`, which
-        falls back to the ordinary single-process drain whenever the
-        run cannot be partitioned; either way the post-run quiescence
-        check and exit callbacks see the same merged end state.
         """
-        if getattr(self.backend, "partitioned", False):
-            from repro.sim.partition import run_partitioned
-            tick = run_partitioned(self, until=until, max_events=max_events)
-        else:
-            tick = self.eventq.run(until=until, max_events=max_events)
+        tick = self.eventq.run(until=until, max_events=max_events)
         if self.checker.enabled and self.eventq.empty():
             self.checker.check_quiescence()
         if self._exit_callbacks and self.eventq.empty():

@@ -796,8 +796,7 @@ def deep_hierarchy_spec(
         service_interval: datapath admission interval (ticks).
         ack_policy: link ACK policy.
         enable_msi: deliver device interrupts as MSI memory writes
-            through the fabric (required by the partitioned-parallel
-            backend) instead of legacy INTx wires.
+            through the fabric instead of legacy INTx wires.
     """
     _require(depth >= 1, "deep hierarchy needs depth >= 1")
     _require(fanout >= 1, "deep hierarchy needs fanout >= 1")

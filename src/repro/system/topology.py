@@ -353,9 +353,6 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
     spec.validate()
     system = _build_core(sim, addrmap, kernel_config)
     system.spec = spec
-    # The partitioned-parallel engine (repro.sim.partition) needs the
-    # built system and its spec to plan subtree cuts at run time.
-    sim.pcie_system = system
 
     advert = _advertised_link(spec)
     root_complex = RootComplex(
@@ -404,7 +401,6 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
     spec.validate()
     system = _build_core(sim, addrmap, kernel_config)
     system.spec = spec
-    sim.pcie_system = system
 
     bus = PciBus(sim, clock_mhz=spec.clock_mhz)
     system.devices["pci_bus"] = bus
@@ -454,21 +450,26 @@ def build_system(
         check: arm the runtime invariant checker on the freshly built
             simulator (ignored when ``sim`` is supplied); None defers to
             the ``REPRO_CHECK`` environment variable.
-        partitions: partition-count hint for the ``parallel`` backend
-            (see :mod:`repro.sim.partition`); None defers to the
-            ``REPRO_PARTITIONS`` environment variable.  Ignored by
-            single-process backends.
+        partitions: must be None.  No engine splits a fabric any more;
+            the keyword survives only because the frozen
+            ``benchmarks/perf/runner.py`` still passes it, and goes
+            when a ``benchmark`` PR drops that argument.
 
     Returns:
         A :class:`PcieSystem` whose ``devices``/``links``/``switches``/
         ``drivers`` mappings are keyed by the spec's instance names and
         whose ``spec`` attribute records the topology built.
+
+    Raises:
+        SpecError: for a spec of an unknown type, or ``partitions`` other
+            than None.
     """
+    if partitions is not None:
+        raise SpecError(
+            f"build_system(partitions={partitions!r}): must be None")
     if isinstance(spec, dict):
         spec = spec_from_dict(spec)
     sim = sim or Simulator(check=check)
-    if partitions is not None:
-        sim.partition_hint = partitions
     if isinstance(spec, ClassicPciSpec):
         return _build_classic_from_spec(spec, sim, addrmap, kernel_config)
     if isinstance(spec, TopologySpec):

@@ -229,8 +229,8 @@ def test_backend_recorded_but_kept_out_of_cache_keys(tmp_path, monkeypatch):
     first = engine.run(cheap_sweep(3), workers=1)
     assert first.record["backend"] == "hybrid"
     assert first.cache_hits == 0
-    monkeypatch.setenv("REPRO_BACKEND", "turbo")
+    monkeypatch.setenv("REPRO_BACKEND", "reference")
     second = engine.run(cheap_sweep(3), workers=1)
-    assert second.record["backend"] == "turbo"
+    assert second.record["backend"] == "reference"
     assert second.cache_hits == 3, "backend name must not enter cache keys"
     assert canonical_json(first.results) == canonical_json(second.results)

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.pcie.link import PcieLink
-from repro.pcie.timing import PcieGen
 from repro.sim.backend import (
     BACKEND_ENV,
     DEFAULT_BACKEND,
@@ -19,15 +17,13 @@ from repro.sim.simobject import Simulator
 
 
 def test_builtin_backends_registered():
-    assert {"reference", "hybrid", "turbo"} <= set(backend_names())
+    assert backend_names() == ["hybrid", "reference"]
     assert DEFAULT_BACKEND == "hybrid"
 
 
 def test_resolve_by_name():
     assert resolve("reference").name == "reference"
-    assert resolve("turbo").link_fastpath is True
-    assert resolve("hybrid").link_fastpath is False
-    assert resolve("reference").link_fastpath is False
+    assert resolve("hybrid").name == "hybrid"
 
 
 def test_resolve_unknown_name_lists_choices():
@@ -45,11 +41,11 @@ def test_resolve_none_uses_default(monkeypatch):
 
 
 def test_env_var_selects_default(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "turbo")
-    assert default_backend_name() == "turbo"
-    assert resolve(None).name == "turbo"
+    monkeypatch.setenv(BACKEND_ENV, "reference")
+    assert default_backend_name() == "reference"
+    assert resolve(None).name == "reference"
     # An explicit name still beats the environment.
-    assert resolve("reference").name == "reference"
+    assert resolve("hybrid").name == "hybrid"
 
 
 def test_env_var_whitespace_falls_back(monkeypatch):
@@ -61,6 +57,18 @@ def test_env_var_typo_fails_loudly(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "trubo")
     with pytest.raises(ValueError, match="trubo"):
         resolve(None)
+
+
+@pytest.mark.parametrize("name", ["turbo", "parallel"])
+def test_retired_names_fail_as_unknown(name, monkeypatch):
+    """The engines removed in PR 13 left no alias or stub behind."""
+    message = (rf"unknown simulation backend '{name}' "
+               r"\(known: hybrid, reference\)")
+    with pytest.raises(ValueError, match=message):
+        Simulator("retired", backend=name)
+    monkeypatch.setenv(BACKEND_ENV, name)
+    with pytest.raises(ValueError, match=message):
+        Simulator("retired-env")
 
 
 def test_duplicate_registration_rejected():
@@ -84,9 +92,6 @@ def test_simulator_builds_queue_through_backend(monkeypatch):
     assert isinstance(Simulator("default").eventq, EventQueue)
     assert isinstance(Simulator("ref", backend="reference").eventq,
                       ReferenceEventQueue)
-    turbo = Simulator("turbo", backend="turbo")
-    assert isinstance(turbo.eventq, EventQueue)
-    assert turbo.backend.link_fastpath is True
 
 
 def test_simulator_honours_env_backend(monkeypatch):
@@ -96,25 +101,39 @@ def test_simulator_honours_env_backend(monkeypatch):
     assert isinstance(sim.eventq, ReferenceEventQueue)
 
 
-def test_link_fastpath_installed_only_under_turbo():
-    for name, installed in (("reference", False), ("hybrid", False),
-                            ("turbo", True)):
-        sim = Simulator("wiring", backend=name)
-        link = PcieLink(sim, "link", gen=PcieGen.GEN2, width=1,
-                        ack_policy="immediate")
-        assert (link.fastpath is not None) is installed, name
+def test_harness_rejects_retired_backend(monkeypatch, capsys):
+    from benchmarks import harness
+
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    assert harness.main(["--backend", "turbo", "fig9b"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown simulation backend 'turbo'" in err
+    assert "known: hybrid, reference" in err
 
 
-def test_link_fastpath_static_eligibility():
-    """Error injection and timer-coalesced ACKs stay event-by-event."""
-    sim = Simulator("eligibility", backend="turbo")
-    assert PcieLink(sim, "errs", gen=PcieGen.GEN2, width=1,
-                    ack_policy="immediate",
-                    error_rate=1e-6).fastpath is None
-    assert PcieLink(sim, "derrs", gen=PcieGen.GEN2, width=1,
-                    ack_policy="immediate",
-                    dllp_error_rate=1e-6).fastpath is None
-    assert PcieLink(sim, "timer", gen=PcieGen.GEN2, width=1,
-                    ack_policy="timer").fastpath is None
-    assert PcieLink(sim, "plain", gen=PcieGen.GEN2, width=1,
-                    ack_policy="immediate").fastpath is not None
+def test_harness_has_no_partitions_flag(capsys):
+    from benchmarks import harness
+
+    with pytest.raises(SystemExit) as exit_info:
+        harness.main(["--partitions", "2", "fig9b"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --partitions" in capsys.readouterr().err
+
+
+def test_harness_list_shows_both_backends(monkeypatch, capsys):
+    from benchmarks import harness
+
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    assert harness.main(["--list"]) == 0
+    lines = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("backend ")]
+    assert lines == [["backend", "*hybrid"], ["backend", "reference"]]
+
+
+def test_build_system_partitions_must_be_none():
+    from repro.system.spec import SpecError, validation_spec
+    from repro.system.topology import build_system
+
+    with pytest.raises(SpecError, match="partitions"):
+        build_system(validation_spec(), partitions=2)
+    assert build_system(validation_spec(), partitions=None).spec is not None
