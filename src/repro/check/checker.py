@@ -264,7 +264,7 @@ class InvariantChecker:
 
     def on_retry_req(self, slave) -> None:
         """A slave issues a request retry: one must actually be owed."""
-        if not slave._req_retry_owed:
+        if not slave.retry_owed:
             self._violate(
                 "port.double_retry", slave.full_name,
                 "issued a request retry when none was owed",
@@ -273,7 +273,7 @@ class InvariantChecker:
 
     def on_retry_resp(self, master) -> None:
         """A master issues a response retry: one must actually be owed."""
-        if not master._resp_retry_owed:
+        if not master.resp_retry_owed:
             self._violate(
                 "port.double_retry", master.full_name,
                 "issued a response retry when none was owed",

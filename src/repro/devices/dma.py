@@ -53,18 +53,18 @@ class DmaTransfer:
             if self.is_write:
                 cmd = MemCmd.MESSAGE if self.posted else MemCmd.WRITE_REQ
                 pkt = Packet(cmd, addr, size, data=bytes(size),
-                             requestor=engine.device.full_name,
-                             create_tick=engine.device.curtick)
+                             requestor=device.full_name,
+                             create_tick=engine.eventq.curtick)
             else:
                 pkt = Packet(MemCmd.READ_REQ, addr, size,
-                             requestor=engine.device.full_name,
-                             create_tick=engine.device.curtick)
+                             requestor=device.full_name,
+                             create_tick=engine.eventq.curtick)
             if pkt.needs_response:
                 self._responses_pending += 1
-                engine.device.dma_send(pkt, self._on_response)
+                device.dma_send(pkt, self._on_response)
             else:
-                engine.device.dma_send(pkt, None)
-            engine.packets_issued.inc()
+                device.dma_send(pkt, None)
+            engine.packets_issued.total += 1
         if self._next_offset >= self.nbytes:
             self._all_issued = True
             if self._responses_pending == 0:

@@ -77,7 +77,7 @@ class Bridge(SimObject):
     def _recv_request(self, pkt: Packet) -> bool:
         if not self._req_queue.push(pkt, self.delay):
             return False
-        self.forwarded.inc()
+        self.forwarded.total += 1
         return True
 
     def _recv_response(self, pkt: Packet) -> bool:
@@ -88,5 +88,5 @@ class Bridge(SimObject):
             self.slave_port.send_retry_req()
 
     def _maybe_retry_responses(self) -> None:
-        if self.master_port._resp_retry_owed:
+        if self.master_port.resp_retry_owed:
             self.master_port.send_retry_resp()

@@ -72,11 +72,11 @@ class SimpleMemory(SimObject):
         if self._in_flight >= self.max_outstanding:
             return False
         if pkt.is_read:
-            self.reads.inc()
-            self.bytes_read.inc(pkt.size)
+            self.reads.total += 1
+            self.bytes_read.total += pkt.size
         else:
-            self.writes.inc()
-            self.bytes_written.inc(pkt.size)
+            self.writes.total += 1
+            self.bytes_written.total += pkt.size
         trc = self.tracer
         if trc.enabled:
             trc.emit(self.curtick, "mem", self.full_name,

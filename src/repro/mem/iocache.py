@@ -134,12 +134,12 @@ class IOCache(SimObject):
         cache_set = self._sets[index]
         if tag in cache_set:
             cache_set.move_to_end(tag)
-            self.hits.inc()
+            self.hits.total += 1
             self._trace_access(pkt, "read_hit")
             return self._resp_queue.push(pkt.make_response(), self.hit_latency)
         if len(self._outstanding) >= self.mshrs or self._mem_queue.full:
             return False
-        self.misses.inc()
+        self.misses.total += 1
         self._outstanding[pkt.req_id] = pkt
         self._trace_access(pkt, "read_miss")
         pushed = self._mem_queue.push(pkt, self.lookup_latency)
@@ -152,7 +152,7 @@ class IOCache(SimObject):
         if tag in cache_set:
             cache_set.move_to_end(tag)
             cache_set[tag].dirty = True
-            self.hits.inc()
+            self.hits.total += 1
             self._trace_access(pkt, "write_hit")
             return self._respond_to_write(pkt, self.hit_latency)
         if self._is_full_line(pkt):
@@ -161,8 +161,8 @@ class IOCache(SimObject):
                 return False
             if self._resp_queue.full:
                 return False
-            self._allocate(cache_set, tag, dirty=True)
-            self.allocations.inc()
+            self._allocate(index, tag, dirty=True)
+            self.allocations.total += 1
             self._trace_access(pkt, "write_alloc")
             return self._respond_to_write(pkt, self.hit_latency)
         # Posted partial write (an MSI message): forward and forget.
@@ -171,7 +171,7 @@ class IOCache(SimObject):
         if not pkt.needs_response:
             if self._mem_queue.full:
                 return False
-            self.misses.inc()
+            self.misses.total += 1
             self._trace_access(pkt, "write_through")
             pushed = self._mem_queue.push(pkt, self.lookup_latency)
             assert pushed
@@ -179,7 +179,7 @@ class IOCache(SimObject):
         # Partial write: write-through, respond on memory's ack.
         if len(self._outstanding) >= self.mshrs or self._mem_queue.full:
             return False
-        self.misses.inc()
+        self.misses.total += 1
         self._outstanding[pkt.req_id] = pkt
         self._trace_access(pkt, "write_through")
         pushed = self._mem_queue.push(pkt, self.lookup_latency)
@@ -203,16 +203,16 @@ class IOCache(SimObject):
             and not self._mem_queue.full
         )
 
-    def _allocate(self, cache_set: OrderedDict, tag: int, dirty: bool) -> None:
+    def _allocate(self, index: int, tag: int, dirty: bool) -> None:
+        cache_set = self._sets[index]
         if len(cache_set) >= self.assoc:
             victim_tag, victim = cache_set.popitem(last=False)
             if victim.dirty:
-                self._emit_writeback(victim_tag, cache_set)
+                self._emit_writeback(victim_tag, index)
         cache_set[tag] = _Line(tag, dirty)
 
-    def _emit_writeback(self, tag: int, cache_set: OrderedDict) -> None:
+    def _emit_writeback(self, tag: int, index: int) -> None:
         # Reconstruct the victim line address from its tag and set index.
-        index = next(i for i, s in self._sets.items() if s is cache_set)
         addr = (tag * self.num_sets + index) * self.line_size
         writeback = Packet(
             MemCmd.WRITE_REQ,
@@ -223,7 +223,7 @@ class IOCache(SimObject):
             create_tick=self.eventq.curtick,
         )
         self._writebacks_in_flight += 1
-        self.writebacks.inc()
+        self.writebacks.total += 1
         self._outstanding[writeback.req_id] = writeback
         self._trace_access(writeback, "writeback")
         pushed = self._mem_queue.push(writeback, self.lookup_latency)
@@ -280,8 +280,8 @@ class IOCache(SimObject):
             index, tag = self._index_tag(original.addr)
             cache_set = self._sets[index]
             if tag not in cache_set and self._can_allocate(cache_set):
-                self._allocate(cache_set, tag, dirty=False)
-                self.allocations.inc()
+                self._allocate(index, tag, dirty=False)
+                self.allocations.total += 1
         pushed = self._resp_queue.push(pkt, 0)
         assert pushed
         self._maybe_retry_cpu()

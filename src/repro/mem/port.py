@@ -41,15 +41,14 @@ class Port:
     def __init__(self, owner: SimObject, name: str):
         self.owner = owner
         self.name = name
+        #: ``<owner path>.<name>``, fixed at construction like
+        #: :attr:`SimObject.full_name`.
+        self.full_name = f"{owner.full_name}.{name}"
         self.peer: Optional["Port"] = None
         # Cached like SimObject.tracer: one attribute load and an
         # ``enabled`` branch is all the protocol hot path pays while the
         # invariant checker is off.
         self.checker = owner.sim.checker
-
-    @property
-    def full_name(self) -> str:
-        return f"{self.owner.full_name}.{self.name}"
 
     @property
     def bound(self) -> bool:
@@ -94,8 +93,10 @@ class MasterPort(Port):
         self.recv_req_retry = recv_req_retry or _unwired("recv_req_retry", self)
         # True while the peer owes this port a request retry.
         self.waiting_for_req_retry = False
-        # True while this port owes the peer a response retry.
-        self._resp_retry_owed = False
+        # True while this port owes the peer a response retry.  A plain
+        # attribute because owners poll it per packet; only the port
+        # protocol (send_timing_resp / send_retry_resp) writes it.
+        self.resp_retry_owed = False
 
     def bind(self, slave: "SlavePort") -> None:
         """Bind this master port to a slave port (and vice versa)."""
@@ -106,28 +107,23 @@ class MasterPort(Port):
 
     # -- sending requests ----------------------------------------------------
     def send_timing_req(self, pkt: Packet) -> bool:
-        if self.peer is None:
+        peer = self.peer
+        if peer is None:
             raise PortError(f"{self.full_name} is unbound")
         if not pkt.is_request:
             raise PortError(f"{self.full_name} asked to send non-request {pkt!r}")
         ck = self.checker
         if ck.enabled:
             ck.pre_send_req(self, pkt)
-        accepted = self.peer.recv_timing_req(pkt)
+        accepted = peer.recv_timing_req(pkt)
         if not accepted:
             self.waiting_for_req_retry = True
-            self.peer._req_retry_owed = True
+            peer.retry_owed = True
         if ck.enabled:
             ck.post_send_req(self, pkt, accepted)
         return accepted
 
     # -- response-side flow control -------------------------------------------
-    def _handle_resp(self, pkt: Packet) -> bool:
-        accepted = self.recv_timing_resp(pkt)
-        if not accepted:
-            self._resp_retry_owed = True
-        return accepted
-
     def send_retry_resp(self) -> None:
         """Tell the peer slave to retry a previously-refused response."""
         if self.peer is None:
@@ -135,18 +131,11 @@ class MasterPort(Port):
         ck = self.checker
         if ck.enabled:
             ck.on_retry_resp(self)
-        if not self._resp_retry_owed:
+        if not self.resp_retry_owed:
             raise PortError(f"{self.full_name} owes no response retry")
-        self._resp_retry_owed = False
+        self.resp_retry_owed = False
         self.peer.waiting_for_resp_retry = False
         self.peer.recv_resp_retry()
-
-    @property
-    def resp_retry_owed(self) -> bool:
-        """True while this port owes its peer a response retry — the
-        public mirror of :attr:`SlavePort.retry_owed` for the response
-        direction, so owners never reach into ``_resp_retry_owed``."""
-        return self._resp_retry_owed
 
 
 class SlavePort(Port):
@@ -175,8 +164,9 @@ class SlavePort(Port):
         self._ranges: List[AddrRange] = list(ranges or [])
         # True while the peer owes this port a response retry.
         self.waiting_for_resp_retry = False
-        # True while this port owes the peer a request retry.
-        self._req_retry_owed = False
+        # True while this port owes the peer a request retry (polled by
+        # owners per packet; written only by the port protocol).
+        self.retry_owed = False
 
     def bind(self, master: MasterPort) -> None:
         master.bind(self)
@@ -195,16 +185,18 @@ class SlavePort(Port):
 
     # -- sending responses -------------------------------------------------------
     def send_timing_resp(self, pkt: Packet) -> bool:
-        if self.peer is None:
+        peer = self.peer
+        if peer is None:
             raise PortError(f"{self.full_name} is unbound")
         if not pkt.is_response:
             raise PortError(f"{self.full_name} asked to send non-response {pkt!r}")
         ck = self.checker
         if ck.enabled:
             ck.pre_send_resp(self, pkt)
-        accepted = self.peer._handle_resp(pkt)
+        accepted = peer.recv_timing_resp(pkt)
         if not accepted:
             self.waiting_for_resp_retry = True
+            peer.resp_retry_owed = True
         if ck.enabled:
             ck.post_send_resp(self, pkt, accepted)
         return accepted
@@ -217,15 +209,11 @@ class SlavePort(Port):
         ck = self.checker
         if ck.enabled:
             ck.on_retry_req(self)
-        if not self._req_retry_owed:
+        if not self.retry_owed:
             raise PortError(f"{self.full_name} owes no request retry")
-        self._req_retry_owed = False
+        self.retry_owed = False
         self.peer.waiting_for_req_retry = False
         self.peer.recv_req_retry()
-
-    @property
-    def retry_owed(self) -> bool:
-        return self._req_retry_owed
 
 
 class _DrainEvent(Event):
@@ -308,51 +296,61 @@ class PacketQueue:
         Returns False (and drops nothing) when the queue is full.
         """
         entries = self._entries
-        if len(entries) >= self.capacity:
-            self.refused.inc()
+        depth = len(entries)
+        if depth >= self.capacity:
+            self.refused.total += 1
             return False
-        self.occupancy.sample(len(entries))
-        ready = self.eventq.curtick + delay
-        entries.append((ready, pkt))
+        self.occupancy.sample(depth)
+        eventq = self.eventq
+        now = eventq.curtick
+        entries.append((now + delay, pkt))
+        # _drain_scheduled is also the re-entrancy guard: this push may
+        # come from inside send_fn while _drain is running.
         if not self._drain_scheduled and not self._waiting_retry:
-            self._schedule_drain()
+            self._drain_scheduled = True
+            ready = entries[0][0]
+            eventq.schedule(self._drain_event, ready if ready > now else now)
         return True
 
     def retry(self) -> None:
         """The peer can accept again: resume draining."""
         self._waiting_retry = False
-        self._schedule_drain()
-
-    def _schedule_drain(self) -> None:
-        if self._drain_scheduled or self._waiting_retry or not self._entries:
-            return
-        eventq = self.eventq
-        ready = self._entries[0][0]
-        now = eventq.curtick
-        self._drain_scheduled = True
-        eventq.schedule(self._drain_event, ready if ready > now else now)
+        if self._entries and not self._drain_scheduled:
+            eventq = self.eventq
+            ready = self._entries[0][0]
+            now = eventq.curtick
+            self._drain_scheduled = True
+            eventq.schedule(self._drain_event, ready if ready > now else now)
 
     def _drain(self) -> None:
         self._drain_scheduled = False
         # Loop invariants hoisted: curtick cannot move inside the loop
-        # (time only advances in the event-queue drain), and the deque
+        # (time only advances in the event-queue drain), the deque
         # object is never replaced — send_fn/callbacks that push more
-        # work mutate it in place, which the loop condition observes.
+        # work mutate it in place, which the loop condition observes —
+        # and owners wire both callbacks once, at construction.
         entries = self._entries
-        now = self.eventq.curtick
+        eventq = self.eventq
+        now = eventq.curtick
         send_fn = self.send_fn
         sent = self.sent
+        on_packet_sent = self.on_packet_sent
+        on_space_freed = self.on_space_freed
         while entries and not self._waiting_retry:
             ready, pkt = entries[0]
             if ready > now:
-                self._schedule_drain()
+                # A push from inside send_fn/callbacks may already have
+                # re-armed the drain for this head.
+                if not self._drain_scheduled:
+                    self._drain_scheduled = True
+                    eventq.schedule(self._drain_event, ready)
                 return
             if not send_fn(pkt):
                 self._waiting_retry = True
                 return
             entries.popleft()
-            sent.inc()
-            if self.on_packet_sent is not None:
-                self.on_packet_sent(pkt)
-            if self.on_space_freed is not None:
-                self.on_space_freed()
+            sent.total += 1
+            if on_packet_sent is not None:
+                on_packet_sent(pkt)
+            if on_space_freed is not None:
+                on_space_freed()

@@ -124,7 +124,7 @@ class NoncoherentXBar(SimObject):
             )
         queue = self._req_queues[dest]
         if queue.full:
-            self.retries.inc()
+            self.retries.total += 1
             return False
         now = self.eventq.curtick
         start = max(now, self._req_layer_free[dest])
@@ -135,8 +135,8 @@ class NoncoherentXBar(SimObject):
         assert accepted, "queue.full checked above"
         if pkt.needs_response:
             self._resp_route[pkt.req_id] = src
-        self.pkt_count.inc()
-        self.bytes_moved.inc(pkt.payload_size)
+        self.pkt_count.total += 1
+        self.bytes_moved.total += pkt.payload_size
         trc = self.tracer
         if trc.enabled:
             trc.emit(now, "xbar", self.full_name, "req_route",
@@ -152,7 +152,7 @@ class NoncoherentXBar(SimObject):
             ) from None
         queue = self._resp_queues[dest]
         if queue.full:
-            self.retries.inc()
+            self.retries.total += 1
             return False
         del self._resp_route[pkt.req_id]
         now = self.eventq.curtick
@@ -161,8 +161,8 @@ class NoncoherentXBar(SimObject):
         self._resp_layer_free[dest] = start + occupancy
         accepted = queue.push(pkt, (start - now) + occupancy + self.forward_latency)
         assert accepted
-        self.pkt_count.inc()
-        self.bytes_moved.inc(pkt.payload_size)
+        self.pkt_count.total += 1
+        self.bytes_moved.total += pkt.payload_size
         trc = self.tracer
         if trc.enabled:
             trc.emit(now, "xbar", self.full_name, "resp_route",
@@ -177,7 +177,7 @@ class NoncoherentXBar(SimObject):
 
     def _kick_waiting_responders(self) -> None:
         for port in self._master_ports:
-            if port._resp_retry_owed:
+            if port.resp_retry_owed:
                 port.send_retry_resp()
 
     @property

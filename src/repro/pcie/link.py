@@ -63,8 +63,10 @@ from typing import Deque, Optional
 from repro.mem.packet import FLOW_CPL, Packet
 from repro.mem.port import MasterPort, SlavePort
 from repro.pcie.fc import CreditLedger
-from repro.pcie.pkt import FLOW_CLASS_FOR_DLLP, DllpType, PciePacket
+from repro.pcie.pkt import UPDATE_FC_FOR, DllpType, PciePacket
 from repro.pcie.timing import (
+    DLLP_WIRE_BYTES,
+    TLP_OVERHEAD_BYTES,
     LinkTiming,
     PcieGen,
     ack_timer_ticks,
@@ -99,7 +101,7 @@ class _TxDoneEvent(Event):
         sender = self.sender
         self.sender = None
         self.link.busy = False
-        sender.link_free()
+        sender._kick_tx()
 
 
 class _DeliverEvent(Event):
@@ -128,7 +130,10 @@ class _DeliverEvent(Event):
         self.receiver = None
         self.ppkt = None
         self.link._deliver_pool.append(self)
-        receiver.receive_from_link(ppkt)
+        if ppkt.tlp is None:
+            receiver._receive_dllp(ppkt)
+        else:
+            receiver._receive_tlp(ppkt)
 
 
 class UnidirectionalLink(SimObject):
@@ -144,6 +149,9 @@ class UnidirectionalLink(SimObject):
     ):
         super().__init__(sim, name, parent)
         self.timing = timing
+        # The (gen, width)-shared wire_bytes -> ticks memo, read directly
+        # in send(); timing.transmission_ticks fills it on a miss.
+        self._tx_ticks = timing.tx_ticks_cache
         self.propagation_delay = propagation_delay
         self.busy = False
         self._tx_done_event = _TxDoneEvent(self)
@@ -157,12 +165,16 @@ class UnidirectionalLink(SimObject):
         """Serialize ``ppkt`` onto the wire towards ``receiver``."""
         if self.busy:
             raise RuntimeError(f"{self.full_name} is busy")
-        wire = ppkt.wire_bytes()
-        tx_time = self.timing.transmission_ticks(wire)
+        tlp = ppkt.tlp
+        wire = (DLLP_WIRE_BYTES if tlp is None
+                else tlp.payload_size + TLP_OVERHEAD_BYTES)
+        tx_time = self._tx_ticks.get(wire)
+        if tx_time is None:
+            tx_time = self.timing.transmission_ticks(wire)
         self.busy = True
-        self.packets.inc()
-        self.bytes.inc(wire)
-        self.busy_ticks.inc(tx_time)
+        self.packets.total += 1
+        self.bytes.total += wire
+        self.busy_ticks.total += tx_time
         # tx_done must be scheduled before the delivery so their
         # insertion sequence (and thus dispatch order at equal ticks)
         # matches the historical per-packet-callback code exactly.
@@ -341,7 +353,7 @@ class PcieLinkInterface(SimObject):
         """A TLP offered by the attached component (request via our slave
         port or response via our master port)."""
         queue = self._in_cpl if pkt.is_response else self._in_req
-        if len(queue) >= self.input_queue_size:
+        if len(queue) >= self.link_parent.input_queue_size:
             return False
         queue.append(pkt)
         self._kick_tx()
@@ -357,23 +369,29 @@ class PcieLinkInterface(SimObject):
         self._drain_rx()
 
     def _kick_tx(self) -> None:
-        if self.tx_link is None or self.tx_link.busy:
+        tx_link = self.tx_link
+        if tx_link is None or tx_link.busy:
             return
+        if not (self.dllp_queue or self._in_req or self._in_cpl
+                or self.retransmit_queue):
+            return  # nothing _pick_next could select
         ppkt = self._pick_next()
         if ppkt is None:
             return
+        tlp = ppkt.tlp
         trc = self.tracer
         if trc.enabled:
-            if ppkt.is_tlp:
+            if tlp is not None:
                 trc.emit(self.curtick, "link", self.full_name, "tlp_tx",
-                         tlp=trc.tlp_id(ppkt.tlp.req_id), seq=ppkt.seq,
-                         replay=ppkt.is_replay, resp=ppkt.tlp.is_response)
+                         tlp=trc.tlp_id(tlp.req_id), seq=ppkt.seq,
+                         replay=ppkt.is_replay, resp=tlp.is_response)
             else:
                 trc.emit(self.curtick, "link", self.full_name, "dllp_tx",
                          kind=ppkt.dllp_type.value, seq=ppkt.seq)
-        self.tx_link.send(ppkt, self, self.peer)
-        if ppkt.is_tlp and not self._replay_event.scheduled:
-            self.eventq.schedule_after(self._replay_event, self.replay_timeout)
+        tx_link.send(ppkt, self, self.peer)
+        if tlp is not None and not self._replay_event.scheduled:
+            self.eventq.schedule_after(
+                self._replay_event, self.link_parent.replay_timeout)
 
     def _pick_next(self) -> Optional[PciePacket]:
         """Select the next pcie-pkt per the paper's priority order."""
@@ -381,19 +399,19 @@ class PcieLinkInterface(SimObject):
             ppkt = self.dllp_queue.popleft()
             dllp_type = ppkt.dllp_type
             if dllp_type is DllpType.ACK:
-                self.acks_sent.inc()
+                self.acks_sent.total += 1
             elif dllp_type is DllpType.NAK:
-                self.naks_sent.inc()
+                self.naks_sent.total += 1
             else:
-                self.fc_updates_sent.inc()
+                self.fc_updates_sent.total += 1
             return ppkt
         while self.retransmit_queue:
             ppkt = self.retransmit_queue.popleft()
             if ppkt in self.replay_buffer:  # not ACKed while waiting
                 ppkt.is_replay = True
-                self.tlp_replays.inc()
+                self.tlp_replays.total += 1
                 return ppkt
-        if len(self.replay_buffer) < self.replay_buffer_size:
+        if len(self.replay_buffer) < self.link_parent.replay_buffer_size:
             # New TLPs spend a credit of their class on first
             # transmission (replays above never re-consume: the
             # receiver's buffer slot is still accounted to the TLP).
@@ -417,28 +435,21 @@ class PcieLinkInterface(SimObject):
     def _wrap_new_tlp(self, pkt: Packet) -> PciePacket:
         """Sequence a first-time TLP, consuming one credit of its class."""
         self.fc.consume(pkt.flow_class)
-        ppkt = PciePacket.for_tlp(pkt, self.send_seq)
+        ppkt = PciePacket(tlp=pkt, seq=self.send_seq)
         self.send_seq += 1
         self.replay_buffer.append(ppkt)
-        self.tlps_sent.inc()
+        self.tlps_sent.total += 1
         ck = self.checker
         if ck.enabled:
             ck.link_tlp_queued(self, ppkt)
-        self._issue_component_retries()
-        return ppkt
-
-    def _issue_component_retries(self) -> None:
-        """Input-queue space freed: let the component retry refusals."""
+        # Input-queue space freed: let the component retry refusals.
         if (self.slave_port.retry_owed
-                and len(self._in_req) < self.input_queue_size):
+                and len(self._in_req) < self.link_parent.input_queue_size):
             self.slave_port.send_retry_req()
         if (self.master_port.resp_retry_owed
-                and len(self._in_cpl) < self.input_queue_size):
+                and len(self._in_cpl) < self.link_parent.input_queue_size):
             self.master_port.send_retry_resp()
-
-    def link_free(self) -> None:
-        """Our unidirectional link finished a transmission."""
-        self._kick_tx()
+        return ppkt
 
     # -- credit stalls -------------------------------------------------------
     def _fc_blocked(self, cls: int) -> None:
@@ -446,7 +457,7 @@ class PcieLinkInterface(SimObject):
         start the class's stall clock and arm the FC watchdog."""
         fc = self.fc
         if not fc.stalled(cls):
-            fc.stall_begin(cls, self.curtick)
+            fc.stall_begin(cls, self.eventq.curtick)
         if not self._fc_watchdog_event.scheduled:
             self.eventq.schedule_after(self._fc_watchdog_event, self.fc_watchdog)
 
@@ -458,7 +469,7 @@ class PcieLinkInterface(SimObject):
         fc = self.fc
         if not (fc.stalled(0) or fc.stalled(1) or fc.stalled(2)):
             return
-        self.fc_watchdog_fires.inc()
+        self.fc_watchdog_fires.total += 1
         trc = self.tracer
         if trc.enabled:
             trc.emit(self.curtick, "link", self.full_name, "fc_watchdog",
@@ -473,14 +484,14 @@ class PcieLinkInterface(SimObject):
         monotone, so a duplicate advertisement is a no-op)."""
         fc = self.fc
         for cls in (0, 1, 2):
-            self._queue_dllp(PciePacket.update_fc(cls, fc.rx_limit(cls)))
+            self._queue_dllp(UPDATE_FC_FOR[cls], fc.rx_limit(cls))
         self._kick_tx()
 
     def _credits_arrived(self, cls: int) -> None:
         """The peer advanced our ``cls`` credit limit: close the stall
         clock, stand down the watchdog if nothing is starved, resume."""
         fc = self.fc
-        fc.stall_end(cls, self.curtick)
+        fc.stall_end(cls, self.eventq.curtick)
         if (self._fc_watchdog_event.scheduled
                 and not (fc.stalled(0) or fc.stalled(1) or fc.stalled(2))):
             self.eventq.deschedule(self._fc_watchdog_event)
@@ -488,7 +499,7 @@ class PcieLinkInterface(SimObject):
 
     # -- replay timer -------------------------------------------------------
     def _replay_timeout(self) -> None:
-        self.timeouts.inc()
+        self.timeouts.total += 1
         trc = self.tracer
         if trc.enabled:
             trc.emit(self.curtick, "link", self.full_name, "replay_timeout",
@@ -511,22 +522,23 @@ class PcieLinkInterface(SimObject):
 
     # ===================== RX: link -> component =========================
     def receive_from_link(self, ppkt: PciePacket) -> None:
-        """Entry point for everything arriving off the wire."""
-        if ppkt.is_dllp:
+        """Hand this interface a pcie-pkt as if it arrived off the wire
+        (the delivery event makes the same TLP/DLLP dispatch itself)."""
+        if ppkt.tlp is None:
             self._receive_dllp(ppkt)
         else:
             self._receive_tlp(ppkt)
 
     def _receive_dllp(self, ppkt: PciePacket) -> None:
         trc = self.tracer
-        if (self.link_parent.dllp_error_rate
-                and self._rng.random() < self.link_parent.dllp_error_rate):
+        error_rate = self.link_parent.dllp_error_rate
+        if error_rate and self._rng.random() < error_rate:
             # A corrupted DLLP fails its CRC and is silently discarded;
             # a lost ACK is recovered by the sender's replay timer, a
             # lost NAK by the next timeout or a later ACK/NAK, a lost
             # UpdateFC by the next one (cumulative limits) or the FC
             # watchdog.
-            self.dllp_corrupted.inc()
+            self.dllp_corrupted.total += 1
             if trc.enabled:
                 trc.emit(self.curtick, "link", self.full_name, "dllp_corrupt",
                          kind=ppkt.dllp_type.value, seq=ppkt.seq)
@@ -539,7 +551,7 @@ class PcieLinkInterface(SimObject):
             ck.link_dllp_received(self, ppkt)
         dllp_type = ppkt.dllp_type
         if dllp_type is DllpType.ACK:
-            self.acks_received.inc()
+            self.acks_received.total += 1
             self._purge_acknowledged(ppkt.seq)
             self._reset_replay_timer()
             self._kick_tx()
@@ -553,18 +565,19 @@ class PcieLinkInterface(SimObject):
         else:
             # UpdateFC: install the cumulative limit; stale (lower or
             # duplicate) limits are no-ops per the monotone rule.
-            self.fc_updates_received.inc()
-            cls = FLOW_CLASS_FOR_DLLP[dllp_type]
+            self.fc_updates_received.total += 1
+            cls = UPDATE_FC_FOR.index(dllp_type)
             if self.fc.advertise(cls, ppkt.seq):
                 self._credits_arrived(cls)
 
     def _purge_acknowledged(self, seq: int) -> None:
-        while self.replay_buffer and self.replay_buffer[0].seq <= seq:
-            self.replay_buffer.popleft()
+        replay_buffer = self.replay_buffer
+        while replay_buffer and replay_buffer[0].seq <= seq:
+            replay_buffer.popleft()
 
-    def _queue_dllp(self, ppkt: PciePacket) -> None:
-        """Enqueue a DLLP, coalescing with a pending one of the same
-        type.
+    def _queue_dllp(self, dllp_type: DllpType, seq: int) -> None:
+        """Enqueue a ``dllp_type`` DLLP carrying ``seq``, coalescing
+        with a pending one of the same type.
 
         ACK/NAK sequence numbers and UpdateFC credit limits are all
         cumulative — a later value subsumes every earlier one — so a
@@ -572,31 +585,33 @@ class PcieLinkInterface(SimObject):
         of queueing a second entry.  Without this, sustained TLP
         corruption (every received TLP NAKed while the transmitter is
         busy) grows ``dllp_queue`` without bound; with it the queue
-        never holds more than one entry per DLLP type.
+        never holds more than one entry per DLLP type — and a pcie-pkt
+        is only allocated for a DLLP that actually takes a queue slot.
         """
         for pending in self.dllp_queue:
-            if pending.dllp_type is ppkt.dllp_type:
-                if ppkt.seq > pending.seq:
-                    pending.seq = ppkt.seq
+            if pending.dllp_type is dllp_type:
+                if seq > pending.seq:
+                    pending.seq = seq
                 return
-        self.dllp_queue.append(ppkt)
+        self.dllp_queue.append(PciePacket(dllp_type=dllp_type, seq=seq))
 
     def _receive_tlp(self, ppkt: PciePacket) -> None:
         trc = self.tracer
-        if self.link_parent.error_rate and self._rng.random() < self.link_parent.error_rate:
+        error_rate = self.link_parent.error_rate
+        if error_rate and self._rng.random() < error_rate:
             # A corrupted TLP: discard and NAK the last good sequence.
             # No credit moves — the sender's credit stays consumed and
             # our buffer slot stays reserved until the replay lands.
-            self.corrupted.inc()
+            self.corrupted.total += 1
             if trc.enabled:
                 trc.emit(self.curtick, "link", self.full_name, "tlp_corrupt",
                          tlp=trc.tlp_id(ppkt.tlp.req_id), seq=ppkt.seq)
-            self._queue_dllp(PciePacket.nak(self.recv_seq - 1))
+            self._queue_dllp(DllpType.NAK, self.recv_seq - 1)
             self._kick_tx()
             return
         if ppkt.seq != self.recv_seq:
             # Duplicate (already delivered) or out-of-order replay.
-            self.out_of_seq.inc()
+            self.out_of_seq.total += 1
             if trc.enabled:
                 trc.emit(self.curtick, "link", self.full_name, "tlp_out_of_seq",
                          tlp=trc.tlp_id(ppkt.tlp.req_id), seq=ppkt.seq,
@@ -611,7 +626,7 @@ class PcieLinkInterface(SimObject):
         # a slot by construction (the checker enforces it).
         pkt = ppkt.tlp
         cls = pkt.flow_class
-        self.delivered.inc()
+        self.delivered.total += 1
         if trc.enabled:
             trc.emit(self.curtick, "link", self.full_name, "tlp_deliver",
                      tlp=trc.tlp_id(pkt.req_id), seq=ppkt.seq,
@@ -660,7 +675,7 @@ class PcieLinkInterface(SimObject):
 
     def _count_refusal(self, pkt: Packet) -> None:
         """The attached component refused an RX-buffer drain attempt."""
-        self.delivery_refused.inc()
+        self.delivery_refused.total += 1
         trc = self.tracer
         if trc.enabled:
             trc.emit(self.curtick, "link", self.full_name, "tlp_refused",
@@ -671,12 +686,12 @@ class PcieLinkInterface(SimObject):
         returns the credit (coalesced — limits are cumulative)."""
         fc = self.fc
         fc.rx_drain(cls)
-        self._queue_dllp(PciePacket.update_fc(cls, fc.rx_limit(cls)))
+        self._queue_dllp(UPDATE_FC_FOR[cls], fc.rx_limit(cls))
 
     # -- ACK scheduling ---------------------------------------------------------
     def _schedule_ack(self) -> None:
         if self.link_parent.ack_policy == "immediate":
-            self._queue_dllp(PciePacket.ack(self.recv_seq - 1))
+            self._queue_dllp(DllpType.ACK, self.recv_seq - 1)
             self._kick_tx()
             return
         self._have_unacked_delivery = True
@@ -687,7 +702,7 @@ class PcieLinkInterface(SimObject):
         if not self._have_unacked_delivery:
             return
         self._have_unacked_delivery = False
-        self._queue_dllp(PciePacket.ack(self.recv_seq - 1))
+        self._queue_dllp(DllpType.ACK, self.recv_seq - 1)
         self._kick_tx()
 
     # -- checkpointing ----------------------------------------------------

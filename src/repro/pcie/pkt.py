@@ -115,7 +115,8 @@ class PciePacket:
 
     def wire_bytes(self) -> int:
         """On-wire size per Table I (encoding cost lives in the symbol
-        time, not here)."""
+        time, not here).  ``UnidirectionalLink.send`` inlines this
+        expression on the per-packet path; keep the two in step."""
         if self.tlp is not None:
             return self.tlp.payload_size + TLP_OVERHEAD_BYTES
         return DLLP_WIRE_BYTES

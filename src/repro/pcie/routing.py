@@ -62,22 +62,20 @@ class _ProcessedEvent(Event):
     of in-flight processings instead of one allocation per packet.
     """
 
-    __slots__ = ("port", "pkt", "is_response")
+    __slots__ = ("port", "pkt")
 
     def __init__(self, port: "ComponentPort"):
         super().__init__(name="processed")
         self.port = port
         self.pkt: Optional[Packet] = None
-        self.is_response = False
 
     def process(self) -> None:
         """Recycle into the port's pool, then route the packet on."""
         port = self.port
         pkt = self.pkt
-        is_response = self.is_response
         self.pkt = None
         port._processed_pool.append(self)
-        port.engine._move(pkt, src=port, is_response=is_response)
+        port.engine._move(pkt, port)
 
 
 class ComponentPort(SimObject):
@@ -97,16 +95,13 @@ class ComponentPort(SimObject):
         self.vp2p = vp2p
         self.is_upstream = is_upstream
 
+        # Requests and responses share one ingress handler: a packet
+        # knows which it is.  The retry handlers are the egress queues'
+        # own bound methods, wired below once the queues exist.
         self.master_port = MasterPort(
-            self, "master",
-            recv_timing_resp=self._recv_response,
-            recv_req_retry=lambda: self.req_queue.retry(),
-        )
+            self, "master", recv_timing_resp=self._ingress)
         self.slave_port = SlavePort(
-            self, "slave",
-            recv_timing_req=self._recv_request,
-            recv_resp_retry=lambda: self.resp_queue.retry(),
-        )
+            self, "slave", recv_timing_req=self._ingress)
         if is_upstream:
             self.slave_port.get_ranges = parent.upstream_ranges
 
@@ -120,12 +115,10 @@ class ComponentPort(SimObject):
         self.resp_queue = PacketQueue(
             self, "respq", self.slave_port.send_timing_resp, capacity
         )
-        self.req_queue.on_packet_sent = (
-            lambda pkt: parent._packet_left(pkt, is_response=False)
-        )
-        self.resp_queue.on_packet_sent = (
-            lambda pkt: parent._packet_left(pkt, is_response=True)
-        )
+        self.master_port.recv_req_retry = self.req_queue.retry
+        self.slave_port.recv_resp_retry = self.resp_queue.retry
+        self.req_queue.on_packet_sent = parent._packet_left
+        self.resp_queue.on_packet_sent = parent._packet_left
 
         # The pool: packets resident in the engine that entered here,
         # accounted per flow-control class (index with pkt.flow_class).
@@ -164,52 +157,50 @@ class ComponentPort(SimObject):
         self._slots[flow_class] += 1
         return True
 
-    def _release(self, flow_class: int) -> None:
-        assert self._slots[flow_class] > 0
-        self._slots[flow_class] -= 1
-        self.engine._on_slot_freed()
-
     # -- ingress ------------------------------------------------------------------
-    def _recv_request(self, pkt: Packet) -> bool:
-        return self._ingress(pkt, is_response=False)
-
-    def _recv_response(self, pkt: Packet) -> bool:
-        return self._ingress(pkt, is_response=True)
-
-    def _ingress(self, pkt: Packet, is_response: bool) -> bool:
+    def _ingress(self, pkt: Packet) -> bool:
         trc = self.tracer
+        is_response = pkt.is_response
         if not self._try_reserve(pkt.flow_class):
-            self.ingress_refusals.inc()
+            self.ingress_refusals.total += 1
             if trc.enabled:
                 trc.emit(self.curtick, "engine", self.full_name,
                          "ingress_refused", tlp=trc.tlp_id(pkt.req_id),
                          resp=is_response, pool=self.pool_used)
             return False
-        self.pool_occupancy.sample(self.pool_used)
+        slots = self._slots
+        self.pool_occupancy.sample(slots[0] + slots[1] + slots[2])
         if trc.enabled:
             trc.emit(self.curtick, "engine", self.full_name, "ingress",
                      tlp=trc.tlp_id(pkt.req_id), resp=is_response,
                      pool=self.pool_used)
-        self.engine._register_owner(pkt, is_response, self)
+        engine = self.engine
+        # The slot stays charged to this port until the packet leaves
+        # the engine (see PcieRoutingEngine._packet_left).
+        engine._owners[(pkt.req_id, is_response)] = self
         if not is_response and pkt.pci_bus_num == -1:
             pkt.pci_bus_num = self.stamp_bus_number()
-        now = self.eventq.curtick
+        eventq = self.eventq
+        now = eventq.curtick
         # The internal datapath admits one packet per service interval.
         # With datapath_scope="port" each port has its own pipeline;
         # with "engine" a single store-and-forward engine is shared by
         # every port and both directions, so a request flood delays
         # response processing too.
-        if self.engine.datapath_scope == "engine":
-            start = max(now, self.engine._datapath_next_free)
-            self.engine._datapath_next_free = start + self.engine.service_interval
+        if engine.datapath_scope == "engine":
+            start = engine._datapath_next_free
+            if start < now:
+                start = now
+            engine._datapath_next_free = start + engine.service_interval
         else:
-            start = max(now, self._proc_next_free)
-            self._proc_next_free = start + self.engine.service_interval
+            start = self._proc_next_free
+            if start < now:
+                start = now
+            self._proc_next_free = start + engine.service_interval
         pool = self._processed_pool
         event = pool.pop() if pool else _ProcessedEvent(self)
         event.pkt = pkt
-        event.is_response = is_response
-        self.eventq.schedule(event, start + self.engine.latency)
+        eventq.schedule(event, start + engine.latency)
         return True
 
     def stamp_bus_number(self) -> int:
@@ -242,12 +233,7 @@ class ComponentPort(SimObject):
         """Restore the datapath horizon onto this rebuilt port."""
         self._proc_next_free = state["proc_next_free"]
 
-    # -- egress ----------------------------------------------------------------------
-    def enqueue_egress(self, pkt: Packet, is_response: bool) -> None:
-        queue = self.resp_queue if is_response else self.req_queue
-        pushed = queue.push(pkt, 0)
-        assert pushed, "egress capacity covers the engine's worst case"
-
+    # -- backpressure ------------------------------------------------------
     def retry_refused_peers(self) -> None:
         """Pool space freed: let refused ingress peers try again.
 
@@ -260,7 +246,7 @@ class ComponentPort(SimObject):
         if self.slave_port.retry_owed and (
                 slots[FLOW_P] < caps[FLOW_P] or slots[FLOW_NP] < caps[FLOW_NP]):
             self.slave_port.send_retry_req()
-        if self.master_port._resp_retry_owed and slots[FLOW_CPL] < caps[FLOW_CPL]:
+        if self.master_port.resp_retry_owed and slots[FLOW_CPL] < caps[FLOW_CPL]:
             self.master_port.send_retry_resp()
 
 
@@ -313,6 +299,8 @@ class PcieRoutingEngine(SimObject):
         self.upstream_port = ComponentPort(sim, "upstream", self, vp2p=None,
                                            is_upstream=True)
         self.downstream_ports: List[ComponentPort] = []
+        # Upstream then downstream ports: the retry fan-out order.
+        self._ports: List[ComponentPort] = [self.upstream_port]
         # Which port's pool each resident packet is charged to, keyed
         # by (req_id, is_response) — a request and its response never
         # reside in the same engine simultaneously, and ids are unique.
@@ -329,10 +317,8 @@ class PcieRoutingEngine(SimObject):
             self.sim, name or f"port{index}", self, vp2p=vp2p, is_upstream=False
         )
         self.downstream_ports.append(port)
+        self._ports.append(port)
         return port
-
-    def _all_ports(self) -> List[ComponentPort]:
-        return [self.upstream_port] + self.downstream_ports
 
     def config_dict(self) -> dict:
         """The engine's knobs, recorded into stats exports; subclasses
@@ -378,13 +364,18 @@ class PcieRoutingEngine(SimObject):
         raise NotImplementedError
 
     # -- slot ownership ---------------------------------------------------------------
-    def _register_owner(self, pkt: Packet, is_response: bool,
-                        port: ComponentPort) -> None:
-        self._owners[(pkt.req_id, is_response)] = port
-
-    def _packet_left(self, pkt: Packet, is_response: bool) -> None:
+    def _packet_left(self, pkt: Packet) -> None:
+        """``pkt`` left an egress queue: free the slot it held at the
+        port it entered through, then let every port with a refused
+        ingress peer and room for it retry (upstream port first)."""
+        is_response = pkt.is_response
         owner = self._owners.pop((pkt.req_id, is_response))
-        owner._release(pkt.flow_class)
+        flow_class = pkt.flow_class
+        assert owner._slots[flow_class] > 0
+        owner._slots[flow_class] -= 1
+        for port in self._ports:
+            if port.slave_port.retry_owed or port.master_port.resp_retry_owed:
+                port.retry_refused_peers()
         trc = self.tracer
         if trc.enabled:
             trc.emit(self.eventq.curtick, "engine", owner.full_name, "egress",
@@ -392,16 +383,17 @@ class PcieRoutingEngine(SimObject):
                      pool=owner.pool_used)
 
     # -- internal movement ---------------------------------------------------------
-    def _move(self, pkt: Packet, src: ComponentPort, is_response: bool) -> None:
+    def _move(self, pkt: Packet, src: ComponentPort) -> None:
         """Ingress processing finished: hand the packet to its egress
         queue (the slot stays charged to ``src`` until transmission)."""
-        if is_response:
-            target = self._response_target(pkt)
-            self.responses_routed.inc()
+        if pkt.is_response:
+            queue = self._response_target(pkt).resp_queue
+            self.responses_routed.total += 1
         else:
-            target = self._request_target(pkt, src)
-            self.requests_routed.inc()
-        target.enqueue_egress(pkt, is_response)
+            queue = self._request_target(pkt, src).req_queue
+            self.requests_routed.total += 1
+        pushed = queue.push(pkt, 0)
+        assert pushed, "egress capacity covers the engine's worst case"
 
     def _request_target(self, pkt: Packet, src: ComponentPort) -> ComponentPort:
         for port in self.downstream_ports:
@@ -426,8 +418,3 @@ class PcieRoutingEngine(SimObject):
         # Per the paper: "If no match is found, the response packet is
         # forwarded to the upstream slave port."
         return self.upstream_port
-
-    # -- backpressure fan-out ----------------------------------------------------------
-    def _on_slot_freed(self) -> None:
-        for port in self._all_ports():
-            port.retry_refused_peers()

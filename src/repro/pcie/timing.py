@@ -191,9 +191,11 @@ class LinkTiming:
         # handful of distinct wire sizes, so memoise per wire_bytes.
         # The memo lives at module level keyed by (gen, width): every
         # LinkTiming of the same geometry shares one warm cache instead
-        # of rebuilding its own (deep fabrics construct hundreds).
+        # of rebuilding its own (deep fabrics construct hundreds).  It
+        # is public so the link's per-packet send() can read a hit
+        # without a call; only transmission_ticks() fills it.
         self._symbol_time = _shared_symbol_time(gen)
-        self._tx_ticks_cache = _shared_tx_cache(gen, width)
+        self.tx_ticks_cache = _shared_tx_cache(gen, width)
 
     def transmission_ticks(self, wire_bytes: int) -> int:
         """Ticks a packet of ``wire_bytes`` occupies the link.
@@ -201,12 +203,12 @@ class LinkTiming:
         Bytes are striped across the lanes, so the occupancy is
         ``ceil(bytes / width)`` symbol times.
         """
-        cached = self._tx_ticks_cache.get(wire_bytes)
+        cached = self.tx_ticks_cache.get(wire_bytes)
         if cached is not None:
             return cached
         symbols = -(-wire_bytes // self.width)
         result = max(1, math.ceil(symbols * self._symbol_time))
-        self._tx_ticks_cache[wire_bytes] = result
+        self.tx_ticks_cache[wire_bytes] = result
         return result
 
     def tlp_wire_bytes(self, payload: int) -> int:

@@ -49,15 +49,16 @@ class Event:
     # them dict-free.  Subclasses that add state must declare their own
     # __slots__ to stay that way (plain subclasses still work — they
     # just regain a __dict__).
-    __slots__ = ("priority", "name", "_when", "_entry")
+    __slots__ = ("priority", "name", "_entry")
 
     def __init__(self, priority: int = DEFAULT_PRI, name: str = ""):
         self.priority = priority
         self.name = name or type(self).__name__
-        self._when: Optional[int] = None
-        # The live queue entry for this event; squashing an entry is done
-        # by clearing its event slot so a stale entry can never fire even
-        # if the event is immediately rescheduled.
+        # The live ``[when, priority, seq, event]`` queue entry for this
+        # event (it carries the fire tick, so no separate copy is kept);
+        # squashing an entry is done by clearing its event slot so a
+        # stale entry can never fire even if the event is immediately
+        # rescheduled.
         self._entry: Optional[list] = None
 
     # -- scheduling state -------------------------------------------------
@@ -69,7 +70,8 @@ class Event:
     @property
     def when(self) -> Optional[int]:
         """Tick at which the event will fire, or None if unscheduled."""
-        return self._when if self.scheduled else None
+        entry = self._entry
+        return entry[0] if entry is not None else None
 
     # -- behaviour ---------------------------------------------------------
     def process(self) -> None:
@@ -77,7 +79,7 @@ class Event:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r} @ {self._when}>"
+        return f"<{type(self).__name__} {self.name!r} @ {self.when}>"
 
 
 class CallbackEvent(Event):
@@ -188,7 +190,6 @@ class EventQueue:
             )
         if event._entry is not None:
             raise RuntimeError(f"{event!r} is already scheduled")
-        event._when = when
         seq = self._next_seq
         self._next_seq = seq + 1
         entry = [when, event.priority, seq, event]
@@ -233,7 +234,6 @@ class EventQueue:
             raise RuntimeError(f"{event!r} is not scheduled")
         entry[3] = None
         event._entry = None
-        event._when = None
         self._live -= 1
         self._squashed += 1
         # Replay/ACK-timer churn deschedules far more than it fires;
@@ -312,7 +312,6 @@ class EventQueue:
                 raise RuntimeError(
                     f"cannot restore {event!r}: it is already scheduled")
             entry = [when, priority, seq, event]
-            event._when = when
             event._entry = entry
             # No pending entry can predate the restored clock, so the
             # window placement only needs the bucket/heap split.
@@ -457,7 +456,6 @@ class EventQueue:
         event = entry[3]
         entry[3] = None
         self.curtick = when
-        event._when = None
         event._entry = None
         self._live -= 1
         self.events_processed += 1
@@ -542,7 +540,6 @@ class EventQueue:
                 self._active_pos = pos
                 entry[3] = None
                 self.curtick = when
-                event._when = None
                 event._entry = None
                 self._live -= 1
                 serviced += 1
@@ -608,7 +605,6 @@ class ReferenceEventQueue:
             )
         if event.scheduled:
             raise RuntimeError(f"{event!r} is already scheduled")
-        event._when = when
         seq = self._next_seq
         self._next_seq = seq + 1
         entry = [when, event.priority, seq, event]
@@ -659,7 +655,6 @@ class ReferenceEventQueue:
                 raise RuntimeError(
                     f"cannot restore {event!r}: it is already scheduled")
             entry = [when, priority, seq, event]
-            event._when = when
             event._entry = entry
             self._heap.append(entry)
         heapq.heapify(self._heap)
@@ -670,7 +665,6 @@ class ReferenceEventQueue:
             raise RuntimeError(f"{event!r} is not scheduled")
         event._entry[3] = None
         event._entry = None
-        event._when = None
 
     def reschedule(self, event: Event, when: int) -> Event:
         """Move an event to a new tick, scheduling it if it was idle."""
@@ -700,7 +694,6 @@ class ReferenceEventQueue:
         when, __, __, event = heapq.heappop(self._heap)
         assert event is not None
         self.curtick = when
-        event._when = None
         event._entry = None
         self.events_processed += 1
         trc = self.tracer
@@ -738,7 +731,6 @@ class ReferenceEventQueue:
                     break
                 event = pop(heap)[3]
                 self.curtick = when
-                event._when = None
                 event._entry = None
                 serviced += 1
                 if trc is not None and trc.enabled:

@@ -222,6 +222,12 @@ class SimObject:
         # curtick reads) shouldn't pay a two-hop property chain.
         self.eventq = sim.eventq
         self.parent = parent
+        #: Dotted gem5-style path from the root to this object, fixed at
+        #: construction: the registry is keyed by it and nothing renames
+        #: an object afterwards, so trace emits and requestor stamps
+        #: read a plain attribute instead of walking the parent chain.
+        self.full_name: str = (
+            f"{parent.full_name}.{name}" if parent is not None else name)
         self.children: List["SimObject"] = []
         if parent is not None:
             parent.children.append(self)
@@ -231,16 +237,6 @@ class SimObject:
         else:
             sim.stats.add_child(self.stats)
         sim.register(self)
-
-    @property
-    def full_name(self) -> str:
-        """Dotted gem5-style path from the root to this object."""
-        parts = []
-        node: Optional[SimObject] = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return ".".join(reversed(parts))
 
     # -- convenience passthroughs ------------------------------------------
     @property
@@ -252,10 +248,10 @@ class SimObject:
         """Schedule ``callback`` to run ``delay`` ticks from now.
 
         The descriptive ``owner.method`` label is only materialised when
-        the tracer is enabled — full-name construction walks the parent
-        chain and allocates a string per call, which the untraced hot
-        path should not pay.  (Events scheduled while tracing is off
-        keep the callback's bare ``__name__`` as their label.)
+        the tracer is enabled — it allocates a string per call, which
+        the untraced hot path should not pay.  (Events scheduled while
+        tracing is off keep the callback's bare ``__name__`` as their
+        label.)
         """
         if not name and self.tracer.enabled:
             name = f"{self.full_name}.{getattr(callback, '__name__', 'cb')}"

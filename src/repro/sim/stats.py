@@ -52,28 +52,33 @@ class Stat:
 
 
 class Scalar(Stat):
-    """A simple accumulating counter / settable gauge."""
+    """A simple accumulating counter / settable gauge.
+
+    The running value is the public attribute :attr:`total`; per-packet
+    code adds to it in place (``stat.total += n``) instead of paying a
+    Python call to :meth:`inc` on every TLP hop.
+    """
 
     def __init__(self, name: str, desc: str = "", init: Number = 0):
         super().__init__(name, desc)
         self._init = init
-        self._value: Number = init
+        self.total: Number = init
 
     def inc(self, amount: Number = 1) -> None:
         """Add ``amount`` (counter usage)."""
-        self._value += amount
+        self.total += amount
 
     def set(self, value: Number) -> None:
         """Overwrite the value (gauge usage)."""
-        self._value = value
+        self.total = value
 
     def value(self) -> Number:
         """Current count / gauge value."""
-        return self._value
+        return self.total
 
     def reset(self) -> None:
         """Restore the initial value."""
-        self._value = self._init
+        self.total = self._init
 
     def __iadd__(self, amount: Number) -> "Scalar":
         self.inc(amount)
@@ -81,11 +86,11 @@ class Scalar(Stat):
 
     def state_dict(self) -> Dict:
         """The current value (the initial value is reconstructed)."""
-        return {"value": self._value}
+        return {"value": self.total}
 
     def load_state_dict(self, state: Dict) -> None:
         """Restore the captured value."""
-        self._value = state["value"]
+        self.total = state["value"]
 
 
 class Average(Stat):

@@ -45,7 +45,9 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.jsonl")
 
 
-def _run_dd(name: str, error_rate: float, **overrides) -> str:
+def run_dd_system(name: str, error_rate: float, **overrides):
+    """Run a ``dd`` golden scenario to completion; return the finished
+    system and the trace sink that watched it."""
     system = build_validation_system(
         root_link_width=1, device_link_width=1, error_rate=error_rate,
         **overrides,
@@ -58,6 +60,11 @@ def _run_dd(name: str, error_rate: float, **overrides) -> str:
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=10_000_000)
     assert process.done, f"golden scenario {name!r} did not finish"
+    return system, sink
+
+
+def _run_dd(name: str, error_rate: float, **overrides) -> str:
+    __, sink = run_dd_system(name, error_rate, **overrides)
     meta = {"scenario": name, "block_bytes": BLOCK_BYTES,
             "error_rate": error_rate,
             "categories": sorted(TRACE_CATEGORIES)}

@@ -223,3 +223,30 @@ def test_packet_queue_space_freed_callback():
     q.push(Packet(MemCmd.READ_REQ, 0, 4), delay=10)
     sim.run()
     assert freed == [10]
+
+
+def test_packet_queue_reentrant_push_schedules_one_drain():
+    # send_fn pushes while _drain is running (an engine handing the
+    # packet straight to another queue entry does this).  The push
+    # re-arms the drain; when the loop then meets a not-yet-ready head
+    # it must see that and not schedule the same event a second time.
+    sim = Simulator()
+    owner = SimObject(sim, "o")
+    sent = []
+
+    def send(pkt):
+        sent.append((sim.curtick, pkt.addr))
+        if pkt.addr == 0:
+            assert q.push(Packet(MemCmd.READ_REQ, 8, 4))
+        return True
+
+    q = PacketQueue(owner, "q", send, 8)
+    q.push(Packet(MemCmd.READ_REQ, 0, 4))
+    q.push(Packet(MemCmd.READ_REQ, 4, 4), delay=100)
+    assert sim.eventq.service_one()  # the first drain: sends addr 0 only
+    assert sent == [(0, 0)]
+    assert q._drain_event.scheduled
+    assert len(sim.eventq) == 1
+    sim.run()
+    assert sent == [(0, 0), (100, 4), (100, 8)]
+    assert sim.eventq.empty() and not q._drain_event.scheduled

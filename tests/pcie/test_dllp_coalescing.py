@@ -6,7 +6,7 @@ Before this existed, sustained TLP corruption (every received TLP NAKed
 while the transmitter was busy) grew ``dllp_queue`` without bound.
 """
 
-from repro.pcie.pkt import DllpType, PciePacket
+from repro.pcie.pkt import DllpType
 from repro.sim.simobject import Simulator
 
 from tests.pcie.test_link import build_dma_path
@@ -17,8 +17,8 @@ def spy_on_queue(iface):
     occupancies = []
     original = iface._queue_dllp
 
-    def spy(ppkt):
-        original(ppkt)
+    def spy(dllp_type, seq):
+        original(dllp_type, seq)
         occupancies.append(len(iface.dllp_queue))
 
     iface._queue_dllp = spy
@@ -29,12 +29,12 @@ def test_same_type_dllps_coalesce_to_highest_seq():
     sim = Simulator()
     link, device, memory = build_dma_path(sim)
     rx = link.upstream_if
-    rx._queue_dllp(PciePacket.nak(1))
-    rx._queue_dllp(PciePacket.nak(4))
+    rx._queue_dllp(DllpType.NAK, 1)
+    rx._queue_dllp(DllpType.NAK, 4)
     assert len(rx.dllp_queue) == 1
     assert rx.dllp_queue[0].seq == 4
     # Cumulative: a lower sequence never regresses the pending DLLP.
-    rx._queue_dllp(PciePacket.nak(2))
+    rx._queue_dllp(DllpType.NAK, 2)
     assert len(rx.dllp_queue) == 1
     assert rx.dllp_queue[0].seq == 4
 
@@ -43,8 +43,8 @@ def test_ack_and_nak_do_not_coalesce_with_each_other():
     sim = Simulator()
     link, device, memory = build_dma_path(sim)
     rx = link.upstream_if
-    rx._queue_dllp(PciePacket.nak(3))
-    rx._queue_dllp(PciePacket.ack(5))
+    rx._queue_dllp(DllpType.NAK, 3)
+    rx._queue_dllp(DllpType.ACK, 5)
     assert len(rx.dllp_queue) == 2
     assert {p.dllp_type for p in rx.dllp_queue} == {DllpType.ACK, DllpType.NAK}
 
