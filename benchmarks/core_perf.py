@@ -47,7 +47,7 @@ from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, SlavePort
 from repro.pcie.link import PcieLink
 from repro.pcie.timing import PcieGen
-from repro.sim.eventq import Event, EventQueue
+from repro.sim.eventq import Event, EventQueue, ReferenceEventQueue
 from repro.sim.simobject import SimObject, Simulator
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -100,7 +100,7 @@ class _ChurnEvent(Event):
             return
         self.budget -= 1
         self.state = (self.state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        # Mix of short (intra-bucket), medium and far delays.
+        # Mix of short, medium and far delays.
         pick = self.state >> 61
         if pick < 5:
             delay = 1 + (self.state % 30_000)
@@ -125,7 +125,7 @@ class _TimerEvent(Event):
 
 def _churn(queue, n_events: int, n_chains: int,
            n_timers: int) -> Dict[str, float]:
-    """Run the churn workload on ``queue`` (any backend event queue)."""
+    """Run the churn workload on ``queue`` (either event queue)."""
     per_chain = n_events // n_chains
     chains = [_ChurnEvent(queue, seed=0xC0FFEE + 97 * i, budget=per_chain)
               for i in range(n_chains)]
@@ -163,31 +163,29 @@ def bench_eventq(n_events: int = 60_000, n_chains: int = 24,
 
 def bench_dispatch(n_events: int = 40_000,
                    repeats: int = 3) -> Dict[str, Any]:
-    """Per-backend scheduler dispatch overhead on one churn workload.
+    """Scheduler dispatch overhead of :class:`EventQueue` against the
+    :class:`ReferenceEventQueue` spec on one churn workload.
 
-    Runs the same churn workload on both event-queue implementations
-    the backend registry knows about (``reference`` and ``hybrid``).
-    The headline is ``hybrid_vs_reference`` — hybrid ops per second
-    over reference ops per second — which CI bounds from below: if
-    registry indirection or a per-dispatch hook ever bloats the hybrid
-    dispatch loop, the ratio sinks and the gate trips, machine speed
-    cancelled out by construction.  Repeats are interleaved across
-    backends and each side keeps its best, so a load spike hits both
-    queues rather than skewing the ratio.
+    The headline is ``eventq_vs_reference`` — EventQueue ops per second
+    over reference ops per second — which CI bounds from below: if a
+    per-dispatch hook ever bloats the real dispatch loop, the ratio
+    sinks and the gate trips, machine speed cancelled out by
+    construction.  Repeats are interleaved across the two queues and
+    each side keeps its best, so a load spike hits both rather than
+    skewing the ratio.
     """
-    from repro.sim.backend import resolve
-
+    queues = {"reference": ReferenceEventQueue, "eventq": EventQueue}
     best: Dict[str, float] = {}
     for __ in range(repeats):
-        for name in ("reference", "hybrid"):
-            queue = resolve(name).make_eventq(f"dispatch-{name}")
-            result = _churn(queue, n_events, n_chains=24, n_timers=8)
+        for name, queue_cls in queues.items():
+            result = _churn(queue_cls(f"dispatch-{name}"), n_events,
+                            n_chains=24, n_timers=8)
             if result["ops_per_sec"] > best.get(name, 0.0):
                 best[name] = result["ops_per_sec"]
     out: Dict[str, Any] = {
         f"{name}_ops_per_sec": round(ops) for name, ops in best.items()}
-    out["hybrid_vs_reference"] = round(
-        best["hybrid"] / best["reference"], 4)
+    out["eventq_vs_reference"] = round(
+        best["eventq"] / best["reference"], 4)
     return out
 
 
@@ -266,39 +264,22 @@ def bench_link_saturation(n_tlps: int = 6_000) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Benchmark 3: the full dd Gen 2 x1 point.
 # ---------------------------------------------------------------------------
-def bench_dd(best_of: int = 3, check: bool = False,
-             backend: Optional[str] = None) -> Dict[str, Any]:
+def bench_dd(best_of: int = 3, check: bool = False) -> Dict[str, Any]:
     """Best-of-N wall clock of the Gen 2 x1 64 MB-scaled ``dd`` point.
 
     Tracing stays off (``trace_categories=None``); ``check`` arms the
-    runtime invariant checker for the whole run.  ``backend`` pins the
-    simulation engine for the measured runs by exporting
-    ``REPRO_BACKEND`` around them (the same path the harness ``--backend``
-    flag uses), restoring the environment afterwards; None keeps
-    whatever engine the caller's environment selects.
+    runtime invariant checker for the whole run.
     """
     from benchmarks.harness import run_dd
-    from repro.sim.backend import BACKEND_ENV, resolve
 
-    if backend is not None:
-        resolve(backend)  # fail fast on unknown names
-        saved = os.environ.get(BACKEND_ENV)
-        os.environ[BACKEND_ENV] = backend
     runs: List[float] = []
     metrics: Dict[str, Any] = {}
-    try:
-        for __ in range(best_of):
-            start = time.perf_counter()
-            metrics = run_dd(config.BLOCK_SIZES["64MB"], root_link_width=1,
-                             device_link_width=1, trace_categories=None,
-                             check=check)
-            runs.append(round(time.perf_counter() - start, 4))
-    finally:
-        if backend is not None:
-            if saved is None:
-                os.environ.pop(BACKEND_ENV, None)
-            else:
-                os.environ[BACKEND_ENV] = saved
+    for __ in range(best_of):
+        start = time.perf_counter()
+        metrics = run_dd(config.BLOCK_SIZES["64MB"], root_link_width=1,
+                         device_link_width=1, trace_categories=None,
+                         check=check)
+        runs.append(round(time.perf_counter() - start, 4))
     return {"wall_s": min(runs), "runs_s": runs,
             "throughput_gbps": round(metrics["throughput_gbps"], 6)}
 
@@ -308,22 +289,19 @@ def bench_dd(best_of: int = 3, check: bool = False,
 # ---------------------------------------------------------------------------
 def run_suite(quick: bool = False, skip_checked: bool = False) -> Dict[str, Any]:
     """Run all benchmarks; return one phase block for BENCH_core.json."""
-    from repro.sim.backend import default_backend_name
-
     calib = min(calibration_workload() for __ in range(2 if quick else 3))
     eventq = bench_eventq()
     dispatch = bench_dispatch()
     link = bench_link_saturation()
     best_of = 2 if quick else 3
-    dd = bench_dd(best_of=best_of, backend="hybrid")
+    dd = bench_dd(best_of=best_of)
     block: Dict[str, Any] = {
-        "backend": default_backend_name(),
         "calibration_s": round(calib, 4),
         "eventq_ops_per_sec": round(eventq["ops_per_sec"]),
         "eventq_wall_s": round(eventq["wall_s"], 4),
         "dispatch_reference_ops_per_sec": dispatch["reference_ops_per_sec"],
-        "dispatch_hybrid_ops_per_sec": dispatch["hybrid_ops_per_sec"],
-        "dispatch_hybrid_vs_reference": dispatch["hybrid_vs_reference"],
+        "dispatch_eventq_ops_per_sec": dispatch["eventq_ops_per_sec"],
+        "dispatch_eventq_vs_reference": dispatch["eventq_vs_reference"],
         "link_tlps_per_sec": round(link["tlps_per_sec"]),
         "link_wall_s": round(link["wall_s"], 4),
         "dd_gen2x1_wall_s": dd["wall_s"],

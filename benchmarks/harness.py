@@ -254,13 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "snapshotted, and every point forks from the "
                              "snapshot (sweeps without a checkpoint mode "
                              "reject this flag)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="simulation backend to run every point on "
-                             "(see --list; default: $REPRO_BACKEND or "
-                             "hybrid).  Backends are result-identical, so "
-                             "the choice does not enter sweep cache keys — "
-                             "it is recorded in BENCH_sweeps.json for "
-                             "wall-clock forensics only")
     parser.add_argument("--results-dir", default=None, metavar="DIR",
                         help=f"artifact directory (default: {RESULTS_DIR})")
     parser.add_argument("--profile", action="store_true",
@@ -269,21 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "sorted stats next to the results artifact")
     args = parser.parse_args(argv)
 
-    if args.backend is not None:
-        from repro.sim.backend import BACKEND_ENV, resolve
-
-        try:
-            resolve(args.backend)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # Exported (not passed around) so cache-miss worker processes
-        # inherit the same engine as the parent.
-        os.environ[BACKEND_ENV] = args.backend
-
     if args.list:
-        from repro.sim.backend import backend_names, default_backend_name, resolve
-
         # One line per registered sweep: name plus the first line of its
         # builder's docstring (the builders double as the documentation).
         width = max(len(name) for name in sweeps.SWEEPS)
@@ -291,13 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc = (sweeps.SWEEPS[name].__doc__ or "").strip()
             summary = doc.splitlines()[0] if doc else ""
             print(f"{name:<{width}}  {summary}".rstrip())
-        print()
-        default = default_backend_name()
-        width = max(len(name) for name in backend_names())
-        for name in backend_names():
-            marker = "*" if name == default else " "
-            print(f"backend {marker}{name:<{width}}  "
-                  f"{resolve(name).description}".rstrip())
         return 0
     if not args.benchmark:
         parser.print_usage(sys.stderr)

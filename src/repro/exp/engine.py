@@ -260,14 +260,8 @@ class SweepEngine:
         per_point_s = {p.key: per_point_s[p.key] for p in points}
 
         total_wall_s = round(time.perf_counter() - start, 6)
-        from repro.sim.backend import default_backend_name
-
         record = {
             "sweep": sweep.name,
-            # The engine the run executed on.  Recorded for wall-clock
-            # forensics only: backends produce byte-identical results,
-            # so the backend name deliberately stays out of cache keys.
-            "backend": default_backend_name(),
             "points": len(points),
             "cache_hits": sum(1 for hit in cached.values() if hit),
             "simulated": len(misses),

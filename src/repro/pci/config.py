@@ -4,7 +4,9 @@ A PCI function exposes 256 bytes of configuration registers; a
 PCI-Express function extends that to 4 KB (regions R1+R2+R3 of the
 paper's Figure 4).  The space is modelled as raw little-endian bytes
 plus a per-byte *write mask*: software writes only land on writable
-bits, exactly like hardware RW/RO register fields.
+bits, exactly like hardware RW/RO register fields.  The mask is sparse
+(a dict holding only the writable bytes) because a few dozen of the
+4096 bytes are writable.
 
 Special side-effects (BAR size probing, command-register decoding) are
 layered on top via *write hooks* registered for byte ranges.
@@ -24,7 +26,8 @@ class ConfigSpace:
             raise ValueError(f"config space must be 256 or 4096 bytes, got {size}")
         self.size = size
         self._data = bytearray(size)
-        self._wmask = bytearray(size)
+        #: offset -> write mask of every byte software may write.
+        self._wmask: Dict[int, int] = {}
         #: Bumped on every mutation (device- or software-side).  Callers
         #: that decode registers on hot paths (bridge window routing)
         #: cache the decoded form keyed by this counter, so the cache
@@ -50,9 +53,14 @@ class ConfigSpace:
         may write.  Used by device models when building their headers."""
         self._check(offset, size)
         self.generation += 1
+        wmask = self._wmask
         for i in range(size):
             self._data[offset + i] = (value >> (8 * i)) & 0xFF
-            self._wmask[offset + i] = (writable_mask >> (8 * i)) & 0xFF
+            mask = (writable_mask >> (8 * i)) & 0xFF
+            if mask:
+                wmask[offset + i] = mask
+            else:
+                wmask.pop(offset + i, None)
 
     def set_raw(self, offset: int, size: int, value: int) -> None:
         """Device-side write ignoring write masks (status updates etc.)."""
@@ -80,7 +88,7 @@ class ConfigSpace:
         self.generation += 1
         for i in range(size):
             byte = (value >> (8 * i)) & 0xFF
-            mask = self._wmask[offset + i]
+            mask = self._wmask.get(offset + i, 0)
             self._data[offset + i] = (self._data[offset + i] & ~mask) | (byte & mask)
         for start, end, hook in self._write_hooks:
             if offset < end and start < offset + size:

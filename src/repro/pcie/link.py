@@ -57,8 +57,7 @@ replay flag — the raw material for per-TLP latency attribution.
 """
 
 import random
-from collections import deque
-from typing import Deque, Optional
+from typing import List, Optional
 
 from repro.mem.packet import FLOW_CPL, Packet
 from repro.mem.port import MasterPort, SlavePort
@@ -219,14 +218,16 @@ class PcieLinkInterface(SimObject):
         )
 
         # -- TX state ------------------------------------------------------
+        # Every queue here holds at most a few entries, so each is a list
+        # (56 B empty) rather than a deque (760 B empty).
         self.send_seq = 0
-        self.replay_buffer: Deque[PciePacket] = deque()
-        self.retransmit_queue: Deque[PciePacket] = deque()
-        self.dllp_queue: Deque[PciePacket] = deque()
+        self.replay_buffer: List[PciePacket] = []
+        self.retransmit_queue: List[PciePacket] = []
+        self.dllp_queue: List[PciePacket] = []
         # Component-facing input, split so completions never queue
         # behind credit-blocked requests (each bounded separately).
-        self._in_req: Deque[Packet] = deque()
-        self._in_cpl: Deque[Packet] = deque()
+        self._in_req: List[Packet] = []
+        self._in_cpl: List[Packet] = []
         self._replay_event = CallbackEvent(self._replay_timeout, name=f"{name}.replay")
         # Armed while a class is credit-starved with work pending; on
         # expiry the peer re-advertises (lost-UpdateFC recovery).
@@ -247,13 +248,16 @@ class PcieLinkInterface(SimObject):
         # Per-class receive buffers backing the advertised credits:
         # completions drain through our slave port, requests (P and NP,
         # in arrival order) through our master port.
-        self._rx_req: Deque[Packet] = deque()
-        self._rx_cpl: Deque[Packet] = deque()
+        self._rx_req: List[Packet] = []
+        self._rx_cpl: List[Packet] = []
         self._ack_event = CallbackEvent(self._ack_timer_fired, name=f"{name}.ack")
         self._have_unacked_delivery = False
-        # Seeded with a string for run-to-run determinism (str seeding
-        # does not go through randomized str.__hash__).
-        self._rng = random.Random(f"{parent.error_seed}:{parent.full_name}.{name}")
+        # The error-injection RNG, seeded with a string for run-to-run
+        # determinism (str seeding does not go through randomized
+        # str.__hash__).  Built on the first draw: only a link with a
+        # non-zero error rate draws, and a Random is 2.5 KB.
+        self._rng_seed = f"{parent.error_seed}:{parent.full_name}.{name}"
+        self._rng: Optional[random.Random] = None
 
         # -- statistics ----------------------------------------------------
         s = self.stats
@@ -327,7 +331,7 @@ class PcieLinkInterface(SimObject):
         return self.link_parent.input_queue_size
 
     @property
-    def input_queue(self) -> Deque[Packet]:
+    def input_queue(self) -> List[Packet]:
         """Combined view of both input queues (requests then
         completions) — diagnostics and quiescence checks only; the
         bounded queues themselves are per-class."""
@@ -396,7 +400,7 @@ class PcieLinkInterface(SimObject):
     def _pick_next(self) -> Optional[PciePacket]:
         """Select the next pcie-pkt per the paper's priority order."""
         if self.dllp_queue:
-            ppkt = self.dllp_queue.popleft()
+            ppkt = self.dllp_queue.pop(0)
             dllp_type = ppkt.dllp_type
             if dllp_type is DllpType.ACK:
                 self.acks_sent.total += 1
@@ -406,7 +410,7 @@ class PcieLinkInterface(SimObject):
                 self.fc_updates_sent.total += 1
             return ppkt
         while self.retransmit_queue:
-            ppkt = self.retransmit_queue.popleft()
+            ppkt = self.retransmit_queue.pop(0)
             if ppkt in self.replay_buffer:  # not ACKed while waiting
                 ppkt.is_replay = True
                 self.tlp_replays.total += 1
@@ -422,13 +426,13 @@ class PcieLinkInterface(SimObject):
             queue = self._in_cpl
             if queue:
                 if fc.tx_headroom(FLOW_CPL) > 0:
-                    return self._wrap_new_tlp(queue.popleft())
+                    return self._wrap_new_tlp(queue.pop(0))
                 self._fc_blocked(FLOW_CPL)
             queue = self._in_req
             if queue:
                 cls = queue[0].flow_class
                 if fc.tx_headroom(cls) > 0:
-                    return self._wrap_new_tlp(queue.popleft())
+                    return self._wrap_new_tlp(queue.pop(0))
                 self._fc_blocked(cls)
         return None
 
@@ -505,8 +509,7 @@ class PcieLinkInterface(SimObject):
             trc.emit(self.curtick, "link", self.full_name, "replay_timeout",
                      pending=len(self.replay_buffer))
         # Retransmit everything still unacknowledged, oldest first.
-        self.retransmit_queue.clear()
-        self.retransmit_queue.extend(self.replay_buffer)
+        self.retransmit_queue[:] = self.replay_buffer
         if self.replay_buffer:
             self.eventq.schedule_after(self._replay_event, self.replay_timeout)
         ck = self.checker
@@ -529,10 +532,17 @@ class PcieLinkInterface(SimObject):
         else:
             self._receive_tlp(ppkt)
 
+    def _draw(self) -> float:
+        """The next error-injection draw, building the RNG on first use."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_seed)
+        return rng.random()
+
     def _receive_dllp(self, ppkt: PciePacket) -> None:
         trc = self.tracer
         error_rate = self.link_parent.dllp_error_rate
-        if error_rate and self._rng.random() < error_rate:
+        if error_rate and self._draw() < error_rate:
             # A corrupted DLLP fails its CRC and is silently discarded;
             # a lost ACK is recovered by the sender's replay timer, a
             # lost NAK by the next timeout or a later ACK/NAK, a lost
@@ -558,8 +568,7 @@ class PcieLinkInterface(SimObject):
         elif dllp_type is DllpType.NAK:
             # NAK: purge what it acknowledges, replay the rest.
             self._purge_acknowledged(ppkt.seq)
-            self.retransmit_queue.clear()
-            self.retransmit_queue.extend(self.replay_buffer)
+            self.retransmit_queue[:] = self.replay_buffer
             self._reset_replay_timer()
             self._kick_tx()
         else:
@@ -573,7 +582,7 @@ class PcieLinkInterface(SimObject):
     def _purge_acknowledged(self, seq: int) -> None:
         replay_buffer = self.replay_buffer
         while replay_buffer and replay_buffer[0].seq <= seq:
-            replay_buffer.popleft()
+            del replay_buffer[0]
 
     def _queue_dllp(self, dllp_type: DllpType, seq: int) -> None:
         """Enqueue a ``dllp_type`` DLLP carrying ``seq``, coalescing
@@ -598,7 +607,7 @@ class PcieLinkInterface(SimObject):
     def _receive_tlp(self, ppkt: PciePacket) -> None:
         trc = self.tracer
         error_rate = self.link_parent.error_rate
-        if error_rate and self._rng.random() < error_rate:
+        if error_rate and self._draw() < error_rate:
             # A corrupted TLP: discard and NAK the last good sequence.
             # No credit moves — the sender's credit stays consumed and
             # our buffer slot stays reserved until the replay lands.
@@ -657,7 +666,7 @@ class PcieLinkInterface(SimObject):
                 if not port.send_timing_resp(queue[0]):
                     self._count_refusal(queue[0])
                     break
-                queue.popleft()
+                queue.pop(0)
                 self._credit_return(FLOW_CPL)
                 drained = True
         queue = self._rx_req
@@ -667,7 +676,7 @@ class PcieLinkInterface(SimObject):
                 if not mport.send_timing_req(queue[0]):
                     self._count_refusal(queue[0])
                     break
-                pkt = queue.popleft()
+                pkt = queue.pop(0)
                 self._credit_return(pkt.flow_class)
                 drained = True
         if drained:
@@ -733,7 +742,9 @@ class PcieLinkInterface(SimObject):
             raise CheckpointError(
                 f"{self.full_name} has in-flight packets in {busy}; "
                 f"checkpoints require a quiescent link")
-        rng_state = self._rng.getstate()
+        # An RNG never built has never been drawn from: its state is the
+        # fresh seed's, so the document is the same as if it existed.
+        rng_state = (self._rng or random.Random(self._rng_seed)).getstate()
         return {
             "send_seq": self.send_seq,
             "recv_seq": self.recv_seq,
@@ -751,6 +762,7 @@ class PcieLinkInterface(SimObject):
         self._have_unacked_delivery = state["have_unacked_delivery"]
         self.fc.load_state_dict(state["fc"])
         rng_state = state["rng"]
+        self._rng = random.Random()
         self._rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
 
 

@@ -13,13 +13,6 @@ configuration produce identical results.
 """
 
 from repro.sim.eventq import Event, EventQueue, CallbackEvent, ReferenceEventQueue
-from repro.sim.backend import (
-    Backend,
-    backend_names,
-    default_backend_name,
-    register,
-    resolve,
-)
 from repro.sim.simobject import SimObject, Simulator
 from repro.sim.checkpoint import (
     CheckpointError,
@@ -45,11 +38,6 @@ __all__ = [
     "EventQueue",
     "ReferenceEventQueue",
     "CallbackEvent",
-    "Backend",
-    "backend_names",
-    "default_backend_name",
-    "register",
-    "resolve",
     "SimObject",
     "Simulator",
     "Process",

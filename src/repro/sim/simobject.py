@@ -12,8 +12,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.check.checker import InvariantChecker
 from repro.obs.trace import Tracer
-from repro.sim import backend as backend_registry
-from repro.sim.eventq import CallbackEvent, Event
+from repro.sim.eventq import CallbackEvent, Event, EventQueue
 from repro.sim.stats import StatGroup
 
 #: Environment variable consulted when ``Simulator(check=None)``: set to
@@ -45,23 +44,24 @@ class Simulator:
         check: enable the runtime invariant checker
             (:mod:`repro.check`); None consults the ``REPRO_CHECK``
             environment variable (default off).
-        backend: name of the simulation engine to build the event
-            queue through (:mod:`repro.sim.backend`); None consults
-            the ``REPRO_BACKEND`` environment variable (default
-            ``hybrid``).  Unknown names raise ValueError.
+        backend: must be None.  There is one engine; the keyword
+            survives only because the frozen ``benchmarks/perf/runner.py``
+            still passes it, and goes when a ``benchmark`` PR drops that
+            argument.
     """
 
     def __init__(self, name: str = "sim", tracer: Optional[Tracer] = None,
                  check: Optional[bool] = None,
                  backend: Optional[str] = None):
+        if backend is not None:
+            raise ValueError(f"Simulator(backend={backend!r}): must be None")
         self.name = name
         # The tracer is created disabled; attaching a sink enables it.
         # Components cache the reference, so it is never replaced.
         self.tracer = tracer if tracer is not None else Tracer()
-        #: The resolved simulation engine (:class:`repro.sim.backend
-        #: .Backend`), which builds the event queue.
-        self.backend = backend_registry.resolve(backend)
-        self.eventq = self.backend.make_eventq(f"{name}.eventq")
+        #: Always None; read by the frozen benchmark runner.
+        self.backend = None
+        self.eventq = EventQueue(f"{name}.eventq")
         self.eventq.tracer = self.tracer
         # The checker mirrors the tracer's lifecycle: always present,
         # created disabled, cached by components — so the hot paths pay

@@ -8,9 +8,8 @@ contending at shared switch uplinks.  This module drives N concurrent
 * each flow has its own initiator device, request shape (count, size,
   burst length), pacing (inter-burst gap with seeded jitter) and start
   offset;
-* flows interleave deterministically through the hybrid event
-  scheduler — same spec, same seeds, same fabric ⇒ byte-identical
-  stats and traces;
+* flows interleave deterministically through the event queue — same
+  spec, same seeds, same fabric ⇒ byte-identical stats and traces;
 * per-flow statistics (requests, bytes, and a
   :class:`~repro.sim.stats.Quantiles` of per-request latency) land in
   the simulator's stats tree under ``traffic.<flow>``, so they export

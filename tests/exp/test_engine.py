@@ -218,19 +218,3 @@ def test_unprefixed_points_never_see_resume_from():
     assert runners.CALLS == [(5, None)]
     assert result.results["p0"]["resumed_tag"] is None
     assert "prefixes" not in result.record
-
-
-def test_backend_recorded_but_kept_out_of_cache_keys(tmp_path, monkeypatch):
-    # Backends produce byte-identical results, so a sweep cached under
-    # one engine must hit under another — the backend name is recorded
-    # in the bench record for wall-clock forensics only.
-    engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_BACKEND", "hybrid")
-    first = engine.run(cheap_sweep(3), workers=1)
-    assert first.record["backend"] == "hybrid"
-    assert first.cache_hits == 0
-    monkeypatch.setenv("REPRO_BACKEND", "reference")
-    second = engine.run(cheap_sweep(3), workers=1)
-    assert second.record["backend"] == "reference"
-    assert second.cache_hits == 3, "backend name must not enter cache keys"
-    assert canonical_json(first.results) == canonical_json(second.results)

@@ -16,14 +16,19 @@ engine, pinning the deterministic interleaving of concurrent
 initiators.  Traces restrict to the ``link``/``engine`` categories —
 the TLP lifecycle — so the files stay reviewable (a few thousand
 events each).
+
+:func:`four_flow_scenario` has no trace file: it is the deep-fabric
+run whose event schedule ``tests/sim/test_hot_path_budget.py`` pins.
 """
 
 import os
 
 from repro.obs.trace import MemorySink
+from repro.system.spec import deep_hierarchy_spec
 from repro.system.topology import build_validation_system
 from repro.workloads import scenarios as scenario_lib
 from repro.workloads.dd import DdWorkload
+from repro.workloads.traffic import FlowSpec
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -84,6 +89,19 @@ def _run_traffic(name: str, error_rate: float, **overrides) -> str:
             "error_rate": error_rate, "flows": len(scenario.flows),
             "categories": sorted(TRACE_CATEGORIES)}
     return sink.to_jsonl(meta=meta)
+
+
+def four_flow_scenario() -> scenario_lib.Scenario:
+    """Two readers and two writers, one per level of the depth-4
+    fan-out-2 MSI fabric, all contending for the root link."""
+    topo = deep_hierarchy_spec(4, 2, enable_msi=True)
+    flows = [
+        FlowSpec(name=f"f{i}", kind="dd_write" if i % 2 else "dd_read",
+                 device=f"sw{i + 1}_disk0", requests=6,
+                 bytes_per_request=16384, seed=7 + i)
+        for i in range(4)
+    ]
+    return scenario_lib.Scenario(name="deep_msi", topology=topo, flows=flows)
 
 
 def run_scenario(name: str, **overrides) -> str:

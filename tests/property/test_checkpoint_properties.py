@@ -5,8 +5,7 @@ rebuilding a twin and restoring must continue **byte-identically** to
 never having checkpointed — same global dispatch order (anchored to
 :class:`repro.sim.eventq.ReferenceEventQueue`, the executable dispatch
 specification), same per-object state, same queue bookkeeping — for
-arbitrary schedule/deschedule workloads across all three tiers of the
-hybrid queue.
+arbitrary schedule/deschedule workloads at every delay scale.
 """
 
 from hypothesis import given, settings
@@ -16,8 +15,8 @@ from repro.sim.checkpoint import capture, checkpoint_json, restore
 from repro.sim.eventq import CallbackEvent, Event, ReferenceEventQueue
 from repro.sim.simobject import SimObject, Simulator
 
-#: Delays covering the active batch, the bucket ring, and the far heap
-#: (same tiers the hybrid-queue reference tests exercise).
+#: Same-tick, short, replay-timeout-scale and far-future delays (the
+#: spread the queue-vs-reference property tests use).
 _SPAN = 64 << 20
 _DELAYS = (0, 1, 37, 1 << 20, 17 << 20, _SPAN - 1, _SPAN, 5 * _SPAN + 3)
 

@@ -1,16 +1,21 @@
-"""Property tests: the hybrid EventQueue against the reference heap.
+"""Property tests: the EventQueue against the reference heap.
 
 :class:`repro.sim.eventq.ReferenceEventQueue` is the original pure
 binary-heap scheduler, kept as the executable specification of dispatch
-order.  These tests drive it and the bucketed hybrid with identical
-randomized schedule/deschedule/reschedule workloads (fixed seeds) and
-assert the two dispatch sequences — tags, ticks, and therefore
-(tick, priority, insertion-seq) order — are identical, including under
-``until`` and ``max_events`` stepping.
+order.  These tests drive it and :class:`~repro.sim.eventq.EventQueue`
+with identical randomized schedule/deschedule/reschedule workloads
+(fixed seeds) and assert the two dispatch sequences — tags, ticks, and
+therefore (tick, priority, insertion-seq) order — are identical,
+including under ``until`` and ``max_events`` stepping.
 
 Also here: the recycled-event contract (a squashed entry can never fire
 a stale payload, even when its event is immediately rescheduled at the
-same tick), compaction behaviour, and the O(1) ``__len__``.
+same tick), compaction behaviour, the O(1) ``__len__``, and the clock
+that a ``run(until=...)`` may never move backwards, on both queues.
+
+The module keeps the name it had when ``EventQueue`` was a bucket/heap
+hybrid calendar queue; the cases carried over unchanged, so their
+names did too.
 """
 
 import random
@@ -19,21 +24,20 @@ import pytest
 
 from repro.sim.eventq import Event, EventQueue, ReferenceEventQueue
 
-# Delay distribution for randomized workloads, chosen to exercise every
-# tier of the hybrid: 0 / tiny delays land in the active batch (insort
-# path), medium ones in the bucket ring, and large ones beyond the
-# ~67 µs window land in the far-future heap (default span is
-# 64 buckets << 20 bits = 67_108_864 ticks).
+# Delay distribution for randomized workloads: same-tick and adjacent
+# schedules that tie with the event being dispatched, the short link
+# delays that dominate PCIe simulation, and replay-timeout-scale and
+# far-future ones (``_SPAN`` is ~67 µs of ticks).
 _SPAN = 64 << 20
 _DELAY_CHOICES = (
-    0,              # same-tick: insort into the draining batch
+    0,              # same tick as the event being dispatched
     1,              # adjacent tick
-    37,             # within the current bucket
-    1 << 20,        # next bucket
-    17 << 20,       # mid-ring
-    _SPAN - 1,      # last tick inside the window
-    _SPAN,          # first tick beyond: far heap
-    5 * _SPAN + 3,  # deep future: wheel must jump, not step
+    37,
+    1 << 20,
+    17 << 20,
+    _SPAN - 1,
+    _SPAN,
+    5 * _SPAN + 3,  # deep future
 )
 
 
@@ -103,14 +107,14 @@ class _Workload:
 def _run_pair(seed, runner):
     """Run the same seeded workload on both queues via ``runner``."""
     ref = _Workload(ReferenceEventQueue(), seed)
-    hyb = _Workload(EventQueue(), seed)
+    real = _Workload(EventQueue(), seed)
     runner(ref.q)
-    runner(hyb.q)
+    runner(real.q)
     assert ref.log, "workload fired nothing — test is vacuous"
-    assert hyb.log == ref.log
-    assert hyb.q.curtick == ref.q.curtick
-    assert hyb.q.events_processed == ref.q.events_processed
-    return ref, hyb
+    assert real.log == ref.log
+    assert real.q.curtick == ref.q.curtick
+    assert real.q.events_processed == ref.q.events_processed
+    return ref, real
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -121,8 +125,8 @@ def test_randomized_dispatch_matches_reference(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_dispatch_matches_under_until_steps(seed):
     def stepped(q):
-        # March time forward in fixed strides so runs stop mid-batch,
-        # mid-window, and mid-heap; the final unbounded run drains.
+        # March time forward in fixed strides so runs stop between
+        # pending events at every scale; the final unbounded run drains.
         for limit in range(0, 40 * _SPAN, 3 * _SPAN + 12_345):
             q.run(until=limit)
         q.run()
@@ -145,16 +149,16 @@ def test_randomized_dispatch_matches_under_max_events_steps(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_len_and_next_tick_track_reference(seed):
     ref = _Workload(ReferenceEventQueue(), seed)
-    hyb = _Workload(EventQueue(), seed)
+    real = _Workload(EventQueue(), seed)
     for __ in range(1000):
-        assert len(hyb.q) == len(ref.q)
-        assert hyb.q.empty() == ref.q.empty()
-        assert hyb.q.next_tick() == ref.q.next_tick()
-        if hyb.q.empty():
+        assert len(real.q) == len(ref.q)
+        assert real.q.empty() == ref.q.empty()
+        assert real.q.next_tick() == ref.q.next_tick()
+        if real.q.empty():
             break
-        assert hyb.q.service_one() == ref.q.service_one()
-        assert hyb.log == ref.log
-    assert hyb.q.empty() and ref.q.empty()
+        assert real.q.service_one() == ref.q.service_one()
+        assert real.log == ref.log
+    assert real.q.empty() and ref.q.empty()
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +194,9 @@ def test_recycled_event_does_not_fire_stale_payload_after_squash():
 
 
 def test_recycled_event_squashed_mid_run_fires_only_fresh_payload():
-    # The hazard inside a drain batch: an earlier event at the same tick
+    # The hazard inside one tick: an earlier event at the same tick
     # deschedules + reschedules (recycles) a later one whose squashed
-    # entry is already sitting in the active batch.
+    # entry is still in the heap, ahead of the fresh one.
     q = EventQueue()
     log = []
     recycled = _RecycledEvent(log)
@@ -233,15 +237,11 @@ class _CountingEvent(Event):
         pass
 
 
-def _physical_entries(q):
-    return (len(q._heap) + len(q._active) - q._active_pos
-            + sum(len(b) for b in q._buckets))
-
-
 def test_compaction_drops_squashed_entries_from_all_tiers():
+    # The heap is the only tier; entries spread over near and
+    # far-future ticks so squashed ones sit at every depth of it.
     q = EventQueue()
     events = []
-    # Spread across several buckets and the far heap.
     for i in range(3000):
         e = _CountingEvent()
         q.schedule(e, (i % 5) * (1 << 19) + (0 if i % 3 else 2 * _SPAN))
@@ -253,7 +253,8 @@ def test_compaction_drops_squashed_entries_from_all_tiers():
     # squashed in place: 2990 squashed vs 10 live crosses the threshold
     # repeatedly.  A residue below the compaction floor may remain.
     assert q._squashed <= q.COMPACT_MIN_SQUASHED
-    assert _physical_entries(q) <= len(q) + q.COMPACT_MIN_SQUASHED
+    assert len(q._heap) <= len(q) + q.COMPACT_MIN_SQUASHED
+    assert len(q._heap) == len(q) + q._squashed
     fired = 0
     while q.service_one():
         fired += 1
@@ -277,8 +278,8 @@ def test_len_is_a_counter_not_a_scan():
 
 
 def test_deep_future_wheel_jump():
-    # An empty wheel with only far-heap work: the window must jump
-    # straight to the heap minimum, not step bucket by bucket.
+    # Sparse work spread hundreds of ~67 µs windows apart: the clock
+    # jumps straight from one event's tick to the next in order.
     q = EventQueue()
 
     class Tagged(Event):
@@ -299,3 +300,23 @@ def test_deep_future_wheel_jump():
     q.run()
     assert order == ["near", "mid", "far"]
     assert q.curtick == 400 * _SPAN + 7
+    assert q.events_processed == 3
+
+
+@pytest.mark.parametrize("queue_cls", [EventQueue, ReferenceEventQueue])
+def test_run_until_before_curtick_raises(queue_cls):
+    q = queue_cls()
+    later = _CountingEvent()
+    q.schedule(later, 100)
+    assert q.run(until=50) == 50
+    with pytest.raises(ValueError, match=r"tick 20\b.*tick 50\b"):
+        q.run(until=20)
+    # The clock did not move, so the past stays the past...
+    assert q.curtick == 50
+    with pytest.raises(ValueError):
+        q.schedule(_CountingEvent(), 30)
+    # ...and stopping exactly at the current tick stays legal.
+    assert q.run(until=50) == 50
+    assert later.scheduled
+    q.run()
+    assert q.curtick == 100

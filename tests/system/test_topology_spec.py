@@ -215,19 +215,14 @@ def test_no_doorbell_without_msi():
 
 def test_harness_list_prints_descriptions_and_exits_zero(capsys):
     from benchmarks import harness, sweeps
-    from repro.sim.backend import backend_names
 
     assert harness.main(["--list"]) == 0
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.strip()]
-    sweep_lines = [line for line in lines if not line.startswith("backend")]
-    backend_lines = [line for line in lines if line.startswith("backend")]
-    assert len(sweep_lines) == len(sweeps.SWEEPS)
+    # Exactly one line per sweep: no engine list rides along any more.
+    assert len(lines) == len(sweeps.SWEEPS)
     for name in sweeps.SWEEPS:
-        assert any(line.startswith(name) for line in sweep_lines)
+        assert any(line.startswith(name) for line in lines)
     # One-line descriptions ride along, deep_hierarchy included.
     deep = next(line for line in lines if line.startswith("deep_hierarchy"))
     assert "depth" in deep and "fan-out" in deep
-    # The backend registry rides along too, default starred.
-    assert len(backend_lines) == len(backend_names())
-    assert any(line.startswith("backend *hybrid") for line in backend_lines)
