@@ -200,12 +200,14 @@ class InvariantChecker:
             raise violation
 
     # -- event queue -------------------------------------------------------
-    def on_dispatch(self, when: int, event) -> None:
-        """Called per dispatched event: ticks must never move backwards."""
+    def on_dispatch(self, when: int, label: str) -> None:
+        """Called per dispatch with the entry's label (see
+        :func:`repro.sim.eventq.dispatch_label`): ticks must never move
+        backwards."""
         if when < self._last_dispatch_tick:
             self._violate(
                 "eventq.time_monotonic", self.sim.eventq.name,
-                f"event {event.name!r} dispatched at tick {when} after "
+                f"event {label!r} dispatched at tick {when} after "
                 f"tick {self._last_dispatch_tick} had already fired",
             )
         self._last_dispatch_tick = when

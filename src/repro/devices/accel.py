@@ -139,8 +139,7 @@ class DmaAccelerator(PcieDevice):
             return
         self._regs[REG_STATUS] = STATUS_BUSY
         self._start_tick = self.curtick
-        self.schedule(self.setup_latency, self._read_source,
-                      name="copy_setup")
+        self.schedule(self.setup_latency, self._read_source)
 
     def _read_source(self) -> None:
         transfer = self.dma.read(self._regs[REG_SRC], self._regs[REG_NBYTES])

@@ -176,8 +176,7 @@ class IdeDisk(PcieDevice):
             self._complete_command()
             return
         # Constant-latency medium access, then the DMA burst.
-        self.schedule(self.access_latency, self._transfer_sector,
-                      name="sector_access")
+        self.schedule(self.access_latency, self._transfer_sector)
 
     def _transfer_sector(self) -> None:
         start = self.curtick

@@ -190,14 +190,13 @@ class Nic8254xPcie(PcieDevice):
         payload = self.dma.read(buf_addr, length)
         payload.on_complete(
             lambda __: self.schedule(
-                self.tx_process_latency,
-                lambda: self._tx_writeback(desc_addr, buf_addr, length),
-                name="tx_process",
-            )
+                self.tx_process_latency, self._tx_writeback,
+                (desc_addr, buf_addr, length))
         )
 
-    def _tx_writeback(self, desc_addr: int, buf_addr: int, length: int) -> None:
+    def _tx_writeback(self, frame: Tuple[int, int, int]) -> None:
         # 3. Write the descriptor back with the done bit set.
+        desc_addr, buf_addr, length = frame
         writeback = self.dma.write(desc_addr, DESCRIPTOR_BYTES)
         writeback.on_complete(
             lambda __: self._tx_complete(buf_addr, length)
@@ -208,11 +207,7 @@ class Nic8254xPcie(PcieDevice):
         self.tx_bytes.inc(length)
         self._signal_interrupt(ICR_TXDW)
         if self._regs[REG_CTRL] & CTRL_LOOPBACK:
-            self.schedule(
-                self.loopback_wire_latency,
-                lambda: self._rx_deliver(length),
-                name="loopback",
-            )
+            self.schedule(self.loopback_wire_latency, self._rx_deliver, length)
         self._tx_busy = False
         self._maybe_start_tx()
 

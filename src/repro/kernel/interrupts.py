@@ -62,16 +62,14 @@ class InterruptController(SimObject):
             self.coalesced.inc()
             return
         self._pending[line] = True
-        self.schedule(self.dispatch_latency, lambda: self._dispatch(line),
-                      name=f"irq{line}")
+        self.schedule(self.dispatch_latency, self._dispatch, line)
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:
         """The handler-invocation counter behind ``irq{line}_{n}`` names.
 
-        A pending (not yet dispatched) interrupt has a closure event in
-        flight that cannot be described, so a checkpoint requires all
-        lines idle.
+        A pending (not yet dispatched) interrupt's line flag is not part
+        of this state, so a checkpoint requires all lines idle.
         """
         pending = sorted(line for line, armed in self._pending.items() if armed)
         if pending:
@@ -146,8 +144,7 @@ class MsiDoorbell(SimObject):
             return False
         vector = int.from_bytes(pkt.data or b"\x00", "little") & 0xFF
         self.msis_received.inc()
-        self.schedule(self.latency, lambda: self.intc.raise_irq(vector),
-                      name="msi")
+        self.schedule(self.latency, self.intc.raise_irq, vector)
         if pkt.needs_response:
             self._respq.push(pkt.make_response(), self.latency)
         return True

@@ -9,8 +9,8 @@ retry protocol.
 The paper: "We use the gem5 bridge model and build a root complex and a
 PCI-Express switch model upon that."  The root complex and switch in
 :mod:`repro.pcie` reuse the same queue mechanics via
-:class:`~repro.mem.port.PacketQueue` — including its recycled drain
-event, so forwarding a packet allocates no per-packet event or closure
+:class:`~repro.mem.port.PacketQueue` — including its fire-and-forget
+drain, so forwarding a packet allocates no per-packet event or closure
 anywhere on the bridge path.
 """
 

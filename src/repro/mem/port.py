@@ -26,7 +26,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
-from repro.sim.eventq import Event
+from repro.sim.eventq import labelled
 from repro.sim.simobject import SimObject
 from repro.sim.stats import StatGroup
 
@@ -216,26 +216,6 @@ class SlavePort(Port):
         self.peer.recv_req_retry()
 
 
-class _DrainEvent(Event):
-    """Recycled drain trigger for one :class:`PacketQueue`.
-
-    The queue's ``_drain_scheduled`` flag guarantees at most one
-    outstanding drain, so a single recycled instance per queue replaces
-    the per-drain callback event the queue used to allocate — this is
-    the single hottest event in the crossbar/DRAM/bridge/iocache paths.
-    """
-
-    __slots__ = ("queue",)
-
-    def __init__(self, queue: "PacketQueue"):
-        super().__init__(name=f"{queue.name}.drain")
-        self.queue = queue
-
-    def process(self) -> None:
-        """Run the owning queue's drain loop."""
-        self.queue._drain()
-
-
 class PacketQueue:
     """A bounded FIFO that drains packets into a send function.
 
@@ -266,8 +246,11 @@ class PacketQueue:
         self.eventq = owner.eventq
         self._entries: Deque[Tuple[int, Packet]] = deque()
         self._waiting_retry = False
+        # _drain_scheduled guarantees at most one drain pending per
+        # queue; it is a fire-and-forget call of this bound method,
+        # built once so that scheduling a drain allocates only the entry.
         self._drain_scheduled = False
-        self._drain_event = _DrainEvent(self)
+        self._drain_fn = self._drain
         self.on_space_freed: Optional[Callable[[], None]] = None
         # Per-packet variant of on_space_freed, called with the packet
         # that just left the queue (for owners tracking slot accounting
@@ -300,7 +283,9 @@ class PacketQueue:
         if depth >= self.capacity:
             self.refused.total += 1
             return False
-        self.occupancy.sample(depth)
+        occupancy = self.occupancy
+        occupancy.total += depth
+        occupancy.count += 1
         eventq = self.eventq
         now = eventq.curtick
         entries.append((now + delay, pkt))
@@ -309,7 +294,7 @@ class PacketQueue:
         if not self._drain_scheduled and not self._waiting_retry:
             self._drain_scheduled = True
             ready = entries[0][0]
-            eventq.schedule(self._drain_event, ready if ready > now else now)
+            eventq.call_at(ready if ready > now else now, self._drain_fn)
         return True
 
     def retry(self) -> None:
@@ -320,9 +305,10 @@ class PacketQueue:
             ready = self._entries[0][0]
             now = eventq.curtick
             self._drain_scheduled = True
-            eventq.schedule(self._drain_event, ready if ready > now else now)
+            eventq.call_at(ready if ready > now else now, self._drain_fn)
 
-    def _drain(self) -> None:
+    @labelled(lambda queue: queue.name + ".drain")
+    def _drain(self, _arg: None = None) -> None:
         self._drain_scheduled = False
         # Loop invariants hoisted: curtick cannot move inside the loop
         # (time only advances in the event-queue drain), the deque
@@ -343,7 +329,7 @@ class PacketQueue:
                 # re-armed the drain for this head.
                 if not self._drain_scheduled:
                     self._drain_scheduled = True
-                    eventq.schedule(self._drain_event, ready)
+                    eventq.call_at(ready, self._drain_fn)
                 return
             if not send_fn(pkt):
                 self._waiting_retry = True

@@ -32,13 +32,15 @@ MAX_PCI_LOADS = 12
 
 
 class _Transaction:
-    __slots__ = ("pkt", "src", "issued", "retries")
+    __slots__ = ("pkt", "src", "issued", "retries", "start", "completion")
 
     def __init__(self, pkt: Packet, src: SlavePort):
         self.pkt = pkt
         self.src = src
         self.issued = False  # request already forwarded to the target
         self.retries = 0
+        self.start = 0  # tick this tenure of the bus began
+        self.completion: Optional[Packet] = None
 
 
 class PciBus(SimObject):
@@ -145,7 +147,7 @@ class PciBus(SimObject):
         self._busy = True
         transaction = self._queue.popleft()
         self.schedule(self.arbitration_cycles * self.period,
-                      lambda: self._address_phase(transaction), name="arb")
+                      self._address_phase, transaction)
 
     def _issue_retries(self) -> None:
         for port in self._masters:
@@ -166,7 +168,7 @@ class PciBus(SimObject):
         raise PortError(f"{self.full_name}: no target claims {addr:#x}")
 
     def _address_phase(self, transaction: _Transaction) -> None:
-        start = self.curtick
+        transaction.start = self.curtick
         if not transaction.issued:
             target = self._find_target(transaction.pkt.addr)
             transaction.issued = True
@@ -178,55 +180,56 @@ class PciBus(SimObject):
                 # retry we ignore — we re-arbitrate on a timer instead.
                 transaction.issued = False
                 self._waiting_completion.pop(transaction.pkt.req_id, None)
-                self._bounce(transaction, start)
+                self._bounce(transaction)
                 return
         if not transaction.pkt.needs_response:
             # Posted write: data phases immediately after the address.
-            self._data_phases(transaction, start, transaction.pkt)
+            self._data_phases(transaction, transaction.pkt)
             return
         completion = self._completions.pop(transaction.pkt.req_id, None)
         if completion is not None:
-            self._data_phases(transaction, start, completion)
+            self._data_phases(transaction, completion)
             return
         # Hold the bus in wait states until the deadline.
         deadline = self.max_wait_states * self.period
-        self.schedule(self.period + deadline,
-                      lambda: self._deadline(transaction, start), name="waits")
+        self.schedule(self.period + deadline, self._deadline, transaction)
 
-    def _deadline(self, transaction: _Transaction, start: int) -> None:
+    def _deadline(self, transaction: _Transaction) -> None:
         completion = self._completions.pop(transaction.pkt.req_id, None)
         if completion is not None:
-            self._data_phases(transaction, start, completion)
+            self._data_phases(transaction, completion)
         else:
-            self._bounce(transaction, start)
+            self._bounce(transaction)
 
-    def _bounce(self, transaction: _Transaction, start: int) -> None:
+    def _bounce(self, transaction: _Transaction) -> None:
         """Target retry: release the bus, re-queue the master."""
         transaction.retries += 1
         self.retry_cycles.inc()
-        self.busy_ticks.inc(self.curtick - start)
+        self.busy_ticks.inc(self.curtick - transaction.start)
         self._queue.append(transaction)
         self._busy = False
         # Re-arbitrate after a polite masterhood gap.
-        self.schedule(self.period, self._kick, name="rearb")
+        self.schedule(self.period, self._kick)
 
-    def _data_phases(self, transaction: _Transaction, start: int,
+    def _data_cycles(self, pkt: Packet) -> int:
+        return max(1, math.ceil(pkt.size / self.width_bytes))
+
+    def _data_phases(self, transaction: _Transaction,
                      completion: Optional[Packet]) -> None:
+        transaction.completion = completion
+        self.schedule((1 + self._data_cycles(transaction.pkt)) * self.period,
+                      self._finish, transaction)
+
+    def _finish(self, transaction: _Transaction) -> None:
+        """The last data phase ended: release the bus, answer the master."""
         pkt = transaction.pkt
-        data_cycles = max(1, math.ceil(pkt.size / self.width_bytes))
-        duration = (self.curtick - start) + (1 + data_cycles) * self.period
-        useful = data_cycles * self.period
-
-        def finish():
-            self.busy_ticks.inc(duration)
-            self._useful_ticks += useful
-            self.transactions.inc()
-            if completion is not None and pkt.needs_response:
-                transaction.src.send_timing_resp(completion)
-            self._busy = False
-            self._kick()
-
-        self.schedule((1 + data_cycles) * self.period, finish, name="data")
+        self.busy_ticks.inc(self.curtick - transaction.start)
+        self._useful_ticks += self._data_cycles(pkt) * self.period
+        self.transactions.inc()
+        if transaction.completion is not None and pkt.needs_response:
+            transaction.src.send_timing_resp(transaction.completion)
+        self._busy = False
+        self._kick()
 
     # -- completions from targets ----------------------------------------------------
     def _recv_completion(self, pkt: Packet) -> bool:

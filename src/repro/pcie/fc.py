@@ -110,14 +110,19 @@ class CreditLedger:
         """Credits left to send in ``cls`` (cumulative limit − consumed)."""
         return self.tx_limit[cls] - self.tx_consumed[cls]
 
-    def consume(self, cls: int) -> None:
-        """Spend one ``cls`` credit for a first-time TLP transmission.
+    def try_consume(self, cls: int) -> bool:
+        """Spend one ``cls`` credit for a first-time TLP transmission;
+        False (nothing spent) when the class has no headroom.
 
         Replays never call this: the credit was consumed when the TLP
         first went on the wire and the receiver's buffer slot is still
         (or again) accounted to it.
         """
-        self.tx_consumed[cls] += 1
+        consumed = self.tx_consumed
+        if consumed[cls] >= self.tx_limit[cls]:
+            return False
+        consumed[cls] += 1
+        return True
 
     def advertise(self, cls: int, limit: int) -> bool:
         """Install a cumulative credit limit from InitFC/UpdateFC.
@@ -137,10 +142,12 @@ class CreditLedger:
         """Account an accepted TLP into the ``cls`` receive buffer."""
         self.rx_held[cls] += 1
 
-    def rx_drain(self, cls: int) -> None:
-        """A buffered TLP left the ``cls`` receive buffer (credit frees)."""
+    def rx_drain(self, cls: int) -> int:
+        """A buffered TLP left the ``cls`` receive buffer (credit frees);
+        returns the new cumulative limit (:meth:`rx_limit`)."""
         self.rx_held[cls] -= 1
-        self.rx_drained[cls] += 1
+        drained = self.rx_drained[cls] = self.rx_drained[cls] + 1
+        return self.rx_capacity[cls] + drained
 
     def rx_limit(self, cls: int) -> int:
         """The cumulative limit our next UpdateFC advertises."""

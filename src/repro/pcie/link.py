@@ -73,66 +73,8 @@ from repro.pcie.timing import (
     replay_timeout_ticks,
 )
 from repro.sim import ticks
-from repro.sim.eventq import CallbackEvent, Event
+from repro.sim.eventq import CallbackEvent, labelled
 from repro.sim.simobject import SimObject, Simulator
-
-
-class _TxDoneEvent(Event):
-    """Recycled end-of-serialization event: frees the link for the next
-    pcie-pkt.
-
-    One instance per :class:`UnidirectionalLink` suffices — the ``busy``
-    flag guarantees a single transmission in flight, and the event has
-    always fired (clearing ``busy``) before the next ``send`` can
-    reschedule it.  The sender travels as a mutable slot instead of a
-    per-packet closure.
-    """
-
-    __slots__ = ("link", "sender")
-
-    def __init__(self, link: "UnidirectionalLink"):
-        super().__init__(name="tx_done")
-        self.link = link
-        self.sender: Optional["PcieLinkInterface"] = None
-
-    def process(self) -> None:
-        """Clear the busy flag, then let the sender pick its next pkt."""
-        sender = self.sender
-        self.sender = None
-        self.link.busy = False
-        sender._kick_tx()
-
-
-class _DeliverEvent(Event):
-    """Recycled wire-delivery event: hands a pcie-pkt to the receiver.
-
-    Deliveries outlive ``tx_done`` by the propagation delay, so several
-    can be in flight per link; a small pool on the link recycles them.
-    The event returns itself to the pool *before* invoking the receiver
-    — per the recycling contract a fired event is immediately reusable,
-    and a reentrant ``send`` triggered by the delivery then reuses this
-    instance instead of growing the pool.
-    """
-
-    __slots__ = ("link", "receiver", "ppkt")
-
-    def __init__(self, link: "UnidirectionalLink"):
-        super().__init__(name="deliver")
-        self.link = link
-        self.receiver: Optional["PcieLinkInterface"] = None
-        self.ppkt: Optional[PciePacket] = None
-
-    def process(self) -> None:
-        """Recycle into the link's pool, then deliver the payload."""
-        receiver = self.receiver
-        ppkt = self.ppkt
-        self.receiver = None
-        self.ppkt = None
-        self.link._deliver_pool.append(self)
-        if ppkt.tlp is None:
-            receiver._receive_dllp(ppkt)
-        else:
-            receiver._receive_tlp(ppkt)
 
 
 class UnidirectionalLink(SimObject):
@@ -152,9 +94,10 @@ class UnidirectionalLink(SimObject):
         # in send(); timing.transmission_ticks fills it on a miss.
         self._tx_ticks = timing.tx_ticks_cache
         self.propagation_delay = propagation_delay
+        # ``busy`` allows one transmission in flight; its end is a
+        # fire-and-forget call of this bound method, built once.
         self.busy = False
-        self._tx_done_event = _TxDoneEvent(self)
-        self._deliver_pool: list = []
+        self._tx_done_fn = self._tx_done
         self.packets = self.stats.scalar("packets", "pcie-pkts transmitted")
         self.bytes = self.stats.scalar("bytes", "wire bytes transmitted")
         self.busy_ticks = self.stats.scalar("busy_ticks", "ticks spent transmitting")
@@ -165,8 +108,12 @@ class UnidirectionalLink(SimObject):
         if self.busy:
             raise RuntimeError(f"{self.full_name} is busy")
         tlp = ppkt.tlp
-        wire = (DLLP_WIRE_BYTES if tlp is None
-                else tlp.payload_size + TLP_OVERHEAD_BYTES)
+        if tlp is None:
+            wire = DLLP_WIRE_BYTES
+            arrive = receiver._receive_dllp_fn
+        else:
+            wire = tlp.payload_size + TLP_OVERHEAD_BYTES
+            arrive = receiver._receive_tlp_fn
         tx_time = self._tx_ticks.get(wire)
         if tx_time is None:
             tx_time = self.timing.transmission_ticks(wire)
@@ -178,15 +125,16 @@ class UnidirectionalLink(SimObject):
         # insertion sequence (and thus dispatch order at equal ticks)
         # matches the historical per-packet-callback code exactly.
         eventq = self.eventq
-        now = eventq.curtick
-        tx_done = self._tx_done_event
-        tx_done.sender = sender
-        eventq.schedule(tx_done, now + tx_time)
-        pool = self._deliver_pool
-        deliver = pool.pop() if pool else _DeliverEvent(self)
-        deliver.receiver = receiver
-        deliver.ppkt = ppkt
-        eventq.schedule(deliver, now + tx_time + self.propagation_delay)
+        done = eventq.curtick + tx_time
+        eventq.call_at(done, self._tx_done_fn, sender)
+        eventq.call_at(done + self.propagation_delay, arrive, ppkt)
+
+    @labelled("tx_done")
+    def _tx_done(self, sender: "PcieLinkInterface") -> None:
+        """End of serialization: free the wire, let the sender pick its
+        next pcie-pkt."""
+        self.busy = False
+        sender._kick_tx()
 
 
 class PcieLinkInterface(SimObject):
@@ -201,6 +149,10 @@ class PcieLinkInterface(SimObject):
         super().__init__(sim, name, parent)
         self.link_parent = parent
         self.tx_link: Optional[UnidirectionalLink] = None  # wired by PcieLink
+        # What the wire calls on arrival, bound once (see
+        # UnidirectionalLink.send).
+        self._receive_tlp_fn = self._receive_tlp
+        self._receive_dllp_fn = self._receive_dllp
         self.peer: Optional["PcieLinkInterface"] = None
 
         # Ports facing the attached component.  The master port carries
@@ -360,7 +312,8 @@ class PcieLinkInterface(SimObject):
         if len(queue) >= self.link_parent.input_queue_size:
             return False
         queue.append(pkt)
-        self._kick_tx()
+        if not self.tx_link.busy:
+            self._kick_tx()
         return True
 
     def _component_req_retry(self) -> None:
@@ -373,6 +326,8 @@ class PcieLinkInterface(SimObject):
         self._drain_rx()
 
     def _kick_tx(self) -> None:
+        """Put the next pcie-pkt on an idle wire.  Per-packet callers
+        test ``tx_link.busy`` first and skip the call while it is set."""
         tx_link = self.tx_link
         if tx_link is None or tx_link.busy:
             return
@@ -425,20 +380,19 @@ class PcieLinkInterface(SimObject):
             fc = self.fc
             queue = self._in_cpl
             if queue:
-                if fc.tx_headroom(FLOW_CPL) > 0:
+                if fc.try_consume(FLOW_CPL):
                     return self._wrap_new_tlp(queue.pop(0))
                 self._fc_blocked(FLOW_CPL)
             queue = self._in_req
             if queue:
                 cls = queue[0].flow_class
-                if fc.tx_headroom(cls) > 0:
+                if fc.try_consume(cls):
                     return self._wrap_new_tlp(queue.pop(0))
                 self._fc_blocked(cls)
         return None
 
     def _wrap_new_tlp(self, pkt: Packet) -> PciePacket:
-        """Sequence a first-time TLP, consuming one credit of its class."""
-        self.fc.consume(pkt.flow_class)
+        """Sequence a first-time TLP (its credit is already consumed)."""
         ppkt = PciePacket(tlp=pkt, seq=self.send_seq)
         self.send_seq += 1
         self.replay_buffer.append(ppkt)
@@ -499,7 +453,8 @@ class PcieLinkInterface(SimObject):
         if (self._fc_watchdog_event.scheduled
                 and not (fc.stalled(0) or fc.stalled(1) or fc.stalled(2))):
             self.eventq.deschedule(self._fc_watchdog_event)
-        self._kick_tx()
+        if not self.tx_link.busy:
+            self._kick_tx()
 
     # -- replay timer -------------------------------------------------------
     def _replay_timeout(self) -> None:
@@ -518,20 +473,14 @@ class PcieLinkInterface(SimObject):
         self._kick_tx()
 
     def _reset_replay_timer(self) -> None:
+        eventq = self.eventq
         if self._replay_event.scheduled:
-            self.eventq.deschedule(self._replay_event)
+            eventq.deschedule(self._replay_event)
         if self.replay_buffer:
-            self.eventq.schedule_after(self._replay_event, self.replay_timeout)
+            eventq.schedule(self._replay_event,
+                            eventq.curtick + self.link_parent.replay_timeout)
 
     # ===================== RX: link -> component =========================
-    def receive_from_link(self, ppkt: PciePacket) -> None:
-        """Hand this interface a pcie-pkt as if it arrived off the wire
-        (the delivery event makes the same TLP/DLLP dispatch itself)."""
-        if ppkt.tlp is None:
-            self._receive_dllp(ppkt)
-        else:
-            self._receive_tlp(ppkt)
-
     def _draw(self) -> float:
         """The next error-injection draw, building the RNG on first use."""
         rng = self._rng
@@ -539,7 +488,9 @@ class PcieLinkInterface(SimObject):
             rng = self._rng = random.Random(self._rng_seed)
         return rng.random()
 
+    @labelled("deliver")
     def _receive_dllp(self, ppkt: PciePacket) -> None:
+        """A DLLP arrives off the wire."""
         trc = self.tracer
         error_rate = self.link_parent.dllp_error_rate
         if error_rate and self._draw() < error_rate:
@@ -564,13 +515,15 @@ class PcieLinkInterface(SimObject):
             self.acks_received.total += 1
             self._purge_acknowledged(ppkt.seq)
             self._reset_replay_timer()
-            self._kick_tx()
+            if not self.tx_link.busy:
+                self._kick_tx()
         elif dllp_type is DllpType.NAK:
             # NAK: purge what it acknowledges, replay the rest.
             self._purge_acknowledged(ppkt.seq)
             self.retransmit_queue[:] = self.replay_buffer
             self._reset_replay_timer()
-            self._kick_tx()
+            if not self.tx_link.busy:
+                self._kick_tx()
         else:
             # UpdateFC: install the cumulative limit; stale (lower or
             # duplicate) limits are no-ops per the monotone rule.
@@ -604,7 +557,9 @@ class PcieLinkInterface(SimObject):
                 return
         self.dllp_queue.append(PciePacket(dllp_type=dllp_type, seq=seq))
 
+    @labelled("deliver")
     def _receive_tlp(self, ppkt: PciePacket) -> None:
+        """A TLP arrives off the wire."""
         trc = self.tracer
         error_rate = self.link_parent.error_rate
         if error_rate and self._draw() < error_rate:
@@ -679,7 +634,7 @@ class PcieLinkInterface(SimObject):
                 pkt = queue.pop(0)
                 self._credit_return(pkt.flow_class)
                 drained = True
-        if drained:
+        if drained and not self.tx_link.busy:
             self._kick_tx()
 
     def _count_refusal(self, pkt: Packet) -> None:
@@ -693,9 +648,7 @@ class PcieLinkInterface(SimObject):
     def _credit_return(self, cls: int) -> None:
         """A ``cls`` RX-buffer slot drained: queue the UpdateFC that
         returns the credit (coalesced — limits are cumulative)."""
-        fc = self.fc
-        fc.rx_drain(cls)
-        self._queue_dllp(UPDATE_FC_FOR[cls], fc.rx_limit(cls))
+        self._queue_dllp(UPDATE_FC_FOR[cls], self.fc.rx_drain(cls))
 
     # -- ACK scheduling ---------------------------------------------------------
     def _schedule_ack(self) -> None:

@@ -48,34 +48,8 @@ from repro.mem.packet import FLOW_CPL, FLOW_NP, FLOW_P, Packet
 from repro.mem.port import MasterPort, PacketQueue, PortError, SlavePort
 from repro.pcie.vp2p import VirtualP2PBridge
 from repro.sim import ticks
-from repro.sim.eventq import Event
+from repro.sim.eventq import labelled
 from repro.sim.simobject import SimObject, Simulator
-
-
-class _ProcessedEvent(Event):
-    """Recycled ingress-processing-done event for one ComponentPort.
-
-    Up to ``buffer_size`` packets can be in the port's datapath at
-    once, so the port keeps a pool; a fired event recycles itself into
-    it before routing the packet onward (the recycling contract makes
-    it immediately reusable), keeping the pool at the high-water mark
-    of in-flight processings instead of one allocation per packet.
-    """
-
-    __slots__ = ("port", "pkt")
-
-    def __init__(self, port: "ComponentPort"):
-        super().__init__(name="processed")
-        self.port = port
-        self.pkt: Optional[Packet] = None
-
-    def process(self) -> None:
-        """Recycle into the port's pool, then route the packet on."""
-        port = self.port
-        pkt = self.pkt
-        self.pkt = None
-        port._processed_pool.append(self)
-        port.engine._move(pkt, port)
 
 
 class ComponentPort(SimObject):
@@ -124,8 +98,9 @@ class ComponentPort(SimObject):
         # accounted per flow-control class (index with pkt.flow_class).
         self._slots = [0, 0, 0]
         self._slot_caps = [parent.p_slots, parent.np_slots, parent.cpl_slots]
-        # Recycled ingress-processing events (see _ProcessedEvent).
-        self._processed_pool: List[_ProcessedEvent] = []
+        # Bound once: scheduling a packet's end of ingress processing
+        # then allocates only the queue entry.
+        self._processed_fn = self._processed
         # Per-port datapath serialization horizon (used when the engine
         # runs with datapath_scope="port").
         self._proc_next_free = 0
@@ -169,7 +144,9 @@ class ComponentPort(SimObject):
                          resp=is_response, pool=self.pool_used)
             return False
         slots = self._slots
-        self.pool_occupancy.sample(slots[0] + slots[1] + slots[2])
+        occupancy = self.pool_occupancy
+        occupancy.total += slots[0] + slots[1] + slots[2]
+        occupancy.count += 1
         if trc.enabled:
             trc.emit(self.curtick, "engine", self.full_name, "ingress",
                      tlp=trc.tlp_id(pkt.req_id), resp=is_response,
@@ -197,11 +174,22 @@ class ComponentPort(SimObject):
             if start < now:
                 start = now
             self._proc_next_free = start + engine.service_interval
-        pool = self._processed_pool
-        event = pool.pop() if pool else _ProcessedEvent(self)
-        event.pkt = pkt
-        eventq.schedule(event, start + engine.latency)
+        eventq.call_at(start + engine.latency, self._processed_fn, pkt)
         return True
+
+    @labelled("processed")
+    def _processed(self, pkt: Packet) -> None:
+        """Ingress processing finished: hand the packet to its egress
+        queue (the slot stays charged to this port until transmission)."""
+        engine = self.engine
+        if pkt.is_response:
+            queue = engine._response_target(pkt).resp_queue
+            engine.responses_routed.total += 1
+        else:
+            queue = engine._request_target(pkt, self).req_queue
+            engine.requests_routed.total += 1
+        pushed = queue.push(pkt, 0)
+        assert pushed, "egress capacity covers the engine's worst case"
 
     def stamp_bus_number(self) -> int:
         if self.is_upstream:
@@ -382,19 +370,7 @@ class PcieRoutingEngine(SimObject):
                      tlp=trc.tlp_id(pkt.req_id), resp=is_response,
                      pool=owner.pool_used)
 
-    # -- internal movement ---------------------------------------------------------
-    def _move(self, pkt: Packet, src: ComponentPort) -> None:
-        """Ingress processing finished: hand the packet to its egress
-        queue (the slot stays charged to ``src`` until transmission)."""
-        if pkt.is_response:
-            queue = self._response_target(pkt).resp_queue
-            self.responses_routed.total += 1
-        else:
-            queue = self._request_target(pkt, src).req_queue
-            self.requests_routed.total += 1
-        pushed = queue.push(pkt, 0)
-        assert pushed, "egress capacity covers the engine's worst case"
-
+    # -- routing rules ---------------------------------------------------------------
     def _request_target(self, pkt: Packet, src: ComponentPort) -> ComponentPort:
         for port in self.downstream_ports:
             if port is src:

@@ -26,19 +26,23 @@ events at the same ticks with the same insertion sequence numbers as
 the captured simulator would have — stats, traces and golden outputs
 are byte-identical to never having checkpointed at all.
 
-**Describable events.**  Pending events are captured as
-``(when, priority, seq)`` plus an *owner path + method name* pair: the
-event must be a :class:`~repro.sim.eventq.CallbackEvent` whose callback
-is a bound method of a registered SimObject.  Restore resolves the
-owner through the simulator's registry and — crucially — reuses the
-owner's existing recycled event handle when it keeps one
-(:meth:`~repro.sim.simobject.SimObject.resolve_event`), so a component
-that later deschedules ``self._ack_event`` deschedules the very
-instance the checkpoint re-armed.  Lambdas, closures and pool events
-are not describable and raise :class:`CheckpointError` — which is why
-the natural checkpoint boundary is **software quiescence** (a drained
+**Describable events.**  A pending queue entry ``(when, priority,
+seq, fn, arg)`` is captured as its ``(when, priority, seq)`` plus an
+*owner path + method name* pair: ``fn`` must be a bound method of a
+registered SimObject, and an ``arg`` it carries must be a JSON scalar,
+recorded as ``arg``.  A no-argument callback is described by the
+callback itself.  An event handle (a timer the component later
+deschedules) is described by the method its
+:class:`~repro.sim.eventq.CallbackEvent` wraps plus, when the owner
+holds the handle, the attribute that holds it (``handle``): restore
+re-arms that very instance, so a component that later deschedules
+``self._ack_event`` deschedules the entry the checkpoint restored.
+Every other entry is rebuilt directly.  Lambdas, closures, calls on
+objects outside the registry and calls carrying packets are not
+describable and raise :class:`CheckpointError` — which is why the
+natural checkpoint boundary is **software quiescence** (a drained
 run), where the queue is empty and every component's in-flight buffers
-are too.  Mid-run checkpoints work whenever all pending events happen
+are too.  Mid-run checkpoints work whenever all pending entries happen
 to be describable (the property-test suite exercises this).
 """
 
@@ -46,15 +50,16 @@ import hashlib
 import json
 from typing import Dict, List
 
-from repro.sim.eventq import CallbackEvent
+from repro.sim.eventq import Event, call, fire
 
 #: Identifies checkpoint documents; consumers reject anything else.
 CHECKPOINT_FORMAT = "repro-checkpoint"
 
 #: Bumped whenever the document layout or the meaning of a field
 #: changes; restore refuses versions it does not understand rather than
-#: silently misreading state.
-CHECKPOINT_VERSION = 1
+#: silently misreading state.  Version 2: event records gained ``arg``
+#: and ``handle`` and lost ``name``.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -62,41 +67,59 @@ class CheckpointError(RuntimeError):
     cannot be applied to the rebuilt simulator it was offered to."""
 
 
-def _describe_event(sim, entry) -> Dict:
-    """Describe one live queue entry as owner-path + method-name.
+#: The JSON scalars an entry's ``arg`` may be.
+_SCALARS = (type(None), bool, int, float, str)
 
-    ``entry`` is the queue's internal ``[when, priority, seq, event]``
-    list.  Raises :class:`CheckpointError` for events that are not
-    bound-method callbacks of registered objects — those cannot be
-    reconstructed by name on the restore side.
-    """
-    when, priority, seq, event = entry
-    if not isinstance(event, CallbackEvent):
-        raise CheckpointError(
-            f"cannot checkpoint pending event {event!r} at tick {when}: "
-            f"only CallbackEvents bound to registered SimObjects are "
-            f"describable (this is a {type(event).__name__})")
-    callback = event._callback
-    owner = getattr(callback, "__self__", None)
+
+def _owner_and_method(sim, fn, when: int):
+    """The registered owner and method name of the bound method ``fn``."""
+    owner = getattr(fn, "__self__", None)
     owner_name = getattr(owner, "full_name", None)
     if owner is None or owner_name is None or sim.find(owner_name) is not owner:
         raise CheckpointError(
-            f"cannot checkpoint pending event {event.name!r} at tick "
-            f"{when}: its callback {callback!r} is not a bound method of "
-            f"a registered SimObject")
-    method = getattr(callback, "__name__", "")
-    if getattr(owner, method, None) != callback:
+            f"cannot checkpoint the call pending at tick {when}: {fn!r} is "
+            f"not a bound method of a registered SimObject")
+    method = getattr(fn, "__name__", "")
+    if getattr(owner, method, None) != fn:
         raise CheckpointError(
-            f"cannot checkpoint pending event {event.name!r}: "
-            f"{owner_name}.{method} does not resolve back to its callback")
-    return {
-        "when": when,
-        "priority": priority,
-        "seq": seq,
-        "owner": owner_name,
-        "method": method,
-        "name": event.name,
-    }
+            f"cannot checkpoint the call pending at tick {when}: "
+            f"{owner_name}.{method} does not resolve back to it")
+    return owner, method
+
+
+def _describe_event(sim, entry) -> Dict:
+    """Describe one live ``(when, priority, seq, fn, arg)`` queue entry
+    as owner-path + method-name (plus ``arg`` or ``handle``).
+
+    Raises :class:`CheckpointError` for entries that cannot be rebuilt
+    by name on the restore side.
+    """
+    when, priority, seq, fn, arg = entry
+    doc = {"when": when, "priority": priority, "seq": seq}
+    if fn is fire:
+        callback = getattr(arg, "_callback", None)
+        if callback is None:
+            raise CheckpointError(
+                f"cannot checkpoint pending event {arg!r} at tick {when}: "
+                f"only handles wrapping a bound method are describable "
+                f"(this is a {type(arg).__name__})")
+        owner, doc["method"] = _owner_and_method(sim, callback, when)
+        for attr, value in vars(owner).items():
+            if value is arg:
+                doc["handle"] = attr
+                break
+    elif fn is call:
+        owner, doc["method"] = _owner_and_method(sim, arg, when)
+    else:
+        if not isinstance(arg, _SCALARS):
+            raise CheckpointError(
+                f"cannot checkpoint the call to {fn!r} pending at tick "
+                f"{when}: it carries a {type(arg).__name__}, not a JSON "
+                f"scalar")
+        owner, doc["method"] = _owner_and_method(sim, fn, when)
+        doc["arg"] = arg
+    doc["owner"] = owner.full_name
+    return doc
 
 
 def capture(sim) -> Dict:
@@ -133,18 +156,9 @@ def capture(sim) -> Dict:
     }
 
 
-def _reconstruct_event(sim, doc: Dict, used: set) -> CallbackEvent:
-    """Turn one captured event description back into a live event.
-
-    Prefers the owner's existing recycled handle (bound-method identity
-    — see :meth:`SimObject.resolve_event`); falls back to a fresh
-    :class:`CallbackEvent` carrying the captured name and priority for
-    events whose handle the owner does not keep (one-shot schedules).
-    A handle can be scheduled only once, so when several pending events
-    wrap the same method the earliest (in dispatch order) gets the
-    recycled handle and the rest become fresh events — ``used`` tracks
-    the handles already claimed within this restore.
-    """
+def _reconstruct_event(sim, doc: Dict) -> tuple:
+    """Turn one captured event description back into a queue entry:
+    the owner's own handle re-armed, or the call rebuilt directly."""
     owner = sim.find(doc["owner"])
     if owner is None:
         raise CheckpointError(
@@ -155,13 +169,17 @@ def _reconstruct_event(sim, doc: Dict, used: set) -> CallbackEvent:
         raise CheckpointError(
             f"checkpoint schedules {doc['owner']}.{doc['method']} but the "
             f"rebuilt object has no such method")
-    event = owner.resolve_event(doc["method"])
-    if event is None or id(event) in used:
-        event = CallbackEvent(method, priority=doc["priority"],
-                              name=doc["name"])
-    else:
-        used.add(id(event))
-    return event
+    key = (doc["when"], doc["priority"], doc["seq"])
+    if "handle" in doc:
+        event = getattr(owner, doc["handle"], None)
+        if not isinstance(event, Event):
+            raise CheckpointError(
+                f"checkpoint re-arms {doc['owner']}.{doc['handle']} but the "
+                f"rebuilt object holds no such event")
+        return key + (fire, event)
+    if "arg" in doc:
+        return key + (method, doc["arg"])
+    return key + (call, method)
 
 
 def restore(sim, snapshot: Dict) -> None:
@@ -207,12 +225,7 @@ def restore(sim, snapshot: Dict) -> None:
         stat.load_state_dict(state)
     sim.tracer.load_state_dict(snapshot["tracer"])
     sim.checker.load_state_dict(snapshot["checker"])
-    used: set = set()
-    entries = [
-        (doc["when"], doc["priority"], doc["seq"],
-         _reconstruct_event(sim, doc, used))
-        for doc in snapshot["events"]
-    ]
+    entries = [_reconstruct_event(sim, doc) for doc in snapshot["events"]]
     sim.eventq.load_state_dict(snapshot["eventq"], entries)
 
 

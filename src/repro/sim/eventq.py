@@ -1,36 +1,42 @@
 """The event queue at the heart of the simulator.
 
-Events are scheduled at an absolute tick and fire in (tick, priority,
-insertion-order) order, mirroring gem5's deterministic event queue.  An
-:class:`Event` subclass overrides :meth:`Event.process`;
-:class:`CallbackEvent` wraps a plain callable for one-off work.
+Work is scheduled at an absolute tick and fires in (tick, priority,
+insertion-order) order, mirroring gem5's deterministic event queue.
+Every queue entry is a ``(when, priority, seq, fn, arg)`` tuple and
+dispatch calls ``fn(arg)``.  Three kinds of work share that one form:
 
-:class:`EventQueue` is a lean binary heap of ``(when, priority, seq,
-event)`` tuples with lazy squashing.  :class:`ReferenceEventQueue` is
-the plain heap it was derived from, kept as the executable
-specification of dispatch order that the property tests compare
-against.
+* **fire-and-forget calls** (:meth:`EventQueue.call_at`): ``fn`` is
+  usually a bound method built once at construction, so scheduling one
+  allocates only the entry.  Nothing can cancel them;
+* **no-argument callbacks** (:meth:`~_QueueBase.schedule_callback`):
+  ``fn`` is :func:`call` and ``arg`` the callable;
+* **event handles** (:meth:`EventQueue.schedule`): ``fn`` is
+  :func:`fire` and ``arg`` an :class:`Event`.  Handles are for work
+  that is descheduled or rescheduled — timers — and only they can be
+  squashed.
+
+:class:`EventQueue` is a lean binary heap with lazy squashing.
+:class:`ReferenceEventQueue` is the plain heap it was derived from,
+kept as the executable specification of dispatch order that the
+property tests compare against.
 """
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Union
+
+_heappush = heapq.heappush
 
 
 class Event:
-    """A schedulable unit of work.
+    """A schedulable, cancellable unit of work.
 
     Subclasses override :meth:`process`.  An event instance may be
     scheduled at most once at a time; it can be rescheduled after it has
     fired or been descheduled.  Priorities follow gem5's convention:
     lower numeric priority fires first within a tick.
 
-    Hot-path components keep a small pool of recycled Event subclasses
-    with mutable payload slots instead of allocating a closure-wrapped
-    :class:`CallbackEvent` per packet.  The recycling contract: an event
-    may be reused as soon as ``scheduled`` is False — i.e. after it has
-    fired or been descheduled — because a squashed queue entry is dead
-    for good (the event no longer points at it), so a recycled event can
-    never fire a stale payload even when rescheduled at the same tick.
+    Work that is never cancelled does not need a handle: schedule the
+    method itself with :meth:`EventQueue.call_at`.
     """
 
     # Common gem5-style priorities.  Most events use DEFAULT_PRI; the
@@ -41,18 +47,16 @@ class Event:
     SIM_EXIT_PRI = 98
     MAXIMUM_PRI = 100
 
-    # Events are created per TLP/DMA step in the hot loops; slots keep
-    # them dict-free.  Subclasses that add state must declare their own
-    # __slots__ to stay that way (plain subclasses still work — they
-    # just regain a __dict__).
+    # Subclasses that add state must declare their own __slots__ to
+    # stay dict-free (plain subclasses still work — they just regain a
+    # __dict__).
     __slots__ = ("priority", "name", "_entry")
 
     def __init__(self, priority: int = DEFAULT_PRI, name: str = ""):
         self.priority = priority
         self.name = name or type(self).__name__
-        # The live ``(when, priority, seq, event)`` queue entry for this
-        # event (it carries the fire tick, so no separate copy is kept);
-        # None while the event is idle.
+        # The live queue entry for this event (it carries the fire
+        # tick, so no separate copy is kept); None while idle.
         self._entry: Optional[tuple] = None
 
     # -- scheduling state -------------------------------------------------
@@ -77,7 +81,7 @@ class Event:
 
 
 class CallbackEvent(Event):
-    """An event that invokes an arbitrary callable when it fires."""
+    """An event handle that invokes an arbitrary callable when it fires."""
 
     __slots__ = ("_callback",)
 
@@ -95,11 +99,53 @@ class CallbackEvent(Event):
         self._callback()
 
 
+# -- entry forms --------------------------------------------------------------
+
+def fire(event: Event) -> None:
+    """The ``fn`` of a handle's entry: mark ``event`` idle, process it."""
+    event._entry = None
+    event.process()
+
+
+def call(callback: Callable[[], None]) -> None:
+    """The ``fn`` of a no-argument callback's entry."""
+    callback()
+
+
+def labelled(label: Union[str, Callable[[Any], str]]) -> Callable:
+    """Give a fire-and-forget target its dispatch label: a fixed string,
+    or a function of the target's owner (the bound ``self``).
+    Unmarked targets are labelled ``<owner full_name>.<method>``."""
+    def mark(method: Callable) -> Callable:
+        method.dispatch_label = label
+        return method
+    return mark
+
+
+def dispatch_label(fn: Callable, arg: Any) -> str:
+    """The tracer's and checker's name for one entry.
+
+    Computed only when one of them is armed, so untraced dispatch never
+    builds a string.
+    """
+    if fn is fire:
+        return arg.name
+    if fn is call:
+        fn = arg
+    label = getattr(fn, "dispatch_label", None)
+    if label is not None:
+        return label if label.__class__ is str else label(fn.__self__)
+    name = getattr(fn, "__name__", "callback")
+    owner_name = getattr(getattr(fn, "__self__", None), "full_name", None)
+    return f"{owner_name}.{name}" if owner_name else name
+
+
 class _QueueBase:
     """What both queues share beyond how they store entries: the clock
     and counters, the convenience schedulers, the checkpoint scalars,
-    and single-stepping.  A queue provides ``schedule``/``deschedule``,
-    ``run`` and ``_drop_squashed_head`` over its ``_heap``."""
+    single-stepping and the armed-observer hook.  A queue provides
+    ``schedule``/``deschedule``/``call_at``, ``run`` and
+    ``_drop_squashed_head`` over its ``_heap``."""
 
     def __init__(self, name: str = "eventq"):
         self.name = name
@@ -118,17 +164,17 @@ class _QueueBase:
         self.events_processed: int = 0
         self._heap: list = []
 
+    def _in_the_past(self, when: int, what: Any) -> ValueError:
+        return ValueError(f"cannot schedule {what!r} at {when} in the past "
+                          f"(curtick={self.curtick})")
+
     def schedule_after(self, event: Event, delay: int) -> Event:
         """Schedule ``event`` to fire ``delay`` ticks from now."""
         return self.schedule(event, self.curtick + delay)
 
-    def schedule_callback(
-        self, delay: int, callback: Callable[[], None], name: str = ""
-    ) -> CallbackEvent:
-        """Convenience: schedule a plain callable ``delay`` ticks from now."""
-        event = CallbackEvent(callback, name=name)
-        self.schedule_after(event, delay)
-        return event
+    def schedule_callback(self, delay: int, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` ``delay`` ticks from now (fire-and-forget)."""
+        self.call_at(self.curtick + delay, call, callback)
 
     def reschedule(self, event: Event, when: int) -> Event:
         """Move an event to a new tick, scheduling it if it was idle."""
@@ -137,16 +183,51 @@ class _QueueBase:
         return self.schedule(event, when)
 
     def state_dict(self) -> dict:
-        """Scalar scheduler state for a checkpoint (no events).
+        """Scalar scheduler state for a checkpoint (no entries).
 
-        Pending events are captured separately via ``live_entries``
-        because they need callback reconstruction, not raw copying.
+        Pending entries are captured separately via ``live_entries``
+        because they need reconstruction by name, not raw copying.
         """
         return {
             "curtick": self.curtick,
             "next_seq": self._next_seq,
             "events_processed": self.events_processed,
         }
+
+    def load_state_dict(self, state: dict, entries: List[tuple]) -> None:
+        """Rebuild the queue from checkpointed state plus live entries.
+
+        Args:
+            state: a :meth:`state_dict` document (curtick, next_seq,
+                events_processed).
+            entries: ``(when, priority, seq, fn, arg)`` tuples with the
+                callables already reconstructed; a handle's entry (``fn``
+                is :func:`fire`) is re-armed onto its event.  The exact
+                ``(when, priority, seq)`` triples are preserved, so the
+                dispatch order after restore is byte-identical to an
+                uncheckpointed continuation — including ties that new
+                post-restore schedules (whose seq continues from
+                ``next_seq``) can never win retroactively.
+
+        The queue's previous contents are discarded; callers are
+        expected to restore into a freshly built (empty) queue.
+        """
+        self.curtick = state["curtick"]
+        self._next_seq = state["next_seq"]
+        self.events_processed = state["events_processed"]
+        self._stop_requested = False
+        heap = self._heap
+        heap.clear()
+        for entry in entries:
+            entry = self._entry_type(entry)
+            if entry[3] is fire:
+                event = entry[4]
+                if event._entry is not None:
+                    raise RuntimeError(
+                        f"cannot restore {event!r}: it is already scheduled")
+                event._entry = entry
+            heap.append(entry)
+        heapq.heapify(heap)
 
     def next_tick(self) -> Optional[int]:
         """Tick of the next live event, or None if the queue is empty."""
@@ -161,19 +242,25 @@ class _QueueBase:
         self._drop_squashed_head()
         if not self._heap:
             return False
-        when, __, __, event = heapq.heappop(self._heap)
+        when, priority, __, fn, arg = heapq.heappop(self._heap)
         self.curtick = when
-        event._entry = None
         self.events_processed += 1
+        trc, ck = self.tracer, self.checker
+        if (trc is not None and trc.enabled) or (ck is not None and ck.enabled):
+            self._observe(when, priority, fn, arg)
+        fn(arg)
+        return True
+
+    def _observe(self, when: int, priority: int, fn: Callable, arg: Any) -> None:
+        """Tell an armed tracer and checker about one dispatch."""
+        label = dispatch_label(fn, arg)
         trc = self.tracer
         if trc is not None and trc.enabled:
             trc.emit(when, "eventq", self.name, "dispatch",
-                     name=event.name, pri=event.priority)
+                     name=label, pri=priority)
         ck = self.checker
         if ck is not None and ck.enabled:
-            ck.on_dispatch(when, event)
-        event.process()
-        return True
+            ck.on_dispatch(when, label)
 
     def stop(self) -> None:
         """Ask a ``run`` in progress to stop after the current event."""
@@ -193,26 +280,29 @@ class _QueueBase:
 
 
 class EventQueue(_QueueBase):
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of scheduled work.
 
     The queue tracks the current simulated time (:attr:`curtick`).  Time
     only advances by servicing events; :meth:`run` drains the queue until
     it is empty, a tick limit is reached, or :meth:`stop` is called.
 
-    Internally it is one binary heap of ``(when, priority, seq, event)``
-    tuples.  :meth:`deschedule` is lazy: it only clears the event's
-    ``_entry``, and an entry whose event no longer points at it is
-    squashed — skipped when it reaches the top, never fired.  Squashed
-    entries are counted, which makes :meth:`__len__` / :meth:`empty`
-    O(1), and compacted out once they outnumber live events, so
-    replay/ACK-timer churn cannot bloat the heap.  The heap list object
-    is never replaced (compaction rewrites it in place), so the drain
-    loop can hold it across model code.
+    Internally it is one binary heap of ``(when, priority, seq, fn,
+    arg)`` tuples.  :meth:`deschedule` is lazy: it only clears the
+    handle's ``_entry``, and a handle entry its event no longer points
+    at is squashed — skipped when it reaches the top, never fired.
+    Squashed entries are counted, which makes :meth:`__len__` /
+    :meth:`empty` O(1), and compacted out once they outnumber live
+    ones, so replay/ACK-timer churn cannot bloat the heap.  The heap
+    list object is never replaced (compaction rewrites it in place), so
+    the drain loop can hold it across model code.
     """
 
     #: Compaction is skipped below this many squashed entries — tiny
     #: queues aren't worth rebuilding even when mostly dead.
     COMPACT_MIN_SQUASHED = 64
+
+    #: What :meth:`load_state_dict` builds each restored entry as.
+    _entry_type = tuple
 
     def __init__(self, name: str = "eventq"):
         super().__init__(name)
@@ -220,24 +310,30 @@ class EventQueue(_QueueBase):
         self._squashed = 0
 
     # -- scheduling --------------------------------------------------------
-    def schedule(self, event: Event, when: int) -> Event:
-        """Schedule ``event`` to fire at absolute tick ``when``."""
+    def call_at(self, when: int, fn: Callable[[Any], None], arg: Any = None,
+                priority: int = Event.DEFAULT_PRI) -> None:
+        """Call ``fn(arg)`` at absolute tick ``when`` (fire-and-forget)."""
         if when < self.curtick:
-            raise ValueError(
-                f"cannot schedule {event!r} at {when} in the past "
-                f"(curtick={self.curtick})"
-            )
+            raise self._in_the_past(when, fn)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        _heappush(self._heap, (when, priority, seq, fn, arg))
+
+    def schedule(self, event: Event, when: int) -> Event:
+        """Schedule the handle ``event`` to fire at absolute tick ``when``."""
+        if when < self.curtick:
+            raise self._in_the_past(when, event)
         if event._entry is not None:
             raise RuntimeError(f"{event!r} is already scheduled")
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = (when, event.priority, seq, event)
+        entry = (when, event.priority, seq, fire, event)
         event._entry = entry
-        heapq.heappush(self._heap, entry)
+        _heappush(self._heap, entry)
         return event
 
     def deschedule(self, event: Event) -> None:
-        """Remove a scheduled event (lazily: its entry is squashed)."""
+        """Remove a scheduled handle (lazily: its entry is squashed)."""
         if event._entry is None:
             raise RuntimeError(f"{event!r} is not scheduled")
         event._entry = None
@@ -247,59 +343,27 @@ class EventQueue(_QueueBase):
         if (squashed > self.COMPACT_MIN_SQUASHED
                 and squashed > len(self._heap) - squashed):
             heap = self._heap
-            heap[:] = [e for e in heap if e[3]._entry is e]
+            heap[:] = [e for e in heap if e[3] is not fire or e[4]._entry is e]
             heapq.heapify(heap)
             self._squashed = 0
 
     # -- checkpointing -----------------------------------------------------
     def live_entries(self) -> List[tuple]:
-        """Every live (non-squashed) entry.
+        """Every live (non-squashed) ``(when, priority, seq, fn, arg)``
+        entry, in no particular order — callers that need the dispatch
+        order sort by the ``(when, priority, seq)`` prefix.  Used by
+        :mod:`repro.sim.checkpoint` to describe pending work."""
+        return [e for e in self._heap if e[3] is not fire or e[4]._entry is e]
 
-        Entries are the queue's internal ``(when, priority, seq, event)``
-        tuples, returned in no particular order — callers that need the
-        dispatch order sort by the ``(when, priority, seq)`` prefix.
-        Used by :mod:`repro.sim.checkpoint` to describe pending events.
-        """
-        return [e for e in self._heap if e[3]._entry is e]
-
-    def load_state_dict(self, state: dict,
-                        entries: "List[Tuple[int, int, int, Event]]") -> None:
-        """Rebuild the queue from checkpointed state plus live entries.
-
-        Args:
-            state: a :meth:`state_dict` document (curtick, next_seq,
-                events_processed).
-            entries: ``(when, priority, seq, event)`` tuples with the
-                event objects already reconstructed.  The exact
-                ``(when, priority, seq)`` triples are preserved, so the
-                dispatch order after restore is byte-identical to an
-                uncheckpointed continuation — including ties that new
-                post-restore schedules (whose seq continues from
-                ``next_seq``) can never win retroactively.
-
-        The queue's previous contents are discarded; callers are
-        expected to restore into a freshly built (empty) queue.
-        """
-        self.curtick = state["curtick"]
-        self._next_seq = state["next_seq"]
-        self.events_processed = state["events_processed"]
-        self._stop_requested = False
-        heap = self._heap
-        heap.clear()
+    def load_state_dict(self, state: dict, entries: List[tuple]) -> None:
+        """See :meth:`_QueueBase.load_state_dict`."""
+        super().load_state_dict(state, entries)
         self._squashed = 0
-        for when, priority, seq, event in entries:
-            if event._entry is not None:
-                raise RuntimeError(
-                    f"cannot restore {event!r}: it is already scheduled")
-            entry = (when, priority, seq, event)
-            event._entry = entry
-            heap.append(entry)
-        heapq.heapify(heap)
 
     # -- execution ---------------------------------------------------------
     def _drop_squashed_head(self) -> None:
         heap = self._heap
-        while heap and heap[0][3]._entry is not heap[0]:
+        while heap and heap[0][3] is fire and heap[0][4]._entry is not heap[0]:
             heapq.heappop(heap)
             self._squashed -= 1
 
@@ -331,6 +395,7 @@ class EventQueue(_QueueBase):
         # is flushed once on exit.
         heap = self._heap
         pop = heapq.heappop
+        handle = fire
         trc = self.tracer
         ck = self.checker
         until_t = float("inf") if until is None else until
@@ -339,8 +404,8 @@ class EventQueue(_QueueBase):
         try:
             while heap and not self._stop_requested:
                 entry = heap[0]
-                event = entry[3]
-                if event._entry is not entry:
+                fn = entry[3]
+                if fn is handle and entry[4]._entry is not entry:
                     pop(heap)
                     self._squashed -= 1
                     continue
@@ -352,14 +417,11 @@ class EventQueue(_QueueBase):
                     break
                 pop(heap)
                 self.curtick = when
-                event._entry = None
                 serviced += 1
-                if trc is not None and trc.enabled:
-                    trc.emit(when, "eventq", self.name, "dispatch",
-                             name=event.name, pri=event.priority)
-                if ck is not None and ck.enabled:
-                    ck.on_dispatch(when, event)
-                event.process()
+                if ((trc is not None and trc.enabled)
+                        or (ck is not None and ck.enabled)):
+                    self._observe(when, entry[1], fn, entry[4])
+                fn(entry[4])
         finally:
             self.events_processed += serviced
         return self.curtick
@@ -372,68 +434,54 @@ class ReferenceEventQueue(_QueueBase):
     """The original pure-binary-heap event queue, kept as a reference.
 
     This is the executable specification of dispatch order — ``(tick,
-    priority, insertion-seq)`` with lazy squashing — that
+    priority, insertion-seq)`` with lazy squashing of handles — that
     :class:`EventQueue` must match entry for entry.  Its entries are
-    ``[when, priority, seq, event]`` lists squashed by clearing the
-    event slot, and it keeps no counts.  The property tests in
-    ``tests/sim/test_eventq_hybrid.py`` and
+    ``[when, priority, seq, fn, arg]`` lists, a handle's squashed by
+    clearing its ``fn`` slot, and it keeps no counts.  The property
+    tests in ``tests/sim/test_eventq_hybrid.py`` and
     ``tests/property/test_checkpoint_properties.py`` drive it beside
-    :class:`EventQueue` with identical randomized
-    schedule/deschedule/reschedule workloads and assert the dispatch
-    sequences are identical.  It keeps the full Simulator-facing
-    surface (tracer/checker hooks, the checkpoint protocol), so a test
-    can stand it in for the real queue anywhere.
+    :class:`EventQueue` with identical randomized workloads and assert
+    the dispatch sequences are identical.  It keeps the full
+    Simulator-facing surface (tracer/checker hooks, the checkpoint
+    protocol), so a test can stand it in for the real queue anywhere.
     """
 
-    def schedule(self, event: Event, when: int) -> Event:
-        """Schedule ``event`` to fire at absolute tick ``when``."""
+    #: Lists, so :meth:`deschedule` can squash an entry in place.
+    _entry_type = list
+
+    def call_at(self, when: int, fn: Callable[[Any], None], arg: Any = None,
+                priority: int = Event.DEFAULT_PRI) -> None:
+        """Call ``fn(arg)`` at absolute tick ``when`` (fire-and-forget)."""
         if when < self.curtick:
-            raise ValueError(
-                f"cannot schedule {event!r} at {when} in the past "
-                f"(curtick={self.curtick})"
-            )
+            raise self._in_the_past(when, fn)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._heap, [when, priority, seq, fn, arg])
+
+    def schedule(self, event: Event, when: int) -> Event:
+        """Schedule the handle ``event`` to fire at absolute tick ``when``."""
+        if when < self.curtick:
+            raise self._in_the_past(when, event)
         if event.scheduled:
             raise RuntimeError(f"{event!r} is already scheduled")
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = [when, event.priority, seq, event]
+        entry = [when, event.priority, seq, fire, event]
         event._entry = entry
         heapq.heappush(self._heap, entry)
         return event
+
+    def deschedule(self, event: Event) -> None:
+        """Remove a scheduled handle (lazily: its entry is squashed)."""
+        if not event.scheduled:
+            raise RuntimeError(f"{event!r} is not scheduled")
+        event._entry[3] = None
+        event._entry = None
 
     # -- checkpointing -----------------------------------------------------
     def live_entries(self) -> List[list]:
         """Every live (non-squashed) entry; see :meth:`EventQueue.live_entries`."""
         return [e for e in self._heap if e[3] is not None]
-
-    def load_state_dict(self, state: dict,
-                        entries: "List[Tuple[int, int, int, Event]]") -> None:
-        """Rebuild the queue from checkpointed state plus live entries.
-
-        Mirrors :meth:`EventQueue.load_state_dict`: the exact ``(when,
-        priority, seq)`` triples are preserved so the restored dispatch
-        order is byte-identical to an uncheckpointed continuation.
-        """
-        self.curtick = state["curtick"]
-        self._next_seq = state["next_seq"]
-        self.events_processed = state["events_processed"]
-        self._stop_requested = False
-        self._heap = []
-        for when, priority, seq, event in entries:
-            if event._entry is not None:
-                raise RuntimeError(
-                    f"cannot restore {event!r}: it is already scheduled")
-            entry = [when, priority, seq, event]
-            event._entry = entry
-            self._heap.append(entry)
-        heapq.heapify(self._heap)
-
-    def deschedule(self, event: Event) -> None:
-        """Remove a scheduled event (lazily: its entry is squashed)."""
-        if not event.scheduled:
-            raise RuntimeError(f"{event!r} is not scheduled")
-        event._entry[3] = None
-        event._entry = None
 
     def empty(self) -> bool:
         """True if no live (non-squashed) events remain."""
@@ -468,16 +516,13 @@ class ReferenceEventQueue(_QueueBase):
                     break
                 if remaining == serviced:
                     break
-                event = pop(heap)[3]
+                __, priority, __, fn, arg = pop(heap)
                 self.curtick = when
-                event._entry = None
                 serviced += 1
-                if trc is not None and trc.enabled:
-                    trc.emit(when, "eventq", self.name, "dispatch",
-                             name=event.name, pri=event.priority)
-                if ck is not None and ck.enabled:
-                    ck.on_dispatch(when, event)
-                event.process()
+                if ((trc is not None and trc.enabled)
+                        or (ck is not None and ck.enabled)):
+                    self._observe(when, priority, fn, arg)
+                fn(arg)
         finally:
             self.events_processed += serviced
         return self.curtick

@@ -145,7 +145,7 @@ class Process(SimObject):
         self.completed = Signal(f"{name}.completed")
         self.start_tick: Optional[int] = None
         self.end_tick: Optional[int] = None
-        self.schedule(start_delay, self._start, name=f"{name}.start")
+        self.schedule(start_delay, self._start)
 
     def _start(self) -> None:
         self.start_tick = self.curtick
@@ -154,7 +154,7 @@ class Process(SimObject):
     def _resume_soon(self, value: Any) -> None:
         # Resume via a zero-delay event so that a Signal.notify from deep
         # inside hardware code does not reenter the process synchronously.
-        self.schedule(0, lambda: self._resume(value), name=f"{self.name}.resume")
+        self.schedule(0, self._resume, value)
 
     def _resume(self, value: Any) -> None:
         if self.done:
@@ -168,13 +168,28 @@ class Process(SimObject):
             self.completed.notify(self.result)
             return
         if isinstance(directive, Delay):
-            self.schedule(directive.ticks, lambda: self._resume(None), name=f"{self.name}.delay")
+            self.schedule(directive.ticks, self._resume, None)
         elif isinstance(directive, WaitFor):
             directive.signal._add_waiter(self)
         else:
             raise TypeError(
                 f"process {self.full_name} yielded {directive!r}; expected Delay or WaitFor"
             )
+
+    def state_dict(self) -> dict:
+        """Nothing to capture; but a process suspended mid-body refuses.
+
+        Its generator frame cannot be described, so its pending resume
+        — a describable call of :meth:`_resume` — must not be restored
+        into a twin whose generator would start over.
+        """
+        if self.start_tick is not None and not self.done:
+            from repro.sim.checkpoint import CheckpointError
+
+            raise CheckpointError(
+                f"process {self.full_name} is suspended mid-body; "
+                f"checkpoints require every started process to finish")
+        return {}
 
     @property
     def elapsed(self) -> Optional[int]:

@@ -8,17 +8,20 @@ one-to-one.
 """
 
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.check.checker import InvariantChecker
 from repro.obs.trace import Tracer
-from repro.sim.eventq import CallbackEvent, Event, EventQueue
+from repro.sim.eventq import Event, EventQueue, call
 from repro.sim.stats import StatGroup
 
 #: Environment variable consulted when ``Simulator(check=None)``: set to
 #: ``on``/``1``/``true``/``yes`` to enable invariant checking process-wide
 #: (how CI runs the tier-1 suite under the checker).
 CHECK_ENV = "REPRO_CHECK"
+
+#: ``SimObject.schedule``'s "no argument" marker (None is a payload).
+_NO_ARG = object()
 
 
 def _check_default() -> bool:
@@ -93,11 +96,9 @@ class Simulator:
         """Schedule ``event`` ``delay`` ticks from now."""
         return self.eventq.schedule_after(event, delay)
 
-    def schedule_callback(
-        self, delay: int, callback: Callable[[], None], name: str = ""
-    ) -> CallbackEvent:
-        """Schedule a plain callable ``delay`` ticks from now."""
-        return self.eventq.schedule_callback(delay, callback, name)
+    def schedule_callback(self, delay: int, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` ``delay`` ticks from now (fire-and-forget)."""
+        self.eventq.schedule_callback(delay, callback)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation; see :meth:`EventQueue.run`.
@@ -244,18 +245,23 @@ class SimObject:
         """The current simulated tick."""
         return self.eventq.curtick
 
-    def schedule(self, delay: int, callback: Callable[[], None], name: str = "") -> CallbackEvent:
-        """Schedule ``callback`` to run ``delay`` ticks from now.
+    def schedule(self, delay: int, callback: Callable, arg: Any = _NO_ARG,
+                 name: str = "") -> None:
+        """Call ``callback(arg)`` — or ``callback()`` when no ``arg`` is
+        given — ``delay`` ticks from now.
 
-        The descriptive ``owner.method`` label is only materialised when
-        the tracer is enabled — it allocates a string per call, which
-        the untraced hot path should not pay.  (Events scheduled while
-        tracing is off keep the callback's bare ``__name__`` as their
-        label.)
+        Fire-and-forget: no handle is built and nothing can cancel the
+        call.  Pass a bound method and its payload rather than a closure:
+        a bound method of a registered object with a JSON-scalar ``arg``
+        is what a checkpoint can describe.  The tracer labels the
+        dispatch ``<owner>.<method>``; ``name`` is accepted for older
+        callers and unused.
         """
-        if not name and self.tracer.enabled:
-            name = f"{self.full_name}.{getattr(callback, '__name__', 'cb')}"
-        return self.sim.schedule_callback(delay, callback, name)
+        eventq = self.eventq
+        if arg is _NO_ARG:
+            eventq.call_at(eventq.curtick + delay, call, callback)
+        else:
+            eventq.call_at(eventq.curtick + delay, callback, arg)
 
     # -- checkpoint protocol ----------------------------------------------
     def state_dict(self) -> Dict:
@@ -279,23 +285,6 @@ class SimObject:
             raise ValueError(
                 f"{self.full_name} ({type(self).__name__}) declares no "
                 f"checkpointable state but was given keys {sorted(state)}")
-
-    def resolve_event(self, method_name: str) -> Optional[CallbackEvent]:
-        """Find this object's recycled event wrapping ``method_name``.
-
-        Checkpoint restore must reuse an existing recycled event handle
-        (``self._ack_event`` and friends) rather than minting a new
-        instance — the component later deschedules *its* handle, which
-        must be the scheduled one.  Bound methods compare equal, so a
-        scan of the instance attributes finds the match; returns None
-        when the object keeps no handle (the restorer then builds a
-        fresh :class:`CallbackEvent`).
-        """
-        method = getattr(self, method_name)
-        for value in vars(self).values():
-            if isinstance(value, CallbackEvent) and value._callback == method:
-                return value
-        return None
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.full_name!r}>"

@@ -94,40 +94,41 @@ class Scalar(Stat):
 
 
 class Average(Stat):
-    """Arithmetic mean of all samples."""
+    """Arithmetic mean of all samples.
+
+    The running sum and sample count are the public attributes
+    ``total`` and ``count``, so per-packet code samples in place
+    (``avg.total += x; avg.count += 1``), as it bumps a
+    :class:`Scalar`'s ``total``.
+    """
 
     def __init__(self, name: str, desc: str = ""):
         super().__init__(name, desc)
-        self._sum: float = 0.0
-        self._count: int = 0
+        self.total: float = 0.0
+        self.count: int = 0
 
     def sample(self, value: Number) -> None:
         """Fold one observation into the mean."""
-        self._sum += value
-        self._count += 1
-
-    @property
-    def count(self) -> int:
-        """Number of samples folded in so far."""
-        return self._count
+        self.total += value
+        self.count += 1
 
     def value(self) -> float:
         """The running mean (0.0 before any sample)."""
-        return self._sum / self._count if self._count else 0.0
+        return self.total / self.count if self.count else 0.0
 
     def reset(self) -> None:
         """Discard all samples."""
-        self._sum = 0.0
-        self._count = 0
+        self.total = 0.0
+        self.count = 0
 
     def state_dict(self) -> Dict:
         """The running sum and sample count."""
-        return {"sum": self._sum, "count": self._count}
+        return {"sum": self.total, "count": self.count}
 
     def load_state_dict(self, state: Dict) -> None:
         """Restore the captured sum/count."""
-        self._sum = state["sum"]
-        self._count = state["count"]
+        self.total = state["sum"]
+        self.count = state["count"]
 
 
 class Distribution(Stat):

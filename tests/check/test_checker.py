@@ -13,7 +13,6 @@ from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PortError, SlavePort
 from repro.pcie.fc import CreditLedger
 from repro.pcie.pkt import PciePacket
-from repro.sim.eventq import CallbackEvent
 from repro.sim.simobject import CHECK_ENV, SimObject, Simulator
 
 from tests.pcie.test_link import build_dma_path
@@ -84,9 +83,8 @@ def test_components_cache_the_checker():
 def test_time_monotonic_rule():
     sim = Simulator(check=True)
     sim.checker.record_only = True
-    event = CallbackEvent(lambda: None, name="probe")
-    sim.checker.on_dispatch(10, event)
-    sim.checker.on_dispatch(5, event)
+    sim.checker.on_dispatch(10, "probe")
+    sim.checker.on_dispatch(5, "probe")
     assert [v.rule for v in sim.checker.violations] == ["eventq.time_monotonic"]
 
 
@@ -213,7 +211,7 @@ def test_forged_ack_for_unsent_tlp_violates():
     tx = link.downstream_if
     assert tx.send_seq == 0
     with pytest.raises(InvariantViolation) as exc:
-        tx.receive_from_link(PciePacket.ack(7))
+        tx._receive_dllp(PciePacket.ack(7))
     assert exc.value.rule == "link.ack_unsent_seq"
 
 
@@ -256,7 +254,7 @@ def test_violation_carries_trace_context():
     device.write(0x80000000, 64)
     sim.run()
     with pytest.raises(InvariantViolation) as exc:
-        link.downstream_if.receive_from_link(PciePacket.ack(99))
+        link.downstream_if._receive_dllp(PciePacket.ack(99))
     # The ring sink captured the exchange that preceded the violation.
     assert exc.value.context
     assert "link.ack_unsent_seq" in str(exc.value)
@@ -267,7 +265,7 @@ def test_record_only_collects_instead_of_raising():
     sim = Simulator(check=True)
     sim.checker.record_only = True
     link, device, memory = build_dma_path(sim)
-    link.downstream_if.receive_from_link(PciePacket.ack(99))
+    link.downstream_if._receive_dllp(PciePacket.ack(99))
     assert len(sim.checker.violations) == 1
     assert sim.checker.violations[0].rule == "link.ack_unsent_seq"
 

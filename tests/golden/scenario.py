@@ -50,15 +50,18 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.jsonl")
 
 
-def run_dd_system(name: str, error_rate: float, **overrides):
+def run_dd_system(name: str, error_rate: float, sink=None,
+                  categories=TRACE_CATEGORIES, **overrides):
     """Run a ``dd`` golden scenario to completion; return the finished
-    system and the trace sink that watched it."""
+    system and the trace sink (a fresh :class:`MemorySink` unless given)
+    that watched the ``categories``."""
     system = build_validation_system(
         root_link_width=1, device_link_width=1, error_rate=error_rate,
         **overrides,
     )
-    sink = MemorySink()
-    system.sim.tracer.categories = frozenset(TRACE_CATEGORIES)
+    if sink is None:
+        sink = MemorySink()
+    system.sim.tracer.categories = frozenset(categories)
     system.sim.tracer.attach(sink)
     dd = DdWorkload(system.kernel, system.disk_driver, BLOCK_BYTES,
                     startup_overhead=0)

@@ -229,7 +229,7 @@ def test_packet_queue_reentrant_push_schedules_one_drain():
     # send_fn pushes while _drain is running (an engine handing the
     # packet straight to another queue entry does this).  The push
     # re-arms the drain; when the loop then meets a not-yet-ready head
-    # it must see that and not schedule the same event a second time.
+    # it must see that and not schedule a second drain.
     sim = Simulator()
     owner = SimObject(sim, "o")
     sent = []
@@ -245,8 +245,8 @@ def test_packet_queue_reentrant_push_schedules_one_drain():
     q.push(Packet(MemCmd.READ_REQ, 4, 4), delay=100)
     assert sim.eventq.service_one()  # the first drain: sends addr 0 only
     assert sent == [(0, 0)]
-    assert q._drain_event.scheduled
+    assert q._drain_scheduled
     assert len(sim.eventq) == 1
     sim.run()
     assert sent == [(0, 0), (100, 4), (100, 8)]
-    assert sim.eventq.empty() and not q._drain_event.scheduled
+    assert sim.eventq.empty() and not q._drain_scheduled

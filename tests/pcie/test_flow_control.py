@@ -75,11 +75,14 @@ def test_ledger_requires_at_least_one_credit_per_class():
 def test_consume_reduces_headroom_until_advertised():
     fc = CreditLedger(2, 2, 2)
     assert fc.tx_headroom(FLOW_P) == 0  # nothing advertised yet
+    assert not fc.try_consume(FLOW_P)
     assert fc.advertise(FLOW_P, 2)
     assert fc.tx_headroom(FLOW_P) == 2
-    fc.consume(FLOW_P)
-    fc.consume(FLOW_P)
+    assert fc.try_consume(FLOW_P)
+    assert fc.try_consume(FLOW_P)
     assert fc.tx_headroom(FLOW_P) == 0
+    assert not fc.try_consume(FLOW_P), "no headroom: nothing spent"
+    assert fc.tx_consumed[FLOW_P] == 2
     # Classes are independent: NP and CPL were never touched.
     assert fc.tx_headroom(FLOW_NP) == 0
     fc.advertise(FLOW_NP, 2)
@@ -103,7 +106,7 @@ def test_rx_accept_and_drain_move_the_advertised_limit():
     fc.rx_accept(FLOW_CPL)
     assert fc.rx_held[FLOW_CPL] == 2
     assert fc.rx_limit(FLOW_CPL) == 3  # limit moves on drain, not accept
-    fc.rx_drain(FLOW_CPL)
+    assert fc.rx_drain(FLOW_CPL) == 4  # returns the new limit
     assert fc.rx_held[FLOW_CPL] == 1
     assert fc.rx_drained[FLOW_CPL] == 1
     assert fc.rx_limit(FLOW_CPL) == 4  # capacity + drained

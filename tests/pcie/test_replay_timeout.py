@@ -101,7 +101,7 @@ def test_partial_ack_resets_the_timer_for_the_remainder():
 
     # Hand-deliver an ACK for the first sequence number only.
     inject_at = sim.curtick
-    tx.receive_from_link(PciePacket.ack(0))
+    tx._receive_dllp(PciePacket.ack(0))
     assert [ppkt.seq for ppkt in tx.replay_buffer] == [1]
     # _reset_replay_timer re-armed for the survivor, from the ACK tick.
     assert tx._replay_event.scheduled
@@ -109,7 +109,7 @@ def test_partial_ack_resets_the_timer_for_the_remainder():
     assert tx._replay_event.when != armed_at
 
     # Acknowledging the rest disarms the timer entirely.
-    tx.receive_from_link(PciePacket.ack(1))
+    tx._receive_dllp(PciePacket.ack(1))
     assert len(tx.replay_buffer) == 0
     assert not tx._replay_event.scheduled
 

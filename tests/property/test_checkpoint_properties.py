@@ -5,7 +5,8 @@ rebuilding a twin and restoring must continue **byte-identically** to
 never having checkpointed — same global dispatch order (anchored to
 :class:`repro.sim.eventq.ReferenceEventQueue`, the executable dispatch
 specification), same per-object state, same queue bookkeeping — for
-arbitrary schedule/deschedule workloads at every delay scale.
+arbitrary workloads of event handles (some descheduled) and
+fire-and-forget calls carrying a scalar argument, at every delay scale.
 """
 
 from hypothesis import given, settings
@@ -35,6 +36,10 @@ class _Recorder(SimObject):
         self.fired.append(self.curtick)
         self.shared.append((self.name, self.curtick))
 
+    def note(self, op):
+        self.fired.append(self.curtick)
+        self.shared.append((self.name, self.curtick, op))
+
     def state_dict(self):
         return {"fired": list(self.fired)} if self.fired else {}
 
@@ -53,16 +58,22 @@ class _RefEvent(Event):
         self.owner = owner
 
     def process(self):
-        self.log.append((self.owner, None))
+        self.log.append((self.owner,))
 
 
 def _build(ops):
-    """One simulator with recorders, the ops scheduled, none run."""
+    """One simulator with recorders, the ops scheduled, none run.
+
+    Returns the handles in op order; a call op's slot is None."""
     shared = []
     sim = Simulator("prop")
     owners = [_Recorder(sim, f"o{i}", shared) for i in range(_N_OWNERS)]
     events = []
-    for i, (owner, when, priority) in enumerate(ops):
+    for i, (owner, when, priority, is_call) in enumerate(ops):
+        if is_call:
+            sim.eventq.call_at(when, owners[owner].note, i, priority)
+            events.append(None)
+            continue
         event = CallbackEvent(owners[owner].tick, priority=priority,
                               name=f"op{i}")
         sim.schedule(event, when)
@@ -70,12 +81,18 @@ def _build(ops):
     return sim, owners, events, shared
 
 
+def _deschedule_masked(sim, events, mask):
+    for event, dead in zip(events, mask):
+        if dead and event is not None:
+            sim.eventq.deschedule(event)
+
+
 @st.composite
 def _workloads(draw):
     """(ops, deschedule mask, cut tick) triples."""
     ops = draw(st.lists(
         st.tuples(st.integers(0, _N_OWNERS - 1), st.sampled_from(_DELAYS),
-                  st.sampled_from((-5, 0, 0, 3))),
+                  st.sampled_from((-5, 0, 0, 3)), st.booleans()),
         min_size=1, max_size=30))
     mask = draw(st.lists(st.booleans(), min_size=len(ops),
                          max_size=len(ops)))
@@ -90,30 +107,26 @@ def test_cut_capture_restore_continues_byte_identically(workload):
 
     # A: the uncheckpointed baseline, run to completion in one go.
     sim_a, owners_a, events_a, shared_a = _build(ops)
-    for event, dead in zip(events_a, mask):
-        if dead:
-            sim_a.eventq.deschedule(event)
+    _deschedule_masked(sim_a, events_a, mask)
     sim_a.run()
 
     # The reference heap anchors A's global dispatch order.
     ref_log = []
     ref = ReferenceEventQueue()
-    ref_events = []
-    for i, (owner, when, priority) in enumerate(ops):
-        event = _RefEvent(ref_log, f"o{owner}", priority, f"op{i}")
-        ref.schedule(event, when)
-        ref_events.append(event)
-    for event, dead in zip(ref_events, mask):
-        if dead:
-            ref.deschedule(event)
+    for i, (owner, when, priority, is_call) in enumerate(ops):
+        if is_call:
+            ref.call_at(when, ref_log.append, (f"o{owner}", i), priority)
+        else:
+            event = _RefEvent(ref_log, f"o{owner}", priority, f"op{i}")
+            ref.schedule(event, when)
+            if mask[i]:
+                ref.deschedule(event)
     ref.run()
-    assert [(name, None) for name, _ in shared_a] == ref_log
+    assert [(entry[0],) + entry[2:] for entry in shared_a] == ref_log
 
     # B: same workload, cut mid-run and captured.
     sim_b, owners_b, events_b, shared_b = _build(ops)
-    for event, dead in zip(events_b, mask):
-        if dead:
-            sim_b.eventq.deschedule(event)
+    _deschedule_masked(sim_b, events_b, mask)
     sim_b.run(until=cut)
     snapshot = capture(sim_b)
     captured_triples = sorted(

@@ -1,7 +1,10 @@
 """Unit tests for repro.sim.checkpoint: capture, restore, formats."""
 
+import json
+
 import pytest
 
+from repro.mem.packet import MemCmd, Packet
 from repro.sim.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -13,12 +16,13 @@ from repro.sim.checkpoint import (
     restore,
     write_checkpoint,
 )
-from repro.sim.eventq import CallbackEvent, Event
+from repro.sim.eventq import CallbackEvent, Event, fire
+from repro.sim.process import Delay, Process
 from repro.sim.simobject import SimObject, Simulator
 
 
 class Counter(SimObject):
-    """Minimal stateful component with a recycled event handle."""
+    """Minimal stateful component with an event handle it owns."""
 
     def __init__(self, sim, name, parent=None):
         super().__init__(sim, name, parent)
@@ -29,6 +33,10 @@ class Counter(SimObject):
     def tick(self):
         self.count += 1
         self.log.append(self.curtick)
+
+    def add(self, n):
+        self.count += n
+        self.log.append((self.curtick, n))
 
     def state_dict(self):
         return {"count": self.count} if self.count else {}
@@ -70,11 +78,13 @@ def test_pending_bound_method_events_are_described():
         (10, "system.counter", "tick"),
         (30, "system.counter", "tick"),
     ]
+    # Only the handle names the attribute a restore re-arms.
+    assert [e.get("handle") for e in doc["events"]] == [None, "_tick_event"]
 
 
 def test_unbound_callback_is_not_describable():
     sim, _ = build()
-    sim.schedule_callback(10, lambda: None, name="anon")
+    sim.schedule_callback(10, lambda: None)
     with pytest.raises(CheckpointError, match="not a bound method"):
         capture(sim)
 
@@ -86,7 +96,14 @@ def test_non_callback_event_is_not_describable():
 
     sim, _ = build()
     sim.schedule(Bare(), 5)
-    with pytest.raises(CheckpointError, match="only CallbackEvents"):
+    with pytest.raises(CheckpointError, match="only handles wrapping"):
+        capture(sim)
+
+
+def test_packet_carrying_call_is_not_describable():
+    sim, counter = build()
+    sim.eventq.call_at(5, counter.add, Packet(MemCmd.READ_REQ, 0, 4))
+    with pytest.raises(CheckpointError, match="carries a Packet"):
         capture(sim)
 
 
@@ -121,7 +138,7 @@ def test_restore_reuses_the_recycled_event_handle():
     restore(twin, snapshot)
     entries = twin.eventq.live_entries()
     assert len(entries) == 1
-    assert entries[0][3] is twin_counter._tick_event
+    assert entries[0][3:] == (fire, twin_counter._tick_event)
     # The component can deschedule its own handle after a restore.
     twin.eventq.deschedule(twin_counter._tick_event)
     twin.run()
@@ -211,8 +228,53 @@ def test_read_rejects_non_checkpoint_file(tmp_path):
         read_checkpoint(str(path))
 
 
-def test_resolve_event_finds_handle_or_none():
+def test_scalar_arg_call_round_trips():
     sim, counter = build()
-    assert counter.resolve_event("tick") is counter._tick_event
-    system = sim.find("system")
-    assert system.resolve_event("schedule") is None
+    counter.schedule(10, counter.add, 5)
+    counter.schedule(20, counter.add, 7)
+    sim.run(until=15)
+    snapshot = capture(sim)
+    assert [(e["when"], e["method"], e["arg"]) for e in snapshot["events"]] \
+        == [(20, "add", 7)]
+
+    twin, twin_counter = build()
+    restore(twin, json.loads(checkpoint_json(snapshot)))
+    assert twin_counter.count == 5
+    twin.run()
+    sim.run()
+    assert twin_counter.count == counter.count == 12
+    assert twin_counter.log == [(20, 7)]
+    assert twin.eventq._next_seq == sim.eventq._next_seq
+
+
+def test_handle_is_rearmed_even_behind_a_call_of_its_method():
+    # A one-shot call of the handle's own method fires first; the
+    # handle must still come back at its own tick, on its own entry.
+    sim, counter = build()
+    counter.schedule(10, counter.tick)
+    sim.schedule(counter._tick_event, 30)
+    snapshot = capture(sim)
+
+    twin, twin_counter = build()
+    restore(twin, snapshot)
+    assert twin_counter._tick_event.when == 30
+    twin.eventq.deschedule(twin_counter._tick_event)
+    twin.run()
+    assert twin_counter.log == [10]
+
+
+
+def test_suspended_process_is_not_checkpointable():
+    # Its pending resume is a describable call, but the generator frame
+    # behind it is not: the process itself must refuse.
+    def body():
+        yield Delay(10)
+        yield Delay(10)
+
+    sim, _ = build()
+    Process(sim, "proc", body())
+    sim.run(until=5)
+    with pytest.raises(CheckpointError, match="suspended mid-body"):
+        capture(sim)
+    sim.run()
+    assert capture(sim)["events"] == []

@@ -3,15 +3,16 @@
 :class:`repro.sim.eventq.ReferenceEventQueue` is the original pure
 binary-heap scheduler, kept as the executable specification of dispatch
 order.  These tests drive it and :class:`~repro.sim.eventq.EventQueue`
-with identical randomized schedule/deschedule/reschedule workloads
-(fixed seeds) and assert the two dispatch sequences — tags, ticks, and
-therefore (tick, priority, insertion-seq) order — are identical,
-including under ``until`` and ``max_events`` stepping.
+with identical randomized workloads (fixed seeds) that interleave
+fire-and-forget calls with event-handle schedule/deschedule/reschedule,
+same-tick ties included, and assert the two dispatch sequences — tags,
+ticks, and therefore (tick, priority, insertion-seq) order — are
+identical, including under ``until`` and ``max_events`` stepping.
 
-Also here: the recycled-event contract (a squashed entry can never fire
-a stale payload, even when its event is immediately rescheduled at the
-same tick), compaction behaviour, the O(1) ``__len__``, and the clock
-that a ``run(until=...)`` may never move backwards, on both queues.
+Also here: a reused handle (a squashed entry can never fire a stale
+payload, even when its event is immediately rescheduled at the same
+tick), compaction behaviour, the O(1) ``__len__``, and the clock that a
+``run(until=...)`` may never move backwards, on both queues.
 
 The module keeps the name it had when ``EventQueue`` was a bucket/heap
 hybrid calendar queue; the cases carried over unchanged, so their
@@ -58,12 +59,12 @@ class _WorkloadEvent(Event):
 class _Workload:
     """Drives one queue with a seed-determined reactive workload.
 
-    Every fired event logs ``(tag, tick)`` and then — drawn from the
-    driver's PRNG — schedules fresh events, deschedules or reschedules
-    pending ones.  Two drivers with the same seed consume their PRNGs
-    in dispatch order, so their logs are byte-identical exactly when
-    the two queues dispatch identically; any divergence shows up as a
-    log mismatch.
+    Every fired handle or call logs ``(tag, tick)`` and then — drawn
+    from the driver's PRNG — schedules fresh handles and fire-and-forget
+    calls, deschedules or reschedules pending handles.  Two drivers with
+    the same seed consume their PRNGs in dispatch order, so their logs
+    are byte-identical exactly when the two queues dispatch identically;
+    any divergence shows up as a log mismatch.
     """
 
     def __init__(self, queue, seed, budget=400):
@@ -81,14 +82,19 @@ class _Workload:
         self.next_tag += 1
         priority = self.rng.choice((-10, 0, 0, 0, 7))
         when = base + self.rng.choice(_DELAY_CHOICES)
+        if self.rng.random() < 0.5:
+            self.q.call_at(when, self.called, tag, priority)
+            return
         event = _WorkloadEvent(self, tag, priority)
         self.q.schedule(event, when)
         self.pending.append(event)
-        return event
 
     def fired(self, event):
         self.pending.remove(event)
-        self.log.append((event.tag, self.q.curtick))
+        self.called(event.tag)
+
+    def called(self, tag):
+        self.log.append((tag, self.q.curtick))
         rng = self.rng
         if self.budget > 0:
             for __ in range(rng.randrange(0, 3)):
@@ -161,12 +167,41 @@ def test_len_and_next_tick_track_reference(seed):
     assert real.q.empty() and ref.q.empty()
 
 
+class _TagEvent(Event):
+    __slots__ = ("log", "tag")
+
+    def __init__(self, log, tag):
+        super().__init__(name=tag)
+        self.log = log
+        self.tag = tag
+
+    def process(self):
+        self.log.append(self.tag)
+
+
+@pytest.mark.parametrize("queue_cls", [EventQueue, ReferenceEventQueue])
+def test_same_tick_calls_and_handles_fire_in_insertion_order(queue_cls):
+    q = queue_cls()
+    log = []
+    first = _TagEvent(log, "first")
+    q.schedule(first, 10)
+    q.call_at(10, log.append, "call")
+    q.schedule(_TagEvent(log, "handle"), 10)
+    q.call_at(10, log.append, "urgent", priority=-1)
+    # A rescheduled handle goes behind everything already at its tick.
+    q.reschedule(first, 10)
+    q.call_at(10, log.append, "last call")
+    q.run()
+    assert log == ["urgent", "call", "handle", "first", "last call"]
+    assert q.events_processed == 5 and q.empty()
+
+
 # ---------------------------------------------------------------------------
-# Recycled events: a squashed entry must never fire a stale payload.
+# Reused handles: a squashed entry must never fire a stale payload.
 # ---------------------------------------------------------------------------
 class _RecycledEvent(Event):
-    """Minimal model of the link/port recycled events: one instance,
-    mutable payload slot, reused as soon as ``scheduled`` is False."""
+    """A handle reused with a mutable payload slot as soon as
+    ``scheduled`` is False."""
 
     __slots__ = ("payload", "log")
 
@@ -281,22 +316,10 @@ def test_deep_future_wheel_jump():
     # Sparse work spread hundreds of ~67 µs windows apart: the clock
     # jumps straight from one event's tick to the next in order.
     q = EventQueue()
-
-    class Tagged(Event):
-        __slots__ = ("log", "tag")
-
-        def __init__(self, log, tag):
-            super().__init__(name=tag)
-            self.log = log
-            self.tag = tag
-
-        def process(self):
-            self.log.append(self.tag)
-
     order = []
     for tag, when in (("far", 400 * _SPAN + 7), ("near", 3),
                       ("mid", 2 * _SPAN)):
-        q.schedule(Tagged(order, tag), when)
+        q.schedule(_TagEvent(order, tag), when)
     q.run()
     assert order == ["near", "mid", "far"]
     assert q.curtick == 400 * _SPAN + 7

@@ -2,7 +2,23 @@
 
 import pytest
 
+from repro.obs.trace import MemorySink
+from repro.sim import eventq as eventq_module
 from repro.sim.simobject import SimObject, Simulator
+
+
+class Ticker(SimObject):
+    """Counts calls of its two schedulable methods."""
+
+    def __init__(self, sim, name, parent=None):
+        super().__init__(sim, name, parent)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+    def add(self, n):
+        self.ticks += n
 
 
 def test_full_name_walks_parents():
@@ -112,18 +128,28 @@ def test_on_exit_waits_for_a_drained_run():
     assert fired == [100]
 
 
-def test_schedule_label_is_lazy():
+def test_schedule_label_is_lazy(monkeypatch):
     # check=False keeps the checker's context ring off the tracer, so
     # the tracer is genuinely disabled even under REPRO_CHECK=on.
     sim = Simulator(check=False)
     system = SimObject(sim, "system")
-    dev = SimObject(sim, "dev", parent=system)
+    dev = Ticker(sim, "dev", parent=system)
+    labels = []
+    real_label = eventq_module.dispatch_label
 
-    def tick():
-        pass
+    def spy(fn, arg):
+        labels.append(real_label(fn, arg))
+        return labels[-1]
 
-    cold = dev.schedule(5, tick)
-    assert cold.name == "tick", "untraced schedules keep the bare __name__"
-    sim.tracer.enabled = True
-    hot = dev.schedule(6, tick)
-    assert hot.name == "system.dev.tick"
+    monkeypatch.setattr(eventq_module, "dispatch_label", spy)
+    assert dev.schedule(5, dev.tick) is None, "fire-and-forget: no handle"
+    sim.run()
+    assert dev.ticks == 1 and labels == [], "untraced dispatch builds no label"
+
+    sink = sim.tracer.attach(MemorySink())
+    dev.schedule(6, dev.tick)
+    dev.schedule(7, dev.add, 3)
+    sim.run()
+    assert dev.ticks == 5
+    assert [e["name"] for e in sink.events] == labels == [
+        "system.dev.tick", "system.dev.add"]
