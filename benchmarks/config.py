@@ -1,12 +1,18 @@
 """Shared benchmark configuration.
 
 The paper's evaluation transfers single ``dd`` blocks of 64–512 MB.
-Simulating half a gigabyte packet-by-packet in Python is pointless
-burn — throughput depends on block size only through the amortisation
-of fixed software costs — so the harness scales both the block sizes
-and the fixed startup cost down by :data:`SCALE` (the curve shape is
-unchanged; see ``repro.workloads.dd``).  Reported block-size labels stay
-in the paper's units.
+The harness scales both the block sizes and the fixed startup cost
+down by :data:`SCALE`; throughput depends on block size only through
+the amortisation of fixed software costs, so the curve shape is
+unchanged (see ``repro.workloads.dd``).  Reported block-size labels
+stay in the paper's units.
+
+The scale dates from when simulating half a gigabyte packet by packet
+was unaffordable.  It no longer is: the block layer fast-forwards
+repeated requests, so a point's cost no longer grows with its block
+size.  :data:`SCALE` now only keeps the committed figure payloads
+stable, and dropping it, which moves them in the fourth digit, is a
+separate change.
 
 All simulated-system defaults live in :data:`SYSTEM_DEFAULTS` so the
 calibration is recorded in exactly one place.

@@ -231,6 +231,18 @@ class IdeDisk(PcieDevice):
             "is_write_command": self._is_write_command,
         }
 
+    def relative_state(self, state: dict, origin) -> dict:
+        """On the device a transfer drives, the LBA and buffer cursors
+        and registers relative to the transfer's own cursor."""
+        if origin.device is not self:
+            return state
+        regs = dict(state["regs"])
+        regs[str(REG_LBA)] -= origin.lba
+        regs[str(REG_BUF_ADDR)] -= origin.addr
+        return dict(state, regs=regs,
+                    current_lba=state["current_lba"] - origin.lba,
+                    current_buf=state["current_buf"] - origin.addr)
+
     def load_state_dict(self, state: dict) -> None:
         """Restore registers and the written-sector set."""
         self._regs = {int(offset): value for offset, value in state["regs"].items()}

@@ -65,6 +65,8 @@ class InterruptController(SimObject):
         self.schedule(self.dispatch_latency, self._dispatch, line)
 
     # -- checkpointing -----------------------------------------------------
+    accumulators = ("counter",)
+
     def state_dict(self) -> dict:
         """The handler-invocation counter behind ``irq{line}_{n}`` names.
 

@@ -112,6 +112,8 @@ class OsKernel(SimObject):
         return bindings
 
     # -- checkpointing -------------------------------------------------------------
+    accumulators = ("process_count",)
+
     def state_dict(self) -> dict:
         """The process-name counter.
 

@@ -97,6 +97,8 @@ class SimpleMemory(SimObject):
         return True
 
     # -- checkpointing ----------------------------------------------------
+    horizons = ("next_free",)
+
     def state_dict(self) -> dict:
         """The bandwidth-serialization horizon.
 

@@ -253,6 +253,18 @@ class IOCache(SimObject):
             },
         }
 
+    def relative_state(self, state: dict, origin) -> dict:
+        """Tags relative to the cursor's tag, plus the cursor's offset
+        within one tag's span, so equal states also map the coming
+        addresses onto the same sets."""
+        span = self.line_size * self.num_sets
+        base = origin.addr // span
+        return {
+            "phase": origin.addr % span,
+            "sets": {index: [[tag - base, dirty] for tag, dirty in lines]
+                     for index, lines in state["sets"].items()},
+        }
+
     def load_state_dict(self, state: dict) -> None:
         """Repopulate the tag arrays captured by :meth:`state_dict`."""
         for lines in self._sets.values():

@@ -708,6 +708,25 @@ class PcieLinkInterface(SimObject):
             "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
         }
 
+    def relative_state(self, state: dict, origin) -> dict:
+        """Sequence numbers and credit limits as the differences the
+        link reads, stall clocks as offsets; ``stall_ticks`` is an
+        accumulator nothing reads back.  The RNG stays absolute, so a
+        link that drew between two boundaries never proves a repeat."""
+        fc, peer = state["fc"], self.peer
+        return {
+            "unacked": self.send_seq - peer.recv_seq,
+            "have_unacked_delivery": state["have_unacked_delivery"],
+            "headroom": [limit - used for limit, used
+                         in zip(fc["tx_limit"], fc["tx_consumed"])],
+            "unreturned": [self.fc.rx_limit(c) - peer.fc.tx_limit[c]
+                           for c in (0, 1, 2)],
+            "rx_held": fc["rx_held"],
+            "stall_since": [since - origin.tick if since >= 0 else -1
+                            for since in fc["stall_since"]],
+            "rng": state["rng"],
+        }
+
     def load_state_dict(self, state: dict) -> None:
         """Overlay captured counters/credits onto this rebuilt interface."""
         self.send_seq = state["send_seq"]

@@ -198,6 +198,8 @@ class ComponentPort(SimObject):
         return self.vp2p.secondary_bus
 
     # -- checkpointing ----------------------------------------------------
+    horizons = ("proc_next_free",)
+
     def state_dict(self) -> dict:
         """The port's datapath serialization horizon.
 
@@ -324,6 +326,8 @@ class PcieRoutingEngine(SimObject):
         }
 
     # -- checkpointing ----------------------------------------------------
+    horizons = ("datapath_next_free",)
+
     def state_dict(self) -> dict:
         """The engine-scoped datapath horizon (ports carry their own).
 

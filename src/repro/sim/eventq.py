@@ -229,6 +229,22 @@ class _QueueBase:
             heap.append(entry)
         heapq.heapify(heap)
 
+    def advance(self, ticks: int, seqs: int, events: int) -> None:
+        """Account ``ticks``, ``seqs`` insertions and ``events``
+        dispatches without running them: the clock, both counters and
+        every live entry's ``(when, seq)`` move together (squashed
+        entries go).  See :mod:`repro.kernel.blockio`."""
+        entries = self.live_entries()
+        for entry in entries:
+            if entry[3] is fire:
+                entry[4]._entry = None
+        self.load_state_dict(
+            {"curtick": self.curtick + ticks,
+             "next_seq": self._next_seq + seqs,
+             "events_processed": self.events_processed + events},
+            [(when + ticks, priority, seq + seqs, fn, arg)
+             for when, priority, seq, fn, arg in entries])
+
     def next_tick(self) -> Optional[int]:
         """Tick of the next live event, or None if the queue is empty."""
         self._drop_squashed_head()

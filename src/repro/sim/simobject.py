@@ -8,7 +8,7 @@ one-to-one.
 """
 
 import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.check.checker import InvariantChecker
 from repro.obs.trace import Tracer
@@ -28,6 +28,16 @@ def _check_default() -> bool:
     """Whether :data:`CHECK_ENV` asks for checking to default on."""
     return os.environ.get(CHECK_ENV, "").strip().lower() in (
         "on", "1", "true", "yes")
+
+
+class Origin(NamedTuple):
+    """A block-layer request boundary: its tick, and the transfer
+    cursor's buffer address and LBA on the device it drives."""
+
+    tick: int
+    addr: int
+    lba: int
+    device: Any
 
 
 class Simulator:
@@ -81,6 +91,8 @@ class Simulator:
         # silent first-match.
         self._by_name: Dict[str, "SimObject"] = {}
         self._exit_callbacks: List[Callable[[], None]] = []
+        # Set by pause(): called between events by run().
+        self._pause_hook: Optional[Callable] = None
 
     # -- time --------------------------------------------------------------
     @property
@@ -107,8 +119,19 @@ class Simulator:
         event queue fully drained, the quiescence watchdog fires: a
         non-empty replay buffer with no event left to drain it is
         reported as a deadlock rather than silently swallowed.
+
+        A :meth:`pause` hook runs between events, with exact counters.
         """
-        tick = self.eventq.run(until=until, max_events=max_events)
+        eventq = self.eventq
+        self._pause_hook = None  # one left by single-stepping is stale
+        limit = None if max_events is None else eventq.events_processed + max_events
+        while True:
+            tick = eventq.run(until=until, max_events=(
+                None if limit is None else limit - eventq.events_processed))
+            hook, self._pause_hook = self._pause_hook, None
+            if hook is None:
+                break
+            hook(until, limit)
         if self.checker.enabled and self.eventq.empty():
             self.checker.check_quiescence()
         if self._exit_callbacks and self.eventq.empty():
@@ -133,7 +156,16 @@ class Simulator:
 
     def stop(self) -> None:
         """Ask a run in progress to stop after the current event."""
+        self._pause_hook = None
         self.eventq.stop()
+
+    def pause(self, hook: Callable[[Optional[int], Optional[int]], None]) -> None:
+        """Have :meth:`run` call ``hook(until, limit)`` after the current
+        event, then carry on; ``limit`` is the ``events_processed`` the
+        run stops at (None: unbounded).  A requested stop wins."""
+        if not self.eventq._stop_requested:
+            self._pause_hook = hook
+            self.eventq.stop()
 
     # -- object registry ---------------------------------------------------
     def register(self, obj: "SimObject") -> None:
@@ -273,6 +305,26 @@ class SimObject:
         accepted back by :meth:`load_state_dict`.
         """
         return {}
+
+    #: ``state_dict`` keys holding tick horizons, read as offsets.
+    horizons: Tuple[str, ...] = ()
+    #: ``state_dict`` keys holding accumulators nothing reads back.
+    accumulators: Tuple[str, ...] = ()
+
+    def relative_state(self, state: Dict, origin: Origin) -> Dict:
+        """``state`` (this :meth:`state_dict`) as seen from a block-layer
+        request boundary; equal relative states at two boundaries mean
+        translated futures (see :mod:`repro.kernel.blockio`).  Undeclared
+        state must match exactly."""
+        relative = {key: value for key, value in state.items()
+                    if key not in self.accumulators}
+        for key in self.horizons:
+            # Read through max(now, horizon), so a past horizon could be
+            # clamped; it is not, so equal offsets imply an exact step.
+            # 0 means never set.
+            tick = relative[key]
+            relative[key] = tick - origin.tick if tick else 0
+        return relative
 
     def load_state_dict(self, state: Dict) -> None:
         """Restore :meth:`state_dict` output captured from a twin object.

@@ -131,7 +131,23 @@ class Average(Stat):
         self.count = state["count"]
 
 
-class Distribution(Stat):
+class Replayable:
+    """A stat not linear in its samples: while :attr:`tape` is a list
+    every sample is also recorded there, and :meth:`replay` feeds
+    recorded samples back in order, reproducing the state bit for bit
+    (how a skipped, repeated span is accounted)."""
+
+    tape: Optional[List[Number]] = None
+
+    def replay(self, samples: Sequence[Number], times: int) -> None:
+        """Disarm the tape, then sample ``samples`` ``times`` over."""
+        self.tape = None
+        for __ in range(times):
+            for value in samples:
+                self.sample(value)  # type: ignore[attr-defined]
+
+
+class Distribution(Replayable, Stat):
     """Streaming min / max / mean / standard deviation of samples.
 
     Uses Welford's online algorithm, which stays numerically stable
@@ -144,6 +160,9 @@ class Distribution(Stat):
 
     def sample(self, value: Number) -> None:
         """Fold one observation into the running moments."""
+        tape = self.tape
+        if tape is not None:
+            tape.append(value)
         self._count += 1
         delta = value - self._mean
         self._mean += delta / self._count
@@ -223,7 +242,7 @@ QUANTILE_POINTS: Tuple[Tuple[str, float], ...] = (
 )
 
 
-class Quantiles(Stat):
+class Quantiles(Replayable, Stat):
     """Exact percentiles over every retained sample.
 
     Tail percentiles cannot be recovered from streaming moments, so
@@ -246,6 +265,9 @@ class Quantiles(Stat):
 
     def sample(self, value: Number) -> None:
         """Retain one observation."""
+        tape = self.tape
+        if tape is not None:
+            tape.append(value)
         self._samples.append(value)
 
     @property

@@ -12,10 +12,11 @@ throughput grow with block size), then one synchronous block-layer read
 of the whole block, then the throughput report.  Writing to
 ``/dev/zero`` costs nothing, as on a real machine.
 
-Simulating the paper's half-gigabyte blocks packet-by-packet in Python
-is needlessly slow; benchmarks instead scale block size and startup cost
-down by a common factor, which leaves the throughput-vs-blocksize curve
-unchanged (both the numerator and the fixed term shrink together).
+Benchmarks scale block size and startup cost down by a common factor,
+which leaves the throughput-vs-blocksize curve unchanged (both the
+numerator and the fixed term shrink together).  Speed is no longer the
+reason: the block layer fast-forwards the repeated requests of a long
+block, so even the paper's half-gigabyte blocks simulate in seconds.
 """
 
 from typing import Optional

@@ -4,8 +4,9 @@ A point forked from a prefix checkpoint must be **byte-identical** —
 statistics, traces, metrics — to a cold run from tick 0 that simulates
 the same warm-up inline, with the invariant checker armed throughout.
 Exercised on the paper's validation fabric, on a deep-hierarchy
-topology, and under fault injection (where the restored run must also
-finish with zero protocol violations).
+topology, on the classic shared PCI bus, and under fault injection
+(where the restored run must also finish with zero protocol
+violations).
 """
 
 import pytest
@@ -14,7 +15,8 @@ from repro.exp.points import dd_point, dd_prefix
 from repro.obs import MemorySink
 from repro.sim.checkpoint import capture, checkpoint_json, restore
 from repro.system.spec import deep_hierarchy_spec
-from repro.system.topology import build_system, build_validation_system
+from repro.system.topology import (build_classic_pci_system, build_system,
+                                   build_validation_system)
 from repro.workloads.dd import DdWorkload
 
 WARM = dict(warm_blocks=1, warm_block_bytes=16 * 1024)
@@ -88,6 +90,19 @@ def test_deep_hierarchy_fork_is_byte_identical():
 
     cold, forked = _identity_pair(build)
     assert cold.sim.checker.violations == []
+    assert forked.sim.checker.violations == []
+
+
+def test_classic_pci_fork_is_byte_identical():
+    # The bus's data-phase tally feeds pci_bus.efficiency: a fork that
+    # dropped it would report half the cold run's efficiency.
+    def build():
+        system = build_classic_pci_system(check=True)
+        return system, system.disk_driver
+
+    cold, forked = _identity_pair(build)
+    efficiency = forked.sim.dump_stats()["pci_bus.efficiency"]
+    assert efficiency == cold.sim.dump_stats()["pci_bus.efficiency"] > 0
     assert forked.sim.checker.violations == []
 
 

@@ -145,3 +145,21 @@ def test_explicit_target_ranges():
     master.read(0x80000000, 4)
     sim.run()
     assert len(target.requests) == 1
+
+
+def test_checkpoint_carries_useful_ticks_and_refuses_a_busy_bus():
+    from repro.sim.checkpoint import CheckpointError
+
+    sim = Simulator()
+    bus, master, target = build(sim, target_latency=ticks.from_us(2))
+    master.read(0x40000000, 64)
+    sim.run(max_events=3)
+    assert bus._busy or bus._queue or bus._waiting_completion
+    with pytest.raises(CheckpointError, match="idle bus"):
+        bus.state_dict()
+    sim.run()
+    state = bus.state_dict()
+    assert state == {"useful_ticks": 16 * PERIOD_33}
+    twin = PciBus(Simulator())
+    twin.load_state_dict(state)
+    assert twin.state_dict() == state

@@ -11,8 +11,9 @@ identical, including under ``until`` and ``max_events`` stepping.
 
 Also here: a reused handle (a squashed entry can never fire a stale
 payload, even when its event is immediately rescheduled at the same
-tick), compaction behaviour, the O(1) ``__len__``, and the clock that a
-``run(until=...)`` may never move backwards, on both queues.
+tick), compaction behaviour, the O(1) ``__len__``, the clock that a
+``run(until=...)`` may never move backwards, and ``advance()``, which
+accounts a skipped span, on both queues.
 
 The module keeps the name it had when ``EventQueue`` was a bucket/heap
 hybrid calendar queue; the cases carried over unchanged, so their
@@ -150,6 +151,35 @@ def test_randomized_dispatch_matches_under_max_events_steps(seed):
         q.run()
 
     _run_pair(seed, stepped)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_advance_shifts_the_rest_of_the_run_on_both_queues(seed):
+    # advance() moves the clock, both counters and every live entry,
+    # dropping squashed ones: what runs afterwards is the un-advanced
+    # run shifted in time, handles still deschedulable, on both queues.
+    ticks, seqs, events = 5 * _SPAN + 11, 1000, 77
+    runs = {}
+    for queue_cls in (ReferenceEventQueue, EventQueue):
+        for advanced in (False, True):
+            wl = _Workload(queue_cls(), seed)
+            wl.q.run(max_events=40)
+            assert wl.pending, "no handle pending — test is vacuous"
+            wl.q.deschedule(wl.pending.pop(0))  # leave a squashed entry
+            cut = len(wl.log)
+            if advanced:
+                wl.q.advance(ticks, seqs, events)
+            wl.q.run()
+            runs[queue_cls, advanced] = (
+                wl.log[:cut], wl.log[cut:], wl.q.curtick,
+                wl.q.events_processed, wl.q._next_seq)
+    for advanced in (False, True):
+        assert runs[EventQueue, advanced] == runs[ReferenceEventQueue, advanced]
+    head, tail, tick, processed, seq = runs[EventQueue, False]
+    assert tail, "nothing ran after the cut — test is vacuous"
+    assert runs[EventQueue, True] == (
+        head, [(tag, when + ticks) for tag, when in tail], tick + ticks,
+        processed + events, seq + seqs)
 
 
 @pytest.mark.parametrize("seed", range(4))

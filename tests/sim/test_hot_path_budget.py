@@ -25,10 +25,14 @@ built once.
 import gc
 import sys
 
+import pytest
+
 from repro.pcie.link import PcieLink
 from repro.pcie.timing import PcieGen
 from repro.sim.eventq import Event
 from repro.sim.simobject import Simulator
+from repro.system.topology import build_classic_pci_system, build_validation_system
+from repro.workloads.dd import DdWorkload
 from repro.workloads.scenarios import run_scenario
 
 from benchmarks.core_perf import _LinkDriver, _LinkSink
@@ -40,6 +44,12 @@ from tests.golden.scenario import SCENARIOS, four_flow_scenario, run_dd_system
 #: never does.
 GOLDEN_CLEAN_SCHEDULE = (2601, 28_635_006, 2881)
 DEEP_FOUR_FLOW_SCHEDULE = (393_527, 542_762_021, 448_410)
+
+#: An eight-request (1 MiB) ``dd`` with no startup cost, recorded before
+#: the block layer learned to fast-forward repeated requests: the
+#: skipped requests must still count every event and insertion.
+CLASSIC_DD_SCHEDULE = (143_570, 14_507_022_736, 143_570)
+GEN2X1_DD_SCHEDULE = (625_122, 4_091_184_048, 690_850)
 
 #: Dispatches per label class on the golden clean ``dd``, recorded
 #: while the four hot kinds were still pooled Event subclasses.
@@ -77,6 +87,22 @@ def test_deep_four_flow_schedule_is_pinned():
     system, engine = run_scenario(four_flow_scenario())
     assert engine.completed
     assert _schedule(system.sim) == DEEP_FOUR_FLOW_SCHEDULE
+
+
+@pytest.mark.parametrize("build, pinned", [
+    (lambda: build_classic_pci_system(check=False), CLASSIC_DD_SCHEDULE),
+    (lambda: build_validation_system(root_link_width=1, device_link_width=1,
+                                     check=False), GEN2X1_DD_SCHEDULE),
+], ids=["classic", "gen2x1"])
+def test_eight_request_dd_schedule_is_pinned(build, pinned):
+    system = build()
+    dd = DdWorkload(system.kernel, system.disk_driver, 8 * 128 * 1024,
+                    startup_overhead=0)
+    process = system.kernel.spawn("dd", dd.run())
+    system.run()
+    assert process.done
+    assert system.kernel.block_layer.requests_fast_forwarded == 6
+    assert _schedule(system.sim) == pinned
 
 
 def _count_calls(func):
