@@ -215,5 +215,17 @@ class PcieDevice(SimObject):
             create_tick=self.curtick,
         )
         self.msis_sent.inc()
-        self.dma_send(msi, None)
+        if self.dma_space > 0:
+            self.dma_send(msi, None)
+            return True
+
+        def send_when_space() -> None:
+            if self.dma_space > 0:
+                self.remove_dma_pump(send_when_space)
+                self.dma_send(msi, None)
+
+        # Posted writes still fill the queue: the MSI follows them out,
+        # ahead of any request issued after it (a posted request never
+        # passes another).
+        self._dma_pumps.insert(0, send_when_space)
         return True

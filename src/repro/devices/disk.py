@@ -27,7 +27,7 @@ offset name         meaning
 ====== ===========  =================================================
 """
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.devices.base import PcieDevice
 from repro.devices.dma import DmaEngine
@@ -40,7 +40,7 @@ from repro.pci.capabilities import (
 )
 from repro.pci.header import Bar, PciEndpointFunction
 from repro.sim import ticks
-from repro.sim.simobject import SimObject, Simulator
+from repro.sim.simobject import Origin, SimObject, Simulator
 
 REG_CMD = 0x00
 REG_LBA = 0x08
@@ -117,9 +117,6 @@ class IdeDisk(PcieDevice):
         self._regs: Dict[int, int] = {
             REG_CMD: 0, REG_LBA: 0, REG_COUNT: 0, REG_BUF_ADDR: 0, REG_STATUS: 0,
         }
-        # In-memory backing store for written sectors (reads of
-        # never-written sectors return zeros).
-        self._store: Dict[int, bytes] = {}
         self._sectors_remaining = 0
         self._current_lba = 0
         self._current_buf = 0
@@ -178,7 +175,23 @@ class IdeDisk(PcieDevice):
         # Constant-latency medium access, then the DMA burst.
         self.schedule(self.access_latency, self._transfer_sector)
 
+    #: Set by the block layer for the command it submits, and called
+    #: between events once the medium is ready, before each sector's
+    #: DMA starts, as ``sector_boundary(origin, later, until, limit)``:
+    #: the command's cursor, the sectors after this one and the run's
+    #: limits (see :mod:`repro.kernel.blockio`).
+    sector_boundary: Optional[Callable[..., None]] = None
+
     def _transfer_sector(self) -> None:
+        if self.sector_boundary is None or not self.sim.pause(self._at_boundary):
+            self._dma_sector()
+
+    def _at_boundary(self, until: Optional[int], limit: Optional[int]) -> None:
+        origin = Origin(self.curtick, self._current_buf, self._current_lba, self)
+        self.sector_boundary(origin, self._sectors_remaining - 1, until, limit)
+        self._dma_sector()
+
+    def _dma_sector(self) -> None:
         start = self.curtick
         if self._is_write_command:
             # Host -> disk: DMA-read the buffer from memory.
@@ -195,8 +208,6 @@ class IdeDisk(PcieDevice):
         self.sector_transfer_ticks.sample(self.curtick - start_tick)
         self.sectors_transferred.inc()
         self.bytes_transferred.inc(self.sector_size)
-        if self._is_write_command:
-            self._store[self._current_lba] = bytes(self.sector_size)
         self._sectors_remaining -= 1
         self._current_lba += 1
         self._current_buf += self.sector_size
@@ -209,22 +220,22 @@ class IdeDisk(PcieDevice):
 
     # -- checkpointing -----------------------------------------------------------
     def state_dict(self) -> dict:
-        """Register file, written-sector set and command cursors.
+        """Register file and command cursors.
 
-        The backing store only ever holds zero-filled sectors (writes
-        record ``bytes(sector_size)``), so the checkpoint carries just
-        the written LBAs.  A busy device has DMA events and packets in
-        flight that a quiescent checkpoint cannot describe.
+        The medium holds no data (reads return zeros), so nothing else
+        is state.  A command may be captured between sectors, where the
+        only pending work is the next sector's describable
+        :meth:`_transfer_sector`; a sector's DMA in flight has packets
+        and callbacks a checkpoint cannot describe.
         """
-        if self.busy:
+        if self._dma_pumps or self._dma_waiters or not self._dma_queue.empty:
             from repro.sim.checkpoint import CheckpointError
 
             raise CheckpointError(
-                f"{self.full_name} has a DMA command in progress; "
-                f"checkpoints require an idle device")
+                f"{self.full_name} has a sector's DMA in flight; "
+                f"checkpoints require the device between sectors")
         return {
             "regs": {str(offset): value for offset, value in self._regs.items()},
-            "written_lbas": sorted(self._store),
             "sectors_remaining": self._sectors_remaining,
             "current_lba": self._current_lba,
             "current_buf": self._current_buf,
@@ -233,21 +244,26 @@ class IdeDisk(PcieDevice):
 
     def relative_state(self, state: dict, origin) -> dict:
         """On the device a transfer drives, the LBA and buffer cursors
-        and registers relative to the transfer's own cursor."""
+        relative to the boundary's cursor.  Between commands the LBA and
+        buffer registers trail the cursor by one request, so they are
+        relative too; a running command's stay put while its cursor
+        moves, and nothing reads them before it completes.  The sectors
+        a command has left bound a skip and are left out."""
         if origin.device is not self:
             return state
         regs = dict(state["regs"])
-        regs[str(REG_LBA)] -= origin.lba
-        regs[str(REG_BUF_ADDR)] -= origin.addr
-        return dict(state, regs=regs,
-                    current_lba=state["current_lba"] - origin.lba,
-                    current_buf=state["current_buf"] - origin.addr)
+        if not self.busy:
+            regs[str(REG_LBA)] -= origin.lba
+            regs[str(REG_BUF_ADDR)] -= origin.addr
+        relative = dict(state, regs=regs,
+                        current_lba=state["current_lba"] - origin.lba,
+                        current_buf=state["current_buf"] - origin.addr)
+        del relative["sectors_remaining"]
+        return relative
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore registers and the written-sector set."""
+        """Restore registers and command cursors."""
         self._regs = {int(offset): value for offset, value in state["regs"].items()}
-        self._store = {int(lba): bytes(self.sector_size)
-                       for lba in state["written_lbas"]}
         self._sectors_remaining = state["sectors_remaining"]
         self._current_lba = state["current_lba"]
         self._current_buf = state["current_buf"]

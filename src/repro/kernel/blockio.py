@@ -16,13 +16,15 @@ overheads in gem5 for setting up the transfer" that the paper holds
 responsible for its throughput gap against the physical machine.
 
 **Fast-forward.**  ``dd`` is synchronous, so a long transfer is one
-request repeated.  At each request boundary the transfer pauses the run
-(spending no event and no sequence number) and snapshots every object's
+request repeated, and a disk command one sector repeated.  At each
+request boundary, and at each sector boundary of a disk command, a
+:class:`_Prover` pauses the run (spending no event and no sequence
+number) and snapshots every object's
 :meth:`~repro.sim.simobject.SimObject.relative_state`.  When two
-consecutive boundaries agree, every later full-size request is a
+consecutive boundaries agree, every later span up to the last is a
 translate of the last one: the queue, every ``state_dict`` leaf and
 every linear statistic move by that many times the measured step, and
-moment statistics replay the request's samples.  ARCHITECTURE.md
+moment statistics replay the span's samples.  ARCHITECTURE.md
 "Fast-forwarding a repeated request" gives the argument.
 """
 
@@ -60,12 +62,155 @@ def _extrapolate(new, old, times: int):
     return new
 
 
+def _observed(sim: Simulator) -> bool:
+    """An armed tracer or checker: its output cannot be extrapolated."""
+    return sim.tracer.enabled or sim.checker.enabled
+
+
+def _one_process(sim: Simulator) -> Optional[Process]:
+    """The only started, unfinished process, or None."""
+    running = [obj for obj in sim._objects if isinstance(obj, Process)
+               and obj.start_tick is not None and not obj.done]
+    return running[0] if len(running) == 1 else None
+
+
+class _Prover:
+    """The period proof of one kind of boundary: a transfer's requests,
+    or one command's sectors.  Holds the snapshot at the last boundary
+    and, between boundaries, the tapes recording the span's samples.
+
+    Tapes nest: arming saves the tape already armed (an enclosing
+    span's), and disarming hands the samples on to it, so the request
+    a skipped sector belongs to still records every sample."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.last: Optional[tuple] = None
+        self._outer: dict = {}  # Replayable stat -> the tape it had
+
+    def _arm(self, stats) -> None:
+        for stat in stats:
+            self._outer[stat], stat.tape = stat.tape, []
+
+    def _disarm(self) -> dict:
+        spans = {}
+        for stat, outer in self._outer.items():
+            spans[stat] = stat.tape
+            if outer is not None:
+                outer.extend(stat.tape)
+            stat.tape = outer
+        self._outer = {}
+        return spans
+
+    def worth_pausing(self, later: int) -> bool:
+        """Whether a boundary with ``later`` full spans after the current
+        one could still lead to a skip."""
+        return later >= 2 or (later == 1 and self.last is not None)
+
+    def close(self) -> None:
+        """Disarm, and forget the last snapshot."""
+        self._disarm()
+        self.last = None
+
+    def _snapshot(self, origin: Origin) -> Optional[tuple]:
+        """``(relative, raw, replayables)`` at a boundary; None with the
+        tracer or checker armed, another process unfinished, or anything
+        a checkpoint would refuse."""
+        sim, eventq = self.sim, self.sim.eventq
+        process = None if _observed(sim) else _one_process(sim)
+        if process is None:
+            return None
+        tick, seq = eventq.curtick, eventq._next_seq
+        relative, states = {}, {}
+        try:
+            for obj in sim._objects:
+                state = obj.state_dict() if obj is not process else None
+                if state:
+                    states[obj] = state
+                    relative[obj] = obj.relative_state(state, origin)
+            pending = [_describe_event(sim, entry) for entry in
+                       sorted(eventq.live_entries(), key=lambda e: e[:3])]
+        except CheckpointError:
+            return None
+        for doc in pending:  # as offsets from now
+            doc["when"] -= tick
+            doc["seq"] -= seq
+        replayables = []
+        for __, stat in sim.stats.walk(""):
+            if isinstance(stat, Replayable):
+                replayables.append(stat)
+                continue
+            state = stat.state_dict()
+            if state is not None:
+                states[stat] = state
+        queue = [tick, seq, eventq.events_processed]
+        return (relative, pending), (queue, states), replayables
+
+    def boundary(self, origin: Origin, span: int, later: int, first: int,
+                 until: Optional[int], limit: Optional[int]) -> Optional[int]:
+        """Snapshot; if the last boundary agrees, skip up to ``later``
+        spans of ``span`` sectors that fit before ``until`` and the event
+        ``limit``, unless they leave the proven span's memory range or
+        the disk.  ``first`` is where the proven span starts, in spans
+        from the cursor.  Returns the spans skipped, None on a decline."""
+        spans = self._disarm()
+        last, snap = self.last, self._snapshot(origin)
+        self.last = snap
+        if snap is None:
+            return None
+        times = self._skip(snap, last, spans, origin, span, later, first,
+                           until, limit)
+        if times:
+            self.last = None  # its raw half is stale now: prove afresh
+        self._arm(snap[2])
+        return times
+
+    def _skip(self, snap, last, spans, origin, span, later, first,
+              until, limit) -> int:
+        if (last is None or snap[0] != last[0]
+                or len(spans) != len(snap[2])):
+            return 0
+        (queue, states), (last_queue, last_states) = snap[1], last[1]
+        step = [a - b for a, b in zip(queue, last_queue)]
+        times = later
+        if until is not None:
+            times = min(times, (until - queue[0]) // max(step[0], 1))
+        if limit is not None:
+            times = min(times, (limit - queue[2]) // max(step[2], 1))
+        # The proven and skipped spans, counted from the cursor.
+        end = first + times + 1
+        span_bytes = span * origin.device.sector_size
+        if (times < 1
+                or origin.lba + end * span > origin.device.capacity_sectors
+                or not self._one_memory(origin.addr + first * span_bytes,
+                                        origin.addr + end * span_bytes)):
+            return 0
+        try:
+            ahead = _extrapolate(states, last_states, times)
+        except _Differs:
+            return 0
+        self.sim.eventq.advance(*(times * d for d in step))
+        for owner, state in ahead.items():
+            owner.load_state_dict(state)
+        for stat, samples in spans.items():  # the proven span's
+            stat.replay(samples, times)
+        return times
+
+    def _one_memory(self, lo: int, hi: int) -> bool:
+        """True when one memory object's range holds all of [lo, hi)."""
+        for obj in self.sim._objects:
+            rng = getattr(obj, "range", None)
+            if rng is not None and rng.start <= lo and hi <= rng.end:
+                return True
+        return False
+
+
 class _Cursor:
     """A transfer's position, which a skip moves forward."""
 
-    def __init__(self, lba: int, buf: int, remaining: int):
+    def __init__(self, sim: Simulator, lba: int, buf: int, remaining: int):
         self.lba, self.buf, self.remaining, self.start = lba, buf, remaining, 0
-        self.last: Optional[tuple] = None  # snapshot at the last boundary
+        self.prover = _Prover(sim)
         # Boundaries sit where a request completes until that point is
         # not quiescent (a coalesced ACK pending), then at submissions.
         self.at_completion = True
@@ -97,9 +242,10 @@ class BlockLayer(SimObject):
         self.request_ticks = self.stats.distribution(
             "request_ticks", "submit-to-complete time per hardware request"
         )
-        #: Requests skipped, not simulated (not a stat: stats documents
-        #: must not depend on it).
+        #: Requests and sectors skipped, not simulated (not stats: stats
+        #: documents must not depend on them).
         self.requests_fast_forwarded = 0
+        self.sectors_fast_forwarded = 0
 
     def read(self, driver, lba: int, n_sectors: int, buffer_addr: int):
         """Generator: read ``n_sectors`` starting at ``lba`` into the
@@ -113,132 +259,78 @@ class BlockLayer(SimObject):
                   is_write: bool):
         if n_sectors < 1:
             raise ValueError("transfer needs at least one sector")
-        cur = _Cursor(lba, buffer_addr, n_sectors)
+        cur = _Cursor(self.sim, lba, buffer_addr, n_sectors)
         per_request = self.max_sectors_per_request
         sector_bytes = driver.sector_size
+        device = getattr(driver, "device", None)
         while cur.remaining:
             chunk = min(cur.remaining, per_request)
             cur.start = self.curtick
             self.requests_submitted.inc()
             if not cur.at_completion:
-                self._maybe_pause(cur, driver)
+                self._maybe_pause(cur, device)
             yield Delay(self.submit_overhead + chunk * self.per_sector_overhead)
+            sectors = self._arm_sectors(device, chunk)
             completion = yield from driver.start_request(
                 cur.lba, chunk, cur.buf, is_write
             )
             yield WaitFor(completion)
+            if sectors is not None:
+                device.sector_boundary = None
+                sectors.close()
             if cur.at_completion:
-                self._maybe_pause(cur, driver)
+                self._maybe_pause(cur, device)
             yield Delay(self.complete_overhead)
             self.request_ticks.sample(self.curtick - cur.start)
             self.sectors_moved.inc(chunk)
             cur.remaining -= chunk
             cur.lba += chunk
             cur.buf += chunk * sector_bytes
-        if cur.last is not None:
-            self._harvest_tapes()
+        cur.prover.close()
 
     # -- fast-forward ------------------------------------------------------
-    def _maybe_pause(self, cur: _Cursor, driver) -> None:
+    def _maybe_pause(self, cur: _Cursor, device) -> None:
         """Pause here if a snapshot could still lead to a skip."""
         later = cur.remaining // self.max_sectors_per_request - 1
-        if later >= 2 or (later == 1 and cur.last is not None):
+        if (device is not None and cur.prover.worth_pausing(later)
+                and not _observed(self.sim)):
             self.sim.pause(
-                lambda until, limit: self._boundary(cur, driver, until, limit))
+                lambda until, limit: self._request_boundary(cur, device,
+                                                            until, limit))
 
-    def _harvest_tapes(self) -> dict:
-        """Disarm every replayable stat's tape; return what each holds."""
-        tapes = {}
-        for __, stat in self.sim.stats.walk(""):
-            if isinstance(stat, Replayable):
-                tapes[stat], stat.tape = stat.tape, None
-        return tapes
-
-    def _snapshot(self, cur: _Cursor, driver) -> Optional[tuple]:
-        """``(relative, raw, tapes)`` at a boundary; None with the tracer
-        or checker armed, another process unfinished, or anything a
-        checkpoint would refuse."""
-        sim, eventq = self.sim, self.eventq
-        tapes = self._harvest_tapes()
-        if sim.tracer.enabled or sim.checker.enabled:
-            return None
-        running = [obj for obj in sim._objects if isinstance(obj, Process)
-                   and obj.start_tick is not None and not obj.done]
-        if len(running) != 1:  # this transfer's own process, and no other
-            return None
-        tick, seq = eventq.curtick, eventq._next_seq
-        origin = Origin(tick, cur.buf, cur.lba, getattr(driver, "device", None))
-        relative, states = {}, {}
-        try:
-            for obj in sim._objects:
-                state = obj.state_dict() if obj is not running[0] else None
-                if state:
-                    states[obj] = state
-                    relative[obj] = obj.relative_state(state, origin)
-            pending = [_describe_event(sim, entry) for entry in
-                       sorted(eventq.live_entries(), key=lambda e: e[:3])]
-        except CheckpointError:
-            return None
-        for doc in pending:  # as offsets from now
-            doc["when"] -= tick
-            doc["seq"] -= seq
-        for __, stat in sim.stats.walk(""):
-            if stat in tapes:
-                stat.tape = []  # records the coming request's samples
-            elif stat.state_dict() is not None:
-                states[stat] = stat.state_dict()
-        queue = [tick, seq, eventq.events_processed]
-        return (relative, pending), (queue, states), tapes
-
-    def _boundary(self, cur: _Cursor, driver, until: Optional[int],
-                  limit: Optional[int]) -> None:
-        """Snapshot; if the last boundary agrees, skip every later
-        full-size request that fits before ``until`` and the event
-        ``limit``, unless they leave the proven request's memory range or
-        the disk."""
-        last, snap = cur.last, self._snapshot(cur, driver)
-        cur.last = snap
-        if snap is None:
-            cur.at_completion = False
-        if last is None or snap is None or snap[0] != last[0]:
-            return
-        (queue, states), (last_queue, last_states) = snap[1], last[1]
-        step = [a - b for a, b in zip(queue, last_queue)]
+    def _request_boundary(self, cur: _Cursor, device, until: Optional[int],
+                          limit: Optional[int]) -> None:
+        """Prove and skip requests; the cursor follows a skip."""
         per_request = self.max_sectors_per_request
-        request_bytes = per_request * driver.sector_size
-        times = cur.remaining // per_request - 1
-        if until is not None:
-            times = min(times, (until - queue[0]) // max(step[0], 1))
-        if limit is not None:
-            times = min(times, (limit - queue[2]) // max(step[2], 1))
-        # The proven and skipped requests, counted from the cursor.
-        first = 0 if cur.at_completion else -1
-        end = first + times + 1
-        capacity = getattr(getattr(driver, "device", None), "capacity_sectors", 0)
-        if (times < 1 or cur.lba + end * per_request > capacity
-                or not self._one_memory(cur.buf + first * request_bytes,
-                                        cur.buf + end * request_bytes)):
+        before = self.curtick
+        times = cur.prover.boundary(
+            Origin(before, cur.buf, cur.lba, device), per_request,
+            cur.remaining // per_request - 1,
+            0 if cur.at_completion else -1, until, limit)
+        if times is None:
+            cur.at_completion = False
             return
-        try:
-            ahead = _extrapolate(states, last_states, times)
-        except _Differs:
-            return
-        self.eventq.advance(*(times * d for d in step))
-        for owner, state in ahead.items():
-            owner.load_state_dict(state)
-        for stat, samples in snap[2].items():  # the proven request's
-            stat.replay(samples, times)
-        cur.start += times * step[0]
+        cur.start += self.curtick - before
         cur.lba += times * per_request
-        cur.buf += times * request_bytes
+        cur.buf += times * per_request * device.sector_size
         cur.remaining -= times * per_request
-        cur.last = None  # its raw half is stale now: prove afresh
         self.requests_fast_forwarded += times
 
-    def _one_memory(self, lo: int, hi: int) -> bool:
-        """True when one memory object's range holds all of [lo, hi)."""
-        for obj in self.sim._objects:
-            rng = getattr(obj, "range", None)
-            if rng is not None and rng.start <= lo and hi <= rng.end:
-                return True
-        return False
+    def _arm_sectors(self, device, chunk: int) -> Optional[_Prover]:
+        """Give a command that could skip sectors a sector boundary."""
+        if (chunk < 3 or not hasattr(device, "sector_boundary")
+                or _observed(self.sim) or _one_process(self.sim) is None):
+            return None
+        prover = _Prover(self.sim)
+
+        def boundary(origin: Origin, later: int, until: Optional[int],
+                     limit: Optional[int]) -> None:
+            # The disk's cursor is already at the sector about to start:
+            # the proven sector is the one before it.
+            times = prover.boundary(origin, 1, later, -1, until, limit)
+            self.sectors_fast_forwarded += times or 0
+            if times is None or not prover.worth_pausing(later - times - 1):
+                device.sector_boundary = None  # for the rest of the command
+
+        device.sector_boundary = boundary
+        return prover

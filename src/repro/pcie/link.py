@@ -695,17 +695,20 @@ class PcieLinkInterface(SimObject):
             raise CheckpointError(
                 f"{self.full_name} has in-flight packets in {busy}; "
                 f"checkpoints require a quiescent link")
-        # An RNG never built has never been drawn from: its state is the
-        # fresh seed's, so the document is the same as if it existed.
-        rng_state = (self._rng or random.Random(self._rng_seed)).getstate()
+        # An RNG never built has never been drawn from: null, and a
+        # restored twin builds it from the seed on its first draw too.
+        # getstate() is (version, tuple-of-ints, gauss_next), flattened
+        # to JSON-safe lists and rebuilt in load_state_dict.
+        rng = None
+        if self._rng is not None:
+            version, internal, gauss = self._rng.getstate()
+            rng = [version, list(internal), gauss]
         return {
             "send_seq": self.send_seq,
             "recv_seq": self.recv_seq,
             "have_unacked_delivery": self._have_unacked_delivery,
             "fc": self.fc.state_dict(),
-            # getstate() is (version, tuple-of-ints, gauss_next) —
-            # flattened to JSON-safe lists, rebuilt in load_state_dict.
-            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
+            "rng": rng,
         }
 
     def relative_state(self, state: dict, origin) -> dict:
@@ -734,8 +737,10 @@ class PcieLinkInterface(SimObject):
         self._have_unacked_delivery = state["have_unacked_delivery"]
         self.fc.load_state_dict(state["fc"])
         rng_state = state["rng"]
-        self._rng = random.Random()
-        self._rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
+        self._rng = None
+        if rng_state is not None:
+            self._rng = random.Random()
+            self._rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
 
 
 class PcieLink(SimObject):

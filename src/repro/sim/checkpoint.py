@@ -58,8 +58,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped whenever the document layout or the meaning of a field
 #: changes; restore refuses versions it does not understand rather than
 #: silently misreading state.  Version 2: event records gained ``arg``
-#: and ``handle`` and lost ``name``.
-CHECKPOINT_VERSION = 2
+#: and ``handle`` and lost ``name``.  Version 3: the disk's state lost
+#: ``written_lbas``, and a link's never-built error RNG is null.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):

@@ -31,8 +31,10 @@ def _check_default() -> bool:
 
 
 class Origin(NamedTuple):
-    """A block-layer request boundary: its tick, and the transfer
-    cursor's buffer address and LBA on the device it drives."""
+    """A fast-forward boundary — a block-layer request boundary, or a
+    sector boundary inside a disk command: its tick, and the cursor's
+    buffer address and LBA on the device it drives (the transfer's at a
+    request boundary, the command's at a sector boundary)."""
 
     tick: int
     addr: int
@@ -93,6 +95,7 @@ class Simulator:
         self._exit_callbacks: List[Callable[[], None]] = []
         # Set by pause(): called between events by run().
         self._pause_hook: Optional[Callable] = None
+        self._running = False  # whether run() is draining the queue
 
     # -- time --------------------------------------------------------------
     @property
@@ -123,15 +126,19 @@ class Simulator:
         A :meth:`pause` hook runs between events, with exact counters.
         """
         eventq = self.eventq
-        self._pause_hook = None  # one left by single-stepping is stale
+        self._pause_hook = None  # one left by a failed run is stale
         limit = None if max_events is None else eventq.events_processed + max_events
-        while True:
-            tick = eventq.run(until=until, max_events=(
-                None if limit is None else limit - eventq.events_processed))
-            hook, self._pause_hook = self._pause_hook, None
-            if hook is None:
-                break
-            hook(until, limit)
+        self._running = True
+        try:
+            while True:
+                tick = eventq.run(until=until, max_events=(
+                    None if limit is None else limit - eventq.events_processed))
+                hook, self._pause_hook = self._pause_hook, None
+                if hook is None:
+                    break
+                hook(until, limit)
+        finally:
+            self._running = False
         if self.checker.enabled and self.eventq.empty():
             self.checker.check_quiescence()
         if self._exit_callbacks and self.eventq.empty():
@@ -159,13 +166,18 @@ class Simulator:
         self._pause_hook = None
         self.eventq.stop()
 
-    def pause(self, hook: Callable[[Optional[int], Optional[int]], None]) -> None:
+    def pause(self, hook: Callable[[Optional[int], Optional[int]], None]) -> bool:
         """Have :meth:`run` call ``hook(until, limit)`` after the current
         event, then carry on; ``limit`` is the ``events_processed`` the
-        run stops at (None: unbounded).  A requested stop wins."""
-        if not self.eventq._stop_requested:
-            self._pause_hook = hook
-            self.eventq.stop()
+        run stops at (None: unbounded).  Returns whether the hook will
+        run: it will not outside :meth:`run` (an event the queue
+        dispatches directly), nor once a stop was requested — a requested
+        stop wins."""
+        if not self._running or self.eventq._stop_requested:
+            return False
+        self._pause_hook = hook
+        self.eventq.stop()
+        return True
 
     # -- object registry ---------------------------------------------------
     def register(self, obj: "SimObject") -> None:

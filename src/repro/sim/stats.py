@@ -140,8 +140,9 @@ class Replayable:
     tape: Optional[List[Number]] = None
 
     def replay(self, samples: Sequence[Number], times: int) -> None:
-        """Disarm the tape, then sample ``samples`` ``times`` over."""
-        self.tape = None
+        """Sample ``samples`` ``times`` over.  Replayed samples land on
+        the tape armed now, so a span skipped inside a longer taped span
+        is recorded there too."""
         for __ in range(times):
             for value in samples:
                 self.sample(value)  # type: ignore[attr-defined]

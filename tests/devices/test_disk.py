@@ -123,7 +123,43 @@ def test_write_command_reads_from_memory():
     sim.run()
     reads = [p for p in memory.requests if p.cmd is MemCmd.READ_REQ]
     assert len(reads) == 64
-    assert 5 in disk._store
+    assert [p.addr for p in reads] == [0x80000000 + 64 * i for i in range(64)]
+    assert not any(p.cmd is MemCmd.WRITE_REQ for p in memory.requests)
+    assert disk.sectors_transferred.value() == 1
+    assert disk.bytes_transferred.value() == 4096
+    assert disk.dma.packets_issued.value() == 64
+    assert disk.commands_completed.value() == 1
+    assert disk.irq_pending and disk.intc.raised == 1
+
+
+def test_sector_boundary_runs_between_events_before_each_sectors_dma():
+    sim = Simulator()
+    disk, memory = build(sim)
+    seen = []
+
+    def boundary(origin, later, until, limit):
+        seen.append((origin.lba, origin.addr, later, len(memory.requests),
+                     sim.eventq.empty()))
+
+    disk.sector_boundary = boundary
+    start_read(disk, lba=7, count=3)
+    sim.run()
+    assert seen == [(7, 0x80000000, 2, 0, True),
+                    (8, 0x80001000, 1, 64, True),
+                    (9, 0x80002000, 0, 128, True)]
+    assert disk.sectors_transferred.value() == 3
+
+
+def test_sector_boundary_outside_a_run_starts_the_dma_at_once():
+    # Single-stepping the queue leaves no run to pause.
+    sim = Simulator()
+    disk, memory = build(sim)
+    disk.sector_boundary = lambda *args: pytest.fail("no run to pause")
+    start_read(disk, count=2)
+    while sim.eventq.service_one():
+        pass
+    assert disk.sectors_transferred.value() == 2
+    assert disk.irq_pending
 
 
 def test_irq_clear_register():

@@ -1,11 +1,12 @@
-"""The block layer's fast-forward of repeated requests.
+"""The block layer's fast-forward of repeated requests and sectors.
 
-The oracle is the run with the proof switched off: every fast-forwarded
-run must end with the same statistics document, final tick, event
-count, next insertion sequence number and checkpoint digest as the run
-that simulates every request.  The decline tests pin the cases where
-the proof must not hold, and the horizon tests the runs that end, or
-fail, inside the span that would be skipped.
+The oracle is the run with the proof switched off at both boundaries:
+every fast-forwarded run must end with the same statistics document,
+final tick, event count, next insertion sequence number and checkpoint
+digest as the run that simulates every request and every sector.  The
+decline tests pin the cases where the proof must not hold, and the
+horizon tests the runs that end, or fail, inside the span that would be
+skipped.
 """
 
 from unittest import mock
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from repro.kernel.blockio import BlockLayer
+from repro.kernel.blockio import _Prover
 from repro.kernel.kernel import KernelConfig
 from repro.mem.port import PortError
 from repro.obs.trace import MemorySink
 from repro.sim.checkpoint import checkpoint_digest
-from repro.system.spec import deep_hierarchy_spec
+from repro.sim.stats import Replayable
+from repro.system.spec import classic_pci_spec, deep_hierarchy_spec, validation_spec
 from repro.system.topology import (build_classic_pci_system, build_system,
                                    build_validation_system)
 
@@ -31,19 +33,17 @@ SECTOR = 4096
 PER_REQUEST = 4
 
 
-def _no_proof(self, cur, driver):
-    return None
-
-
-def _read(system, n_sectors, driver=None, lba=0, buffer_addr=BUFFER):
-    """Spawn a process reading ``n_sectors`` through the block layer."""
+def _transfer(system, n_sectors, driver=None, lba=0, buffer_addr=BUFFER,
+              is_write=False):
+    """Spawn a process moving ``n_sectors`` through the block layer."""
     driver = driver or system.disk_driver
+    layer = system.kernel.block_layer
+    move = layer.write if is_write else layer.read
 
     def body():
-        yield from system.kernel.block_layer.read(driver, lba, n_sectors,
-                                                  buffer_addr)
+        yield from move(driver, lba, n_sectors, buffer_addr)
 
-    return system.kernel.spawn("reader", body())
+    return system.kernel.spawn("writer" if is_write else "reader", body())
 
 
 def _outcome(system, checkpoint=True):
@@ -54,89 +54,170 @@ def _outcome(system, checkpoint=True):
             checkpoint_digest(sim.checkpoint()) if checkpoint else None)
 
 
+def _skipped(system):
+    layer = system.kernel.block_layer
+    return layer.requests_fast_forwarded, layer.sectors_fast_forwarded
+
+
 def _both(scenario):
-    """``scenario()`` fast-forwarded, then with the proof switched off."""
+    """``scenario()`` fast-forwarded, then with the proof switched off
+    at request and sector boundaries alike."""
     fast = scenario()
-    with mock.patch.object(BlockLayer, "_snapshot", _no_proof):
+    with mock.patch.object(_Prover, "_snapshot", lambda self, origin: None):
         full = scenario()
     return fast, full
+
+
+def _finished(system, *processes):
+    """Run to the end; the transfers left no tape armed and no sector
+    boundary behind."""
+    system.run()
+    assert all(process.done for process in processes)
+    assert all(stat.tape is None for __, stat in system.sim.stats.walk("")
+               if isinstance(stat, Replayable))
+    assert all(getattr(device, "sector_boundary", None) is None
+               for device in system.devices.values())
+    return _outcome(system), _skipped(system)
 
 
 _CONFIG = KernelConfig(max_sectors_per_request=PER_REQUEST)
 
 
-def _classic():
-    return build_classic_pci_system(check=False, kernel_config=_CONFIG)
+def _classic(config=_CONFIG):
+    return build_classic_pci_system(check=False, kernel_config=config)
 
 
-def _gen2x1(**kwargs):
+def _gen2x1(config=_CONFIG, **kwargs):
     return build_validation_system(root_link_width=1, device_link_width=1,
-                                   check=False, kernel_config=_CONFIG,
+                                   check=False, kernel_config=config,
                                    **kwargs)
 
 
 # -- the oracle ---------------------------------------------------------------
+_LINKS = {
+    "gen": st.sampled_from(["GEN1", "GEN2", "GEN3"]),
+    "replay_buffer_size": st.integers(1, 4),
+    "ack_policy": st.sampled_from(["immediate", "timer"]),
+    "enable_msi": st.booleans(),
+}
 _MACHINES = st.one_of(
-    st.just(None),  # the classic PCI bus
-    st.fixed_dictionaries({
-        "depth": st.integers(1, 2),
-        "fanout": st.integers(1, 2),
-        "gen": st.sampled_from(["GEN1", "GEN2", "GEN3"]),
-        "width": st.sampled_from([1, 2, 4, 8]),
-        "root_link_width": st.sampled_from([1, 4, 8]),
-        "buffer_size": st.sampled_from([4, 16, 28]),
-        "replay_buffer_size": st.integers(1, 4),
-        "ack_policy": st.sampled_from(["immediate", "timer"]),
-        "enable_msi": st.booleans(),
-    }),
+    st.just(("classic", {})),
+    st.tuples(st.just("validation"), st.fixed_dictionaries(dict(
+        _LINKS, root_link_width=st.sampled_from([1, 4, 8]),
+        device_link_width=st.sampled_from([1, 2, 4, 8]),
+        buffer_size=st.sampled_from([4, 16, 28])))),
+    st.tuples(st.just("deep"), st.fixed_dictionaries(dict(
+        _LINKS, depth=st.integers(1, 3), fanout=st.integers(1, 2),
+        width=st.sampled_from([1, 2, 4, 8]),
+        root_link_width=st.sampled_from([1, 4, 8]),
+        buffer_size=st.sampled_from([4, 16, 28])))),
 )
+_DISKS = st.fixed_dictionaries({
+    "dma_outstanding": st.sampled_from([1, 4, 64]),
+    "posted_writes": st.booleans(),
+})
 
 
-@settings(max_examples=12, deadline=None)
-@given(machine=_MACHINES, per_request=st.integers(1, 4),
-       requests=st.integers(1, 12), partial=st.integers(0, 3))
-def test_fast_forward_matches_the_full_run(machine, per_request, requests,
-                                           partial):
+def _machine_doc(kind, knobs, disk_params):
+    """A spec document with ``disk_params`` set on every disk, and the
+    name of the disk the transfer drives."""
+    if kind == "classic":
+        doc, target = classic_pci_spec().to_dict(), "disk"
+    elif kind == "validation":
+        doc, target = validation_spec(**knobs).to_dict(), "disk"
+    else:
+        doc = deep_hierarchy_spec(**knobs).to_dict()
+        target = f"sw{knobs['depth']}_disk{knobs['fanout'] - 1}"
+
+    def visit(node):
+        if node.get("kind") == "disk":
+            node["params"].update(disk_params)
+        for child in node.get("children", []):
+            visit(child)
+        if "device" in node:  # the classic bus's one slot
+            visit(node["device"])
+
+    visit(doc)
+    return doc, target
+
+
+@settings(max_examples=16, deadline=None)
+@given(machine=_MACHINES, disk=_DISKS, per_request=st.integers(1, 32),
+       requests=st.integers(1, 8), partial=st.integers(0, 31),
+       is_write=st.booleans())
+def test_fast_forward_matches_the_full_run(machine, disk, per_request,
+                                           requests, partial, is_write):
+    # Long requests with many of them are the pinned cases' job: bound
+    # the full runs here to about a hundred sectors.
+    requests = min(requests, max(1, 96 // per_request))
     n_sectors = requests * per_request + partial % per_request
     config = KernelConfig(max_sectors_per_request=per_request)
+    doc, target = _machine_doc(*machine, disk)
 
     def scenario():
-        if machine is None:
-            system = build_classic_pci_system(check=False, kernel_config=config)
-            driver = system.disk_driver
-        else:
-            system = build_system(deep_hierarchy_spec(**machine), check=False,
-                                  kernel_config=config)
-            driver = system.drivers[
-                f"sw{machine['depth']}_disk{machine['fanout'] - 1}"]
-        process = _read(system, n_sectors, driver)
-        system.run()
-        assert process.done
-        return _outcome(system), system.kernel.block_layer.requests_fast_forwarded
+        system = build_system(doc, check=False, kernel_config=config)
+        process = _transfer(system, n_sectors, system.drivers[target],
+                            is_write=is_write)
+        return _finished(system, process)
 
-    (fast, skipped), (full, __) = _both(scenario)
-    note(f"skipped {skipped} of {requests + bool(partial % per_request)}")
+    (fast, skipped), (full, none) = _both(scenario)
+    note(f"skipped {skipped} (requests, sectors) of {n_sectors} sectors")
+    assert none == (0, 0)
+    assert fast == full
+
+
+def test_a_two_request_read_skips_all_but_six_sectors():
+    # Per command: sector 1 starts cold, sectors 2 and 3 prove the
+    # period, 29 are skipped and the last one is simulated.
+    def scenario():
+        system = _gen2x1(KernelConfig())
+        return _finished(system, _transfer(system, 64))
+
+    (fast, skipped), (full, none) = _both(scenario)
+    assert (skipped, none) == ((0, 58), (0, 0))
+    assert fast == full
+
+
+@pytest.mark.parametrize("build", [_classic, _gen2x1], ids=["classic", "gen2x1"])
+def test_both_levels_engage_in_one_transfer(build):
+    # Requests 1 and 2 prove the request period while their sectors are
+    # skipped; requests 3-8 are skipped whole.
+    def scenario():
+        system = build(KernelConfig())
+        return _finished(system, _transfer(system, 8 * 32))
+
+    (fast, skipped), (full, none) = _both(scenario)
+    assert (skipped, none) == ((6, 58), (0, 0))
     assert fast == full
 
 
 @pytest.mark.parametrize("build, expected", [
-    (_classic, 6),
-    (_gen2x1, 6),
+    # Sector 3 of each simulated full request is skipped too.
+    (_classic, (6, 2)),
+    (_gen2x1, (6, 2)),
     # A coalesced ACK is still pending when the hardware reports a
     # request done, so the proof moves to the next submission and the
     # third request is simulated too.
-    (lambda: _gen2x1(ack_policy="timer"), 5),
+    (lambda: _gen2x1(ack_policy="timer"), (5, 3)),
 ], ids=["classic", "gen2x1", "gen2x1_timer_ack"])
 def test_every_full_request_after_the_proof_is_skipped(build, expected):
     def scenario():
         system = build()
-        process = _read(system, 8 * PER_REQUEST + 3)
-        system.run()
-        assert process.done
-        return _outcome(system), system.kernel.block_layer.requests_fast_forwarded
+        return _finished(system, _transfer(system, 8 * PER_REQUEST + 3))
 
     (fast, skipped), (full, none) = _both(scenario)
-    assert (skipped, none) == (expected, 0)
+    assert (skipped, none) == (expected, (0, 0))
+    assert fast == full
+
+
+def test_a_write_is_skipped_like_a_read():
+    # Writes store nothing, so their state translates as a read's does.
+    def scenario():
+        system = _classic(KernelConfig())
+        return _finished(system, _transfer(system, 4 * 32, is_write=True))
+
+    (fast, skipped), (full, none) = _both(scenario)
+    assert (skipped, none) == ((2, 58), (0, 0))
     assert fast == full
 
 
@@ -155,53 +236,66 @@ def _checked(system):
     lambda: _traced(_classic()),
     lambda: _checked(_classic()),
     lambda: _gen2x1(error_rate=0.01),
-], ids=["tracer", "checker", "lossy_link"])
+    # Posted writes leave a sector's data queued when the next sector's
+    # medium access ends: no sector boundary is quiescent.
+    lambda: _gen2x1(posted_writes=True),
+], ids=["tracer", "checker", "lossy_link", "posted_writes"])
 def test_no_proof_holds(build):
     def scenario():
         system = build()
-        process = _read(system, 8 * PER_REQUEST)
-        system.run()
-        assert process.done
-        return _outcome(system), system.kernel.block_layer.requests_fast_forwarded
+        return _finished(system, _transfer(system, 8 * PER_REQUEST))
 
     (fast, skipped), (full, __) = _both(scenario)
-    assert skipped == 0
+    assert skipped == (0, 0)
     assert fast == full
 
 
-def test_a_write_is_never_skipped():
-    # The written-LBA set grows instead of translating.
-    def scenario():
-        system = _classic()
-
-        def body():
-            yield from system.kernel.block_layer.write(
-                system.disk_driver, 0, 8 * PER_REQUEST, BUFFER)
-
-        process = system.kernel.spawn("writer", body())
-        system.run()
-        assert process.done
-        return _outcome(system), system.kernel.block_layer.requests_fast_forwarded
-
-    (fast, skipped), (full, __) = _both(scenario)
-    assert skipped == 0
-    assert fast == full
+def test_no_pause_is_requested_while_observed():
+    system = _traced(_classic(KernelConfig()))
+    with mock.patch.object(system.sim, "pause") as pause:
+        _finished(system, _transfer(system, 4 * 32))
+    pause.assert_not_called()
 
 
 def test_two_concurrent_readers_are_never_skipped():
     def scenario():
         system = build_system(deep_hierarchy_spec(1, 2), check=False,
                               kernel_config=_CONFIG)
-        readers = [_read(system, 8 * PER_REQUEST, system.drivers[f"sw1_disk{i}"],
-                         buffer_addr=BUFFER + i * (8 << 20))
+        readers = [_transfer(system, 8 * PER_REQUEST,
+                             system.drivers[f"sw1_disk{i}"],
+                             buffer_addr=BUFFER + i * (8 << 20))
                    for i in range(2)]
-        system.run()
-        assert all(reader.done for reader in readers)
-        return _outcome(system), system.kernel.block_layer.requests_fast_forwarded
+        return _finished(system, *readers)
 
     (fast, skipped), (full, __) = _both(scenario)
-    assert skipped == 0
+    assert skipped == (0, 0)
     assert fast == full
+
+
+def test_msi_after_posted_writes_follows_the_data():
+    # The command's last posted writes still fill the DMA queue when it
+    # completes: the MSI waits behind them instead of overrunning it.
+    system = build_validation_system(posted_writes=True, enable_msi=True,
+                                     check=False)
+    doorbell = system.msi_doorbell.range
+    port = system.iocache.cpu_side  # where the fabric hands writes to the host
+    receive, arrivals = port.recv_timing_req, []
+
+    def record(pkt):
+        accepted = receive(pkt)
+        if accepted:
+            arrivals.append("msi" if pkt.addr in doorbell else "data")
+        return accepted
+
+    port.recv_timing_req = record
+    process = _transfer(system, 64)
+    system.run()
+    assert process.done
+    assert system.msi_doorbell.msis_received.value() == 2
+    assert arrivals.count("data") == 64 * SECTOR // 64
+    # Each command's MSI lands after every one of its data writes.
+    assert arrivals.index("msi") == arrivals.count("data") // 2
+    assert arrivals[-1] == "msi"
 
 
 # -- horizons -----------------------------------------------------------------
@@ -210,18 +304,36 @@ def test_a_run_ending_inside_the_skippable_span_stops_where_the_full_run_does(
         limit):
     def scenario():
         system = _classic()
-        process = _read(system, 8 * PER_REQUEST)
+        process = _transfer(system, 8 * PER_REQUEST)
         # Somewhere in the fifth request, well past the proof.
         system.run(**{limit: {"max_events": 11_000,
                               "until": 1_100_000_000}[limit]})
         stopped = _outcome(system, checkpoint=False)
         system.run()
         assert process.done
-        return stopped, _outcome(system), \
-            system.kernel.block_layer.requests_fast_forwarded
+        return stopped, _outcome(system), _skipped(system)
 
     fast, full = _both(scenario)
-    assert 0 < fast[2] < 6, "the skip must still engage, shrunk to fit"
+    assert 0 < fast[2][0] < 6, "the skip must still engage, shrunk to fit"
+    assert fast[:2] == full[:2]
+
+
+@pytest.mark.parametrize("limit", ["max_events", "until"])
+def test_a_run_ending_inside_a_skippable_command_stops_where_the_full_run_does(
+        limit):
+    def scenario():
+        system = _gen2x1(KernelConfig())
+        process = _transfer(system, 32)
+        # Somewhere near the middle of the only command.
+        system.run(**{limit: {"max_events": 40_000,
+                              "until": 250_000_000}[limit]})
+        stopped = _outcome(system, checkpoint=False)
+        system.run()
+        assert process.done
+        return stopped, _outcome(system), _skipped(system)
+
+    fast, full = _both(scenario)
+    assert 0 < fast[2][1] < 29, "the skip must still engage, shrunk to fit"
     assert fast[:2] == full[:2]
 
 
@@ -230,7 +342,23 @@ def test_a_buffer_past_the_end_of_dram_fails_as_the_full_run_does():
 
     def scenario():
         system = _classic()
-        _read(system, 8 * PER_REQUEST, buffer_addr=dram_end - 5 * PER_REQUEST * SECTOR)
+        _transfer(system, 8 * PER_REQUEST,
+                  buffer_addr=dram_end - 5 * PER_REQUEST * SECTOR)
+        with pytest.raises(PortError) as failure:
+            system.run()
+        return str(failure.value), _outcome(system, checkpoint=False)
+
+    fast, full = _both(scenario)
+    assert fast == full
+
+
+def test_a_command_crossing_the_end_of_dram_fails_as_the_full_run_does():
+    # The sector proof holds from sector 3, but sector 21 is past DRAM.
+    dram_end = 0x1_8000_0000
+
+    def scenario():
+        system = _classic(KernelConfig())
+        _transfer(system, 32, buffer_addr=dram_end - 20 * SECTOR)
         with pytest.raises(PortError) as failure:
             system.run()
         return str(failure.value), _outcome(system, checkpoint=False)
@@ -245,7 +373,7 @@ def test_lbas_past_capacity_fail_as_the_full_run_does():
     def scenario():
         system = _classic()
         system.disk.capacity_sectors = 5 * PER_REQUEST
-        process = _read(system, 8 * PER_REQUEST)
+        process = _transfer(system, 8 * PER_REQUEST)
         system.run()
         assert not process.done
         return _outcome(system, checkpoint=False)
