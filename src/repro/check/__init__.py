@@ -11,7 +11,7 @@ not only by golden traces:
   layer (zero overhead while disabled);
 * :mod:`repro.check.violation` — the structured
   :class:`InvariantViolation` error carrying component path, tick, and
-  recent trace context.
+  the most recent event dispatches.
 
 Enable per simulator (``Simulator(check=True)``), per process
 (``REPRO_CHECK=on``), per harness run (``--check``), or ad hoc

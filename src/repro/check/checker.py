@@ -41,15 +41,17 @@ protocol rules:
   may leak (``link.fc_credit_leak``).
 
 Violations are :class:`~repro.check.violation.InvariantViolation`
-instances carrying component path, tick, and the most recent trace
-events from :mod:`repro.obs` (the checker attaches a small ring sink to
-the simulator's tracer while enabled).  By default the first violation
-raises; ``record_only=True`` collects instead, for tests that assert on
-``checker.violations``.
+instances carrying component path, tick, and the most recent event
+dispatches.  The checker keeps those in a ring of raw ``(when,
+priority, fn, arg)`` entries and formats them only when a violation is
+built, as exactly the ``eventq`` ``dispatch`` events the tracer would
+have recorded; arming the checker leaves the tracer off.  By default
+the first violation raises; ``record_only=True`` collects instead, for
+tests that assert on ``checker.violations``.
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.check.violation import InvariantViolation
 
@@ -57,27 +59,6 @@ __all__ = ["InvariantChecker"]
 
 #: Human-readable flow-control class names, indexed by flow-class int.
 _FLOW_NAMES = ("posted", "non-posted", "completion")
-
-
-class _RingSink:
-    """A bounded trace sink holding the most recent events for context.
-
-    Deliberately duck-typed rather than a
-    :class:`repro.obs.trace.TraceSink` subclass: ``repro.obs``'s package
-    init imports ``repro.sim``, which imports this module — subclassing
-    would close an import cycle.  The tracer only ever calls
-    ``record``/``close``.
-    """
-
-    def __init__(self, maxlen: int):
-        self.events: Deque[dict] = deque(maxlen=maxlen)
-
-    def record(self, event: dict) -> None:
-        """Append one event, evicting the oldest beyond ``maxlen``."""
-        self.events.append(event)
-
-    def close(self) -> None:
-        """Nothing to flush; the ring lives in memory."""
 
 
 def _resolve_port(sim, full_name: str):
@@ -137,9 +118,8 @@ class InvariantChecker:
 
     Args:
         sim: the owning :class:`~repro.sim.simobject.Simulator`.
-        context_events: size of the ring buffer of recent trace events
-            attached while the checker is enabled (0 disables context
-            capture).
+        context_events: how many recent dispatches the ring keeps for a
+            violation's context (0 disables context capture).
         record_only: when True, violations are appended to
             :attr:`violations` instead of raised — the mode campaign
             summaries and negative tests use.
@@ -152,8 +132,11 @@ class InvariantChecker:
         self.record_only = record_only
         self.context_events = context_events
         self.violations: List[InvariantViolation] = []
-        self._ring: Optional[_RingSink] = None
+        # Raw (when, priority, fn, arg) entries of the last dispatches.
+        self._ring: Deque[tuple] = deque(maxlen=context_events)
         self._last_dispatch_tick = 0
+        # UpdateFC DLLP type -> flow class lookup, bound by enable().
+        self._update_fc_class = None
         # One ledger per bound master/slave pair, keyed by the master
         # port; refused-packet records keyed by the re-sending port.
         self._pairs: Dict[object, _PairLedger] = {}
@@ -166,28 +149,30 @@ class InvariantChecker:
 
     # -- lifecycle ---------------------------------------------------------
     def enable(self) -> "InvariantChecker":
-        """Arm every hook; attach the context ring to the tracer."""
-        if self.enabled:
-            return self
+        """Arm every hook.  The tracer stays as it is."""
+        # Not a top-level import: repro.pcie imports repro.sim, which
+        # imports this module.
+        from repro.pcie.pkt import FLOW_CLASS_FOR_DLLP
+
+        self._update_fc_class = FLOW_CLASS_FOR_DLLP.get
         self.enabled = True
-        if self.context_events and self._ring is None:
-            self._ring = _RingSink(self.context_events)
-            self.sim.tracer.attach(self._ring)
         return self
 
     def disable(self) -> "InvariantChecker":
-        """Disarm the hooks and detach the context ring."""
-        if not self.enabled:
-            return self
+        """Disarm the hooks and forget the recorded dispatches."""
         self.enabled = False
-        if self._ring is not None and self._ring in self.sim.tracer.sinks:
-            self.sim.tracer.detach(self._ring)
-        self._ring = None
+        self._ring.clear()
         return self
 
     def recent_events(self) -> List[dict]:
-        """The captured trace context, oldest first (may be empty)."""
-        return list(self._ring.events) if self._ring is not None else []
+        """The last dispatches, oldest first, as the tracer's ``eventq``
+        ``dispatch`` events (may be empty)."""
+        from repro.sim.eventq import dispatch_label
+
+        comp = self.sim.eventq.name
+        return [{"t": when, "cat": "eventq", "comp": comp, "ev": "dispatch",
+                 "name": dispatch_label(fn, arg), "pri": priority}
+                for when, priority, fn, arg in self._ring]
 
     def _violate(self, rule: str, component: str, detail: str) -> None:
         """Record one violation; raise it unless in record-only mode."""
@@ -200,15 +185,18 @@ class InvariantChecker:
             raise violation
 
     # -- event queue -------------------------------------------------------
-    def on_dispatch(self, when: int, label: str) -> None:
-        """Called per dispatch with the entry's label (see
-        :func:`repro.sim.eventq.dispatch_label`): ticks must never move
-        backwards."""
+    def on_dispatch(self, when: int, priority: int, fn, arg) -> None:
+        """Called per dispatch with the entry's parts: record it in the
+        ring; ticks must never move backwards."""
+        self._ring.append((when, priority, fn, arg))
         if when < self._last_dispatch_tick:
+            from repro.sim.eventq import dispatch_label
+
             self._violate(
                 "eventq.time_monotonic", self.sim.eventq.name,
-                f"event {label!r} dispatched at tick {when} after "
-                f"tick {self._last_dispatch_tick} had already fired",
+                f"event {dispatch_label(fn, arg)!r} dispatched at tick "
+                f"{when} after tick {self._last_dispatch_tick} had "
+                f"already fired",
             )
         self._last_dispatch_tick = when
 
@@ -346,9 +334,7 @@ class InvariantChecker:
     def link_dllp_received(self, iface, ppkt) -> None:
         """A DLLP arrived: an ACK/NAK may not acknowledge an unsent TLP,
         an UpdateFC may not regress the cumulative credit limit."""
-        from repro.pcie.pkt import FLOW_CLASS_FOR_DLLP
-
-        cls = FLOW_CLASS_FOR_DLLP.get(ppkt.dllp_type)
+        cls = self._update_fc_class(ppkt.dllp_type)
         if cls is not None:
             # Limits we emitted are monotone (coalescing keeps the max)
             # and the wire is in-order, so a regression means the peer's

@@ -3,9 +3,10 @@
 An :class:`InvariantViolation` is deliberately more than an assert: it
 carries the *rule* that fired, the dotted path of the component it
 fired on, the simulated tick, a human-readable detail string, and the
-most recent trace events the checker's ring buffer captured — enough
-to reconstruct the protocol exchange that led to the violation without
-re-running the simulation under a full trace sink.
+most recent event dispatches the checker's ring captured, formatted as
+the tracer's ``eventq`` ``dispatch`` events.  The run is deterministic,
+so the full TLP-level trace of the lead-up is one traced rerun to the
+violation's tick away.
 """
 
 from typing import List, Optional, Sequence
@@ -20,9 +21,8 @@ class InvariantViolation(RuntimeError):
         component: full dotted name of the component the rule fired on.
         tick: simulated tick at which the violation was observed.
         detail: human-readable description of what went wrong.
-        context: the most recent trace events (oldest first) captured by
-            the checker's ring buffer, or an empty list when tracing was
-            unavailable.
+        context: the most recent dispatch events (oldest first) from the
+            checker's ring, or an empty list when context capture is off.
     """
 
     #: How many trailing context events :meth:`__str__` renders.

@@ -11,7 +11,8 @@ layers:
    ``multiprocessing`` pool (``spawn`` start method, so workers are
    clean interpreters with no inherited simulator state).  With
    ``workers <= 1`` misses run in-process, which is also the fallback
-   when there is only one miss to run.
+   when there is only one miss to run.  Each outcome is cached as it
+   arrives, so a sweep that dies at point k keeps points 0..k-1.
 3. **Merge** — results are assembled strictly in the sweep's point
    declaration order and normalised through a canonical-JSON round
    trip, so the merged output is byte-identical no matter how many
@@ -95,6 +96,18 @@ def _execute_point(payload: Tuple[str, Dict[str, Any]]) -> Tuple[Any, float]:
     result = runner(**params)
     elapsed = time.perf_counter() - start
     return _normalise(result), elapsed
+
+
+def _execute_in_order(payloads: List[Tuple[str, Dict[str, Any]]],
+                      nworkers: int):
+    """Yield each payload's ``(result, elapsed)`` in order, as soon as
+    it and every payload before it have finished."""
+    if nworkers > 1 and len(payloads) > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(processes=min(nworkers, len(payloads))) as pool:
+            yield from pool.imap(_execute_point, payloads, chunksize=1)
+    else:
+        yield from map(_execute_point, payloads)
 
 
 class SweepResult:
@@ -238,12 +251,7 @@ class SweepEngine:
 
         if misses:
             payloads = [(points[i].runner, exec_params[i]) for i in misses]
-            if nworkers > 1 and len(misses) > 1:
-                ctx = multiprocessing.get_context("spawn")
-                with ctx.Pool(processes=min(nworkers, len(misses))) as pool:
-                    outcomes = pool.map(_execute_point, payloads, chunksize=1)
-            else:
-                outcomes = [_execute_point(payload) for payload in payloads]
+            outcomes = _execute_in_order(payloads, nworkers)
             for index, (result, elapsed) in zip(misses, outcomes):
                 point = points[index]
                 results[point.key] = result

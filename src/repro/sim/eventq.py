@@ -125,8 +125,8 @@ def labelled(label: Union[str, Callable[[Any], str]]) -> Callable:
 def dispatch_label(fn: Callable, arg: Any) -> str:
     """The tracer's and checker's name for one entry.
 
-    Computed only when one of them is armed, so untraced dispatch never
-    builds a string.
+    Computed only when the tracer is armed or a checker violation is
+    built, so untraced dispatch never builds a string.
     """
     if fn is fire:
         return arg.name
@@ -143,7 +143,7 @@ def dispatch_label(fn: Callable, arg: Any) -> str:
 class _QueueBase:
     """What both queues share beyond how they store entries: the clock
     and counters, the convenience schedulers, the checkpoint scalars,
-    single-stepping and the armed-observer hook.  A queue provides
+    single-stepping and the armed-tracer hook.  A queue provides
     ``schedule``/``deschedule``/``call_at``, ``run`` and
     ``_drop_squashed_head`` over its ``_heap``."""
 
@@ -262,21 +262,17 @@ class _QueueBase:
         self.curtick = when
         self.events_processed += 1
         trc, ck = self.tracer, self.checker
-        if (trc is not None and trc.enabled) or (ck is not None and ck.enabled):
-            self._observe(when, priority, fn, arg)
+        if trc is not None and trc.enabled:
+            self._trace(when, priority, fn, arg)
+        if ck is not None and ck.enabled:
+            ck.on_dispatch(when, priority, fn, arg)
         fn(arg)
         return True
 
-    def _observe(self, when: int, priority: int, fn: Callable, arg: Any) -> None:
-        """Tell an armed tracer and checker about one dispatch."""
-        label = dispatch_label(fn, arg)
-        trc = self.tracer
-        if trc is not None and trc.enabled:
-            trc.emit(when, "eventq", self.name, "dispatch",
-                     name=label, pri=priority)
-        ck = self.checker
-        if ck is not None and ck.enabled:
-            ck.on_dispatch(when, label)
+    def _trace(self, when: int, priority: int, fn: Callable, arg: Any) -> None:
+        """Tell an armed tracer about one dispatch."""
+        self.tracer.emit(when, "eventq", self.name, "dispatch",
+                         name=dispatch_label(fn, arg), pri=priority)
 
     def stop(self) -> None:
         """Ask a ``run`` in progress to stop after the current event."""
@@ -434,9 +430,10 @@ class EventQueue(_QueueBase):
                 pop(heap)
                 self.curtick = when
                 serviced += 1
-                if ((trc is not None and trc.enabled)
-                        or (ck is not None and ck.enabled)):
-                    self._observe(when, entry[1], fn, entry[4])
+                if trc is not None and trc.enabled:
+                    self._trace(when, entry[1], fn, entry[4])
+                if ck is not None and ck.enabled:
+                    ck.on_dispatch(when, entry[1], fn, entry[4])
                 fn(entry[4])
         finally:
             self.events_processed += serviced
@@ -535,9 +532,10 @@ class ReferenceEventQueue(_QueueBase):
                 __, priority, __, fn, arg = pop(heap)
                 self.curtick = when
                 serviced += 1
-                if ((trc is not None and trc.enabled)
-                        or (ck is not None and ck.enabled)):
-                    self._observe(when, priority, fn, arg)
+                if trc is not None and trc.enabled:
+                    self._trace(when, priority, fn, arg)
+                if ck is not None and ck.enabled:
+                    ck.on_dispatch(when, priority, fn, arg)
                 fn(arg)
         finally:
             self.events_processed += serviced

@@ -11,9 +11,13 @@ import pytest
 from repro.check import InvariantChecker, InvariantViolation
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PortError, SlavePort
+from repro.obs.trace import MemorySink, Tracer
 from repro.pcie.fc import CreditLedger
 from repro.pcie.pkt import PciePacket
+from repro.sim.eventq import call
 from repro.sim.simobject import CHECK_ENV, SimObject, Simulator
+from repro.system.topology import build_validation_system
+from repro.workloads.dd import DdWorkload
 
 from tests.pcie.test_link import build_dma_path
 
@@ -59,14 +63,25 @@ def test_check_env_enables(monkeypatch):
     assert not Simulator(check=False).checker.enabled
 
 
-def test_check_knob_enables_and_attaches_ring(monkeypatch):
+def test_check_knob_enables_without_arming_the_tracer(monkeypatch):
     monkeypatch.delenv(CHECK_ENV, raising=False)
     sim = Simulator(check=True)
     assert sim.checker.enabled
-    assert sim.checker._ring in sim.tracer.sinks
+    assert sim.tracer.enabled is False
+    assert sim.tracer.sinks == []
     sim.checker.disable()
     assert not sim.checker.enabled
-    assert sim.checker._ring is None
+    # A checker-armed dd allocates no tracer TLP ids.
+    system = build_validation_system(root_link_width=1, device_link_width=1,
+                                     check=True)
+    dd = DdWorkload(system.kernel, system.disk_driver, 4096,
+                    startup_overhead=0)
+    process = system.kernel.spawn("dd", dd.run())
+    system.run()
+    assert process.done
+    assert system.sim.checker.violations == []
+    assert system.sim.tracer.enabled is False
+    assert system.sim.tracer._next_tlp_id == 0
 
 
 def test_components_cache_the_checker():
@@ -80,12 +95,17 @@ def test_components_cache_the_checker():
 # -- event queue -------------------------------------------------------------
 
 
+def probe():
+    """A dispatch target whose label is its name."""
+
+
 def test_time_monotonic_rule():
     sim = Simulator(check=True)
     sim.checker.record_only = True
-    sim.checker.on_dispatch(10, "probe")
-    sim.checker.on_dispatch(5, "probe")
+    sim.checker.on_dispatch(10, 0, call, probe)
+    sim.checker.on_dispatch(5, 0, call, probe)
     assert [v.rule for v in sim.checker.violations] == ["eventq.time_monotonic"]
+    assert "'probe'" in sim.checker.violations[0].detail
 
 
 def test_normal_run_is_monotonic_and_clean():
@@ -255,10 +275,32 @@ def test_violation_carries_trace_context():
     sim.run()
     with pytest.raises(InvariantViolation) as exc:
         link.downstream_if._receive_dllp(PciePacket.ack(99))
-    # The ring sink captured the exchange that preceded the violation.
+    # The ring captured the dispatches that preceded the violation.
     assert exc.value.context
     assert "link.ack_unsent_seq" in str(exc.value)
     assert "last" in str(exc.value)  # the rendered context header
+
+
+def test_violation_context_equals_the_traced_dispatch_tail():
+    sim = Simulator(tracer=Tracer(categories={"eventq"}), check=True)
+    sink = sim.tracer.attach(MemorySink())
+    link, device, memory = build_dma_path(sim)
+    for i in range(8):  # enough dispatches to wrap the ring
+        device.write(0x80000000 + i * 64, 64)
+    sim.run()
+    with pytest.raises(InvariantViolation) as exc:
+        link.downstream_if._receive_dllp(PciePacket.ack(99))
+    assert len(sink.events) > sim.checker.context_events
+    assert exc.value.context == sink.events[-sim.checker.context_events:]
+
+
+def test_zero_context_events_records_nothing():
+    checker = InvariantChecker(Simulator(), context_events=0,
+                               record_only=True).enable()
+    checker.on_dispatch(10, 0, call, probe)
+    checker.on_dispatch(5, 0, call, probe)
+    assert checker.recent_events() == []
+    assert [v.context for v in checker.violations] == [[]]
 
 
 def test_record_only_collects_instead_of_raising():

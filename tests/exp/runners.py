@@ -18,6 +18,19 @@ def failing(message="boom"):
     raise RuntimeError(message)
 
 
+#: Points ``fails_once`` raises on, each only the first time.
+FAIL_ONCE = set()
+
+
+def fails_once(x):
+    """``quadratic``, except that it raises the first time it meets an
+    ``x`` in :data:`FAIL_ONCE` — a sweep that dies part-way."""
+    if x in FAIL_ONCE:
+        FAIL_ONCE.discard(x)
+        raise RuntimeError(f"point {x} died")
+    return quadratic(x)
+
+
 PREFIX_CALLS = []
 
 

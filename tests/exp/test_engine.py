@@ -89,6 +89,24 @@ def test_runner_exception_propagates():
         SweepEngine().run(sweep, workers=1)
 
 
+def test_a_sweep_that_dies_keeps_its_finished_points(tmp_path):
+    cache_dir = tmp_path / "cache"
+    engine = SweepEngine(cache_dir=str(cache_dir))
+    sweep = Sweep("dies")
+    for x in range(5):
+        sweep.add(f"p{x}", runners.fails_once, x=x)
+    runners.CALLS.clear()
+    runners.FAIL_ONCE.add(2)
+    with pytest.raises(RuntimeError, match="point 2 died"):
+        engine.run(sweep, workers=1)
+    assert len(list(cache_dir.glob("*.json"))) == 2
+    runners.CALLS.clear()
+    result = engine.run(sweep, workers=1)
+    assert [x for x, __ in runners.CALLS] == [2, 3, 4]
+    assert result.cached == {
+        "p0": True, "p1": True, "p2": False, "p3": False, "p4": False}
+
+
 def test_bench_record_appended(tmp_path):
     bench_path = str(tmp_path / "BENCH_sweeps.json")
     engine = SweepEngine(cache_dir=str(tmp_path / "cache"),

@@ -17,6 +17,8 @@ Part (b) bounds the interpreter work per TLP from above: the number of
 function calls (Python and C, as ``sys.setprofile`` reports them) per
 TLP delivered across a saturated link.  The count repeats exactly from
 run to run, so the ceiling is the measurement plus 10 %, not a timing.
+A second ceiling holds the same burst with the checker armed, so arming
+it cannot quietly start paying for the tracer again.
 A saturated link in steady state also builds no :class:`Event` at all:
 its per-packet work is fire-and-forget calls, its timers are handles
 built once.
@@ -63,6 +65,12 @@ GOLDEN_CLEAN_LABEL_CLASSES = {
 #: on the binary heap, 125.53 on the hybrid calendar queue after the
 #: PR 14 pass, 179.52 before it), plus 10 %.
 CALLS_PER_TLP_CEILING = 106
+
+#: The same burst with the checker armed: 140.87 measured once the
+#: checker kept its own ring of raw dispatch entries instead of arming
+#: the tracer (227.80 while a ring sink on the tracer turned on every
+#: trace point), plus 10 %.
+ARMED_CALLS_PER_TLP_CEILING = 155
 
 
 def _schedule(sim):
@@ -133,10 +141,10 @@ def _count_calls(func):
     return calls
 
 
-def _saturated_burst_calls(n_tlps):
-    # Checker and tracer off whatever the environment says: the budget
-    # is for the plain hot path.
-    sim = Simulator("budget", check=False)
+def _saturated_burst_calls(n_tlps, check=False):
+    # The checker is set explicitly whatever the environment says, and
+    # the tracer is never armed.
+    sim = Simulator("budget", check=check)
     link = PcieLink(sim, "link", gen=PcieGen.GEN2, width=1,
                     ack_policy="immediate")
     driver = _LinkDriver(sim, link, n_tlps)
@@ -157,6 +165,15 @@ def test_calls_per_delivered_tlp_within_budget():
     calls = _saturated_burst_calls(n_tlps)
     assert calls == _saturated_burst_calls(n_tlps), "count must repeat exactly"
     assert calls / n_tlps <= CALLS_PER_TLP_CEILING
+
+
+def test_armed_checker_calls_per_delivered_tlp_within_budget():
+    n_tlps = 400
+    _saturated_burst_calls(50)  # fill the process-wide wire-time memo
+    calls = _saturated_burst_calls(n_tlps, check=True)
+    assert calls == _saturated_burst_calls(n_tlps, check=True), \
+        "count must repeat exactly"
+    assert calls / n_tlps <= ARMED_CALLS_PER_TLP_CEILING
 
 
 def test_steady_state_link_dispatch_builds_no_event(monkeypatch):

@@ -129,9 +129,9 @@ def test_on_exit_waits_for_a_drained_run():
 
 
 def test_schedule_label_is_lazy(monkeypatch):
-    # check=False keeps the checker's context ring off the tracer, so
-    # the tracer is genuinely disabled even under REPRO_CHECK=on.
-    sim = Simulator(check=False)
+    # An armed checker builds no label either: it formats its ring of
+    # dispatches only when a violation is built.
+    sim = Simulator(check=True)
     system = SimObject(sim, "system")
     dev = Ticker(sim, "dev", parent=system)
     labels = []
