@@ -14,8 +14,10 @@ size.  :data:`SCALE` now only keeps the committed figure payloads
 stable, and dropping it, which moves them in the fourth digit, is a
 separate change.
 
-All simulated-system defaults live in :data:`SYSTEM_DEFAULTS` so the
-calibration is recorded in exactly one place.
+The simulated machines' calibration (service interval, ACK policy,
+datapath scope, ...) lives in the presets of :mod:`repro.system.spec`;
+this module holds only the workload side: block sizes, dd's startup
+cost and the paper's swept values.
 """
 
 from repro.sim import ticks
@@ -37,12 +39,6 @@ DD_STARTUP = ticks.from_us(29_000 // SCALE)
 
 #: The physical reference uses the same scaled startup cost.
 PHYS_STARTUP = DD_STARTUP
-
-SYSTEM_DEFAULTS = dict(
-    service_interval=ticks.from_ns(42),
-    ack_policy="immediate",
-    datapath_scope="port",
-)
 
 # Sweep points straight from the paper.
 SWITCH_LATENCIES_NS = (50, 100, 150)

@@ -267,18 +267,20 @@ def bench_link_saturation(n_tlps: int = 6_000) -> Dict[str, float]:
 def bench_dd(best_of: int = 3, check: bool = False) -> Dict[str, Any]:
     """Best-of-N wall clock of the Gen 2 x1 64 MB-scaled ``dd`` point.
 
-    Tracing stays off (``trace_categories=None``); ``check`` arms the
-    runtime invariant checker for the whole run.
+    Tracing stays off; ``check`` arms the runtime invariant checker for
+    the whole run.
     """
-    from benchmarks.harness import run_dd
+    from repro.exp.points import dd_point
+    from repro.system.spec import validation_spec
 
+    topology = validation_spec(root_link_width=1,
+                               device_link_width=1).to_dict()
     runs: List[float] = []
     metrics: Dict[str, Any] = {}
     for __ in range(best_of):
         start = time.perf_counter()
-        metrics = run_dd(config.BLOCK_SIZES["64MB"], root_link_width=1,
-                         device_link_width=1, trace_categories=None,
-                         check=check)
+        metrics = dd_point(topology, config.BLOCK_SIZES["64MB"],
+                           config.DD_STARTUP, check=check)
         runs.append(round(time.perf_counter() - start, 4))
     return {"wall_s": min(runs), "runs_s": runs,
             "throughput_gbps": round(metrics["throughput_gbps"], 6)}

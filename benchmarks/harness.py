@@ -1,8 +1,8 @@
 """Benchmark harness: sweep execution, artifact persistence, and a CLI.
 
-Every figure/table reproduction boils down to: build the paper's
-validation (or NIC) topology with one knob changed, run ``dd`` (or the
-MMIO kernel module), and extract throughput plus link-layer statistics.
+Every figure/table reproduction boils down to: build one machine from a
+topology-spec preset with one knob changed, run ``dd`` (or the MMIO
+kernel module), and extract throughput plus link-layer statistics.
 The configurations live in :mod:`benchmarks.sweeps`; this module runs
 them through the :class:`repro.exp.SweepEngine` (result cache under
 ``benchmarks/results/.cache``, wall-clock records appended to
@@ -12,26 +12,16 @@ them through the :class:`repro.exp.SweepEngine` (result cache under
 Run one experiment from the command line, fanned out over workers::
 
     python -m benchmarks.harness fig9b --workers 4
-
-:func:`run_dd` / :func:`run_mmio` remain as direct, traceable one-shot
-entry points — they bypass the cache and can attach trace sinks, which
-sweep points (pure, cacheable functions) deliberately cannot.
 """
 
 import argparse
 import json
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from benchmarks import config
-from repro.analysis.report import Table, link_replay_stats
+from repro.analysis.report import Table
 from repro.exp import SweepEngine, SweepResult, Sweep
-from repro.obs import ChromeTraceSink, JsonlSink, write_stats_json
-from repro.sim import ticks
-from repro.system.topology import build_nic_system, build_validation_system
-from repro.workloads.dd import DdWorkload
-from repro.workloads.mmio import MmioReadBench
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -80,91 +70,28 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None,
     return engine.run(sweep)
 
 
-def run_dd(block_bytes: int, startup_overhead: Optional[int] = None,
-           trace_path: Optional[str] = None,
-           chrome_trace_path: Optional[str] = None,
-           stats_path: Optional[str] = None,
-           trace_categories: Optional[Sequence[str]] = ("link", "engine"),
-           check: Optional[bool] = None,
-           **system_kwargs) -> Dict[str, float]:
-    """Build the validation system, run one dd block, return metrics.
-
-    When ``trace_path`` / ``chrome_trace_path`` are given, the workload
-    (not the boot) is traced and the JSONL / Chrome ``trace_event``
-    artifact written there; ``stats_path`` additionally dumps the full
-    typed statistics document after the run.  ``check`` arms the
-    runtime invariant checker (:mod:`repro.check`) for the whole run,
-    boot included; None defers to the ``REPRO_CHECK`` environment
-    variable.
-    """
-    kwargs = dict(config.SYSTEM_DEFAULTS)
-    kwargs.update(system_kwargs)
-    system = build_validation_system(check=check, **kwargs)
-    tracer = system.sim.tracer
-    chrome_sink = None
-    if trace_categories is not None:
-        tracer.categories = frozenset(trace_categories)
-    if trace_path is not None:
-        tracer.attach(JsonlSink(trace_path, meta={"workload": "dd",
-                                                  "block_bytes": block_bytes}))
-    if chrome_trace_path is not None:
-        chrome_sink = tracer.attach(ChromeTraceSink())
-    dd = DdWorkload(
-        system.kernel,
-        system.disk_driver,
-        block_bytes,
-        startup_overhead=config.DD_STARTUP if startup_overhead is None else startup_overhead,
-    )
-    process = system.kernel.spawn("dd", dd.run())
-    system.run(max_events=500_000_000)
-    if not process.done:
-        raise RuntimeError("dd did not finish — simulation wedged?")
-    if chrome_sink is not None:
-        chrome_sink.write(chrome_trace_path)
-    tracer.close()
-    if stats_path is not None:
-        write_stats_json(system.sim, stats_path,
-                         meta={"workload": "dd", "block_bytes": block_bytes})
-    stats = link_replay_stats(system.disk_link)
-    sector_mean = system.disk.sector_transfer_ticks.mean
-    return {
-        "throughput_gbps": dd.result.throughput_gbps,
-        "transfer_gbps": dd.result.transfer_gbps,
-        "replay_fraction": stats["replay_fraction"],
-        "fc_stall_ticks": stats["fc_stall_ticks"],
-        "timeouts": stats["timeouts"],
-        "tlps_sent": stats["tlps_sent"],
-        "device_level_gbps": (
-            system.disk.sector_size * 8 / ticks.to_ns(sector_mean)
-            if sector_mean
-            else 0.0
-        ),
-    }
-
-
-def run_mmio(rc_latency_ns: int, iterations: int = 50,
-             **system_kwargs) -> float:
-    """Build the NIC system and measure mean 4B MMIO read latency (ns)."""
-    kwargs = dict(config.SYSTEM_DEFAULTS)
-    kwargs.update(system_kwargs)
-    system = build_nic_system(rc_latency=ticks.from_ns(rc_latency_ns), **kwargs)
-    bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
-                          iterations=iterations)
-    process = system.kernel.spawn("mmio", bench.run())
-    system.run()
-    if not process.done:
-        raise RuntimeError("MMIO bench did not finish")
-    return bench.mean_latency_ns
-
-
 def save_results(name: str, payload: dict,
                  results_dir: Optional[str] = None) -> str:
-    """Persist one experiment's data under benchmarks/results/."""
+    """Persist one experiment's data under benchmarks/results/.
+
+    The document goes to a temporary file in the same directory and
+    then replaces ``<name>.json`` in one ``os.replace``, so a run killed
+    mid-write leaves the previous payload intact.
+    """
     root = results_dir or RESULTS_DIR
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, f"{name}.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return path
 
 
@@ -248,12 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run every point with the runtime invariant "
                              "checker armed (repro.check); checked runs "
                              "cache separately from unchecked ones")
-    parser.add_argument("--checkpoint", action="store_true",
-                        help="build the sweep in checkpoint mode: shared "
-                             "warm-up prefixes are simulated once, "
-                             "snapshotted, and every point forks from the "
-                             "snapshot (sweeps without a checkpoint mode "
-                             "reject this flag)")
     parser.add_argument("--results-dir", default=None, metavar="DIR",
                         help=f"artifact directory (default: {RESULTS_DIR})")
     parser.add_argument("--profile", action="store_true",
@@ -282,27 +203,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"known benchmarks: {known}", file=sys.stderr)
         return 2
 
-    if args.checkpoint:
-        import inspect
-
-        if "checkpoint" not in inspect.signature(builder).parameters:
-            print(f"error: benchmark {args.benchmark!r} has no checkpoint "
-                  f"mode (sweeps with one take a checkpoint= builder "
-                  f"argument)", file=sys.stderr)
-            return 2
-        sweep = builder(checkpoint=True)
-    else:
-        sweep = builder()
+    sweep = builder()
     if args.check:
         # Every point runner accepts a ``check`` kwarg; adding it to the
         # params changes the cache key, so checked results never shadow
-        # (or get served from) the unchecked cache entries.  A point's
-        # prefix must describe the same machine as the point itself, so
-        # the flag reaches the prefix params too.
+        # (or get served from) the unchecked cache entries.
         for point in sweep.points:
             point.params["check"] = True
-            if point.prefix is not None:
-                point.prefix["params"]["check"] = True
     if args.profile:
         path = profile_point(sweep, results_dir=args.results_dir)
         print(f"profile: {path}")

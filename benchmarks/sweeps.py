@@ -6,6 +6,13 @@ and parallelise; see :mod:`repro.exp.spec`).  The benchmark test files
 and the ``python -m benchmarks.harness`` CLI both consume these, which
 keeps the set of simulated configurations defined in exactly one place.
 
+Every point names its machine the same way: a ``topology`` parameter
+holding the serialised spec a :mod:`repro.system.spec` preset made
+(``validation_spec``, ``nic_spec``, ``classic_pci_spec``,
+``deep_hierarchy_spec``) with the swept knob set on the preset.  A
+point's cache key is therefore the canonical document of the machine it
+runs, never a builder's argument list.
+
 Point keys are stable, human-readable labels (``"128MB/x8"``,
 ``"rc100"``) — they are the merge keys of the persisted results, so
 renaming one invalidates nothing in the cache but does change the
@@ -14,12 +21,13 @@ result document.
 
 from benchmarks import config
 from repro.exp import Sweep
-from repro.system.spec import deep_hierarchy_spec
+from repro.sim import ticks
+from repro.system.spec import (classic_pci_spec, deep_hierarchy_spec,
+                               nic_spec, validation_spec)
 from repro.workloads.scenarios import SCENARIOS, fanout_contention, np_storm
 
 #: Dotted runner paths (see repro.exp.points for the implementations).
 DD = "repro.exp.points:dd_point"
-DD_PREFIX = "repro.exp.points:dd_prefix"
 MMIO = "repro.exp.points:mmio_point"
 CLASSIC_PCI = "repro.exp.points:classic_pci_point"
 STRESS = "repro.exp.points:stress_point"
@@ -33,13 +41,12 @@ FIG9CD_BLOCK = "128MB"
 ABLATION_BLOCK = "64MB"
 
 
-def _dd_params(block_label, **overrides):
-    """Calibrated dd-point parameters for one paper block size."""
-    params = dict(config.SYSTEM_DEFAULTS)
-    params["block_bytes"] = config.BLOCK_SIZES[block_label]
-    params["startup_overhead"] = config.DD_STARTUP
-    params.update(overrides)
-    return params
+def _dd_params(block_label, **spec_kwargs):
+    """Calibrated dd-point parameters for one paper block size, on the
+    validation fabric with ``spec_kwargs`` set on its preset."""
+    return dict(topology=validation_spec(**spec_kwargs).to_dict(),
+                block_bytes=config.BLOCK_SIZES[block_label],
+                startup_overhead=config.DD_STARTUP)
 
 
 def fig9a_sweep() -> Sweep:
@@ -48,48 +55,18 @@ def fig9a_sweep() -> Sweep:
     for label in config.BLOCK_SIZES:
         for ns in config.SWITCH_LATENCIES_NS:
             sweep.add(f"{label}/L{ns}", DD,
-                      **_dd_params(label, switch_latency_ns=ns))
+                      **_dd_params(label, switch_latency=ticks.from_ns(ns)))
     return sweep
 
 
-#: Warm-up for checkpoint-mode sweeps: one dd block per prefix.  fig9b
-#: warms with a full 64MB-class block — the warm-up is then comparable
-#: to a measured point, which is exactly the regime prefix sharing is
-#: for (the engine pays it once per link width instead of once per
-#: point).  The deep-hierarchy grid warms with its own short block.
-CHECKPOINT_WARM_BLOCKS = 1
-
-
-def _dd_prefix(warm_block_bytes, **system_params):
-    """A dd_prefix declaration over one warm-up block, for one machine."""
-    params = dict(system_params)
-    params["warm_blocks"] = CHECKPOINT_WARM_BLOCKS
-    params["warm_block_bytes"] = warm_block_bytes
-    return {"runner": DD_PREFIX, "params": params}
-
-
-def fig9b_sweep(checkpoint: bool = False) -> Sweep:
-    """Fig. 9(b): link width x1/x2/x4/x8, all links swept together.
-
-    With ``checkpoint=True`` every point runs a 64MB-class warm-up dd
-    before the measured block and declares a shared prefix per link
-    width: the engine simulates the warm-up once per width, checkpoints
-    it, and forks both block sizes from the snapshot.
-    """
-    warm_bytes = config.BLOCK_SIZES["64MB"]
+def fig9b_sweep() -> Sweep:
+    """Fig. 9(b): link width x1/x2/x4/x8, all links swept together."""
     sweep = Sweep("fig9b")
     for label in FIG9B_BLOCKS:
         for width in config.LINK_WIDTHS:
-            system = dict(config.SYSTEM_DEFAULTS)
-            system.update(root_link_width=width, device_link_width=width)
-            params = _dd_params(label, root_link_width=width,
-                                device_link_width=width)
-            prefix = None
-            if checkpoint:
-                params["warm_blocks"] = CHECKPOINT_WARM_BLOCKS
-                params["warm_block_bytes"] = warm_bytes
-                prefix = _dd_prefix(warm_bytes, **system)
-            sweep.add(f"{label}/x{width}", DD, prefix=prefix, **params)
+            sweep.add(f"{label}/x{width}", DD,
+                      **_dd_params(label, root_link_width=width,
+                                   device_link_width=width))
     return sweep
 
 
@@ -120,8 +97,8 @@ def table2_sweep() -> Sweep:
     """Table II: root-complex latency vs 4-byte MMIO read time."""
     sweep = Sweep("table2")
     for ns in config.RC_LATENCIES_NS:
-        params = dict(config.SYSTEM_DEFAULTS)
-        sweep.add(f"rc{ns}", MMIO, rc_latency_ns=ns, **params)
+        sweep.add(f"rc{ns}", MMIO,
+                  topology=nic_spec(rc_latency=ticks.from_ns(ns)).to_dict())
     return sweep
 
 
@@ -137,8 +114,9 @@ def ablations_sweep() -> Sweep:
     sweep.add("gen1", DD, **_dd_params(ABLATION_BLOCK, gen="GEN1"))
     sweep.add("gen3", DD, **_dd_params(ABLATION_BLOCK, gen="GEN3"))
     sweep.add("zero_switch_latency", DD,
-              **_dd_params(ABLATION_BLOCK, switch_latency_ns=0))
+              **_dd_params(ABLATION_BLOCK, switch_latency=0))
     sweep.add("classic_pci", CLASSIC_PCI,
+              topology=classic_pci_spec().to_dict(),
               block_bytes=config.BLOCK_SIZES[ABLATION_BLOCK],
               startup_overhead=config.DD_STARTUP)
     return sweep
@@ -171,14 +149,12 @@ def stress_sweep() -> Sweep:
         for dr in STRESS_DLLP_ERROR_RATES:
             for rb in STRESS_REPLAY_BUFFERS:
                 for iq in STRESS_INPUT_QUEUES:
-                    params = dict(config.SYSTEM_DEFAULTS)
-                    sweep.add(
-                        f"er{er}/dllp{dr}/rb{rb}/iq{iq}", STRESS,
-                        block_bytes=STRESS_BLOCK_BYTES,
+                    spec = validation_spec(
                         error_rate=er, dllp_error_rate=dr,
-                        replay_buffer_size=rb, input_queue_size=iq,
-                        **params,
-                    )
+                        replay_buffer_size=rb, input_queue_size=iq)
+                    sweep.add(f"er{er}/dllp{dr}/rb{rb}/iq{iq}", STRESS,
+                              topology=spec.to_dict(),
+                              block_bytes=STRESS_BLOCK_BYTES)
     # The 37th point: a *multi-flow* scenario under fault injection on
     # the shared uplink, so the campaign also gates concurrent-initiator
     # recovery (checker armed explicitly — this sweep runs unchecked
@@ -213,7 +189,7 @@ DEEP_HIERARCHY_FANOUTS = (1, 2, 4, 8)
 DEEP_HIERARCHY_BLOCK_BYTES = 64 * 1024
 
 
-def deep_hierarchy_sweep(checkpoint: bool = False) -> Sweep:
+def deep_hierarchy_sweep() -> Sweep:
     """Topology exploration: dd throughput vs switch depth and fan-out.
 
     Each point builds a :func:`repro.system.spec.deep_hierarchy_spec`
@@ -222,30 +198,15 @@ def deep_hierarchy_sweep(checkpoint: bool = False) -> Sweep:
     decays with every store-and-forward hop the fabric adds.  The full
     serialised spec travels in the point parameters: the result cache
     keys on the exact machine, and the results artifact names it.
-
-    With ``checkpoint=True`` every point warms its fabric with the
-    standard warm-up dd and forks from a per-topology checkpoint (each
-    grid cell is a distinct machine, so no snapshot is shared here —
-    the mode instead exercises restore across all sixteen fabrics).
     """
     sweep = Sweep("deep_hierarchy")
     for depth in DEEP_HIERARCHY_DEPTHS:
         for fanout in DEEP_HIERARCHY_FANOUTS:
-            spec = deep_hierarchy_spec(depth, fanout)
-            device = f"sw{depth}_disk{fanout - 1}"
-            params = dict(
-                block_bytes=DEEP_HIERARCHY_BLOCK_BYTES,
-                startup_overhead=config.DD_STARTUP,
-                topology=spec.to_dict(),
-                device=device,
-            )
-            prefix = None
-            if checkpoint:
-                params["warm_blocks"] = CHECKPOINT_WARM_BLOCKS
-                params["warm_block_bytes"] = DEEP_HIERARCHY_BLOCK_BYTES
-                prefix = _dd_prefix(DEEP_HIERARCHY_BLOCK_BYTES,
-                                    topology=spec.to_dict(), device=device)
-            sweep.add(f"d{depth}/f{fanout}", DD, prefix=prefix, **params)
+            sweep.add(f"d{depth}/f{fanout}", DD,
+                      topology=deep_hierarchy_spec(depth, fanout).to_dict(),
+                      block_bytes=DEEP_HIERARCHY_BLOCK_BYTES,
+                      startup_overhead=config.DD_STARTUP,
+                      device=f"sw{depth}_disk{fanout - 1}")
     return sweep
 
 

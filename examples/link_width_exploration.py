@@ -22,6 +22,7 @@ import shutil
 
 from repro.analysis.report import Table
 from repro.exp import Sweep, SweepEngine
+from repro.system import validation_spec
 
 BLOCK = 512 * 1024  # keep the sweep quick
 CACHE_DIR = ".sweep-cache"
@@ -34,9 +35,10 @@ def build_sweep() -> Sweep:
     sweep = Sweep("link_width_exploration")
     for gen in GENS:
         for width in WIDTHS:
+            spec = validation_spec(gen=gen, root_link_width=width,
+                                   device_link_width=width)
             sweep.add(f"{gen}/x{width}", "repro.exp.points:dd_point",
-                      block_bytes=BLOCK, startup_overhead=0, gen=gen,
-                      root_link_width=width, device_link_width=width)
+                      topology=spec.to_dict(), block_bytes=BLOCK)
     return sweep
 
 

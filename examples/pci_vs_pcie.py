@@ -12,9 +12,9 @@ cycle efficiency.
 Run:  python examples/pci_vs_pcie.py
 """
 
-from repro.pcie.timing import PcieGen
 from repro.sim import ticks
-from repro.system.topology import build_classic_pci_system, build_validation_system
+from repro.system.spec import classic_pci_spec, validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 BLOCK = 256 * 1024
@@ -31,19 +31,20 @@ def run_dd(system):
 def main() -> None:
     rows = []
 
-    classic = build_classic_pci_system(clock_mhz=33)
+    classic = build_system(classic_pci_spec(clock_mhz=33))
     rows.append(("PCI 33 MHz shared bus", run_dd(classic)))
     bus = classic.devices["pci_bus"]
     stats = classic.sim.dump_stats()
     efficiency = next(v for k, v in stats.items() if k.endswith("pci_bus.efficiency"))
 
-    classic66 = build_classic_pci_system(clock_mhz=66)
+    classic66 = build_system(classic_pci_spec(clock_mhz=66))
     rows.append(("PCI 66 MHz shared bus", run_dd(classic66)))
 
-    for gen, width in ((PcieGen.GEN1, 1), (PcieGen.GEN2, 1), (PcieGen.GEN2, 4)):
-        system = build_validation_system(gen=gen, root_link_width=max(width, 4),
-                                         device_link_width=width)
-        rows.append((f"PCIe {gen.name} x{width}", run_dd(system)))
+    for gen, width in (("GEN1", 1), ("GEN2", 1), ("GEN2", 4)):
+        system = build_system(validation_spec(gen=gen,
+                                              root_link_width=max(width, 4),
+                                              device_link_width=width))
+        rows.append((f"PCIe {gen} x{width}", run_dd(system)))
 
     print(f"dd sequential read of {BLOCK >> 10} KB:\n")
     for name, gbps in rows:

@@ -27,7 +27,8 @@ from repro.analysis.report import (
 )
 from repro.obs import ChromeTraceSink, JsonlSink, write_stats_json
 from repro.sim import ticks
-from repro.system.topology import build_validation_system
+from repro.system.spec import validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 
@@ -41,7 +42,7 @@ def main() -> None:
                         help="write the typed statistics document")
     args = parser.parse_args()
 
-    system = build_validation_system()
+    system = build_system(validation_spec())
 
     print("=== discovered PCI hierarchy (lspci-style) ===")
     print(system.kernel.enumerator.tree_text())

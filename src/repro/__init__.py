@@ -8,10 +8,11 @@ the configuration-space machinery that lets modelled device drivers
 enumerate and configure devices, all running over a gem5-style memory
 substrate.
 
-Start with :mod:`repro.system` (full-machine builders) or the examples:
+Start with :mod:`repro.system` (topology specs and the builder) or the
+examples:
 
->>> from repro.system import build_validation_system
->>> system = build_validation_system()
+>>> from repro.system import build_system, validation_spec
+>>> system = build_system(validation_spec())
 >>> print(system.kernel.enumerator.tree_text())
 
 See README.md for the tour, DESIGN.md for the system inventory, and

@@ -13,20 +13,22 @@ first-class interface:
   ``multiprocessing`` pool, merging results in declaration order so
   parallel output is byte-identical to serial;
 * :mod:`repro.exp.points` — the library's standard point runners
-  (``dd`` on the validation fabric, MMIO on the NIC topology, the
-  classic-PCI baseline);
+  (``dd``, MMIO, classic-PCI and stress points on any serialised
+  topology spec, plus multi-flow scenarios);
 * :mod:`repro.exp.bench` — per-run wall-clock records
   (``BENCH_sweeps.json``).
 
 Quick taste::
 
     from repro.exp import Sweep, SweepEngine
+    from repro.system import validation_spec
 
     sweep = Sweep("widths")
     for width in (1, 2, 4, 8):
+        spec = validation_spec(root_link_width=width,
+                               device_link_width=width)
         sweep.add(f"x{width}", "repro.exp.points:dd_point",
-                  block_bytes=1 << 20,
-                  root_link_width=width, device_link_width=width)
+                  topology=spec.to_dict(), block_bytes=1 << 20)
     result = SweepEngine(cache_dir=".sweep-cache").run(sweep, workers=4)
     print(result.summary())
     print(result.results["x8"]["throughput_gbps"])

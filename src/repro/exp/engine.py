@@ -18,16 +18,6 @@ layers:
    trip, so the merged output is byte-identical no matter how many
    workers produced it and whether any point came from cache.
 
-Points may additionally declare a **shared prefix** (see
-:class:`repro.exp.spec.SweepPoint`): the engine simulates each distinct
-prefix once, checkpoints it (:mod:`repro.sim.checkpoint`), and forks
-every declaring point from the snapshot — the warm-up cost is paid once
-per prefix instead of once per point.  The checkpoint digest is folded
-into each forked point's cache key (``resume_digest``), so results
-forked from different prefix states never collide in the cache, and the
-checkpoint itself is cached like any other result keyed on the prefix's
-(runner, params).
-
 Wall-clock accounting (per point and total) is appended to a
 ``BENCH_sweeps.json`` record when the engine has a bench path.
 """
@@ -46,7 +36,6 @@ from repro.exp.cache import (
     canonical_json,
 )
 from repro.exp.spec import Sweep, resolve_runner
-from repro.sim.checkpoint import checkpoint_digest
 
 __all__ = ["SweepEngine", "SweepResult", "default_workers"]
 
@@ -199,46 +188,13 @@ class SweepEngine:
         start = time.perf_counter()
 
         points = sweep.points
-        # Shared-prefix pass: simulate each distinct prefix once (or
-        # fetch its checkpoint from cache); points declaring a prefix
-        # fork from the snapshot instead of re-simulating the warm-up.
-        prefixes: Dict[str, Tuple[Any, str]] = {}
-        prefix_meta: Dict[str, Dict[str, Any]] = {}
-        for point in points:
-            if point.prefix is None:
-                continue
-            prefix_key = canonical_json(point.prefix)
-            if prefix_key in prefixes:
-                continue
-            snapshot, digest, elapsed, was_cached = \
-                self._materialise_prefix(point.prefix)
-            prefixes[prefix_key] = (snapshot, digest)
-            prefix_meta[digest[:16]] = {
-                "runner": point.prefix["runner"],
-                "cached": was_cached,
-                "wall_s": round(elapsed, 6),
-            }
-
         results: Dict[str, Any] = {}
         cached: Dict[str, bool] = {}
         per_point_s: Dict[str, float] = {}
         misses: List[int] = []
         keys = []
-        exec_params: List[Dict[str, Any]] = []
         for index, point in enumerate(points):
-            if point.prefix is not None:
-                snapshot, prefix_digest = prefixes[canonical_json(point.prefix)]
-                # The cache key carries the checkpoint's digest, never
-                # the snapshot itself: a point forked from a different
-                # prefix state must miss, and cache entries stay small.
-                key_params = dict(point.params)
-                key_params["resume_digest"] = prefix_digest
-                run_params = dict(point.params)
-                run_params["resume_from"] = snapshot
-            else:
-                key_params = run_params = point.params
-            exec_params.append(run_params)
-            digest, key_doc = cache_key(point.runner, key_params,
+            digest, key_doc = cache_key(point.runner, point.params,
                                         self.schema_version)
             keys.append((digest, key_doc))
             entry = self.cache.get(digest, key_doc) if self.cache else None
@@ -250,7 +206,7 @@ class SweepEngine:
                 misses.append(index)
 
         if misses:
-            payloads = [(points[i].runner, exec_params[i]) for i in misses]
+            payloads = [(points[i].runner, points[i].params) for i in misses]
             outcomes = _execute_in_order(payloads, nworkers)
             for index, (result, elapsed) in zip(misses, outcomes):
                 point = points[index]
@@ -278,36 +234,7 @@ class SweepEngine:
             "total_wall_s": total_wall_s,
             "per_point_s": per_point_s,
         }
-        if prefix_meta:
-            record["prefixes"] = prefix_meta
         if self.bench_path:
             record = bench_mod.append_record(self.bench_path, record)
         return SweepResult(sweep.name, ordered, cached, per_point_s,
                            total_wall_s, nworkers, record)
-
-    def _materialise_prefix(self, prefix: Dict[str, Any]):
-        """Produce one shared prefix's checkpoint snapshot.
-
-        The snapshot is cached exactly like a point result, keyed on the
-        prefix's (runner, params): re-running a sweep re-uses the cached
-        checkpoint instead of re-simulating the warm-up.  The snapshot
-        is normalised through canonical JSON before digesting so a fresh
-        simulation and a cache hit yield the same digest — and therefore
-        the same downstream point cache keys.
-
-        Returns:
-            ``(snapshot, digest, wall_seconds, was_cached)``.
-        """
-        digest, key_doc = cache_key(prefix["runner"], prefix["params"],
-                                    self.schema_version)
-        entry = self.cache.get(digest, key_doc) if self.cache else None
-        if entry is not None:
-            snapshot = entry["result"]
-            return snapshot, checkpoint_digest(snapshot), 0.0, True
-        runner = resolve_runner(prefix["runner"])
-        started = time.perf_counter()
-        snapshot = _normalise(runner(**prefix["params"]))
-        elapsed = time.perf_counter() - started
-        if self.cache:
-            self.cache.put(digest, key_doc, snapshot, elapsed)
-        return snapshot, checkpoint_digest(snapshot), round(elapsed, 6), False

@@ -7,76 +7,66 @@ metrics dict — no tracing, no file output, no shared state — so a
 point is exactly as reproducible from its parameters as the cache
 assumes.
 
-Parameters are deliberately restricted to JSON-safe scalars: PCIe
-generations travel as their enum *name* (``"GEN3"``), latencies as
-nanosecond integers with a ``_ns`` suffix, and tick quantities (such
-as ``service_interval`` or ``startup_overhead``) as plain tick ints.
+Every runner takes its machine as ``topology``: the ``to_dict()``
+document of a :class:`~repro.system.spec.TopologySpec` (or
+:class:`~repro.system.spec.ClassicPciSpec`), usually made by one of
+the presets in :mod:`repro.system.spec`.  The whole document lands in
+the point's parameters, so the result cache keys on the canonical
+serialisation of the exact machine a point runs.  The remaining
+parameters are JSON-safe scalars; tick quantities (such as
+``startup_overhead``) are plain tick ints.
 """
 
 from typing import Any, Dict, Optional
 
 from repro.analysis.report import link_replay_stats
-from repro.pcie.timing import PcieGen
 from repro.sim import ticks
-from repro.system.topology import (
-    build_classic_pci_system,
-    build_nic_system,
-    build_system,
-    build_validation_system,
-)
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.mmio import MmioReadBench
 from repro.workloads.scenarios import Scenario, run_scenario
 
-__all__ = ["dd_point", "dd_prefix", "mmio_point", "classic_pci_point",
-           "stress_point", "scenario_point"]
+__all__ = ["dd_point", "mmio_point", "classic_pci_point", "stress_point",
+           "scenario_point"]
 
 #: Guard against wedged simulations when a point runs unattended in a
 #: worker process; matches the benchmark harness's historical bound.
 _MAX_EVENTS = 500_000_000
 
 
-def _system_kwargs(gen: Optional[str], switch_latency_ns: Optional[int],
-                   rc_latency_ns: Optional[int],
-                   extra: Dict[str, Any]) -> Dict[str, Any]:
-    """Translate JSON-safe sweep params into topology-builder kwargs."""
-    kwargs = dict(extra)
-    if gen is not None:
-        kwargs["gen"] = PcieGen[gen]
-    if switch_latency_ns is not None:
-        kwargs["switch_latency"] = ticks.from_ns(switch_latency_ns)
-    if rc_latency_ns is not None:
-        kwargs["rc_latency"] = ticks.from_ns(rc_latency_ns)
-    return kwargs
+def _run_dd(system, driver, block_bytes: int,
+            startup_overhead: int) -> DdWorkload:
+    """Run one ``dd`` block through ``driver`` to completion."""
+    dd = DdWorkload(system.kernel, driver, block_bytes,
+                    startup_overhead=startup_overhead)
+    process = system.kernel.spawn("dd", dd.run())
+    system.run(max_events=_MAX_EVENTS)
+    if not process.done:
+        raise RuntimeError("dd did not finish — simulation wedged?")
+    return dd
 
 
-def _build_dd_system(gen: Optional[str], switch_latency_ns: Optional[int],
-                     rc_latency_ns: Optional[int],
-                     topology: Optional[Dict[str, Any]],
-                     device: Optional[str], system_kwargs: Dict[str, Any]):
-    """Build the machine a dd point (or prefix) runs on.
+def dd_point(topology: Dict[str, Any], block_bytes: int,
+             startup_overhead: int = 0, device: Optional[str] = None,
+             check: Optional[bool] = None) -> Dict[str, float]:
+    """Run one ``dd`` transfer on the machine ``topology`` describes.
 
-    Shared by :func:`dd_point` and :func:`dd_prefix` so a forked point
-    rebuilds *exactly* the system its checkpoint was captured on.
-    Returns ``(system, driver, disk, link)``.
+    Args:
+        topology: the machine, as a serialised topology spec.
+        block_bytes: bytes transferred by the single ``dd`` block.
+        startup_overhead: dd's fixed software startup cost, in ticks.
+        device: instance name of the disk ``dd`` targets (its link
+            shares the name); None uses the topology's sole disk.
+        check: arm the runtime invariant checker (None defers to
+            ``REPRO_CHECK``; the harness's ``--check`` sets True).
+
+    Returns:
+        Flat metrics dict: dd-level and transfer-level throughput,
+        replay fraction, credit-stall ticks, timeout and TLP counts,
+        and device-level per-sector throughput — everything Figures
+        9(a–d) and the device-level check consume.
     """
-    if topology is not None:
-        if gen is not None or switch_latency_ns is not None \
-                or rc_latency_ns is not None:
-            raise ValueError(
-                "topology= is a complete machine description; it cannot be "
-                "combined with the validation-builder knobs "
-                "gen/switch_latency_ns/rc_latency_ns")
-        check = system_kwargs.pop("check", None)
-        if system_kwargs:
-            raise ValueError(
-                f"topology= cannot be combined with builder kwargs "
-                f"{sorted(system_kwargs)}; set them inside the spec")
-        system = build_system(topology, check=check)
-    else:
-        kwargs = _system_kwargs(gen, switch_latency_ns, rc_latency_ns,
-                                system_kwargs)
-        system = build_validation_system(**kwargs)
+    system = build_system(topology, check=check)
     if device is not None:
         driver = system.drivers[device]
         disk, link = driver.device, system.links[device]
@@ -85,82 +75,7 @@ def _build_dd_system(gen: Optional[str], switch_latency_ns: Optional[int],
         if driver is None:
             raise ValueError("topology has no unambiguous disk; "
                              "name the target with device=")
-    return system, driver, disk, link
-
-
-def dd_point(block_bytes: int, startup_overhead: int = 0,
-             gen: Optional[str] = None,
-             switch_latency_ns: Optional[int] = None,
-             rc_latency_ns: Optional[int] = None,
-             topology: Optional[Dict[str, Any]] = None,
-             device: Optional[str] = None,
-             warm_blocks: int = 0,
-             warm_block_bytes: int = 0,
-             resume_from: Optional[Dict[str, Any]] = None,
-             **system_kwargs: Any) -> Dict[str, float]:
-    """Run one ``dd`` transfer — on the paper's validation topology by
-    default, or on any machine a serialised topology spec describes.
-
-    Args:
-        block_bytes: bytes transferred by the single ``dd`` block.
-        startup_overhead: dd's fixed software startup cost, in ticks.
-        gen: PCIe generation name (``"GEN1"``/``"GEN2"``/``"GEN3"``), or
-            None for the topology default.
-        switch_latency_ns: switch store-and-forward latency in ns, or
-            None for the default.
-        rc_latency_ns: root-complex latency in ns, or None for the
-            default.
-        topology: a :meth:`repro.system.spec.TopologySpec.to_dict`
-            document to build instead of the validation topology.  The
-            whole document lands in the point's parameters, so the
-            result cache keys on the canonical serialisation of the
-            exact machine.  Mutually exclusive with the
-            validation-builder knobs (``gen``, ``switch_latency_ns``,
-            ``rc_latency_ns``, ``**system_kwargs``).
-        device: instance name of the disk ``dd`` targets (its link
-            shares the name); None uses the topology's sole disk.
-        warm_blocks / warm_block_bytes: when ``warm_blocks > 0`` and
-            ``resume_from`` is None, run a warm-up ``dd`` of
-            ``warm_blocks`` blocks of ``warm_block_bytes`` bytes to
-            completion before the measured block — the cold (tick-0)
-            equivalent of resuming from a :func:`dd_prefix` checkpoint
-            with the same warm parameters.
-        resume_from: a checkpoint document captured by
-            :func:`dd_prefix` on the *same* system parameters; the
-            point rebuilds the machine, restores the snapshot and runs
-            only the measured block.  Injected by the sweep engine for
-            points declaring a prefix — never place it in sweep params
-            yourself (the cache must key on ``resume_digest`` instead).
-        **system_kwargs: further JSON-safe keyword arguments passed to
-            :func:`repro.system.topology.build_validation_system`
-            (``root_link_width``, ``replay_buffer_size``, ``check``,
-            ...); with ``topology=`` only ``check`` is accepted.
-
-    Returns:
-        Flat metrics dict: dd-level and transfer-level throughput,
-        replay fraction, credit-stall ticks, timeout and TLP counts,
-        and device-level per-sector throughput — everything Figures
-        9(a–d) and the device-level check consume.
-    """
-    system, driver, disk, link = _build_dd_system(
-        gen, switch_latency_ns, rc_latency_ns, topology, device,
-        system_kwargs)
-    if resume_from is not None:
-        system.sim.restore(resume_from)
-    elif warm_blocks > 0:
-        warm = DdWorkload(system.kernel, driver, warm_block_bytes,
-                          count=warm_blocks)
-        warm_process = system.kernel.spawn("dd", warm.run())
-        system.run(max_events=_MAX_EVENTS)
-        if not warm_process.done:
-            raise RuntimeError("warm-up dd did not finish — "
-                               "simulation wedged?")
-    dd = DdWorkload(system.kernel, driver, block_bytes,
-                    startup_overhead=startup_overhead)
-    process = system.kernel.spawn("dd", dd.run())
-    system.run(max_events=_MAX_EVENTS)
-    if not process.done:
-        raise RuntimeError("dd did not finish — simulation wedged?")
+    dd = _run_dd(system, driver, block_bytes, startup_overhead)
     stats = link_replay_stats(link)
     sector_mean = disk.sector_transfer_ticks.mean
     return {
@@ -178,64 +93,21 @@ def dd_point(block_bytes: int, startup_overhead: int = 0,
     }
 
 
-def dd_prefix(warm_blocks: int, warm_block_bytes: int,
-              gen: Optional[str] = None,
-              switch_latency_ns: Optional[int] = None,
-              rc_latency_ns: Optional[int] = None,
-              topology: Optional[Dict[str, Any]] = None,
-              device: Optional[str] = None,
-              **system_kwargs: Any) -> Dict[str, Any]:
-    """Simulate a dd warm-up phase and return its checkpoint document.
-
-    This is the *prefix runner* paired with :func:`dd_point`: a sweep
-    point declares ``prefix={"runner": "repro.exp.points:dd_prefix",
-    "params": {...}}`` with the same system parameters as the point,
-    and the engine runs this once per distinct parameter set, feeding
-    the snapshot to every declaring point as ``resume_from``.
+def mmio_point(topology: Dict[str, Any], iterations: int = 50,
+               check: Optional[bool] = None) -> Dict[str, float]:
+    """Measure mean 4-byte MMIO read latency to the machine's sole NIC.
 
     Args:
-        warm_blocks: number of warm-up dd blocks to run to completion.
-        warm_block_bytes: bytes per warm-up block.
-        gen / switch_latency_ns / rc_latency_ns / topology / device /
-            **system_kwargs: identical meaning to :func:`dd_point` —
-            the forked point must rebuild exactly this machine.
-
-    Returns:
-        The checkpoint document from :func:`repro.sim.checkpoint.capture`
-        at software quiescence (the event queue is empty, so every
-        pending-event describability rule is trivially satisfied).
-    """
-    if warm_blocks < 1:
-        raise ValueError("dd_prefix needs warm_blocks >= 1; a zero-length "
-                         "prefix has nothing to checkpoint")
-    system, driver, _disk, _link = _build_dd_system(
-        gen, switch_latency_ns, rc_latency_ns, topology, device,
-        system_kwargs)
-    warm = DdWorkload(system.kernel, driver, warm_block_bytes,
-                      count=warm_blocks)
-    warm_process = system.kernel.spawn("dd", warm.run())
-    system.run(max_events=_MAX_EVENTS)
-    if not warm_process.done:
-        raise RuntimeError("warm-up dd did not finish — simulation wedged?")
-    return system.sim.checkpoint()
-
-
-def mmio_point(rc_latency_ns: int, iterations: int = 50,
-               **system_kwargs: Any) -> Dict[str, float]:
-    """Measure mean 4-byte MMIO read latency on the Table II topology.
-
-    Args:
-        rc_latency_ns: root-complex latency in nanoseconds (the swept
-            knob of Table II).
+        topology: the machine, as a serialised topology spec (Table II
+            sweeps the root-complex latency of ``nic_spec``).
         iterations: timed MMIO reads to average over.
-        **system_kwargs: further JSON-safe keyword arguments for
-            :func:`repro.system.topology.build_nic_system`.
+        check: arm the runtime invariant checker (None defers to
+            ``REPRO_CHECK``).
 
     Returns:
         ``{"mmio_read_ns": <mean latency in ns>}``.
     """
-    system = build_nic_system(rc_latency=ticks.from_ns(rc_latency_ns),
-                              **system_kwargs)
+    system = build_system(topology, check=check)
     bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
                           iterations=iterations)
     process = system.kernel.spawn("mmio", bench.run())
@@ -245,61 +117,45 @@ def mmio_point(rc_latency_ns: int, iterations: int = 50,
     return {"mmio_read_ns": bench.mean_latency_ns}
 
 
-def classic_pci_point(block_bytes: int, startup_overhead: int = 0,
+def classic_pci_point(topology: Dict[str, Any], block_bytes: int,
+                      startup_overhead: int = 0,
                       check: bool = False) -> Dict[str, float]:
-    """Run one ``dd`` transfer on the classic shared-PCI-bus baseline.
+    """Run one ``dd`` transfer on a classic shared-PCI-bus machine.
 
-    Used by the PCI-vs-PCIe ablation; returns only dd-level throughput
-    because the classic bus has no link layer to report on.  ``check``
-    arms the runtime invariant checker (``--check`` in the harness).
+    Used by the PCI-vs-PCIe ablation with a ``classic_pci_spec``
+    document; returns only dd-level throughput because the classic bus
+    has no link layer to report on.  ``check`` arms the runtime
+    invariant checker (``--check`` in the harness).
     """
-    system = build_classic_pci_system(check=check)
-    dd = DdWorkload(system.kernel, system.disk_driver, block_bytes,
-                    startup_overhead=startup_overhead)
-    process = system.kernel.spawn("dd", dd.run())
-    system.run(max_events=_MAX_EVENTS)
-    if not process.done:
-        raise RuntimeError("dd did not finish — simulation wedged?")
+    system = build_system(topology, check=check)
+    dd = _run_dd(system, system.disk_driver, block_bytes, startup_overhead)
     return {"throughput_gbps": dd.result.throughput_gbps}
 
 
-def stress_point(block_bytes: int, error_rate: float,
-                 dllp_error_rate: float, replay_buffer_size: int,
-                 input_queue_size: int, error_seed: int = 0x5EED,
-                 check: bool = True,
-                 **system_kwargs: Any) -> Dict[str, float]:
+def stress_point(topology: Dict[str, Any], block_bytes: int,
+                 check: bool = True) -> Dict[str, float]:
     """One point of the fault-injection stress campaign.
 
-    Builds the validation topology with deterministic error injection
-    on both links, arms the invariant checker in *record* mode, runs a
-    single ``dd`` transfer, and reports whether the transfer completed
-    and how many protocol invariants were violated along the way.  A
-    healthy link layer completes every configuration in the campaign
-    grid with ``violations == 0`` — that pair of assertions is the
-    campaign's entire point.
+    Builds the machine — the campaign sets error rates, replay buffers
+    and input queues on both links of a ``validation_spec`` — arms the
+    invariant checker in *record* mode, runs a single ``dd`` transfer,
+    and reports whether the transfer completed and how many protocol
+    invariants were violated along the way.  A healthy link layer
+    completes every configuration in the campaign grid with
+    ``violations == 0`` — that pair of assertions is the campaign's
+    entire point.
 
     Args:
+        topology: the machine, as a serialised topology spec.
         block_bytes: bytes moved by the single ``dd`` block (the
             campaign uses a small block so the whole grid stays cheap).
-        error_rate: fraction of received TLPs corrupted (NAK path).
-        dllp_error_rate: fraction of received ACK/NAK DLLPs corrupted
-            (silently discarded; recovery via replay timeout).
-        replay_buffer_size: unacknowledged-TLP bound per interface.
-        input_queue_size: component-facing input buffer per interface.
-        error_seed: base seed of the per-interface corruption RNGs.
         check: arm the checker (kept as a knob so ``--check`` composes).
-        **system_kwargs: further JSON-safe topology kwargs.
 
     Returns:
-        ``completed``/``violations`` plus link-recovery metrics
-        (replay fraction, timeouts, corruption counts).
+        ``completed``/``violations`` plus link-recovery metrics of the
+        disk's link (replay fraction, timeouts, corruption counts).
     """
-    system = build_validation_system(
-        error_rate=error_rate, dllp_error_rate=dllp_error_rate,
-        replay_buffer_size=replay_buffer_size,
-        input_queue_size=input_queue_size, error_seed=error_seed,
-        check=check, **system_kwargs,
-    )
+    system = build_system(topology, check=check)
     # Record-only: a campaign point reports every violation it saw
     # rather than dying on the first, so one sweep run characterises
     # the whole grid.

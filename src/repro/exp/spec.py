@@ -88,39 +88,18 @@ class SweepPoint:
             the point.  The function is called as ``func(**params)`` and
             must return a canonical-JSON-safe value.
         params: keyword arguments for the runner; canonical-JSON-safe.
-        prefix: optional shared-prefix declaration,
-            ``{"runner": "module:func", "params": {...}}``.  The prefix
-            runner simulates the common warm-up once and returns a
-            checkpoint document; the engine forks every point declaring
-            the same prefix from that snapshot (passed to the point
-            runner as ``resume_from``) and folds the checkpoint digest
-            into the point's cache key as ``resume_digest``.
     """
 
-    __slots__ = ("key", "runner", "params", "prefix")
+    __slots__ = ("key", "runner", "params")
 
     def __init__(self, key: str, runner: Union[str, Callable],
-                 params: Optional[Dict[str, Any]] = None,
-                 prefix: Optional[Dict[str, Any]] = None):
+                 params: Optional[Dict[str, Any]] = None):
         if not key:
             raise ValueError("sweep point key must be non-empty")
         self.key = key
         self.runner = runner if isinstance(runner, str) else runner_path(runner)
         self.params = dict(params or {})
         _check_json_safe(self.params, f"point {key!r} params")
-        if prefix is not None:
-            if not isinstance(prefix, dict) or "runner" not in prefix:
-                raise ValueError(
-                    f"point {key!r} prefix must be a dict with a 'runner' "
-                    f"entry, got {prefix!r}")
-            runner_ref = prefix["runner"]
-            prefix = {
-                "runner": (runner_ref if isinstance(runner_ref, str)
-                           else runner_path(runner_ref)),
-                "params": dict(prefix.get("params") or {}),
-            }
-            _check_json_safe(prefix["params"], f"point {key!r} prefix params")
-        self.prefix = prefix
 
     def __repr__(self) -> str:
         return f"<SweepPoint {self.key!r} runner={self.runner}>"
@@ -143,18 +122,11 @@ class Sweep:
         self._keys = set()
 
     def add(self, key: str, runner: Union[str, Callable],
-            prefix: Optional[Dict[str, Any]] = None,
             **params: Any) -> SweepPoint:
-        """Append a point; ``key`` must be unique within the sweep.
-
-        ``prefix`` declares a shared simulation prefix (see
-        :class:`SweepPoint`); because it is a reserved keyword here,
-        point runners cannot take a parameter of that name through
-        :meth:`add`.
-        """
+        """Append a point; ``key`` must be unique within the sweep."""
         if key in self._keys:
             raise ValueError(f"duplicate sweep point key {key!r} in {self.name!r}")
-        point = SweepPoint(key, runner, params, prefix=prefix)
+        point = SweepPoint(key, runner, params)
         self._points.append(point)
         self._keys.add(key)
         return point

@@ -18,20 +18,12 @@ from repro.system.topology import (
     AmbiguousDeviceError,
     PcieSystem,
     build_system,
-    build_validation_system,
-    build_nic_system,
-    build_dual_device_system,
-    build_classic_pci_system,
 )
 
 __all__ = [
     "AmbiguousDeviceError",
     "PcieSystem",
     "build_system",
-    "build_validation_system",
-    "build_nic_system",
-    "build_dual_device_system",
-    "build_classic_pci_system",
     "TopologySpec",
     "ClassicPciSpec",
     "SwitchSpec",

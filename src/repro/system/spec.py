@@ -5,9 +5,9 @@ machine: the root complex, arbitrarily deep and arbitrarily fanned
 switch hierarchies, per-edge PCI-Express link parameters, and any mix
 of devices.  :func:`repro.system.topology.build_system` turns a spec
 into an assembled, booted :class:`~repro.system.topology.PcieSystem`;
-the four historical builders (``build_validation_system`` and friends)
-are now thin wrappers over specs produced by the constructors at the
-bottom of this module.
+the paper's machines are the preset constructors at the bottom of this
+module (``build_system(validation_spec())`` is the validation
+topology).
 
 Specs are deliberately restricted to canonical-JSON-safe values —
 strings, ints, floats, bools, None — so that:
@@ -17,7 +17,7 @@ strings, ints, floats, bools, None — so that:
   bug report can all *name the exact machine* they ran on);
 * :meth:`TopologySpec.canonical` is a stable byte string, so the sweep
   result cache (:mod:`repro.exp.cache`) keys on the full machine shape
-  whenever a point carries a ``topology=`` parameter;
+  (every machine sweep point carries its spec as ``topology``);
 * :meth:`TopologySpec.digest` gives a short content hash for artifact
   names and report headers.
 
@@ -653,7 +653,7 @@ def validation_spec(
 ) -> TopologySpec:
     """The paper's validation topology (Section VI-A) as a spec:
     root complex ──x4── switch ──x1── IDE disk, every Figure-9 knob a
-    parameter.  ``build_validation_system`` is a thin wrapper over this.
+    parameter.
     """
     link_common = dict(
         gen=gen, replay_buffer_size=replay_buffer_size, ack_policy=ack_policy,

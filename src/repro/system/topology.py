@@ -10,19 +10,15 @@ same tree through the virtual P2P bridges), binds drivers, and returns
 a :class:`PcieSystem` with handles to every component keyed by the
 spec's instance names.
 
-The four historical builders (``build_validation_system``,
-``build_nic_system``, ``build_dual_device_system``,
-``build_classic_pci_system``) remain as thin wrappers over the spec
-constructors in :mod:`repro.system.spec` — wire-compatible, same
-component names, byte-identical traces and sweep payloads.
-
-``build_validation_system`` reproduces the paper's validation topology:
+Named machines are the presets of :mod:`repro.system.spec`;
+``build_system(validation_spec())`` is the paper's validation topology:
 
     root complex ──Gen2 x4── switch ──Gen2 x1── IDE disk
 
 with the root-complex latency fixed at 150 ns, switch latency 150 ns,
 port buffers of 16 packets and replay buffers of 4 — every one of those
-knobs is a keyword argument because the paper's Figure 9 sweeps them.
+knobs is a ``validation_spec`` keyword argument because the paper's
+Figure 9 sweeps them.
 """
 
 from typing import Dict, List, Optional, Union
@@ -46,9 +42,7 @@ from repro.platform.addrmap import VEXPRESS_GEM5_V1, AddressMap
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec, SpecError,
-                               SwitchSpec, TopologySpec, classic_pci_spec,
-                               dual_device_spec, nic_spec, spec_from_dict,
-                               validation_spec)
+                               SwitchSpec, TopologySpec, spec_from_dict)
 
 #: Device model and driver classes behind each :class:`DeviceSpec` kind.
 #: The spec layer names kinds; this registry is the single place the
@@ -476,128 +470,3 @@ def build_system(
         return _build_pcie_from_spec(spec, sim, addrmap, kernel_config)
     raise SpecError(f"cannot build a system from {type(spec).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# The historical builders, now thin wrappers over specs.
-# ---------------------------------------------------------------------------
-
-
-def build_validation_system(
-    sim: Optional[Simulator] = None,
-    addrmap: AddressMap = VEXPRESS_GEM5_V1,
-    gen: PcieGen = PcieGen.GEN2,
-    root_link_width: int = 4,
-    device_link_width: int = 1,
-    rc_latency: int = ticks.from_ns(150),
-    switch_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
-    datapath_scope: str = "port",
-    ack_policy: str = "immediate",
-    error_rate: float = 0.0,
-    dllp_error_rate: float = 0.0,
-    input_queue_size: int = 2,
-    error_seed: int = 0x5EED,
-    posted_writes: bool = False,
-    disk_access_latency: int = ticks.from_us(1),
-    enable_msi: bool = False,
-    kernel_config: Optional[KernelConfig] = None,
-    check: Optional[bool] = None,
-) -> PcieSystem:
-    """The paper's validation topology (Section VI-A).
-
-    "We instantiate a PCI-Express switch, connect it to a root complex
-    root port with a Gen 2 x4 link and attach the IDE disk to one of
-    the switch downstream ports using a Gen 2 x1 link."
-
-    ``input_queue_size`` and ``error_seed`` feed both links (the
-    fault-injection stress campaign sweeps them); ``check`` arms the
-    runtime invariant checker on the freshly built simulator (ignored
-    when an existing ``sim`` is supplied).
-    """
-    spec = validation_spec(
-        gen=gen.name, root_link_width=root_link_width,
-        device_link_width=device_link_width, rc_latency=rc_latency,
-        switch_latency=switch_latency, buffer_size=buffer_size,
-        replay_buffer_size=replay_buffer_size,
-        service_interval=service_interval, datapath_scope=datapath_scope,
-        ack_policy=ack_policy, error_rate=error_rate,
-        dllp_error_rate=dllp_error_rate, input_queue_size=input_queue_size,
-        error_seed=error_seed, posted_writes=posted_writes,
-        disk_access_latency=disk_access_latency, enable_msi=enable_msi,
-    )
-    return build_system(spec, sim=sim, addrmap=addrmap,
-                        kernel_config=kernel_config, check=check)
-
-
-def build_nic_system(
-    sim: Optional[Simulator] = None,
-    addrmap: AddressMap = VEXPRESS_GEM5_V1,
-    gen: PcieGen = PcieGen.GEN2,
-    link_width: int = 1,
-    rc_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
-    datapath_scope: str = "port",
-    ack_policy: str = "immediate",
-    enable_msi: bool = False,
-    kernel_config: Optional[KernelConfig] = None,
-    check: Optional[bool] = None,
-) -> PcieSystem:
-    """The Table II topology: a NIC directly on a root port, with the
-    root-complex latency swept."""
-    spec = nic_spec(
-        gen=gen.name, link_width=link_width, rc_latency=rc_latency,
-        buffer_size=buffer_size, replay_buffer_size=replay_buffer_size,
-        service_interval=service_interval, datapath_scope=datapath_scope,
-        ack_policy=ack_policy, enable_msi=enable_msi,
-    )
-    return build_system(spec, sim=sim, addrmap=addrmap,
-                        kernel_config=kernel_config, check=check)
-
-
-def build_dual_device_system(
-    sim: Optional[Simulator] = None,
-    addrmap: AddressMap = VEXPRESS_GEM5_V1,
-    gen: PcieGen = PcieGen.GEN2,
-    root_link_width: int = 4,
-    device_link_width: int = 1,
-    rc_latency: int = ticks.from_ns(150),
-    switch_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
-    datapath_scope: str = "port",
-    ack_policy: str = "immediate",
-    kernel_config: Optional[KernelConfig] = None,
-) -> PcieSystem:
-    """A richer topology for the examples: the disk behind switch port 0
-    and the NIC behind switch port 1, sharing the root link."""
-    spec = dual_device_spec(
-        gen=gen.name, root_link_width=root_link_width,
-        device_link_width=device_link_width, rc_latency=rc_latency,
-        switch_latency=switch_latency, buffer_size=buffer_size,
-        replay_buffer_size=replay_buffer_size,
-        service_interval=service_interval, datapath_scope=datapath_scope,
-        ack_policy=ack_policy,
-    )
-    return build_system(spec, sim=sim, addrmap=addrmap,
-                        kernel_config=kernel_config)
-
-
-def build_classic_pci_system(
-    sim: Optional[Simulator] = None,
-    addrmap: AddressMap = VEXPRESS_GEM5_V1,
-    clock_mhz: int = 33,
-    disk_access_latency: int = ticks.from_us(1),
-    kernel_config: Optional[KernelConfig] = None,
-    check: Optional[bool] = None,
-) -> PcieSystem:
-    """The pre-PCI-Express baseline: the same IDE-like disk on a classic
-    shared PCI bus (Section II-A) instead of the PCI-Express fabric."""
-    spec = classic_pci_spec(clock_mhz=clock_mhz,
-                            disk_access_latency=disk_access_latency)
-    return build_system(spec, sim=sim, addrmap=addrmap,
-                        kernel_config=kernel_config, check=check)

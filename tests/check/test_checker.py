@@ -16,7 +16,8 @@ from repro.pcie.fc import CreditLedger
 from repro.pcie.pkt import PciePacket
 from repro.sim.eventq import call
 from repro.sim.simobject import CHECK_ENV, SimObject, Simulator
-from repro.system.topology import build_validation_system
+from repro.system.spec import validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 from tests.pcie.test_link import build_dma_path
@@ -72,8 +73,9 @@ def test_check_knob_enables_without_arming_the_tracer(monkeypatch):
     sim.checker.disable()
     assert not sim.checker.enabled
     # A checker-armed dd allocates no tracer TLP ids.
-    system = build_validation_system(root_link_width=1, device_link_width=1,
-                                     check=True)
+    system = build_system(validation_spec(root_link_width=1,
+                                          device_link_width=1),
+                          check=True)
     dd = DdWorkload(system.kernel, system.disk_driver, 4096,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())

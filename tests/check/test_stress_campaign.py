@@ -37,11 +37,15 @@ def test_grid_shape_and_params_are_json_safe():
     assert "multiflow/er0.02" in {p.key for p in sweep.points}
     assert "np_storm/unpinned" in {p.key for p in sweep.points}
     # SweepPoint construction already validated canonical-JSON-safety;
-    # spot-check the campaign's swept knobs are all present.
-    point = sweep.points[0]
-    for knob in ("block_bytes", "error_rate", "dllp_error_rate",
-                 "replay_buffer_size", "input_queue_size"):
-        assert knob in point.params
+    # spot-check the campaign's swept knobs reach both links of the
+    # point's machine.
+    point = {p.key: p for p in sweep.points}["er0.1/dllp0.1/rb4/iq1"]
+    assert set(point.params) == {"topology", "block_bytes"}
+    root = point.params["topology"]["children"][0]
+    for link in (root["link"], root["children"][0]["link"]):
+        assert (link["error_rate"], link["dllp_error_rate"],
+                link["replay_buffer_size"], link["input_queue_size"]) == (
+                    0.1, 0.1, 4, 1)
 
 
 def test_sampled_campaign_corners_complete_with_zero_violations():

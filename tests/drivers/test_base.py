@@ -5,7 +5,8 @@ import pytest
 from repro.drivers.base import Driver, DriverError
 from repro.drivers.ide import IdeDiskDriver
 from repro.drivers.e1000e import E1000eDriver
-from repro.system.topology import build_nic_system, build_validation_system
+from repro.system.spec import nic_spec, validation_spec
+from repro.system.topology import build_system
 
 
 def test_module_device_tables():
@@ -14,27 +15,27 @@ def test_module_device_tables():
 
 
 def test_matches_uses_the_table():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     disk_node = system.kernel.enumerator.find(0x8086, 0x7111)[0]
     assert IdeDiskDriver().matches(disk_node)
     assert not E1000eDriver().matches(disk_node)
 
 
 def test_double_bind_rejected():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     driver = system.disk_driver
     with pytest.raises(DriverError):
         driver.bind(system.kernel, driver.found, system.disk)
 
 
 def test_bar_base_unknown_index_raises():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     with pytest.raises(DriverError):
         system.disk_driver.bar_base(5)
 
 
 def test_probe_without_device_model_fails():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     node = system.kernel.enumerator.find(0x8086, 0x7111)[0]
     fresh = IdeDiskDriver()
     with pytest.raises(DriverError):
@@ -42,7 +43,7 @@ def test_probe_without_device_model_fails():
 
 
 def test_config_access_reaches_live_registers():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     driver = system.nic_driver
     # The driver reads the same vendor id the hardware model holds.
     assert driver.config_read(0x00, 2) == 0x8086
@@ -50,7 +51,7 @@ def test_config_access_reaches_live_registers():
 
 
 def test_capability_discovery_through_found_device():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     driver = system.nic_driver
     assert driver._find_cap(0x10) is not None  # PCIe
     assert driver._find_cap(0x01) is not None  # PM
@@ -58,7 +59,7 @@ def test_capability_discovery_through_found_device():
 
 
 def test_program_msi_requires_doorbell():
-    system = build_validation_system()  # no doorbell in the default build
+    system = build_system(validation_spec())  # no MSI doorbell by default
     with pytest.raises(DriverError):
         system.disk_driver.program_msi(40)
 
@@ -67,7 +68,7 @@ def test_unimplemented_base_probe():
     class Stub(Driver):
         device_table = [(1, 2)]
 
-    system = build_validation_system()
+    system = build_system(validation_spec())
     node = system.kernel.enumerator.find(0x8086, 0x7111)[0]
     with pytest.raises(NotImplementedError):
         Stub().bind(system.kernel, node, system.disk)

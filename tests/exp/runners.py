@@ -30,19 +30,3 @@ def fails_once(x):
         raise RuntimeError(f"point {x} died")
     return quadratic(x)
 
-
-PREFIX_CALLS = []
-
-
-def fake_prefix(tag="warm"):
-    """A prefix runner returning a checkpoint-shaped document."""
-    PREFIX_CALLS.append(tag)
-    return {"format": "repro-checkpoint", "version": 1, "tag": tag}
-
-
-def resumed(x, resume_from=None):
-    """A point runner that reports whether (and what) it resumed from."""
-    CALLS.append((x, resume_from))
-    return {"x": x,
-            "resumed_tag": None if resume_from is None
-            else resume_from["tag"]}

@@ -1,6 +1,6 @@
 """Fork-vs-cold byte identity: the tentpole acceptance tests.
 
-A point forked from a prefix checkpoint must be **byte-identical** —
+A machine restored from a warm-up checkpoint must be **byte-identical** —
 statistics, traces, metrics — to a cold run from tick 0 that simulates
 the same warm-up inline, with the invariant checker armed throughout.
 Exercised on the paper's validation fabric, on a deep-hierarchy
@@ -11,15 +11,14 @@ violations).
 
 import pytest
 
-from repro.exp.points import dd_point, dd_prefix
 from repro.obs import MemorySink
 from repro.sim.checkpoint import capture, checkpoint_json, restore
-from repro.system.spec import deep_hierarchy_spec
-from repro.system.topology import (build_classic_pci_system, build_system,
-                                   build_validation_system)
+from repro.system.spec import (classic_pci_spec, deep_hierarchy_spec,
+                               validation_spec)
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
-WARM = dict(warm_blocks=1, warm_block_bytes=16 * 1024)
+WARM_BYTES = 16 * 1024
 MEASURED_BYTES = 256 * 1024
 
 
@@ -34,8 +33,7 @@ def _run_measured(system, driver, sink):
 
 
 def _warm(system, driver):
-    warm = DdWorkload(system.kernel, driver, WARM["warm_block_bytes"],
-                      count=WARM["warm_blocks"])
+    warm = DdWorkload(system.kernel, driver, WARM_BYTES)
     process = system.kernel.spawn("dd", warm.run())
     system.run(max_events=50_000_000)
     assert process.done
@@ -72,7 +70,7 @@ def _identity_pair(build):
 @pytest.mark.slow
 def test_validation_fabric_fork_is_byte_identical():
     def build():
-        system = build_validation_system(check=True)
+        system = build_system(validation_spec(), check=True)
         return system, system.disk_driver
 
     cold, forked = _identity_pair(build)
@@ -97,7 +95,7 @@ def test_classic_pci_fork_is_byte_identical():
     # The bus's data-phase tally feeds pci_bus.efficiency: a fork that
     # dropped it would report half the cold run's efficiency.
     def build():
-        system = build_classic_pci_system(check=True)
+        system = build_system(classic_pci_spec(), check=True)
         return system, system.disk_driver
 
     cold, forked = _identity_pair(build)
@@ -112,9 +110,11 @@ def test_fault_injected_fork_completes_with_zero_violations():
     # armed in record mode via check=True at build time.  A restored run
     # must recover from every injected fault exactly like the cold one.
     def build():
-        system = build_validation_system(
-            check=True, error_rate=0.05, dllp_error_rate=0.05,
-            replay_buffer_size=2, input_queue_size=2)
+        system = build_system(validation_spec(error_rate=0.05,
+                                              dllp_error_rate=0.05,
+                                              replay_buffer_size=2,
+                                              input_queue_size=2),
+                              check=True)
         return system, system.disk_driver
 
     cold, forked = _identity_pair(build)
@@ -122,18 +122,13 @@ def test_fault_injected_fork_completes_with_zero_violations():
     assert forked.sim.checker.violations == []
 
 
-@pytest.mark.slow
-def test_dd_point_resume_matches_inline_warm():
-    common = dict(block_bytes=64 * 1024, startup_overhead=100, check=True)
-    cold = dd_point(**common, **WARM)
-    snapshot = dd_prefix(check=True, **WARM)
-    forked = dd_point(**common, resume_from=snapshot)
-    assert forked == cold
-
-
 def test_prefix_checkpoint_is_quiescent_and_deterministic():
-    first = dd_prefix(check=True, **WARM)
-    second = dd_prefix(check=True, **WARM)
+    def warm_checkpoint():
+        system = build_system(validation_spec(), check=True)
+        _warm(system, system.disk_driver)
+        return system.sim.checkpoint()
+
+    first, second = warm_checkpoint(), warm_checkpoint()
     assert first["events"] == [], "a drained run checkpoints empty"
     assert checkpoint_json(first) == checkpoint_json(second)
 
@@ -141,7 +136,7 @@ def test_prefix_checkpoint_is_quiescent_and_deterministic():
 def test_capture_refuses_mid_flight_packets():
     # Stop a dd transfer mid-flight: some component holds live packets,
     # whose state_dict guard must refuse rather than silently drop them.
-    system = build_validation_system()
+    system = build_system(validation_spec())
     dd = DdWorkload(system.kernel, system.disk_driver, 64 * 1024)
     system.kernel.spawn("dd", dd.run())
     system.run(max_events=2_000)

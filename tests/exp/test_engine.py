@@ -10,6 +10,7 @@ from repro.exp import (
     canonical_json,
     load_records,
 )
+from repro.system.spec import validation_spec
 from tests.exp import runners
 
 
@@ -151,9 +152,10 @@ def small_fig9b_sweep():
     """Fig. 9(b)'s link-width sweep at a test-size block (64 KB)."""
     sweep = Sweep("fig9b_small")
     for width in (1, 2, 4, 8):
+        spec = validation_spec(root_link_width=width,
+                               device_link_width=width)
         sweep.add(f"x{width}", "repro.exp.points:dd_point",
-                  block_bytes=64 * 1024,
-                  root_link_width=width, device_link_width=width)
+                  topology=spec.to_dict(), block_bytes=64 * 1024)
     return sweep
 
 
@@ -179,60 +181,3 @@ def test_serial_and_parallel_fig9b_byte_identical(tmp_path):
     widths = serial.results
     assert widths["x2"]["throughput_gbps"] > 1.3 * widths["x1"]["throughput_gbps"]
 
-
-# ---------------------------------------------------------------------------
-# Shared-prefix checkpointing: the engine materialises each distinct
-# prefix once, feeds the snapshot to declaring points as resume_from,
-# and folds the checkpoint digest into their cache keys.
-# ---------------------------------------------------------------------------
-
-def prefixed_sweep(tag="warm", n=3):
-    sweep = Sweep("prefixed")
-    prefix = {"runner": runners.fake_prefix, "params": {"tag": tag}}
-    for x in range(n):
-        sweep.add(f"p{x}", runners.resumed, prefix=prefix, x=x)
-    return sweep
-
-
-def test_shared_prefix_runs_once_and_feeds_every_point():
-    runners.PREFIX_CALLS.clear()
-    runners.CALLS.clear()
-    result = SweepEngine().run(prefixed_sweep(n=3), workers=1)
-    assert runners.PREFIX_CALLS == ["warm"], "one materialisation, not three"
-    assert all(resume is not None for _, resume in runners.CALLS)
-    assert [r["resumed_tag"] for r in result.results.values()] == ["warm"] * 3
-    meta = list(result.record["prefixes"].values())
-    assert meta == [{"runner": meta[0]["runner"], "cached": False,
-                     "wall_s": meta[0]["wall_s"]}]
-
-
-def test_prefix_checkpoint_is_cached_across_runs(tmp_path):
-    runners.PREFIX_CALLS.clear()
-    engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
-    first = engine.run(prefixed_sweep(), workers=1)
-    second = engine.run(prefixed_sweep(), workers=1)
-    assert runners.PREFIX_CALLS == ["warm"], "second run reuses the snapshot"
-    assert second.cache_hits == len(second.results)
-    assert list(second.record["prefixes"].values())[0]["cached"] is True
-    assert canonical_json(first.results) == canonical_json(second.results)
-
-
-def test_resume_digest_isolates_cache_entries(tmp_path):
-    # Same point params, different prefix state: the digest in the cache
-    # key must force a miss instead of serving the stale fork.
-    engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
-    first = engine.run(prefixed_sweep(tag="warm"), workers=1)
-    second = engine.run(prefixed_sweep(tag="other"), workers=1)
-    assert second.cache_hits == 0
-    assert [r["resumed_tag"] for r in first.results.values()] == ["warm"] * 3
-    assert [r["resumed_tag"] for r in second.results.values()] == ["other"] * 3
-
-
-def test_unprefixed_points_never_see_resume_from():
-    runners.CALLS.clear()
-    sweep = Sweep("plain")
-    sweep.add("p0", runners.resumed, x=5)
-    result = SweepEngine().run(sweep, workers=1)
-    assert runners.CALLS == [(5, None)]
-    assert result.results["p0"]["resumed_tag"] is None
-    assert "prefixes" not in result.record

@@ -24,8 +24,8 @@ run whose event schedule ``tests/sim/test_hot_path_budget.py`` pins.
 import os
 
 from repro.obs.trace import MemorySink
-from repro.system.spec import deep_hierarchy_spec
-from repro.system.topology import build_validation_system
+from repro.system.spec import deep_hierarchy_spec, validation_spec
+from repro.system.topology import build_system
 from repro.workloads import scenarios as scenario_lib
 from repro.workloads.dd import DdWorkload
 from repro.workloads.traffic import FlowSpec
@@ -55,10 +55,9 @@ def run_dd_system(name: str, error_rate: float, sink=None,
     """Run a ``dd`` golden scenario to completion; return the finished
     system and the trace sink (a fresh :class:`MemorySink` unless given)
     that watched the ``categories``."""
-    system = build_validation_system(
-        root_link_width=1, device_link_width=1, error_rate=error_rate,
-        **overrides,
-    )
+    system = build_system(validation_spec(root_link_width=1,
+                                          device_link_width=1,
+                                          error_rate=error_rate, **overrides))
     if sink is None:
         sink = MemorySink()
     system.sim.tracer.categories = frozenset(categories)

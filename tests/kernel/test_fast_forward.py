@@ -22,8 +22,7 @@ from repro.obs.trace import MemorySink
 from repro.sim.checkpoint import checkpoint_digest
 from repro.sim.stats import Replayable
 from repro.system.spec import classic_pci_spec, deep_hierarchy_spec, validation_spec
-from repro.system.topology import (build_classic_pci_system, build_system,
-                                   build_validation_system)
+from repro.system.topology import build_system
 
 BUFFER = 0x9000_0000
 SECTOR = 4096
@@ -84,13 +83,13 @@ _CONFIG = KernelConfig(max_sectors_per_request=PER_REQUEST)
 
 
 def _classic(config=_CONFIG):
-    return build_classic_pci_system(check=False, kernel_config=config)
+    return build_system(classic_pci_spec(), check=False, kernel_config=config)
 
 
 def _gen2x1(config=_CONFIG, **kwargs):
-    return build_validation_system(root_link_width=1, device_link_width=1,
-                                   check=False, kernel_config=config,
-                                   **kwargs)
+    return build_system(validation_spec(root_link_width=1, device_link_width=1,
+                                        **kwargs),
+                        check=False, kernel_config=config)
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -275,8 +274,8 @@ def test_two_concurrent_readers_are_never_skipped():
 def test_msi_after_posted_writes_follows_the_data():
     # The command's last posted writes still fill the DMA queue when it
     # completes: the MSI waits behind them instead of overrunning it.
-    system = build_validation_system(posted_writes=True, enable_msi=True,
-                                     check=False)
+    system = build_system(validation_spec(posted_writes=True, enable_msi=True),
+                          check=False)
     doorbell = system.msi_doorbell.range
     port = system.iocache.cpu_side  # where the fabric hands writes to the host
     receive, arrivals = port.recv_timing_req, []

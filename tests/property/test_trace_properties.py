@@ -21,7 +21,8 @@ from repro.pcie.link import PcieLink
 from repro.pcie.timing import PcieGen
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
-from repro.system.topology import build_validation_system
+from repro.system.spec import validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 from tests.mem.helpers import FakeMaster, FakeSlave
@@ -122,11 +123,9 @@ def test_link_traces_are_wellformed_under_adversity(
 )
 def test_system_traces_are_wellformed_across_topologies(
         root_width, device_width, error_rate):
-    system = build_validation_system(
-        root_link_width=root_width,
-        device_link_width=device_width,
-        error_rate=error_rate,
-    )
+    system = build_system(validation_spec(root_link_width=root_width,
+                                          device_link_width=device_width,
+                                          error_rate=error_rate))
     system.sim.tracer.categories = frozenset(("link", "engine"))
     sink = system.sim.tracer.attach(MemorySink())
     dd = DdWorkload(system.kernel, system.disk_driver, 4096,

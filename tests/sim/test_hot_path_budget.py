@@ -33,7 +33,8 @@ from repro.pcie.link import PcieLink
 from repro.pcie.timing import PcieGen
 from repro.sim.eventq import Event
 from repro.sim.simobject import Simulator
-from repro.system.topology import build_classic_pci_system, build_validation_system
+from repro.system.spec import classic_pci_spec, validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.scenarios import run_scenario
 
@@ -98,9 +99,11 @@ def test_deep_four_flow_schedule_is_pinned():
 
 
 @pytest.mark.parametrize("build, pinned", [
-    (lambda: build_classic_pci_system(check=False), CLASSIC_DD_SCHEDULE),
-    (lambda: build_validation_system(root_link_width=1, device_link_width=1,
-                                     check=False), GEN2X1_DD_SCHEDULE),
+    (lambda: build_system(classic_pci_spec(),
+                          check=False), CLASSIC_DD_SCHEDULE),
+    (lambda: build_system(validation_spec(root_link_width=1,
+                                          device_link_width=1),
+                          check=False), GEN2X1_DD_SCHEDULE),
 ], ids=["classic", "gen2x1"])
 def test_eight_request_dd_schedule_is_pinned(build, pinned):
     system = build()

@@ -3,12 +3,13 @@
 import json
 
 from repro.obs import MemorySink, export_stats
-from repro.system.topology import build_validation_system
+from repro.system.spec import validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 
 def run_once(trace=False, **kwargs):
-    system = build_validation_system(**kwargs)
+    system = build_system(validation_spec(**kwargs))
     sink = None
     if trace:
         system.sim.tracer.categories = frozenset(("link", "engine"))

@@ -4,11 +4,9 @@ import pytest
 
 from repro.pcie.timing import PcieGen
 from repro.sim import ticks
-from repro.system.topology import (
-    build_dual_device_system,
-    build_nic_system,
-    build_validation_system,
-)
+from repro.system.spec import (classic_pci_spec, dual_device_spec, nic_spec,
+                               validation_spec)
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.mmio import MmioReadBench
 
@@ -17,7 +15,7 @@ from repro.workloads.mmio import MmioReadBench
 
 
 def test_validation_system_enumerates_paper_topology():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     enumerator = system.kernel.enumerator
     # Depth-first numbering: root port sec=1, switch upstream sec=2,
     # first downstream sec=3 (the disk's bus), second downstream sec=4.
@@ -34,7 +32,7 @@ def test_validation_system_enumerates_paper_topology():
 
 
 def test_disk_driver_probe_falls_back_to_legacy_interrupt():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     driver = system.disk_driver
     assert driver.bound
     assert driver.interrupt_mode == "legacy"
@@ -43,7 +41,7 @@ def test_disk_driver_probe_falls_back_to_legacy_interrupt():
 
 
 def test_rc_claims_programmed_windows():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     ranges = system.root_complex.upstream_slave.get_ranges()
     assert ranges, "RC must claim the enumerated windows"
     assert any(r.contains(system.disk_driver.bar0) for r in ranges)
@@ -62,7 +60,7 @@ def run_dd(system, block_size):
 
 
 def test_dd_reads_complete_and_report_throughput():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     result = run_dd(system, 64 * 1024)  # 16 sectors
     assert result.nbytes == 64 * 1024
     assert system.disk.sectors_transferred.value() == 16
@@ -72,7 +70,7 @@ def test_dd_reads_complete_and_report_throughput():
 
 
 def test_dd_device_level_rate_near_wire_rate():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     run_dd(system, 128 * 1024)
     mean_ticks = system.disk.sector_transfer_ticks.mean
     gbps = 4096 * 8 / ticks.to_ns(mean_ticks)
@@ -83,23 +81,23 @@ def test_dd_device_level_rate_near_wire_rate():
 
 
 def test_dd_no_replays_at_x1(caplog=None):
-    system = build_validation_system()
+    system = build_system(validation_spec())
     run_dd(system, 64 * 1024)
     assert system.disk_link.downstream_if.tlp_replays.value() == 0
     assert system.disk_link.downstream_if.timeouts.value() == 0
 
 
 def test_wider_device_link_is_faster():
-    slow = build_validation_system(device_link_width=1)
-    fast = build_validation_system(device_link_width=4)
+    slow = build_system(validation_spec(device_link_width=1))
+    fast = build_system(validation_spec(device_link_width=4))
     r1 = run_dd(slow, 64 * 1024)
     r4 = run_dd(fast, 64 * 1024)
     assert r4.throughput_gbps > r1.throughput_gbps * 1.3
 
 
 def test_lower_switch_latency_slightly_faster():
-    slow = build_validation_system(switch_latency=ticks.from_ns(150))
-    fast = build_validation_system(switch_latency=ticks.from_ns(50))
+    slow = build_system(validation_spec(switch_latency=ticks.from_ns(150)))
+    fast = build_system(validation_spec(switch_latency=ticks.from_ns(50)))
     rs = run_dd(slow, 64 * 1024)
     rf = run_dd(fast, 64 * 1024)
     assert rf.throughput_gbps > rs.throughput_gbps
@@ -108,15 +106,15 @@ def test_lower_switch_latency_slightly_faster():
 
 
 def test_dma_traffic_flows_through_iocache_to_dram():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     run_dd(system, 64 * 1024)
     assert system.iocache.allocations.value() > 0
     assert system.dram.writes.value() > 0
 
 
 def test_posted_write_ablation_is_faster():
-    baseline = build_validation_system()
-    posted = build_validation_system(posted_writes=True)
+    baseline = build_system(validation_spec())
+    posted = build_system(validation_spec(posted_writes=True))
     rb = run_dd(baseline, 64 * 1024)
     rp = run_dd(posted, 64 * 1024)
     assert rp.throughput_gbps > rb.throughput_gbps
@@ -126,7 +124,7 @@ def test_posted_write_ablation_is_faster():
 
 
 def test_nic_system_probe_and_bring_up():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     driver = system.nic_driver
     assert driver.interrupt_mode == "legacy"
     done = {}
@@ -143,7 +141,7 @@ def test_nic_system_probe_and_bring_up():
 def test_mmio_latency_grows_with_rc_latency():
     means = {}
     for rc_ns in (50, 150):
-        system = build_nic_system(rc_latency=ticks.from_ns(rc_ns))
+        system = build_system(nic_spec(rc_latency=ticks.from_ns(rc_ns)))
         bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
                               iterations=20)
         system.kernel.spawn("mmio", bench.run())
@@ -156,7 +154,7 @@ def test_mmio_latency_grows_with_rc_latency():
 
 
 def test_nic_tx_through_full_fabric():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     driver = system.nic_driver
     done = {}
 
@@ -178,7 +176,7 @@ def test_nic_tx_through_full_fabric():
 
 
 def test_dual_device_system_boots_both_drivers():
-    system = build_dual_device_system()
+    system = build_system(dual_device_spec())
     assert system.disk_driver.bound
     assert system.nic_driver.bound
     # Disk on bus 3, NIC on bus 4.
@@ -189,7 +187,7 @@ def test_dual_device_system_boots_both_drivers():
 
 
 def test_dual_device_concurrent_traffic():
-    system = build_dual_device_system()
+    system = build_system(dual_device_spec())
     finished = []
 
     def disk_job():
@@ -216,9 +214,7 @@ def test_dual_device_concurrent_traffic():
 
 
 def test_classic_pci_system_boots_and_reads():
-    from repro.system.topology import build_classic_pci_system
-
-    system = build_classic_pci_system()
+    system = build_system(classic_pci_spec())
     assert system.disk_driver.bound
     result = run_dd(system, 32 * 1024)
     assert result.nbytes == 32 * 1024
@@ -227,10 +223,8 @@ def test_classic_pci_system_boots_and_reads():
 
 
 def test_classic_pci_much_slower_than_pcie():
-    from repro.system.topology import build_classic_pci_system
-
-    classic = build_classic_pci_system()
-    pcie = build_validation_system()
+    classic = build_system(classic_pci_spec())
+    pcie = build_system(validation_spec())
     rc = run_dd(classic, 32 * 1024)
     rp = run_dd(pcie, 32 * 1024)
     # A 33 MHz shared bus cannot approach a Gen 2 x1 serial link.

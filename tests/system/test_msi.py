@@ -4,24 +4,25 @@ interrupts as posted memory writes through the PCI-Express fabric)."""
 import pytest
 
 from repro.sim import ticks
-from repro.system.topology import build_nic_system, build_validation_system
+from repro.system.spec import nic_spec, validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 
 def test_driver_chooses_msi_when_enable_bit_sticks():
-    system = build_validation_system(enable_msi=True)
+    system = build_system(validation_spec(enable_msi=True))
     assert system.disk_driver.interrupt_mode == "msi"
 
 
 def test_default_system_still_falls_back_to_legacy():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     assert system.disk_driver.interrupt_mode == "legacy"
 
 
 def test_msi_capability_programmed_at_doorbell():
     from repro.pci.capabilities import CAP_ID_MSI, MsiCapability
 
-    system = build_validation_system(enable_msi=True)
+    system = build_system(validation_spec(enable_msi=True))
     fn = system.disk.function
     offset = fn.find_capability(CAP_ID_MSI)
     assert fn.config_read(offset + MsiCapability.CONTROL, 2) & 0x1
@@ -36,7 +37,7 @@ def test_msi_capability_programmed_at_doorbell():
 
 
 def test_dd_completes_via_msi_memory_writes():
-    system = build_validation_system(enable_msi=True)
+    system = build_system(validation_spec(enable_msi=True))
     dd = DdWorkload(system.kernel, system.disk_driver, 64 * 1024,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
@@ -50,8 +51,8 @@ def test_dd_completes_via_msi_memory_writes():
 
 
 def test_msi_throughput_comparable_to_legacy():
-    legacy = build_validation_system()
-    msi = build_validation_system(enable_msi=True)
+    legacy = build_system(validation_spec())
+    msi = build_system(validation_spec(enable_msi=True))
     results = {}
     for name, system in (("legacy", legacy), ("msi", msi)):
         dd = DdWorkload(system.kernel, system.disk_driver, 64 * 1024,
@@ -65,7 +66,7 @@ def test_msi_throughput_comparable_to_legacy():
 def test_nic_msi_loopback_round_trip():
     from repro.sim.process import WaitFor
 
-    system = build_nic_system(enable_msi=True)
+    system = build_system(nic_spec(enable_msi=True))
     driver = system.nic_driver
     assert driver.interrupt_mode == "msi"
     done = {}
@@ -88,7 +89,7 @@ def test_nic_msi_loopback_round_trip():
 def test_msi_writes_travel_the_fabric():
     """The MSI must be a real posted write crossing the links — not a
     wire shortcut."""
-    system = build_validation_system(enable_msi=True)
+    system = build_system(validation_spec(enable_msi=True))
     dd = DdWorkload(system.kernel, system.disk_driver, 16 * 1024,
                     startup_overhead=0)
     system.kernel.spawn("dd", dd.run())

@@ -7,20 +7,18 @@ replays, timeout-triggered replays of lost ACKs, and source throttling
 link layer never breaks a protocol rule getting through it.
 """
 
-from repro.system.topology import build_validation_system
+from repro.system.spec import validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
 BLOCK_BYTES = 64 * 1024
 
 
 def test_worst_case_recovery_completes_with_zero_violations():
-    system = build_validation_system(
-        error_rate=0.2,
-        dllp_error_rate=0.1,
-        replay_buffer_size=1,
-        input_queue_size=1,
-        check=True,  # raise mode: any violation fails the test loudly
-    )
+    system = build_system(validation_spec(error_rate=0.2, dllp_error_rate=0.1,
+                                          replay_buffer_size=1,
+                                          input_queue_size=1),
+                          check=True)
     dd = DdWorkload(system.kernel, system.disk_driver, BLOCK_BYTES)
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=50_000_000)

@@ -1,8 +1,8 @@
 """Unit tests for the declarative topology spec layer.
 
 Covers the spec grammar itself (round-trip, canonicalisation,
-auto-naming, validation), the thin-wrapper property of the legacy
-builders, the MSI-doorbell field move with its deprecation alias, and
+auto-naming, validation), the presets as the paper's machines, the
+MSI-doorbell field move with its deprecation alias, and
 the harness ``--list`` discovery path.
 """
 
@@ -15,7 +15,7 @@ from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec,
                                classic_pci_spec, deep_hierarchy_spec,
                                dual_device_spec, nic_spec, spec_from_dict,
                                validation_spec)
-from repro.system.topology import build_system, build_validation_system
+from repro.system.topology import build_system
 
 
 # -------------------------------------------------------------- serialisation
@@ -161,11 +161,11 @@ def test_deep_hierarchy_shape():
     assert spec.switches()[-1].effective_num_ports == 2
 
 
-# ------------------------------------------------------------- thin wrappers
+# ------------------------------------------------------------------- presets
 
 
 def test_legacy_builder_records_its_spec():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     assert system.spec is not None
     assert system.spec.name == "validation"
     assert system.spec.canonical() == validation_spec().canonical()
@@ -181,7 +181,7 @@ def test_build_system_accepts_plain_dicts():
 
 
 def test_msi_doorbell_is_a_field_not_a_device():
-    system = build_validation_system(enable_msi=True)
+    system = build_system(validation_spec(enable_msi=True))
     assert system.msi_doorbell is not None
     assert "msi_doorbell" not in dict(system.devices)
     assert system.kernel.msi_target_addr == system.msi_doorbell.range.start
@@ -191,7 +191,7 @@ def test_msi_doorbell_legacy_alias_is_gone():
     # The deprecated ``devices["msi_doorbell"]`` alias (a _DeviceMap
     # shim that warned and forwarded to the field) has been removed:
     # ``devices`` is a plain dict of actual endpoint devices again.
-    system = build_validation_system(enable_msi=True)
+    system = build_system(validation_spec(enable_msi=True))
     assert type(system.devices) is dict
     assert "msi_doorbell" not in system.devices
     assert system.devices.get("msi_doorbell") is None
@@ -202,7 +202,7 @@ def test_msi_doorbell_legacy_alias_is_gone():
 
 
 def test_no_doorbell_without_msi():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     assert system.msi_doorbell is None
     assert "msi_doorbell" not in system.devices
     assert system.devices.get("msi_doorbell") is None

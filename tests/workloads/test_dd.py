@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import ticks
-from repro.system.topology import build_validation_system
+from repro.system.spec import validation_spec
+from repro.system.topology import build_system
 from repro.workloads.dd import DdResult, DdWorkload
 
 
@@ -17,13 +18,13 @@ def test_result_throughput_arithmetic():
 
 
 def test_block_size_must_align_to_sectors():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     with pytest.raises(ValueError):
         DdWorkload(system.kernel, system.disk_driver, block_size=1000)
 
 
 def test_startup_overhead_included_in_report():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     dd = DdWorkload(system.kernel, system.disk_driver, 16 * 1024,
                     startup_overhead=ticks.from_ms(1))
     proc = system.kernel.spawn("dd", dd.run())
@@ -35,7 +36,7 @@ def test_startup_overhead_included_in_report():
 
 
 def test_multi_block_count():
-    system = build_validation_system()
+    system = build_system(validation_spec())
     dd = DdWorkload(system.kernel, system.disk_driver, 8 * 1024, count=3,
                     startup_overhead=0)
     proc = system.kernel.spawn("dd", dd.run())
@@ -48,7 +49,7 @@ def test_multi_block_count():
 def test_throughput_grows_with_block_size_under_fixed_startup():
     values = {}
     for block in (16 * 1024, 128 * 1024):
-        system = build_validation_system()
+        system = build_system(validation_spec())
         dd = DdWorkload(system.kernel, system.disk_driver, block,
                         startup_overhead=ticks.from_us(200))
         system.kernel.spawn("dd", dd.run())

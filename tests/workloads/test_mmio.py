@@ -3,18 +3,19 @@
 import pytest
 
 from repro.sim import ticks
-from repro.system.topology import build_nic_system
+from repro.system.spec import nic_spec
+from repro.system.topology import build_system
 from repro.workloads.mmio import MmioReadBench
 
 
 def test_validates_iterations():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     with pytest.raises(ValueError):
         MmioReadBench(system.kernel, 0x40000000, iterations=0)
 
 
 def test_measures_each_iteration():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
                           iterations=10)
     assert bench.mean_latency_ns is None
@@ -26,7 +27,7 @@ def test_measures_each_iteration():
 
 
 def test_steady_state_latency_is_stable():
-    system = build_nic_system()
+    system = build_system(nic_spec())
     bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
                           iterations=10)
     system.kernel.spawn("bench", bench.run())
@@ -36,7 +37,7 @@ def test_steady_state_latency_is_stable():
 
 
 def test_latency_includes_rc_both_ways():
-    fast = build_nic_system(rc_latency=ticks.from_ns(50))
+    fast = build_system(nic_spec(rc_latency=ticks.from_ns(50)))
     bench = MmioReadBench(fast.kernel, fast.nic_driver.bar0 + 0x8, iterations=5)
     fast.kernel.spawn("bench", bench.run())
     fast.run()
