@@ -270,17 +270,18 @@ def bench_dd(best_of: int = 3, check: bool = False) -> Dict[str, Any]:
     Tracing stays off; ``check`` arms the runtime invariant checker for
     the whole run.
     """
-    from repro.exp.points import dd_point
+    from benchmarks.sweeps import FIGURE_METRICS, dd_flows
+    from repro.exp.points import run_point
     from repro.system.spec import validation_spec
 
     topology = validation_spec(root_link_width=1,
                                device_link_width=1).to_dict()
+    flows = dd_flows(config.BLOCK_SIZES["64MB"], config.DD_STARTUP)
     runs: List[float] = []
     metrics: Dict[str, Any] = {}
     for __ in range(best_of):
         start = time.perf_counter()
-        metrics = dd_point(topology, config.BLOCK_SIZES["64MB"],
-                           config.DD_STARTUP, check=check)
+        metrics = run_point(topology, flows, FIGURE_METRICS, check=check)
         runs.append(round(time.perf_counter() - start, 4))
     return {"wall_s": min(runs), "runs_s": runs,
             "throughput_gbps": round(metrics["throughput_gbps"], 6)}

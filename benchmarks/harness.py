@@ -2,7 +2,8 @@
 
 Every figure/table reproduction boils down to: build one machine from a
 topology-spec preset with one knob changed, run ``dd`` (or the MMIO
-kernel module), and extract throughput plus link-layer statistics.
+kernel module) on it as flows, and extract throughput plus link-layer
+statistics.
 The configurations live in :mod:`benchmarks.sweeps`; this module runs
 them through the :class:`repro.exp.SweepEngine` (result cache under
 ``benchmarks/results/.cache``, wall-clock records appended to
@@ -31,18 +32,8 @@ CACHE_DIR = os.path.join(RESULTS_DIR, ".cache")
 #: Wall-clock record of every sweep run (see repro.exp.bench).
 BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_sweeps.json")
 
-#: Set REPRO_SWEEP_CACHE=off (or 0/no) to force fresh simulation.
-CACHE_ENV = "REPRO_SWEEP_CACHE"
-
-
-def _cache_enabled() -> bool:
-    """Whether the on-disk result cache is active for harness sweeps."""
-    return os.environ.get(CACHE_ENV, "").strip().lower() not in (
-        "off", "0", "no", "false")
-
-
 def run_sweep(sweep: Sweep, workers: Optional[int] = None,
-              cache: Optional[bool] = None,
+              cache: bool = True,
               results_dir: Optional[str] = None) -> SweepResult:
     """Run one sweep through the engine with the harness's conventions.
 
@@ -50,8 +41,8 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None,
         sweep: the sweep to run (usually from :mod:`benchmarks.sweeps`).
         workers: worker processes; None defers to ``REPRO_SWEEP_WORKERS``
             (default serial).
-        cache: force the result cache on/off; None consults the
-            ``REPRO_SWEEP_CACHE`` environment variable (default on).
+        cache: use the on-disk result cache (the CLI's ``--fresh``
+            turns it off).
         results_dir: override the artifact directory (used by the CLI's
             ``--results-dir``; created if missing).
 
@@ -61,9 +52,8 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None,
     """
     root = results_dir or RESULTS_DIR
     os.makedirs(root, exist_ok=True)
-    use_cache = _cache_enabled() if cache is None else cache
     engine = SweepEngine(
-        cache_dir=os.path.join(root, ".cache") if use_cache else None,
+        cache_dir=os.path.join(root, ".cache") if cache else None,
         bench_path=os.path.join(root, "BENCH_sweeps.json"),
         workers=workers,
     )
@@ -205,7 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sweep = builder()
     if args.check:
-        # Every point runner accepts a ``check`` kwarg; adding it to the
+        # ``run_point`` accepts a ``check`` kwarg; adding it to the
         # params changes the cache key, so checked results never shadow
         # (or get served from) the unchecked cache entries.
         for point in sweep.points:
@@ -215,7 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"profile: {path}")
         return 0
     result = run_sweep(sweep, workers=args.workers,
-                       cache=False if args.fresh else None,
+                       cache=not args.fresh,
                        results_dir=args.results_dir)
     path = save_results(f"{sweep.name}_sweep", result.results,
                         results_dir=args.results_dir)

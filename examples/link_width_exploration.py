@@ -23,11 +23,20 @@ import shutil
 from repro.analysis.report import Table
 from repro.exp import Sweep, SweepEngine
 from repro.system import validation_spec
+from repro.workloads import FlowSpec
 
 BLOCK = 512 * 1024  # keep the sweep quick
 CACHE_DIR = ".sweep-cache"
 GENS = ("GEN1", "GEN2", "GEN3")
 WIDTHS = (1, 2, 4, 8)
+
+#: The software: one dd read of the whole block, no startup cost.
+DD = [FlowSpec("dd", "dd_read", "disk", requests=1,
+               bytes_per_request=BLOCK).to_dict()]
+#: What each point reports, read from the dd flow's record.
+METRICS = {"throughput_gbps": "dd_throughput_gbps",
+           "fc_stall_ticks": "dd_fc_stall_ticks",
+           "tlps_sent": "dd_tlps_sent"}
 
 
 def build_sweep() -> Sweep:
@@ -37,8 +46,8 @@ def build_sweep() -> Sweep:
         for width in WIDTHS:
             spec = validation_spec(gen=gen, root_link_width=width,
                                    device_link_width=width)
-            sweep.add(f"{gen}/x{width}", "repro.exp.points:dd_point",
-                      topology=spec.to_dict(), block_bytes=BLOCK)
+            sweep.add(f"{gen}/x{width}", "repro.exp.points:run_point",
+                      topology=spec.to_dict(), flows=DD, metrics=METRICS)
     return sweep
 
 
@@ -64,7 +73,7 @@ def main() -> None:
         for width in WIDTHS:
             point = result.results[f"{gen}/x{width}"]
             series.add(f"x{width}", point["throughput_gbps"])
-            if point.get("fc_stall_ticks", 0) > 0:
+            if point["fc_stall_ticks"] > 0:
                 per_tlp = point["fc_stall_ticks"] / max(point["tlps_sent"], 1)
                 stall_notes.append(
                     f"  {gen} x{width}: {per_tlp:,.0f} credit-stall ticks/TLP "

@@ -12,9 +12,8 @@ first-class interface:
 * :mod:`repro.exp.engine` — run a sweep through the cache and a
   ``multiprocessing`` pool, merging results in declaration order so
   parallel output is byte-identical to serial;
-* :mod:`repro.exp.points` — the library's standard point runners
-  (``dd``, MMIO, classic-PCI and stress points on any serialised
-  topology spec, plus multi-flow scenarios);
+* :mod:`repro.exp.points` — the one point runner, ``run_point``: a
+  serialised topology spec plus the flows it runs;
 * :mod:`repro.exp.bench` — per-run wall-clock records
   (``BENCH_sweeps.json``).
 
@@ -22,16 +21,20 @@ Quick taste::
 
     from repro.exp import Sweep, SweepEngine
     from repro.system import validation_spec
+    from repro.workloads import FlowSpec
 
+    dd = FlowSpec("dd", "dd_read", "disk", requests=1,
+                  bytes_per_request=1 << 20)
     sweep = Sweep("widths")
     for width in (1, 2, 4, 8):
         spec = validation_spec(root_link_width=width,
                                device_link_width=width)
-        sweep.add(f"x{width}", "repro.exp.points:dd_point",
-                  topology=spec.to_dict(), block_bytes=1 << 20)
+        sweep.add(f"x{width}", "repro.exp.points:run_point",
+                  topology=spec.to_dict(), flows=[dd.to_dict()],
+                  metrics={"gbps": "dd_throughput_gbps"})
     result = SweepEngine(cache_dir=".sweep-cache").run(sweep, workers=4)
     print(result.summary())
-    print(result.results["x8"]["throughput_gbps"])
+    print(result.results["x8"]["gbps"])
 """
 
 from repro.exp.bench import append_record, load_records

@@ -101,7 +101,7 @@ class PcieSystem:
                 f"system.{kind} is ambiguous: this fabric has "
                 f"{len(found)} {kind} devices ({', '.join(found)}); "
                 f"name the one you mean via system.devices[name] / "
-                f"system.drivers[name] (or device= in sweep points)")
+                f"system.drivers[name] (or a flow's device)")
         return self.devices[found[0]] if found else None
 
     def _device_name(self, model) -> Optional[str]:

@@ -357,11 +357,21 @@ def run_scenario(
     sim = Simulator(check=check)
     if sim.checker.enabled:
         sim.checker.record_only = True
-    system = build_system(scenario.topology, sim=sim)
+    return run_flows(sim, scenario.topology, scenario.flows, sink=sink,
+                     categories=categories, max_events=max_events)
+
+
+def run_flows(sim: Simulator, topology, flows: Sequence[FlowSpec], sink=None,
+              categories: Sequence[str] = TRACE_CATEGORIES,
+              max_events: int = 200_000_000) -> Tuple[Any, TrafficEngine]:
+    """Build ``topology`` (a spec or its document) on ``sim`` and drive
+    ``flows`` to completion: the path every scenario and sweep point
+    runs.  Arguments and result are :func:`run_scenario`'s."""
+    system = build_system(topology, sim=sim)
     if sink is not None:
         sim.tracer.categories = frozenset(categories)
         sim.tracer.attach(sink)
-    engine = TrafficEngine(system, scenario.flows)
+    engine = TrafficEngine(system, flows)
     engine.start()
     system.run(max_events=max_events)
     return system, engine

@@ -36,6 +36,7 @@ process per flow.  The scenario library
 under stable names.
 """
 
+import numbers
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -90,6 +91,10 @@ class FlowSpec:
     FIELDS = ("name", "kind", "device", "requests", "bytes_per_request",
               "gap", "jitter", "burst", "seed", "start_delay", "loopback",
               "mmio_offset")
+    #: Integer fields and their least legal value (None: any int).
+    INT_FIELDS = {"requests": 1, "bytes_per_request": 1, "gap": 0,
+                  "burst": 1, "seed": None, "start_delay": 0,
+                  "mmio_offset": None}
 
     def __init__(
         self,
@@ -121,30 +126,33 @@ class FlowSpec:
 
     def validate(self) -> None:
         """Check the flow spec in isolation (fabric checks happen when
-        the engine binds it)."""
-        if not self.name:
-            raise TrafficError("flow name must be non-empty")
+        the engine binds it); a bad field raises :class:`TrafficError`
+        naming it."""
+        for field in ("name", "kind", "device"):
+            value = getattr(self, field)
+            self._require(field, isinstance(value, str) and value != "",
+                          "a non-empty string")
         if self.kind not in FLOW_KINDS:
             raise TrafficError(f"flow {self.name!r}: unknown kind "
                                f"{self.kind!r} (expected one of {FLOW_KINDS})")
-        if not self.device:
-            raise TrafficError(f"flow {self.name!r}: device name required")
-        if self.requests < 1:
-            raise TrafficError(f"flow {self.name!r}: requests must be >= 1")
-        if self.bytes_per_request < 1:
-            raise TrafficError(
-                f"flow {self.name!r}: bytes_per_request must be >= 1")
-        if self.gap < 0 or self.start_delay < 0:
-            raise TrafficError(
-                f"flow {self.name!r}: gap/start_delay must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise TrafficError(
-                f"flow {self.name!r}: jitter must be in [0, 1]")
-        if self.burst < 1:
-            raise TrafficError(f"flow {self.name!r}: burst must be >= 1")
+        for field, least in self.INT_FIELDS.items():
+            value = getattr(self, field)
+            self._require(field, type(value) is int
+                          and (least is None or value >= least),
+                          "an int" if least is None else f"an int >= {least}")
+        jitter = self.jitter
+        self._require("jitter", isinstance(jitter, numbers.Real)
+                      and not isinstance(jitter, bool)
+                      and 0.0 <= jitter <= 1.0, "a real number in [0, 1]")
+        self._require("loopback", isinstance(self.loopback, bool), "a bool")
         if self.loopback and self.kind != "nic_tx":
             raise TrafficError(
                 f"flow {self.name!r}: loopback is only valid for nic_tx")
+
+    def _require(self, field: str, ok: bool, what: str) -> None:
+        if not ok:
+            raise TrafficError(f"flow {self.name!r}: {field} must be {what}, "
+                               f"got {getattr(self, field)!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a canonical-JSON-safe dict (all fields, always)."""
@@ -218,6 +226,9 @@ class TrafficEngine(SimObject):
         self.system = system
         self.flows: List[FlowSpec] = flows
         self._states: Dict[str, _FlowState] = {}
+        #: Tick at which :meth:`start` spawned the flows (plain state,
+        #: not a stat: flow start delays count from here).
+        self.start_tick: Optional[int] = None
         self._validate_and_bind()
 
     # -- validation ---------------------------------------------------------
@@ -261,15 +272,22 @@ class TrafficEngine(SimObject):
             raise TrafficError(
                 f"flow {spec.name!r}: device {spec.device!r} has no driver "
                 f"with {needs!r} — wrong device kind for {spec.kind!r}?")
+        if needs == "start_request" and (
+                spec.bytes_per_request % driver.sector_size):
+            raise TrafficError(
+                f"flow {spec.name!r}: bytes_per_request "
+                f"{spec.bytes_per_request} is not a multiple of "
+                f"{spec.device!r}'s {driver.sector_size}-byte sector")
 
     # -- execution ----------------------------------------------------------
     def start(self) -> None:
         """Spawn one kernel process per flow (call once, before run)."""
+        if self.start_tick is not None:
+            raise TrafficError("traffic engine already started")
+        self.start_tick = self.curtick
         kernel = self.system.kernel
         for spec in self.flows:
             state = self._states[spec.name]
-            if state.process is not None:
-                raise TrafficError("traffic engine already started")
             state.process = kernel.spawn(
                 f"flow_{spec.name}", self._run_flow(state),
                 start_delay=spec.start_delay)
@@ -323,7 +341,7 @@ class TrafficEngine(SimObject):
     def _issue_dd(self, state, index, is_write):
         kernel = self.system.kernel
         sector = state.driver.sector_size
-        n_sectors = max(1, state.spec.bytes_per_request // sector)
+        n_sectors = state.spec.bytes_per_request // sector
         lba = index * n_sectors
         if is_write:
             yield from kernel.block_layer.write(
@@ -398,6 +416,7 @@ class TrafficEngine(SimObject):
                 "requests_completed": state.requests_completed.value(),
                 "bytes": nbytes,
                 "elapsed_ticks": elapsed,
+                "finish_tick": state.last_complete_tick,
                 "throughput_gbps": gbps,
                 "mean_ns": ticks.to_ns(latency.mean),
                 "p50_ns": ticks.to_ns(latency.percentile(0.50)),

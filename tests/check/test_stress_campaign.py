@@ -1,11 +1,12 @@
 """The fault-injection stress campaign, via the repro.exp sweep engine.
 
 The full 36-point grid (error_rate x dllp_error_rate x
-replay_buffer_size x input_queue_size) runs in CI through
-``python -m benchmarks.harness stress``; here a deterministic sample of
-the grid's corners runs through the engine uncached so tier-1 proves
-the campaign machinery end to end: every sampled configuration must
-complete its transfer with zero invariant violations.
+replay_buffer_size x input_queue_size) runs through
+``python -m benchmarks.harness stress`` in ``tests/test_artifacts.py``;
+here a deterministic sample of the grid's corners runs through the
+engine uncached, so a failure names the corner: every sampled
+configuration must complete its transfer with zero invariant
+violations.
 """
 
 from benchmarks.sweeps import (
@@ -40,7 +41,8 @@ def test_grid_shape_and_params_are_json_safe():
     # spot-check the campaign's swept knobs reach both links of the
     # point's machine.
     point = {p.key: p for p in sweep.points}["er0.1/dllp0.1/rb4/iq1"]
-    assert set(point.params) == {"topology", "block_bytes"}
+    assert set(point.params) == {"topology", "flows", "metrics", "check"}
+    assert point.params["check"] is True
     root = point.params["topology"]["children"][0]
     for link in (root["link"], root["children"][0]["link"]):
         assert (link["error_rate"], link["dllp_error_rate"],

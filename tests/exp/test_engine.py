@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from benchmarks.sweeps import FIGURE_METRICS, RUN_POINT, dd_flows
 from repro.exp import (
     Sweep,
     SweepEngine,
@@ -154,8 +155,8 @@ def small_fig9b_sweep():
     for width in (1, 2, 4, 8):
         spec = validation_spec(root_link_width=width,
                                device_link_width=width)
-        sweep.add(f"x{width}", "repro.exp.points:dd_point",
-                  topology=spec.to_dict(), block_bytes=64 * 1024)
+        sweep.add(f"x{width}", RUN_POINT, topology=spec.to_dict(),
+                  flows=dd_flows(64 * 1024, 0), metrics=FIGURE_METRICS)
     return sweep
 
 

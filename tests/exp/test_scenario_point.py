@@ -1,34 +1,34 @@
-"""The scenario_point sweep runner: shape, determinism, and caching.
+"""Scenarios as sweep points: shape, determinism, and caching.
 
-A scenario point must behave exactly like every other point: a flat
-JSON-safe metrics dict, byte-identical results whether the sweep runs
-serially or fanned out across processes, and a cache hit on re-run.
+A scenario point is a machine plus several flows, run by the same
+``run_point`` as every other point: a flat JSON-safe metrics dict,
+byte-identical results whether the sweep runs serially or fanned out
+across processes, and a cache hit on re-run.
 """
 
 import json
 
+from benchmarks.sweeps import RUN_POINT, scenario_params
 from repro.exp import Sweep, SweepEngine
-from repro.exp.points import scenario_point
+from repro.exp.points import run_point
 from repro.workloads.scenarios import fanout_contention
 
-SCENARIO = "repro.exp.points:scenario_point"
 
-
-def small_doc(**overrides):
+def small_params(**overrides):
     kwargs = dict(fanout=2, requests=2, block_bytes=8192)
     kwargs.update(overrides)
-    return fanout_contention(**kwargs).to_dict()
+    return scenario_params(fanout_contention(**kwargs))
 
 
 def small_sweep():
     sweep = Sweep("traffic_small")
-    sweep.add("x1", SCENARIO, scenario=small_doc(uplink_width=1))
-    sweep.add("x2", SCENARIO, scenario=small_doc(uplink_width=2))
+    sweep.add("x1", RUN_POINT, **small_params(uplink_width=1))
+    sweep.add("x2", RUN_POINT, **small_params(uplink_width=2))
     return sweep
 
 
-def test_scenario_point_metric_shape_and_json_safety():
-    result = scenario_point(small_doc())
+def test_scenario_metric_shape_and_json_safety():
+    result = run_point(**small_params())
     assert result["completed"] == 1.0
     assert result["violations"] == 0.0
     assert result["violated_rules"] == []
@@ -42,8 +42,8 @@ def test_scenario_point_metric_shape_and_json_safety():
     json.dumps(result)  # must round-trip for the cache
 
 
-def test_scenario_point_check_arms_recording_checker():
-    result = scenario_point(small_doc(error_rate=0.05), check=True)
+def test_scenario_check_arms_recording_checker():
+    result = run_point(**small_params(error_rate=0.05), check=True)
     assert result["completed"] == 1.0
     assert result["violations"] == 0.0
 
@@ -68,9 +68,9 @@ def test_second_run_is_served_from_cache(tmp_path):
 def test_scenario_parameter_changes_miss_the_cache(tmp_path):
     engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
     sweep = Sweep("traffic_small")
-    sweep.add("x1", SCENARIO, scenario=small_doc(uplink_width=1))
+    sweep.add("x1", RUN_POINT, **small_params(uplink_width=1))
     engine.run(sweep, workers=1)
     changed = Sweep("traffic_small")
-    changed.add("x1", SCENARIO, scenario=small_doc(uplink_width=2))
+    changed.add("x1", RUN_POINT, **small_params(uplink_width=2))
     result = engine.run(changed, workers=1)
     assert result.cache_hits == 0

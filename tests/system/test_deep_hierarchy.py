@@ -15,7 +15,7 @@ from repro.system.spec import (DeviceSpec, SwitchSpec, TopologySpec,
                                deep_hierarchy_spec)
 from repro.system.topology import AmbiguousDeviceError, build_system
 from repro.workloads.dd import DdWorkload
-from repro.workloads.mmio import MmioReadBench
+from repro.workloads.traffic import FlowSpec, TrafficEngine
 
 
 def chain3_spec() -> TopologySpec:
@@ -95,12 +95,12 @@ def test_chain3_dma_and_mmio_routable_with_checker_armed():
     assert dd_proc.done
     assert system.devices["sw3_disk"].sectors_transferred.value() == 16
     # MMIO path: register reads against the deepest NIC's BAR0.
-    bench = MmioReadBench(system.kernel, system.drivers["sw3_nic"].bar0 + 0x8,
-                          iterations=10)
-    mmio_proc = system.kernel.spawn("mmio", bench.run())
+    engine = TrafficEngine(system, [
+        FlowSpec("mmio", "mmio_read", "sw3_nic", requests=10)])
+    engine.start()
     system.run(max_events=50_000_000)
-    assert mmio_proc.done
-    assert bench.mean_latency_ns > 0
+    assert engine.completed
+    assert engine.results()["flows"]["mmio"]["mean_ns"] > 0
     assert system.sim.checker.violations == []
 
 

@@ -8,7 +8,7 @@ from repro.system.spec import (classic_pci_spec, dual_device_spec, nic_spec,
                                validation_spec)
 from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
-from repro.workloads.mmio import MmioReadBench
+from repro.workloads.traffic import FlowSpec, TrafficEngine
 
 
 # ---------------------------------------------------------------- enumeration
@@ -142,11 +142,11 @@ def test_mmio_latency_grows_with_rc_latency():
     means = {}
     for rc_ns in (50, 150):
         system = build_system(nic_spec(rc_latency=ticks.from_ns(rc_ns)))
-        bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
-                              iterations=20)
-        system.kernel.spawn("mmio", bench.run())
+        engine = TrafficEngine(system, [
+            FlowSpec("mmio", "mmio_read", "nic", requests=20)])
+        engine.start()
         system.run()
-        means[rc_ns] = bench.mean_latency_ns
+        means[rc_ns] = engine.results()["flows"]["mmio"]["mean_ns"]
     # Request and response both cross the RC: >= 2x the latency delta.
     delta = means[150] - means[50]
     assert delta >= 2 * (150 - 50) * 0.9

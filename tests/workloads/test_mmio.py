@@ -1,46 +1,45 @@
-"""Unit tests for the MMIO-latency microbenchmark."""
+"""The MMIO-latency kernel module (Table II) as an ``mmio_read`` flow."""
 
 import pytest
 
 from repro.sim import ticks
 from repro.system.spec import nic_spec
 from repro.system.topology import build_system
-from repro.workloads.mmio import MmioReadBench
+from repro.workloads.traffic import FlowSpec, TrafficEngine, TrafficError
+
+
+def run_reads(spec, requests):
+    """Time ``requests`` dependent 4-byte reads of the NIC's STATUS
+    register; return the flow's results record."""
+    system = build_system(spec)
+    engine = TrafficEngine(system, [
+        FlowSpec("mmio", "mmio_read", "nic", requests=requests)])
+    engine.start()
+    system.run()
+    assert engine.completed
+    return engine.results()["flows"]["mmio"]
 
 
 def test_validates_iterations():
-    system = build_system(nic_spec())
-    with pytest.raises(ValueError):
-        MmioReadBench(system.kernel, 0x40000000, iterations=0)
+    with pytest.raises(TrafficError, match="requests"):
+        FlowSpec("mmio", "mmio_read", "nic", requests=0).validate()
 
 
 def test_measures_each_iteration():
-    system = build_system(nic_spec())
-    bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
-                          iterations=10)
-    assert bench.mean_latency_ns is None
-    proc = system.kernel.spawn("bench", bench.run())
-    system.run()
-    assert proc.done
-    assert len(bench.latencies_ticks) == 10
-    assert bench.mean_latency_ns > 0
+    record = run_reads(nic_spec(), 10)
+    assert record["requests_completed"] == 10
+    assert record["bytes"] == 10 * 4
+    assert record["mean_ns"] > 0
 
 
 def test_steady_state_latency_is_stable():
-    system = build_system(nic_spec())
-    bench = MmioReadBench(system.kernel, system.nic_driver.bar0 + 0x8,
-                          iterations=10)
-    system.kernel.spawn("bench", bench.run())
-    system.run()
-    tail = bench.latencies_ticks[2:]
-    assert max(tail) == min(tail)  # dependent reads on an idle fabric
+    record = run_reads(nic_spec(), 10)
+    # Dependent reads on an idle fabric: the slowest read is the mean.
+    assert record["p999_ns"] == record["mean_ns"]
 
 
 def test_latency_includes_rc_both_ways():
-    fast = build_system(nic_spec(rc_latency=ticks.from_ns(50)))
-    bench = MmioReadBench(fast.kernel, fast.nic_driver.bar0 + 0x8, iterations=5)
-    fast.kernel.spawn("bench", bench.run())
-    fast.run()
+    record = run_reads(nic_spec(rc_latency=ticks.from_ns(50)), 5)
     # Two RC crossings alone are 100 ns; the link, crossbar and device
     # add the rest — the paper's Table II smallest value is 318 ns.
-    assert bench.mean_latency_ns > 150
+    assert record["mean_ns"] > 150

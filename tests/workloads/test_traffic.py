@@ -69,6 +69,30 @@ def test_flowspec_validation_rejects(bad):
         FlowSpec(**base).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("requests", "8"),
+    ("requests", 2.5),
+    ("requests", True),
+    ("bytes_per_request", 4096.0),
+    ("gap", None),
+    ("burst", "1"),
+    ("seed", 1.0),
+    ("start_delay", False),
+    ("mmio_offset", "0x8"),
+    ("jitter", "0.1"),
+    ("jitter", True),
+    ("loopback", 1),
+    ("name", 7),
+    ("kind", ["dd_read"]),
+    ("device", None),
+])
+def test_flowspec_validation_names_the_mistyped_field(field, value):
+    doc = FlowSpec(name="f", kind="dd_read", device="d").to_dict()
+    doc[field] = value
+    with pytest.raises(TrafficError, match=f"{field} must be"):
+        FlowSpec.from_dict(doc).validate()
+
+
 def test_flowspec_from_dict_rejects_unknown_and_incomplete():
     with pytest.raises(TrafficError, match="unknown"):
         FlowSpec.from_dict({"name": "f", "kind": "dd_read", "device": "d",
@@ -108,6 +132,16 @@ def test_engine_rejects_kind_capability_mismatch():
     with pytest.raises(TrafficError, match="wrong device kind"):
         TrafficEngine(system, [FlowSpec(name="f", kind="nic_tx",
                                         device="disk0")])
+
+
+@pytest.mark.parametrize("kind", ["dd_read", "dd_write"])
+@pytest.mark.parametrize("nbytes", [100, 1000, 4096 + 512])
+def test_engine_rejects_dd_requests_that_are_not_whole_sectors(kind, nbytes):
+    system = build_system(small_spec(disk_spec("disk0")))
+    with pytest.raises(TrafficError, match=r"'f'.*4096-byte sector"):
+        TrafficEngine(system, [FlowSpec(name="f", kind=kind, device="disk0",
+                                        requests=2,
+                                        bytes_per_request=nbytes)])
 
 
 def test_engine_enforces_exclusive_device_ownership():
