@@ -37,9 +37,6 @@ BLOCK_SIZES = {
 #: block size so amortisation matches (≈ 29 ms unscaled).
 DD_STARTUP = ticks.from_us(29_000 // SCALE)
 
-#: The physical reference uses the same scaled startup cost.
-PHYS_STARTUP = DD_STARTUP
-
 # Sweep points straight from the paper.
 SWITCH_LATENCIES_NS = (50, 100, 150)
 LINK_WIDTHS = (1, 2, 4, 8)

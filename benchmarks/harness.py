@@ -21,7 +21,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.report import Table
 from repro.exp import SweepEngine, SweepResult, Sweep
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -83,16 +82,6 @@ def save_results(name: str, payload: dict,
             pass
         raise
     return path
-
-
-def table_to_payload(table: Table) -> dict:
-    """Flatten an analysis Table into the persisted JSON shape."""
-    return {
-        "title": table.title,
-        "x_label": table.x_label,
-        "y_label": table.y_label,
-        "series": {s.name: {str(x): s.points[x] for x in s.xs()} for s in table.series},
-    }
 
 
 def profile_point(sweep: Sweep, results_dir: Optional[str] = None) -> str:

@@ -2,8 +2,9 @@
 
 One builder per experiment, each returning a :class:`repro.exp.Sweep`
 whose points carry only canonical-JSON-safe parameters (so they cache
-and parallelise; see :mod:`repro.exp.spec`).  The benchmark test files
-and the ``python -m benchmarks.harness`` CLI both consume these, which
+and parallelise; see :mod:`repro.exp.spec`).  The
+``python -m benchmarks.harness`` CLI runs them, and tier-1's
+``tests/test_artifacts.py`` regenerates every payload through it, which
 keeps the set of simulated configurations defined in exactly one place.
 
 Every point is the same triple for the one runner,

@@ -26,8 +26,8 @@ Run one from Python (:func:`run_scenario`) or the command line::
     python -m repro.workloads.scenarios --all --check
 
 The CLI exits non-zero if any flow fails to complete or (with
-``--check`` or ``REPRO_CHECK=on``) any protocol invariant is violated —
-which is what the CI ``scenario-smoke`` job gates on.
+``--check`` or ``REPRO_CHECK=on``) any protocol invariant is violated;
+tier-1 runs ``--all --check`` (``tests/workloads/test_scenarios.py``).
 """
 
 import argparse
@@ -321,8 +321,8 @@ def np_storm(writers: int = 2, requests: int = 4, block_bytes: int = 16384,
 
 
 #: The scenario library: stable name -> zero-argument builder.  Every
-#: entry must run checker-armed with zero violations (CI's
-#: ``scenario-smoke`` job and the test battery enforce it).
+#: entry must run checker-armed with zero violations (the test battery
+#: runs ``--all --check`` to enforce it).
 SCENARIOS = {
     "fanout_contention": fanout_contention,
     "mixed_rw": mixed_rw,

@@ -125,10 +125,13 @@ def test_cli_list_names_every_scenario(capsys):
 
 
 def test_cli_runs_one_scenario_checked(capsys):
-    assert main(["mixed_rw", "--check"]) == 0
-    out = capsys.readouterr().out
-    assert "mixed_rw" in out
-    assert "violations = 0" in out
+    for argv, names in ((["mixed_rw"], ["mixed_rw"]),
+                        (["--all"], sorted(SCENARIOS))):
+        assert main(argv + ["--check"]) == 0
+        out = capsys.readouterr().out
+        for name in names:
+            assert f"== {name} (digest" in out
+        assert out.count("violations = 0") == len(names)
 
 
 def test_cli_rejects_unknown_scenario(capsys):
