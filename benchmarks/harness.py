@@ -21,15 +21,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.exp import SweepEngine, SweepResult, Sweep
+from repro.exp import SweepEngine, SweepResult, Sweep, default_workers
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Sweep-point results are memoised here, keyed by config hash.
-CACHE_DIR = os.path.join(RESULTS_DIR, ".cache")
-
-#: Wall-clock record of every sweep run (see repro.exp.bench).
-BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_sweeps.json")
 
 def run_sweep(sweep: Sweep, workers: Optional[int] = None,
               cache: bool = True,
@@ -84,54 +79,13 @@ def save_results(name: str, payload: dict,
     return path
 
 
-def profile_point(sweep: Sweep, results_dir: Optional[str] = None) -> str:
-    """Run the sweep's first point in-process under cProfile.
-
-    Sweep points normally run in worker processes behind the result
-    cache, which hides them from a profiler; this runs one point (the
-    sweep's first, a representative configuration) directly, with the
-    cache bypassed, and writes the statistics sorted by cumulative time
-    to ``<results_dir>/<sweep.name>_profile.txt`` — next to the sweep's
-    results artifact, so a profile and the run it explains travel
-    together.
-
-    Returns the path of the written profile.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    from repro.exp.spec import resolve_runner
-
-    root = results_dir or RESULTS_DIR
-    os.makedirs(root, exist_ok=True)
-    point = sweep.points[0]
-    runner = resolve_runner(point.runner)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    runner(**point.params)
-    profiler.disable()
-
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(60)
-    stats.sort_stats("tottime").print_stats(30)
-    path = os.path.join(root, f"{sweep.name}_profile.txt")
-    with open(path, "w") as fh:
-        fh.write(f"# cProfile of sweep {sweep.name!r}, point {point.key!r}\n")
-        fh.write(f"# runner: {point.runner}  params: {point.params}\n")
-        fh.write("# NOTE: cProfile instrumentation inflates wall time ~3x;\n")
-        fh.write("# compare shapes, not absolute seconds.\n")
-        fh.write(buf.getvalue())
-    return path
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: run one named experiment sweep and persist its raw results.
 
-    Unknown experiment names exit with status 2 and the list of known
-    names on stderr (no traceback); the results directory is created if
-    missing.
+    Unknown experiment names and worker counts that are not positive
+    integers (``--workers`` or ``REPRO_SWEEP_WORKERS``) exit with status
+    2 and an error line on stderr (no traceback); the results directory
+    is created if missing.
     """
     from benchmarks import sweeps
 
@@ -156,10 +110,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "cache separately from unchecked ones")
     parser.add_argument("--results-dir", default=None, metavar="DIR",
                         help=f"artifact directory (default: {RESULTS_DIR})")
-    parser.add_argument("--profile", action="store_true",
-                        help="instead of the full sweep, run its first "
-                             "point in-process under cProfile and write "
-                             "sorted stats next to the results artifact")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -181,6 +131,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: unknown benchmark {args.benchmark!r}; "
               f"known benchmarks: {known}", file=sys.stderr)
         return 2
+    try:
+        workers = default_workers() if args.workers is None else args.workers
+    except ValueError as exc:
+        parser.error(str(exc))
+    if workers < 1:
+        parser.error(f"--workers must be >= 1, got {workers}")
 
     sweep = builder()
     if args.check:
@@ -189,11 +145,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (or get served from) the unchecked cache entries.
         for point in sweep.points:
             point.params["check"] = True
-    if args.profile:
-        path = profile_point(sweep, results_dir=args.results_dir)
-        print(f"profile: {path}")
-        return 0
-    result = run_sweep(sweep, workers=args.workers,
+    result = run_sweep(sweep, workers=workers,
                        cache=not args.fresh,
                        results_dir=args.results_dir)
     path = save_results(f"{sweep.name}_sweep", result.results,

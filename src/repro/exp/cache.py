@@ -84,9 +84,9 @@ class ResultCache:
         """Look up an entry; return its envelope or None on any miss.
 
         The envelope is ``{"key": ..., "result": ..., "elapsed_s": ...}``.
-        A file that is missing, fails to parse, or whose embedded key
-        does not exactly match ``key_doc`` is a miss; corrupt files are
-        deleted so the re-run's write starts clean.
+        A file that is missing, fails to parse, has no ``result``, or
+        whose embedded key does not exactly match ``key_doc`` is a miss;
+        corrupt files are deleted so the re-run's write starts clean.
         """
         path = self._path(digest)
         try:
@@ -101,7 +101,8 @@ class ResultCache:
                     pass
             self.misses += 1
             return None
-        if not isinstance(entry, dict) or entry.get("key") != key_doc:
+        if (not isinstance(entry, dict) or entry.get("key") != key_doc
+                or "result" not in entry):
             try:
                 os.unlink(path)
             except OSError:

@@ -93,3 +93,16 @@ def test_non_dict_entry_is_a_miss(tmp_path):
     with open(os.path.join(cache.root, f"{digest}.json"), "w") as fh:
         json.dump([1, 2, 3], fh)
     assert cache.get(digest, key_doc) is None
+
+
+def test_entry_without_result_is_a_miss_and_is_deleted(tmp_path):
+    """A matching key with no ``result`` field must cost a re-run, not
+    crash the sweep that reads it."""
+    cache = ResultCache(str(tmp_path / "cache"))
+    digest, key_doc = cache_key(RUNNER, {"x": 3})
+    path = cache.put(digest, key_doc, {"value": 9}, elapsed_s=0.1)
+    with open(path, "w") as fh:
+        json.dump({"key": key_doc, "elapsed_s": 0.1}, fh)
+    assert cache.get(digest, key_doc) is None
+    assert not os.path.exists(path), "result-less entry should be dropped"
+    assert cache.misses == 1

@@ -38,8 +38,7 @@ from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.scenarios import run_scenario
 
-from benchmarks.core_perf import _LinkDriver, _LinkSink
-from benchmarks.perf.layers import LabelCounter
+from benchmarks.perf.layers import LabelCounter, _LinkDriver, _LinkSink
 from tests.golden.scenario import SCENARIOS, four_flow_scenario, run_dd_system
 
 #: ``(events_processed, final tick, next insertion seq)`` at the parent

@@ -24,7 +24,7 @@ from repro.sim.simobject import Simulator
 from repro.system.spec import deep_hierarchy_spec
 from repro.system.topology import build_system
 
-from benchmarks.core_perf import _LinkDriver, _LinkSink
+from benchmarks.perf.layers import _LinkDriver, _LinkSink
 
 #: Bytes one depth-4 fan-out-2 machine retains after ``build_system``:
 #: 614,020 measured on CPython 3.11 (880,188 before the link queues

@@ -26,8 +26,28 @@ def test_save_results_keeps_the_old_payload_when_a_write_dies(tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["fig.json"]
 
 
-def test_harness_has_no_checkpoint_flag(capsys):
+@pytest.mark.parametrize("flag", ["--checkpoint", "--profile"])
+def test_harness_has_no_checkpoint_flag(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        harness.main(["--checkpoint", "fig9b"])
+        harness.main([flag, "fig9b"])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--workers", "0"], None),
+    (["--workers", "-3"], None),
+    ([], "abc"),
+], ids=["workers-zero", "workers-negative", "env-not-an-integer"])
+def test_bad_worker_count_is_a_usage_error(argv, env, tmp_path, monkeypatch,
+                                           capsys):
+    if env is None:
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", env)
+    with pytest.raises(SystemExit) as exit_info:
+        harness.main(argv + ["table2", "--results-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert os.listdir(tmp_path) == []
