@@ -90,10 +90,13 @@ def _execute_point(payload: Tuple[str, Dict[str, Any]]) -> Tuple[Any, float]:
 def _execute_in_order(payloads: List[Tuple[str, Dict[str, Any]]],
                       nworkers: int):
     """Yield each payload's ``(result, elapsed)`` in order, as soon as
-    it and every payload before it have finished."""
-    if nworkers > 1 and len(payloads) > 1:
+    it and every payload before it have finished.  The pool is no larger
+    than the payload count or the host's CPU count: extra processes
+    only add spawn cost."""
+    nworkers = min(nworkers, len(payloads), os.cpu_count() or 1)
+    if nworkers > 1:
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=min(nworkers, len(payloads))) as pool:
+        with ctx.Pool(processes=nworkers) as pool:
             yield from pool.imap(_execute_point, payloads, chunksize=1)
     else:
         yield from map(_execute_point, payloads)

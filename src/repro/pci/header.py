@@ -360,12 +360,6 @@ class PciBridgeFunction(PciFunction):
     def subordinate_bus(self) -> int:
         return self.config.read(SUBORDINATE_BUS, 1)
 
-    def bus_in_range(self, bus: int) -> bool:
-        """True if ``bus`` lies in [secondary, subordinate] — the test
-        both configuration forwarding and the paper's response routing
-        use."""
-        return self.secondary_bus <= bus <= self.subordinate_bus
-
     # -- windows -----------------------------------------------------------------
     @property
     def memory_window(self) -> Optional[AddrRange]:
@@ -456,8 +450,9 @@ class PciBridgeFunction(PciFunction):
         return False
 
     def routes_bus(self, bus: int) -> bool:
-        """:meth:`bus_in_range` with the unconfigured-bridge guard the
-        response-routing path needs (secondary still 0 routes nothing,
-        because only the root bus itself is numbered 0)."""
+        """True if ``bus`` lies in [secondary, subordinate] — the test
+        both configuration forwarding and response routing use.  An
+        unconfigured bridge (secondary still 0) routes nothing, because
+        only the root bus itself is numbered 0."""
         _, _, secondary, subordinate = self._route_state()
         return secondary != 0 and secondary <= bus <= subordinate

@@ -14,6 +14,16 @@ behind a bridge are therefore *unreachable* until the enumeration
 software programs bus numbers into the bridge — exactly the behaviour
 the depth-first enumeration algorithm depends on.
 
+The walk from bus 0 that answers "which bus is number N?" is memoised
+in one ``{bus number: ConfigBus or None}`` map that the whole tree
+shares and only the walk fills, so every answer is the walk's (``None``
+included).  Anything that could change an answer clears the map: the
+tree growing, or a software write to a bridge's secondary/subordinate
+registers, through the host or straight into the bridge (a write hook
+``add_bridge`` installs).  Like a bridge's decoded routing cache, the
+memo is derived state that steers nothing the registers do not, so it
+is declared in no ``state_dict``.
+
 Reads of unpopulated addresses return all-ones: in the PCI-Express
 protocol a configuration response of all 1s represents an access to a
 non-existent device.
@@ -29,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PacketQueue, SlavePort
-from repro.pci.header import PciBridgeFunction, PciFunction
+from repro.pci.header import SECONDARY_BUS, PciBridgeFunction, PciFunction
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
 
@@ -45,6 +55,9 @@ class ConfigBus:
         self.name = name
         self._functions: Dict[Slot, PciFunction] = {}
         self._children: Dict[Slot, "ConfigBus"] = {}
+        #: The host's bus-number memo, one dict shared by the whole tree
+        #: (see the module doc for what clears it).
+        self.bus_memo: Dict[int, Optional["ConfigBus"]] = {}
 
     def add_function(self, device: int, function: int, model: PciFunction) -> None:
         if not (0 <= device <= 31 and 0 <= function <= 7):
@@ -53,6 +66,7 @@ class ConfigBus:
         if slot in self._functions:
             raise ValueError(f"slot {device}.{function} on {self.name} already populated")
         self._functions[slot] = model
+        self.bus_memo.clear()
 
     def add_bridge(
         self, device: int, function: int, model: PciBridgeFunction,
@@ -62,7 +76,12 @@ class ConfigBus:
         if not isinstance(model, PciBridgeFunction):
             raise TypeError(f"add_bridge requires a bridge function, got {model!r}")
         self.add_function(device, function, model)
+        memo = self.bus_memo
+        # Secondary and subordinate (0x19-0x1A) decide which numbers the
+        # bridge forwards; the primary bus number does not.
+        model.config.add_write_hook(SECONDARY_BUS, 2, lambda *_: memo.clear())
         child = ConfigBus(child_name or f"{self.name}.{device}.{function}")
+        child.bus_memo = memo
         self._children[(device, function)] = child
         return child
 
@@ -127,21 +146,25 @@ class PciHost(SimObject):
 
     # -- structural routing ----------------------------------------------------
     def _resolve(self, bus: int, device: int, function: int) -> Optional[PciFunction]:
-        return self._resolve_on(self.root_bus, 0, bus, device, function)
+        memo = self.root_bus.bus_memo
+        try:
+            cbus = memo[bus]
+        except KeyError:
+            cbus = memo[bus] = self._walk(bus)
+        return None if cbus is None else cbus.function_at(device, function)
 
-    def _resolve_on(
-        self, cbus: ConfigBus, cbus_num: int, bus: int, device: int, function: int
-    ) -> Optional[PciFunction]:
-        if bus == cbus_num:
-            return cbus.function_at(device, function)
-        for __, bridge, child in cbus.bridges():
-            # An unconfigured bridge (secondary == 0) forwards nothing;
-            # only bus 0 — the root bus itself — may be numbered 0.
-            if bridge.secondary_bus == 0:
-                continue
-            if bridge.bus_in_range(bus):
-                return self._resolve_on(child, bridge.secondary_bus, bus, device, function)
-        return None
+    def _walk(self, bus: int) -> Optional[ConfigBus]:
+        """The bus numbered ``bus``: from bus 0, follow the first bridge
+        whose [secondary, subordinate] range holds it, or None."""
+        cbus, number = self.root_bus, 0
+        while bus != number:
+            for __, bridge, child in cbus.bridges():
+                if bridge.routes_bus(bus):
+                    cbus, number = child, bridge._route_state()[2]
+                    break
+            else:
+                return None
+        return cbus
 
     def function_at(self, bus: int, device: int, function: int = 0) -> Optional[PciFunction]:
         return self._resolve(bus, device, function)

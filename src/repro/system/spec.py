@@ -91,6 +91,22 @@ def _require(cond: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _require_int(value: Any, low: int, what: str) -> None:
+    """``value`` is an int (not a bool) of at least ``low``."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= low,
+             f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _require_number(value: Any, what: str,
+                    high: Optional[float] = None) -> None:
+    """``value`` is a non-negative int or float, at most ``high``."""
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and 0 <= value and (high is None or value <= high))
+    bounds = ">= 0" if high is None else f"in [0, {high}]"
+    _require(ok, f"{what} must be a number {bounds}, got {value!r}")
+
+
 class LinkSpec:
     """Parameters of one PCI-Express link (one edge of the tree).
 
@@ -167,20 +183,19 @@ class LinkSpec:
 
     def validate(self) -> None:
         """Range-check every field (name uniqueness is checked tree-wide)."""
+        where = f"link {self.name!r}"
         _require(self.gen in GEN_NAMES,
-                 f"link {self.name!r}: unknown generation {self.gen!r} "
+                 f"{where}: unknown generation {self.gen!r} "
                  f"(expected one of {GEN_NAMES})")
-        _require(self.width >= 1, f"link {self.name!r}: width must be >= 1")
-        _require(self.replay_buffer_size >= 1,
-                 f"link {self.name!r}: replay buffer must hold >= 1 TLP")
         _require(self.ack_policy in ("timer", "immediate"),
-                 f"link {self.name!r}: unknown ack policy {self.ack_policy!r}")
-        _require(self.input_queue_size >= 1,
-                 f"link {self.name!r}: input queue must hold >= 1 TLP")
-        for field in ("p_credits", "np_credits", "cpl_credits"):
-            _require(getattr(self, field) >= 1,
-                     f"link {self.name!r}: {field} must be >= 1 "
-                     "(every flow-control class needs a credit)")
+                 f"{where}: unknown ack policy {self.ack_policy!r}")
+        # Every queue holds a TLP and every flow-control class a credit.
+        for field in ("width", "replay_buffer_size", "input_queue_size",
+                      "p_credits", "np_credits", "cpl_credits"):
+            _require_int(getattr(self, field), 1, f"{where}: {field}")
+        _require_number(self.propagation_delay, f"{where}: propagation_delay")
+        for field in ("error_rate", "dllp_error_rate"):
+            _require_number(getattr(self, field), f"{where}: {field}", high=1)
 
     def to_dict(self) -> Dict[str, Any]:
         """The link as a canonical-JSON-safe mapping (all fields, always)."""
@@ -243,6 +258,8 @@ class DeviceSpec:
         """Rebuild a :class:`DeviceSpec` from :meth:`to_dict` output."""
         _require(doc.get("node", "device") == "device",
                  f"expected a device node, got {doc.get('node')!r}")
+        _require("kind" in doc,
+                 f"device node {doc.get('name')!r}: missing field 'kind'")
         return cls(
             kind=doc["kind"],
             name=doc.get("name"),
@@ -301,13 +318,14 @@ class SwitchSpec:
 
     def validate(self) -> None:
         """Check the switch knobs, its link, and recurse into children."""
+        where = f"switch {self.name!r}"
         _require(self.datapath_scope in ("port", "engine"),
-                 f"switch {self.name!r}: unknown datapath scope "
-                 f"{self.datapath_scope!r}")
-        _require(self.buffer_size >= 2,
-                 f"switch {self.name!r}: port buffers need >= 2 slots")
+                 f"{where}: unknown datapath scope {self.datapath_scope!r}")
+        _require_int(self.buffer_size, 2, f"{where}: buffer_size")
+        for field in ("latency", "service_interval"):
+            _require_number(getattr(self, field), f"{where}: {field}")
         _require(self.effective_num_ports >= len(self.children),
-                 f"switch {self.name!r}: {len(self.children)} children do "
+                 f"{where}: {len(self.children)} children do "
                  f"not fit {self.effective_num_ports} downstream ports")
         self.link.validate()
         for child in self.children:
@@ -462,8 +480,10 @@ class TopologySpec:
         _require(self.rc_datapath_scope in ("port", "engine"),
                  f"root complex: unknown datapath scope "
                  f"{self.rc_datapath_scope!r}")
-        _require(self.rc_buffer_size >= 2,
-                 "root complex: port buffers need >= 2 slots")
+        _require_int(self.rc_buffer_size, 2, "root complex: buffer_size")
+        for field in ("latency", "service_interval"):
+            _require_number(getattr(self, f"rc_{field}"),
+                            f"root complex: {field}")
         _require(self.children, "a topology needs at least one node")
         _require(self.effective_num_root_ports >= len(self.children),
                  f"{len(self.children)} root-port children do not fit "

@@ -237,12 +237,13 @@ def _boot_and_bind(system: PcieSystem, driver_specs: List[tuple]) -> None:
     )
     device_map = {}
     models = {id(model): (name, model) for name, __, model in driver_specs}
+    by_function = {id(model.function): model for __, __, model in driver_specs}
     for node in kernel.enumerator.all_devices():
         if node.is_bridge:
             continue
-        for __, __, model in driver_specs:
-            if system.host.function_at(*node.bdf) is model.function:
-                device_map[node.bdf] = model
+        model = by_function.get(id(system.host.function_at(*node.bdf)))
+        if model is not None:
+            device_map[node.bdf] = model
     kernel.bind_drivers([drv for __, drv, __ in driver_specs], device_map)
     for __, driver, __ in driver_specs:
         if not driver.bound:

@@ -131,6 +131,21 @@ def test_invalid_worker_counts_rejected():
         SweepEngine().run(cheap_sweep(1), workers=0)
 
 
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    import multiprocessing
+    import os
+
+    serial = SweepEngine().run(cheap_sweep(3), workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one CPU must not start a worker pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    clamped = SweepEngine().run(cheap_sweep(3), workers=4)
+    assert canonical_json(clamped.results) == canonical_json(serial.results)
+
+
 def test_default_workers_env(monkeypatch):
     from repro.exp import default_workers
 

@@ -111,10 +111,10 @@ def test_bridge_bus_numbers():
     assert bridge.primary_bus == 0
     assert bridge.secondary_bus == 1
     assert bridge.subordinate_bus == 3
-    assert bridge.bus_in_range(1)
-    assert bridge.bus_in_range(3)
-    assert not bridge.bus_in_range(4)
-    assert not bridge.bus_in_range(0)
+    assert bridge.routes_bus(1)
+    assert bridge.routes_bus(3)
+    assert not bridge.routes_bus(4)
+    assert not bridge.routes_bus(0)
 
 
 def test_fresh_bridge_decodes_nothing():

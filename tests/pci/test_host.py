@@ -1,6 +1,8 @@
 """Unit tests for the PCI host and structural config routing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.packet import MemCmd, Packet
 from repro.pci import header as hdr
@@ -140,3 +142,107 @@ def test_timed_config_write_via_port():
     sim.run()
     assert fn.memory_enabled and fn.bus_master_enabled
     assert master.responses[0].cmd is MemCmd.CONFIG_WRITE_RESP
+
+
+# -- the bus-number memo ---------------------------------------------------
+
+
+def _program(bridge, secondary, subordinate):
+    """Reprogram a bridge's bus numbers straight into its config space,
+    bypassing the host — as a model or test harness would."""
+    bridge.config_write(hdr.SECONDARY_BUS, secondary, 1)
+    bridge.config_write(hdr.SUBORDINATE_BUS, subordinate, 1)
+
+
+def _reference_bus(host, bus):
+    """The un-memoised structural walk, from the raw bus-number bytes."""
+    cbus, number = host.root_bus, 0
+    while bus != number:
+        for __, bridge, child in cbus.bridges():
+            secondary = bridge.config_read(hdr.SECONDARY_BUS, 1)
+            subordinate = bridge.config_read(hdr.SUBORDINATE_BUS, 1)
+            if secondary and secondary <= bus <= subordinate:
+                cbus, number = child, secondary
+                break
+        else:
+            return None
+    return cbus
+
+
+def test_direct_bridge_write_after_resolve_reroutes():
+    sim = Simulator()
+    host = PciHost(sim)
+    left, right = PciBridgeFunction(1, 1), PciBridgeFunction(1, 2)
+    nic, disk = PciEndpointFunction(1, 3), PciEndpointFunction(1, 4)
+    host.root_bus.add_bridge(0, 0, left).add_function(0, 0, nic)
+    host.root_bus.add_bridge(1, 0, right).add_function(0, 0, disk)
+    _program(left, 1, 1)
+    _program(right, 2, 2)
+    assert host.function_at(1, 0) is nic and host.function_at(2, 0) is disk
+    # Swap the two buses without going through the host.
+    _program(left, 2, 2)
+    _program(right, 1, 1)
+    assert host.function_at(1, 0) is disk
+    assert host.function_at(2, 0) is nic
+
+
+def test_unreachable_bus_becomes_reachable_once_programmed():
+    sim = Simulator()
+    host = PciHost(sim)
+    bridge = PciBridgeFunction(0x8086, 0x9C90)
+    nic = PciEndpointFunction(0x8086, 0x10D3)
+    host.root_bus.add_bridge(0, 0, bridge).add_function(0, 0, nic)
+    assert host.function_at(1, 0) is None
+    host.config_write(0, 0, 0, hdr.SECONDARY_BUS, 1, 1)
+    host.config_write(0, 0, 0, hdr.SUBORDINATE_BUS, 1, 1)
+    assert host.function_at(1, 0) is nic
+
+
+def test_growing_the_tree_after_resolve_is_seen():
+    sim = Simulator()
+    host = PciHost(sim)
+    assert host.function_at(1, 0) is None
+    # A bridge that arrives already programmed claims bus 1 at once.
+    bridge = PciBridgeFunction(0x8086, 0x9C90)
+    _program(bridge, 1, 1)
+    child = host.root_bus.add_bridge(0, 0, bridge)
+    nic = PciEndpointFunction(0x8086, 0x10D3)
+    child.add_function(4, 0, nic)
+    assert host.function_at(1, 4) is nic
+
+
+def _memo_tree(host):
+    """Bus 0 with two bridges; each child bus holds an endpoint at slot
+    0 and a further bridge at slot 1 with an endpoint behind it."""
+    bridges = []
+    for device in range(2):
+        bridge = PciBridgeFunction(0x8086, device)
+        bus = host.root_bus.add_bridge(device, 0, bridge)
+        bus.add_function(0, 0, PciEndpointFunction(0x8086, 0x100 + device))
+        inner = PciBridgeFunction(0x8086, 0x10 + device)
+        bus.add_bridge(1, 0, inner).add_function(
+            0, 0, PciEndpointFunction(0x8086, 0x200 + device))
+        bridges += [bridge, inner]
+    return bridges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
+                          st.integers(0, 6)), min_size=1, max_size=12))
+def test_memoised_resolve_equals_a_fresh_walk(programs):
+    sim = Simulator()
+    host = PciHost(sim)
+    bridges = _memo_tree(host)
+    reads = misses = 0
+    for index, secondary, subordinate in programs:
+        _program(bridges[index], secondary, subordinate)
+        for bus in range(8):
+            cbus = _reference_bus(host, bus)
+            for device in range(2):
+                want = None if cbus is None else cbus.function_at(device, 0)
+                assert host.function_at(bus, device) is want
+                host.config_read(bus, device, 0, hdr.VENDOR_ID, 2)
+                reads += want is not None
+                misses += want is None
+    assert host.config_reads.value() == reads
+    assert host.missed_accesses.value() == misses

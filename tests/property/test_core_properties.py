@@ -168,4 +168,4 @@ def test_bridge_bus_range_check(primary, secondary, subordinate):
     bridge.config_write(SECONDARY_BUS, secondary, 1)
     bridge.config_write(SUBORDINATE_BUS, subordinate, 1)
     for bus in range(0, 256, 17):
-        assert bridge.bus_in_range(bus) == (secondary <= bus <= subordinate)
+        assert bridge.routes_bus(bus) == (0 < secondary <= bus <= subordinate)

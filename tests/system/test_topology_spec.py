@@ -152,6 +152,66 @@ def test_classic_spec_rejects_nic():
         ClassicPciSpec(device=DeviceSpec("nic")).finalize()
 
 
+def _one_disk(link=None, **switch_knobs):
+    """Root complex -> switch ``sw`` -> one disk, through the grammar."""
+    disk = DeviceSpec("disk", link=link)
+    return TopologySpec(children=[
+        SwitchSpec(name="sw", children=[disk], **switch_knobs)])
+
+
+def test_error_rate_above_one_is_rejected():
+    with pytest.raises(SpecError, match="error_rate must be a number in"):
+        _one_disk(LinkSpec(error_rate=2.0)).finalize()
+
+
+def test_dllp_error_rate_below_zero_is_rejected():
+    with pytest.raises(SpecError, match="'disk0': dllp_error_rate"):
+        _one_disk(LinkSpec(dllp_error_rate=-0.1)).finalize()
+
+
+def test_negative_switch_latency_is_rejected():
+    with pytest.raises(SpecError, match="switch 'sw': latency"):
+        _one_disk(latency=-5).finalize()
+
+
+def test_negative_switch_service_interval_is_rejected():
+    with pytest.raises(SpecError, match="switch 'sw': service_interval"):
+        _one_disk(service_interval=-5).finalize()
+
+
+def test_negative_root_complex_latency_is_rejected():
+    spec = _one_disk()
+    spec.rc_latency = -5
+    with pytest.raises(SpecError, match="root complex: latency"):
+        spec.finalize()
+
+
+def test_negative_root_complex_service_interval_is_rejected():
+    doc = validation_spec().to_dict()
+    doc["root_complex"]["service_interval"] = -5
+    with pytest.raises(SpecError, match="root complex: service_interval"):
+        spec_from_dict(doc)
+
+
+def test_negative_propagation_delay_is_rejected():
+    with pytest.raises(SpecError, match="propagation_delay"):
+        _one_disk(LinkSpec(propagation_delay=-1)).finalize()
+
+
+def test_string_width_is_rejected():
+    doc = validation_spec().to_dict()
+    doc["children"][0]["link"]["width"] = "4"
+    with pytest.raises(SpecError, match="width must be an integer >= 1"):
+        spec_from_dict(doc)
+
+
+def test_node_without_kind_is_rejected():
+    doc = validation_spec().to_dict()
+    del doc["children"][0]["children"][0]["kind"]
+    with pytest.raises(SpecError, match="missing field 'kind'"):
+        spec_from_dict(doc)
+
+
 def test_deep_hierarchy_shape():
     spec = deep_hierarchy_spec(3, 2)
     assert len(spec.devices()) == 6
