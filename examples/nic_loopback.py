@@ -28,7 +28,7 @@ def main() -> None:
     # the Table II topology (a NIC directly on a root port); print its
     # JSON form with spec.to_json() to see exactly what gets built.
     system = build_system(nic_spec())
-    driver = system.nic_driver
+    driver = system.drivers["nic"]
     print("probe results:")
     print(f"  matched {driver.found!r}")
     print(f"  capability chain: "
@@ -59,7 +59,7 @@ def main() -> None:
     system.run()
 
     elapsed_us = ticks.to_us(done["elapsed"])
-    nic = system.nic
+    nic = system.devices["nic"]
     print(f"\nmoved {FRAMES} frames of {FRAME_BYTES}B out and back "
           f"in {elapsed_us:.1f} us")
     print(f"  TX: {int(nic.frames_transmitted.value())} frames, "

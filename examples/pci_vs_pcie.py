@@ -21,7 +21,8 @@ BLOCK = 256 * 1024
 
 
 def run_dd(system):
-    dd = DdWorkload(system.kernel, system.disk_driver, BLOCK, startup_overhead=0)
+    dd = DdWorkload(system.kernel, system.drivers["disk"], BLOCK,
+                    startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run()
     assert process.done

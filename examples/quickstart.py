@@ -46,7 +46,7 @@ def main() -> None:
 
     print("=== discovered PCI hierarchy (lspci-style) ===")
     print(system.kernel.enumerator.tree_text())
-    driver = system.disk_driver
+    driver = system.drivers["disk"]
     print(f"\ndisk driver: BAR0 at {driver.bar0:#x}, "
           f"interrupt mode: {driver.interrupt_mode}, "
           f"IRQ line {driver.found.interrupt_line}")
@@ -79,10 +79,10 @@ def main() -> None:
           f"{result.throughput_gbps:.2f} Gbps")
     print(f"transfer phase only: {result.transfer_gbps:.2f} Gbps")
 
-    stats = link_replay_stats(system.disk_link)
+    stats = link_replay_stats(system.links["disk"])
     print(f"\ndisk link: {stats['tlps_sent']} TLPs sent, "
           f"{stats['replays']} replayed, {stats['timeouts']} timeouts")
-    sector_ns = ticks.to_ns(system.disk.sector_transfer_ticks.mean)
+    sector_ns = ticks.to_ns(system.devices["disk"].sector_transfer_ticks.mean)
     print(f"device-level sector throughput: "
           f"{4096 * 8 / sector_ns:.2f} Gbps "
           f"(paper: 3.072 Gbps on Gen 2 x1)")

@@ -20,7 +20,7 @@ This package models exactly that surface:
 from repro.kernel.processor import Processor
 from repro.kernel.interrupts import InterruptController, MsiDoorbell
 from repro.kernel.blockio import BlockLayer
-from repro.kernel.kernel import OsKernel, KernelConfig
+from repro.kernel.kernel import OsKernel
 
 __all__ = [
     "Processor",
@@ -28,5 +28,4 @@ __all__ = [
     "MsiDoorbell",
     "BlockLayer",
     "OsKernel",
-    "KernelConfig",
 ]

@@ -12,28 +12,8 @@ from repro.kernel.blockio import BlockLayer
 from repro.kernel.interrupts import InterruptController
 from repro.kernel.processor import Processor
 from repro.pci.enumeration import Enumerator, FoundDevice
-from repro.sim import ticks
 from repro.sim.process import Process
 from repro.sim.simobject import SimObject, Simulator
-
-
-class KernelConfig:
-    """Software-overhead knobs, grouped so system builders can pass one
-    object around (all values in ticks)."""
-
-    def __init__(
-        self,
-        irq_dispatch_latency: int = ticks.from_ns(500),
-        block_submit_overhead: int = ticks.from_us(4),
-        block_complete_overhead: int = ticks.from_us(3),
-        block_per_sector_overhead: int = ticks.from_us(1.0),
-        max_sectors_per_request: int = 32,
-    ):
-        self.irq_dispatch_latency = irq_dispatch_latency
-        self.block_submit_overhead = block_submit_overhead
-        self.block_complete_overhead = block_complete_overhead
-        self.block_per_sector_overhead = block_per_sector_overhead
-        self.max_sectors_per_request = max_sectors_per_request
 
 
 class OsKernel(SimObject):
@@ -45,22 +25,11 @@ class OsKernel(SimObject):
         sim: Simulator,
         name: str = "kernel",
         parent: Optional[SimObject] = None,
-        config: Optional[KernelConfig] = None,
     ):
         super().__init__(sim, name, parent)
-        self.config = config or KernelConfig()
         self.cpu = Processor(sim, "cpu", parent=self)
-        self.intc = InterruptController(
-            sim, "intc", parent=self,
-            dispatch_latency=self.config.irq_dispatch_latency,
-        )
-        self.block_layer = BlockLayer(
-            sim, "block_layer", parent=self,
-            max_sectors_per_request=self.config.max_sectors_per_request,
-            submit_overhead=self.config.block_submit_overhead,
-            complete_overhead=self.config.block_complete_overhead,
-            per_sector_overhead=self.config.block_per_sector_overhead,
-        )
+        self.intc = InterruptController(sim, "intc", parent=self)
+        self.block_layer = BlockLayer(sim, "block_layer", parent=self)
         self.enumerator: Optional[Enumerator] = None
         # Set by the system builder when the platform has an MSI
         # doorbell; drivers program it into MSI-capable devices.

@@ -181,7 +181,6 @@ class Packet:
         "pci_bus_num",
         "posted",
         "create_tick",
-        "_annotations",
         # Command/flow flags, stamped once in __init__.  ``cmd`` (and
         # ``posted``, which is derived from it) never changes after
         # construction, and plain slot reads keep the per-hop
@@ -227,21 +226,8 @@ class Packet:
         self.needs_response = cmd._needs_response and not self.posted
         self.payload_size = size if cmd._carries_payload else 0
         self.flow_class = cmd._flow_class
-        # Free-form per-component scratch space (e.g. measured
-        # latencies).  Allocated lazily: most TLPs are never annotated,
-        # and the per-packet empty dict was measurable churn in the
-        # benchmark profiles.
-        self._annotations: Optional[dict] = None
 
     # -- convenience -------------------------------------------------------
-    @property
-    def annotations(self) -> dict:
-        """Per-component scratch dict, created on first access."""
-        ann = self._annotations
-        if ann is None:
-            ann = self._annotations = {}
-        return ann
-
     def make_response(self, data: Optional[bytes] = None) -> "Packet":
         """Build the matching response packet (same id, same bus number)."""
         if not self.needs_response:

@@ -775,9 +775,9 @@ class PcieLink(SimObject):
         dllp_error_rate: fraction of received DLLPs corrupted
             (discarded; ACK recovery via the replay timeout, UpdateFC
             recovery via cumulative limits + the FC watchdog).
-        replay_timeout / ack_period / fc_watchdog: timer overrides in
-            ticks; default to the spec formulas in
-            :mod:`repro.pcie.timing`.
+        replay_timeout / ack_period: timer overrides in ticks; default
+            to the spec formulas in :mod:`repro.pcie.timing`.  The FC
+            watchdog always follows its formula.
     """
 
     def __init__(
@@ -800,7 +800,6 @@ class PcieLink(SimObject):
         error_seed: int = 0x5EED,
         replay_timeout: Optional[int] = None,
         ack_period: Optional[int] = None,
-        fc_watchdog: Optional[int] = None,
     ):
         super().__init__(sim, name, parent)
         if replay_buffer_size < 1:
@@ -830,11 +829,7 @@ class PcieLink(SimObject):
         self.ack_period = (
             ack_period if ack_period is not None else ack_timer_ticks(gen, width, max_payload)
         )
-        self.fc_watchdog = (
-            fc_watchdog
-            if fc_watchdog is not None
-            else fc_watchdog_ticks(gen, width, max_payload)
-        )
+        self.fc_watchdog = fc_watchdog_ticks(gen, width, max_payload)
 
         self.upstream_if = PcieLinkInterface(sim, "up_if", self)
         self.downstream_if = PcieLinkInterface(sim, "down_if", self)

@@ -122,10 +122,6 @@ class PcieSwitch(PcieRoutingEngine):
         """
         internal = parent_bus.add_bridge(device, 0, self.upstream_vp2p,
                                          child_name=f"{self.name}.internal")
-        children = []
-        for i, port in enumerate(self.downstream_ports):
-            child = internal.add_bridge(i, 0, port.vp2p,
-                                        child_name=f"{self.name}.dp{i}")
-            children.append(child)
-        self._downstream_config_buses = children
-        return children
+        return [internal.add_bridge(i, 0, port.vp2p,
+                                    child_name=f"{self.name}.dp{i}")
+                for i, port in enumerate(self.downstream_ports)]

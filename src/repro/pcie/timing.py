@@ -214,11 +214,6 @@ class LinkTiming:
     def tlp_wire_bytes(self, payload: int) -> int:
         return payload + TLP_OVERHEAD_BYTES
 
-    @property
-    def effective_gbps(self) -> float:
-        """Encoded payload bandwidth of the whole link, one direction."""
-        return self.gen.effective_gbps_per_lane * self.width
-
     def __repr__(self) -> str:
         return f"<LinkTiming {self.gen.name} x{self.width}>"
 

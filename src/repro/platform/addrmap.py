@@ -39,19 +39,6 @@ class AddressMap:
         self.pci_mem = pci_mem
         self.dram = dram
 
-    def classify(self, addr: int) -> str:
-        """Which window an address falls in ('config'/'io'/'mem'/'dram'
-        or 'unmapped')."""
-        if addr in self.pci_config:
-            return "config"
-        if addr in self.pci_io:
-            return "io"
-        if addr in self.pci_mem:
-            return "mem"
-        if addr in self.dram:
-            return "dram"
-        return "unmapped"
-
 
 VEXPRESS_GEM5_V1 = AddressMap(
     pci_config=AddrRange(0x30000000, 0x10000000),

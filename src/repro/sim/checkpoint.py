@@ -71,6 +71,15 @@ class CheckpointError(RuntimeError):
 #: The JSON scalars an entry's ``arg`` may be.
 _SCALARS = (type(None), bool, int, float, str)
 
+#: The type each field of a document, of its ``eventq`` and of each of
+#: its ``events`` must hold; :func:`restore` checks them all first.
+_DOCUMENT_FIELDS = (("eventq", dict), ("events", list), ("objects", dict),
+                    ("stats", dict), ("tracer", dict), ("checker", dict))
+_EVENTQ_FIELDS = (("curtick", int), ("next_seq", int),
+                  ("events_processed", int))
+_EVENT_FIELDS = (("when", int), ("priority", int), ("seq", int),
+                 ("owner", str), ("method", str))
+
 
 def _owner_and_method(sim, fn, when: int):
     """The registered owner and method name of the bound method ``fn``."""
@@ -183,6 +192,29 @@ def _reconstruct_event(sim, doc: Dict) -> tuple:
     return key + (call, method)
 
 
+def _check_fields(doc: Dict, fields, where: str) -> None:
+    """Each ``(name, type)`` of ``fields`` is present in ``doc`` with
+    that type."""
+    for name, kind in fields:
+        value = doc.get(name)
+        if not isinstance(value, kind):
+            raise CheckpointError(
+                f"checkpoint field {where + name!r} must be of type "
+                f"{kind.__name__}, got {value!r}")
+
+
+def _check_shape(snapshot: Dict) -> None:
+    """Refuse a malformed document before any of it is applied."""
+    _check_fields(snapshot, _DOCUMENT_FIELDS, "")
+    _check_fields(snapshot["eventq"], _EVENTQ_FIELDS, "eventq.")
+    for i, event in enumerate(snapshot["events"]):
+        if not isinstance(event, dict):
+            raise CheckpointError(
+                f"checkpoint field 'events[{i}]' must be of type dict, "
+                f"got {event!r}")
+        _check_fields(event, _EVENT_FIELDS, f"events[{i}].")
+
+
 def restore(sim, snapshot: Dict) -> None:
     """Overlay a :func:`capture` document onto a freshly built twin.
 
@@ -192,9 +224,10 @@ def restore(sim, snapshot: Dict) -> None:
     the only pending work.
 
     Raises:
-        CheckpointError: on format/version mismatch, a non-empty target
-            queue, or any name in the snapshot that the rebuilt system
-            cannot resolve (object, stat, port or method).
+        CheckpointError: on format/version mismatch, a field missing
+            or of the wrong type, a non-empty target queue, or any name
+            in the snapshot that the rebuilt system cannot resolve
+            (object, stat, port or method).
     """
     if snapshot.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
@@ -204,6 +237,7 @@ def restore(sim, snapshot: Dict) -> None:
         raise CheckpointError(
             f"checkpoint version {snapshot.get('version')!r} is not "
             f"supported (this build reads version {CHECKPOINT_VERSION})")
+    _check_shape(snapshot)
     if not sim.eventq.empty():
         raise CheckpointError(
             "restore target must be a freshly built simulator with an "

@@ -9,19 +9,13 @@ from repro.system.spec import (
     TopologySpec,
     classic_pci_spec,
     deep_hierarchy_spec,
-    dual_device_spec,
     nic_spec,
     spec_from_dict,
     validation_spec,
 )
-from repro.system.topology import (
-    AmbiguousDeviceError,
-    PcieSystem,
-    build_system,
-)
+from repro.system.topology import PcieSystem, build_system
 
 __all__ = [
-    "AmbiguousDeviceError",
     "PcieSystem",
     "build_system",
     "TopologySpec",
@@ -33,7 +27,6 @@ __all__ = [
     "spec_from_dict",
     "validation_spec",
     "nic_spec",
-    "dual_device_spec",
     "classic_pci_spec",
     "deep_hierarchy_spec",
 ]

@@ -55,6 +55,7 @@ import hashlib
 import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.pcie.timing import VALID_WIDTHS
 from repro.sim import ticks
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "ClassicPciSpec",
     "validation_spec",
     "nic_spec",
-    "dual_device_spec",
     "classic_pci_spec",
     "deep_hierarchy_spec",
     "spec_from_dict",
@@ -91,11 +91,27 @@ def _require(cond: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _require_int(value: Any, low: int, what: str) -> None:
-    """``value`` is an int (not a bool) of at least ``low``."""
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and value >= low,
-             f"{what} must be an integer >= {low}, got {value!r}")
+def _require_int(value: Any, low: int, what: str,
+                 high: Optional[int] = None) -> None:
+    """``value`` is an int (not a bool) of at least ``low``, at most
+    ``high``."""
+    ok = (isinstance(value, int) and not isinstance(value, bool)
+          and low <= value and (high is None or value <= high))
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    _require(ok, f"{what} must be an integer {bounds}, got {value!r}")
+
+
+def _require_optional_int(value: Any, low: int, what: str) -> None:
+    """``value`` is None (the default applies) or an int >= ``low``."""
+    if value is not None:
+        _require_int(value, low, what)
+
+
+def _require_type(value: Any, kind: type, what: str) -> None:
+    """A document field holds a ``kind`` (a list, a dict, ...).  The
+    message is built only on failure: ``value`` may be a whole tree."""
+    if not isinstance(value, kind):
+        raise SpecError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def _require_number(value: Any, what: str,
@@ -193,6 +209,13 @@ class LinkSpec:
         for field in ("width", "replay_buffer_size", "input_queue_size",
                       "p_credits", "np_credits", "cpl_credits"):
             _require_int(getattr(self, field), 1, f"{where}: {field}")
+        _require(self.width in VALID_WIDTHS,
+                 f"{where}: width must be one of {VALID_WIDTHS}, "
+                 f"got {self.width!r}")
+        _require_int(self.max_payload, 1, f"{where}: max_payload", high=4096)
+        _require_int(self.error_seed, 0, f"{where}: error_seed")
+        for field in ("replay_timeout", "ack_period"):
+            _require_optional_int(getattr(self, field), 1, f"{where}: {field}")
         _require_number(self.propagation_delay, f"{where}: propagation_delay")
         for field in ("error_rate", "dllp_error_rate"):
             _require_number(getattr(self, field), f"{where}: {field}", high=1)
@@ -204,6 +227,7 @@ class LinkSpec:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "LinkSpec":
         """Rebuild a :class:`LinkSpec` from :meth:`to_dict` output."""
+        _require_type(doc, dict, "link")
         unknown = set(doc) - set(cls.FIELDS)
         _require(not unknown, f"link spec has unknown fields {sorted(unknown)}")
         return cls(**doc)
@@ -317,19 +341,19 @@ class SwitchSpec:
             len(self.children), 1)
 
     def validate(self) -> None:
-        """Check the switch knobs, its link, and recurse into children."""
+        """Check the switch knobs and its link (the children are
+        :meth:`TopologySpec.validate`'s walk to visit, once each)."""
         where = f"switch {self.name!r}"
         _require(self.datapath_scope in ("port", "engine"),
                  f"{where}: unknown datapath scope {self.datapath_scope!r}")
         _require_int(self.buffer_size, 2, f"{where}: buffer_size")
         for field in ("latency", "service_interval"):
             _require_number(getattr(self, field), f"{where}: {field}")
+        _require_optional_int(self.num_ports, 1, f"{where}: num_ports")
         _require(self.effective_num_ports >= len(self.children),
                  f"{where}: {len(self.children)} children do "
                  f"not fit {self.effective_num_ports} downstream ports")
         self.link.validate()
-        for child in self.children:
-            child.validate()
 
     def to_dict(self) -> Dict[str, Any]:
         """The switch subtree as a canonical-JSON-safe mapping."""
@@ -356,8 +380,8 @@ class SwitchSpec:
         return cls(
             name=doc.get("name"),
             link=LinkSpec.from_dict(doc.get("link", {})),
-            children=[_node_from_dict(child)
-                      for child in doc.get("children", [])],
+            children=_nodes_from_list(doc.get("children", []),
+                                      f"switch {doc.get('name')!r}: children"),
             **kwargs,
         )
 
@@ -366,8 +390,16 @@ class SwitchSpec:
                 f"children={len(self.children)}>")
 
 
-def _node_from_dict(doc: Dict[str, Any]) -> Union[SwitchSpec, DeviceSpec]:
+def _nodes_from_list(docs: Any,
+                     what: str) -> List[Union[SwitchSpec, DeviceSpec]]:
+    """Rebuild a serialized ``children`` list, node by node."""
+    _require_type(docs, list, what)
+    return [_node_from_dict(doc, f"{what}[{i}]") for i, doc in enumerate(docs)]
+
+
+def _node_from_dict(doc: Any, what: str) -> Union[SwitchSpec, DeviceSpec]:
     """Dispatch a serialized tree node to its spec class."""
+    _require_type(doc, dict, what)
     node = doc.get("node", "device")
     if node == "switch":
         return SwitchSpec.from_dict(doc)
@@ -481,6 +513,8 @@ class TopologySpec:
                  f"root complex: unknown datapath scope "
                  f"{self.rc_datapath_scope!r}")
         _require_int(self.rc_buffer_size, 2, "root complex: buffer_size")
+        _require_optional_int(self.num_root_ports, 1,
+                              "root complex: num_root_ports")
         for field in ("latency", "service_interval"):
             _require_number(getattr(self, f"rc_{field}"),
                             f"root complex: {field}")
@@ -525,16 +559,17 @@ class TopologySpec:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "TopologySpec":
         """Rebuild (and finalize) a spec from :meth:`to_dict` output."""
+        _require_type(doc, dict, "topology")
         _require(doc.get("kind", "pcie") == "pcie",
                  f"expected kind 'pcie', got {doc.get('kind')!r} "
                  f"(classic PCI specs load via spec_from_dict)")
         rc = doc.get("root_complex", {})
+        _require_type(rc, dict, "root_complex")
         kwargs = {f"rc_{key}": rc[key] for key in
                   ("latency", "buffer_size", "service_interval",
                    "datapath_scope") if key in rc}
         return cls(
-            children=[_node_from_dict(child)
-                      for child in doc.get("children", [])],
+            children=_nodes_from_list(doc.get("children", []), "children"),
             num_root_ports=rc.get("num_root_ports"),
             enable_msi=doc.get("enable_msi", False),
             name=doc.get("name"),
@@ -593,6 +628,7 @@ class ClassicPciSpec:
 
     def validate(self) -> None:
         """The classic bus models exactly one bus-master disk."""
+        _require_number(self.clock_mhz, "classic PCI: clock_mhz")
         _require(self.clock_mhz > 0, "classic PCI: clock must be positive")
         _require(self.device.kind == "disk",
                  "classic PCI supports only the disk device")
@@ -616,6 +652,7 @@ class ClassicPciSpec:
         _require(doc.get("kind") == "classic_pci",
                  f"expected kind 'classic_pci', got {doc.get('kind')!r}")
         device = doc.get("device", {})
+        _require_type(device, dict, "device")
         return cls(
             clock_mhz=doc.get("clock_mhz", 33),
             device=DeviceSpec(kind=device.get("kind", "disk"),
@@ -638,6 +675,7 @@ class ClassicPciSpec:
 
 def spec_from_dict(doc: Dict[str, Any]) -> Union[TopologySpec, ClassicPciSpec]:
     """Load either spec kind from a serialized document."""
+    _require_type(doc, dict, "topology")
     kind = doc.get("kind", "pcie")
     if kind == "pcie":
         return TopologySpec.from_dict(doc)
@@ -647,7 +685,7 @@ def spec_from_dict(doc: Dict[str, Any]) -> Union[TopologySpec, ClassicPciSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Named spec constructors: the four legacy machines, plus the
+# Named spec constructors: the three legacy machines, plus the
 # deep-hierarchy exploration family.
 # ---------------------------------------------------------------------------
 
@@ -725,43 +763,6 @@ def nic_spec(
         rc_service_interval=service_interval,
         rc_datapath_scope=datapath_scope, num_root_ports=3,
         enable_msi=enable_msi, name="nic",
-    ).finalize()
-
-
-def dual_device_spec(
-    gen: str = "GEN2",
-    root_link_width: int = 4,
-    device_link_width: int = 1,
-    rc_latency: int = ticks.from_ns(150),
-    switch_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
-    datapath_scope: str = "port",
-    ack_policy: str = "immediate",
-) -> TopologySpec:
-    """The examples' richer machine as a spec: disk on switch port 0,
-    NIC on port 1, sharing the root link."""
-    link_common = dict(gen=gen, width=device_link_width,
-                       replay_buffer_size=replay_buffer_size,
-                       ack_policy=ack_policy)
-    disk = DeviceSpec("disk", name="disk",
-                      link=LinkSpec(name="disk", **link_common))
-    nic = DeviceSpec("nic", name="nic",
-                     link=LinkSpec(name="nic", **link_common))
-    switch = SwitchSpec(
-        name="switch", children=[disk, nic], num_ports=2,
-        link=LinkSpec(name="root", gen=gen, width=root_link_width,
-                      replay_buffer_size=replay_buffer_size,
-                      ack_policy=ack_policy),
-        latency=switch_latency, buffer_size=buffer_size,
-        service_interval=service_interval, datapath_scope=datapath_scope,
-    )
-    return TopologySpec(
-        children=[switch], rc_latency=rc_latency, rc_buffer_size=buffer_size,
-        rc_service_interval=service_interval,
-        rc_datapath_scope=datapath_scope, num_root_ports=3,
-        name="dual_device",
     ).finalize()
 
 

@@ -29,7 +29,7 @@ from repro.devices.nic import Nic8254xPcie
 from repro.drivers.accel import DmaAccelDriver
 from repro.drivers.e1000e import E1000eDriver
 from repro.drivers.ide import IdeDiskDriver
-from repro.kernel.kernel import KernelConfig, OsKernel
+from repro.kernel.kernel import OsKernel
 from repro.mem.dram import SimpleMemory
 from repro.mem.iocache import IOCache
 from repro.mem.xbar import CoherentXBar
@@ -40,7 +40,7 @@ from repro.pcie.switch import PcieSwitch
 from repro.pcie.timing import PcieGen
 from repro.platform.addrmap import VEXPRESS_GEM5_V1, AddressMap
 from repro.sim import ticks
-from repro.sim.simobject import SimObject, Simulator
+from repro.sim.simobject import Simulator
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec, SpecError,
                                SwitchSpec, TopologySpec, spec_from_dict)
 
@@ -55,19 +55,13 @@ DEVICE_KINDS = {
 }
 
 
-class AmbiguousDeviceError(LookupError):
-    """A singular convenience (``system.disk``, ``system.nic``, ...)
-    was used on a fabric with several devices of that kind — name the
-    one you mean via ``system.devices[name]`` / ``system.drivers[name]``
-    (or ``device=`` in sweep points)."""
-
-
 class PcieSystem:
     """Handles to an assembled, booted system.
 
     ``devices``/``links``/``switches``/``drivers`` are keyed by the
-    spec's unique instance names; ``spec`` records the topology the
-    machine was built from (None for hand-assembled systems).
+    spec's unique instance names — the only way to reach a part, since a
+    mixed fabric has no single "the disk"; ``spec`` records the topology
+    the machine was built from.
     """
 
     def __init__(self, sim: Simulator, addrmap: AddressMap):
@@ -79,82 +73,12 @@ class PcieSystem:
         self.host: Optional[PciHost] = None
         self.kernel: Optional[OsKernel] = None
         self.root_complex: Optional[RootComplex] = None
-        self.switch: Optional[PcieSwitch] = None
         self.switches: Dict[str, PcieSwitch] = {}
         self.links: Dict[str, PcieLink] = {}
         self.devices: Dict[str, object] = {}
         self.drivers: Dict[str, object] = {}
         self.msi_doorbell = None
         self.spec: Optional[Union[TopologySpec, ClassicPciSpec]] = None
-        self.found_devices = []
-
-    # -- conveniences -------------------------------------------------------
-    def _sole_device(self, cls, kind: str):
-        """The unique device instance of ``cls`` — None when the fabric
-        has no such device, :class:`AmbiguousDeviceError` when it has
-        several (silently picking one would misdirect every stat and
-        request that follows)."""
-        found = sorted(
-            (name for name, d in self.devices.items() if isinstance(d, cls)))
-        if len(found) > 1:
-            raise AmbiguousDeviceError(
-                f"system.{kind} is ambiguous: this fabric has "
-                f"{len(found)} {kind} devices ({', '.join(found)}); "
-                f"name the one you mean via system.devices[name] / "
-                f"system.drivers[name] (or a flow's device)")
-        return self.devices[found[0]] if found else None
-
-    def _device_name(self, model) -> Optional[str]:
-        for name, device in self.devices.items():
-            if device is model:
-                return name
-        return None
-
-    @property
-    def disk(self) -> Optional[IdeDisk]:
-        """The disk — by its classic ``"disk"`` name, else the sole
-        :class:`IdeDisk` instance (None when absent,
-        :class:`AmbiguousDeviceError` when there are several)."""
-        return self.devices.get("disk") or self._sole_device(IdeDisk, "disk")
-
-    @property
-    def nic(self) -> Optional[Nic8254xPcie]:
-        """The NIC — by name, else the sole instance (None when absent,
-        :class:`AmbiguousDeviceError` when there are several)."""
-        return self.devices.get("nic") or self._sole_device(
-            Nic8254xPcie, "nic")
-
-    @property
-    def accel(self) -> Optional[DmaAccelerator]:
-        """The accelerator — by its ``"accel"`` name, else the sole
-        instance (None when absent, :class:`AmbiguousDeviceError` when
-        there are several)."""
-        return self.devices.get("accel") or self._sole_device(
-            DmaAccelerator, "accel")
-
-    @property
-    def disk_driver(self) -> Optional[IdeDiskDriver]:
-        """Driver of :attr:`disk` (None without an unambiguous disk)."""
-        disk = self.disk
-        return self.drivers.get(self._device_name(disk)) if disk else None
-
-    @property
-    def nic_driver(self) -> Optional[E1000eDriver]:
-        """Driver of :attr:`nic` (None without an unambiguous NIC)."""
-        nic = self.nic
-        return self.drivers.get(self._device_name(nic)) if nic else None
-
-    @property
-    def accel_driver(self) -> Optional[DmaAccelDriver]:
-        """Driver of :attr:`accel` (None without an unambiguous accel)."""
-        accel = self.accel
-        return self.drivers.get(self._device_name(accel)) if accel else None
-
-    @property
-    def disk_link(self) -> Optional[PcieLink]:
-        """Link of :attr:`disk` — every device's link shares its name."""
-        disk = self.disk
-        return self.links.get(self._device_name(disk)) if disk else None
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drive the simulator (see :meth:`repro.sim.simobject.Simulator.run`)."""
@@ -165,8 +89,7 @@ class PcieSystem:
         return self.sim.dump_stats()
 
 
-def _build_core(sim: Simulator, addrmap: AddressMap,
-                kernel_config: Optional[KernelConfig]) -> PcieSystem:
+def _build_core(sim: Simulator, addrmap: AddressMap) -> PcieSystem:
     """The common substrate: MemBus + DRAM + IOCache + host + kernel."""
     system = PcieSystem(sim, addrmap)
     system.membus = CoherentXBar(
@@ -181,7 +104,7 @@ def _build_core(sim: Simulator, addrmap: AddressMap,
     system.host = PciHost(sim, ecam_base=addrmap.pci_config.start,
                           ecam_size=addrmap.pci_config.size)
     system.host.port.bind(system.membus.attach_slave("pci_host_side"))
-    system.kernel = OsKernel(sim, config=kernel_config)
+    system.kernel = OsKernel(sim)
     system.kernel.cpu.port.bind(system.membus.attach_master("cpu"))
     system.iocache = IOCache(sim, "iocache")
     system.iocache.mem_side.bind(system.membus.attach_master("iocache_side"))
@@ -230,7 +153,7 @@ def _boot_and_bind(system: PcieSystem, driver_specs: List[tuple]) -> None:
     same-kind devices.
     """
     kernel = system.kernel
-    system.found_devices = kernel.boot(
+    kernel.boot(
         system.host,
         mem_window=system.addrmap.pci_mem,
         io_window=system.addrmap.pci_io,
@@ -293,9 +216,10 @@ def _build_link(sim: Simulator, link: LinkSpec) -> PcieLink:
 
 def _build_subtree(sim: Simulator, system: PcieSystem,
                    node: Union[SwitchSpec, DeviceSpec], upstream_port,
-                   enable_msi: bool) -> None:
+                   parent_bus, enable_msi: bool) -> None:
     """Instantiate and wire one spec node (and, for switches, the whole
-    subtree behind it) below ``upstream_port``."""
+    subtree behind it) below ``upstream_port``, installing its
+    configuration-space presence on ``parent_bus`` as it goes."""
     if isinstance(node, DeviceSpec):
         model_cls, __ = DEVICE_KINDS[node.kind]
         params = dict(node.params)
@@ -306,6 +230,7 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
         link = _build_link(sim, node.link)
         _connect_link(link, upstream_port, device=device)
         system.links[node.link.name] = link
+        parent_bus.add_function(0, 0, device.function)
         return
 
     advert = _advertised_link(node)
@@ -318,35 +243,20 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
         link_speed=PcieGen[advert.gen].speed_code, link_width=advert.width,
     )
     system.switches[node.name] = switch
-    if system.switch is None:
-        system.switch = switch
     link = _build_link(sim, node.link)
     _connect_link(link, upstream_port, switch=switch)
     system.links[node.link.name] = link
+    down_buses = switch.register_with_host(parent_bus)
     for i, child in enumerate(node.children):
         _build_subtree(sim, system, child, switch.downstream_ports[i],
-                       enable_msi)
-
-
-def _register_subtree(system: PcieSystem,
-                      node: Union[SwitchSpec, DeviceSpec], parent_bus) -> None:
-    """Install one node's configuration-space presence on ``parent_bus``
-    (recursing through switch-internal buses), mirroring the physical
-    wiring laid down by :func:`_build_subtree`."""
-    if isinstance(node, DeviceSpec):
-        parent_bus.add_function(0, 0, system.devices[node.name].function)
-        return
-    down_buses = system.switches[node.name].register_with_host(parent_bus)
-    for i, child in enumerate(node.children):
-        _register_subtree(system, child, down_buses[i])
+                       down_buses[i], enable_msi)
 
 
 def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
-                          addrmap: AddressMap,
-                          kernel_config: Optional[KernelConfig]) -> PcieSystem:
+                          addrmap: AddressMap) -> PcieSystem:
     """Assemble, boot and bind a PCI-Express machine from a spec tree."""
     spec.validate()
-    system = _build_core(sim, addrmap, kernel_config)
+    system = _build_core(sim, addrmap)
     system.spec = spec
 
     advert = _advertised_link(spec)
@@ -361,15 +271,12 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
     if spec.enable_msi:
         _attach_msi_doorbell(system)
 
-    for i, child in enumerate(spec.children):
-        _build_subtree(sim, system, child, root_complex.root_ports[i],
-                       spec.enable_msi)
-
-    # Configuration-space tree: root ports on bus 0, each subtree behind
-    # its root port, in spec (= physical wiring = discovery) order.
+    # Root ports sit on config bus 0; each subtree hangs behind its
+    # root port, in spec (= physical wiring = discovery) order.
     rp_buses = root_complex.register_with_host(system.host)
     for i, child in enumerate(spec.children):
-        _register_subtree(system, child, rp_buses[i])
+        _build_subtree(sim, system, child, root_complex.root_ports[i],
+                       rp_buses[i], spec.enable_msi)
 
     driver_specs = []
     for device in spec.devices():
@@ -381,8 +288,7 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
 
 
 def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
-                             addrmap: AddressMap,
-                             kernel_config: Optional[KernelConfig]) -> PcieSystem:
+                             addrmap: AddressMap) -> PcieSystem:
     """Assemble the classic shared-PCI-bus baseline from a spec.
 
     CPU requests cross a host bridge onto the shared bus; the disk's DMA
@@ -394,7 +300,7 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
     from repro.pci.bus import PciBus
 
     spec.validate()
-    system = _build_core(sim, addrmap, kernel_config)
+    system = _build_core(sim, addrmap)
     system.spec = spec
 
     bus = PciBus(sim, clock_mhz=spec.clock_mhz)
@@ -428,7 +334,6 @@ def build_system(
     spec: Union[TopologySpec, ClassicPciSpec, dict],
     sim: Optional[Simulator] = None,
     addrmap: AddressMap = VEXPRESS_GEM5_V1,
-    kernel_config: Optional[KernelConfig] = None,
     check: Optional[bool] = None,
     partitions: Optional[int] = None,
 ) -> PcieSystem:
@@ -441,7 +346,6 @@ def build_system(
         sim: an existing simulator to build into (a fresh one is created
             otherwise).
         addrmap: the platform address map.
-        kernel_config: kernel timing/behaviour knobs.
         check: arm the runtime invariant checker on the freshly built
             simulator (ignored when ``sim`` is supplied); None defers to
             the ``REPRO_CHECK`` environment variable.
@@ -466,8 +370,8 @@ def build_system(
         spec = spec_from_dict(spec)
     sim = sim or Simulator(check=check)
     if isinstance(spec, ClassicPciSpec):
-        return _build_classic_from_spec(spec, sim, addrmap, kernel_config)
+        return _build_classic_from_spec(spec, sim, addrmap)
     if isinstance(spec, TopologySpec):
-        return _build_pcie_from_spec(spec, sim, addrmap, kernel_config)
+        return _build_pcie_from_spec(spec, sim, addrmap)
     raise SpecError(f"cannot build a system from {type(spec).__name__}")
 

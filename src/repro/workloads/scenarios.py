@@ -82,9 +82,13 @@ class Scenario:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Scenario":
         """Inverse of :meth:`to_dict`."""
-        if "name" not in doc or "topology" not in doc or "flows" not in doc:
+        if (not isinstance(doc, dict) or "name" not in doc
+                or "topology" not in doc or "flows" not in doc):
             raise TrafficError("scenario document requires name, topology "
                                "and flows")
+        if not isinstance(doc["flows"], list):
+            raise TrafficError(
+                f"scenario flows must be a list, got {doc['flows']!r}")
         return cls(
             name=doc["name"],
             topology=TopologySpec.from_dict(doc["topology"]),

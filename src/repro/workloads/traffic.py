@@ -161,6 +161,8 @@ class FlowSpec:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "FlowSpec":
         """Inverse of :meth:`to_dict` (missing fields take defaults)."""
+        if not isinstance(doc, dict):
+            raise TrafficError(f"a flow must be a dict, got {doc!r}")
         unknown = set(doc) - set(cls.FIELDS)
         if unknown:
             raise TrafficError(f"unknown FlowSpec fields: {sorted(unknown)}")

@@ -76,7 +76,7 @@ def test_check_knob_enables_without_arming_the_tracer(monkeypatch):
     system = build_system(validation_spec(root_link_width=1,
                                           device_link_width=1),
                           check=True)
-    dd = DdWorkload(system.kernel, system.disk_driver, 4096,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 4096,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run()

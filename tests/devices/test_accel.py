@@ -130,9 +130,9 @@ def accel_system(**params):
 
 def test_spec_built_accel_binds_and_copies_end_to_end():
     system = accel_system(dma_outstanding=8)
-    assert system.accel is system.devices["accel0"]
-    driver = system.accel_driver
-    assert driver.device is system.accel
+    accel = system.devices["accel0"]
+    driver = system.drivers["accel0"]
+    assert driver.device is accel
 
     done = {}
 
@@ -145,15 +145,15 @@ def test_spec_built_accel_binds_and_copies_end_to_end():
     process = system.kernel.spawn("copy", copy())
     system.run(max_events=50_000_000)
     assert process.done
-    assert system.accel.copies_completed.value() == 1
-    assert system.accel.bytes_copied.value() == 4096
+    assert accel.copies_completed.value() == 1
+    assert accel.bytes_copied.value() == 4096
 
 
 def test_driver_rejects_concurrent_copies():
     from repro.drivers.base import DriverError
 
     system = accel_system()
-    driver = system.accel_driver
+    driver = system.drivers["accel0"]
 
     def two_copies():
         first = yield from driver.start_copy(0x90000000, 0x91000000, 256)
@@ -184,7 +184,5 @@ def test_mixed_three_kind_fabric_builds_and_resolves():
                    ]),
     ]).finalize()
     system = build_system(topology)
-    assert system.disk is system.devices["disk0"]
-    assert system.nic is system.devices["nic0"]
-    assert system.accel is system.devices["accel0"]
-    assert system.accel_driver.device is system.accel
+    for name in ("disk0", "nic0", "accel0"):
+        assert system.drivers[name].device is system.devices[name]

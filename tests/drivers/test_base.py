@@ -23,15 +23,15 @@ def test_matches_uses_the_table():
 
 def test_double_bind_rejected():
     system = build_system(validation_spec())
-    driver = system.disk_driver
+    driver = system.drivers["disk"]
     with pytest.raises(DriverError):
-        driver.bind(system.kernel, driver.found, system.disk)
+        driver.bind(system.kernel, driver.found, system.devices["disk"])
 
 
 def test_bar_base_unknown_index_raises():
     system = build_system(validation_spec())
     with pytest.raises(DriverError):
-        system.disk_driver.bar_base(5)
+        system.drivers["disk"].bar_base(5)
 
 
 def test_probe_without_device_model_fails():
@@ -44,7 +44,7 @@ def test_probe_without_device_model_fails():
 
 def test_config_access_reaches_live_registers():
     system = build_system(nic_spec())
-    driver = system.nic_driver
+    driver = system.drivers["nic"]
     # The driver reads the same vendor id the hardware model holds.
     assert driver.config_read(0x00, 2) == 0x8086
     assert driver.config_read(0x02, 2) == 0x10D3
@@ -52,7 +52,7 @@ def test_config_access_reaches_live_registers():
 
 def test_capability_discovery_through_found_device():
     system = build_system(nic_spec())
-    driver = system.nic_driver
+    driver = system.drivers["nic"]
     assert driver._find_cap(0x10) is not None  # PCIe
     assert driver._find_cap(0x01) is not None  # PM
     assert driver._find_cap(0x42) is None
@@ -61,7 +61,7 @@ def test_capability_discovery_through_found_device():
 def test_program_msi_requires_doorbell():
     system = build_system(validation_spec())  # no MSI doorbell by default
     with pytest.raises(DriverError):
-        system.disk_driver.program_msi(40)
+        system.drivers["disk"].program_msi(40)
 
 
 def test_unimplemented_base_probe():
@@ -71,4 +71,4 @@ def test_unimplemented_base_probe():
     system = build_system(validation_spec())
     node = system.kernel.enumerator.find(0x8086, 0x7111)[0]
     with pytest.raises(NotImplementedError):
-        Stub().bind(system.kernel, node, system.disk)
+        Stub().bind(system.kernel, node, system.devices["disk"])

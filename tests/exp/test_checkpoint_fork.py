@@ -71,7 +71,7 @@ def _identity_pair(build):
 def test_validation_fabric_fork_is_byte_identical():
     def build():
         system = build_system(validation_spec(), check=True)
-        return system, system.disk_driver
+        return system, system.drivers["disk"]
 
     cold, forked = _identity_pair(build)
     assert cold.sim.checker.violations == []
@@ -96,7 +96,7 @@ def test_classic_pci_fork_is_byte_identical():
     # dropped it would report half the cold run's efficiency.
     def build():
         system = build_system(classic_pci_spec(), check=True)
-        return system, system.disk_driver
+        return system, system.drivers["disk"]
 
     cold, forked = _identity_pair(build)
     efficiency = forked.sim.dump_stats()["pci_bus.efficiency"]
@@ -115,7 +115,7 @@ def test_fault_injected_fork_completes_with_zero_violations():
                                               replay_buffer_size=2,
                                               input_queue_size=2),
                               check=True)
-        return system, system.disk_driver
+        return system, system.drivers["disk"]
 
     cold, forked = _identity_pair(build)
     assert cold.sim.checker.violations == []
@@ -125,7 +125,7 @@ def test_fault_injected_fork_completes_with_zero_violations():
 def test_prefix_checkpoint_is_quiescent_and_deterministic():
     def warm_checkpoint():
         system = build_system(validation_spec(), check=True)
-        _warm(system, system.disk_driver)
+        _warm(system, system.drivers["disk"])
         return system.sim.checkpoint()
 
     first, second = warm_checkpoint(), warm_checkpoint()
@@ -137,7 +137,7 @@ def test_capture_refuses_mid_flight_packets():
     # Stop a dd transfer mid-flight: some component holds live packets,
     # whose state_dict guard must refuse rather than silently drop them.
     system = build_system(validation_spec())
-    dd = DdWorkload(system.kernel, system.disk_driver, 64 * 1024)
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 64 * 1024)
     system.kernel.spawn("dd", dd.run())
     system.run(max_events=2_000)
     assert not system.sim.eventq.empty(), "transfer still in flight"

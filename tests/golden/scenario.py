@@ -62,7 +62,7 @@ def run_dd_system(name: str, error_rate: float, sink=None,
         sink = MemorySink()
     system.sim.tracer.categories = frozenset(categories)
     system.sim.tracer.attach(sink)
-    dd = DdWorkload(system.kernel, system.disk_driver, BLOCK_BYTES,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], BLOCK_BYTES,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=10_000_000)

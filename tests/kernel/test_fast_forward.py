@@ -16,7 +16,6 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.kernel.blockio import _Prover
-from repro.kernel.kernel import KernelConfig
 from repro.mem.port import PortError
 from repro.obs.trace import MemorySink
 from repro.sim.checkpoint import checkpoint_digest
@@ -31,11 +30,14 @@ SECTOR = 4096
 #: the full runs cheap, and eight of them are plenty to skip.
 PER_REQUEST = 4
 
+#: The block layer's default request size.
+FULL_REQUEST = 32
+
 
 def _transfer(system, n_sectors, driver=None, lba=0, buffer_addr=BUFFER,
               is_write=False):
     """Spawn a process moving ``n_sectors`` through the block layer."""
-    driver = driver or system.disk_driver
+    driver = driver or system.drivers["disk"]
     layer = system.kernel.block_layer
     move = layer.write if is_write else layer.read
 
@@ -79,17 +81,21 @@ def _finished(system, *processes):
     return _outcome(system), _skipped(system)
 
 
-_CONFIG = KernelConfig(max_sectors_per_request=PER_REQUEST)
+def _built(spec, per_request=PER_REQUEST):
+    """``spec`` built unchecked, its block layer cutting requests of
+    ``per_request`` sectors."""
+    system = build_system(spec, check=False)
+    system.kernel.block_layer.max_sectors_per_request = per_request
+    return system
 
 
-def _classic(config=_CONFIG):
-    return build_system(classic_pci_spec(), check=False, kernel_config=config)
+def _classic(per_request=PER_REQUEST):
+    return _built(classic_pci_spec(), per_request)
 
 
-def _gen2x1(config=_CONFIG, **kwargs):
-    return build_system(validation_spec(root_link_width=1, device_link_width=1,
-                                        **kwargs),
-                        check=False, kernel_config=config)
+def _gen2x1(per_request=PER_REQUEST, **kwargs):
+    return _built(validation_spec(root_link_width=1, device_link_width=1,
+                                  **kwargs), per_request)
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -150,11 +156,10 @@ def test_fast_forward_matches_the_full_run(machine, disk, per_request,
     # the full runs here to about a hundred sectors.
     requests = min(requests, max(1, 96 // per_request))
     n_sectors = requests * per_request + partial % per_request
-    config = KernelConfig(max_sectors_per_request=per_request)
     doc, target = _machine_doc(*machine, disk)
 
     def scenario():
-        system = build_system(doc, check=False, kernel_config=config)
+        system = _built(doc, per_request)
         process = _transfer(system, n_sectors, system.drivers[target],
                             is_write=is_write)
         return _finished(system, process)
@@ -169,7 +174,7 @@ def test_a_two_request_read_skips_all_but_six_sectors():
     # Per command: sector 1 starts cold, sectors 2 and 3 prove the
     # period, 29 are skipped and the last one is simulated.
     def scenario():
-        system = _gen2x1(KernelConfig())
+        system = _gen2x1(FULL_REQUEST)
         return _finished(system, _transfer(system, 64))
 
     (fast, skipped), (full, none) = _both(scenario)
@@ -182,7 +187,7 @@ def test_both_levels_engage_in_one_transfer(build):
     # Requests 1 and 2 prove the request period while their sectors are
     # skipped; requests 3-8 are skipped whole.
     def scenario():
-        system = build(KernelConfig())
+        system = build(FULL_REQUEST)
         return _finished(system, _transfer(system, 8 * 32))
 
     (fast, skipped), (full, none) = _both(scenario)
@@ -212,7 +217,7 @@ def test_every_full_request_after_the_proof_is_skipped(build, expected):
 def test_a_write_is_skipped_like_a_read():
     # Writes store nothing, so their state translates as a read's does.
     def scenario():
-        system = _classic(KernelConfig())
+        system = _classic(FULL_REQUEST)
         return _finished(system, _transfer(system, 4 * 32, is_write=True))
 
     (fast, skipped), (full, none) = _both(scenario)
@@ -250,7 +255,7 @@ def test_no_proof_holds(build):
 
 
 def test_no_pause_is_requested_while_observed():
-    system = _traced(_classic(KernelConfig()))
+    system = _traced(_classic(FULL_REQUEST))
     with mock.patch.object(system.sim, "pause") as pause:
         _finished(system, _transfer(system, 4 * 32))
     pause.assert_not_called()
@@ -258,8 +263,7 @@ def test_no_pause_is_requested_while_observed():
 
 def test_two_concurrent_readers_are_never_skipped():
     def scenario():
-        system = build_system(deep_hierarchy_spec(1, 2), check=False,
-                              kernel_config=_CONFIG)
+        system = _built(deep_hierarchy_spec(1, 2))
         readers = [_transfer(system, 8 * PER_REQUEST,
                              system.drivers[f"sw1_disk{i}"],
                              buffer_addr=BUFFER + i * (8 << 20))
@@ -321,7 +325,7 @@ def test_a_run_ending_inside_the_skippable_span_stops_where_the_full_run_does(
 def test_a_run_ending_inside_a_skippable_command_stops_where_the_full_run_does(
         limit):
     def scenario():
-        system = _gen2x1(KernelConfig())
+        system = _gen2x1(FULL_REQUEST)
         process = _transfer(system, 32)
         # Somewhere near the middle of the only command.
         system.run(**{limit: {"max_events": 40_000,
@@ -356,7 +360,7 @@ def test_a_command_crossing_the_end_of_dram_fails_as_the_full_run_does():
     dram_end = 0x1_8000_0000
 
     def scenario():
-        system = _classic(KernelConfig())
+        system = _classic(FULL_REQUEST)
         _transfer(system, 32, buffer_addr=dram_end - 20 * SECTOR)
         with pytest.raises(PortError) as failure:
             system.run()
@@ -371,7 +375,7 @@ def test_lbas_past_capacity_fail_as_the_full_run_does():
     # driver never acknowledges: the reader waits forever.
     def scenario():
         system = _classic()
-        system.disk.capacity_sectors = 5 * PER_REQUEST
+        system.devices["disk"].capacity_sectors = 5 * PER_REQUEST
         process = _transfer(system, 8 * PER_REQUEST)
         system.run()
         assert not process.done

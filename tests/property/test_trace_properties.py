@@ -128,7 +128,7 @@ def test_system_traces_are_wellformed_across_topologies(
                                           error_rate=error_rate))
     system.sim.tracer.categories = frozenset(("link", "engine"))
     sink = system.sim.tracer.attach(MemorySink())
-    dd = DdWorkload(system.kernel, system.disk_driver, 4096,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 4096,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=10_000_000)

@@ -155,6 +155,41 @@ def test_restore_rejects_wrong_format_and_version():
         restore(twin, dict(snapshot, version=CHECKPOINT_VERSION + 1))
 
 
+def test_restore_rejects_an_event_that_is_not_a_dict():
+    sim, _ = build()
+    twin, _ = build()
+    with pytest.raises(CheckpointError, match=r"'events\[0\]' must be of type dict"):
+        restore(twin, dict(capture(sim), events=[5]))
+
+
+def test_restore_rejects_a_document_without_objects():
+    sim, _ = build()
+    snapshot = capture(sim)
+    del snapshot["objects"]
+    twin, _ = build()
+    with pytest.raises(CheckpointError, match="'objects' must be of type dict"):
+        restore(twin, snapshot)
+
+
+def test_restore_rejects_an_eventq_without_its_counters():
+    sim, _ = build()
+    twin, _ = build()
+    with pytest.raises(CheckpointError, match="'eventq.curtick'"):
+        restore(twin, dict(capture(sim), eventq={}))
+
+
+def test_restore_rejects_an_event_without_owner_before_applying_state():
+    sim, counter = build()
+    counter.tick()
+    counter.schedule(10, counter.tick)
+    snapshot = capture(sim)
+    del snapshot["events"][0]["owner"]
+    twin, twin_counter = build()
+    with pytest.raises(CheckpointError, match=r"'events\[0\].owner'"):
+        restore(twin, snapshot)
+    assert twin_counter.count == 0
+
+
 def test_restore_requires_an_empty_queue():
     sim, counter = build()
     snapshot = capture(sim)

@@ -106,7 +106,7 @@ def test_deep_four_flow_schedule_is_pinned():
 ], ids=["classic", "gen2x1"])
 def test_eight_request_dd_schedule_is_pinned(build, pinned):
     system = build()
-    dd = DdWorkload(system.kernel, system.disk_driver, 8 * 128 * 1024,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 8 * 128 * 1024,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run()

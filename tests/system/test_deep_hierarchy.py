@@ -7,13 +7,11 @@ the same-kind-device naming bug: two disks must keep distinct stats,
 trace and driver identities end to end.
 """
 
-import pytest
-
 from repro.obs.trace import MemorySink
 from repro.pci import header as hdr
 from repro.system.spec import (DeviceSpec, SwitchSpec, TopologySpec,
                                deep_hierarchy_spec)
-from repro.system.topology import AmbiguousDeviceError, build_system
+from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.traffic import FlowSpec, TrafficEngine
 
@@ -184,32 +182,3 @@ def test_two_disks_keep_distinct_identities_end_to_end():
     comps = {ev["comp"] for ev in sink.events}
     assert any("disk0_link" in c for c in comps)
     assert any("disk1_link" in c for c in comps)
-
-
-def test_sole_disk_conveniences_survive_renaming():
-    spec = TopologySpec(children=[
-        DeviceSpec("disk", name="bulk_storage")]).finalize()
-    system = build_system(spec)
-    assert system.disk is system.devices["bulk_storage"]
-    assert system.disk_driver is system.drivers["bulk_storage"]
-    assert system.disk_link is system.links["bulk_storage"]
-
-
-def test_ambiguous_disk_conveniences_raise_descriptive_error():
-    spec = TopologySpec(children=[SwitchSpec(name="switch", children=[
-        DeviceSpec("disk"), DeviceSpec("disk"),
-    ])]).finalize()
-    system = build_system(spec)
-    # Regression: these used to return None silently, which misdirected
-    # everything downstream; now they name the candidates and the fix.
-    with pytest.raises(AmbiguousDeviceError, match=r"disk0, disk1"):
-        system.disk
-    with pytest.raises(AmbiguousDeviceError, match=r"system\.devices"):
-        system.disk_driver
-    with pytest.raises(AmbiguousDeviceError):
-        system.disk_link
-    # Absent kinds still read as None — only 2+ is an error.
-    assert system.nic is None
-    assert system.nic_driver is None
-    assert system.accel is None
-    assert system.accel_driver is None

@@ -14,7 +14,7 @@ def run_once(trace=False, **kwargs):
     if trace:
         system.sim.tracer.categories = frozenset(("link", "engine"))
         sink = system.sim.tracer.attach(MemorySink())
-    dd = DdWorkload(system.kernel, system.disk_driver, 32 * 1024,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 32 * 1024,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=10_000_000)
@@ -57,16 +57,16 @@ def test_stats_dump_covers_the_whole_tree():
 
 def test_stats_reset_zeroes_counters_but_keeps_wiring():
     system, __, __s = run_once()
-    assert system.disk.sectors_transferred.value() > 0
+    assert system.devices["disk"].sectors_transferred.value() > 0
     system.sim.reset_stats()
-    assert system.disk.sectors_transferred.value() == 0
+    assert system.devices["disk"].sectors_transferred.value() == 0
     # The system still works after a reset (fresh measurement interval).
-    dd = DdWorkload(system.kernel, system.disk_driver, 8 * 1024,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 8 * 1024,
                     startup_overhead=0)
     process = system.kernel.spawn("dd2", dd.run())
     system.run(max_events=10_000_000)
     assert process.done
-    assert system.disk.sectors_transferred.value() == 2
+    assert system.devices["disk"].sectors_transferred.value() == 2
 
 
 def test_traces_are_identical_across_fresh_simulators():

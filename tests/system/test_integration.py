@@ -4,8 +4,8 @@ import pytest
 
 from repro.pcie.timing import PcieGen
 from repro.sim import ticks
-from repro.system.spec import (classic_pci_spec, dual_device_spec, nic_spec,
-                               validation_spec)
+from repro.system.spec import (DeviceSpec, LinkSpec, SwitchSpec, TopologySpec,
+                               classic_pci_spec, nic_spec, validation_spec)
 from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.traffic import FlowSpec, TrafficEngine
@@ -33,7 +33,7 @@ def test_validation_system_enumerates_paper_topology():
 
 def test_disk_driver_probe_falls_back_to_legacy_interrupt():
     system = build_system(validation_spec())
-    driver = system.disk_driver
+    driver = system.drivers["disk"]
     assert driver.bound
     assert driver.interrupt_mode == "legacy"
     assert driver.bar0 != 0
@@ -44,14 +44,14 @@ def test_rc_claims_programmed_windows():
     system = build_system(validation_spec())
     ranges = system.root_complex.upstream_slave.get_ranges()
     assert ranges, "RC must claim the enumerated windows"
-    assert any(r.contains(system.disk_driver.bar0) for r in ranges)
+    assert any(r.contains(system.drivers["disk"].bar0) for r in ranges)
 
 
 # ---------------------------------------------------------------- dd workload
 
 
 def run_dd(system, block_size):
-    dd = DdWorkload(system.kernel, system.disk_driver, block_size,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], block_size,
                     startup_overhead=0)
     proc = system.kernel.spawn("dd", dd.run())
     system.run(max_events=20_000_000)
@@ -63,7 +63,7 @@ def test_dd_reads_complete_and_report_throughput():
     system = build_system(validation_spec())
     result = run_dd(system, 64 * 1024)  # 16 sectors
     assert result.nbytes == 64 * 1024
-    assert system.disk.sectors_transferred.value() == 16
+    assert system.devices["disk"].sectors_transferred.value() == 16
     # Gen 2 x1 wire rate for 64B-payload TLPs is ~3.05 Gbps; dd-level
     # throughput must be below that but same order.
     assert 1.0 < result.throughput_gbps < 3.05
@@ -72,7 +72,7 @@ def test_dd_reads_complete_and_report_throughput():
 def test_dd_device_level_rate_near_wire_rate():
     system = build_system(validation_spec())
     run_dd(system, 128 * 1024)
-    mean_ticks = system.disk.sector_transfer_ticks.mean
+    mean_ticks = system.devices["disk"].sector_transfer_ticks.mean
     gbps = 4096 * 8 / ticks.to_ns(mean_ticks)
     # The paper reports 3.072 Gbps at device level on Gen 2 x1; the DMA
     # barrier and fabric round trip keep ours a bit below the 3.05 wire
@@ -83,8 +83,8 @@ def test_dd_device_level_rate_near_wire_rate():
 def test_dd_no_replays_at_x1(caplog=None):
     system = build_system(validation_spec())
     run_dd(system, 64 * 1024)
-    assert system.disk_link.downstream_if.tlp_replays.value() == 0
-    assert system.disk_link.downstream_if.timeouts.value() == 0
+    assert system.links["disk"].downstream_if.tlp_replays.value() == 0
+    assert system.links["disk"].downstream_if.timeouts.value() == 0
 
 
 def test_wider_device_link_is_faster():
@@ -125,7 +125,7 @@ def test_posted_write_ablation_is_faster():
 
 def test_nic_system_probe_and_bring_up():
     system = build_system(nic_spec())
-    driver = system.nic_driver
+    driver = system.drivers["nic"]
     assert driver.interrupt_mode == "legacy"
     done = {}
 
@@ -155,7 +155,7 @@ def test_mmio_latency_grows_with_rc_latency():
 
 def test_nic_tx_through_full_fabric():
     system = build_system(nic_spec())
-    driver = system.nic_driver
+    driver = system.drivers["nic"]
     done = {}
 
     def body():
@@ -168,17 +168,27 @@ def test_nic_tx_through_full_fabric():
     system.kernel.spawn("tx", body())
     system.run(max_events=5_000_000)
     assert "tick" in done
-    assert system.nic.frames_transmitted.value() == 1
+    assert system.devices["nic"].frames_transmitted.value() == 1
     assert system.dram.reads.value() > 0  # descriptor + payload fetches
 
 
 # ---------------------------------------------------------------- dual-device
 
 
+def dual_device_system():
+    """Disk on switch port 0, NIC on port 1, sharing the root link."""
+    fast = dict(ack_policy="immediate")
+    return build_system(TopologySpec(children=[SwitchSpec(
+        name="switch", link=LinkSpec(name="root", width=4, **fast),
+        children=[DeviceSpec("disk", name="disk", link=LinkSpec(**fast)),
+                  DeviceSpec("nic", name="nic", link=LinkSpec(**fast))])],
+        num_root_ports=3).finalize())
+
+
 def test_dual_device_system_boots_both_drivers():
-    system = build_system(dual_device_spec())
-    assert system.disk_driver.bound
-    assert system.nic_driver.bound
+    system = dual_device_system()
+    assert system.drivers["disk"].bound
+    assert system.drivers["nic"].bound
     # Disk on bus 3, NIC on bus 4.
     disk_nodes = system.kernel.enumerator.find(0x8086, 0x7111)
     nic_nodes = system.kernel.enumerator.find(0x8086, 0x10D3)
@@ -187,20 +197,20 @@ def test_dual_device_system_boots_both_drivers():
 
 
 def test_dual_device_concurrent_traffic():
-    system = build_system(dual_device_spec())
+    system = dual_device_system()
     finished = []
 
     def disk_job():
-        dd = DdWorkload(system.kernel, system.disk_driver, 32 * 1024,
+        dd = DdWorkload(system.kernel, system.drivers["disk"], 32 * 1024,
                         startup_overhead=0)
         yield from dd.run()
         finished.append("disk")
 
     def nic_job():
         from repro.sim.process import WaitFor
-        yield from system.nic_driver.bring_up()
+        yield from system.drivers["nic"].bring_up()
         for i in range(4):
-            sig = yield from system.nic_driver.transmit(0x91000000, 1500)
+            sig = yield from system.drivers["nic"].transmit(0x91000000, 1500)
             yield WaitFor(sig)
         finished.append("nic")
 
@@ -215,7 +225,7 @@ def test_dual_device_concurrent_traffic():
 
 def test_classic_pci_system_boots_and_reads():
     system = build_system(classic_pci_spec())
-    assert system.disk_driver.bound
+    assert system.drivers["disk"].bound
     result = run_dd(system, 32 * 1024)
     assert result.nbytes == 32 * 1024
     bus = system.devices["pci_bus"]

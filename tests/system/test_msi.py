@@ -11,19 +11,19 @@ from repro.workloads.dd import DdWorkload
 
 def test_driver_chooses_msi_when_enable_bit_sticks():
     system = build_system(validation_spec(enable_msi=True))
-    assert system.disk_driver.interrupt_mode == "msi"
+    assert system.drivers["disk"].interrupt_mode == "msi"
 
 
 def test_default_system_still_falls_back_to_legacy():
     system = build_system(validation_spec())
-    assert system.disk_driver.interrupt_mode == "legacy"
+    assert system.drivers["disk"].interrupt_mode == "legacy"
 
 
 def test_msi_capability_programmed_at_doorbell():
     from repro.pci.capabilities import CAP_ID_MSI, MsiCapability
 
     system = build_system(validation_spec(enable_msi=True))
-    fn = system.disk.function
+    fn = system.devices["disk"].function
     offset = fn.find_capability(CAP_ID_MSI)
     assert fn.config_read(offset + MsiCapability.CONTROL, 2) & 0x1
     assert (
@@ -32,13 +32,13 @@ def test_msi_capability_programmed_at_doorbell():
     )
     assert (
         fn.config_read(offset + MsiCapability.DATA, 2)
-        == system.disk_driver.found.interrupt_line
+        == system.drivers["disk"].found.interrupt_line
     )
 
 
 def test_dd_completes_via_msi_memory_writes():
     system = build_system(validation_spec(enable_msi=True))
-    dd = DdWorkload(system.kernel, system.disk_driver, 64 * 1024,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 64 * 1024,
                     startup_overhead=0)
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=20_000_000)
@@ -46,7 +46,8 @@ def test_dd_completes_via_msi_memory_writes():
     doorbell = system.msi_doorbell
     # One command (16 sectors < 32/request): one interrupt, as an MSI.
     assert doorbell.msis_received.value() >= 1
-    assert system.disk.msis_sent.value() == doorbell.msis_received.value()
+    disk = system.devices["disk"]
+    assert disk.msis_sent.value() == doorbell.msis_received.value()
     assert system.kernel.intc.dispatched.value() >= 1
 
 
@@ -55,7 +56,7 @@ def test_msi_throughput_comparable_to_legacy():
     msi = build_system(validation_spec(enable_msi=True))
     results = {}
     for name, system in (("legacy", legacy), ("msi", msi)):
-        dd = DdWorkload(system.kernel, system.disk_driver, 64 * 1024,
+        dd = DdWorkload(system.kernel, system.drivers["disk"], 64 * 1024,
                         startup_overhead=0)
         system.kernel.spawn("dd", dd.run())
         system.run(max_events=20_000_000)
@@ -67,7 +68,7 @@ def test_nic_msi_loopback_round_trip():
     from repro.sim.process import WaitFor
 
     system = build_system(nic_spec(enable_msi=True))
-    driver = system.nic_driver
+    driver = system.drivers["nic"]
     assert driver.interrupt_mode == "msi"
     done = {}
 
@@ -90,13 +91,13 @@ def test_msi_writes_travel_the_fabric():
     """The MSI must be a real posted write crossing the links — not a
     wire shortcut."""
     system = build_system(validation_spec(enable_msi=True))
-    dd = DdWorkload(system.kernel, system.disk_driver, 16 * 1024,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 16 * 1024,
                     startup_overhead=0)
     system.kernel.spawn("dd", dd.run())
-    before = system.disk_link.up_link.packets.value()
+    before = system.links["disk"].up_link.packets.value()
     system.run(max_events=20_000_000)
     doorbell = system.msi_doorbell
     assert doorbell.msis_received.value() >= 1
     # The MSI adds at least one extra upstream TLP beyond the DMA writes.
     dma_packets = 4 * 64  # 16 KB of 64B write TLPs
-    assert system.disk_link.downstream_if.tlps_sent.value() > dma_packets
+    assert system.links["disk"].downstream_if.tlps_sent.value() > dma_packets

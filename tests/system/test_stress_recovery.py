@@ -19,7 +19,7 @@ def test_worst_case_recovery_completes_with_zero_violations():
                                           replay_buffer_size=1,
                                           input_queue_size=1),
                           check=True)
-    dd = DdWorkload(system.kernel, system.disk_driver, BLOCK_BYTES)
+    dd = DdWorkload(system.kernel, system.drivers["disk"], BLOCK_BYTES)
     process = system.kernel.spawn("dd", dd.run())
     system.run(max_events=50_000_000)
 
@@ -29,9 +29,9 @@ def test_worst_case_recovery_completes_with_zero_violations():
 
     # The run really exercised the recovery machinery on the error-prone
     # fabric, not a lucky clean path.
-    ifaces = [system.disk_link.upstream_if, system.disk_link.downstream_if,
-              system.links["root"].upstream_if,
-              system.links["root"].downstream_if]
+    disk, root = system.links["disk"], system.links["root"]
+    ifaces = [disk.upstream_if, disk.downstream_if,
+              root.upstream_if, root.downstream_if]
     assert sum(i.corrupted.value() for i in ifaces) > 0
     assert sum(i.dllp_corrupted.value() for i in ifaces) > 0
     assert sum(i.tlp_replays.value() for i in ifaces) > 0

@@ -13,8 +13,7 @@ import pytest
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec,
                                SpecError, SwitchSpec, TopologySpec,
                                classic_pci_spec, deep_hierarchy_spec,
-                               dual_device_spec, nic_spec, spec_from_dict,
-                               validation_spec)
+                               nic_spec, spec_from_dict, validation_spec)
 from repro.system.topology import build_system
 
 
@@ -35,7 +34,10 @@ def test_validation_spec_round_trips_through_json():
 
 
 def test_all_named_specs_round_trip():
-    for spec in (validation_spec(), nic_spec(), dual_device_spec(),
+    disk_and_nic = TopologySpec(children=[SwitchSpec(
+        name="switch", link=LinkSpec(name="root", width=4),
+        children=[DeviceSpec("disk"), DeviceSpec("nic")])]).finalize()
+    for spec in (validation_spec(), nic_spec(), disk_and_nic,
                  deep_hierarchy_spec(2, 3)):
         again = spec_from_dict(json.loads(spec.to_json()))
         assert again.canonical() == spec.canonical()
@@ -212,6 +214,43 @@ def test_node_without_kind_is_rejected():
         spec_from_dict(doc)
 
 
+_DISK_LINK = ("children", 0, "children", 0, "link")
+
+
+_HOSTILE_FIELDS = [
+    (validation_spec, _DISK_LINK + ("width",), 3, "width"),
+    (validation_spec, _DISK_LINK + ("max_payload",), 8192, "max_payload"),
+    (validation_spec, _DISK_LINK + ("max_payload",), "64", "max_payload"),
+    (validation_spec, _DISK_LINK + ("replay_timeout",), -1, "replay_timeout"),
+    (validation_spec, _DISK_LINK + ("replay_timeout",), "9", "replay_timeout"),
+    (validation_spec, _DISK_LINK + ("ack_period",), -1, "ack_period"),
+    (validation_spec, _DISK_LINK + ("ack_period",), "9", "ack_period"),
+    (validation_spec, _DISK_LINK + ("error_seed",), "seed", "error_seed"),
+    (validation_spec, ("children", 0, "num_ports"), "2", "num_ports"),
+    (validation_spec, ("root_complex", "num_root_ports"), "3",
+     "num_root_ports"),
+    (classic_pci_spec, ("clock_mhz",), "33", "clock_mhz"),
+    (validation_spec, ("children", 0, "children"), {"node": "device"},
+     "children"),
+    (validation_spec, ("children", 0, "children", 0), "disk",
+     r"children\[0\]"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, path, value, field", _HOSTILE_FIELDS,
+    ids=[f"{path[-1]}={value!r}" for __, path, value, __ in _HOSTILE_FIELDS])
+def test_hostile_field_is_rejected_naming_it(preset, path, value, field):
+    doc = preset().to_dict()
+    *parents, leaf = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    with pytest.raises(SpecError, match=field):
+        spec_from_dict(doc)
+
+
 def test_deep_hierarchy_shape():
     spec = deep_hierarchy_spec(3, 2)
     assert len(spec.devices()) == 6
@@ -233,8 +272,8 @@ def test_legacy_builder_records_its_spec():
 
 def test_build_system_accepts_plain_dicts():
     system = build_system(nic_spec().to_dict())
-    assert system.nic is not None
-    assert system.nic_driver.bound
+    assert "nic" in system.devices
+    assert system.drivers["nic"].bound
 
 
 # ------------------------------------------------- MSI doorbell field (satellite)

@@ -1,9 +1,9 @@
 """Docstring-coverage contract for the documented-surface paths.
 
 CI runs ``interrogate --fail-under 80`` over the experiment subsystem,
-the simulation kernel, and the benchmark harness; this test enforces
-the same floor with the stdlib checker so the contract also holds on
-machines where interrogate is not installed.
+the simulation kernel, the flow-control module and the benchmark
+harness; this test enforces the same floor with the stdlib checker so
+the contract also holds on machines where interrogate is not installed.
 """
 
 import os
@@ -14,6 +14,7 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "check"),
     os.path.join(REPO_ROOT, "src", "repro", "exp"),
     os.path.join(REPO_ROOT, "src", "repro", "sim"),
+    os.path.join(REPO_ROOT, "src", "repro", "pcie", "fc.py"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 

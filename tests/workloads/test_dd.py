@@ -20,12 +20,12 @@ def test_result_throughput_arithmetic():
 def test_block_size_must_align_to_sectors():
     system = build_system(validation_spec())
     with pytest.raises(ValueError):
-        DdWorkload(system.kernel, system.disk_driver, block_size=1000)
+        DdWorkload(system.kernel, system.drivers["disk"], block_size=1000)
 
 
 def test_startup_overhead_included_in_report():
     system = build_system(validation_spec())
-    dd = DdWorkload(system.kernel, system.disk_driver, 16 * 1024,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 16 * 1024,
                     startup_overhead=ticks.from_ms(1))
     proc = system.kernel.spawn("dd", dd.run())
     system.run(max_events=10_000_000)
@@ -37,20 +37,20 @@ def test_startup_overhead_included_in_report():
 
 def test_multi_block_count():
     system = build_system(validation_spec())
-    dd = DdWorkload(system.kernel, system.disk_driver, 8 * 1024, count=3,
+    dd = DdWorkload(system.kernel, system.drivers["disk"], 8 * 1024, count=3,
                     startup_overhead=0)
     proc = system.kernel.spawn("dd", dd.run())
     system.run(max_events=10_000_000)
     assert proc.done
     assert dd.result.nbytes == 3 * 8 * 1024
-    assert system.disk.sectors_transferred.value() == 6
+    assert system.devices["disk"].sectors_transferred.value() == 6
 
 
 def test_throughput_grows_with_block_size_under_fixed_startup():
     values = {}
     for block in (16 * 1024, 128 * 1024):
         system = build_system(validation_spec())
-        dd = DdWorkload(system.kernel, system.disk_driver, block,
+        dd = DdWorkload(system.kernel, system.drivers["disk"], block,
                         startup_overhead=ticks.from_us(200))
         system.kernel.spawn("dd", dd.run())
         system.run(max_events=20_000_000)

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.obs.trace import MemorySink
+from repro.system.spec import SpecError
 from repro.workloads.scenarios import (SCENARIOS, Scenario, main,
                                        run_scenario)
 from repro.workloads.traffic import TrafficError
@@ -58,6 +59,20 @@ def test_scenario_rejects_incomplete_documents():
     with pytest.raises(TrafficError, match="no flows"):
         scenario = SCENARIOS["mixed_rw"]()
         Scenario("x", scenario.topology, [])
+
+
+def test_scenario_rejects_a_flow_that_is_not_a_dict():
+    doc = SCENARIOS["mixed_rw"]().to_dict()
+    doc["flows"] = [5]
+    with pytest.raises(TrafficError, match="flow must be a dict"):
+        Scenario.from_dict(doc)
+
+
+def test_scenario_rejects_a_topology_that_is_not_a_dict():
+    doc = SCENARIOS["mixed_rw"]().to_dict()
+    doc["topology"] = 5
+    with pytest.raises(SpecError, match="topology must be a dict"):
+        Scenario.from_dict(doc)
 
 
 def test_builder_parameters_change_the_digest():
