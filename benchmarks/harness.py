@@ -6,9 +6,10 @@ kernel module) on it as flows, and extract throughput plus link-layer
 statistics.
 The configurations live in :mod:`benchmarks.sweeps`; this module runs
 them through the :class:`repro.exp.SweepEngine` (result cache under
-``benchmarks/results/.cache``, wall-clock records appended to
-``benchmarks/results/BENCH_sweeps.json``) and persists result rows to
+``benchmarks/results/.cache``) and persists result rows to
 ``benchmarks/results/<name>.json`` so EXPERIMENTS.md can quote them.
+A run writes nothing else: its wall clock is the summary line it
+prints.
 
 Run one experiment from the command line, fanned out over workers::
 
@@ -48,7 +49,6 @@ def run_sweep(sweep: Sweep, workers: Optional[int] = None,
     os.makedirs(root, exist_ok=True)
     engine = SweepEngine(
         cache_dir=os.path.join(root, ".cache") if cache else None,
-        bench_path=os.path.join(root, "BENCH_sweeps.json"),
         workers=workers,
     )
     return engine.run(sweep)
@@ -152,8 +152,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         results_dir=args.results_dir)
     print(result.summary())
     print(f"results: {path}")
-    print(f"wall-clock record: "
-          f"{os.path.join(args.results_dir or RESULTS_DIR, 'BENCH_sweeps.json')}")
     return 0
 
 

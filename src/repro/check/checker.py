@@ -132,7 +132,8 @@ class InvariantChecker:
         self.record_only = record_only
         self.context_events = context_events
         self.violations: List[InvariantViolation] = []
-        # Raw (when, priority, fn, arg) entries of the last dispatches.
+        # The last dispatches as raw (when, priority, seq, fn, arg) queue
+        # entries: EventQueue.run appends its own entries here.
         self._ring: Deque[tuple] = deque(maxlen=context_events)
         self._last_dispatch_tick = 0
         # UpdateFC DLLP type -> flow class lookup, bound by enable().
@@ -172,7 +173,7 @@ class InvariantChecker:
         comp = self.sim.eventq.name
         return [{"t": when, "cat": "eventq", "comp": comp, "ev": "dispatch",
                  "name": dispatch_label(fn, arg), "pri": priority}
-                for when, priority, fn, arg in self._ring]
+                for when, priority, __, fn, arg in self._ring]
 
     def _violate(self, rule: str, component: str, detail: str) -> None:
         """Record one violation; raise it unless in record-only mode."""
@@ -187,8 +188,10 @@ class InvariantChecker:
     # -- event queue -------------------------------------------------------
     def on_dispatch(self, when: int, priority: int, fn, arg) -> None:
         """Called per dispatch with the entry's parts: record it in the
-        ring; ticks must never move backwards."""
-        self._ring.append((when, priority, fn, arg))
+        ring; ticks must never move backwards.  :meth:`EventQueue.run
+        <repro.sim.eventq.EventQueue.run>` does both inline and calls
+        this only when the tick moved backwards."""
+        self._ring.append((when, priority, None, fn, arg))
         if when < self._last_dispatch_tick:
             from repro.sim.eventq import dispatch_label
 

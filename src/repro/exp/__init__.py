@@ -9,13 +9,14 @@ first-class interface:
   JSON-parameterised :class:`SweepPoint` simulations;
 * :mod:`repro.exp.cache` — memoise point results on disk, keyed by a
   canonical hash of (runner, params, schema version);
-* :mod:`repro.exp.engine` — run a sweep through the cache and a
-  ``multiprocessing`` pool, merging results in declaration order so
-  parallel output is byte-identical to serial;
+* :mod:`repro.exp.engine` — run a sweep through the cache and a pool
+  of forked worker processes, merging results in declaration order so
+  parallel output is byte-identical to serial (a worker that dies
+  fails the sweep with :class:`SweepError`);
 * :mod:`repro.exp.points` — the one point runner, ``run_point``: a
   serialised topology spec plus the flows it runs;
 * :mod:`repro.exp.bench` — per-run wall-clock records
-  (``BENCH_sweeps.json``).
+  (``BENCH_sweeps.json``) for an engine given a ``bench_path``.
 
 Quick taste::
 
@@ -44,13 +45,19 @@ from repro.exp.cache import (
     cache_key,
     canonical_json,
 )
-from repro.exp.engine import SweepEngine, SweepResult, default_workers
+from repro.exp.engine import (
+    SweepEngine,
+    SweepError,
+    SweepResult,
+    default_workers,
+)
 from repro.exp.spec import Sweep, SweepPoint, resolve_runner, runner_path
 
 __all__ = [
     "Sweep",
     "SweepPoint",
     "SweepEngine",
+    "SweepError",
     "SweepResult",
     "ResultCache",
     "RESULT_SCHEMA_VERSION",

@@ -8,11 +8,14 @@ layers:
    :class:`repro.exp.cache.ResultCache` keyed by the canonical hash of
    (runner, params, schema version); hits skip simulation entirely.
 2. **Fan-out** — cache misses are executed across a
-   ``multiprocessing`` pool (``spawn`` start method, so workers are
-   clean interpreters with no inherited simulator state).  With
-   ``workers <= 1`` misses run in-process, which is also the fallback
-   when there is only one miss to run.  Each outcome is cached as it
-   arrives, so a sweep that dies at point k keeps points 0..k-1.
+   process pool forked from the declaring process (``spawn`` only where
+   there is no ``fork``), so workers start with its modules imported;
+   ARCHITECTURE.md (``repro.exp``) says why what they inherit is
+   harmless.  With ``workers <= 1`` misses run in-process, which is
+   also the fallback when there is only one miss to run.  Each outcome
+   is cached as it arrives, so a sweep that dies at point k keeps
+   points 0..k-1, and a dead worker raises :class:`SweepError`
+   naming point k.
 3. **Merge** — results are assembled strictly in the sweep's point
    declaration order and normalised through a canonical-JSON round
    trip, so the merged output is byte-identical no matter how many
@@ -35,12 +38,17 @@ from repro.exp.cache import (
     cache_key,
     canonical_json,
 )
-from repro.exp.spec import Sweep, resolve_runner
+from repro.exp.spec import Sweep, SweepPoint, resolve_runner
 
-__all__ = ["SweepEngine", "SweepResult", "default_workers"]
+__all__ = ["SweepEngine", "SweepError", "SweepResult", "default_workers"]
 
 #: Environment variable consulted for the default worker count.
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
+
+
+class SweepError(RuntimeError):
+    """A sweep worker died (killed, out of memory); the message names
+    the earliest point left without a result."""
 
 
 def default_workers() -> int:
@@ -74,11 +82,8 @@ def _normalise(result: Any) -> Any:
 
 
 def _execute_point(payload: Tuple[str, Dict[str, Any]]) -> Tuple[Any, float]:
-    """Worker entry point: run one (runner_path, params) sweep point.
-
-    Module-level so ``spawn`` workers can import it; returns the
-    normalised result and the point's wall-clock seconds.
-    """
+    """Worker entry point: run one (runner_path, params) sweep point and
+    return the normalised result and the point's wall-clock seconds."""
     runner_path, params = payload
     runner = resolve_runner(runner_path)
     start = time.perf_counter()
@@ -87,19 +92,33 @@ def _execute_point(payload: Tuple[str, Dict[str, Any]]) -> Tuple[Any, float]:
     return _normalise(result), elapsed
 
 
-def _execute_in_order(payloads: List[Tuple[str, Dict[str, Any]]],
-                      nworkers: int):
-    """Yield each payload's ``(result, elapsed)`` in order, as soon as
-    it and every payload before it have finished.  The pool is no larger
-    than the payload count or the host's CPU count: extra processes
-    only add spawn cost."""
+def _execute_in_order(points: List[SweepPoint], nworkers: int):
+    """Yield each point's ``(result, elapsed)`` in order, as soon as it
+    and every point before it have finished, on no more workers than
+    points or CPUs.  A pool that stops early (a point raised, a worker
+    died, the generator closed) cancels the points not started."""
+    payloads = [(point.runner, point.params) for point in points]
     nworkers = min(nworkers, len(payloads), os.cpu_count() or 1)
-    if nworkers > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=nworkers) as pool:
-            yield from pool.imap(_execute_point, payloads, chunksize=1)
-    else:
+    if nworkers <= 1:
         yield from map(_execute_point, payloads)
+        return
+    # Imported here: a process that never starts a pool never loads it.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() \
+        else "spawn"
+    pool = ProcessPoolExecutor(
+        nworkers, mp_context=multiprocessing.get_context(method))
+    try:
+        outcomes = pool.map(_execute_point, payloads)
+        for point in points:
+            try:
+                outcome = next(outcomes)
+            except BrokenProcessPool as exc:
+                raise SweepError(f"a worker died before point "
+                                 f"{point.key!r} returned") from exc
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class SweepResult:
@@ -208,17 +227,18 @@ class SweepEngine:
             else:
                 misses.append(index)
 
-        if misses:
-            payloads = [(points[i].runner, points[i].params) for i in misses]
-            outcomes = _execute_in_order(payloads, nworkers)
+        outcomes = _execute_in_order([points[i] for i in misses], nworkers)
+        try:
             for index, (result, elapsed) in zip(misses, outcomes):
                 point = points[index]
                 results[point.key] = result
                 cached[point.key] = False
                 per_point_s[point.key] = round(elapsed, 6)
                 if self.cache:
-                    digest, key_doc = keys[index]
-                    self.cache.put(digest, key_doc, result, elapsed)
+                    self.cache.put(*keys[index], result, elapsed)
+        finally:
+            # zip stops before the generator does: shut the pool now.
+            outcomes.close()
 
         # Re-assemble in declaration order: dict insertion order above
         # follows cache-hit-then-miss, not the sweep order.

@@ -10,8 +10,9 @@ to a worker process.
 Two representation rules keep sweeps cacheable and parallelisable:
 
 * a point's *runner* is referenced by dotted path (``"pkg.mod:func"``),
-  never by closure, so worker processes started with the ``spawn``
-  method can import it and so the cache key names it stably;
+  never by closure, so the cache key names it stably and a worker
+  process (forked, or started with ``spawn`` where there is no
+  ``fork``) can resolve it;
 * a point's *params* must be canonical-JSON-safe (dict/list/str/int/
   float/bool/None), so the cache key is a stable hash and results are
   reproducible from the spec alone.

@@ -433,7 +433,14 @@ class EventQueue(_QueueBase):
                 if trc is not None and trc.enabled:
                     self._trace(when, entry[1], fn, entry[4])
                 if ck is not None and ck.enabled:
-                    ck.on_dispatch(when, entry[1], fn, entry[4])
+                    # InvariantChecker.on_dispatch inlined: ring the
+                    # entry itself; call it only to report time moving
+                    # backwards.
+                    if when < ck._last_dispatch_tick:
+                        ck.on_dispatch(when, entry[1], fn, entry[4])
+                    else:
+                        ck._ring.append(entry)
+                        ck._last_dispatch_tick = when
                 fn(entry[4])
         finally:
             self.events_processed += serviced

@@ -82,6 +82,15 @@ DEVICE_KIND_NAMES = ("disk", "nic", "accel")
 GEN_NAMES = ("GEN1", "GEN2", "GEN3")
 
 
+#: Device numbers on one configuration bus (0-31): the most root ports
+#: a root complex, or downstream ports a switch, can have.
+DEVICES_PER_BUS = 32
+
+#: Enumeration gives every bridge (each root port, and each switch's
+#: upstream and downstream ports) its own secondary bus, numbered 1-255.
+MAX_BRIDGES = 255
+
+
 class SpecError(ValueError):
     """An inconsistent or inexpressible topology specification."""
 
@@ -353,6 +362,10 @@ class SwitchSpec:
         _require(self.effective_num_ports >= len(self.children),
                  f"{where}: {len(self.children)} children do "
                  f"not fit {self.effective_num_ports} downstream ports")
+        _require(self.effective_num_ports <= DEVICES_PER_BUS,
+                 f"{where}: num_ports: {self.effective_num_ports} "
+                 f"downstream ports exceed the {DEVICES_PER_BUS} device "
+                 f"numbers of the switch's internal bus")
         self.link.validate()
 
     def to_dict(self) -> Dict[str, Any]:
@@ -522,10 +535,17 @@ class TopologySpec:
         _require(self.effective_num_root_ports >= len(self.children),
                  f"{len(self.children)} root-port children do not fit "
                  f"{self.effective_num_root_ports} root ports")
+        _require(self.effective_num_root_ports <= DEVICES_PER_BUS,
+                 f"root complex: num_root_ports: "
+                 f"{self.effective_num_root_ports} root ports exceed the "
+                 f"{DEVICES_PER_BUS} device numbers of bus 0")
+        bridges = self.effective_num_root_ports
         node_names: set = set()
         link_names: set = set()
         for node in self.walk():
             node.validate()
+            if isinstance(node, SwitchSpec):
+                bridges += 1 + node.effective_num_ports
             _require(node.name is not None,
                      f"{node!r} is unnamed; call finalize() first")
             _require(node.name not in node_names,
@@ -538,6 +558,10 @@ class TopologySpec:
             _require(node.link.name not in link_names,
                      f"duplicate link name {node.link.name!r}")
             link_names.add(node.link.name)
+        _require(bridges <= MAX_BRIDGES,
+                 f"the fabric needs {bridges} bus numbers below bus 0 (one "
+                 f"per root port and switch port); only {MAX_BRIDGES} "
+                 f"(1-{MAX_BRIDGES}) exist")
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

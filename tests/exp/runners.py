@@ -1,8 +1,13 @@
 """Cheap, deterministic sweep-point runners for the exp tests.
 
-Module-level so :func:`repro.exp.spec.resolve_runner` (and spawn
-workers, should a test want them) can import them by dotted path.
+Module-level so :func:`repro.exp.spec.resolve_runner` can import them
+by dotted path.
 """
+
+import multiprocessing
+import os
+import signal
+import time
 
 CALLS = []
 
@@ -30,3 +35,24 @@ def fails_once(x):
         raise RuntimeError(f"point {x} died")
     return quadratic(x)
 
+
+#: Set by a test at run time; a forked sweep worker inherits the value.
+FLAG = None
+
+
+def read_flag(x):
+    """Report :data:`FLAG` as the worker running point ``x`` sees it."""
+    return {"x": x, "flag": FLAG}
+
+
+def dies_once(x, die, marker):
+    """``quadratic``, except that the worker running point ``die`` kills
+    itself with SIGKILL, once: it leaves the file ``marker`` behind so a
+    rerun completes.  In the test process itself it raises instead."""
+    if x == die and not os.path.exists(marker):
+        open(marker, "w").close()
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("dies_once must run in a pool worker")
+        time.sleep(0.5)  # let the earlier points report first
+        os.kill(os.getpid(), signal.SIGKILL)
+    return quadratic(x)

@@ -1,13 +1,17 @@
 """Sweep-engine behaviour: ordering, caching, fan-out, bench records."""
 
 import json
+import os
+import time
 
 import pytest
 
-from benchmarks.sweeps import FIGURE_METRICS, RUN_POINT, dd_flows
+from benchmarks.harness import RESULTS_DIR
+from benchmarks.sweeps import FIGURE_METRICS, RUN_POINT, dd_flows, stress_sweep
 from repro.exp import (
     Sweep,
     SweepEngine,
+    SweepError,
     canonical_json,
     load_records,
 )
@@ -132,8 +136,7 @@ def test_invalid_worker_counts_rejected():
 
 
 def test_workers_clamped_to_cpu_count(monkeypatch):
-    import multiprocessing
-    import os
+    import concurrent.futures.process
 
     serial = SweepEngine().run(cheap_sweep(3), workers=1)
 
@@ -141,9 +144,41 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
         raise AssertionError("one CPU must not start a worker pool")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        no_pool)
     clamped = SweepEngine().run(cheap_sweep(3), workers=4)
     assert canonical_json(clamped.results) == canonical_json(serial.results)
+
+
+def test_pooled_workers_inherit_the_declaring_process(monkeypatch):
+    # Workers are forked: a module attribute set at run time, which a
+    # freshly started interpreter would not see, reaches every point.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runners, "FLAG", "set-at-run-time")
+    sweep = Sweep("inherit")
+    for x in range(4):
+        sweep.add(f"p{x}", runners.read_flag, x=x)
+    result = SweepEngine().run(sweep, workers=2)
+    assert result.workers == 2
+    assert [r["flag"] for r in result.results.values()] == \
+        ["set-at-run-time"] * 4
+
+
+def test_a_dead_worker_fails_the_sweep_fast(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    engine = SweepEngine(cache_dir=str(tmp_path / "cache"))
+    sweep = Sweep("killed")
+    for x in range(6):
+        sweep.add(f"p{x}", runners.dies_once, x=x, die=3,
+                  marker=str(tmp_path / "died"))
+    start = time.monotonic()
+    with pytest.raises(SweepError, match="before point 'p3' returned"):
+        engine.run(sweep, workers=2)
+    assert time.monotonic() - start < 10
+    result = engine.run(sweep, workers=1)
+    assert [hit for hit in result.cached.values()] == \
+        [True, True, True, False, False, False]
+    assert result.results["p5"]["value"] == 25
 
 
 def test_default_workers_env(monkeypatch):
@@ -197,3 +232,22 @@ def test_serial_and_parallel_fig9b_byte_identical(tmp_path):
     widths = serial.results
     assert widths["x2"]["throughput_gbps"] > 1.3 * widths["x1"]["throughput_gbps"]
 
+
+
+def test_pooled_checked_stress_points_match_serial(monkeypatch):
+    # Every fourth point of the checker-armed stress grid (the
+    # multi-flow point among them) plus the non-posted storm, run in a
+    # two-worker pool.  The committed payload is the serial run's bytes
+    # (tests/test_artifacts.py regenerates it serially and compares).
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    full = stress_sweep().points
+    sweep = Sweep("stress_sample")
+    for point in full[::4] + full[-1:]:
+        sweep.add(point.key, point.runner, **point.params)
+    assert {"multiflow/er0.02", "np_storm/unpinned"} <= {
+        point.key for point in sweep.points}
+    pooled = SweepEngine().run(sweep, workers=2)
+    with open(os.path.join(RESULTS_DIR, "stress_sweep.json")) as fh:
+        serial = json.load(fh)
+    assert canonical_json(pooled.results) == canonical_json(
+        {key: serial[key] for key in pooled.results})

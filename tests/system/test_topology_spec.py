@@ -144,6 +144,40 @@ def test_children_must_fit_declared_ports():
         TopologySpec(children=[switch]).finalize()
 
 
+def test_a_switch_with_more_than_32_ports_fails_validation():
+    # Downstream ports take device numbers 0-31 on the switch's
+    # internal bus; the 33rd used to fail mid-build on "invalid slot".
+    deep_hierarchy_spec(1, 32).validate()
+    with pytest.raises(SpecError, match="switch 'sw1': num_ports: 33"):
+        deep_hierarchy_spec(2, 32).validate()
+
+
+def test_more_than_32_root_ports_fail_validation():
+    with pytest.raises(SpecError, match="num_root_ports: 33"):
+        TopologySpec(children=[DeviceSpec("disk")],
+                     num_root_ports=33).finalize()
+
+
+@pytest.mark.parametrize("depth, fanout, bridges", [
+    (8, 31, 264), (100, 1, 300)])
+def test_a_fabric_beyond_255_bus_numbers_fails_validation(depth, fanout,
+                                                          bridges):
+    with pytest.raises(SpecError, match=f"needs {bridges} bus numbers"):
+        deep_hierarchy_spec(depth, fanout).validate()
+
+
+def test_a_fabric_of_exactly_255_bus_numbers_boots():
+    # One root port, 13 switches of 1 + 17 ports, a leaf of 1 + 16.
+    spec = deep_hierarchy_spec(14, 16)
+    leaf = spec.switches()[-1]
+    leaf.num_ports = leaf.effective_num_ports + 3  # 252 + 3 bridges
+    system = build_system(spec, check=False)
+    assert len(system.devices) == 14 * 16
+    leaf.num_ports += 1
+    with pytest.raises(SpecError, match="needs 256 bus numbers"):
+        spec.validate()
+
+
 def test_empty_topology_is_rejected():
     with pytest.raises(SpecError, match="at least one node"):
         TopologySpec().finalize()
