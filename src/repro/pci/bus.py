@@ -46,8 +46,10 @@ class _Transaction:
 class PciBus(SimObject):
     """See module docstring.
 
+    ``clock_mhz`` is :class:`repro.system.spec.ClassicPciSpec`'s field,
+    which holds its default and its 33/66 MHz check.
+
     Args:
-        clock_mhz: 33 or 66.
         width_bytes: data bus width (4 for 32-bit PCI).
         arbitration_cycles: bus cycles to win arbitration.
         max_wait_states: cycles a target may insert before it must
@@ -61,15 +63,14 @@ class PciBus(SimObject):
         sim: Simulator,
         name: str = "pci_bus",
         parent: Optional[SimObject] = None,
-        clock_mhz: int = 33,
+        *,
+        clock_mhz: int,
         width_bytes: int = 4,
         arbitration_cycles: int = 2,
         max_wait_states: int = 8,
         queue_depth: int = 4,
     ):
         super().__init__(sim, name, parent)
-        if clock_mhz not in (33, 66):
-            raise ValueError("PCI buses run at 33 or 66 MHz")
         self.period = ticks.from_frequency_hz(clock_mhz * 1e6)
         self.width_bytes = width_bytes
         self.arbitration_cycles = arbitration_cycles

@@ -93,8 +93,6 @@ class CreditLedger:
     )
 
     def __init__(self, p_credits: int, np_credits: int, cpl_credits: int):
-        if min(p_credits, np_credits, cpl_credits) < 1:
-            raise ValueError("every flow-control class needs at least one credit")
         self.rx_capacity = [p_credits, np_credits, cpl_credits]
         self.rx_held = [0, 0, 0]
         self.rx_drained = [0, 0, 0]

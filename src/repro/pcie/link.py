@@ -72,7 +72,6 @@ from repro.pcie.timing import (
     fc_watchdog_ticks,
     replay_timeout_ticks,
 )
-from repro.sim import ticks
 from repro.sim.eventq import CallbackEvent, labelled
 from repro.sim.simobject import SimObject, Simulator
 
@@ -750,34 +749,11 @@ class PcieLink(SimObject):
     to a root/switch *downstream* port); ``downstream_if`` is the device
     end.  Both directions share one :class:`LinkTiming`.
 
-    Args:
-        gen: PCI-Express generation (defaults to Gen 2 like the paper's
-            validation setup).
-        width: lane count.
-        propagation_delay: flight time added after serialization.
-        replay_buffer_size: TLPs held awaiting acknowledgement (the
-            paper's default is 4, "enough TLP pcie-pkts until the next
-            ACK arrives based on the ack factor").
-        max_payload: MaxPayloadSize used in the replay-timer formula
-            (the paper uses the cache-line size, 64 B).
-        ack_policy: ``"timer"`` coalesces ACKs until the ACK timer
-            expires (the paper's default); ``"immediate"`` ACKs every
-            delivery.
-        input_queue_size: TLPs an interface buffers from its component
-            (per direction: one request queue and one completion queue
-            of this size) before exerting port backpressure.
-        p_credits / np_credits / cpl_credits: per-class receive-buffer
-            slots each interface advertises at link-up — posted,
-            non-posted and completion flow-control credits.  The
-            defaults (6/6/4) sum to the 16-slot aggregate each
-            routing-engine port pool carried before the credit split.
-        error_rate: fraction of received TLPs corrupted (NAK path).
-        dllp_error_rate: fraction of received DLLPs corrupted
-            (discarded; ACK recovery via the replay timeout, UpdateFC
-            recovery via cumulative limits + the FC watchdog).
-        replay_timeout / ack_period: timer overrides in ticks; default
-            to the spec formulas in :mod:`repro.pcie.timing`.  The FC
-            watchdog always follows its formula.
+    Every keyword is a :class:`repro.system.spec.LinkSpec` field of the
+    same name, except ``gen``, which is the :class:`PcieGen` member the
+    record names.  The record holds the defaults and the range checks;
+    build a link from one with :meth:`from_spec`.  ``replay_timeout``
+    and ``ack_period`` None mean the :mod:`repro.pcie.timing` formula.
     """
 
     def __init__(
@@ -785,29 +761,24 @@ class PcieLink(SimObject):
         sim: Simulator,
         name: str,
         parent: Optional[SimObject] = None,
-        gen: PcieGen = PcieGen.GEN2,
-        width: int = 1,
-        propagation_delay: int = ticks.from_ns(4),
-        replay_buffer_size: int = 4,
-        max_payload: int = 64,
-        ack_policy: str = "timer",
-        input_queue_size: int = 2,
-        p_credits: int = 6,
-        np_credits: int = 6,
-        cpl_credits: int = 4,
-        error_rate: float = 0.0,
-        dllp_error_rate: float = 0.0,
-        error_seed: int = 0x5EED,
+        *,
+        gen: PcieGen,
+        width: int,
+        propagation_delay: int,
+        replay_buffer_size: int,
+        max_payload: int,
+        ack_policy: str,
+        input_queue_size: int,
+        p_credits: int,
+        np_credits: int,
+        cpl_credits: int,
+        error_rate: float,
+        dllp_error_rate: float,
+        error_seed: int,
         replay_timeout: Optional[int] = None,
         ack_period: Optional[int] = None,
     ):
         super().__init__(sim, name, parent)
-        if replay_buffer_size < 1:
-            raise ValueError("replay buffer must hold at least one TLP")
-        if ack_policy not in ("timer", "immediate"):
-            raise ValueError(f"unknown ack policy {ack_policy!r}")
-        if min(p_credits, np_credits, cpl_credits) < 1:
-            raise ValueError("every flow-control class needs at least one credit")
         self.timing = LinkTiming(gen, width)
         self.replay_buffer_size = replay_buffer_size
         self.max_payload = max_payload
@@ -850,6 +821,27 @@ class PcieLink(SimObject):
         for iface in (self.upstream_if, self.downstream_if):
             for cls in (0, 1, 2):
                 iface.fc.advertise(cls, iface.peer.fc.rx_limit(cls))
+
+    @classmethod
+    def from_spec(cls, sim: Simulator, name: str, spec,
+                  parent: Optional[SimObject] = None) -> "PcieLink":
+        """The link a :class:`repro.system.spec.LinkSpec` describes.
+
+        The record is read by attribute, so this package never imports
+        :mod:`repro.system`; it is trusted to be validated (the builder
+        validates the whole tree first).
+        """
+        return cls(
+            sim, name, parent, gen=PcieGen[spec.gen], width=spec.width,
+            propagation_delay=spec.propagation_delay,
+            replay_buffer_size=spec.replay_buffer_size,
+            max_payload=spec.max_payload, ack_policy=spec.ack_policy,
+            input_queue_size=spec.input_queue_size,
+            p_credits=spec.p_credits, np_credits=spec.np_credits,
+            cpl_credits=spec.cpl_credits, error_rate=spec.error_rate,
+            dllp_error_rate=spec.dllp_error_rate, error_seed=spec.error_seed,
+            replay_timeout=spec.replay_timeout, ack_period=spec.ack_period,
+        )
 
     @property
     def gen(self) -> PcieGen:

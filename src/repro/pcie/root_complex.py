@@ -25,22 +25,16 @@ from repro.mem.addr import AddrRange
 from repro.pci.capabilities import PciePortType
 from repro.pcie.routing import ComponentPort, PcieRoutingEngine
 from repro.pcie.vp2p import VirtualP2PBridge, WILDCAT_ROOT_PORT_IDS
-from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
 
 
 class RootComplex(PcieRoutingEngine):
     """A root complex with ``num_root_ports`` root ports.
 
-    Args:
-        num_root_ports: how many root ports (and VP2Ps) to create; the
-            paper's model implements three.
-        latency: request/response processing latency (default 150 ns,
-            the paper's fixed root-complex setting).
-        buffer_size: per-port, per-direction packet buffer (default 16).
-        service_interval: per-packet serialization of a port's internal
-            datapath.
-        link_width: advertised width in the VP2P capability registers.
+    The keywords are the ``rc_*`` fields and ``num_root_ports`` of
+    :class:`repro.system.spec.TopologySpec`, which hold their defaults
+    and range checks; ``link_speed``/``link_width`` are what the root
+    ports' VP2P capability registers advertise.
     """
 
     def __init__(
@@ -48,13 +42,14 @@ class RootComplex(PcieRoutingEngine):
         sim: Simulator,
         name: str = "root_complex",
         parent: Optional[SimObject] = None,
-        num_root_ports: int = 3,
-        latency: int = ticks.from_ns(150),
-        buffer_size: int = 16,
-        service_interval: int = ticks.from_ns(30),
-        datapath_scope: str = "port",
-        link_speed: int = 2,
-        link_width: int = 1,
+        *,
+        num_root_ports: int,
+        latency: int,
+        buffer_size: int,
+        service_interval: int,
+        datapath_scope: str,
+        link_speed: int,
+        link_width: int,
     ):
         super().__init__(
             sim, name, parent,
@@ -62,8 +57,6 @@ class RootComplex(PcieRoutingEngine):
             service_interval=service_interval,
             datapath_scope=datapath_scope,
         )
-        if num_root_ports < 1:
-            raise ValueError("a root complex needs at least one root port")
         for i in range(num_root_ports):
             device_id = WILDCAT_ROOT_PORT_IDS[i % len(WILDCAT_ROOT_PORT_IDS)]
             vp2p = VirtualP2PBridge(

@@ -47,7 +47,6 @@ from repro.mem.addr import AddrRange
 from repro.mem.packet import FLOW_CPL, FLOW_NP, FLOW_P, Packet
 from repro.mem.port import MasterPort, PacketQueue, PortError, SlavePort
 from repro.pcie.vp2p import VirtualP2PBridge
-from repro.sim import ticks
 from repro.sim.eventq import labelled
 from repro.sim.simobject import SimObject, Simulator
 
@@ -243,17 +242,12 @@ class ComponentPort(SimObject):
 class PcieRoutingEngine(SimObject):
     """Base class: see module docstring.
 
-    Args:
-        latency: request/response processing latency in ticks (the
-            paper's root complex default is 150 ns; a typical switch on
-            the market is also 150 ns).
-        buffer_size: packet slots in each port's pool (the paper's
-            experiments use 16, 20, 24, 28).
-        service_interval: per-packet admission serialization of the
-            internal datapath, in ticks.
-        datapath_scope: "port" gives each port its own datapath
-            pipeline; "engine" shares one pipeline across all ports and
-            both directions (an ablation of the internal organisation).
+    The keywords are the engine knobs of
+    :class:`repro.system.spec.SwitchSpec` (and the ``rc_*`` fields of
+    :class:`repro.system.spec.TopologySpec`), which hold their defaults
+    and range checks.  ``datapath_scope`` "port" gives each port its own
+    datapath pipeline; "engine" shares one pipeline across all ports and
+    both directions (an ablation of the internal organisation).
     """
 
     def __init__(
@@ -261,17 +255,13 @@ class PcieRoutingEngine(SimObject):
         sim: Simulator,
         name: str,
         parent: Optional[SimObject] = None,
-        latency: int = ticks.from_ns(150),
-        buffer_size: int = 16,
-        service_interval: int = ticks.from_ns(42),
-        datapath_scope: str = "port",
+        *,
+        latency: int,
+        buffer_size: int,
+        service_interval: int,
+        datapath_scope: str,
     ):
         super().__init__(sim, name, parent)
-        if buffer_size < 2:
-            raise ValueError("port buffers need at least two slots "
-                             "(completions always get a dedicated one)")
-        if datapath_scope not in ("port", "engine"):
-            raise ValueError(f"unknown datapath scope {datapath_scope!r}")
         self.latency = latency
         self.buffer_size = buffer_size
         # Per-class partition of each port's pool: completions get a

@@ -21,7 +21,6 @@ from repro.mem.addr import AddrRange
 from repro.pci.capabilities import PciePortType
 from repro.pcie.routing import ComponentPort, PcieRoutingEngine
 from repro.pcie.vp2p import VirtualP2PBridge
-from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
 
 # A generic PLX/Broadcom-style switch identity.
@@ -32,12 +31,10 @@ PLX_SWITCH_DEVICE_ID = 0x8796
 class PcieSwitch(PcieRoutingEngine):
     """A store-and-forward PCI-Express switch.
 
-    Args:
-        num_downstream_ports: downstream port (and VP2P) count.
-        latency: store-and-forward processing latency (default 150 ns).
-        buffer_size: per-port, per-direction packet buffer (default 16).
-        service_interval: per-packet serialization of a port's internal
-            datapath.
+    The keywords are the fields of :class:`repro.system.spec.SwitchSpec`
+    (``num_downstream_ports`` is its effective port count), which hold
+    their defaults and range checks; ``link_speed``/``link_width`` are
+    what the VP2P capability registers advertise.
     """
 
     def __init__(
@@ -45,13 +42,14 @@ class PcieSwitch(PcieRoutingEngine):
         sim: Simulator,
         name: str = "switch",
         parent: Optional[SimObject] = None,
-        num_downstream_ports: int = 2,
-        latency: int = ticks.from_ns(150),
-        buffer_size: int = 16,
-        service_interval: int = ticks.from_ns(30),
-        datapath_scope: str = "port",
-        link_speed: int = 2,
-        link_width: int = 1,
+        *,
+        num_downstream_ports: int,
+        latency: int,
+        buffer_size: int,
+        service_interval: int,
+        datapath_scope: str,
+        link_speed: int,
+        link_width: int,
     ):
         super().__init__(
             sim, name, parent,
@@ -59,8 +57,6 @@ class PcieSwitch(PcieRoutingEngine):
             service_interval=service_interval,
             datapath_scope=datapath_scope,
         )
-        if num_downstream_ports < 1:
-            raise ValueError("a switch needs at least one downstream port")
         self.upstream_vp2p = VirtualP2PBridge(
             device_id=PLX_SWITCH_DEVICE_ID,
             vendor_id=PLX_VENDOR_ID,

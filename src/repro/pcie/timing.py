@@ -181,7 +181,7 @@ def fc_watchdog_ticks(gen: PcieGen, width: int, max_payload: int) -> int:
 class LinkTiming:
     """Wire timing of one link: a generation plus a lane count."""
 
-    def __init__(self, gen: PcieGen = PcieGen.GEN2, width: int = 1):
+    def __init__(self, gen: PcieGen, width: int):
         if width not in VALID_WIDTHS:
             raise ValueError(f"invalid link width x{width} (valid: {VALID_WIDTHS})")
         self.gen = gen

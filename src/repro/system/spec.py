@@ -123,6 +123,18 @@ def _require_type(value: Any, kind: type, what: str) -> None:
         raise SpecError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
+def _fields(doc: Dict[str, Any], fields: Tuple[str, ...], what: str,
+            tags: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """The ``fields`` a document carries, as keyword arguments, so an
+    absent field takes the record's default.  A key that is neither a
+    field nor one of the ``tags`` the caller reads (``node``, ``kind``,
+    ...) is a :class:`SpecError` naming it: a typo must not run the
+    default."""
+    unknown = set(doc) - set(fields) - set(tags)
+    _require(not unknown, f"{what} has unknown fields {sorted(unknown)}")
+    return {key: doc[key] for key in fields if key in doc}
+
+
 def _require_number(value: Any, what: str,
                     high: Optional[float] = None) -> None:
     """``value`` is a non-negative int or float, at most ``high``."""
@@ -143,24 +155,32 @@ class LinkSpec:
             name.
         gen: PCIe generation *name* (``"GEN1"``/``"GEN2"``/``"GEN3"``).
         width: lane count.
-        replay_buffer_size: unacknowledged-TLP bound per interface.
-        ack_policy: ``"immediate"`` or ``"timer"``.
-        input_queue_size: component-facing input buffer per interface.
+        replay_buffer_size: unacknowledged-TLP bound per interface;
+            a full buffer throttles the source (the paper's Fig. 9c).
+        ack_policy: ``"immediate"`` ACKs every delivery; ``"timer"``
+            coalesces ACKs until the ACK timer expires.
+        input_queue_size: TLPs an interface buffers from its component,
+            per direction (one request queue and one completion queue
+            of this size), before exerting port backpressure.
         p_credits / np_credits / cpl_credits: per-class receive-buffer
             slots (posted / non-posted / completion flow-control
             credits) each interface advertises at link-up; the defaults
             (6/6/4) reproduce the 16-slot aggregate capacity of the
             pre-split shared pool.
         error_rate: fraction of received TLPs corrupted (NAK path).
-        dllp_error_rate: fraction of DLLPs corrupted.
+        dllp_error_rate: fraction of received DLLPs corrupted; they are
+            discarded, ACKs recover through the replay timeout and
+            UpdateFCs through cumulative limits and the FC watchdog.
         error_seed: base seed of the per-interface corruption RNGs.
         propagation_delay: flight time in ticks added after
             serialization.
-        max_payload: MaxPayloadSize fed to the replay-timer formula.
+        max_payload: MaxPayloadSize fed to the replay-timer formula
+            (the paper uses the cache-line size).
         replay_timeout: explicit replay-timeout override in ticks, or
             None for the spec formula.
         ack_period: explicit ACK-timer override in ticks, or None for
-            the spec formula.
+            the spec formula.  The FC watchdog always follows its
+            formula.
     """
 
     FIELDS = (
@@ -237,9 +257,7 @@ class LinkSpec:
     def from_dict(cls, doc: Dict[str, Any]) -> "LinkSpec":
         """Rebuild a :class:`LinkSpec` from :meth:`to_dict` output."""
         _require_type(doc, dict, "link")
-        unknown = set(doc) - set(cls.FIELDS)
-        _require(not unknown, f"link spec has unknown fields {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**_fields(doc, cls.FIELDS, "link spec"))
 
     def __repr__(self) -> str:
         return f"<LinkSpec {self.name!r} {self.gen} x{self.width}>"
@@ -260,6 +278,8 @@ class DeviceSpec:
             constructor (``access_latency``, ``posted_writes``,
             ``msi_functional``, ... — canonical-JSON-safe values only).
     """
+
+    FIELDS = ("kind", "name", "link", "params")
 
     def __init__(self, kind: str, name: Optional[str] = None,
                  link: Optional[LinkSpec] = None,
@@ -291,14 +311,14 @@ class DeviceSpec:
         """Rebuild a :class:`DeviceSpec` from :meth:`to_dict` output."""
         _require(doc.get("node", "device") == "device",
                  f"expected a device node, got {doc.get('node')!r}")
-        _require("kind" in doc,
-                 f"device node {doc.get('name')!r}: missing field 'kind'")
-        return cls(
-            kind=doc["kind"],
-            name=doc.get("name"),
-            link=LinkSpec.from_dict(doc.get("link", {})),
-            params=doc.get("params"),
-        )
+        where = f"device node {doc.get('name')!r}"
+        kwargs = _fields(doc, cls.FIELDS, where, tags=("node",))
+        _require("kind" in kwargs, f"{where}: missing field 'kind'")
+        if "link" in kwargs:
+            kwargs["link"] = LinkSpec.from_dict(kwargs["link"])
+        if "params" in kwargs:
+            _require_type(kwargs["params"], dict, f"{where}: params")
+        return cls(**kwargs)
 
     def __repr__(self) -> str:
         return f"<DeviceSpec {self.kind} {self.name!r}>"
@@ -314,14 +334,23 @@ class SwitchSpec:
             parent port.
         children: the nodes (devices or further switches) behind the
             downstream ports, in port order.
-        latency: store-and-forward processing latency in ticks.
-        buffer_size: per-port packet-slot pool.
-        service_interval: per-packet datapath admission interval.
-        datapath_scope: ``"port"`` or ``"engine"``.
+        latency: store-and-forward processing latency in ticks (a
+            typical switch on the market takes 150 ns).
+        buffer_size: packet slots in each port's pool, split per flow
+            class (the paper's experiments use 16, 20, 24 and 28; at
+            least 2, since completions always get a slot of their own).
+        service_interval: per-packet admission interval of a port's
+            internal datapath, in ticks.
+        datapath_scope: ``"port"`` gives each port its own datapath
+            pipeline; ``"engine"`` shares one across all ports and both
+            directions.
         num_ports: downstream port count; defaults to ``len(children)``
             (ports beyond the children stay unwired, like the paper's
             validation switch with its second, empty port).
     """
+
+    FIELDS = ("name", "link", "children", "latency", "buffer_size",
+              "service_interval", "datapath_scope", "num_ports")
 
     def __init__(
         self,
@@ -387,16 +416,14 @@ class SwitchSpec:
         """Rebuild a :class:`SwitchSpec` subtree from :meth:`to_dict`."""
         _require(doc.get("node") == "switch",
                  f"expected a switch node, got {doc.get('node')!r}")
-        kwargs = {key: doc[key] for key in
-                  ("latency", "buffer_size", "service_interval",
-                   "datapath_scope", "num_ports") if key in doc}
-        return cls(
-            name=doc.get("name"),
-            link=LinkSpec.from_dict(doc.get("link", {})),
-            children=_nodes_from_list(doc.get("children", []),
-                                      f"switch {doc.get('name')!r}: children"),
-            **kwargs,
-        )
+        where = f"switch {doc.get('name')!r}"
+        kwargs = _fields(doc, cls.FIELDS, where, tags=("node",))
+        if "link" in kwargs:
+            kwargs["link"] = LinkSpec.from_dict(kwargs["link"])
+        if "children" in kwargs:
+            kwargs["children"] = _nodes_from_list(kwargs["children"],
+                                                  f"{where}: children")
+        return cls(**kwargs)
 
     def __repr__(self) -> str:
         return (f"<SwitchSpec {self.name!r} ports={self.effective_num_ports} "
@@ -426,10 +453,10 @@ class TopologySpec:
 
     Args:
         children: the nodes behind the root ports, in root-port order.
-        rc_latency: root-complex processing latency in ticks.
-        rc_buffer_size: root-complex per-port packet-slot pool.
-        rc_service_interval: root-complex datapath admission interval.
-        rc_datapath_scope: ``"port"`` or ``"engine"``.
+        rc_latency: root-complex processing latency in ticks (the
+            paper fixes it at 150 ns).
+        rc_buffer_size / rc_service_interval / rc_datapath_scope: the
+            root complex's :class:`SwitchSpec` engine knobs.
         num_root_ports: root ports to build; defaults to fan-out (the
             paper's model implements three, which the legacy specs
             request explicitly).
@@ -522,6 +549,7 @@ class TopologySpec:
     def validate(self) -> None:
         """Whole-tree consistency: knob ranges plus global name/link
         uniqueness (the end-to-end identity guarantee)."""
+        _require_type(self.enable_msi, bool, "enable_msi")
         _require(self.rc_datapath_scope in ("port", "engine"),
                  f"root complex: unknown datapath scope "
                  f"{self.rc_datapath_scope!r}")
@@ -587,18 +615,19 @@ class TopologySpec:
         _require(doc.get("kind", "pcie") == "pcie",
                  f"expected kind 'pcie', got {doc.get('kind')!r} "
                  f"(classic PCI specs load via spec_from_dict)")
+        kwargs = _fields(doc, ("children", "enable_msi", "name"), "topology",
+                         tags=("kind", "root_complex"))
+        if "children" in kwargs:
+            kwargs["children"] = _nodes_from_list(kwargs["children"],
+                                                  "children")
         rc = doc.get("root_complex", {})
         _require_type(rc, dict, "root_complex")
-        kwargs = {f"rc_{key}": rc[key] for key in
-                  ("latency", "buffer_size", "service_interval",
-                   "datapath_scope") if key in rc}
-        return cls(
-            children=_nodes_from_list(doc.get("children", []), "children"),
-            num_root_ports=rc.get("num_root_ports"),
-            enable_msi=doc.get("enable_msi", False),
-            name=doc.get("name"),
-            **kwargs,
-        ).finalize()
+        for key, value in _fields(rc, ("latency", "buffer_size",
+                                       "service_interval", "datapath_scope",
+                                       "num_root_ports"),
+                                  "root_complex").items():
+            kwargs[key if key == "num_root_ports" else f"rc_{key}"] = value
+        return cls(**kwargs).finalize()
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Serialise to JSON text (pretty by default; artifacts diff
@@ -630,7 +659,7 @@ class ClassicPciSpec:
     """The pre-PCI-Express baseline: one disk on a classic shared bus.
 
     Args:
-        clock_mhz: shared-bus clock (33 or 66 in practice).
+        clock_mhz: shared-bus clock, 33 or 66 MHz.
         device: the disk's :class:`DeviceSpec`; its link is ignored
             (a shared bus has no PCI-Express links) and only
             ``kind="disk"`` is routable on the classic fabric.
@@ -652,8 +681,9 @@ class ClassicPciSpec:
 
     def validate(self) -> None:
         """The classic bus models exactly one bus-master disk."""
-        _require_number(self.clock_mhz, "classic PCI: clock_mhz")
-        _require(self.clock_mhz > 0, "classic PCI: clock must be positive")
+        _require(self.clock_mhz in (33, 66),
+                 f"classic PCI: clock_mhz must be 33 or 66, "
+                 f"got {self.clock_mhz!r}")
         _require(self.device.kind == "disk",
                  "classic PCI supports only the disk device")
 
@@ -673,16 +703,15 @@ class ClassicPciSpec:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ClassicPciSpec":
         """Rebuild (and finalize) a baseline spec from :meth:`to_dict`."""
+        _require_type(doc, dict, "topology")
         _require(doc.get("kind") == "classic_pci",
                  f"expected kind 'classic_pci', got {doc.get('kind')!r}")
-        device = doc.get("device", {})
-        _require_type(device, dict, "device")
-        return cls(
-            clock_mhz=doc.get("clock_mhz", 33),
-            device=DeviceSpec(kind=device.get("kind", "disk"),
-                              name=device.get("name"),
-                              params=device.get("params")),
-        ).finalize()
+        kwargs = _fields(doc, ("clock_mhz", "device"), "classic PCI",
+                         tags=("kind",))
+        if "device" in kwargs:
+            _require_type(kwargs["device"], dict, "device")
+            kwargs["device"] = DeviceSpec.from_dict(kwargs["device"])
+        return cls(**kwargs).finalize()
 
     def canonical(self) -> str:
         """Canonical JSON of the baseline spec."""

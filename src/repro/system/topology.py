@@ -194,26 +194,6 @@ def _advertised_link(node: Union[TopologySpec, SwitchSpec]) -> LinkSpec:
     return node.link  # only reachable for SwitchSpec
 
 
-def _build_link(sim: Simulator, link: LinkSpec) -> PcieLink:
-    """Instantiate one :class:`PcieLink` named ``{link.name}_link``."""
-    extra = {}
-    if link.replay_timeout is not None:
-        extra["replay_timeout"] = link.replay_timeout
-    if link.ack_period is not None:
-        extra["ack_period"] = link.ack_period
-    return PcieLink(
-        sim, f"{link.name}_link", gen=PcieGen[link.gen], width=link.width,
-        propagation_delay=link.propagation_delay,
-        replay_buffer_size=link.replay_buffer_size,
-        max_payload=link.max_payload, ack_policy=link.ack_policy,
-        input_queue_size=link.input_queue_size,
-        p_credits=link.p_credits, np_credits=link.np_credits,
-        cpl_credits=link.cpl_credits, error_rate=link.error_rate,
-        dllp_error_rate=link.dllp_error_rate, error_seed=link.error_seed,
-        **extra,
-    )
-
-
 def _build_subtree(sim: Simulator, system: PcieSystem,
                    node: Union[SwitchSpec, DeviceSpec], upstream_port,
                    parent_bus, enable_msi: bool) -> None:
@@ -227,7 +207,7 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
             params.setdefault("msi_functional", True)
         device = model_cls(sim, name=node.name, **params)
         system.devices[node.name] = device
-        link = _build_link(sim, node.link)
+        link = PcieLink.from_spec(sim, f"{node.link.name}_link", node.link)
         _connect_link(link, upstream_port, device=device)
         system.links[node.link.name] = link
         parent_bus.add_function(0, 0, device.function)
@@ -243,7 +223,7 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
         link_speed=PcieGen[advert.gen].speed_code, link_width=advert.width,
     )
     system.switches[node.name] = switch
-    link = _build_link(sim, node.link)
+    link = PcieLink.from_spec(sim, f"{node.link.name}_link", node.link)
     _connect_link(link, upstream_port, switch=switch)
     system.links[node.link.name] = link
     down_buses = switch.register_with_host(parent_bus)

@@ -44,8 +44,9 @@ def test_link_replay_stats_shape():
     from repro.analysis.report import link_replay_stats
     from repro.pcie.link import PcieLink
     from repro.sim.simobject import Simulator
+    from repro.system.spec import LinkSpec
 
-    link = PcieLink(Simulator(), "l")
+    link = PcieLink.from_spec(Simulator(), "l", LinkSpec())
     stats = link_replay_stats(link)
     assert stats["tlps_sent"] == 0
     assert stats["replay_fraction"] == 0.0
@@ -130,10 +131,12 @@ def test_breakdown_reconciles_with_live_link_stats():
     from repro.obs.trace import MemorySink
     from repro.pcie.link import PcieLink
     from repro.sim.simobject import Simulator
+    from repro.system.spec import LinkSpec
     from tests.mem.helpers import FakeMaster, FakeSlave
 
     sim = Simulator()
-    link = PcieLink(sim, "link", error_rate=0.2, error_seed=11)
+    link = PcieLink.from_spec(sim, "link",
+                              LinkSpec(error_rate=0.2, error_seed=11))
     device = FakeMaster(sim, "device")
     memory = FakeSlave(sim, "memory")
     device.port.bind(link.downstream_if.slave_port)

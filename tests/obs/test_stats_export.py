@@ -6,13 +6,14 @@ from repro.mem.addr import AddrRange
 from repro.obs.stats_export import STATS_SCHEMA, export_stats, write_stats_json
 from repro.pcie.link import PcieLink
 from repro.sim.simobject import SimObject, Simulator
+from repro.system.spec import LinkSpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
 
 def build_traffic_sim():
     sim = Simulator()
-    link = PcieLink(sim, "link")
+    link = PcieLink.from_spec(sim, "link", LinkSpec())
     device = FakeMaster(sim, "device")
     memory = FakeSlave(sim, "memory")
     device.port.bind(link.downstream_if.slave_port)

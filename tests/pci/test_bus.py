@@ -7,14 +7,21 @@ from repro.mem.port import PortError
 from repro.pci.bus import MAX_PCI_LOADS, PciBus
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import ClassicPciSpec, SpecError, classic_pci_spec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
 PERIOD_33 = ticks.from_frequency_hz(33e6)
 
 
+def pci_bus(sim, **bus_kwargs):
+    """A bus at :class:`ClassicPciSpec`'s clock unless the test sets one."""
+    return PciBus(sim, **{"clock_mhz": ClassicPciSpec().clock_mhz,
+                          **bus_kwargs})
+
+
 def build(sim, target_latency=0, **bus_kwargs):
-    bus = PciBus(sim, **bus_kwargs)
+    bus = pci_bus(sim, **bus_kwargs)
     master = FakeMaster(sim, "cpu")
     master.port.bind(bus.attach_master("cpu"))
     target = FakeSlave(sim, "dev", ranges=[AddrRange(0x40000000, 0x10000)],
@@ -24,8 +31,8 @@ def build(sim, target_latency=0, **bus_kwargs):
 
 
 def test_clock_validation():
-    with pytest.raises(ValueError):
-        PciBus(Simulator(), clock_mhz=100)
+    with pytest.raises(SpecError, match="clock_mhz"):
+        classic_pci_spec(clock_mhz=100)
 
 
 def test_read_completes_through_shared_bus():
@@ -70,7 +77,7 @@ def test_writes_are_posted_on_the_bus():
 
 def test_bus_serializes_masters():
     sim = Simulator()
-    bus = PciBus(sim)
+    bus = pci_bus(sim)
     masters = []
     for i in range(2):
         m = FakeMaster(sim, f"m{i}")
@@ -101,7 +108,7 @@ def test_unclaimed_address_raises():
 
 def test_load_limit_enforced():
     sim = Simulator()
-    bus = PciBus(sim)
+    bus = pci_bus(sim)
     for i in range(MAX_PCI_LOADS):
         if i % 2:
             bus.attach_master(f"m{i}")
@@ -135,7 +142,7 @@ def test_efficiency_below_one_with_slow_target():
 
 def test_explicit_target_ranges():
     sim = Simulator()
-    bus = PciBus(sim)
+    bus = pci_bus(sim)
     master = FakeMaster(sim, "cpu")
     master.port.bind(bus.attach_master("cpu"))
     target = FakeSlave(sim, "mem", ranges=[], latency=0)
@@ -160,6 +167,6 @@ def test_checkpoint_carries_useful_ticks_and_refuses_a_busy_bus():
     sim.run()
     state = bus.state_dict()
     assert state == {"useful_ticks": 16 * PERIOD_33}
-    twin = PciBus(Simulator())
+    twin = pci_bus(Simulator())
     twin.load_state_dict(state)
     assert twin.state_dict() == state

@@ -10,12 +10,13 @@ timeout path and that it converges rather than deadlocks.
 
 from repro.pcie.link import PcieLink
 from repro.sim.simobject import Simulator
+from repro.system.spec import LinkSpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
 
 def build_dma_path(sim, **link_kwargs):
-    link = PcieLink(sim, "link", **link_kwargs)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(**link_kwargs))
     device = FakeMaster(sim, "device")
     memory = FakeSlave(sim, "memory")
     device.port.bind(link.downstream_if.slave_port)

@@ -17,6 +17,7 @@ from repro.pcie.pkt import FLOW_CLASS_FOR_DLLP, DllpType, PciePacket
 from repro.pcie.timing import PcieGen, fc_watchdog_ticks
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import LinkSpec, SpecError
 
 from tests.pcie.test_link import build_dma_path
 
@@ -66,10 +67,11 @@ def test_updatefc_dllp_carries_class_and_limit():
 
 
 def test_ledger_requires_at_least_one_credit_per_class():
-    with pytest.raises(ValueError):
-        CreditLedger(0, 6, 4)
-    with pytest.raises(ValueError):
-        CreditLedger(6, 6, 0)
+    # The ledger's capacities come from the link's record, which is the
+    # only place they are range-checked.
+    for field in ("p_credits", "cpl_credits"):
+        with pytest.raises(SpecError, match=field):
+            LinkSpec(**{field: 0}).validate()
 
 
 def test_consume_reduces_headroom_until_advertised():
@@ -130,7 +132,8 @@ def test_stall_clock_accumulates_per_class():
 
 def test_link_advertises_initial_credits_at_link_up():
     sim = Simulator()
-    link = PcieLink(sim, "link", p_credits=5, np_credits=3, cpl_credits=2)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(
+        p_credits=5, np_credits=3, cpl_credits=2))
     for iface in (link.upstream_if, link.downstream_if):
         assert iface.fc.tx_headroom(FLOW_P) == 5
         assert iface.fc.tx_headroom(FLOW_NP) == 3
@@ -138,9 +141,8 @@ def test_link_advertises_initial_credits_at_link_up():
 
 
 def test_link_rejects_zero_credit_classes():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        PcieLink(sim, "bad", np_credits=0)
+    with pytest.raises(SpecError, match="np_credits"):
+        LinkSpec(np_credits=0).validate()
 
 
 def test_credits_consumed_and_returned_over_traffic():
@@ -216,7 +218,7 @@ def test_fc_stall_stats_exported_per_class():
 
 def test_watchdog_defaults_to_twice_replay_timeout():
     sim = Simulator()
-    link = PcieLink(sim, "link", gen=PcieGen.GEN3, width=4)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(gen="GEN3", width=4))
     expected = fc_watchdog_ticks(PcieGen.GEN3, 4, link.max_payload)
     assert link.fc_watchdog == expected
     assert link.config_dict()["fc_watchdog"] == expected

@@ -5,9 +5,9 @@ import pytest
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.pcie.link import PcieLink
-from repro.pcie.timing import PcieGen
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
+from repro.system.spec import LinkSpec, SpecError
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
@@ -15,7 +15,7 @@ from tests.mem.helpers import FakeMaster, FakeSlave
 def build_mmio_path(sim, **link_kwargs):
     """Requester at the upstream end (like a root port), device at the
     downstream end: models the CPU->device MMIO direction."""
-    link = PcieLink(sim, "link", **link_kwargs)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(**link_kwargs))
     requester = FakeMaster(sim, "requester")
     device = FakeSlave(sim, "device", latency=ticks.from_ns(100))
     requester.port.bind(link.upstream_if.slave_port)
@@ -26,7 +26,7 @@ def build_mmio_path(sim, **link_kwargs):
 def build_dma_path(sim, device_kwargs=None, **link_kwargs):
     """Requester at the downstream end (like a device doing DMA),
     memory at the upstream end."""
-    link = PcieLink(sim, "link", **link_kwargs)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(**link_kwargs))
     device = FakeMaster(sim, "device")
     memory_kwargs = {"latency": ticks.from_ns(50)}
     memory_kwargs.update(device_kwargs or {})
@@ -48,7 +48,7 @@ def test_mmio_round_trip():
 
 def test_mmio_latency_accounts_for_wire_time():
     sim = Simulator()
-    link, requester, device = build_mmio_path(sim, gen=PcieGen.GEN2, width=1)
+    link, requester, device = build_mmio_path(sim, gen="GEN2", width=1)
     requester.read(0x1000, 64)
     sim.run()
     # Request: 20 wire bytes -> 40 ns + 4 ns propagation.
@@ -185,11 +185,11 @@ def test_immediate_ack_policy():
 
 
 def test_invalid_parameters_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        PcieLink(sim, "l1", replay_buffer_size=0)
-    with pytest.raises(ValueError):
-        PcieLink(sim, "l2", ack_policy="sometimes")
+    # The record is the link's only range check.
+    with pytest.raises(SpecError, match="replay_buffer_size"):
+        LinkSpec(replay_buffer_size=0).validate()
+    with pytest.raises(SpecError, match="ack policy 'sometimes'"):
+        LinkSpec(ack_policy="sometimes").validate()
 
 
 def test_error_injection_exercises_nak_path():

@@ -6,11 +6,12 @@ from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PortError
 from repro.pci import header as hdr
-from repro.pcie.root_complex import RootComplex
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import SpecError, TopologySpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
+from tests.pcie.helpers import make_root_complex
 
 
 MEM_WINDOW_0 = AddrRange(0x40000000, 0x100000)
@@ -28,7 +29,7 @@ def open_window(vp2p, window, secondary, subordinate):
 def build(sim, **kwargs):
     """RC with a CPU on the upstream slave, memory on the upstream
     master, and a fake device directly on each of two root ports."""
-    rc = RootComplex(sim, num_root_ports=2, **kwargs)
+    rc = make_root_complex(sim, 2, **kwargs)
     cpu = FakeMaster(sim, "cpu")
     cpu.port.bind(rc.upstream_slave)
     memory = FakeSlave(sim, "memory", latency=ticks.from_ns(30))
@@ -47,15 +48,15 @@ def build(sim, **kwargs):
 
 def test_three_root_ports_by_default_with_wildcat_ids():
     sim = Simulator()
-    rc = RootComplex(sim)
+    rc = make_root_complex(sim, 3)
     assert len(rc.root_ports) == 3
     assert [v.device_id for v in rc.vp2ps] == [0x9C90, 0x9C92, 0x9C94]
     assert all(v.vendor_id == 0x8086 for v in rc.vp2ps)
 
 
 def test_needs_at_least_one_port():
-    with pytest.raises(ValueError):
-        RootComplex(Simulator(), num_root_ports=0)
+    with pytest.raises(SpecError, match="num_root_ports"):
+        TopologySpec(num_root_ports=0).validate()
 
 
 def test_upstream_ranges_are_union_of_windows():
@@ -164,7 +165,7 @@ def test_register_with_host_builds_config_tree():
     from repro.pci.host import PciHost
 
     sim = Simulator()
-    rc = RootComplex(sim, num_root_ports=2)
+    rc = make_root_complex(sim, 2)
     host = PciHost(sim)
     buses = rc.register_with_host(host)
     assert len(buses) == 2

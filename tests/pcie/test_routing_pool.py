@@ -4,18 +4,19 @@ import pytest
 
 from repro.mem.addr import AddrRange
 from repro.pci import header as hdr
-from repro.pcie.root_complex import RootComplex
 from repro.pcie.routing import PcieRoutingEngine
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import SpecError, TopologySpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
+from tests.pcie.helpers import make_root_complex
 
 WINDOW = AddrRange(0x40000000, 0x100000)
 
 
 def build(sim, **kwargs):
-    rc = RootComplex(sim, num_root_ports=1, **kwargs)
+    rc = make_root_complex(sim, 1, **kwargs)
     vp2p = rc.root_ports[0].vp2p
     vp2p.set_memory_window(WINDOW)
     vp2p.config_write(hdr.SECONDARY_BUS, 1, 1)
@@ -33,13 +34,13 @@ def build(sim, **kwargs):
 
 
 def test_buffer_size_must_leave_a_response_slot():
-    with pytest.raises(ValueError):
-        RootComplex(Simulator(), buffer_size=1)
+    with pytest.raises(SpecError, match="root complex: buffer_size"):
+        TopologySpec(rc_buffer_size=1).validate()
 
 
 def test_datapath_scope_validated():
-    with pytest.raises(ValueError):
-        RootComplex(Simulator(), datapath_scope="quantum")
+    with pytest.raises(SpecError, match="datapath scope 'quantum'"):
+        TopologySpec(rc_datapath_scope="quantum").validate()
 
 
 def test_pool_refuses_request_flood_but_all_complete():

@@ -5,11 +5,12 @@ import pytest
 from repro.mem.addr import AddrRange
 from repro.pci import header as hdr
 from repro.pci.capabilities import CAP_ID_PCIE, PciePortType
-from repro.pcie.switch import PcieSwitch
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import SpecError, SwitchSpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
+from tests.pcie.helpers import make_root_complex, make_switch
 
 UP_WINDOW = AddrRange(0x40000000, 0x200000)
 DOWN_WINDOW_0 = AddrRange(0x40000000, 0x100000)
@@ -28,7 +29,7 @@ def build(sim, **kwargs):
     """Switch with an RC-stand-in upstream and a device per downstream
     port.  Bus numbering mirrors the paper's topology: upstream VP2P
     sec=2, downstream VP2Ps on buses 3 and 4."""
-    switch = PcieSwitch(sim, num_downstream_ports=2, **kwargs)
+    switch = make_switch(sim, 2, **kwargs)
     rc_down = FakeMaster(sim, "rc_requests")  # CPU requests into the switch
     rc_up = FakeSlave(sim, "rc_memory", latency=ticks.from_ns(30))  # DMA sink
     rc_down.port.bind(switch.upstream_slave)
@@ -48,7 +49,7 @@ def build(sim, **kwargs):
 
 def test_port_roles_in_capabilities():
     sim = Simulator()
-    switch = PcieSwitch(sim, num_downstream_ports=3)
+    switch = make_switch(sim, 3)
     assert switch.upstream_vp2p.port_type is PciePortType.UPSTREAM_SWITCH_PORT
     assert all(
         p.vp2p.port_type is PciePortType.DOWNSTREAM_SWITCH_PORT
@@ -58,8 +59,8 @@ def test_port_roles_in_capabilities():
 
 
 def test_needs_a_downstream_port():
-    with pytest.raises(ValueError):
-        PcieSwitch(Simulator(), num_downstream_ports=0)
+    with pytest.raises(SpecError, match="num_ports"):
+        SwitchSpec(num_ports=0).validate()
 
 
 def test_upstream_claims_only_upstream_vp2p_window():
@@ -123,20 +124,18 @@ def test_store_and_forward_latency():
 
 def test_vp2ps_lists_upstream_first():
     sim = Simulator()
-    switch = PcieSwitch(sim, num_downstream_ports=2)
+    switch = make_switch(sim, 2)
     assert switch.vp2ps[0] is switch.upstream_vp2p
     assert len(switch.vp2ps) == 3
 
 
 def test_register_with_host_nested_tree():
     from repro.pci.host import PciHost
-    from repro.pcie.root_complex import RootComplex
-
     sim = Simulator()
     host = PciHost(sim)
-    rc = RootComplex(sim, num_root_ports=1)
+    rc = make_root_complex(sim, 1)
     (rp_bus,) = rc.register_with_host(host)
-    switch = PcieSwitch(sim, num_downstream_ports=2)
+    switch = make_switch(sim, 2)
     down_buses = switch.register_with_host(rp_bus, device=0)
     assert len(down_buses) == 2
     # Program bus numbers so config cycles route: rp sec=1, up sec=2.

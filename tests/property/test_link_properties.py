@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pcie.link import PcieLink
-from repro.pcie.timing import PcieGen
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import LinkSpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
@@ -21,14 +21,13 @@ from tests.mem.helpers import FakeMaster, FakeSlave
 def run_traffic(n_packets, width, replay_buffer, error_rate, seed,
                 receiver_outstanding, receiver_latency_ns):
     sim = Simulator()
-    link = PcieLink(
-        sim, "link",
-        gen=PcieGen.GEN2,
+    link = PcieLink.from_spec(sim, "link", LinkSpec(
+        gen="GEN2",
         width=width,
         replay_buffer_size=replay_buffer,
         error_rate=error_rate,
         error_seed=seed,
-    )
+    ))
     device = FakeMaster(sim, "device")
     memory = FakeSlave(sim, "memory",
                        latency=ticks.from_ns(receiver_latency_ns),

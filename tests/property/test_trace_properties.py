@@ -18,10 +18,9 @@ from repro.analysis.report import (
 )
 from repro.obs.trace import MemorySink
 from repro.pcie.link import PcieLink
-from repro.pcie.timing import PcieGen
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
-from repro.system.spec import validation_spec
+from repro.system.spec import LinkSpec, validation_spec
 from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 
@@ -77,13 +76,12 @@ def test_link_traces_are_wellformed_under_adversity(
         n_packets, width, replay_buffer, error_rate, dllp_error_rate,
         seed, receiver_outstanding):
     sim = Simulator()
-    link = PcieLink(
-        sim, "link",
-        gen=PcieGen.GEN2, width=width,
+    link = PcieLink.from_spec(sim, "link", LinkSpec(
+        gen="GEN2", width=width,
         replay_buffer_size=replay_buffer,
         error_rate=error_rate, dllp_error_rate=dllp_error_rate,
         error_seed=seed,
-    )
+    ))
     device = FakeMaster(sim, "device")
     memory = FakeSlave(sim, "memory", latency=ticks.from_ns(200),
                        max_outstanding=receiver_outstanding)

@@ -30,10 +30,9 @@ import sys
 import pytest
 
 from repro.pcie.link import PcieLink
-from repro.pcie.timing import PcieGen
 from repro.sim.eventq import Event
 from repro.sim.simobject import Simulator
-from repro.system.spec import classic_pci_spec, validation_spec
+from repro.system.spec import LinkSpec, classic_pci_spec, validation_spec
 from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
 from repro.workloads.scenarios import run_scenario
@@ -149,8 +148,8 @@ def _saturated_burst_calls(n_tlps, check=False):
     # The checker is set explicitly whatever the environment says, and
     # the tracer is never armed.
     sim = Simulator("budget", check=check)
-    link = PcieLink(sim, "link", gen=PcieGen.GEN2, width=1,
-                    ack_policy="immediate")
+    link = PcieLink.from_spec(sim, "link", LinkSpec(
+        gen="GEN2", width=1, ack_policy="immediate"))
     driver = _LinkDriver(sim, link, n_tlps)
     sink = _LinkSink(sim, link)
 
@@ -182,8 +181,8 @@ def test_armed_checker_calls_per_delivered_tlp_within_budget():
 
 def test_steady_state_link_dispatch_builds_no_event(monkeypatch):
     sim = Simulator("steady", check=False)
-    link = PcieLink(sim, "link", gen=PcieGen.GEN2, width=1,
-                    ack_policy="immediate")
+    link = PcieLink.from_spec(sim, "link", LinkSpec(
+        gen="GEN2", width=1, ack_policy="immediate"))
     driver = _LinkDriver(sim, link, 200)
     sink = _LinkSink(sim, link)
     driver.pump()

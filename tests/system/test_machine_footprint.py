@@ -19,9 +19,8 @@ import gc
 import tracemalloc
 
 from repro.pcie.link import PcieLink
-from repro.pcie.timing import PcieGen
 from repro.sim.simobject import Simulator
-from repro.system.spec import deep_hierarchy_spec
+from repro.system.spec import LinkSpec, deep_hierarchy_spec
 from repro.system.topology import build_system
 
 from benchmarks.perf.layers import _LinkDriver, _LinkSink
@@ -55,7 +54,7 @@ def test_deep4_machine_within_memory_budget():
 
 def test_error_free_link_builds_no_rng():
     sim = Simulator("footprint", check=False)
-    link = PcieLink(sim, "link", gen=PcieGen.GEN2, width=1)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(gen="GEN2", width=1))
     driver = _LinkDriver(sim, link, 40)
     sink = _LinkSink(sim, link)
     driver.pump()
@@ -68,7 +67,8 @@ def test_error_free_link_builds_no_rng():
 
 def test_lossy_link_builds_its_rng_on_first_draw():
     sim = Simulator("footprint", check=False)
-    link = PcieLink(sim, "link", gen=PcieGen.GEN2, width=1, error_rate=0.1)
+    link = PcieLink.from_spec(sim, "link", LinkSpec(
+        gen="GEN2", width=1, error_rate=0.1))
     driver = _LinkDriver(sim, link, 40)
     _LinkSink(sim, link)
     driver.pump()

@@ -248,7 +248,8 @@ def test_node_without_kind_is_rejected():
         spec_from_dict(doc)
 
 
-_DISK_LINK = ("children", 0, "children", 0, "link")
+_DISK = ("children", 0, "children", 0)
+_DISK_LINK = _DISK + ("link",)
 
 
 _HOSTILE_FIELDS = [
@@ -268,6 +269,18 @@ _HOSTILE_FIELDS = [
      "children"),
     (validation_spec, ("children", 0, "children", 0), "disk",
      r"children\[0\]"),
+    (classic_pci_spec, ("clock_mhz",), 50, "clock_mhz"),
+    # A key the grammar does not know fails instead of running the
+    # default, in every document kind.
+    (validation_spec, ("children", 0, "buffer_sise"), 8, "buffer_sise"),
+    (validation_spec, _DISK + ("parms",), {}, "parms"),
+    (validation_spec, ("root_complex", "latncy"), 150, "latncy"),
+    (validation_spec, ("enable_msis",), True, "enable_msis"),
+    (classic_pci_spec, ("clock_mhs",), 33, "clock_mhs"),
+    (classic_pci_spec, ("device", "nmae"), "disk", "nmae"),
+    (validation_spec, _DISK + ("params",), 5, "params"),
+    (classic_pci_spec, ("device", "params"), "fast", "params"),
+    (validation_spec, ("enable_msi",), "yes", "enable_msi"),
 ]
 
 

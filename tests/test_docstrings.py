@@ -1,9 +1,10 @@
 """Docstring-coverage contract for the documented-surface paths.
 
 CI runs ``interrogate --fail-under 80`` over the experiment subsystem,
-the simulation kernel, the flow-control module and the benchmark
-harness; this test enforces the same floor with the stdlib checker so
-the contract also holds on machines where interrogate is not installed.
+the simulation kernel, the PCI-Express models, the topology spec layer
+and the benchmark harness; this test enforces the same floor with the
+stdlib checker so the contract also holds on machines where interrogate
+is not installed.
 """
 
 import os
@@ -14,7 +15,8 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "check"),
     os.path.join(REPO_ROOT, "src", "repro", "exp"),
     os.path.join(REPO_ROOT, "src", "repro", "sim"),
-    os.path.join(REPO_ROOT, "src", "repro", "pcie", "fc.py"),
+    os.path.join(REPO_ROOT, "src", "repro", "pcie"),
+    os.path.join(REPO_ROOT, "src", "repro", "system"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 
