@@ -50,6 +50,7 @@ the first violation raises; ``record_only=True`` collects instead, for
 tests that assert on ``checker.violations``.
 """
 
+import weakref
 from collections import deque
 from typing import Deque, Dict, List
 
@@ -76,8 +77,9 @@ def _resolve_port(sim, full_name: str):
         return None
 
     def _matches(value) -> bool:
-        return (getattr(value, "owner", None) is owner
-                and getattr(value, "full_name", None) == full_name)
+        # == sees through the owner's weak proxy.
+        return (getattr(value, "full_name", None) == full_name
+                and getattr(value, "owner", None) == owner)
 
     # Ports live either as direct attributes (devices, link interfaces)
     # or inside list attributes (crossbars keep _slave_ports /
@@ -127,24 +129,29 @@ class InvariantChecker:
 
     def __init__(self, sim, context_events: int = 64,
                  record_only: bool = False):
-        self.sim = sim
+        self.sim = weakref.proxy(sim)  # the Simulator owns its checker
         self.enabled = False
         self.record_only = record_only
         self.context_events = context_events
         self.violations: List[InvariantViolation] = []
         # The last dispatches as raw (when, priority, seq, fn, arg) queue
-        # entries: EventQueue.run appends its own entries here.
-        self._ring: Deque[tuple] = deque(maxlen=context_events)
+        # entries: EventQueue.run appends its own entries here.  They
+        # reach the whole machine, which holds its checker, so the
+        # Simulator owns the ring and the checker sees it weakly.
+        sim.dispatch_ring = deque(maxlen=context_events)
+        self._ring: Deque[tuple] = weakref.proxy(sim.dispatch_ring)
         self._last_dispatch_tick = 0
         # UpdateFC DLLP type -> flow class lookup, bound by enable().
         self._update_fc_class = None
         # One ledger per bound master/slave pair, keyed by the master
-        # port; refused-packet records keyed by the re-sending port.
+        # port's full name (a peer proxy is no key); refused-packet
+        # records keyed by the re-sending port's.
         self._pairs: Dict[object, _PairLedger] = {}
         self._pending_req: Dict[object, object] = {}
         self._pending_resp: Dict[object, object] = {}
         # Link interfaces register at construction for the quiescence
-        # watchdog and carry their sequence ledgers here.
+        # watchdog (weakly) and carry their sequence ledgers here, keyed
+        # by full name.
         self._link_ifaces: List[object] = []
         self._links: Dict[object, _LinkLedger] = {}
 
@@ -206,7 +213,7 @@ class InvariantChecker:
     # -- timing-port protocol ----------------------------------------------
     def pre_send_req(self, master, pkt) -> None:
         """Before a master sends: only the refused packet may be re-sent."""
-        pending = self._pending_req.get(master)
+        pending = self._pending_req.get(master.full_name)
         if pending is not None and pending is not pkt:
             self._violate(
                 "port.req_while_retry_owed", master.full_name,
@@ -217,19 +224,19 @@ class InvariantChecker:
     def post_send_req(self, master, pkt, accepted: bool) -> None:
         """After a master sent: track refusals and pair accounting."""
         if accepted:
-            self._pending_req.pop(master, None)
-            ledger = self._pairs.get(master)
+            self._pending_req.pop(master.full_name, None)
+            ledger = self._pairs.get(master.full_name)
             if ledger is None:
-                ledger = self._pairs[master] = _PairLedger()
+                ledger = self._pairs[master.full_name] = _PairLedger()
             ledger.reqs += 1
             if pkt.needs_response:
                 ledger.need_resp += 1
         else:
-            self._pending_req[master] = pkt
+            self._pending_req[master.full_name] = pkt
 
     def pre_send_resp(self, slave, pkt) -> None:
         """Before a slave responds: only the refused response re-sends."""
-        pending = self._pending_resp.get(slave)
+        pending = self._pending_resp.get(slave.full_name)
         if pending is not None and pending is not pkt:
             self._violate(
                 "port.resp_while_retry_owed", slave.full_name,
@@ -240,10 +247,11 @@ class InvariantChecker:
     def post_send_resp(self, slave, pkt, accepted: bool) -> None:
         """After a slave responded: refusal tracking + conservation."""
         if accepted:
-            self._pending_resp.pop(slave, None)
-            ledger = self._pairs.get(slave.peer)
+            self._pending_resp.pop(slave.full_name, None)
+            master = slave.peer.full_name
+            ledger = self._pairs.get(master)
             if ledger is None:
-                ledger = self._pairs[slave.peer] = _PairLedger()
+                ledger = self._pairs[master] = _PairLedger()
             ledger.resps += 1
             if ledger.resps > ledger.need_resp:
                 self._violate(
@@ -253,7 +261,7 @@ class InvariantChecker:
                     f"accepted across this port pair",
                 )
         else:
-            self._pending_resp[slave] = pkt
+            self._pending_resp[slave.full_name] = pkt
 
     def on_retry_req(self, slave) -> None:
         """A slave issues a request retry: one must actually be owed."""
@@ -262,7 +270,7 @@ class InvariantChecker:
                 "port.double_retry", slave.full_name,
                 "issued a request retry when none was owed",
             )
-        self._pending_req.pop(slave.peer, None)
+        self._pending_req.pop(slave.peer.full_name, None)
 
     def on_retry_resp(self, master) -> None:
         """A master issues a response retry: one must actually be owed."""
@@ -271,17 +279,17 @@ class InvariantChecker:
                 "port.double_retry", master.full_name,
                 "issued a response retry when none was owed",
             )
-        self._pending_resp.pop(master.peer, None)
+        self._pending_resp.pop(master.peer.full_name, None)
 
     # -- link layer --------------------------------------------------------
     def register_link_interface(self, iface) -> None:
         """Link interfaces self-register for the quiescence watchdog."""
-        self._link_ifaces.append(iface)
+        self._link_ifaces.append(weakref.proxy(iface))
 
     def _link_ledger(self, iface) -> _LinkLedger:
-        ledger = self._links.get(iface)
+        ledger = self._links.get(iface.full_name)
         if ledger is None:
-            ledger = self._links[iface] = _LinkLedger()
+            ledger = self._links[iface.full_name] = _LinkLedger()
         return ledger
 
     def link_tlp_queued(self, iface, ppkt) -> None:
@@ -372,30 +380,27 @@ class InvariantChecker:
     def state_dict(self) -> dict:
         """Checkpoint the ledgers, keyed by component path.
 
-        Pair ledgers key on master-port objects and link ledgers on
-        interface objects; both serialise by ``full_name`` so a rebuilt
-        twin simulator can re-attach them.  Refused-packet records
-        (``_pending_req``/``_pending_resp``) hold live packets and must
-        be empty — a checkpoint is only taken at a describable boundary,
-        where no retry is owed.
+        Pair ledgers key on master-port and link ledgers on interface
+        full names, which a rebuilt twin simulator re-attaches them by.
+        Refused-packet records (``_pending_req``/``_pending_resp``) hold
+        live packets and must be empty — a checkpoint is only taken at a
+        describable boundary, where no retry is owed.
         """
         if self._pending_req or self._pending_resp:
             from repro.sim.checkpoint import CheckpointError
 
-            stuck = [port.full_name for port in self._pending_req] + \
-                    [port.full_name for port in self._pending_resp]
+            stuck = list(self._pending_req) + list(self._pending_resp)
             raise CheckpointError(
                 f"cannot checkpoint mid-retry: ports still owe retries "
                 f"for refused packets: {stuck}")
         return {
             "last_dispatch_tick": self._last_dispatch_tick,
             "pairs": {
-                port.full_name: [ledger.reqs, ledger.need_resp, ledger.resps]
+                port: [ledger.reqs, ledger.need_resp, ledger.resps]
                 for port, ledger in self._pairs.items()
             },
             "links": {
-                iface.full_name: [ledger.last_sent_seq,
-                                  ledger.last_delivered_seq]
+                iface: [ledger.last_sent_seq, ledger.last_delivered_seq]
                 for iface, ledger in self._links.items()
             },
         }
@@ -412,26 +417,24 @@ class InvariantChecker:
         self._last_dispatch_tick = state["last_dispatch_tick"]
         self._pairs = {}
         for full_name, (reqs, need_resp, resps) in state["pairs"].items():
-            port = _resolve_port(self.sim, full_name)
-            if port is None:
+            if _resolve_port(self.sim, full_name) is None:
                 raise CheckpointError(
                     f"checkpoint names port {full_name!r} but the rebuilt "
                     f"system has no such port")
             ledger = _PairLedger()
             ledger.reqs, ledger.need_resp, ledger.resps = \
                 reqs, need_resp, resps
-            self._pairs[port] = ledger
+            self._pairs[full_name] = ledger
         self._links = {}
         for full_name, (sent, delivered) in state["links"].items():
-            iface = self.sim.find(full_name)
-            if iface is None:
+            if self.sim.find(full_name) is None:
                 raise CheckpointError(
                     f"checkpoint names link interface {full_name!r} but "
                     f"the rebuilt system has no such object")
             ledger = _LinkLedger()
             ledger.last_sent_seq = sent
             ledger.last_delivered_seq = delivered
-            self._links[iface] = ledger
+            self._links[full_name] = ledger
 
     # -- quiescence watchdog ----------------------------------------------
     def check_quiescence(self) -> None:

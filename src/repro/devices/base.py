@@ -23,7 +23,22 @@ from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PacketQueue, SlavePort
 from repro.pci.header import Bar, PciEndpointFunction
 from repro.sim import ticks
+from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
+
+
+class _MsiPump:
+    """A DMA pump that sends one MSI once the DMA queue has space.  Not
+    a closure: one that removes itself would be a reference cycle."""
+
+    def __init__(self, device: "PcieDevice", msi: Packet):
+        self.device, self.msi = proxy(device), msi  # the device holds us
+
+    def __call__(self) -> None:
+        device = self.device
+        if device.dma_space > 0:
+            device.remove_dma_pump(self)
+            device.dma_send(self.msi, None)
 
 
 class PcieDevice(SimObject):
@@ -54,14 +69,12 @@ class PcieDevice(SimObject):
             self,
             "pio",
             recv_timing_req=self._recv_pio,
-            recv_resp_retry=lambda: self._pio_respq.retry(),
         )
         self.pio_port.get_ranges = self._pio_ranges
         self.dma_port = MasterPort(
             self,
             "dma",
             recv_timing_resp=self._recv_dma_response,
-            recv_req_retry=lambda: self._dma_queue.retry(),
         )
         self._pio_respq = PacketQueue(
             self, "pio_respq", self.pio_port.send_timing_resp, pio_buffer
@@ -69,6 +82,8 @@ class PcieDevice(SimObject):
         self._pio_respq.on_space_freed = self._maybe_retry_pio
         self._dma_queue = PacketQueue(self, "dmaq", self.dma_port.send_timing_req, 64)
         self._dma_queue.on_space_freed = self._pump_dma
+        self.pio_port.recv_resp_retry = self._pio_respq.retry
+        self.dma_port.recv_req_retry = self._dma_queue.retry
         # DMA completions dispatch by req_id to whoever issued them.
         self._dma_waiters = {}
         # Active DMA transfers poked whenever queue space frees (this is
@@ -218,14 +233,8 @@ class PcieDevice(SimObject):
         if self.dma_space > 0:
             self.dma_send(msi, None)
             return True
-
-        def send_when_space() -> None:
-            if self.dma_space > 0:
-                self.remove_dma_pump(send_when_space)
-                self.dma_send(msi, None)
-
         # Posted writes still fill the queue: the MSI follows them out,
         # ahead of any request issued after it (a posted request never
         # passes another).
-        self._dma_pumps.insert(0, send_when_space)
+        self._dma_pumps.insert(0, _MsiPump(self, msi))
         return True

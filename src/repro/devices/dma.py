@@ -17,6 +17,7 @@ response") comes from DMA engines doing exactly this.  The engine
 from typing import Optional
 
 from repro.mem.packet import MemCmd, Packet
+from repro.sim.eventq import proxy
 from repro.sim.process import Signal
 from repro.sim.simobject import SimObject, Simulator
 
@@ -93,7 +94,9 @@ class DmaTransfer:
         self.engine.device.remove_dma_pump(self._issue_some)
         self.engine.transfers_completed.inc()
         self.engine.bytes_moved.inc(self.nbytes)
-        self.completed.notify(self)
+        # A weak proxy: the latched value must not make the transfer
+        # and its own signal a cycle.
+        self.completed.notify(proxy(self))
 
 
 class DmaEngine(SimObject):
@@ -118,7 +121,7 @@ class DmaEngine(SimObject):
             raise ValueError("chunk must be positive")
         if max_outstanding < 1:
             raise ValueError("max_outstanding must be positive")
-        self.device = device
+        self.device = self.parent
         self.chunk = chunk
         self.max_outstanding = max_outstanding
 

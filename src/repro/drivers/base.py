@@ -5,6 +5,7 @@ from typing import List, Optional, Tuple
 from repro.pci.capabilities import (CAP_ID_MSI, CAP_ID_MSIX, CAP_ID_PCIE,
                                      MsiCapability)
 from repro.pci.enumeration import FoundDevice
+from repro.sim.eventq import proxy
 
 
 class DriverError(RuntimeError):
@@ -35,7 +36,7 @@ class Driver:
         """Called by the kernel when the module device table matches."""
         if self.bound:
             raise DriverError(f"{type(self).__name__} is already bound")
-        self.kernel = kernel
+        self.kernel = proxy(kernel)  # the kernel owns its drivers
         self.found = node
         self.device = device_model
         self.probe()

@@ -8,9 +8,10 @@ kernel process.  Re-assertions while a handler for the same line is
 still pending coalesce, like a level-triggered INTx wire.
 """
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim import ticks
+from repro.sim.eventq import strong_callback, weak_callback
 from repro.sim.process import Process
 from repro.sim.simobject import SimObject, Simulator
 
@@ -31,8 +32,9 @@ class InterruptController(SimObject):
     ):
         super().__init__(sim, name, parent)
         self.dispatch_latency = dispatch_latency
-        # line -> generator factory (each dispatch builds a fresh one).
-        self._handlers: Dict[int, Callable] = {}
+        # line -> generator factory (each dispatch builds a fresh one)
+        # as a weak_callback pair: the kernel owns the drivers.
+        self._handlers: Dict[int, Tuple] = {}
         self._pending: Dict[int, bool] = {}
         self._counter = 0
 
@@ -47,7 +49,7 @@ class InterruptController(SimObject):
         """Register ``handler_factory() -> generator`` for a line."""
         if line in self._handlers:
             raise ValueError(f"interrupt line {line} already has a handler")
-        self._handlers[line] = handler_factory
+        self._handlers[line] = weak_callback(handler_factory)
 
     def unregister(self, line: int) -> None:
         del self._handlers[line]
@@ -90,7 +92,7 @@ class InterruptController(SimObject):
         self._pending[line] = False
         self.dispatched.inc()
         self._counter += 1
-        factory = self._handlers[line]
+        factory = strong_callback(self._handlers[line])
         Process(self.sim, f"irq{line}_{self._counter}", factory(), parent=self)
 
 
@@ -129,10 +131,10 @@ class MsiDoorbell(SimObject):
             self,
             "port",
             recv_timing_req=self._recv,
-            recv_resp_retry=lambda: self._respq.retry(),
             ranges=[self.range],
         )
         self._respq = PacketQueue(self, "respq", self.port.send_timing_resp, 16)
+        self.port.recv_resp_retry = self._respq.retry
         self._respq.on_space_freed = self._maybe_retry
         self.msis_received = self.stats.scalar("msis_received")
 

@@ -27,9 +27,9 @@ class Processor(SimObject):
             self,
             "port",
             recv_timing_resp=self._recv_response,
-            recv_req_retry=lambda: self._outq.retry(),
         )
         self._outq = PacketQueue(self, "outq", self.port.send_timing_req, 1024)
+        self.port.recv_req_retry = self._outq.retry
         self._waiters: Dict[int, Signal] = {}
 
         self.reads_issued = self.stats.scalar("reads_issued")

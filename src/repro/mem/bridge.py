@@ -51,14 +51,12 @@ class Bridge(SimObject):
             self,
             "slave",
             recv_timing_req=self._recv_request,
-            recv_resp_retry=lambda: self._resp_queue.retry(),
             ranges=ranges or [],
         )
         self.master_port = MasterPort(
             self,
             "master",
             recv_timing_resp=self._recv_response,
-            recv_req_retry=lambda: self._req_queue.retry(),
         )
         self._req_queue = PacketQueue(
             self, "reqq", self.master_port.send_timing_req, req_queue_size
@@ -68,6 +66,8 @@ class Bridge(SimObject):
             self, "respq", self.slave_port.send_timing_resp, resp_queue_size
         )
         self._resp_queue.on_space_freed = self._maybe_retry_responses
+        self.slave_port.recv_resp_retry = self._resp_queue.retry
+        self.master_port.recv_req_retry = self._req_queue.retry
 
         self.forwarded = self.stats.scalar("forwarded", "requests forwarded")
 

@@ -51,12 +51,12 @@ class SimpleMemory(SimObject):
             self,
             "port",
             recv_timing_req=self._recv_request,
-            recv_resp_retry=lambda: self._resp_queue.retry(),
             ranges=[range_],
         )
         self._resp_queue = PacketQueue(
             self, "respq", self._send_response, max_outstanding
         )
+        self.port.recv_resp_retry = self._resp_queue.retry
 
         self.reads = self.stats.scalar("reads", "read requests serviced")
         self.writes = self.stats.scalar("writes", "write requests serviced")

@@ -86,13 +86,11 @@ class IOCache(SimObject):
             self,
             "cpu_side",
             recv_timing_req=self._recv_request,
-            recv_resp_retry=lambda: self._resp_queue.retry(),
         )
         self.mem_side = MasterPort(
             self,
             "mem_side",
             recv_timing_resp=self._recv_mem_response,
-            recv_req_retry=lambda: self._mem_queue.retry(),
         )
         self._resp_queue = PacketQueue(
             self, "respq", self.cpu_side.send_timing_resp, mshrs + writeback_entries
@@ -102,6 +100,8 @@ class IOCache(SimObject):
             self, "memq", self.mem_side.send_timing_req, mshrs + writeback_entries
         )
         self._mem_queue.on_space_freed = self._maybe_retry_cpu
+        self.cpu_side.recv_resp_retry = self._resp_queue.retry
+        self.mem_side.recv_req_retry = self._mem_queue.retry
 
         self.hits = self.stats.scalar("hits")
         self.misses = self.stats.scalar("misses")

@@ -15,6 +15,8 @@ behaviour studied in the paper — flows through this mechanism.
 
 Handlers are supplied as callables at construction (explicit wiring
 beats name-magic when a component owns several ports of the same kind).
+A component owns its ports and queues, so their owner, peer and
+bound-method handlers (:class:`~repro.sim.eventq.WeakCallback`) are weak.
 
 :class:`PacketQueue` is the shared building block for bounded,
 latency-tagged output buffers: the gem5 bridge, the root complex and the
@@ -26,7 +28,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
-from repro.sim.eventq import labelled
+from repro.sim.eventq import WeakCallback, labelled, proxy
 from repro.sim.simobject import SimObject
 from repro.sim.stats import StatGroup
 
@@ -39,7 +41,7 @@ class Port:
     """Base for master/slave ports: a named endpoint bound to a peer."""
 
     def __init__(self, owner: SimObject, name: str):
-        self.owner = owner
+        self.owner = proxy(owner)
         self.name = name
         #: ``<owner path>.<name>``, fixed at construction like
         #: :attr:`SimObject.full_name`.
@@ -57,7 +59,7 @@ class Port:
     def _bind_peer(self, peer: "Port") -> None:
         if self.peer is not None:
             raise PortError(f"{self.full_name} is already bound to {self.peer.full_name}")
-        self.peer = peer
+        self.peer = proxy(peer)
 
     def __repr__(self) -> str:
         peer = self.peer.full_name if self.peer else None
@@ -65,8 +67,10 @@ class Port:
 
 
 def _unwired(kind: str, port: Port) -> Callable:
+    where = port.full_name  # the handler is stored on the port
+
     def handler(*_args, **_kwargs):
-        raise PortError(f"{port.full_name} has no {kind} handler wired")
+        raise PortError(f"{where} has no {kind} handler wired")
 
     return handler
 
@@ -80,6 +84,9 @@ class MasterPort(Port):
         recv_req_retry: ``f()`` called when the peer slave, having
             previously refused a request, can accept again.
     """
+
+    recv_timing_resp = WeakCallback()
+    recv_req_retry = WeakCallback()
 
     def __init__(
         self,
@@ -115,7 +122,8 @@ class MasterPort(Port):
         ck = self.checker
         if ck.enabled:
             ck.pre_send_req(self, pkt)
-        accepted = peer.recv_timing_req(pkt)
+        fn, ref = peer._recv_timing_req
+        accepted = fn(pkt) if ref is None else fn(ref(), pkt)
         if not accepted:
             self.waiting_for_req_retry = True
             peer.retry_owed = True
@@ -134,8 +142,10 @@ class MasterPort(Port):
         if not self.resp_retry_owed:
             raise PortError(f"{self.full_name} owes no response retry")
         self.resp_retry_owed = False
-        self.peer.waiting_for_resp_retry = False
-        self.peer.recv_resp_retry()
+        peer = self.peer
+        peer.waiting_for_resp_retry = False
+        fn, ref = peer._recv_resp_retry
+        fn() if ref is None else fn(ref())
 
 
 class SlavePort(Port):
@@ -150,6 +160,13 @@ class SlavePort(Port):
             routing; may be empty for point-to-point wiring).
     """
 
+    recv_timing_req = WeakCallback()
+    recv_resp_retry = WeakCallback()
+    #: ``f() -> [AddrRange]`` claimed behind this port: the static
+    #: ``ranges`` unless a component with dynamic ones (a PCI bridge
+    #: programmed at boot) wires its own.
+    get_ranges = WeakCallback()
+
     def __init__(
         self,
         owner: SimObject,
@@ -162,6 +179,7 @@ class SlavePort(Port):
         self.recv_timing_req = recv_timing_req or _unwired("recv_timing_req", self)
         self.recv_resp_retry = recv_resp_retry or _unwired("recv_resp_retry", self)
         self._ranges: List[AddrRange] = list(ranges or [])
+        self.get_ranges = self._static_ranges
         # True while the peer owes this port a response retry.
         self.waiting_for_resp_retry = False
         # True while this port owes the peer a request retry (polled by
@@ -172,12 +190,7 @@ class SlavePort(Port):
         master.bind(self)
 
     # -- address ranges --------------------------------------------------------
-    def get_ranges(self) -> List[AddrRange]:
-        """Address ranges claimed by the component behind this port.
-
-        Components with dynamic ranges (PCI bridges whose windows the
-        enumeration software programs at boot) override or replace this.
-        """
+    def _static_ranges(self) -> List[AddrRange]:
         return list(self._ranges)
 
     def set_ranges(self, ranges: List[AddrRange]) -> None:
@@ -193,7 +206,8 @@ class SlavePort(Port):
         ck = self.checker
         if ck.enabled:
             ck.pre_send_resp(self, pkt)
-        accepted = peer.recv_timing_resp(pkt)
+        fn, ref = peer._recv_timing_resp
+        accepted = fn(pkt) if ref is None else fn(ref(), pkt)
         if not accepted:
             self.waiting_for_resp_retry = True
             peer.resp_retry_owed = True
@@ -212,8 +226,10 @@ class SlavePort(Port):
         if not self.retry_owed:
             raise PortError(f"{self.full_name} owes no request retry")
         self.retry_owed = False
-        self.peer.waiting_for_req_retry = False
-        self.peer.recv_req_retry()
+        peer = self.peer
+        peer.waiting_for_req_retry = False
+        fn, ref = peer._recv_req_retry
+        fn() if ref is None else fn(ref())
 
 
 class PacketQueue:
@@ -230,6 +246,13 @@ class PacketQueue:
     because the queue was full.
     """
 
+    send_fn = WeakCallback()
+    on_space_freed = WeakCallback()
+    #: Per-packet variant of on_space_freed, called with the packet that
+    #: just left the queue (for owners tracking slot accounting by
+    #: packet identity).
+    on_packet_sent = WeakCallback()
+
     def __init__(
         self,
         owner: SimObject,
@@ -239,7 +262,7 @@ class PacketQueue:
     ):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.owner = owner
+        self.owner = proxy(owner)
         self.name = name
         self.send_fn = send_fn
         self.capacity = capacity
@@ -247,15 +270,11 @@ class PacketQueue:
         self._entries: Deque[Tuple[int, Packet]] = deque()
         self._waiting_retry = False
         # _drain_scheduled guarantees at most one drain pending per
-        # queue; it is a fire-and-forget call of this bound method,
-        # built once so that scheduling a drain allocates only the entry.
+        # queue; it is a fire-and-forget call of _drain, bound where it
+        # is scheduled (a stored bound method would be a cycle).
         self._drain_scheduled = False
-        self._drain_fn = self._drain
-        self.on_space_freed: Optional[Callable[[], None]] = None
-        # Per-packet variant of on_space_freed, called with the packet
-        # that just left the queue (for owners tracking slot accounting
-        # by packet identity).
-        self.on_packet_sent: Optional[Callable[[Packet], None]] = None
+        self.on_space_freed = None
+        self.on_packet_sent = None
         # Statistics.
         self.stats = owner.stats.add_child(StatGroup(name))
         self.sent = self.stats.scalar("sent", "packets drained from this queue")
@@ -294,7 +313,7 @@ class PacketQueue:
         if not self._drain_scheduled and not self._waiting_retry:
             self._drain_scheduled = True
             ready = entries[0][0]
-            eventq.call_at(ready if ready > now else now, self._drain_fn)
+            eventq.call_at(ready if ready > now else now, self._drain)
         return True
 
     def retry(self) -> None:
@@ -305,7 +324,7 @@ class PacketQueue:
             ready = self._entries[0][0]
             now = eventq.curtick
             self._drain_scheduled = True
-            eventq.call_at(ready if ready > now else now, self._drain_fn)
+            eventq.call_at(ready if ready > now else now, self._drain)
 
     @labelled(lambda queue: queue.name + ".drain")
     def _drain(self, _arg: None = None) -> None:
@@ -314,14 +333,14 @@ class PacketQueue:
         # (time only advances in the event-queue drain), the deque
         # object is never replaced — send_fn/callbacks that push more
         # work mutate it in place, which the loop condition observes —
-        # and owners wire both callbacks once, at construction.
+        # and owners wire the callbacks (weak pairs) once.
         entries = self._entries
         eventq = self.eventq
         now = eventq.curtick
-        send_fn = self.send_fn
+        send_fn, send_ref = self._send_fn
         sent = self.sent
-        on_packet_sent = self.on_packet_sent
-        on_space_freed = self.on_space_freed
+        on_packet_sent, sent_ref = self._on_packet_sent
+        on_space_freed, freed_ref = self._on_space_freed
         while entries and not self._waiting_retry:
             ready, pkt = entries[0]
             if ready > now:
@@ -329,14 +348,14 @@ class PacketQueue:
                 # re-armed the drain for this head.
                 if not self._drain_scheduled:
                     self._drain_scheduled = True
-                    eventq.call_at(ready, self._drain_fn)
+                    eventq.call_at(ready, self._drain)
                 return
-            if not send_fn(pkt):
+            if not (send_fn(pkt) if send_ref is None else send_fn(send_ref(), pkt)):
                 self._waiting_retry = True
                 return
             entries.popleft()
             sent.total += 1
             if on_packet_sent is not None:
-                on_packet_sent(pkt)
+                on_packet_sent(pkt) if sent_ref is None else on_packet_sent(sent_ref(), pkt)
             if on_space_freed is not None:
-                on_space_freed()
+                on_space_freed() if freed_ref is None else on_space_freed(freed_ref())

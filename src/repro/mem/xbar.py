@@ -16,6 +16,7 @@ bridge changes its ranges.
 """
 
 import math
+from types import MethodType
 from typing import Dict, List, Optional
 
 from repro.mem.addr import AddrRange
@@ -69,16 +70,18 @@ class NoncoherentXBar(SimObject):
         self.retries = self.stats.scalar("retries", "requests refused (layer/queue busy)")
 
     # -- wiring ------------------------------------------------------------
+    # Port handlers are functions bound to the port (which holds them
+    # weakly), reaching the crossbar as the port's owner.
     def attach_master(self, name: str) -> SlavePort:
         """Create a slave port for an upstream master device to bind to."""
         port = SlavePort(self, name)
-        port.recv_timing_req = lambda pkt, port=port: self._recv_request(port, pkt)
-        port.recv_resp_retry = lambda port=port: self._resp_queues[port].retry()
+        port.recv_timing_req = MethodType(_request_in, port)
         self._slave_ports.append(port)
         queue = PacketQueue(
-            self, f"{name}_respq", lambda pkt, port=port: port.send_timing_resp(pkt), self.queue_depth
+            self, f"{name}_respq", port.send_timing_resp, self.queue_depth
         )
         queue.on_space_freed = self._kick_waiting_responders
+        port.recv_resp_retry = queue.retry
         self._resp_queues[port] = queue
         self._resp_layer_free[port] = 0
         return port
@@ -86,13 +89,13 @@ class NoncoherentXBar(SimObject):
     def attach_slave(self, name: str) -> MasterPort:
         """Create a master port for a downstream slave device to bind to."""
         port = MasterPort(self, name)
-        port.recv_timing_resp = lambda pkt, port=port: self._recv_response(port, pkt)
-        port.recv_req_retry = lambda port=port: self._req_queues[port].retry()
+        port.recv_timing_resp = MethodType(_response_in, port)
         self._master_ports.append(port)
         queue = PacketQueue(
-            self, f"{name}_reqq", lambda pkt, port=port: port.send_timing_req(pkt), self.queue_depth
+            self, f"{name}_reqq", port.send_timing_req, self.queue_depth
         )
         queue.on_space_freed = self._kick_waiting_requesters
+        port.recv_req_retry = queue.retry
         self._req_queues[port] = queue
         self._req_layer_free[port] = 0
         return port
@@ -183,6 +186,15 @@ class NoncoherentXBar(SimObject):
     @property
     def outstanding_responses(self) -> int:
         return len(self._resp_route)
+
+
+def _request_in(port: SlavePort, pkt: Packet) -> bool:
+    # Also the PCI bus's: both owners route by their _recv_request.
+    return port.owner._recv_request(port, pkt)
+
+
+def _response_in(port: MasterPort, pkt: Packet) -> bool:
+    return port.owner._recv_response(port, pkt)
 
 
 class CoherentXBar(NoncoherentXBar):

@@ -20,12 +20,15 @@ Masters attach through :meth:`attach_master`; targets through
 
 import math
 from collections import deque
+from types import MethodType
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
 from repro.mem.port import MasterPort, PortError, SlavePort
+from repro.mem.xbar import _request_in
 from repro.sim import ticks
+from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
 
 MAX_PCI_LOADS = 12
@@ -92,10 +95,11 @@ class PciBus(SimObject):
             "retry_cycles", "transactions bounced with target-retry"
         )
         self.busy_ticks = self.stats.scalar("busy_ticks", "ticks the bus was held")
+        bus = proxy(self)  # the bus owns its stats: the formula's edge is weak
         self.stats.formula(
             "efficiency",
-            lambda: (self.transactions.value() or 0)
-            and self._useful_ticks / max(1, self.busy_ticks.value()),
+            lambda: (bus.transactions.value() or 0)
+            and bus._useful_ticks / max(1, bus.busy_ticks.value()),
             "fraction of held bus time spent moving data",
         )
         self._useful_ticks = 0
@@ -112,7 +116,7 @@ class PciBus(SimObject):
         """A port for a bus-mastering device to send requests into."""
         self._check_loads()
         port = SlavePort(self, name)
-        port.recv_timing_req = lambda pkt, port=port: self._recv_request(port, pkt)
+        port.recv_timing_req = MethodType(_request_in, port)
         port.recv_resp_retry = lambda: None  # masters always accept here
         self._masters.append(port)
         return port
@@ -125,7 +129,7 @@ class PciBus(SimObject):
         peer's advertised address ranges when given."""
         self._check_loads()
         port = MasterPort(self, name)
-        port.recv_timing_resp = lambda pkt: self._recv_completion(pkt)
+        port.recv_timing_resp = self._recv_completion
         port.recv_req_retry = lambda: None
         self._targets.append(port)
         if ranges is not None:

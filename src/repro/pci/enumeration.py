@@ -297,14 +297,11 @@ class Enumerator:
     # -- reporting -----------------------------------------------------------------
     def all_devices(self) -> List[FoundDevice]:
         out: List[FoundDevice] = []
-
-        def visit(node: FoundDevice) -> None:
+        stack = list(reversed(self.roots))
+        while stack:
+            node = stack.pop()
             out.append(node)
-            for child in node.children:
-                visit(child)
-
-        for root in self.roots:
-            visit(root)
+            stack.extend(reversed(node.children))
         return out
 
     def find(self, vendor_id: int, device_id: int) -> List[FoundDevice]:
@@ -317,8 +314,9 @@ class Enumerator:
     def tree_text(self) -> str:
         """An lspci-like rendering of the discovered tree."""
         lines: List[str] = []
-
-        def visit(node: FoundDevice, depth: int) -> None:
+        stack = [(root, 0) for root in reversed(self.roots)]
+        while stack:
+            node, depth = stack.pop()
             pad = "  " * depth
             kind = "bridge" if node.is_bridge else "endpoint"
             extra = ""
@@ -330,9 +328,5 @@ class Enumerator:
             )
             for bar in node.bars:
                 lines.append(f"{pad}  BAR{bar.index}: {bar.assigned}")
-            for child in node.children:
-                visit(child, depth + 1)
-
-        for root in self.roots:
-            visit(root, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)

@@ -19,6 +19,7 @@ from typing import List, Optional
 from repro.mem.addr import AddrRange
 from repro.pci.capabilities import Capability
 from repro.pci.config import ConfigSpace
+from repro.sim.eventq import proxy
 
 # Standard header register offsets.
 VENDOR_ID = 0x00
@@ -265,9 +266,11 @@ class PciEndpointFunction(PciFunction):
             self.config.init_field(offset, 4, bar.type_bits if bar.size else 0,
                                    writable_mask=0xFFFFFFFF if bar.size else 0)
             if bar.size:
+                # The function owns its config space: the hook's edge
+                # back is a weak proxy.
                 self.config.add_write_hook(
                     offset, 4,
-                    lambda off, sz, val, i=i: self._bar_written(i),
+                    lambda off, sz, val, i=i, me=proxy(self): me._bar_written(i),
                 )
         self.config.init_field(0x2C, 2, subsystem_vendor_id)
         self.config.init_field(0x2E, 2, subsystem_id)

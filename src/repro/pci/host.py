@@ -41,6 +41,7 @@ from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PacketQueue, SlavePort
 from repro.pci.header import SECONDARY_BUS, PciBridgeFunction, PciFunction
 from repro.sim import ticks
+from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
 
 Bdf = Tuple[int, int, int]
@@ -133,10 +134,10 @@ class PciHost(SimObject):
             self,
             "port",
             recv_timing_req=self._recv_config_packet,
-            recv_resp_retry=lambda: self._respq.retry(),
             ranges=[self.ecam_range],
         )
         self._respq = PacketQueue(self, "respq", self.port.send_timing_resp, 16)
+        self.port.recv_resp_retry = self._respq.retry
 
         self.config_reads = self.stats.scalar("config_reads")
         self.config_writes = self.stats.scalar("config_writes")
@@ -150,7 +151,9 @@ class PciHost(SimObject):
         try:
             cbus = memo[bus]
         except KeyError:
-            cbus = memo[bus] = self._walk(bus)
+            # A weak proxy: the memo is shared by the buses it names.
+            cbus = self._walk(bus)
+            cbus = memo[bus] = None if cbus is None else proxy(cbus)
         return None if cbus is None else cbus.function_at(device, function)
 
     def _walk(self, bus: int) -> Optional[ConfigBus]:

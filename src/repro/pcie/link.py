@@ -72,7 +72,7 @@ from repro.pcie.timing import (
     fc_watchdog_ticks,
     replay_timeout_ticks,
 )
-from repro.sim.eventq import CallbackEvent, labelled
+from repro.sim.eventq import CallbackEvent, labelled, proxy
 from repro.sim.simobject import SimObject, Simulator
 
 
@@ -94,9 +94,8 @@ class UnidirectionalLink(SimObject):
         self._tx_ticks = timing.tx_ticks_cache
         self.propagation_delay = propagation_delay
         # ``busy`` allows one transmission in flight; its end is a
-        # fire-and-forget call of this bound method, built once.
+        # fire-and-forget call of _tx_done.
         self.busy = False
-        self._tx_done_fn = self._tx_done
         self.packets = self.stats.scalar("packets", "pcie-pkts transmitted")
         self.bytes = self.stats.scalar("bytes", "wire bytes transmitted")
         self.busy_ticks = self.stats.scalar("busy_ticks", "ticks spent transmitting")
@@ -109,10 +108,10 @@ class UnidirectionalLink(SimObject):
         tlp = ppkt.tlp
         if tlp is None:
             wire = DLLP_WIRE_BYTES
-            arrive = receiver._receive_dllp_fn
+            arrive = receiver._receive_dllp
         else:
             wire = tlp.payload_size + TLP_OVERHEAD_BYTES
-            arrive = receiver._receive_tlp_fn
+            arrive = receiver._receive_tlp
         tx_time = self._tx_ticks.get(wire)
         if tx_time is None:
             tx_time = self.timing.transmission_ticks(wire)
@@ -125,7 +124,7 @@ class UnidirectionalLink(SimObject):
         # matches the historical per-packet-callback code exactly.
         eventq = self.eventq
         done = eventq.curtick + tx_time
-        eventq.call_at(done, self._tx_done_fn, sender)
+        eventq.call_at(done, self._tx_done, sender)
         eventq.call_at(done + self.propagation_delay, arrive, ppkt)
 
     @labelled("tx_done")
@@ -146,12 +145,9 @@ class PcieLinkInterface(SimObject):
         parent: "PcieLink",
     ):
         super().__init__(sim, name, parent)
-        self.link_parent = parent
         self.tx_link: Optional[UnidirectionalLink] = None  # wired by PcieLink
-        # What the wire calls on arrival, bound once (see
-        # UnidirectionalLink.send).
-        self._receive_tlp_fn = self._receive_tlp
-        self._receive_dllp_fn = self._receive_dllp
+        # The other end, a weak proxy (wired by PcieLink), which also
+        # sets the knobs read per packet here (see _EndKnob).
         self.peer: Optional["PcieLinkInterface"] = None
 
         # Ports facing the attached component.  The master port carries
@@ -253,11 +249,13 @@ class PcieLinkInterface(SimObject):
             "ticks new completion TLPs waited on credits",
         )
 
+        sent, replays = self.tlps_sent, self.tlp_replays
+
         def _replay_fraction() -> float:
             # An idle interface has sent nothing: its replay fraction is
             # 0.0, not a ZeroDivisionError at stats-dump time.
-            total = self.tlps_sent.value() + self.tlp_replays.value()
-            return self.tlp_replays.value() / total if total else 0.0
+            total = sent.value() + replays.value()
+            return replays.value() / total if total else 0.0
 
         s.formula(
             "replay_fraction",
@@ -272,43 +270,18 @@ class PcieLinkInterface(SimObject):
 
     # -- convenience -----------------------------------------------------------
     @property
-    def replay_buffer_size(self) -> int:
-        """Shared replay-buffer capacity (all classes)."""
-        return self.link_parent.replay_buffer_size
-
-    @property
-    def input_queue_size(self) -> int:
-        """Per-queue bound on the component-facing input queues."""
-        return self.link_parent.input_queue_size
-
-    @property
     def input_queue(self) -> List[Packet]:
         """Combined view of both input queues (requests then
         completions) — diagnostics and quiescence checks only; the
         bounded queues themselves are per-class."""
         return self._in_req + self._in_cpl
 
-    @property
-    def replay_timeout(self) -> int:
-        """Replay-timer period in ticks."""
-        return self.link_parent.replay_timeout
-
-    @property
-    def ack_period(self) -> int:
-        """ACK-coalescing timer period in ticks."""
-        return self.link_parent.ack_period
-
-    @property
-    def fc_watchdog(self) -> int:
-        """Credit-stall watchdog period in ticks."""
-        return self.link_parent.fc_watchdog
-
     # ==================== TX: component -> link =========================
     def _recv_from_component(self, pkt: Packet) -> bool:
         """A TLP offered by the attached component (request via our slave
         port or response via our master port)."""
         queue = self._in_cpl if pkt.is_response else self._in_req
-        if len(queue) >= self.link_parent.input_queue_size:
+        if len(queue) >= self.input_queue_size:
             return False
         queue.append(pkt)
         if not self.tx_link.busy:
@@ -349,7 +322,7 @@ class PcieLinkInterface(SimObject):
         tx_link.send(ppkt, self, self.peer)
         if tlp is not None and not self._replay_event.scheduled:
             self.eventq.schedule_after(
-                self._replay_event, self.link_parent.replay_timeout)
+                self._replay_event, self.replay_timeout)
 
     def _pick_next(self) -> Optional[PciePacket]:
         """Select the next pcie-pkt per the paper's priority order."""
@@ -369,7 +342,7 @@ class PcieLinkInterface(SimObject):
                 ppkt.is_replay = True
                 self.tlp_replays.total += 1
                 return ppkt
-        if len(self.replay_buffer) < self.link_parent.replay_buffer_size:
+        if len(self.replay_buffer) < self.replay_buffer_size:
             # New TLPs spend a credit of their class on first
             # transmission (replays above never re-consume: the
             # receiver's buffer slot is still accounted to the TLP).
@@ -401,10 +374,10 @@ class PcieLinkInterface(SimObject):
             ck.link_tlp_queued(self, ppkt)
         # Input-queue space freed: let the component retry refusals.
         if (self.slave_port.retry_owed
-                and len(self._in_req) < self.link_parent.input_queue_size):
+                and len(self._in_req) < self.input_queue_size):
             self.slave_port.send_retry_req()
         if (self.master_port.resp_retry_owed
-                and len(self._in_cpl) < self.link_parent.input_queue_size):
+                and len(self._in_cpl) < self.input_queue_size):
             self.master_port.send_retry_resp()
         return ppkt
 
@@ -477,7 +450,7 @@ class PcieLinkInterface(SimObject):
             eventq.deschedule(self._replay_event)
         if self.replay_buffer:
             eventq.schedule(self._replay_event,
-                            eventq.curtick + self.link_parent.replay_timeout)
+                            eventq.curtick + self.replay_timeout)
 
     # ===================== RX: link -> component =========================
     def _draw(self) -> float:
@@ -491,7 +464,7 @@ class PcieLinkInterface(SimObject):
     def _receive_dllp(self, ppkt: PciePacket) -> None:
         """A DLLP arrives off the wire."""
         trc = self.tracer
-        error_rate = self.link_parent.dllp_error_rate
+        error_rate = self.dllp_error_rate
         if error_rate and self._draw() < error_rate:
             # A corrupted DLLP fails its CRC and is silently discarded;
             # a lost ACK is recovered by the sender's replay timer, a
@@ -560,7 +533,7 @@ class PcieLinkInterface(SimObject):
     def _receive_tlp(self, ppkt: PciePacket) -> None:
         """A TLP arrives off the wire."""
         trc = self.tracer
-        error_rate = self.link_parent.error_rate
+        error_rate = self.error_rate
         if error_rate and self._draw() < error_rate:
             # A corrupted TLP: discard and NAK the last good sequence.
             # No credit moves — the sender's credit stays consumed and
@@ -651,7 +624,7 @@ class PcieLinkInterface(SimObject):
 
     # -- ACK scheduling ---------------------------------------------------------
     def _schedule_ack(self) -> None:
-        if self.link_parent.ack_policy == "immediate":
+        if self.ack_policy == "immediate":
             self._queue_dllp(DllpType.ACK, self.recv_seq - 1)
             self._kick_tx()
             return
@@ -742,6 +715,21 @@ class PcieLinkInterface(SimObject):
             self._rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
 
 
+class _EndKnob:
+    """A link knob both interfaces read per packet: kept on the two
+    ends, which reach their link only weakly, and read back from one."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, link: Optional["PcieLink"], owner: Optional[type] = None):
+        return self if link is None else getattr(link.upstream_if, self.name)
+
+    def __set__(self, link: "PcieLink", value) -> None:
+        setattr(link.upstream_if, self.name, value)
+        setattr(link.downstream_if, self.name, value)
+
+
 class PcieLink(SimObject):
     """A full-duplex PCI-Express link.
 
@@ -755,6 +743,15 @@ class PcieLink(SimObject):
     build a link from one with :meth:`from_spec`.  ``replay_timeout``
     and ``ack_period`` None mean the :mod:`repro.pcie.timing` formula.
     """
+
+    replay_buffer_size = _EndKnob()
+    ack_policy = _EndKnob()
+    input_queue_size = _EndKnob()
+    error_rate = _EndKnob()
+    dllp_error_rate = _EndKnob()
+    replay_timeout = _EndKnob()
+    ack_period = _EndKnob()
+    fc_watchdog = _EndKnob()
 
     def __init__(
         self,
@@ -780,16 +777,18 @@ class PcieLink(SimObject):
     ):
         super().__init__(sim, name, parent)
         self.timing = LinkTiming(gen, width)
-        self.replay_buffer_size = replay_buffer_size
         self.max_payload = max_payload
-        self.ack_policy = ack_policy
-        self.input_queue_size = input_queue_size
         self.p_credits = p_credits
         self.np_credits = np_credits
         self.cpl_credits = cpl_credits
+        self.error_seed = error_seed
+        self.upstream_if = PcieLinkInterface(sim, "up_if", self)
+        self.downstream_if = PcieLinkInterface(sim, "down_if", self)
+        self.replay_buffer_size = replay_buffer_size
+        self.ack_policy = ack_policy
+        self.input_queue_size = input_queue_size
         self.error_rate = error_rate
         self.dllp_error_rate = dllp_error_rate
-        self.error_seed = error_seed
         # The spec formula by default; explicit overrides support the
         # timer-sensitivity ablations.
         self.replay_timeout = (
@@ -801,9 +800,6 @@ class PcieLink(SimObject):
             ack_period if ack_period is not None else ack_timer_ticks(gen, width, max_payload)
         )
         self.fc_watchdog = fc_watchdog_ticks(gen, width, max_payload)
-
-        self.upstream_if = PcieLinkInterface(sim, "up_if", self)
-        self.downstream_if = PcieLinkInterface(sim, "down_if", self)
         self.up_link = UnidirectionalLink(
             sim, "up_link", self, self.timing, propagation_delay
         )
@@ -812,9 +808,9 @@ class PcieLink(SimObject):
         )
         # The downstream interface transmits on the upstream-bound link.
         self.downstream_if.tx_link = self.up_link
-        self.downstream_if.peer = self.upstream_if
+        self.downstream_if.peer = proxy(self.upstream_if)
         self.upstream_if.tx_link = self.down_link
-        self.upstream_if.peer = self.downstream_if
+        self.upstream_if.peer = proxy(self.downstream_if)
         # InitFC: each end installs the peer's advertised receive
         # capacities as its transmit credit limits.  Modelled as an
         # instantaneous link-up handshake — no DLLPs on the wire.

@@ -41,6 +41,7 @@ the property that used to be approximated by reserving a single slot
 for all responses combined.
 """
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
@@ -64,7 +65,9 @@ class ComponentPort(SimObject):
         is_upstream: bool,
     ):
         super().__init__(sim, name, parent)
-        self.engine = parent
+        # Weak like every edge up; the per-packet paths dereference it
+        # once instead of paying a proxy on each of their loads.
+        self._engine = weakref.ref(parent)
         self.vp2p = vp2p
         self.is_upstream = is_upstream
 
@@ -97,9 +100,6 @@ class ComponentPort(SimObject):
         # accounted per flow-control class (index with pkt.flow_class).
         self._slots = [0, 0, 0]
         self._slot_caps = [parent.p_slots, parent.np_slots, parent.cpl_slots]
-        # Bound once: scheduling a packet's end of ingress processing
-        # then allocates only the queue entry.
-        self._processed_fn = self._processed
         # Per-port datapath serialization horizon (used when the engine
         # runs with datapath_scope="port").
         self._proc_next_free = 0
@@ -150,7 +150,7 @@ class ComponentPort(SimObject):
             trc.emit(self.curtick, "engine", self.full_name, "ingress",
                      tlp=trc.tlp_id(pkt.req_id), resp=is_response,
                      pool=self.pool_used)
-        engine = self.engine
+        engine = self._engine()
         # The slot stays charged to this port until the packet leaves
         # the engine (see PcieRoutingEngine._packet_left).
         engine._owners[(pkt.req_id, is_response)] = self
@@ -173,14 +173,14 @@ class ComponentPort(SimObject):
             if start < now:
                 start = now
             self._proc_next_free = start + engine.service_interval
-        eventq.call_at(start + engine.latency, self._processed_fn, pkt)
+        eventq.call_at(start + engine.latency, self._processed, pkt)
         return True
 
     @labelled("processed")
     def _processed(self, pkt: Packet) -> None:
         """Ingress processing finished: hand the packet to its egress
         queue (the slot stays charged to this port until transmission)."""
-        engine = self.engine
+        engine = self._engine()
         if pkt.is_response:
             queue = engine._response_target(pkt).resp_queue
             engine.responses_routed.total += 1
@@ -192,7 +192,7 @@ class ComponentPort(SimObject):
 
     def stamp_bus_number(self) -> int:
         if self.is_upstream:
-            return self.engine.upstream_stamp_bus()
+            return self.parent.upstream_stamp_bus()
         assert self.vp2p is not None
         return self.vp2p.secondary_bus
 

@@ -107,7 +107,7 @@ def _describe_event(sim, entry) -> Dict:
     when, priority, seq, fn, arg = entry
     doc = {"when": when, "priority": priority, "seq": seq}
     if fn is fire:
-        callback = getattr(arg, "_callback", None)
+        callback = getattr(arg, "callback", None)
         if callback is None:
             raise CheckpointError(
                 f"cannot checkpoint pending event {arg!r} at tick {when}: "

@@ -6,8 +6,8 @@ Every queue entry is a ``(when, priority, seq, fn, arg)`` tuple and
 dispatch calls ``fn(arg)``.  Three kinds of work share that one form:
 
 * **fire-and-forget calls** (:meth:`EventQueue.call_at`): ``fn`` is
-  usually a bound method built once at construction, so scheduling one
-  allocates only the entry.  Nothing can cancel them;
+  usually a bound method with its payload as ``arg``.  Nothing can
+  cancel them;
 * **no-argument callbacks** (:meth:`~_QueueBase.schedule_callback`):
   ``fn`` is :func:`call` and ``arg`` the callable;
 * **event handles** (:meth:`EventQueue.schedule`): ``fn`` is
@@ -19,12 +19,55 @@ dispatch calls ``fn(arg)``.  Three kinds of work share that one form:
 :class:`ReferenceEventQueue` is the plain heap it was derived from,
 kept as the executable specification of dispatch order that the
 property tests compare against.
+
+:func:`proxy` and :func:`weak_callback` are the weak edges of a machine
+(ARCHITECTURE "Who owns whom").
 """
 
 import heapq
-from typing import Any, Callable, List, Optional, Union
+import weakref
+from types import MethodType
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 _heappush = heapq.heappush
+_PROXIES = (weakref.ProxyType, weakref.CallableProxyType)
+
+
+def proxy(obj: Any) -> Any:
+    """A weak stand-in for ``obj`` (``obj`` itself if it is one): every
+    upward and peer edge of a machine is one."""
+    return obj if type(obj) in _PROXIES else weakref.proxy(obj)
+
+
+def weak_callback(callback: Optional[Callable]) -> Tuple[Any, Any]:
+    """``(fn, ref)``, called as ``fn(ref(), ...)``, for a bound method
+    (its object held weakly); ``(callback, None)``, called as
+    ``fn(...)``, for anything else."""
+    if type(callback) is MethodType:
+        return callback.__func__, weakref.ref(callback.__self__)
+    return callback, None
+
+
+def strong_callback(pair: Tuple[Any, Any]) -> Optional[Callable]:
+    """The callable a :func:`weak_callback` pair stands for."""
+    fn, ref = pair
+    return fn if ref is None else MethodType(fn, ref())
+
+
+class WeakCallback:
+    """A callback attribute kept as a :func:`weak_callback` pair in
+    ``_<name>``, which the hot paths read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        return self if obj is None else strong_callback(getattr(obj, self.slot))
+
+    def __set__(self, obj: Any, callback: Optional[Callable]) -> None:
+        # setattr, not obj.__dict__: building the instance dict would
+        # slow every attribute load on the object.
+        setattr(obj, self.slot, weak_callback(callback))
 
 
 class Event:
@@ -81,9 +124,10 @@ class Event:
 
 
 class CallbackEvent(Event):
-    """An event handle that invokes an arbitrary callable when it fires."""
+    """An event handle that invokes an arbitrary callable when it fires
+    (a bound method's object held weakly: owners hold their timers)."""
 
-    __slots__ = ("_callback",)
+    __slots__ = ("_fn", "_ref")
 
     def __init__(
         self,
@@ -92,11 +136,17 @@ class CallbackEvent(Event):
         name: str = "",
     ):
         super().__init__(priority, name or getattr(callback, "__name__", "callback"))
-        self._callback = callback
+        self._fn, self._ref = weak_callback(callback)
+
+    @property
+    def callback(self) -> Callable[[], None]:
+        """The wrapped callable."""
+        return strong_callback((self._fn, self._ref))
 
     def process(self) -> None:
         """Invoke the wrapped callable."""
-        self._callback()
+        ref = self._ref
+        self._fn() if ref is None else self._fn(ref())
 
 
 # -- entry forms --------------------------------------------------------------

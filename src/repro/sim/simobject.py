@@ -5,6 +5,11 @@ models, each holding a reference to the shared :class:`Simulator` (event
 queue + statistics root).  This mirrors gem5's SimObject hierarchy
 closely enough that the paper's component descriptions translate
 one-to-one.
+
+Strong references point down (the Simulator owns its queue, tracer,
+checker, statistics and objects; a parent its children), so a dropped
+machine is freed by reference counting: an object's ``sim`` and
+``parent`` are weak proxies, so keep the Simulator while using them.
 """
 
 import os
@@ -12,7 +17,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.check.checker import InvariantChecker
 from repro.obs.trace import Tracer
-from repro.sim.eventq import Event, EventQueue, call
+from repro.sim.eventq import Event, EventQueue, call, proxy
 from repro.sim.stats import StatGroup
 
 #: Environment variable consulted when ``Simulator(check=None)``: set to
@@ -80,7 +85,8 @@ class Simulator:
         self.eventq.tracer = self.tracer
         # The checker mirrors the tracer's lifecycle: always present,
         # created disabled, cached by components — so the hot paths pay
-        # one attribute load and branch while it is off.
+        # one attribute load and branch while it is off.  It leaves this
+        # Simulator its dispatch ring to own.
         self.checker = InvariantChecker(self)
         self.eventq.checker = self.checker
         if _check_default() if check is None else check:
@@ -258,15 +264,18 @@ class SimObject:
     def __init__(self, sim: Simulator, name: str, parent: Optional["SimObject"] = None):
         if not name:
             raise ValueError("SimObject name must be non-empty")
-        self.sim = sim
+        # Edges up are weak; the tracer and checker hold nothing of the
+        # machine strongly.
+        self.sim = proxy(sim)
         self.name = name
         self.tracer = sim.tracer
         self.checker = sim.checker
         # Cached like the tracer/checker: the Simulator never replaces
         # its event queue, and the hot paths (per-packet scheduling,
-        # curtick reads) shouldn't pay a two-hop property chain.
+        # curtick reads) shouldn't pay a two-hop property chain.  The
+        # one strong edge up that closes a cycle, while work is pending.
         self.eventq = sim.eventq
-        self.parent = parent
+        self.parent = None if parent is None else proxy(parent)
         #: Dotted gem5-style path from the root to this object, fixed at
         #: construction: the registry is keyed by it and nothing renames
         #: an object afterwards, so trace emits and requestor stamps
@@ -274,14 +283,15 @@ class SimObject:
         self.full_name: str = (
             f"{parent.full_name}.{name}" if parent is not None else name)
         self.children: List["SimObject"] = []
+        self.stats = StatGroup(name)
+        # Registering first refuses a duplicate name before the parent
+        # gains a child or a stat group.
+        sim.register(self)
         if parent is not None:
             parent.children.append(self)
-        self.stats = StatGroup(name)
-        if parent is not None:
             parent.stats.add_child(self.stats)
         else:
             sim.stats.add_child(self.stats)
-        sim.register(self)
 
     # -- convenience passthroughs ------------------------------------------
     @property

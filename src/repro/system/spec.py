@@ -498,15 +498,12 @@ class TopologySpec:
     def walk(self) -> Iterator[Union[SwitchSpec, DeviceSpec]]:
         """Every node of the tree, depth-first in port order — the same
         order enumeration discovers them."""
-
-        def visit(node):
+        stack = list(reversed(self.children))
+        while stack:
+            node = stack.pop()
             yield node
             if isinstance(node, SwitchSpec):
-                for child in node.children:
-                    yield from visit(child)
-
-        for child in self.children:
-            yield from visit(child)
+                stack.extend(reversed(node.children))
 
     def devices(self) -> List[DeviceSpec]:
         """Every device node, in discovery order."""
@@ -877,7 +874,10 @@ def deep_hierarchy_spec(
     link_common = dict(gen=gen, replay_buffer_size=replay_buffer_size,
                        ack_policy=ack_policy)
 
-    def build_level(level: int) -> SwitchSpec:
+    # Built bottom-up: a recursive closure would be a reference cycle
+    # (it holds its own cell), garbage for the collector.
+    below: List[Union[SwitchSpec, DeviceSpec]] = []
+    for level in range(depth, 0, -1):
         children: List[Union[SwitchSpec, DeviceSpec]] = [
             DeviceSpec(
                 device_kind, name=f"sw{level}_{device_kind}{i}",
@@ -886,18 +886,16 @@ def deep_hierarchy_spec(
             )
             for i in range(fanout)
         ]
-        if level < depth:
-            children.append(build_level(level + 1))
-        return SwitchSpec(
-            name=f"sw{level}", children=children,
+        below = [SwitchSpec(
+            name=f"sw{level}", children=children + below,
             link=LinkSpec(name=f"sw{level}", width=root_link_width,
                           **link_common),
             latency=switch_latency, buffer_size=buffer_size,
             service_interval=service_interval,
-        )
+        )]
 
     return TopologySpec(
-        children=[build_level(1)],
+        children=below,
         rc_buffer_size=buffer_size, rc_service_interval=service_interval,
         enable_msi=enable_msi,
         name=f"deep_hierarchy_d{depth}_f{fanout}",

@@ -337,7 +337,10 @@ def build_system(
     Returns:
         A :class:`PcieSystem` whose ``devices``/``links``/``switches``/
         ``drivers`` mappings are keyed by the spec's instance names and
-        whose ``spec`` attribute records the topology built.
+        whose ``spec`` attribute records the topology built.  Its
+        components refer to the system and its ``sim`` only weakly, so
+        keep this handle while using them: dropping it frees the machine
+        at once, and a component kept past that cannot run.
 
     Raises:
         SpecError: for a spec of an unknown type, or ``partitions`` other

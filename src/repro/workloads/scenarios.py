@@ -357,6 +357,9 @@ def run_scenario(
             covers traffic, not enumeration), restricted to
             ``categories``.
         max_events: safety valve for runaway scenarios.
+
+    Keep ``system`` while using ``engine``: the engine refers to it
+    weakly, and dropping it frees the machine.
     """
     sim = Simulator(check=check)
     if sim.checker.enabled:

@@ -41,6 +41,7 @@ import random
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim import ticks
+from repro.sim.eventq import proxy
 from repro.sim.process import Delay, Process, WaitFor
 from repro.sim.simobject import SimObject
 from repro.sim.stats import StatGroup
@@ -201,7 +202,8 @@ class TrafficEngine(SimObject):
     """Drive a set of :class:`FlowSpec` flows against a built system.
 
     Args:
-        system: the :class:`~repro.system.topology.PcieSystem` to load.
+        system: the :class:`~repro.system.topology.PcieSystem` to load,
+            held weakly: keep it while the engine runs or reports.
         flows: flow specs; validated against each other and the fabric
             at construction time, so a bad scenario fails before any
             event runs.
@@ -225,7 +227,7 @@ class TrafficEngine(SimObject):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise TrafficError(f"duplicate flow names: {dupes}")
         super().__init__(system.sim, name)
-        self.system = system
+        self.system = proxy(system)  # the system's simulator owns the engine
         self.flows: List[FlowSpec] = flows
         self._states: Dict[str, _FlowState] = {}
         #: Tick at which :meth:`start` spawned the flows (plain state,

@@ -297,7 +297,8 @@ def test_violation_context_equals_the_traced_dispatch_tail():
 
 
 def test_zero_context_events_records_nothing():
-    checker = InvariantChecker(Simulator(), context_events=0,
+    sim = Simulator()  # it owns the checker's ring; keep it
+    checker = InvariantChecker(sim, context_events=0,
                                record_only=True).enable()
     checker.on_dispatch(10, 0, call, probe)
     checker.on_dispatch(5, 0, call, probe)

@@ -119,9 +119,13 @@ def test_eight_request_dd_schedule_is_pinned(build, pinned):
 def _count_calls(func):
     """Run ``func`` and return how many Python and C calls it made.
 
-    The cyclic collector is paused: a collection inside the window
-    would finalize garbage left by earlier tests (closing a dead
-    process's generator is a call) and make the count vary.
+    The cyclic collector is paused so that none of its passes lands in
+    the window.  A dropped machine no longer needs one (it is freed by
+    reference counting), but a pass would still run any ``gc.callbacks``
+    hook and the finalizers of whatever cyclic garbage the process holds
+    (a traceback's frames, a process suspended mid-body in a machine
+    dropped mid-run: closing its generator is a call), and make the
+    count vary.
     """
     calls = 0
 

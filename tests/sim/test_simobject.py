@@ -90,6 +90,19 @@ def test_duplicate_full_name_rejected():
         SimObject(sim, "dev", parent=system)
 
 
+def test_rejected_duplicate_leaves_parent_untouched():
+    # The parent owns its children: a refused duplicate must not stay
+    # behind as a phantom child or a second stat group.
+    sim = Simulator()
+    root = SimObject(sim, "root")
+    dev = SimObject(sim, "dev", parent=root)
+    with pytest.raises(ValueError, match="duplicate SimObject full name"):
+        SimObject(sim, "dev", parent=root)
+    assert root.children == [dev]
+    assert [group.name for group in root.stats._children] == ["dev"]
+    assert sim.objects == [root, dev]
+
+
 def test_same_leaf_name_under_different_parents_is_fine():
     sim = Simulator()
     a = SimObject(sim, "a")
