@@ -51,6 +51,8 @@ class PcieDevice(SimObject):
         pio_buffer: bounded in-flight PIO requests.
     """
 
+    in_flight = ("_pio_respq", "_dma_queue", "_dma_pumps", "_dma_waiters")
+
     def __init__(
         self,
         sim: Simulator,

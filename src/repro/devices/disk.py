@@ -219,55 +219,43 @@ class IdeDisk(PcieDevice):
         self.raise_interrupt()
 
     # -- checkpointing -----------------------------------------------------------
+    # The medium holds no data (reads return zeros), so the registers and
+    # the command cursors are all the state.  A command may be captured
+    # between sectors, where the only pending work is the next sector's
+    # describable _transfer_sector.  The sectors a command has left bound
+    # a skip, so the driven disk's relative state leaves them out.
+    state_fields = {"_sectors_remaining": "accumulator",
+                    "_current_lba": "exact", "_current_buf": "exact",
+                    "_is_write_command": "exact"}
+
     def state_dict(self) -> dict:
-        """Register file and command cursors.
-
-        The medium holds no data (reads return zeros), so nothing else
-        is state.  A command may be captured between sectors, where the
-        only pending work is the next sector's describable
-        :meth:`_transfer_sector`; a sector's DMA in flight has packets
-        and callbacks a checkpoint cannot describe.
-        """
-        if self._dma_pumps or self._dma_waiters or not self._dma_queue.empty:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has a sector's DMA in flight; "
-                f"checkpoints require the device between sectors")
-        return {
-            "regs": {str(offset): value for offset, value in self._regs.items()},
-            "sectors_remaining": self._sectors_remaining,
-            "current_lba": self._current_lba,
-            "current_buf": self._current_buf,
-            "is_write_command": self._is_write_command,
-        }
+        """The declared cursors plus the register file, keyed by str."""
+        state = super().state_dict()
+        state["regs"] = {str(offset): value for offset, value in self._regs.items()}
+        return state
 
     def relative_state(self, state: dict, origin) -> dict:
         """On the device a transfer drives, the LBA and buffer cursors
         relative to the boundary's cursor.  Between commands the LBA and
         buffer registers trail the cursor by one request, so they are
         relative too; a running command's stay put while its cursor
-        moves, and nothing reads them before it completes.  The sectors
-        a command has left bound a skip and are left out."""
+        moves, and nothing reads them before it completes."""
         if origin.device is not self:
             return state
         regs = dict(state["regs"])
         if not self.busy:
             regs[str(REG_LBA)] -= origin.lba
             regs[str(REG_BUF_ADDR)] -= origin.addr
-        relative = dict(state, regs=regs,
-                        current_lba=state["current_lba"] - origin.lba,
-                        current_buf=state["current_buf"] - origin.addr)
-        del relative["sectors_remaining"]
-        return relative
+        return dict(super().relative_state(state, origin), regs=regs,
+                    current_lba=state["current_lba"] - origin.lba,
+                    current_buf=state["current_buf"] - origin.addr)
 
     def load_state_dict(self, state: dict) -> None:
         """Restore registers and command cursors."""
-        self._regs = {int(offset): value for offset, value in state["regs"].items()}
-        self._sectors_remaining = state["sectors_remaining"]
-        self._current_lba = state["current_lba"]
-        self._current_buf = state["current_buf"]
-        self._is_write_command = state["is_write_command"]
+        state = dict(state)
+        regs = state.pop("regs")
+        super().load_state_dict(state)
+        self._regs = {int(offset): value for offset, value in regs.items()}
 
     # -- introspection -----------------------------------------------------------
     @property

@@ -69,8 +69,8 @@ def _observed(sim: Simulator) -> bool:
 
 def _one_process(sim: Simulator) -> Optional[Process]:
     """The only started, unfinished process, or None."""
-    running = [obj for obj in sim._objects if isinstance(obj, Process)
-               and obj.start_tick is not None and not obj.done]
+    running = [obj for obj in sim._objects
+               if isinstance(obj, Process) and obj._suspended]
     return running[0] if len(running) == 1 else None
 
 

@@ -8,7 +8,7 @@ kernel process.  Re-assertions while a handler for the same line is
 still pending coalesce, like a level-triggered INTx wire.
 """
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.sim import ticks
 from repro.sim.eventq import strong_callback, weak_callback
@@ -35,7 +35,7 @@ class InterruptController(SimObject):
         # line -> generator factory (each dispatch builds a fresh one)
         # as a weak_callback pair: the kernel owns the drivers.
         self._handlers: Dict[int, Tuple] = {}
-        self._pending: Dict[int, bool] = {}
+        self._pending: Set[int] = set()  # lines awaiting dispatch
         self._counter = 0
 
         self.raised = self.stats.scalar("raised", "interrupt assertions")
@@ -60,36 +60,19 @@ class InterruptController(SimObject):
         if line not in self._handlers:
             self.spurious.inc()
             return
-        if self._pending.get(line):
+        if line in self._pending:
             self.coalesced.inc()
             return
-        self._pending[line] = True
+        self._pending.add(line)
         self.schedule(self.dispatch_latency, self._dispatch, line)
 
     # -- checkpointing -----------------------------------------------------
-    accumulators = ("counter",)
-
-    def state_dict(self) -> dict:
-        """The handler-invocation counter behind ``irq{line}_{n}`` names.
-
-        A pending (not yet dispatched) interrupt's line flag is not part
-        of this state, so a checkpoint requires all lines idle.
-        """
-        pending = sorted(line for line, armed in self._pending.items() if armed)
-        if pending:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has undispatched interrupt(s) on "
-                f"line(s) {pending}; checkpoints require an idle controller")
-        return {"counter": self._counter}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Continue handler-process numbering from the captured run."""
-        self._counter = state["counter"]
+    # The handler-invocation counter behind ``irq{line}_{n}`` names.
+    state_fields = {"_counter": "accumulator"}
+    in_flight = ("_pending",)
 
     def _dispatch(self, line: int) -> None:
-        self._pending[line] = False
+        self._pending.remove(line)
         self.dispatched.inc()
         self._counter += 1
         factory = strong_callback(self._handlers[line])
@@ -107,6 +90,8 @@ class MsiDoorbell(SimObject):
     sketches ("A device uses MSI to write a programmed value to a
     specified address location in order to raise an interrupt").
     """
+
+    in_flight = ("_respq",)
 
     def __init__(
         self,

@@ -81,21 +81,9 @@ class OsKernel(SimObject):
         return bindings
 
     # -- checkpointing -------------------------------------------------------------
-    accumulators = ("process_count",)
-
-    def state_dict(self) -> dict:
-        """The process-name counter.
-
-        :meth:`spawn` names processes ``{name}_{count}``, and process
-        names appear in event labels and stat paths — a forked run must
-        continue the numbering where the captured run stopped for its
-        traces to match a cold run byte for byte.
-        """
-        return {"process_count": self._process_count}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Continue process numbering from the captured run."""
-        self._process_count = state["process_count"]
+    # spawn() names processes {name}_{count}, and process names appear in
+    # event labels and stat paths: a forked run continues the numbering.
+    state_fields = {"_process_count": "accumulator"}
 
     # -- process management --------------------------------------------------------
     def spawn(self, name: str, generator, start_delay: int = 0) -> Process:

@@ -20,6 +20,8 @@ from repro.sim.simobject import SimObject, Simulator
 class Processor(SimObject):
     """Issues timed memory/I/O requests on behalf of software processes."""
 
+    in_flight = ("_outq", "_waiters")
+
     def __init__(self, sim: Simulator, name: str = "cpu",
                  parent: Optional[SimObject] = None):
         super().__init__(sim, name, parent)

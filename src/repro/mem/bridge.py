@@ -34,6 +34,8 @@ class Bridge(SimObject):
             enumeration assigns device apertures.
     """
 
+    in_flight = ("_req_queue", "_resp_queue")
+
     def __init__(
         self,
         sim: Simulator,

@@ -97,25 +97,9 @@ class SimpleMemory(SimObject):
         return True
 
     # -- checkpointing ----------------------------------------------------
-    horizons = ("next_free",)
-
-    def state_dict(self) -> dict:
-        """The bandwidth-serialization horizon.
-
-        In-flight accesses hold live packets in the response queue, so a
-        checkpoint is only valid while the controller is idle.
-        """
-        if self._in_flight:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has {self._in_flight} access(es) in "
-                f"flight; checkpoints require an idle memory controller")
-        return {"next_free": self._next_free}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the serialization horizon onto this rebuilt memory."""
-        self._next_free = state["next_free"]
+    # The bandwidth-serialization horizon.
+    state_fields = {"_next_free": "horizon"}
+    in_flight = ("_in_flight", "_resp_queue")
 
     def _send_response(self, pkt: Packet) -> bool:
         if not self.port.send_timing_resp(pkt):

@@ -230,28 +230,23 @@ class IOCache(SimObject):
         assert pushed, "_can_allocate reserved a slot"
 
     # -- checkpointing ----------------------------------------------------
+    # Outstanding misses and writebacks hold live packets.
+    in_flight = ("_outstanding", "_writebacks_in_flight", "_resp_queue",
+                 "_mem_queue")
+
     def state_dict(self) -> dict:
         """Cache contents: per-set ``[tag, dirty]`` pairs in LRU order.
 
         Tag arrays persist across quiescence and determine every future
         hit/miss, so they must be captured exactly — including the LRU
-        recency ordering, which JSON lists preserve.  Outstanding misses
-        and writebacks hold live packets, so a busy cache refuses to
-        checkpoint.
+        recency ordering, which JSON lists preserve.
         """
-        if self._outstanding or self._writebacks_in_flight:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has {len(self._outstanding)} outstanding "
-                f"miss(es) and {self._writebacks_in_flight} writeback(s) in "
-                f"flight; checkpoints require an idle cache")
-        return {
-            "sets": {
-                str(index): [[line.tag, line.dirty] for line in lines.values()]
-                for index, lines in self._sets.items() if lines
-            },
+        state = super().state_dict()
+        state["sets"] = {
+            str(index): [[line.tag, line.dirty] for line in lines.values()]
+            for index, lines in self._sets.items() if lines
         }
+        return state
 
     def relative_state(self, state: dict, origin) -> dict:
         """Tags relative to the cursor's tag, plus the cursor's offset
@@ -259,17 +254,20 @@ class IOCache(SimObject):
         addresses onto the same sets."""
         span = self.line_size * self.num_sets
         base = origin.addr // span
-        return {
-            "phase": origin.addr % span,
-            "sets": {index: [[tag - base, dirty] for tag, dirty in lines]
-                     for index, lines in state["sets"].items()},
-        }
+        return dict(
+            super().relative_state(state, origin),
+            phase=origin.addr % span,
+            sets={index: [[tag - base, dirty] for tag, dirty in lines]
+                  for index, lines in state["sets"].items()})
 
     def load_state_dict(self, state: dict) -> None:
         """Repopulate the tag arrays captured by :meth:`state_dict`."""
+        state = dict(state)
+        sets = state.pop("sets")
+        super().load_state_dict(state)
         for lines in self._sets.values():
             lines.clear()
-        for index, entries in state["sets"].items():
+        for index, entries in sets.items():
             cache_set = self._sets[int(index)]
             for tag, dirty in entries:
                 cache_set[tag] = _Line(tag, dirty)

@@ -38,6 +38,8 @@ class NoncoherentXBar(SimObject):
         queue_depth: per-destination buffered packets before refusing.
     """
 
+    in_flight = ("_req_queues", "_resp_queues", "_resp_route")
+
     def __init__(
         self,
         sim: Simulator,

@@ -237,22 +237,9 @@ class PciBus(SimObject):
         self._kick()
 
     # -- checkpointing ----------------------------------------------------
-    accumulators = ("useful_ticks",)
-
-    def state_dict(self) -> dict:
-        """The data-phase ticks behind ``efficiency``; transactions in
-        progress hold live packets, so the bus must be idle."""
-        if self._busy or self._queue or self._completions or self._waiting_completion:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has transactions in progress; "
-                f"checkpoints require an idle bus")
-        return {"useful_ticks": self._useful_ticks}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Continue the data-phase tally of the captured run."""
-        self._useful_ticks = state["useful_ticks"]
+    # The data-phase ticks behind ``efficiency``.
+    state_fields = {"_useful_ticks": "accumulator"}
+    in_flight = ("_busy", "_queue", "_completions", "_waiting_completion")
 
     # -- completions from targets ----------------------------------------------------
     def _recv_completion(self, pkt: Packet) -> bool:

@@ -116,6 +116,8 @@ class PciHost(SimObject):
         config_latency: per-access latency of the timed interface.
     """
 
+    in_flight = ("_respq",)
+
     def __init__(
         self,
         sim: Simulator,

@@ -640,75 +640,52 @@ class PcieLinkInterface(SimObject):
         self._kick_tx()
 
     # -- checkpointing ----------------------------------------------------
+    # The sequence numbers are read as send_seq - peer.recv_seq, which
+    # relative_state adds.
+    state_fields = {"send_seq": "accumulator", "recv_seq": "accumulator",
+                    "_have_unacked_delivery": "exact"}
+    in_flight = ("replay_buffer", "retransmit_queue", "dllp_queue",
+                 "_in_req", "_in_cpl", "_rx_req", "_rx_cpl")
+
     def state_dict(self) -> dict:
-        """Sequence counters, credit accounts and the error-injection RNG.
-
-        The in-flight buffers (replay buffer, retransmit/DLLP queues,
-        component-facing input queues, RX buffers) hold live packet
-        objects that cannot be described by owner-path + method-name, so
-        a checkpoint is only valid while they are all empty — which they
-        are at software quiescence, the supported checkpoint boundary.
-        A non-empty buffer raises :class:`~repro.sim.checkpoint.
-        CheckpointError` instead of silently dropping traffic.
-        """
-        pending = {
-            "replay_buffer": self.replay_buffer,
-            "retransmit_queue": self.retransmit_queue,
-            "dllp_queue": self.dllp_queue,
-            "in_req": self._in_req,
-            "in_cpl": self._in_cpl,
-            "rx_req": self._rx_req,
-            "rx_cpl": self._rx_cpl,
-        }
-        busy = sorted(name for name, queue in pending.items() if queue)
-        if busy:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has in-flight packets in {busy}; "
-                f"checkpoints require a quiescent link")
+        """The declared fields plus the credit accounts and the
+        error-injection RNG."""
         # An RNG never built has never been drawn from: null, and a
         # restored twin builds it from the seed on its first draw too.
         # getstate() is (version, tuple-of-ints, gauss_next), flattened
         # to JSON-safe lists and rebuilt in load_state_dict.
-        rng = None
+        state = super().state_dict()
+        state["fc"] = self.fc.state_dict()
+        state["rng"] = None
         if self._rng is not None:
             version, internal, gauss = self._rng.getstate()
-            rng = [version, list(internal), gauss]
-        return {
-            "send_seq": self.send_seq,
-            "recv_seq": self.recv_seq,
-            "have_unacked_delivery": self._have_unacked_delivery,
-            "fc": self.fc.state_dict(),
-            "rng": rng,
-        }
+            state["rng"] = [version, list(internal), gauss]
+        return state
 
     def relative_state(self, state: dict, origin) -> dict:
         """Sequence numbers and credit limits as the differences the
         link reads, stall clocks as offsets; ``stall_ticks`` is an
         accumulator nothing reads back.  The RNG stays absolute, so a
         link that drew between two boundaries never proves a repeat."""
-        fc, peer = state["fc"], self.peer
-        return {
-            "unacked": self.send_seq - peer.recv_seq,
-            "have_unacked_delivery": state["have_unacked_delivery"],
-            "headroom": [limit - used for limit, used
-                         in zip(fc["tx_limit"], fc["tx_consumed"])],
-            "unreturned": [self.fc.rx_limit(c) - peer.fc.tx_limit[c]
-                           for c in (0, 1, 2)],
-            "rx_held": fc["rx_held"],
-            "stall_since": [since - origin.tick if since >= 0 else -1
-                            for since in fc["stall_since"]],
-            "rng": state["rng"],
-        }
+        relative = super().relative_state(state, origin)
+        fc, peer = relative.pop("fc"), self.peer
+        relative.update(
+            unacked=self.send_seq - peer.recv_seq,
+            headroom=[limit - used for limit, used
+                      in zip(fc["tx_limit"], fc["tx_consumed"])],
+            unreturned=[self.fc.rx_limit(c) - peer.fc.tx_limit[c]
+                        for c in (0, 1, 2)],
+            rx_held=fc["rx_held"],
+            stall_since=[since - origin.tick if since >= 0 else -1
+                         for since in fc["stall_since"]])
+        return relative
 
     def load_state_dict(self, state: dict) -> None:
         """Overlay captured counters/credits onto this rebuilt interface."""
-        self.send_seq = state["send_seq"]
-        self.recv_seq = state["recv_seq"]
-        self._have_unacked_delivery = state["have_unacked_delivery"]
-        self.fc.load_state_dict(state["fc"])
-        rng_state = state["rng"]
+        state = dict(state)
+        self.fc.load_state_dict(state.pop("fc"))
+        rng_state = state.pop("rng")
+        super().load_state_dict(state)
         self._rng = None
         if rng_state is not None:
             self._rng = random.Random()

@@ -197,30 +197,10 @@ class ComponentPort(SimObject):
         return self.vp2p.secondary_bus
 
     # -- checkpointing ----------------------------------------------------
-    horizons = ("proc_next_free",)
-
-    def state_dict(self) -> dict:
-        """The port's datapath serialization horizon.
-
-        ``_proc_next_free`` is the only state that survives quiescence:
-        the slot pool, the owner map and both egress queues hold live
-        packets and must be empty — a resident packet raises
-        :class:`~repro.sim.checkpoint.CheckpointError` because packets
-        are not describable by owner-path + method-name.
-        """
-        if self.pool_used or self.req_queue._entries or self.resp_queue._entries:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} has resident packets "
-                f"(pool={self.pool_used}, reqq={len(self.req_queue)}, "
-                f"respq={len(self.resp_queue)}); checkpoints require a "
-                f"quiescent engine")
-        return {"proc_next_free": self._proc_next_free}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the datapath horizon onto this rebuilt port."""
-        self._proc_next_free = state["proc_next_free"]
+    # Only the datapath horizon survives quiescence: the slot pool, the
+    # engine's owner map and both egress queues hold live packets.
+    state_fields = {"_proc_next_free": "horizon"}
+    in_flight = ("_slots", "req_queue", "resp_queue")
 
     # -- backpressure ------------------------------------------------------
     def retry_refused_peers(self) -> None:
@@ -316,25 +296,9 @@ class PcieRoutingEngine(SimObject):
         }
 
     # -- checkpointing ----------------------------------------------------
-    horizons = ("datapath_next_free",)
-
-    def state_dict(self) -> dict:
-        """The engine-scoped datapath horizon (ports carry their own).
-
-        A populated owner map means packets are still resident in the
-        engine, which a quiescent checkpoint forbids.
-        """
-        if self._owners:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"{self.full_name} still owns {len(self._owners)} resident "
-                f"packet(s); checkpoints require a quiescent engine")
-        return {"datapath_next_free": self._datapath_next_free}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the shared datapath horizon onto this rebuilt engine."""
-        self._datapath_next_free = state["datapath_next_free"]
+    # The engine-scoped datapath horizon (ports carry their own).
+    state_fields = {"_datapath_next_free": "horizon"}
+    in_flight = ("_owners",)
 
     # -- policy hooks (overridden by RootComplex / PcieSwitch) ------------------------
     def upstream_ranges(self) -> List[AddrRange]:

@@ -39,11 +39,19 @@ re-arms that very instance, so a component that later deschedules
 ``self._ack_event`` deschedules the entry the checkpoint restored.
 Every other entry is rebuilt directly.  Lambdas, closures, calls on
 objects outside the registry and calls carrying packets are not
-describable and raise :class:`CheckpointError` — which is why the
-natural checkpoint boundary is **software quiescence** (a drained
-run), where the queue is empty and every component's in-flight buffers
-are too.  Mid-run checkpoints work whenever all pending entries happen
-to be describable (the property-test suite exercises this).
+describable and raise :class:`CheckpointError`.
+
+**Declared state.**  An object's ``state_dict()`` is computed from two
+class attributes of :class:`~repro.sim.simobject.SimObject`:
+``state_fields``, the attributes that steer the future, and
+``in_flight``, the packet lists, ``PacketQueue``s, counters and ledgers
+that must be empty or zero.  A live packet has no description, so an
+object with any ``in_flight`` attribute busy raises one
+:class:`CheckpointError` naming the object and each busy attribute,
+rather than dropping the packet.  That is why the natural checkpoint
+boundary is **software quiescence** (a drained run).  Mid-run
+checkpoints work whenever nothing is in flight and every pending entry
+is describable (the property-test suite exercises this).
 """
 
 import hashlib
@@ -137,8 +145,8 @@ def capture(sim) -> Dict:
 
     Raises:
         CheckpointError: when a pending event is not describable or a
-            component holds in-flight packets (its ``state_dict`` guards
-            fire) — checkpoints never silently drop simulation state.
+            component has an ``in_flight`` attribute busy — checkpoints
+            never silently drop simulation state.
     """
     entries = sorted(sim.eventq.live_entries(),
                      key=lambda e: (e[0], e[1], e[2]))
@@ -268,19 +276,17 @@ def checkpoint_json(snapshot: Dict) -> str:
     """Canonical serialization: sorted keys, no whitespace.
 
     Two captures of identical simulation states produce identical
-    bytes, which is what makes :func:`checkpoint_digest` a usable cache
-    key component.
+    bytes, which is what makes :func:`checkpoint_digest` a usable
+    identity.
     """
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
 
 
 def checkpoint_digest(snapshot: Dict) -> str:
-    """SHA-256 of the canonical serialization.
-
-    The experiment engine folds this into forked points' result-cache
-    keys: a point resumed from a different prefix state must never hit
-    a result cached under the old one.
-    """
+    """SHA-256 of the canonical serialization: equal digests mean
+    byte-identical documents, which is how the checkpoint and
+    fast-forward tests compare a restored or skipped run with a cold
+    one."""
     return hashlib.sha256(checkpoint_json(snapshot).encode()).hexdigest()
 
 

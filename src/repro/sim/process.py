@@ -176,20 +176,15 @@ class Process(SimObject):
                 f"process {self.full_name} yielded {directive!r}; expected Delay or WaitFor"
             )
 
-    def state_dict(self) -> dict:
-        """Nothing to capture; but a process suspended mid-body refuses.
+    # A suspended process's generator frame has no description, so its
+    # pending resume (a describable call of _resume) must not be restored
+    # into a twin whose generator would start over.
+    in_flight = ("_suspended",)
 
-        Its generator frame cannot be described, so its pending resume
-        — a describable call of :meth:`_resume` — must not be restored
-        into a twin whose generator would start over.
-        """
-        if self.start_tick is not None and not self.done:
-            from repro.sim.checkpoint import CheckpointError
-
-            raise CheckpointError(
-                f"process {self.full_name} is suspended mid-body; "
-                f"checkpoints require every started process to finish")
-        return {}
+    @property
+    def _suspended(self) -> bool:
+        """Started and not yet finished."""
+        return self.start_tick is not None and not self.done
 
     @property
     def elapsed(self) -> Optional[int]:

@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.check.checker import InvariantChecker
 from repro.obs.trace import Tracer
+from repro.sim.checkpoint import CheckpointError, capture, restore
 from repro.sim.eventq import Event, EventQueue, call, proxy
 from repro.sim.stats import StatGroup
 
@@ -27,6 +28,20 @@ CHECK_ENV = "REPRO_CHECK"
 
 #: ``SimObject.schedule``'s "no argument" marker (None is a payload).
 _NO_ARG = object()
+
+
+def _key(attr: str) -> str:
+    """The document key of a ``state_fields`` attribute."""
+    return attr[1:] if attr.startswith("_") else attr
+
+
+def _busy(value: Any) -> bool:
+    """Whether an ``in_flight`` attribute holds work."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_busy(item) for item in value)
+    return bool(value)
 
 
 def _check_default() -> bool:
@@ -98,7 +113,6 @@ class Simulator:
         # O(1) and duplicate registration is an error instead of a
         # silent first-match.
         self._by_name: Dict[str, "SimObject"] = {}
-        self._exit_callbacks: List[Callable[[], None]] = []
         # Set by pause(): called between events by run().
         self._pause_hook: Optional[Callable] = None
         self._running = False  # whether run() is draining the queue
@@ -147,25 +161,7 @@ class Simulator:
             self._running = False
         if self.checker.enabled and self.eventq.empty():
             self.checker.check_quiescence()
-        if self._exit_callbacks and self.eventq.empty():
-            # Fire-once semantics: a callback registered with on_exit()
-            # runs at the end of the run() that drains the queue, then
-            # is dropped (re-register to observe a later drain).
-            callbacks, self._exit_callbacks = self._exit_callbacks, []
-            for callback in callbacks:
-                callback()
         return tick
-
-    def on_exit(self, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to fire once when a :meth:`run` ends
-        with the event queue fully drained (end of simulation).
-
-        Used for end-of-run flushes — writing a checkpoint after the
-        workload completes is the canonical case.  Callbacks run in
-        registration order, after the quiescence check, and are
-        consumed: each registration fires at most once.
-        """
-        self._exit_callbacks.append(callback)
 
     def stop(self) -> None:
         """Ask a run in progress to stop after the current event."""
@@ -232,8 +228,6 @@ class Simulator:
         ledgers.  See :mod:`repro.sim.checkpoint` for the format and
         the describability rules.
         """
-        from repro.sim.checkpoint import capture
-
         return capture(self)
 
     def restore(self, snapshot: Dict) -> None:
@@ -245,8 +239,6 @@ class Simulator:
         stats/tracer/checker so a subsequent run is byte-identical to
         continuing the captured simulation.
         """
-        from repro.sim.checkpoint import restore
-
         restore(self, snapshot)
 
 
@@ -318,47 +310,67 @@ class SimObject:
             eventq.call_at(eventq.curtick + delay, callback, arg)
 
     # -- checkpoint protocol ----------------------------------------------
+    #: The attributes that steer the future, each with how the period
+    #: proof reads it: "exact"; "horizon", a tick read as an offset from
+    #: the boundary tick (0 means never set); or "accumulator", which
+    #: nothing reads back and the relative state leaves out.  The
+    #: document key is the name less one leading underscore.
+    state_fields: Dict[str, str] = {}
+    #: Attributes that must be empty or zero at a checkpoint: packet
+    #: lists and queues, counters and ledgers.  A list or dict is empty
+    #: when each of its values is.
+    in_flight: Tuple[str, ...] = ()
+
     def state_dict(self) -> Dict:
-        """Checkpointable state beyond what construction reproduces.
+        """The :attr:`state_fields`, as a JSON-safe dict that
+        :meth:`load_state_dict` accepts back.
 
-        The default is empty: most objects are fully described by the
-        topology spec that rebuilt them.  Stateful components override
-        this to return a JSON-safe dict; anything returned here must be
-        accepted back by :meth:`load_state_dict`.
+        Raises:
+            CheckpointError: naming each :attr:`in_flight` attribute
+                that holds work: a live packet has no description, so a
+                checkpoint never silently drops one.
         """
-        return {}
-
-    #: ``state_dict`` keys holding tick horizons, read as offsets.
-    horizons: Tuple[str, ...] = ()
-    #: ``state_dict`` keys holding accumulators nothing reads back.
-    accumulators: Tuple[str, ...] = ()
+        busy = [attr for attr in self.in_flight if _busy(getattr(self, attr))]
+        if busy:
+            raise CheckpointError(
+                f"{self.full_name} has work in flight in {', '.join(busy)}; "
+                f"checkpoints require it quiescent")
+        return {_key(attr): getattr(self, attr) for attr in self.state_fields}
 
     def relative_state(self, state: Dict, origin: Origin) -> Dict:
-        """``state`` (this :meth:`state_dict`) as seen from a block-layer
-        request boundary; equal relative states at two boundaries mean
-        translated futures (see :mod:`repro.kernel.blockio`).  Undeclared
-        state must match exactly."""
-        relative = {key: value for key, value in state.items()
-                    if key not in self.accumulators}
-        for key in self.horizons:
-            # Read through max(now, horizon), so a past horizon could be
-            # clamped; it is not, so equal offsets imply an exact step.
-            # 0 means never set.
-            tick = relative[key]
-            relative[key] = tick - origin.tick if tick else 0
+        """``state`` (this :meth:`state_dict`) as seen from a fast-forward
+        boundary, read as :attr:`state_fields` declares; equal relative
+        states at two boundaries mean translated futures (see
+        :mod:`repro.kernel.blockio`).  Undeclared keys must match
+        exactly."""
+        relative = dict(state)
+        for attr, kind in self.state_fields.items():
+            key = _key(attr)
+            if kind == "accumulator":
+                del relative[key]
+            elif kind == "horizon":
+                # Read through max(now, horizon), so a past horizon could
+                # be clamped; it is not, so equal offsets imply an exact
+                # step.
+                tick = relative[key]
+                relative[key] = tick - origin.tick if tick else 0
         return relative
 
     def load_state_dict(self, state: Dict) -> None:
         """Restore :meth:`state_dict` output captured from a twin object.
 
-        The default accepts only an empty dict — receiving state for an
-        object that declares none means the checkpoint and the rebuilt
-        topology disagree, which is an error rather than data loss.
+        A key no :attr:`state_fields` entry names means the checkpoint
+        and the rebuilt topology disagree, which is an error rather
+        than data loss.
         """
-        if state:
+        fields = {_key(attr): attr for attr in self.state_fields}
+        unknown = sorted(state.keys() - fields.keys())
+        if unknown:
             raise ValueError(
                 f"{self.full_name} ({type(self).__name__}) declares no "
-                f"checkpointable state but was given keys {sorted(state)}")
+                f"checkpointable state {unknown}")
+        for key, attr in fields.items():
+            setattr(self, attr, state[key])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.full_name!r}>"

@@ -162,7 +162,8 @@ def test_checkpoint_carries_useful_ticks_and_refuses_a_busy_bus():
     master.read(0x40000000, 64)
     sim.run(max_events=3)
     assert bus._busy or bus._queue or bus._waiting_completion
-    with pytest.raises(CheckpointError, match="idle bus"):
+    with pytest.raises(CheckpointError,
+                       match="pci_bus has work in flight in _queue, _waiting_completion"):
         bus.state_dict()
     sim.run()
     state = bus.state_dict()

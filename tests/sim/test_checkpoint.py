@@ -309,7 +309,7 @@ def test_suspended_process_is_not_checkpointable():
     sim, _ = build()
     Process(sim, "proc", body())
     sim.run(until=5)
-    with pytest.raises(CheckpointError, match="suspended mid-body"):
+    with pytest.raises(CheckpointError, match="proc has work in flight in _suspended"):
         capture(sim)
     sim.run()
     assert capture(sim)["events"] == []

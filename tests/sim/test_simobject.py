@@ -113,34 +113,6 @@ def test_same_leaf_name_under_different_parents_is_fine():
     assert sim.find("b.dev") is dev_b
 
 
-def test_on_exit_fires_once_at_drain_in_order():
-    sim = Simulator()
-    obj = SimObject(sim, "obj")
-    fired = []
-    sim.on_exit(lambda: fired.append(("first", sim.curtick)))
-    sim.on_exit(lambda: fired.append(("second", sim.curtick)))
-    obj.schedule(50, lambda: None)
-    sim.run()
-    assert fired == [("first", 50), ("second", 50)]
-    # Consumed: a later drained run does not re-fire old registrations.
-    obj.schedule(10, lambda: None)
-    sim.run()
-    assert len(fired) == 2
-
-
-def test_on_exit_waits_for_a_drained_run():
-    sim = Simulator()
-    obj = SimObject(sim, "obj")
-    fired = []
-    sim.on_exit(lambda: fired.append(sim.curtick))
-    obj.schedule(10, lambda: None)
-    obj.schedule(100, lambda: None)
-    sim.run(until=20)
-    assert fired == [], "queue still holds the tick-100 event"
-    sim.run()
-    assert fired == [100]
-
-
 def test_schedule_label_is_lazy(monkeypatch):
     # An armed checker builds no label either: it formats its ring of
     # dispatches only when a violation is built.

@@ -17,6 +17,8 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "sim"),
     os.path.join(REPO_ROOT, "src", "repro", "pcie"),
     os.path.join(REPO_ROOT, "src", "repro", "system"),
+    os.path.join(REPO_ROOT, "src", "repro", "kernel"),
+    os.path.join(REPO_ROOT, "src", "repro", "workloads"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 
