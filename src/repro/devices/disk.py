@@ -236,16 +236,19 @@ class IdeDisk(PcieDevice):
 
     def relative_state(self, state: dict, origin) -> dict:
         """On the device a transfer drives, the LBA and buffer cursors
-        relative to the boundary's cursor.  Between commands the LBA and
-        buffer registers trail the cursor by one request, so they are
-        relative too; a running command's stay put while its cursor
-        moves, and nothing reads them before it completes."""
+        relative to the boundary's cursor.  The LBA and buffer registers
+        are relative too: between commands to the cursor, which they
+        trail by one request; during a command to its first sector,
+        where they stay while its cursor moves (nothing reads them
+        before it completes), so the same sector of two commands
+        compares equal."""
         if origin.device is not self:
             return state
         regs = dict(state["regs"])
-        if not self.busy:
-            regs[str(REG_LBA)] -= origin.lba
-            regs[str(REG_BUF_ADDR)] -= origin.addr
+        done = (regs[str(REG_COUNT)] - state["sectors_remaining"]
+                if self.busy else 0)
+        regs[str(REG_LBA)] -= origin.lba - done
+        regs[str(REG_BUF_ADDR)] -= origin.addr - done * self.sector_size
         return dict(super().relative_state(state, origin), regs=regs,
                     current_lba=state["current_lba"] - origin.lba,
                     current_buf=state["current_buf"] - origin.addr)

@@ -20,20 +20,25 @@ request repeated, and a disk command one sector repeated.  At each
 request boundary, and at each sector boundary of a disk command, a
 :class:`_Prover` pauses the run (spending no event and no sequence
 number) and snapshots every object's
-:meth:`~repro.sim.simobject.SimObject.relative_state`.  When two
-consecutive boundaries agree, every later span up to the last is a
-translate of the last one: the queue, every ``state_dict`` leaf and
-every linear statistic move by that many times the measured step, and
-moment statistics replay the span's samples.  ARCHITECTURE.md
-"Fast-forwarding a repeated request" gives the argument.
+:meth:`~repro.sim.simobject.SimObject.relative_state`, in which a
+horizon already past reads as 0: the model reads it only through
+``max(now, horizon)``.  When two consecutive boundaries agree, every
+later span up to the last is a translate of the last one: the queue,
+every ``state_dict`` leaf and every linear statistic move by that many
+times the measured step, a horizon lands as the last span left it, and
+moment statistics replay the span's samples.  A proven period is a fact
+about a relative state, so the transfer remembers it, and a later
+boundary of the same kind that starts it (the same sector of the next
+disk command) skips at once.  ARCHITECTURE.md "Fast-forwarding a
+repeated request" gives the argument.
 """
 
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.sim import ticks
 from repro.sim.checkpoint import CheckpointError, _describe_event
 from repro.sim.process import Delay, Process, WaitFor
-from repro.sim.simobject import Origin, SimObject, Simulator
+from repro.sim.simobject import Origin, SimObject, Simulator, _key
 from repro.sim.stats import Replayable
 
 
@@ -41,25 +46,51 @@ class _Differs(Exception):
     """Two snapshots differ in more than numbers."""
 
 
-def _extrapolate(new, old, times: int):
-    """``new + times * (new - old)`` leaf by leaf; a float only by an
+def _extrapolate(now, new, old, times: int):
+    """``now + times * (new - old)`` leaf by leaf; a float only by an
     integral step (exact), and nothing else may move."""
-    if isinstance(new, dict):
-        if not isinstance(old, dict) or new.keys() != old.keys():
+    if isinstance(now, dict):
+        if not (isinstance(new, dict) and isinstance(old, dict)
+                and now.keys() == new.keys() == old.keys()):
             raise _Differs
-        return {key: _extrapolate(new[key], old[key], times) for key in new}
-    if isinstance(new, list):
-        if not isinstance(old, list) or len(new) != len(old):
+        return {key: _extrapolate(now[key], new[key], old[key], times)
+                for key in now}
+    if isinstance(now, list):
+        if not (isinstance(new, list) and isinstance(old, list)
+                and len(now) == len(new) == len(old)):
             raise _Differs
-        return [_extrapolate(a, b, times) for a, b in zip(new, old)]
-    if type(new) in (int, float) and type(old) is type(new):
+        return [_extrapolate(*leaves, times) for leaves in zip(now, new, old)]
+    if type(now) in (int, float) and type(new) is type(now) is type(old):
         step = new - old
         if type(step) is float and not step.is_integer():
             raise _Differs
-        return new + times * step
-    if new != old:
+        return now + times * step
+    if not now == new == old:
         raise _Differs
-    return new
+    return now
+
+
+def _horizon(now, new, old, shift: int):
+    """A horizon that did not move over the period keeps ``now``; one
+    that did lands ``shift`` past ``new``.  Per value of a dict."""
+    if type(now) is dict:
+        return {key: _horizon(now[key], new[key], old[key], shift)
+                for key in now}
+    return now if new == old else new + shift
+
+
+def _land(now: dict, new: dict, old: dict, times: int, shift: int) -> dict:
+    """Every owner's raw state ``times`` periods on from ``now``, for a
+    period proven from ``old`` to ``new``: horizons by
+    :func:`_horizon`, every other leaf by :func:`_extrapolate`."""
+    ahead = _extrapolate(now, new, old, times)
+    for owner, state in ahead.items():
+        for attr, kind in getattr(owner, "state_fields", {}).items():
+            if kind == "horizon":
+                key = _key(attr)
+                state[key] = _horizon(now[owner][key], new[owner][key],
+                                      old[owner][key], shift)
+    return ahead
 
 
 def _observed(sim: Simulator) -> bool:
@@ -74,17 +105,32 @@ def _one_process(sim: Simulator) -> Optional[Process]:
     return running[0] if len(running) == 1 else None
 
 
+class _Period(NamedTuple):
+    """A period proven from boundary a to boundary b: the relative state
+    both share, the raw ``(queue, states)`` at a and at b, the span's
+    replayable stats and tapes, and the memory object that served it."""
+
+    start: tuple
+    a: tuple
+    b: tuple
+    replayables: list
+    spans: dict
+    memory: Any
+
+
 class _Prover:
     """The period proof of one kind of boundary: a transfer's requests,
-    or one command's sectors.  Holds the snapshot at the last boundary
-    and, between boundaries, the tapes recording the span's samples.
+    or one command's sectors.  Holds the snapshot at the last boundary,
+    between boundaries the tapes recording the span's samples, and the
+    transfer's list of the periods this kind of boundary has proven.
 
     Tapes nest: arming saves the tape already armed (an enclosing
     span's), and disarming hands the samples on to it, so the request
     a skipped sector belongs to still records every sample."""
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, periods: Optional[list] = None):
         self.sim = sim
+        self.periods = [] if periods is None else periods
         self.last: Optional[tuple] = None
         self._outer: dict = {}  # Replayable stat -> the tape it had
 
@@ -105,7 +151,8 @@ class _Prover:
     def worth_pausing(self, later: int) -> bool:
         """Whether a boundary with ``later`` full spans after the current
         one could still lead to a skip."""
-        return later >= 2 or (later == 1 and self.last is not None)
+        return later >= 2 or (later == 1 and (self.last is not None
+                                              or bool(self.periods)))
 
     def close(self) -> None:
         """Disarm, and forget the last snapshot."""
@@ -148,61 +195,74 @@ class _Prover:
 
     def boundary(self, origin: Origin, span: int, later: int, first: int,
                  until: Optional[int], limit: Optional[int]) -> Optional[int]:
-        """Snapshot; if the last boundary agrees, skip up to ``later``
-        spans of ``span`` sectors that fit before ``until`` and the event
-        ``limit``, unless they leave the proven span's memory range or
-        the disk.  ``first`` is where the proven span starts, in spans
-        from the cursor.  Returns the spans skipped, None on a decline."""
+        """Snapshot; if the last boundary agrees, or this one starts a
+        remembered period, skip up to ``later`` spans of ``span`` sectors
+        that fit before ``until`` and the event ``limit``, unless they
+        pass the disk's end or leave the memory object that served the
+        proven span.  ``first`` is where the span just ended starts, in
+        spans from the cursor.  Returns the spans skipped, None on a
+        decline."""
         spans = self._disarm()
         last, snap = self.last, self._snapshot(origin)
         self.last = snap
         if snap is None:
             return None
-        times = self._skip(snap, last, spans, origin, span, later, first,
-                           until, limit)
+        if (last is not None and snap[0] == last[0]
+                and len(spans) == len(snap[2])):
+            span_bytes = span * origin.device.sector_size
+            lo = origin.addr + first * span_bytes
+            period = _Period(snap[0], last[1], snap[1], snap[2], spans,
+                             self._memory(lo, lo + span_bytes))
+            self.periods.append(period)
+        else:
+            period = next((p for p in self.periods if p.replayables == snap[2]
+                           and p.start == snap[0]), None)
+        times = 0 if period is None else self._skip(
+            snap, period, origin, span, later, first, until, limit)
         if times:
             self.last = None  # its raw half is stale now: prove afresh
         self._arm(snap[2])
         return times
 
-    def _skip(self, snap, last, spans, origin, span, later, first,
-              until, limit) -> int:
-        if (last is None or snap[0] != last[0]
-                or len(spans) != len(snap[2])):
-            return 0
-        (queue, states), (last_queue, last_states) = snap[1], last[1]
-        step = [a - b for a, b in zip(queue, last_queue)]
+    def _skip(self, snap, period: _Period, origin: Origin, span: int,
+              later: int, first: int, until: Optional[int],
+              limit: Optional[int]) -> int:
+        (queue, states), (queue_a, states_a) = snap[1], period.a
+        queue_b, states_b = period.b
+        step = [b - a for b, a in zip(queue_b, queue_a)]
         times = later
         if until is not None:
             times = min(times, (until - queue[0]) // max(step[0], 1))
         if limit is not None:
             times = min(times, (limit - queue[2]) // max(step[2], 1))
-        # The proven and skipped spans, counted from the cursor.
+        # The skipped spans, counted from the cursor.
         end = first + times + 1
         span_bytes = span * origin.device.sector_size
-        if (times < 1
+        if (times < 1 or period.memory is None
                 or origin.lba + end * span > origin.device.capacity_sectors
-                or not self._one_memory(origin.addr + first * span_bytes,
-                                        origin.addr + end * span_bytes)):
+                or self._memory(origin.addr + (first + 1) * span_bytes,
+                                origin.addr + end * span_bytes)
+                is not period.memory):
             return 0
         try:
-            ahead = _extrapolate(states, last_states, times)
+            ahead = _land(states, states_b, states_a, times,
+                          queue[0] + times * step[0] - queue_b[0])
         except _Differs:
             return 0
         self.sim.eventq.advance(*(times * d for d in step))
         for owner, state in ahead.items():
             owner.load_state_dict(state)
-        for stat, samples in spans.items():  # the proven span's
+        for stat, samples in period.spans.items():  # the proven span's
             stat.replay(samples, times)
         return times
 
-    def _one_memory(self, lo: int, hi: int) -> bool:
-        """True when one memory object's range holds all of [lo, hi)."""
+    def _memory(self, lo: int, hi: int) -> Optional[SimObject]:
+        """The memory object whose range holds all of [lo, hi), or None."""
         for obj in self.sim._objects:
             rng = getattr(obj, "range", None)
             if rng is not None and rng.start <= lo and hi <= rng.end:
-                return True
-        return False
+                return obj
+        return None
 
 
 class _Cursor:
@@ -210,6 +270,9 @@ class _Cursor:
 
     def __init__(self, sim: Simulator, lba: int, buf: int, remaining: int):
         self.lba, self.buf, self.remaining, self.start = lba, buf, remaining, 0
+        # The request prover's periods are those of completions, then
+        # of submissions; these are those of the sectors of any command.
+        self.sectors: list = []
         self.prover = _Prover(sim)
         # Boundaries sit where a request completes until that point is
         # not quiescent (a coalesced ACK pending), then at submissions.
@@ -270,7 +333,7 @@ class BlockLayer(SimObject):
             if not cur.at_completion:
                 self._maybe_pause(cur, device)
             yield Delay(self.submit_overhead + chunk * self.per_sector_overhead)
-            sectors = self._arm_sectors(device, chunk)
+            sectors = self._arm_sectors(cur, device, chunk)
             completion = yield from driver.start_request(
                 cur.lba, chunk, cur.buf, is_write
             )
@@ -309,6 +372,7 @@ class BlockLayer(SimObject):
             0 if cur.at_completion else -1, until, limit)
         if times is None:
             cur.at_completion = False
+            cur.prover.periods = []
             return
         cur.start += self.curtick - before
         cur.lba += times * per_request
@@ -316,12 +380,13 @@ class BlockLayer(SimObject):
         cur.remaining -= times * per_request
         self.requests_fast_forwarded += times
 
-    def _arm_sectors(self, device, chunk: int) -> Optional[_Prover]:
+    def _arm_sectors(self, cur: _Cursor, device,
+                     chunk: int) -> Optional[_Prover]:
         """Give a command that could skip sectors a sector boundary."""
         if (chunk < 3 or not hasattr(device, "sector_boundary")
                 or _observed(self.sim) or _one_process(self.sim) is None):
             return None
-        prover = _Prover(self.sim)
+        prover = _Prover(self.sim, cur.sectors)
 
         def boundary(origin: Origin, later: int, until: Optional[int],
                      limit: Optional[int]) -> None:

@@ -38,6 +38,10 @@ class NoncoherentXBar(SimObject):
         queue_depth: per-destination buffered packets before refusing.
     """
 
+    # The layers' horizons, keyed by port name; read only through
+    # max(now, horizon).
+    state_fields = {"_req_layer_free": "horizon",
+                    "_resp_layer_free": "horizon"}
     in_flight = ("_req_queues", "_resp_queues", "_resp_route")
 
     def __init__(
@@ -60,9 +64,10 @@ class NoncoherentXBar(SimObject):
         self._master_ports: List[MasterPort] = []
         self._req_queues: Dict[MasterPort, PacketQueue] = {}
         self._resp_queues: Dict[SlavePort, PacketQueue] = {}
-        # Layer occupancy: earliest tick each direction of each port is free.
-        self._req_layer_free: Dict[MasterPort, int] = {}
-        self._resp_layer_free: Dict[SlavePort, int] = {}
+        # Layer occupancy: earliest tick each direction of each port is
+        # free, by port name.
+        self._req_layer_free: Dict[str, int] = {}
+        self._resp_layer_free: Dict[str, int] = {}
         # Response routing: request id -> slave port it entered on.
         self._resp_route: Dict[int, SlavePort] = {}
         self._default_port: Optional[MasterPort] = None
@@ -76,6 +81,8 @@ class NoncoherentXBar(SimObject):
     # weakly), reaching the crossbar as the port's owner.
     def attach_master(self, name: str) -> SlavePort:
         """Create a slave port for an upstream master device to bind to."""
+        if name in self._resp_layer_free:
+            raise ValueError(f"{self.full_name} already has a port {name!r}")
         port = SlavePort(self, name)
         port.recv_timing_req = MethodType(_request_in, port)
         self._slave_ports.append(port)
@@ -85,11 +92,13 @@ class NoncoherentXBar(SimObject):
         queue.on_space_freed = self._kick_waiting_responders
         port.recv_resp_retry = queue.retry
         self._resp_queues[port] = queue
-        self._resp_layer_free[port] = 0
+        self._resp_layer_free[name] = 0
         return port
 
     def attach_slave(self, name: str) -> MasterPort:
         """Create a master port for a downstream slave device to bind to."""
+        if name in self._req_layer_free:
+            raise ValueError(f"{self.full_name} already has a port {name!r}")
         port = MasterPort(self, name)
         port.recv_timing_resp = MethodType(_response_in, port)
         self._master_ports.append(port)
@@ -99,7 +108,7 @@ class NoncoherentXBar(SimObject):
         queue.on_space_freed = self._kick_waiting_requesters
         port.recv_req_retry = queue.retry
         self._req_queues[port] = queue
-        self._req_layer_free[port] = 0
+        self._req_layer_free[name] = 0
         return port
 
     def set_default_port(self, port: MasterPort) -> None:
@@ -132,9 +141,9 @@ class NoncoherentXBar(SimObject):
             self.retries.total += 1
             return False
         now = self.eventq.curtick
-        start = max(now, self._req_layer_free[dest])
+        start = max(now, self._req_layer_free[dest.name])
         occupancy = self._occupancy(pkt)
-        self._req_layer_free[dest] = start + occupancy
+        self._req_layer_free[dest.name] = start + occupancy
         delay = (start - now) + occupancy + self.forward_latency
         accepted = queue.push(pkt, delay)
         assert accepted, "queue.full checked above"
@@ -161,9 +170,9 @@ class NoncoherentXBar(SimObject):
             return False
         del self._resp_route[pkt.req_id]
         now = self.eventq.curtick
-        start = max(now, self._resp_layer_free[dest])
+        start = max(now, self._resp_layer_free[dest.name])
         occupancy = self._occupancy(pkt)
-        self._resp_layer_free[dest] = start + occupancy
+        self._resp_layer_free[dest.name] = start + occupancy
         accepted = queue.push(pkt, (start - now) + occupancy + self.forward_latency)
         assert accepted
         self.pkt_count.total += 1

@@ -68,7 +68,8 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: silently misreading state.  Version 2: event records gained ``arg``
 #: and ``handle`` and lost ``name``.  Version 3: the disk's state lost
 #: ``written_lbas``, and a link's never-built error RNG is null.
-CHECKPOINT_VERSION = 3
+#: Version 4: a crossbar's state holds its layers' horizons.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

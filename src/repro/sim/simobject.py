@@ -35,6 +35,20 @@ def _key(attr: str) -> str:
     return attr[1:] if attr.startswith("_") else attr
 
 
+def _owned(value: Any) -> Any:
+    """A field's value, a dict one copied: a document never aliases
+    live state."""
+    return dict(value) if type(value) is dict else value
+
+
+def _ahead(horizon: Any, tick: int) -> Any:
+    """A horizon (a tick, or a dict of ticks) as its offset past
+    ``tick``; a past one reads 0, like one never set."""
+    if type(horizon) is dict:
+        return {key: max(value - tick, 0) for key, value in horizon.items()}
+    return max(horizon - tick, 0)
+
+
 def _busy(value: Any) -> bool:
     """Whether an ``in_flight`` attribute holds work."""
     if isinstance(value, dict):
@@ -311,10 +325,12 @@ class SimObject:
 
     # -- checkpoint protocol ----------------------------------------------
     #: The attributes that steer the future, each with how the period
-    #: proof reads it: "exact"; "horizon", a tick read as an offset from
-    #: the boundary tick (0 means never set); or "accumulator", which
-    #: nothing reads back and the relative state leaves out.  The
-    #: document key is the name less one leading underscore.
+    #: proof reads it: "exact"; "horizon", a tick (or a dict of ticks)
+    #: that the model reads only through ``max(now, horizon)``, so the
+    #: proof reads it as its offset past the boundary tick and a past
+    #: one as 0; or "accumulator", which nothing reads back and the
+    #: relative state leaves out.  The document key is the name less
+    #: one leading underscore.
     state_fields: Dict[str, str] = {}
     #: Attributes that must be empty or zero at a checkpoint: packet
     #: lists and queues, counters and ledgers.  A list or dict is empty
@@ -335,7 +351,8 @@ class SimObject:
             raise CheckpointError(
                 f"{self.full_name} has work in flight in {', '.join(busy)}; "
                 f"checkpoints require it quiescent")
-        return {_key(attr): getattr(self, attr) for attr in self.state_fields}
+        return {_key(attr): _owned(getattr(self, attr))
+                for attr in self.state_fields}
 
     def relative_state(self, state: Dict, origin: Origin) -> Dict:
         """``state`` (this :meth:`state_dict`) as seen from a fast-forward
@@ -349,11 +366,7 @@ class SimObject:
             if kind == "accumulator":
                 del relative[key]
             elif kind == "horizon":
-                # Read through max(now, horizon), so a past horizon could
-                # be clamped; it is not, so equal offsets imply an exact
-                # step.
-                tick = relative[key]
-                relative[key] = tick - origin.tick if tick else 0
+                relative[key] = _ahead(relative[key], origin.tick)
         return relative
 
     def load_state_dict(self, state: Dict) -> None:
@@ -370,7 +383,7 @@ class SimObject:
                 f"{self.full_name} ({type(self).__name__}) declares no "
                 f"checkpointable state {unknown}")
         for key, attr in fields.items():
-            setattr(self, attr, state[key])
+            setattr(self, attr, _owned(state[key]))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.full_name!r}>"

@@ -60,6 +60,20 @@ def _skipped(system):
     return layer.requests_fast_forwarded, layer.sectors_fast_forwarded
 
 
+def _recalls():
+    """Patch :class:`_Prover` to count, in the list returned, the spans
+    each skip from a remembered period skipped."""
+    skips, skip = [], _Prover._skip
+
+    def counted(self, snap, period, *args):
+        times = skip(self, snap, period, *args)
+        if times and period.b is not snap[1]:
+            skips.append(times)
+        return times
+
+    return skips, mock.patch.object(_Prover, "_skip", counted)
+
+
 def _both(scenario):
     """``scenario()`` fast-forwarded, then with the proof switched off
     at request and sector boundaries alike."""
@@ -164,45 +178,52 @@ def test_fast_forward_matches_the_full_run(machine, disk, per_request,
                             is_write=is_write)
         return _finished(system, process)
 
-    (fast, skipped), (full, none) = _both(scenario)
-    note(f"skipped {skipped} (requests, sectors) of {n_sectors} sectors")
+    recalled, counting = _recalls()
+    with counting:
+        (fast, skipped), (full, none) = _both(scenario)
+    note(f"skipped {skipped} (requests, sectors) of {n_sectors} sectors, "
+         f"{len(recalled)} skips from a remembered period")
     assert none == (0, 0)
     assert fast == full
 
 
-def test_a_two_request_read_skips_all_but_six_sectors():
-    # Per command: sector 1 starts cold, sectors 2 and 3 prove the
-    # period, 29 are skipped and the last one is simulated.
+def test_a_two_request_read_skips_all_but_four_sectors():
+    # Command 1: sector 1 starts cold, sectors 2 and 3 prove the period,
+    # 29 are skipped and the last one is simulated.  Command 2 starts
+    # where that period started, so its first 31 sectors are skipped at
+    # once and only its last one is simulated.
     def scenario():
         system = _gen2x1(FULL_REQUEST)
         return _finished(system, _transfer(system, 64))
 
     (fast, skipped), (full, none) = _both(scenario)
-    assert (skipped, none) == ((0, 58), (0, 0))
+    assert (skipped, none) == ((0, 60), (0, 0))
     assert fast == full
 
 
 @pytest.mark.parametrize("build", [_classic, _gen2x1], ids=["classic", "gen2x1"])
 def test_both_levels_engage_in_one_transfer(build):
-    # Requests 1 and 2 prove the request period while their sectors are
-    # skipped; requests 3-8 are skipped whole.
+    # Requests 1 and 2 prove the request period while 29 and 31 of
+    # their sectors are skipped; requests 3-8 are skipped whole.
     def scenario():
         system = build(FULL_REQUEST)
         return _finished(system, _transfer(system, 8 * 32))
 
     (fast, skipped), (full, none) = _both(scenario)
-    assert (skipped, none) == ((6, 58), (0, 0))
+    assert (skipped, none) == ((6, 60), (0, 0))
     assert fast == full
 
 
 @pytest.mark.parametrize("build, expected", [
-    # Sector 3 of each simulated full request is skipped too.
-    (_classic, (6, 2)),
-    (_gen2x1, (6, 2)),
+    # Sector 3 of the first full request is skipped too, sectors 1-3 of
+    # each later one from the period the first proved, and sector 2 of
+    # the last, three-sector request, whose count register differs.
+    (_classic, (6, 5)),
+    (_gen2x1, (6, 5)),
     # A coalesced ACK is still pending when the hardware reports a
     # request done, so the proof moves to the next submission and the
     # third request is simulated too.
-    (lambda: _gen2x1(ack_policy="timer"), (5, 3)),
+    (lambda: _gen2x1(ack_policy="timer"), (5, 8)),
 ], ids=["classic", "gen2x1", "gen2x1_timer_ack"])
 def test_every_full_request_after_the_proof_is_skipped(build, expected):
     def scenario():
@@ -221,7 +242,7 @@ def test_a_write_is_skipped_like_a_read():
         return _finished(system, _transfer(system, 4 * 32, is_write=True))
 
     (fast, skipped), (full, none) = _both(scenario)
-    assert (skipped, none) == ((2, 58), (0, 0))
+    assert (skipped, none) == ((2, 60), (0, 0))
     assert fast == full
 
 
@@ -362,6 +383,22 @@ def test_a_command_crossing_the_end_of_dram_fails_as_the_full_run_does():
     def scenario():
         system = _classic(FULL_REQUEST)
         _transfer(system, 32, buffer_addr=dram_end - 20 * SECTOR)
+        with pytest.raises(PortError) as failure:
+            system.run()
+        return str(failure.value), _outcome(system, checkpoint=False)
+
+    fast, full = _both(scenario)
+    assert fast == full
+
+
+def test_a_second_command_crossing_the_end_of_dram_fails_as_the_full_run_does():
+    # Command 2 starts where command 1's sector period started, but the
+    # sectors that period would skip run past DRAM from the ninth on.
+    dram_end = 0x1_8000_0000
+
+    def scenario():
+        system = _classic(FULL_REQUEST)
+        _transfer(system, 64, buffer_addr=dram_end - 40 * SECTOR)
         with pytest.raises(PortError) as failure:
             system.run()
         return str(failure.value), _outcome(system, checkpoint=False)

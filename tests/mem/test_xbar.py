@@ -72,6 +72,18 @@ def test_default_port_must_belong_to_xbar():
         xbar_a.set_default_port(foreign)
 
 
+def test_port_names_are_unique_per_direction():
+    # The layer horizons are keyed by port name.
+    sim = Simulator()
+    xbar = NoncoherentXBar(sim, "bus")
+    xbar.attach_slave("x")
+    xbar.attach_master("x")
+    with pytest.raises(ValueError):
+        xbar.attach_slave("x")
+    with pytest.raises(ValueError):
+        xbar.attach_master("x")
+
+
 def test_responses_return_to_originating_port():
     sim = Simulator()
     xbar = NoncoherentXBar(sim, "bus")
