@@ -241,12 +241,16 @@ class IdeDisk(PcieDevice):
         trail by one request; during a command to its first sector,
         where they stay while its cursor moves (nothing reads them
         before it completes), so the same sector of two commands
-        compares equal."""
+        compares equal.  A running command's count register is left
+        out (nothing reads it before the next start), so a shorter last
+        command starts a full command's remembered period."""
         if origin.device is not self:
             return state
         regs = dict(state["regs"])
-        done = (regs[str(REG_COUNT)] - state["sectors_remaining"]
-                if self.busy else 0)
+        done = 0
+        if self.busy:
+            del regs[str(REG_COUNT)]
+            done = state["current_lba"] - regs[str(REG_LBA)]
         regs[str(REG_LBA)] -= origin.lba - done
         regs[str(REG_BUF_ADDR)] -= origin.addr - done * self.sector_size
         return dict(super().relative_state(state, origin), regs=regs,

@@ -22,6 +22,8 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
+from repro.system.spec import canonical_json
+
 __all__ = ["RESULT_SCHEMA_VERSION", "cache_key", "canonical_json", "ResultCache"]
 
 #: Version of the "result schema": the mapping from (runner, params) to
@@ -29,16 +31,6 @@ __all__ = ["RESULT_SCHEMA_VERSION", "cache_key", "canonical_json", "ResultCache"
 #: sweep point returns (timing model fixes, new metrics, calibration
 #: changes) so stale cache entries are invalidated everywhere at once.
 RESULT_SCHEMA_VERSION = 1
-
-
-def canonical_json(doc: Any) -> str:
-    """Serialise ``doc`` to canonical JSON: sorted keys, no whitespace.
-
-    Canonical form is what both the cache key hash and the byte-identity
-    guarantee rest on — two structurally equal documents always produce
-    the same bytes.
-    """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def cache_key(runner: str, params: Dict[str, Any],

@@ -19,51 +19,39 @@ neither do we (:class:`repro.pci.host.PciHost` plays that role).
 Requests entering the upstream port are stamped with bus number 0.
 """
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.mem.addr import AddrRange
 from repro.pci.capabilities import PciePortType
 from repro.pcie.routing import ComponentPort, PcieRoutingEngine
+from repro.pcie.timing import PcieGen
 from repro.pcie.vp2p import VirtualP2PBridge, WILDCAT_ROOT_PORT_IDS
-from repro.sim.simobject import SimObject, Simulator
+from repro.sim.simobject import Simulator
+
+if TYPE_CHECKING:
+    from repro.system.spec import LinkSpec, RootComplexSpec
 
 
 class RootComplex(PcieRoutingEngine):
     """A root complex with ``num_root_ports`` root ports.
 
-    The keywords are the ``rc_*`` fields and ``num_root_ports`` of
-    :class:`repro.system.spec.TopologySpec`, which hold their defaults
-    and range checks; ``link_speed``/``link_width`` are what the root
-    ports' VP2P capability registers advertise.
+    ``spec`` holds the engine knobs; ``num_root_ports`` is the
+    topology's effective root-port count, and the root ports' VP2P
+    capability registers advertise the ``advertised`` link's generation
+    and width.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "root_complex",
-        parent: Optional[SimObject] = None,
-        *,
-        num_root_ports: int,
-        latency: int,
-        buffer_size: int,
-        service_interval: int,
-        datapath_scope: str,
-        link_speed: int,
-        link_width: int,
-    ):
-        super().__init__(
-            sim, name, parent,
-            latency=latency, buffer_size=buffer_size,
-            service_interval=service_interval,
-            datapath_scope=datapath_scope,
-        )
+    def __init__(self, sim: Simulator, spec: "RootComplexSpec", *,
+                 num_root_ports: int, advertised: "LinkSpec"):
+        super().__init__(sim, "root_complex", spec)
+        link_speed = PcieGen[advertised.gen].speed_code
         for i in range(num_root_ports):
             device_id = WILDCAT_ROOT_PORT_IDS[i % len(WILDCAT_ROOT_PORT_IDS)]
             vp2p = VirtualP2PBridge(
                 device_id=device_id,
                 port_type=PciePortType.ROOT_PORT,
                 link_speed=link_speed,
-                link_width=link_width,
+                link_width=advertised.width,
             )
             self.add_downstream_port(vp2p, name=f"root_port{i}")
 

@@ -42,7 +42,7 @@ for all responses combined.
 """
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import FLOW_CPL, FLOW_NP, FLOW_P, Packet
@@ -50,6 +50,9 @@ from repro.mem.port import MasterPort, PacketQueue, PortError, SlavePort
 from repro.pcie.vp2p import VirtualP2PBridge
 from repro.sim.eventq import labelled
 from repro.sim.simobject import SimObject, Simulator
+
+if TYPE_CHECKING:
+    from repro.system.spec import EngineSpec
 
 
 class ComponentPort(SimObject):
@@ -222,28 +225,17 @@ class ComponentPort(SimObject):
 class PcieRoutingEngine(SimObject):
     """Base class: see module docstring.
 
-    The keywords are the engine knobs of
-    :class:`repro.system.spec.SwitchSpec` (and the ``rc_*`` fields of
-    :class:`repro.system.spec.TopologySpec`), which hold their defaults
-    and range checks.  ``datapath_scope`` "port" gives each port its own
-    datapath pipeline; "engine" shares one pipeline across all ports and
-    both directions (an ablation of the internal organisation).
+    ``spec`` is the engine's :class:`repro.system.spec.EngineSpec`,
+    whose knobs are copied onto plain attributes once, here: no
+    per-packet path reads a record.  ``datapath_scope`` "port" gives
+    each port its own datapath pipeline; "engine" shares one across all
+    ports and both directions (an ablation of the internal organisation).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        parent: Optional[SimObject] = None,
-        *,
-        latency: int,
-        buffer_size: int,
-        service_interval: int,
-        datapath_scope: str,
-    ):
-        super().__init__(sim, name, parent)
-        self.latency = latency
-        self.buffer_size = buffer_size
+    def __init__(self, sim: Simulator, name: str, spec: "EngineSpec"):
+        super().__init__(sim, name)
+        self.latency = spec.latency
+        self.buffer_size = buffer_size = spec.buffer_size
         # Per-class partition of each port's pool: completions get a
         # quarter, the remainder splits evenly between posted and
         # non-posted, and every class gets at least one slot (tiny
@@ -251,8 +243,8 @@ class PcieRoutingEngine(SimObject):
         self.cpl_slots = max(1, buffer_size // 4)
         self.p_slots = max(1, (buffer_size - self.cpl_slots) // 2)
         self.np_slots = max(1, buffer_size - self.cpl_slots - self.p_slots)
-        self.service_interval = service_interval
-        self.datapath_scope = datapath_scope
+        self.service_interval = spec.service_interval
+        self.datapath_scope = spec.datapath_scope
         # Shared internal-datapath serialization horizon (see
         # ComponentPort._ingress).
         self._datapath_next_free = 0

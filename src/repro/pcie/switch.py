@@ -15,13 +15,17 @@ Differences from the root complex, per the paper:
   discovers upstream-VP2P → bus → downstream-VP2Ps → buses.
 """
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.mem.addr import AddrRange
 from repro.pci.capabilities import PciePortType
-from repro.pcie.routing import ComponentPort, PcieRoutingEngine
+from repro.pcie.routing import PcieRoutingEngine
+from repro.pcie.timing import PcieGen
 from repro.pcie.vp2p import VirtualP2PBridge
-from repro.sim.simobject import SimObject, Simulator
+from repro.sim.simobject import Simulator
+
+if TYPE_CHECKING:
+    from repro.system.spec import LinkSpec, SwitchSpec
 
 # A generic PLX/Broadcom-style switch identity.
 PLX_VENDOR_ID = 0x10B5
@@ -31,46 +35,29 @@ PLX_SWITCH_DEVICE_ID = 0x8796
 class PcieSwitch(PcieRoutingEngine):
     """A store-and-forward PCI-Express switch.
 
-    The keywords are the fields of :class:`repro.system.spec.SwitchSpec`
-    (``num_downstream_ports`` is its effective port count), which hold
-    their defaults and range checks; ``link_speed``/``link_width`` are
-    what the VP2P capability registers advertise.
+    ``spec`` names the switch and holds its engine knobs and its
+    effective downstream port count; the VP2P capability registers
+    advertise the ``advertised`` link's generation and width.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "switch",
-        parent: Optional[SimObject] = None,
-        *,
-        num_downstream_ports: int,
-        latency: int,
-        buffer_size: int,
-        service_interval: int,
-        datapath_scope: str,
-        link_speed: int,
-        link_width: int,
-    ):
-        super().__init__(
-            sim, name, parent,
-            latency=latency, buffer_size=buffer_size,
-            service_interval=service_interval,
-            datapath_scope=datapath_scope,
-        )
+    def __init__(self, sim: Simulator, spec: "SwitchSpec", *,
+                 advertised: "LinkSpec"):
+        super().__init__(sim, spec.name, spec)
+        link_speed = PcieGen[advertised.gen].speed_code
         self.upstream_vp2p = VirtualP2PBridge(
             device_id=PLX_SWITCH_DEVICE_ID,
             vendor_id=PLX_VENDOR_ID,
             port_type=PciePortType.UPSTREAM_SWITCH_PORT,
             link_speed=link_speed,
-            link_width=link_width,
+            link_width=advertised.width,
         )
-        for i in range(num_downstream_ports):
+        for i in range(spec.effective_num_ports):
             vp2p = VirtualP2PBridge(
                 device_id=PLX_SWITCH_DEVICE_ID + 1 + i,
                 vendor_id=PLX_VENDOR_ID,
                 port_type=PciePortType.DOWNSTREAM_SWITCH_PORT,
                 link_speed=link_speed,
-                link_width=link_width,
+                link_width=advertised.width,
             )
             self.add_downstream_port(vp2p, name=f"down_port{i}")
 

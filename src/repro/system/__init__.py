@@ -4,6 +4,7 @@ from repro.system.spec import (
     ClassicPciSpec,
     DeviceSpec,
     LinkSpec,
+    RootComplexSpec,
     SpecError,
     SwitchSpec,
     TopologySpec,
@@ -23,6 +24,7 @@ __all__ = [
     "SwitchSpec",
     "DeviceSpec",
     "LinkSpec",
+    "RootComplexSpec",
     "SpecError",
     "spec_from_dict",
     "validation_spec",

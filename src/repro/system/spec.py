@@ -9,30 +9,32 @@ the paper's machines are the preset constructors at the bottom of this
 module (``build_system(validation_spec())`` is the validation
 topology).
 
-Specs are deliberately restricted to canonical-JSON-safe values —
-strings, ints, floats, bools, None — so that:
+Every record is a :class:`Record` whose fields are declared once.
+Records hold canonical-JSON-safe values only — strings, ints, floats,
+bools, None — so that:
 
-* a spec round-trips losslessly through :meth:`TopologySpec.to_json` /
-  :meth:`TopologySpec.from_json` (a sweep point, a trace artifact and a
-  bug report can all *name the exact machine* they ran on);
-* :meth:`TopologySpec.canonical` is a stable byte string, so the sweep
-  result cache (:mod:`repro.exp.cache`) keys on the full machine shape
-  (every machine sweep point carries its spec as ``topology``);
-* :meth:`TopologySpec.digest` gives a short content hash for artifact
-  names and report headers.
+* a spec round-trips losslessly through :meth:`Record.to_json` /
+  :meth:`Record.from_json` (a sweep point, a trace artifact and a bug
+  report can all *name the exact machine* they ran on);
+* :meth:`Record.canonical` is a stable byte string, so the sweep result
+  cache (:mod:`repro.exp.cache`) keys on the full machine shape;
+* :meth:`Record.digest` gives a short content hash for artifact names
+  and report headers.
 
 The grammar (see ARCHITECTURE.md "Topology" for a walked example)::
 
-    TopologySpec := { kind: "pcie", root_complex, children: [Node...],
-                      enable_msi }
+    TopologySpec := { kind: "pcie", root_complex: RootComplexSpec,
+                      children: [Node...], enable_msi, name }
                   | ClassicPciSpec { kind: "classic_pci", clock_mhz,
-                                     device }
-    Node         := SwitchSpec { name, link: LinkSpec, latency,
-                                 buffer_size, service_interval,
-                                 datapath_scope, num_ports,
+                                     device (without its link) }
+    RootComplexSpec := { EngineSpec..., num_root_ports }
+    Node         := SwitchSpec { node: "switch", EngineSpec..., name,
+                                 link: LinkSpec, num_ports,
                                  children: [Node...] }
-                  | DeviceSpec { kind: "disk"|"nic"|"accel", name,
+                  | DeviceSpec { node: "device", kind, name,
                                  link: LinkSpec, params: {...} }
+    EngineSpec   := latency, buffer_size, service_interval,
+                    datapath_scope
 
 Every node hangs off its parent (a root port, or a switch downstream
 port) through its own :class:`LinkSpec`, so a fabric can mix
@@ -46,25 +48,33 @@ they become the :class:`~repro.sim.simobject.SimObject` names (and thus
 the statistics keys, trace component paths and checker-violation
 components) and the keys of ``PcieSystem.devices`` / ``.links`` /
 ``.switches`` / ``.drivers``.  Unnamed nodes are auto-named
-(``disk0``, ``nic1``, ``switch0``, ...); duplicate names are a
-:class:`SpecError` at validation time — the singleton-``"disk"``-key
-collision of the historical builders cannot be expressed any more.
+(``disk0``, ``nic1``, ``switch0``, ...); a name that is not a
+non-empty string without ``.``, or a duplicate, is a :class:`SpecError`
+at validation time — the singleton-``"disk"``-key collision of the
+historical builders cannot be expressed any more.
 """
 
+import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.pcie.timing import VALID_WIDTHS
 from repro.sim import ticks
 
 __all__ = [
     "SpecError",
+    "Record",
     "LinkSpec",
     "DeviceSpec",
+    "EngineSpec",
     "SwitchSpec",
+    "RootComplexSpec",
     "TopologySpec",
     "ClassicPciSpec",
+    "canonical_json",
+    "record_field",
+    "records_field",
     "validation_spec",
     "nic_spec",
     "classic_pci_spec",
@@ -116,23 +126,12 @@ def _require_optional_int(value: Any, low: int, what: str) -> None:
         _require_int(value, low, what)
 
 
-def _require_type(value: Any, kind: type, what: str) -> None:
+def _require_type(value: Any, kind: type, what: str,
+                  error: type = SpecError) -> None:
     """A document field holds a ``kind`` (a list, a dict, ...).  The
     message is built only on failure: ``value`` may be a whole tree."""
     if not isinstance(value, kind):
-        raise SpecError(f"{what} must be a {kind.__name__}, got {value!r}")
-
-
-def _fields(doc: Dict[str, Any], fields: Tuple[str, ...], what: str,
-            tags: Tuple[str, ...] = ()) -> Dict[str, Any]:
-    """The ``fields`` a document carries, as keyword arguments, so an
-    absent field takes the record's default.  A key that is neither a
-    field nor one of the ``tags`` the caller reads (``node``, ``kind``,
-    ...) is a :class:`SpecError` naming it: a typo must not run the
-    default."""
-    unknown = set(doc) - set(fields) - set(tags)
-    _require(not unknown, f"{what} has unknown fields {sorted(unknown)}")
-    return {key: doc[key] for key in fields if key in doc}
+        raise error(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def _require_number(value: Any, what: str,
@@ -144,7 +143,153 @@ def _require_number(value: Any, what: str,
     _require(ok, f"{what} must be a number {bounds}, got {value!r}")
 
 
-class LinkSpec:
+def _require_name(name: Any, what: str) -> None:
+    """An instance name becomes a SimObject name, where ``.`` joins a
+    full name: a name holding one could collide with another part's."""
+    _require(isinstance(name, str) and name != "" and "." not in name,
+             f"{what}: name must be a non-empty string without '.', "
+             f"got {name!r}")
+
+
+def canonical_json(doc: Any) -> str:
+    """``doc`` as canonical JSON (sorted keys, no whitespace): the bytes
+    cache keys, digests and the byte-identity guarantee rest on."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _field(dump: Callable[[Any], Any], load: Callable[[Any, str, type], Any],
+           **kwargs: Any) -> Any:
+    """A record field whose document form is ``dump(value)``, read back
+    by ``load(doc, where, error)``."""
+    return dataclasses.field(metadata={"dump": dump, "load": load}, **kwargs)
+
+
+def record_field(record: type, **kwargs: Any) -> Any:
+    """A field holding one nested ``record``."""
+    return _field(record.to_dict,
+                  lambda doc, where, error: record.from_dict(doc), **kwargs)
+
+
+def records_field(load_one: Callable[[Any, str], Any], **kwargs: Any) -> Any:
+    """A field holding a list of records, each read back by
+    ``load_one(doc, where)``."""
+    def load(docs: Any, where: str, error: type) -> list:
+        _require_type(docs, list, where, error)
+        return [load_one(doc, f"{where}[{i}]") for i, doc in enumerate(docs)]
+    return _field(lambda records: [record.to_dict() for record in records],
+                  load, **kwargs)
+
+
+def _params(doc: Any, where: str, error: type) -> Dict[str, Any]:
+    _require_type(doc, dict, where, error)
+    return doc
+
+
+def _compile_to_dict(cls: type) -> Callable[[Any], Dict[str, Any]]:
+    """``cls.to_dict``, written out once as one dict display."""
+    namespace: Dict[str, Any] = {}
+    items = [f"{key!r}: {tag!r}" for key, tag in cls.TAGS.items()]
+    for field in dataclasses.fields(cls):
+        value = f"self.{field.name}"
+        if field.metadata:
+            namespace[f"dump_{field.name}"] = field.metadata["dump"]
+            value = f"dump_{field.name}({value})"
+        items.append(f"{field.name!r}: {value}")
+    exec("def to_dict(self):\n"
+         "    'The record as a canonical-JSON-safe document.'\n"
+         f"    return {{{', '.join(items)}}}\n", namespace)
+    return namespace["to_dict"]
+
+
+class Record:
+    """A document record whose fields are declared once.
+
+    A subclass declares its fields as annotated class attributes, in
+    constructor order, and becomes a dataclass (compared by identity,
+    keeping its own ``__repr__``).  ``FIELDS``, ``to_dict`` (see
+    :func:`_compile_to_dict`) and what :meth:`from_dict` checks (the
+    keys a document may carry, and those without a default, which it
+    must) derive from the declaration once per class.  ``TAGS`` are
+    constant keys naming the record's type in its document
+    (``{"node": "switch"}``), ``what`` names it in messages and
+    ``error`` is the exception a bad document raises.
+    """
+
+    TAGS: Dict[str, str] = {}
+    what = "record"
+    error = SpecError
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        dataclasses.dataclass(cls, eq=False, repr=False)
+        fields = dataclasses.fields(cls)
+        cls.FIELDS = tuple(field.name for field in fields)
+        cls._keys = frozenset(cls.FIELDS).union(cls.TAGS)
+        cls._named = "name" in cls.FIELDS
+        cls._required = frozenset(
+            field.name for field in fields
+            if field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING)
+        cls._loads = tuple((field.name, field.metadata["load"])
+                           for field in fields if field.metadata)
+        cls.to_dict = _compile_to_dict(cls)
+
+    @classmethod
+    def _where(cls, name: Any) -> str:
+        return f"{cls.what} {name!r}" if cls._named else cls.what
+
+    @property
+    def where(self) -> str:
+        """The record in messages: ``what``, and its name if it has one."""
+        return self._where(getattr(self, "name", None))
+
+    @classmethod
+    def from_dict(cls, doc: Dict[str, Any]) -> Any:
+        """Rebuild a record from :meth:`to_dict` output; an absent field
+        takes its default.  A key that is neither a field nor a tag is
+        an error naming it: a typo must not run the default."""
+        _require_type(doc, dict, cls.what, cls.error)
+        if not cls._keys.issuperset(doc):
+            raise cls.error(f"{cls._where(doc.get('name'))} has unknown "
+                            f"fields {sorted(doc.keys() - cls._keys)}")
+        if not doc.keys() >= cls._required:
+            raise cls.error(f"{cls._where(doc.get('name'))}: missing field "
+                            f"{min(cls._required - doc.keys())!r} (a "
+                            f"{cls.what} requires {sorted(cls._required)})")
+        kwargs = dict(doc)
+        for key, tag in cls.TAGS.items():
+            if kwargs.pop(key, tag) != tag:
+                raise cls.error(f"{cls._where(doc.get('name'))}: expected "
+                                f"{key} {tag!r}, got {doc[key]!r}")
+        if cls._loads:
+            where = cls._where(doc.get("name"))
+            for name, load in cls._loads:
+                if name in kwargs:
+                    kwargs[name] = load(kwargs[name], f"{where}: {name}",
+                                        cls.error)
+        return cls(**kwargs)
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        """Serialise to JSON text (pretty by default; artifacts diff
+        nicely)."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        """Parse :meth:`to_json` output back into a record."""
+        return cls.from_dict(json.loads(text))
+
+    def canonical(self) -> str:
+        """Canonical JSON of :meth:`to_dict` (see :func:`canonical_json`)."""
+        return canonical_json(self.to_dict())
+
+    def digest(self) -> str:
+        """Short SHA-256 prefix of :meth:`canonical` — names the exact
+        record in artifact metadata and bug reports."""
+        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:12]
+
+
+class LinkSpec(Record):
     """Parameters of one PCI-Express link (one edge of the tree).
 
     Args:
@@ -183,52 +328,28 @@ class LinkSpec:
             formula.
     """
 
-    FIELDS = (
-        "name", "gen", "width", "replay_buffer_size", "ack_policy",
-        "input_queue_size", "p_credits", "np_credits", "cpl_credits",
-        "error_rate", "dllp_error_rate", "error_seed",
-        "propagation_delay", "max_payload", "replay_timeout", "ack_period",
-    )
+    what = "link"
 
-    def __init__(
-        self,
-        name: Optional[str] = None,
-        gen: str = "GEN2",
-        width: int = 1,
-        replay_buffer_size: int = 4,
-        ack_policy: str = "timer",
-        input_queue_size: int = 2,
-        p_credits: int = 6,
-        np_credits: int = 6,
-        cpl_credits: int = 4,
-        error_rate: float = 0.0,
-        dllp_error_rate: float = 0.0,
-        error_seed: int = 0x5EED,
-        propagation_delay: int = ticks.from_ns(4),
-        max_payload: int = 64,
-        replay_timeout: Optional[int] = None,
-        ack_period: Optional[int] = None,
-    ):
-        self.name = name
-        self.gen = gen
-        self.width = width
-        self.replay_buffer_size = replay_buffer_size
-        self.ack_policy = ack_policy
-        self.input_queue_size = input_queue_size
-        self.p_credits = p_credits
-        self.np_credits = np_credits
-        self.cpl_credits = cpl_credits
-        self.error_rate = error_rate
-        self.dllp_error_rate = dllp_error_rate
-        self.error_seed = error_seed
-        self.propagation_delay = propagation_delay
-        self.max_payload = max_payload
-        self.replay_timeout = replay_timeout
-        self.ack_period = ack_period
+    name: Optional[str] = None
+    gen: str = "GEN2"
+    width: int = 1
+    replay_buffer_size: int = 4
+    ack_policy: str = "timer"
+    input_queue_size: int = 2
+    p_credits: int = 6
+    np_credits: int = 6
+    cpl_credits: int = 4
+    error_rate: float = 0.0
+    dllp_error_rate: float = 0.0
+    error_seed: int = 0x5EED
+    propagation_delay: int = ticks.from_ns(4)
+    max_payload: int = 64
+    replay_timeout: Optional[int] = None
+    ack_period: Optional[int] = None
 
     def validate(self) -> None:
         """Range-check every field (name uniqueness is checked tree-wide)."""
-        where = f"link {self.name!r}"
+        where = self.where
         _require(self.gen in GEN_NAMES,
                  f"{where}: unknown generation {self.gen!r} "
                  f"(expected one of {GEN_NAMES})")
@@ -249,21 +370,11 @@ class LinkSpec:
         for field in ("error_rate", "dllp_error_rate"):
             _require_number(getattr(self, field), f"{where}: {field}", high=1)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The link as a canonical-JSON-safe mapping (all fields, always)."""
-        return {field: getattr(self, field) for field in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "LinkSpec":
-        """Rebuild a :class:`LinkSpec` from :meth:`to_dict` output."""
-        _require_type(doc, dict, "link")
-        return cls(**_fields(doc, cls.FIELDS, "link spec"))
-
     def __repr__(self) -> str:
         return f"<LinkSpec {self.name!r} {self.gen} x{self.width}>"
 
 
-class DeviceSpec:
+class DeviceSpec(Record):
     """One endpoint device hanging off a root port or switch port.
 
     Args:
@@ -279,63 +390,36 @@ class DeviceSpec:
             ``msi_functional``, ... — canonical-JSON-safe values only).
     """
 
-    FIELDS = ("kind", "name", "link", "params")
+    TAGS = {"node": "device"}
+    what = "device"
 
-    def __init__(self, kind: str, name: Optional[str] = None,
-                 link: Optional[LinkSpec] = None,
-                 params: Optional[Dict[str, Any]] = None):
-        self.kind = kind
-        self.name = name
-        self.link = link or LinkSpec()
-        self.params = dict(params or {})
+    kind: str
+    name: Optional[str] = None
+    link: Optional[LinkSpec] = record_field(LinkSpec, default=None)
+    params: Optional[Dict[str, Any]] = _field(dict, _params, default=None)
+
+    def __post_init__(self) -> None:
+        self.link = self.link or LinkSpec()
+        self.params = dict(self.params or {})
 
     def validate(self) -> None:
         """Check the device kind and its link."""
         _require(self.kind in DEVICE_KIND_NAMES,
-                 f"device {self.name!r}: unknown kind {self.kind!r} "
+                 f"{self.where}: unknown kind {self.kind!r} "
                  f"(expected one of {DEVICE_KIND_NAMES})")
         self.link.validate()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The device as a canonical-JSON-safe mapping."""
-        return {
-            "node": "device",
-            "kind": self.kind,
-            "name": self.name,
-            "link": self.link.to_dict(),
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "DeviceSpec":
-        """Rebuild a :class:`DeviceSpec` from :meth:`to_dict` output."""
-        _require(doc.get("node", "device") == "device",
-                 f"expected a device node, got {doc.get('node')!r}")
-        where = f"device node {doc.get('name')!r}"
-        kwargs = _fields(doc, cls.FIELDS, where, tags=("node",))
-        _require("kind" in kwargs, f"{where}: missing field 'kind'")
-        if "link" in kwargs:
-            kwargs["link"] = LinkSpec.from_dict(kwargs["link"])
-        if "params" in kwargs:
-            _require_type(kwargs["params"], dict, f"{where}: params")
-        return cls(**kwargs)
 
     def __repr__(self) -> str:
         return f"<DeviceSpec {self.kind} {self.name!r}>"
 
 
-class SwitchSpec:
-    """One PCI-Express switch and the subtree behind its ports.
+class EngineSpec(Record):
+    """The knobs of the routing engine the root complex and every
+    switch share: their only defaults and their only range check.
 
     Args:
-        name: unique instance name; auto-assigned (``switch0``, ...)
-            when omitted.
-        link: the :class:`LinkSpec` of the upstream edge toward the
-            parent port.
-        children: the nodes (devices or further switches) behind the
-            downstream ports, in port order.
-        latency: store-and-forward processing latency in ticks (a
-            typical switch on the market takes 150 ns).
+        latency: store-and-forward processing latency in ticks (the
+            paper's root complex and a typical switch take 150 ns).
         buffer_size: packet slots in each port's pool, split per flow
             class (the paper's experiments use 16, 20, 24 and 28; at
             least 2, since completions always get a slot of their own).
@@ -344,33 +428,62 @@ class SwitchSpec:
         datapath_scope: ``"port"`` gives each port its own datapath
             pipeline; ``"engine"`` shares one across all ports and both
             directions.
+    """
+
+    latency: int = ticks.from_ns(150)
+    buffer_size: int = 16
+    service_interval: int = ticks.from_ns(42)
+    datapath_scope: str = "port"
+
+    def validate(self) -> None:
+        """Range-check the engine knobs."""
+        where = self.where
+        _require(self.datapath_scope in ("port", "engine"),
+                 f"{where}: unknown datapath scope {self.datapath_scope!r}")
+        _require_int(self.buffer_size, 2, f"{where}: buffer_size")
+        for field in ("latency", "service_interval"):
+            _require_number(getattr(self, field), f"{where}: {field}")
+
+
+def _node_from_dict(doc: Any, where: str) -> Union["SwitchSpec", DeviceSpec]:
+    """Dispatch a serialized tree node to its spec class."""
+    _require_type(doc, dict, where)
+    node = doc.get("node", "device")
+    if node == "switch":
+        return SwitchSpec.from_dict(doc)
+    if node == "device":
+        return DeviceSpec.from_dict(doc)
+    raise SpecError(f"unknown topology node kind {node!r}")
+
+
+class SwitchSpec(EngineSpec):
+    """One PCI-Express switch (its :class:`EngineSpec` knobs) and the
+    subtree behind its ports.
+
+    Args:
+        name: unique instance name; auto-assigned (``switch0``, ...)
+            when omitted.
+        link: the :class:`LinkSpec` of the upstream edge toward the
+            parent port.
+        children: the nodes (devices or further switches) behind the
+            downstream ports, in port order.
         num_ports: downstream port count; defaults to ``len(children)``
             (ports beyond the children stay unwired, like the paper's
             validation switch with its second, empty port).
     """
 
-    FIELDS = ("name", "link", "children", "latency", "buffer_size",
-              "service_interval", "datapath_scope", "num_ports")
+    TAGS = {"node": "switch"}
+    what = "switch"
 
-    def __init__(
-        self,
-        name: Optional[str] = None,
-        link: Optional[LinkSpec] = None,
-        children: Optional[List[Union["SwitchSpec", DeviceSpec]]] = None,
-        latency: int = ticks.from_ns(150),
-        buffer_size: int = 16,
-        service_interval: int = ticks.from_ns(42),
-        datapath_scope: str = "port",
-        num_ports: Optional[int] = None,
-    ):
-        self.name = name
-        self.link = link or LinkSpec()
-        self.children = list(children or [])
-        self.latency = latency
-        self.buffer_size = buffer_size
-        self.service_interval = service_interval
-        self.datapath_scope = datapath_scope
-        self.num_ports = num_ports
+    name: Optional[str] = None
+    link: Optional[LinkSpec] = record_field(LinkSpec, default=None)
+    children: Optional[List[Union["SwitchSpec", DeviceSpec]]] = records_field(
+        _node_from_dict, default=None)
+    num_ports: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.link = self.link or LinkSpec()
+        self.children = list(self.children or [])
 
     @property
     def effective_num_ports(self) -> int:
@@ -381,12 +494,8 @@ class SwitchSpec:
     def validate(self) -> None:
         """Check the switch knobs and its link (the children are
         :meth:`TopologySpec.validate`'s walk to visit, once each)."""
-        where = f"switch {self.name!r}"
-        _require(self.datapath_scope in ("port", "engine"),
-                 f"{where}: unknown datapath scope {self.datapath_scope!r}")
-        _require_int(self.buffer_size, 2, f"{where}: buffer_size")
-        for field in ("latency", "service_interval"):
-            _require_number(getattr(self, field), f"{where}: {field}")
+        super().validate()
+        where = self.where
         _require_optional_int(self.num_ports, 1, f"{where}: num_ports")
         _require(self.effective_num_ports >= len(self.children),
                  f"{where}: {len(self.children)} children do "
@@ -397,103 +506,62 @@ class SwitchSpec:
                  f"numbers of the switch's internal bus")
         self.link.validate()
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The switch subtree as a canonical-JSON-safe mapping."""
-        return {
-            "node": "switch",
-            "name": self.name,
-            "link": self.link.to_dict(),
-            "latency": self.latency,
-            "buffer_size": self.buffer_size,
-            "service_interval": self.service_interval,
-            "datapath_scope": self.datapath_scope,
-            "num_ports": self.num_ports,
-            "children": [child.to_dict() for child in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "SwitchSpec":
-        """Rebuild a :class:`SwitchSpec` subtree from :meth:`to_dict`."""
-        _require(doc.get("node") == "switch",
-                 f"expected a switch node, got {doc.get('node')!r}")
-        where = f"switch {doc.get('name')!r}"
-        kwargs = _fields(doc, cls.FIELDS, where, tags=("node",))
-        if "link" in kwargs:
-            kwargs["link"] = LinkSpec.from_dict(kwargs["link"])
-        if "children" in kwargs:
-            kwargs["children"] = _nodes_from_list(kwargs["children"],
-                                                  f"{where}: children")
-        return cls(**kwargs)
-
     def __repr__(self) -> str:
         return (f"<SwitchSpec {self.name!r} ports={self.effective_num_ports} "
                 f"children={len(self.children)}>")
 
 
-def _nodes_from_list(docs: Any,
-                     what: str) -> List[Union[SwitchSpec, DeviceSpec]]:
-    """Rebuild a serialized ``children`` list, node by node."""
-    _require_type(docs, list, what)
-    return [_node_from_dict(doc, f"{what}[{i}]") for i, doc in enumerate(docs)]
+class RootComplexSpec(EngineSpec):
+    """The root complex: its :class:`EngineSpec` knobs and
+
+    Args:
+        num_root_ports: root ports to build; defaults to the topology's
+            fan-out (the paper's model implements three, which the
+            presets request explicitly).
+    """
+
+    what = "root complex"
+
+    num_root_ports: Optional[int] = None
+
+    def validate(self) -> None:
+        """Check the engine knobs and the root-port count."""
+        super().validate()
+        _require_optional_int(self.num_root_ports, 1,
+                              f"{self.where}: num_root_ports")
 
 
-def _node_from_dict(doc: Any, what: str) -> Union[SwitchSpec, DeviceSpec]:
-    """Dispatch a serialized tree node to its spec class."""
-    _require_type(doc, dict, what)
-    node = doc.get("node", "device")
-    if node == "switch":
-        return SwitchSpec.from_dict(doc)
-    if node == "device":
-        return DeviceSpec.from_dict(doc)
-    raise SpecError(f"unknown topology node kind {node!r}")
-
-
-class TopologySpec:
+class TopologySpec(Record):
     """A complete PCI-Express machine as one declarative tree.
 
     Args:
         children: the nodes behind the root ports, in root-port order.
-        rc_latency: root-complex processing latency in ticks (the
-            paper fixes it at 150 ns).
-        rc_buffer_size / rc_service_interval / rc_datapath_scope: the
-            root complex's :class:`SwitchSpec` engine knobs.
-        num_root_ports: root ports to build; defaults to fan-out (the
-            paper's model implements three, which the legacy specs
-            request explicitly).
+        root_complex: the :class:`RootComplexSpec`.
         enable_msi: attach the platform MSI doorbell and mark every
             device's MSI capability functional-capable.
         name: optional label recorded in serialisations (reports,
             artifact metadata); never used for component naming.
     """
 
-    kind = "pcie"
+    TAGS = {"kind": "pcie"}
+    what = "topology"
 
-    def __init__(
-        self,
-        children: Optional[List[Union[SwitchSpec, DeviceSpec]]] = None,
-        rc_latency: int = ticks.from_ns(150),
-        rc_buffer_size: int = 16,
-        rc_service_interval: int = ticks.from_ns(42),
-        rc_datapath_scope: str = "port",
-        num_root_ports: Optional[int] = None,
-        enable_msi: bool = False,
-        name: Optional[str] = None,
-    ):
-        self.children = list(children or [])
-        self.rc_latency = rc_latency
-        self.rc_buffer_size = rc_buffer_size
-        self.rc_service_interval = rc_service_interval
-        self.rc_datapath_scope = rc_datapath_scope
-        self.num_root_ports = num_root_ports
-        self.enable_msi = enable_msi
-        self.name = name
+    children: Optional[List[Union[SwitchSpec, DeviceSpec]]] = records_field(
+        _node_from_dict, default=None)
+    root_complex: RootComplexSpec = record_field(
+        RootComplexSpec, default_factory=RootComplexSpec)
+    enable_msi: bool = False
+    name: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        self.children = list(self.children or [])
 
     # -- structure -----------------------------------------------------------
     @property
     def effective_num_root_ports(self) -> int:
         """Root ports actually built: ``num_root_ports`` or fan-out."""
-        return self.num_root_ports if self.num_root_ports is not None else max(
-            len(self.children), 1)
+        ports = self.root_complex.num_root_ports
+        return ports if ports is not None else max(len(self.children), 1)
 
     def walk(self) -> Iterator[Union[SwitchSpec, DeviceSpec]]:
         """Every node of the tree, depth-first in port order — the same
@@ -523,7 +591,8 @@ class TopologySpec:
         mixing explicit and automatic names stays collision-free.
         Returns ``self`` for chaining.
         """
-        taken = {node.name for node in self.walk() if node.name}
+        taken = {node.name for node in self.walk()
+                 if isinstance(node.name, str)}
         counters: Dict[str, int] = {}
 
         def next_name(prefix: str) -> str:
@@ -547,15 +616,10 @@ class TopologySpec:
         """Whole-tree consistency: knob ranges plus global name/link
         uniqueness (the end-to-end identity guarantee)."""
         _require_type(self.enable_msi, bool, "enable_msi")
-        _require(self.rc_datapath_scope in ("port", "engine"),
-                 f"root complex: unknown datapath scope "
-                 f"{self.rc_datapath_scope!r}")
-        _require_int(self.rc_buffer_size, 2, "root complex: buffer_size")
-        _require_optional_int(self.num_root_ports, 1,
-                              "root complex: num_root_ports")
-        for field in ("latency", "service_interval"):
-            _require_number(getattr(self, f"rc_{field}"),
-                            f"root complex: {field}")
+        self.root_complex.validate()
+        _require(self.name is None or isinstance(self.name, str),
+                 f"topology name must be a string or None, "
+                 f"got {self.name!r}")
         _require(self.children, "a topology needs at least one node")
         _require(self.effective_num_root_ports >= len(self.children),
                  f"{len(self.children)} root-port children do not fit "
@@ -573,6 +637,7 @@ class TopologySpec:
                 bridges += 1 + node.effective_num_ports
             _require(node.name is not None,
                      f"{node!r} is unnamed; call finalize() first")
+            _require_name(node.name, node.where)
             _require(node.name not in node_names,
                      f"duplicate instance name {node.name!r}: every switch "
                      f"and device needs a unique name (stats, traces and "
@@ -580,6 +645,7 @@ class TopologySpec:
             node_names.add(node.name)
             _require(node.link.name is not None,
                      f"{node!r}: link is unnamed; call finalize() first")
+            _require_name(node.link.name, f"{node.where}: link")
             _require(node.link.name not in link_names,
                      f"duplicate link name {node.link.name!r}")
             link_names.add(node.link.name)
@@ -588,71 +654,24 @@ class TopologySpec:
                  f"per root port and switch port); only {MAX_BRIDGES} "
                  f"(1-{MAX_BRIDGES}) exist")
 
-    # -- serialisation -------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """The whole machine as a canonical-JSON-safe document."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "root_complex": {
-                "latency": self.rc_latency,
-                "buffer_size": self.rc_buffer_size,
-                "service_interval": self.rc_service_interval,
-                "datapath_scope": self.rc_datapath_scope,
-                "num_root_ports": self.num_root_ports,
-            },
-            "enable_msi": self.enable_msi,
-            "children": [child.to_dict() for child in self.children],
-        }
-
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "TopologySpec":
-        """Rebuild (and finalize) a spec from :meth:`to_dict` output."""
-        _require_type(doc, dict, "topology")
-        _require(doc.get("kind", "pcie") == "pcie",
-                 f"expected kind 'pcie', got {doc.get('kind')!r} "
-                 f"(classic PCI specs load via spec_from_dict)")
-        kwargs = _fields(doc, ("children", "enable_msi", "name"), "topology",
-                         tags=("kind", "root_complex"))
-        if "children" in kwargs:
-            kwargs["children"] = _nodes_from_list(kwargs["children"],
-                                                  "children")
-        rc = doc.get("root_complex", {})
-        _require_type(rc, dict, "root_complex")
-        for key, value in _fields(rc, ("latency", "buffer_size",
-                                       "service_interval", "datapath_scope",
-                                       "num_root_ports"),
-                                  "root_complex").items():
-            kwargs[key if key == "num_root_ports" else f"rc_{key}"] = value
-        return cls(**kwargs).finalize()
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialise to JSON text (pretty by default; artifacts diff
-        nicely)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TopologySpec":
-        """Parse :meth:`to_json` output back into a finalized spec."""
-        return cls.from_dict(json.loads(text))
-
-    def canonical(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace) — the stable
-        byte string cache keys and byte-identity guarantees rest on."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Short SHA-256 prefix of :meth:`canonical` — names the exact
-        machine in artifact metadata and bug reports."""
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:12]
+        """Rebuild and :meth:`finalize` a spec from :meth:`to_dict` output."""
+        return super().from_dict(doc).finalize()
 
     def __repr__(self) -> str:
         return (f"<TopologySpec devices={len(self.devices())} "
                 f"switches={len(self.switches())} digest={self.digest()}>")
 
 
-class ClassicPciSpec:
+def _device_without_link(device: DeviceSpec) -> Dict[str, Any]:
+    """A classic-bus device's document: a shared bus has no links."""
+    doc = device.to_dict()
+    del doc["link"]
+    return doc
+
+
+class ClassicPciSpec(Record):
     """The pre-PCI-Express baseline: one disk on a classic shared bus.
 
     Args:
@@ -662,12 +681,16 @@ class ClassicPciSpec:
             ``kind="disk"`` is routable on the classic fabric.
     """
 
-    kind = "classic_pci"
+    TAGS = {"kind": "classic_pci"}
+    what = "classic PCI"
 
-    def __init__(self, clock_mhz: int = 33,
-                 device: Optional[DeviceSpec] = None):
-        self.clock_mhz = clock_mhz
-        self.device = device or DeviceSpec("disk", name="disk")
+    clock_mhz: int = 33
+    device: Optional[DeviceSpec] = _field(
+        _device_without_link,
+        lambda doc, where, error: DeviceSpec.from_dict(doc), default=None)
+
+    def __post_init__(self) -> None:
+        self.device = self.device or DeviceSpec("disk", name="disk")
 
     def finalize(self) -> "ClassicPciSpec":
         """Name the device (default ``disk``) and validate."""
@@ -683,41 +706,12 @@ class ClassicPciSpec:
                  f"got {self.clock_mhz!r}")
         _require(self.device.kind == "disk",
                  "classic PCI supports only the disk device")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The baseline machine as a canonical-JSON-safe document."""
-        return {
-            "kind": self.kind,
-            "clock_mhz": self.clock_mhz,
-            "device": {
-                "node": "device",
-                "kind": self.device.kind,
-                "name": self.device.name,
-                "params": dict(self.device.params),
-            },
-        }
+        _require_name(self.device.name, self.device.where)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ClassicPciSpec":
-        """Rebuild (and finalize) a baseline spec from :meth:`to_dict`."""
-        _require_type(doc, dict, "topology")
-        _require(doc.get("kind") == "classic_pci",
-                 f"expected kind 'classic_pci', got {doc.get('kind')!r}")
-        kwargs = _fields(doc, ("clock_mhz", "device"), "classic PCI",
-                         tags=("kind",))
-        if "device" in kwargs:
-            _require_type(kwargs["device"], dict, "device")
-            kwargs["device"] = DeviceSpec.from_dict(kwargs["device"])
-        return cls(**kwargs).finalize()
-
-    def canonical(self) -> str:
-        """Canonical JSON of the baseline spec."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Short SHA-256 prefix of :meth:`canonical`."""
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:12]
+        """Rebuild and :meth:`finalize` a baseline spec from :meth:`to_dict`."""
+        return super().from_dict(doc).finalize()
 
     def __repr__(self) -> str:
         return f"<ClassicPciSpec {self.clock_mhz} MHz>"
@@ -782,10 +776,11 @@ def validation_spec(
         service_interval=service_interval, datapath_scope=datapath_scope,
     )
     return TopologySpec(
-        children=[switch], rc_latency=rc_latency, rc_buffer_size=buffer_size,
-        rc_service_interval=service_interval,
-        rc_datapath_scope=datapath_scope, num_root_ports=3,
-        enable_msi=enable_msi, name="validation",
+        children=[switch], enable_msi=enable_msi, name="validation",
+        root_complex=RootComplexSpec(
+            latency=rc_latency, buffer_size=buffer_size,
+            service_interval=service_interval,
+            datapath_scope=datapath_scope, num_root_ports=3),
     ).finalize()
 
 
@@ -809,10 +804,11 @@ def nic_spec(
         params=dict(msi_functional=enable_msi),
     )
     return TopologySpec(
-        children=[nic], rc_latency=rc_latency, rc_buffer_size=buffer_size,
-        rc_service_interval=service_interval,
-        rc_datapath_scope=datapath_scope, num_root_ports=3,
-        enable_msi=enable_msi, name="nic",
+        children=[nic], enable_msi=enable_msi, name="nic",
+        root_complex=RootComplexSpec(
+            latency=rc_latency, buffer_size=buffer_size,
+            service_interval=service_interval,
+            datapath_scope=datapath_scope, num_root_ports=3),
     ).finalize()
 
 
@@ -896,7 +892,8 @@ def deep_hierarchy_spec(
 
     return TopologySpec(
         children=below,
-        rc_buffer_size=buffer_size, rc_service_interval=service_interval,
+        root_complex=RootComplexSpec(buffer_size=buffer_size,
+                                     service_interval=service_interval),
         enable_msi=enable_msi,
         name=f"deep_hierarchy_d{depth}_f{fanout}",
     ).finalize()

@@ -37,7 +37,6 @@ from repro.pci.host import PciHost
 from repro.pcie.link import PcieLink
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.switch import PcieSwitch
-from repro.pcie.timing import PcieGen
 from repro.platform.addrmap import VEXPRESS_GEM5_V1, AddressMap
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
@@ -213,15 +212,7 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
         parent_bus.add_function(0, 0, device.function)
         return
 
-    advert = _advertised_link(node)
-    switch = PcieSwitch(
-        sim, name=node.name,
-        num_downstream_ports=node.effective_num_ports,
-        latency=node.latency, buffer_size=node.buffer_size,
-        service_interval=node.service_interval,
-        datapath_scope=node.datapath_scope,
-        link_speed=PcieGen[advert.gen].speed_code, link_width=advert.width,
-    )
+    switch = PcieSwitch(sim, node, advertised=_advertised_link(node))
     system.switches[node.name] = switch
     link = PcieLink.from_spec(sim, f"{node.link.name}_link", node.link)
     _connect_link(link, upstream_port, switch=switch)
@@ -235,18 +226,13 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
 def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
                           addrmap: AddressMap) -> PcieSystem:
     """Assemble, boot and bind a PCI-Express machine from a spec tree."""
-    spec.validate()
     system = _build_core(sim, addrmap)
     system.spec = spec
 
-    advert = _advertised_link(spec)
     root_complex = RootComplex(
-        sim, num_root_ports=spec.effective_num_root_ports,
-        latency=spec.rc_latency, buffer_size=spec.rc_buffer_size,
-        service_interval=spec.rc_service_interval,
-        datapath_scope=spec.rc_datapath_scope,
-        link_speed=PcieGen[advert.gen].speed_code, link_width=advert.width,
-    )
+        sim, spec.root_complex,
+        num_root_ports=spec.effective_num_root_ports,
+        advertised=_advertised_link(spec))
     _attach_root_complex(system, root_complex)
     if spec.enable_msi:
         _attach_msi_doorbell(system)
@@ -269,7 +255,7 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
 
 def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
                              addrmap: AddressMap) -> PcieSystem:
-    """Assemble the classic shared-PCI-bus baseline from a spec.
+    """Assemble the classic shared-PCI-bus baseline from a validated spec.
 
     CPU requests cross a host bridge onto the shared bus; the disk's DMA
     masters the same bus toward memory (through the IOCache).  Useful
@@ -279,7 +265,6 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
     from repro.mem.bridge import Bridge
     from repro.pci.bus import PciBus
 
-    spec.validate()
     system = _build_core(sim, addrmap)
     system.spec = spec
 
@@ -321,8 +306,9 @@ def build_system(
 
     Args:
         spec: a :class:`~repro.system.spec.TopologySpec`, a
-            :class:`~repro.system.spec.ClassicPciSpec`, or either's
-            :meth:`to_dict`/JSON document form.
+            :class:`~repro.system.spec.ClassicPciSpec` (validated here),
+            or either's :meth:`to_dict` document form (validated once,
+            by :func:`~repro.system.spec.spec_from_dict`).
         sim: an existing simulator to build into (a fresh one is created
             otherwise).
         addrmap: the platform address map.
@@ -351,10 +337,12 @@ def build_system(
             f"build_system(partitions={partitions!r}): must be None")
     if isinstance(spec, dict):
         spec = spec_from_dict(spec)
+    elif isinstance(spec, (TopologySpec, ClassicPciSpec)):
+        spec.validate()
+    else:
+        raise SpecError(f"cannot build a system from {type(spec).__name__}")
     sim = sim or Simulator(check=check)
     if isinstance(spec, ClassicPciSpec):
         return _build_classic_from_spec(spec, sim, addrmap)
-    if isinstance(spec, TopologySpec):
-        return _build_pcie_from_spec(spec, sim, addrmap)
-    raise SpecError(f"cannot build a system from {type(spec).__name__}")
+    return _build_pcie_from_spec(spec, sim, addrmap)
 

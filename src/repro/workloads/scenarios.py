@@ -31,14 +31,13 @@ tier-1 runs ``--all --check`` (``tests/workloads/test_scenarios.py``).
 """
 
 import argparse
-import hashlib
-import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
-from repro.system.spec import DeviceSpec, LinkSpec, SwitchSpec, TopologySpec
+from repro.system.spec import (DeviceSpec, LinkSpec, Record, SwitchSpec,
+                               TopologySpec, record_field, records_field)
 from repro.system.topology import build_system
 from repro.workloads.traffic import FlowSpec, TrafficEngine, TrafficError
 
@@ -47,7 +46,7 @@ from repro.workloads.traffic import FlowSpec, TrafficEngine, TrafficError
 TRACE_CATEGORIES = ("link", "engine")
 
 
-class Scenario:
+class Scenario(Record):
     """A named (topology, flows) pair; pure data, like the specs.
 
     Args:
@@ -58,62 +57,21 @@ class Scenario:
         description: one human-readable line.
     """
 
-    def __init__(self, name: str, topology: TopologySpec,
-                 flows: Sequence[FlowSpec], description: str = ""):
-        if not name:
+    what = "scenario"
+    error = TrafficError
+
+    name: str
+    topology: TopologySpec = record_field(TopologySpec)
+    flows: List[FlowSpec] = records_field(
+        lambda doc, where: FlowSpec.from_dict(doc))
+    description: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.name:
             raise TrafficError("scenario name must be non-empty")
-        if not flows:
-            raise TrafficError(f"scenario {name!r} has no flows")
-        self.name = name
-        self.topology = topology
-        self.flows: List[FlowSpec] = list(flows)
-        self.description = description
-
-    # -- serialisation ------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """The whole experiment as a canonical-JSON-safe document."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "topology": self.topology.to_dict(),
-            "flows": [flow.to_dict() for flow in self.flows],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Scenario":
-        """Inverse of :meth:`to_dict`."""
-        if (not isinstance(doc, dict) or "name" not in doc
-                or "topology" not in doc or "flows" not in doc):
-            raise TrafficError("scenario document requires name, topology "
-                               "and flows")
-        if not isinstance(doc["flows"], list):
-            raise TrafficError(
-                f"scenario flows must be a list, got {doc['flows']!r}")
-        return cls(
-            name=doc["name"],
-            topology=TopologySpec.from_dict(doc["topology"]),
-            flows=[FlowSpec.from_dict(flow) for flow in doc["flows"]],
-            description=doc.get("description", ""),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialise to JSON text (pretty by default)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        """Parse :meth:`to_json` output back."""
-        return cls.from_dict(json.loads(text))
-
-    def canonical(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Short SHA-256 prefix of :meth:`canonical`."""
-        return hashlib.sha256(
-            self.canonical().encode("utf-8")).hexdigest()[:12]
+        if not self.flows:
+            raise TrafficError(f"scenario {self.name!r} has no flows")
+        self.flows = list(self.flows)
 
     def __repr__(self) -> str:
         return (f"<Scenario {self.name!r} flows={len(self.flows)} "

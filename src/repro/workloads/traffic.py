@@ -45,6 +45,7 @@ from repro.sim.eventq import proxy
 from repro.sim.process import Delay, Process, WaitFor
 from repro.sim.simobject import SimObject
 from repro.sim.stats import StatGroup
+from repro.system.spec import Record
 
 #: Flow kinds the engine can drive (see module docstring table).
 FLOW_KINDS = ("dd_read", "dd_write", "nic_tx", "mmio_read", "irq_storm",
@@ -64,7 +65,7 @@ class TrafficError(ValueError):
     """An inconsistent flow specification or flow/fabric mismatch."""
 
 
-class FlowSpec:
+class FlowSpec(Record):
     """Declarative description of one traffic flow.
 
     Args:
@@ -89,41 +90,25 @@ class FlowSpec:
         mmio_offset: ``mmio_read`` only — BAR0 offset probed.
     """
 
-    FIELDS = ("name", "kind", "device", "requests", "bytes_per_request",
-              "gap", "jitter", "burst", "seed", "start_delay", "loopback",
-              "mmio_offset")
+    what = "flow"
+    error = TrafficError
     #: Integer fields and their least legal value (None: any int).
     INT_FIELDS = {"requests": 1, "bytes_per_request": 1, "gap": 0,
                   "burst": 1, "seed": None, "start_delay": 0,
                   "mmio_offset": None}
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        device: str,
-        requests: int = 8,
-        bytes_per_request: int = 4096,
-        gap: int = 0,
-        jitter: float = 0.0,
-        burst: int = 1,
-        seed: int = 1,
-        start_delay: int = 0,
-        loopback: bool = False,
-        mmio_offset: int = 0x8,
-    ):
-        self.name = name
-        self.kind = kind
-        self.device = device
-        self.requests = requests
-        self.bytes_per_request = bytes_per_request
-        self.gap = gap
-        self.jitter = jitter
-        self.burst = burst
-        self.seed = seed
-        self.start_delay = start_delay
-        self.loopback = loopback
-        self.mmio_offset = mmio_offset
+    name: str
+    kind: str
+    device: str
+    requests: int = 8
+    bytes_per_request: int = 4096
+    gap: int = 0
+    jitter: float = 0.0
+    burst: int = 1
+    seed: int = 1
+    start_delay: int = 0
+    loopback: bool = False
+    mmio_offset: int = 0x8
 
     def validate(self) -> None:
         """Check the flow spec in isolation (fabric checks happen when
@@ -134,8 +119,8 @@ class FlowSpec:
             self._require(field, isinstance(value, str) and value != "",
                           "a non-empty string")
         if self.kind not in FLOW_KINDS:
-            raise TrafficError(f"flow {self.name!r}: unknown kind "
-                               f"{self.kind!r} (expected one of {FLOW_KINDS})")
+            raise TrafficError(f"{self.where}: unknown kind {self.kind!r} "
+                               f"(expected one of {FLOW_KINDS})")
         for field, least in self.INT_FIELDS.items():
             value = getattr(self, field)
             self._require(field, type(value) is int
@@ -148,28 +133,12 @@ class FlowSpec:
         self._require("loopback", isinstance(self.loopback, bool), "a bool")
         if self.loopback and self.kind != "nic_tx":
             raise TrafficError(
-                f"flow {self.name!r}: loopback is only valid for nic_tx")
+                f"{self.where}: loopback is only valid for nic_tx")
 
     def _require(self, field: str, ok: bool, what: str) -> None:
         if not ok:
-            raise TrafficError(f"flow {self.name!r}: {field} must be {what}, "
+            raise TrafficError(f"{self.where}: {field} must be {what}, "
                                f"got {getattr(self, field)!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize to a canonical-JSON-safe dict (all fields, always)."""
-        return {field: getattr(self, field) for field in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "FlowSpec":
-        """Inverse of :meth:`to_dict` (missing fields take defaults)."""
-        if not isinstance(doc, dict):
-            raise TrafficError(f"a flow must be a dict, got {doc!r}")
-        unknown = set(doc) - set(cls.FIELDS)
-        if unknown:
-            raise TrafficError(f"unknown FlowSpec fields: {sorted(unknown)}")
-        if "name" not in doc or "kind" not in doc or "device" not in doc:
-            raise TrafficError("FlowSpec requires name, kind and device")
-        return cls(**doc)
 
     def __repr__(self) -> str:
         return f"<FlowSpec {self.kind} {self.name!r} -> {self.device}>"

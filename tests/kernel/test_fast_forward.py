@@ -216,14 +216,14 @@ def test_both_levels_engage_in_one_transfer(build):
 
 @pytest.mark.parametrize("build, expected", [
     # Sector 3 of the first full request is skipped too, sectors 1-3 of
-    # each later one from the period the first proved, and sector 2 of
-    # the last, three-sector request, whose count register differs.
-    (_classic, (6, 5)),
-    (_gen2x1, (6, 5)),
+    # each later one from the period the first proved, and sectors 1-2
+    # of the last, three-sector request from that same period.
+    (_classic, (6, 6)),
+    (_gen2x1, (6, 6)),
     # A coalesced ACK is still pending when the hardware reports a
     # request done, so the proof moves to the next submission and the
     # third request is simulated too.
-    (lambda: _gen2x1(ack_policy="timer"), (5, 8)),
+    (lambda: _gen2x1(ack_policy="timer"), (5, 9)),
 ], ids=["classic", "gen2x1", "gen2x1_timer_ack"])
 def test_every_full_request_after_the_proof_is_skipped(build, expected):
     def scenario():

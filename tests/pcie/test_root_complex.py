@@ -8,7 +8,7 @@ from repro.mem.port import PortError
 from repro.pci import header as hdr
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
-from repro.system.spec import SpecError, TopologySpec
+from repro.system.spec import RootComplexSpec, SpecError, TopologySpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 from tests.pcie.helpers import make_root_complex
@@ -56,7 +56,7 @@ def test_three_root_ports_by_default_with_wildcat_ids():
 
 def test_needs_at_least_one_port():
     with pytest.raises(SpecError, match="num_root_ports"):
-        TopologySpec(num_root_ports=0).validate()
+        TopologySpec(root_complex=RootComplexSpec(num_root_ports=0)).validate()
 
 
 def test_upstream_ranges_are_union_of_windows():

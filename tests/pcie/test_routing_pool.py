@@ -7,7 +7,7 @@ from repro.pci import header as hdr
 from repro.pcie.routing import PcieRoutingEngine
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
-from repro.system.spec import SpecError, TopologySpec
+from repro.system.spec import RootComplexSpec, SpecError, TopologySpec
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 from tests.pcie.helpers import make_root_complex
@@ -35,12 +35,13 @@ def build(sim, **kwargs):
 
 def test_buffer_size_must_leave_a_response_slot():
     with pytest.raises(SpecError, match="root complex: buffer_size"):
-        TopologySpec(rc_buffer_size=1).validate()
+        TopologySpec(root_complex=RootComplexSpec(buffer_size=1)).validate()
 
 
 def test_datapath_scope_validated():
     with pytest.raises(SpecError, match="datapath scope 'quantum'"):
-        TopologySpec(rc_datapath_scope="quantum").validate()
+        TopologySpec(
+            root_complex=RootComplexSpec(datapath_scope="quantum")).validate()
 
 
 def test_pool_refuses_request_flood_but_all_complete():

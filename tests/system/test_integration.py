@@ -4,7 +4,8 @@ import pytest
 
 from repro.pcie.timing import PcieGen
 from repro.sim import ticks
-from repro.system.spec import (DeviceSpec, LinkSpec, SwitchSpec, TopologySpec,
+from repro.system.spec import (DeviceSpec, LinkSpec, RootComplexSpec,
+                               SwitchSpec, TopologySpec,
                                classic_pci_spec, nic_spec, validation_spec)
 from repro.system.topology import build_system
 from repro.workloads.dd import DdWorkload
@@ -182,7 +183,7 @@ def dual_device_system():
         name="switch", link=LinkSpec(name="root", width=4, **fast),
         children=[DeviceSpec("disk", name="disk", link=LinkSpec(**fast)),
                   DeviceSpec("nic", name="nic", link=LinkSpec(**fast))])],
-        num_root_ports=3).finalize())
+        root_complex=RootComplexSpec(num_root_ports=3)).finalize())
 
 
 def test_dual_device_system_boots_both_drivers():

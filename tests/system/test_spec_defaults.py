@@ -1,13 +1,20 @@
 """The spec records are the only place a machine knob has a default.
 
 A model constructor takes each spec field's value as a required
-keyword, so a bare model cannot silently run a second default that
-drifted from its record's.  The one exception is the pair of link timer
-overrides, whose None means "the :mod:`repro.pcie.timing` formula" in
-the record and the model alike.
+keyword, or the record itself, so a bare model cannot silently run a
+second default that drifted from its record's.  The one exception is the
+pair of link timer overrides, whose None means "the
+:mod:`repro.pcie.timing` formula" in the record and the model alike.
+
+The routing engine's four knobs are declared once, on
+:class:`EngineSpec`, which the root complex's and every switch's record
+extend: one default and one range check each.
 """
 
+import dataclasses
 import inspect
+
+import pytest
 
 from repro.pci.bus import PciBus
 from repro.pcie.link import PcieLink
@@ -15,27 +22,29 @@ from repro.pcie.root_complex import RootComplex
 from repro.pcie.routing import PcieRoutingEngine
 from repro.pcie.switch import PcieSwitch
 from repro.pcie.timing import LinkTiming
-from repro.system.spec import LinkSpec, SwitchSpec
+from repro.system.spec import (EngineSpec, LinkSpec, RootComplexSpec,
+                               SpecError, SwitchSpec)
 
-#: The engine knobs: SwitchSpec's fields that are not tree structure
-#: (the root complex takes the same knobs from TopologySpec's ``rc_*``).
-ENGINE = tuple(field for field in SwitchSpec.FIELDS
-               if field not in ("name", "link", "children", "num_ports"))
+#: The engine knobs, in declaration order.
+ENGINE_KNOBS = ("latency", "buffer_size", "service_interval",
+                "datapath_scope")
 
-#: The VP2P registers advertise a LinkSpec's gen and width.
-ADVERTISED = ("link_speed", "link_width")
-
-#: Each constructor and its parameters that carry a spec field.
+#: Each keyword-list constructor and its parameters that carry a spec
+#: field.
 SPEC_PARAMETERS = {
     PcieLink: tuple(field for field in LinkSpec.FIELDS if field != "name"),
     LinkTiming: ("gen", "width"),
-    PcieRoutingEngine: ENGINE,
-    PcieSwitch: ("num_downstream_ports",) + ENGINE + ADVERTISED,
-    RootComplex: ("num_root_ports",) + ENGINE + ADVERTISED,
     PciBus: ("clock_mhz",),
 }
 
 TIMER_OVERRIDES = {("PcieLink", "replay_timeout"), ("PcieLink", "ack_period")}
+
+#: The routing engines, each built from its EngineSpec record.
+ENGINES = (PcieRoutingEngine, RootComplex, PcieSwitch)
+
+#: A value out of range for each engine knob.
+BAD_KNOBS = {"latency": -1, "buffer_size": 1, "service_interval": -1,
+             "datapath_scope": "quantum"}
 
 
 def test_no_model_constructor_defaults_a_spec_field():
@@ -54,3 +63,40 @@ def test_the_timer_overrides_mean_the_formula_in_both_places():
     for __, name in TIMER_OVERRIDES:
         assert parameters[name].default is None
         assert getattr(LinkSpec(), name) is None
+
+
+def test_each_engine_knob_has_one_default_on_engine_spec():
+    assert EngineSpec.FIELDS == ENGINE_KNOBS
+    for record in (RootComplexSpec, SwitchSpec):
+        assert issubclass(record, EngineSpec)
+        assert record.FIELDS[:len(ENGINE_KNOBS)] == ENGINE_KNOBS
+        # Neither record declares a knob again, so neither restates
+        # its default.
+        own = vars(record).get("__annotations__", {})
+        assert not set(own) & set(ENGINE_KNOBS), record.__name__
+    defaults = {field.name: field.default
+                for field in dataclasses.fields(EngineSpec)}
+    for knob in ENGINE_KNOBS:
+        assert getattr(RootComplexSpec(), knob) == defaults[knob]
+        assert getattr(SwitchSpec(), knob) == defaults[knob]
+
+
+@pytest.mark.parametrize("knob", ENGINE_KNOBS)
+def test_each_engine_knob_has_one_range_check(knob, monkeypatch):
+    bad = {knob: BAD_KNOBS[knob]}
+    for record in (RootComplexSpec(**bad), SwitchSpec(name="sw", **bad)):
+        with pytest.raises(SpecError, match=knob.replace("_", "[_ ]")):
+            record.validate()
+    # With EngineSpec's check switched off nothing else rejects it.
+    monkeypatch.setattr(EngineSpec, "validate", lambda self: None)
+    RootComplexSpec(**bad).validate()
+    SwitchSpec(name="sw", **bad).validate()
+
+
+def test_the_routing_engines_take_their_record():
+    for model in ENGINES:
+        parameters = inspect.signature(model).parameters
+        assert "spec" in parameters, model.__name__
+        assert not set(parameters) & set(ENGINE_KNOBS), model.__name__
+        assert all(parameter.default is inspect.Parameter.empty
+                   for parameter in parameters.values()), model.__name__

@@ -7,11 +7,13 @@ the harness ``--list`` discovery path.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec,
-                               SpecError, SwitchSpec, TopologySpec,
+                               RootComplexSpec, SpecError, SwitchSpec,
+                               TopologySpec,
                                classic_pci_spec, deep_hierarchy_spec,
                                nic_spec, spec_from_dict, validation_spec)
 from repro.system.topology import build_system
@@ -155,7 +157,8 @@ def test_a_switch_with_more_than_32_ports_fails_validation():
 def test_more_than_32_root_ports_fail_validation():
     with pytest.raises(SpecError, match="num_root_ports: 33"):
         TopologySpec(children=[DeviceSpec("disk")],
-                     num_root_ports=33).finalize()
+                     root_complex=RootComplexSpec(num_root_ports=33)
+                     ).finalize()
 
 
 @pytest.mark.parametrize("depth, fanout, bridges", [
@@ -217,7 +220,7 @@ def test_negative_switch_service_interval_is_rejected():
 
 def test_negative_root_complex_latency_is_rejected():
     spec = _one_disk()
-    spec.rc_latency = -5
+    spec.root_complex.latency = -5
     with pytest.raises(SpecError, match="root complex: latency"):
         spec.finalize()
 
@@ -281,6 +284,16 @@ _HOSTILE_FIELDS = [
     (validation_spec, _DISK + ("params",), 5, "params"),
     (classic_pci_spec, ("device", "params"), "fast", "params"),
     (validation_spec, ("enable_msi",), "yes", "enable_msi"),
+    # A name becomes a SimObject name, where "." joins full names.
+    (validation_spec, _DISK + ("name",), "", "device '': name must be"),
+    (validation_spec, _DISK + ("name",), ["x"], r"device \['x'\]: name"),
+    (validation_spec, _DISK + ("name",), 5, "device 5: name must be"),
+    (validation_spec, _DISK + ("name",), "disk_link.up_if",
+     "device 'disk_link.up_if': name must be"),
+    (validation_spec, _DISK_LINK + ("name",), "a.b", "link: name must be"),
+    (validation_spec, ("children", 0, "name"), 7, "switch 7: name must be"),
+    (classic_pci_spec, ("device", "name"), "", "device '': name must be"),
+    (validation_spec, ("name",), 5, "topology name must be"),
 ]
 
 
@@ -321,6 +334,18 @@ def test_build_system_accepts_plain_dicts():
     system = build_system(nic_spec().to_dict())
     assert "nic" in system.devices
     assert system.drivers["nic"].bound
+
+
+@pytest.mark.parametrize("spec_class, preset", [
+    (TopologySpec, validation_spec), (ClassicPciSpec, classic_pci_spec)])
+def test_build_system_validates_a_machine_once(spec_class, preset):
+    # A document is validated by spec_from_dict, a spec object by
+    # build_system; neither is validated again in the builder.
+    for spec in (preset().to_dict(), preset()):
+        with mock.patch.object(spec_class, "validate",
+                               autospec=True) as validate:
+            build_system(spec, check=False)
+        assert validate.call_count == 1
 
 
 # ------------------------------------------------- MSI doorbell field (satellite)
