@@ -12,9 +12,9 @@ switch port buffers — and :func:`reconcile_trace_with_link` checks the
 trace-derived event counts against a live link's statistics.
 """
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
+from repro.sim.stats import percentile  # noqa: F401 (re-export)
 from repro.workloads.traffic import jain_fairness  # noqa: F401 (re-export)
 
 
@@ -298,17 +298,6 @@ def format_latency_breakdown(breakdown: dict) -> str:
         f"unresolved        : {totals['unresolved']}",
     ]
     return "\n".join(lines)
-
-
-def percentile(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile over ``samples`` (0.0 when empty) — the
-    same definition :class:`repro.sim.stats.Quantiles` uses, for ad-hoc
-    analysis of raw sample lists."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(max(1, math.ceil(fraction * len(ordered))), len(ordered))
-    return ordered[rank - 1]
 
 
 def flow_table(results: dict) -> Table:

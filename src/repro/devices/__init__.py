@@ -1,7 +1,9 @@
 """PCI-Express device models.
 
 * :mod:`repro.devices.base` — the generic PCI-Express device template
-  (PIO slave port, DMA master port, config function, legacy interrupt);
+  (PIO slave port, DMA master port, config function, legacy interrupt),
+  the one capability chain every endpoint presents, and the
+  command-slot device the disk and the accelerator share;
 * :mod:`repro.devices.dma` — a chunking DMA engine with an outstanding
   window and optional per-buffer completion barrier;
 * :mod:`repro.devices.disk` — the IDE-like storage device used for the

@@ -23,33 +23,21 @@ offset name         meaning
 ====== ===========  =================================================
 """
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.devices.base import PcieDevice
+from repro.devices.base import (  # noqa: F401 (re-export)
+    REG_CMD, REG_IRQ_CLEAR, REG_STATUS, STATUS_BUSY, STATUS_ERROR, STATUS_IRQ,
+    CommandDevice, endpoint_function)
 from repro.devices.dma import DmaEngine
-from repro.pci.capabilities import (
-    MsiCapability,
-    MsixCapability,
-    PcieCapability,
-    PciePortType,
-    PowerManagementCapability,
-)
 from repro.pci.header import Bar, PciEndpointFunction
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
 
-REG_CMD = 0x00
 REG_SRC = 0x08
 REG_DST = 0x10
 REG_NBYTES = 0x18
-REG_STATUS = 0x20
-REG_IRQ_CLEAR = 0x28
 
 CMD_COPY = 1
-
-STATUS_BUSY = 1 << 0
-STATUS_IRQ = 1 << 1
-STATUS_ERROR = 1 << 2
 
 ACCEL_VENDOR_ID = 0x1DE5  # Eideticom, a real PCIe NVMe-accelerator vendor
 ACCEL_DEVICE_ID = 0x3000
@@ -59,20 +47,13 @@ def make_accel_function(msi_functional: bool = False) -> PciEndpointFunction:
     """Config function for the accelerator: one 4 KB memory BAR and the
     same PM → MSI → PCIe → MSI-X capability chain as the other devices
     (pass ``msi_functional=True`` for the MSI extension)."""
-    fn = PciEndpointFunction(
-        ACCEL_VENDOR_ID,
-        ACCEL_DEVICE_ID,
-        bars=[Bar(4096)],
-        class_code=0x120000,  # processing accelerator
-    )
-    fn.add_capability(PowerManagementCapability())
-    fn.add_capability(MsiCapability(functional=msi_functional))
-    fn.add_capability(PcieCapability(PciePortType.ENDPOINT))
-    fn.add_capability(MsixCapability())
-    return fn
+    return endpoint_function(
+        ACCEL_VENDOR_ID, ACCEL_DEVICE_ID, [Bar(4096)],
+        0x120000,  # processing accelerator
+        msi_functional)
 
 
-class DmaAccelerator(PcieDevice):
+class DmaAccelerator(CommandDevice):
     """The copy accelerator; see module docstring.
 
     Args:
@@ -83,6 +64,8 @@ class DmaAccelerator(PcieDevice):
         posted_writes: run the write-back half posted (fire-and-forget)
             instead of waiting for every write response.
     """
+
+    REGISTERS = (REG_SRC, REG_DST, REG_NBYTES)
 
     def __init__(
         self,
@@ -102,11 +85,7 @@ class DmaAccelerator(PcieDevice):
         self.posted_writes = posted_writes
         self.dma = DmaEngine(sim, "dma_engine", self, chunk=chunk,
                              max_outstanding=dma_outstanding)
-
-        # Register file.
-        self._regs: Dict[int, int] = {
-            REG_CMD: 0, REG_SRC: 0, REG_DST: 0, REG_NBYTES: 0, REG_STATUS: 0,
-        }
+        self._start_tick = 0
 
         self.copies_completed = self.stats.scalar("copies_completed")
         self.bytes_copied = self.stats.scalar(
@@ -114,30 +93,11 @@ class DmaAccelerator(PcieDevice):
         self.copy_ticks = self.stats.distribution(
             "copy_ticks", "command write to completion interrupt, per copy")
 
-    # -- register interface --------------------------------------------------
-    def mmio_read(self, bar: int, offset: int, size: int) -> int:
-        return self._regs.get(offset, 0)
-
-    def mmio_write(self, bar: int, offset: int, size: int, value: int) -> None:
-        if offset == REG_IRQ_CLEAR:
-            self._regs[REG_STATUS] &= ~STATUS_IRQ
-            return
-        if offset == REG_CMD:
-            self._start_command(value)
-            return
-        if offset in self._regs:
-            self._regs[offset] = value
-
     # -- command execution ---------------------------------------------------
-    def _start_command(self, command: int) -> None:
-        if self._regs[REG_STATUS] & STATUS_BUSY:
-            self._regs[REG_STATUS] |= STATUS_ERROR
-            return
-        if command != CMD_COPY or self._regs[REG_NBYTES] < 1:
-            self._regs[REG_STATUS] |= STATUS_ERROR
-            self.raise_interrupt()
-            return
-        self._regs[REG_STATUS] = STATUS_BUSY
+    def _accepts(self, command: int) -> bool:
+        return command == CMD_COPY and self._regs[REG_NBYTES] >= 1
+
+    def _run(self, command: int) -> None:
         self._start_tick = self.curtick
         self.schedule(self.setup_latency, self._read_source)
 
@@ -154,10 +114,8 @@ class DmaAccelerator(PcieDevice):
         self.copy_ticks.sample(self.curtick - self._start_tick)
         self.copies_completed.inc()
         self.bytes_copied.inc(self._regs[REG_NBYTES])
-        self._regs[REG_STATUS] = STATUS_IRQ  # busy clear, irq pending
-        self.raise_interrupt()
+        super()._complete_command()
 
-    # -- introspection -------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return bool(self._regs[REG_STATUS] & STATUS_BUSY)
+    # The registers hold the copy and _start_tick times it: a copy may be
+    # captured during its setup latency, with _read_source pending.
+    state_fields = {"_start_tick": "exact"}

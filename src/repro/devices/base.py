@@ -14,17 +14,40 @@ developments".  :class:`PcieDevice` is that template:
   :class:`~repro.devices.dma.DmaEngine`);
 * a legacy INTx interrupt raised through the platform interrupt
   controller at the line the enumeration software assigned.
+
+:func:`endpoint_function` builds every endpoint's config function, and
+:class:`CommandDevice` is the one-command-slot device the disk and the
+accelerator share.
 """
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PacketQueue, SlavePort
+from repro.pci.capabilities import (CAP_ID_MSI, MsiCapability, MsixCapability,
+                                     PcieCapability, PciePortType,
+                                     PowerManagementCapability)
 from repro.pci.header import Bar, PciEndpointFunction
 from repro.sim import ticks
 from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
+
+
+def endpoint_function(vendor_id: int, device_id: int, bars: List[Bar],
+                      class_code: int, msi_functional: bool,
+                      msix_table_size: int = 1) -> PciEndpointFunction:
+    """An endpoint's configuration function: its identity and BARs, and
+    the paper's capability chain PM → MSI → PCI-Express (a Gen 2 x1
+    endpoint) → MSI-X, with everything but PCI-Express disabled unless
+    ``msi_functional`` makes MSI's enable bit writable."""
+    fn = PciEndpointFunction(vendor_id, device_id, bars=bars,
+                             class_code=class_code)
+    fn.add_capability(PowerManagementCapability())
+    fn.add_capability(MsiCapability(functional=msi_functional))
+    fn.add_capability(PcieCapability(PciePortType.ENDPOINT))
+    fn.add_capability(MsixCapability(table_size=msix_table_size))
+    return fn
 
 
 class _MsiPump:
@@ -215,8 +238,6 @@ class PcieDevice(SimObject):
         self.intc.raise_irq(self.function.interrupt_line)
 
     def _send_msi(self) -> bool:
-        from repro.pci.capabilities import CAP_ID_MSI, MsiCapability
-
         offset = self.function.find_capability(CAP_ID_MSI)
         if offset is None:
             return False
@@ -240,3 +261,88 @@ class PcieDevice(SimObject):
         # passes another).
         self._dma_pumps.insert(0, _MsiPump(self, msi))
         return True
+
+
+# The BAR0 registers and STATUS bits every CommandDevice shares.
+REG_CMD = 0x00
+REG_STATUS = 0x20
+REG_IRQ_CLEAR = 0x28
+
+STATUS_BUSY = 1 << 0
+STATUS_IRQ = 1 << 1
+STATUS_ERROR = 1 << 2
+
+
+class CommandDevice(PcieDevice):
+    """A device with one command slot behind BAR0.
+
+    A driver programs the subclass's :attr:`REGISTERS`, then writes a
+    command to ``CMD``.  A command written while one runs sets the
+    error bit; one the subclass's ``_accepts(command)`` refuses also
+    interrupts, so no driver waits forever.  Otherwise STATUS reads
+    busy and ``_run(command)`` starts it; the subclass ends it with
+    :meth:`_complete_command`, which raises the interrupt with STATUS
+    reading irq-pending until the driver writes ``IRQ_CLEAR``.
+    """
+
+    #: The BAR0 offsets a driver programs before ``CMD``, in map order.
+    REGISTERS: Tuple[int, ...] = ()
+
+    def __init__(self, sim: Simulator, name: str,
+                 function: PciEndpointFunction,
+                 parent: Optional[SimObject] = None,
+                 pio_latency: int = ticks.from_ns(30)):
+        super().__init__(sim, name, function, parent, pio_latency=pio_latency)
+        self._regs: Dict[int, int] = dict.fromkeys(
+            (REG_CMD, *self.REGISTERS, REG_STATUS), 0)
+
+    def mmio_read(self, bar: int, offset: int, size: int) -> int:
+        """A register's value; an unmapped offset reads 0."""
+        return self._regs.get(offset, 0)
+
+    def mmio_write(self, bar: int, offset: int, size: int, value: int) -> None:
+        """Acknowledge, start a command or program a register."""
+        if offset == REG_IRQ_CLEAR:
+            self._regs[REG_STATUS] &= ~STATUS_IRQ
+        elif offset == REG_CMD:
+            self._start_command(value)
+        elif offset in self._regs:
+            self._regs[offset] = value
+
+    def _start_command(self, command: int) -> None:
+        if self._regs[REG_STATUS] & STATUS_BUSY:
+            self._regs[REG_STATUS] |= STATUS_ERROR
+        elif not self._accepts(command):
+            self._regs[REG_STATUS] |= STATUS_ERROR
+            self.raise_interrupt()
+        else:
+            self._regs[REG_STATUS] = STATUS_BUSY
+            self._run(command)
+
+    def _complete_command(self) -> None:
+        self._regs[REG_STATUS] = STATUS_IRQ  # busy clear, irq pending
+        self.raise_interrupt()
+
+    # The register file is checkpointed keyed by str (a JSON object key).
+    def state_dict(self) -> dict:
+        """The declared fields plus the register file."""
+        state = super().state_dict()
+        state["regs"] = {str(offset): value for offset, value in self._regs.items()}
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore the declared fields and the register file."""
+        state = dict(state)
+        regs = state.pop("regs")
+        super().load_state_dict(state)
+        self._regs = {int(offset): value for offset, value in regs.items()}
+
+    @property
+    def busy(self) -> bool:
+        """A command is running."""
+        return bool(self._regs[REG_STATUS] & STATUS_BUSY)
+
+    @property
+    def irq_pending(self) -> bool:
+        """The completion interrupt has not been acknowledged."""
+        return bool(self._regs[REG_STATUS] & STATUS_IRQ)

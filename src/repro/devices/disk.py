@@ -27,34 +27,22 @@ offset name         meaning
 ====== ===========  =================================================
 """
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
-from repro.devices.base import PcieDevice
+from repro.devices.base import (  # noqa: F401 (re-export)
+    REG_CMD, REG_IRQ_CLEAR, REG_STATUS, STATUS_BUSY, STATUS_ERROR, STATUS_IRQ,
+    CommandDevice, endpoint_function)
 from repro.devices.dma import DmaEngine
-from repro.pci.capabilities import (
-    MsiCapability,
-    MsixCapability,
-    PcieCapability,
-    PciePortType,
-    PowerManagementCapability,
-)
 from repro.pci.header import Bar, PciEndpointFunction
 from repro.sim import ticks
 from repro.sim.simobject import Origin, SimObject, Simulator
 
-REG_CMD = 0x00
 REG_LBA = 0x08
 REG_COUNT = 0x10
 REG_BUF_ADDR = 0x18
-REG_STATUS = 0x20
-REG_IRQ_CLEAR = 0x28
 
 CMD_READ_DMA = 1
 CMD_WRITE_DMA = 2
-
-STATUS_BUSY = 1 << 0
-STATUS_IRQ = 1 << 1
-STATUS_ERROR = 1 << 2
 
 IDE_VENDOR_ID = 0x8086
 IDE_DEVICE_ID = 0x7111  # PIIX4 IDE, the identity gem5's IDE controller uses
@@ -64,20 +52,13 @@ def make_disk_function(msi_functional: bool = False) -> PciEndpointFunction:
     """Config function for the disk: one 4 KB memory BAR, the paper's
     capability chain with everything but PCI-Express disabled (pass
     ``msi_functional=True`` for the MSI extension)."""
-    fn = PciEndpointFunction(
-        IDE_VENDOR_ID,
-        IDE_DEVICE_ID,
-        bars=[Bar(4096)],
-        class_code=0x010185,  # mass storage, IDE, bus-master capable
-    )
-    fn.add_capability(PowerManagementCapability())
-    fn.add_capability(MsiCapability(functional=msi_functional))
-    fn.add_capability(PcieCapability(PciePortType.ENDPOINT))
-    fn.add_capability(MsixCapability())
-    return fn
+    return endpoint_function(
+        IDE_VENDOR_ID, IDE_DEVICE_ID, [Bar(4096)],
+        0x010185,  # mass storage, IDE, bus-master capable
+        msi_functional)
 
 
-class IdeDisk(PcieDevice):
+class IdeDisk(CommandDevice):
     """The storage device driven by the ``dd`` experiments.
 
     Args:
@@ -90,6 +71,8 @@ class IdeDisk(PcieDevice):
             model does not support posted writes).
         dma_outstanding: in-flight DMA packets within one sector.
     """
+
+    REGISTERS = (REG_LBA, REG_COUNT, REG_BUF_ADDR)
 
     def __init__(
         self,
@@ -113,10 +96,6 @@ class IdeDisk(PcieDevice):
         self.dma = DmaEngine(sim, "dma_engine", self,
                              max_outstanding=dma_outstanding)
 
-        # Register file.
-        self._regs: Dict[int, int] = {
-            REG_CMD: 0, REG_LBA: 0, REG_COUNT: 0, REG_BUF_ADDR: 0, REG_STATUS: 0,
-        }
         self._sectors_remaining = 0
         self._current_lba = 0
         self._current_buf = 0
@@ -132,39 +111,16 @@ class IdeDisk(PcieDevice):
             "sector_transfer_ticks", "DMA time per sector (barrier to barrier)"
         )
 
-    # -- register interface --------------------------------------------------
-    def mmio_read(self, bar: int, offset: int, size: int) -> int:
-        return self._regs.get(offset, 0)
-
-    def mmio_write(self, bar: int, offset: int, size: int, value: int) -> None:
-        if offset == REG_IRQ_CLEAR:
-            self._regs[REG_STATUS] &= ~STATUS_IRQ
-            return
-        if offset == REG_CMD:
-            self._start_command(value)
-            return
-        if offset in self._regs:
-            self._regs[offset] = value
-
     # -- command execution -----------------------------------------------------
-    def _start_command(self, command: int) -> None:
-        if self._regs[REG_STATUS] & STATUS_BUSY:
-            self._regs[REG_STATUS] |= STATUS_ERROR
-            return
-        if command not in (CMD_READ_DMA, CMD_WRITE_DMA):
-            self._regs[REG_STATUS] |= STATUS_ERROR
-            self.raise_interrupt()
-            return
-        count = self._regs[REG_COUNT]
-        lba = self._regs[REG_LBA]
-        if count < 1 or lba + count > self.capacity_sectors:
-            self._regs[REG_STATUS] |= STATUS_ERROR
-            self.raise_interrupt()
-            return
-        self._regs[REG_STATUS] = STATUS_BUSY
+    def _accepts(self, command: int) -> bool:
+        count, lba = self._regs[REG_COUNT], self._regs[REG_LBA]
+        return (command in (CMD_READ_DMA, CMD_WRITE_DMA) and count >= 1
+                and lba + count <= self.capacity_sectors)
+
+    def _run(self, command: int) -> None:
         self._is_write_command = command == CMD_WRITE_DMA
-        self._sectors_remaining = count
-        self._current_lba = lba
+        self._sectors_remaining = self._regs[REG_COUNT]
+        self._current_lba = self._regs[REG_LBA]
         self._current_buf = self._regs[REG_BUF_ADDR]
         self._next_sector()
 
@@ -214,9 +170,8 @@ class IdeDisk(PcieDevice):
         self._next_sector()
 
     def _complete_command(self) -> None:
-        self._regs[REG_STATUS] = STATUS_IRQ  # busy clear, irq pending
         self.commands_completed.inc()
-        self.raise_interrupt()
+        super()._complete_command()
 
     # -- checkpointing -----------------------------------------------------------
     # The medium holds no data (reads return zeros), so the registers and
@@ -227,12 +182,6 @@ class IdeDisk(PcieDevice):
     state_fields = {"_sectors_remaining": "accumulator",
                     "_current_lba": "exact", "_current_buf": "exact",
                     "_is_write_command": "exact"}
-
-    def state_dict(self) -> dict:
-        """The declared cursors plus the register file, keyed by str."""
-        state = super().state_dict()
-        state["regs"] = {str(offset): value for offset, value in self._regs.items()}
-        return state
 
     def relative_state(self, state: dict, origin) -> dict:
         """On the device a transfer drives, the LBA and buffer cursors
@@ -256,19 +205,3 @@ class IdeDisk(PcieDevice):
         return dict(super().relative_state(state, origin), regs=regs,
                     current_lba=state["current_lba"] - origin.lba,
                     current_buf=state["current_buf"] - origin.addr)
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore registers and command cursors."""
-        state = dict(state)
-        regs = state.pop("regs")
-        super().load_state_dict(state)
-        self._regs = {int(offset): value for offset, value in regs.items()}
-
-    # -- introspection -----------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return bool(self._regs[REG_STATUS] & STATUS_BUSY)
-
-    @property
-    def irq_pending(self) -> bool:
-        return bool(self._regs[REG_STATUS] & STATUS_IRQ)

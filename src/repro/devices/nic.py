@@ -35,15 +35,8 @@ offset  name    meaning
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.devices.base import PcieDevice
+from repro.devices.base import PcieDevice, endpoint_function
 from repro.devices.dma import DmaEngine
-from repro.pci.capabilities import (
-    MsiCapability,
-    MsixCapability,
-    PcieCapability,
-    PciePortType,
-    PowerManagementCapability,
-)
 from repro.pci.header import Bar, PciEndpointFunction
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
@@ -72,18 +65,11 @@ def make_nic_function(msi_functional: bool = False) -> PciEndpointFunction:
     """The 8254x-pcie configuration function: 128 KB MMIO BAR, 32 B I/O
     BAR, and the paper's capability chain in order (pass
     ``msi_functional=True`` for the MSI extension)."""
-    fn = PciEndpointFunction(
-        INTEL_VENDOR_ID,
-        NIC_8254X_PCIE_DEVICE_ID,
-        bars=[Bar(128 * 1024), Bar(0), Bar(32, io=True)],
-        class_code=0x020000,  # Ethernet controller
-    )
-    fn.add_capability(PowerManagementCapability())
-    fn.add_capability(MsiCapability(functional=msi_functional))
-    fn.add_capability(PcieCapability(PciePortType.ENDPOINT, max_link_speed=2,
-                                     max_link_width=1))
-    fn.add_capability(MsixCapability(table_size=5))
-    return fn
+    return endpoint_function(
+        INTEL_VENDOR_ID, NIC_8254X_PCIE_DEVICE_ID,
+        [Bar(128 * 1024), Bar(0), Bar(32, io=True)],
+        0x020000,  # Ethernet controller
+        msi_functional, msix_table_size=5)
 
 
 class Nic8254xPcie(PcieDevice):

@@ -7,64 +7,21 @@ one copy in flight at a time, like the hardware's single command slot.
 """
 
 from repro.devices import accel as hw
-from repro.drivers.base import Driver, DriverError
-from repro.sim import ticks
-from repro.sim.process import Delay, Signal
+from repro.drivers.base import CommandDriver, DriverError
 
 
-class DmaAccelDriver(Driver):
-    """Driver for :class:`repro.devices.accel.DmaAccelerator`.
-
-    Args:
-        irq_entry_overhead: CPU cost charged at handler entry (context
-            save, IRQ bookkeeping).
-    """
+class DmaAccelDriver(CommandDriver):
+    """Driver for :class:`repro.devices.accel.DmaAccelerator`."""
 
     device_table = [(hw.ACCEL_VENDOR_ID, hw.ACCEL_DEVICE_ID)]
-
-    def __init__(self, irq_entry_overhead: int = ticks.from_us(1)):
-        super().__init__()
-        self.irq_entry_overhead = irq_entry_overhead
-        self.bar0 = 0
-        self.interrupt_mode = ""
-        self._completion: Signal = Signal("accel.completion")
-        self._copy_active = False
-
-    # -- probe -------------------------------------------------------------------
-    def probe(self) -> None:
-        if self.device is None:
-            raise DriverError("accel driver probed without a hardware model")
-        self.require_pcie_capability()
-        self.interrupt_mode = self.choose_interrupt_mode()
-        self.bar0 = self.bar_base(0)
-        self.register_interrupt()
 
     # -- copy path (generator: run inside a kernel process) ----------------------
     def start_copy(self, src: int, dst: int, nbytes: int):
         """Program and start one memory-to-memory copy.  Returns the
         completion signal (``yield from`` this, then
         ``yield WaitFor(signal)``)."""
-        if self._copy_active:
-            raise DriverError("accel driver handles one copy at a time")
         if nbytes < 1:
             raise DriverError("copy must move at least one byte")
-        self._copy_active = True
-        self._completion = Signal("accel.completion", latch=True)
-        cpu = self.cpu
-        yield from cpu.timed_write(self.bar0 + hw.REG_SRC, src, 8)
-        yield from cpu.timed_write(self.bar0 + hw.REG_DST, dst, 8)
-        yield from cpu.timed_write(self.bar0 + hw.REG_NBYTES, nbytes, 8)
-        yield from cpu.timed_write(self.bar0 + hw.REG_CMD, hw.CMD_COPY, 4)
-        return self._completion
-
-    # -- interrupt handler (generator: spawned by the controller) ---------------------
-    def _irq_handler(self):
-        yield Delay(self.irq_entry_overhead)
-        resp = yield from self.cpu.timed_read(self.bar0 + hw.REG_STATUS, 4)
-        status = self.cpu.read_value(resp)
-        if not status & hw.STATUS_IRQ:
-            return  # spurious (line shared / already handled)
-        yield from self.cpu.timed_write(self.bar0 + hw.REG_IRQ_CLEAR, 1, 4)
-        error = bool(status & hw.STATUS_ERROR)
-        self._copy_active = False
-        self._completion.notify({"error": error})
+        return (yield from self._submit(
+            ((hw.REG_SRC, src, 8), (hw.REG_DST, dst, 8),
+             (hw.REG_NBYTES, nbytes, 8)), hw.CMD_COPY))

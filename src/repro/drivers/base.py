@@ -1,11 +1,20 @@
-"""Driver base class and binding machinery."""
+"""Driver base class and binding machinery.
 
-from typing import List, Optional, Tuple
+:class:`Driver` binds through its module device table and runs the one
+probe every endpoint driver shares; :class:`CommandDriver` drives a
+:class:`~repro.devices.base.CommandDevice`, one command at a time.
+"""
 
+from typing import Iterable, List, Optional, Tuple
+
+from repro.devices.base import (REG_CMD, REG_IRQ_CLEAR, REG_STATUS,
+                                STATUS_ERROR, STATUS_IRQ)
 from repro.pci.capabilities import (CAP_ID_MSI, CAP_ID_MSIX, CAP_ID_PCIE,
                                      MsiCapability)
 from repro.pci.enumeration import FoundDevice
+from repro.sim import ticks
 from repro.sim.eventq import proxy
+from repro.sim.process import Delay, Signal
 
 
 class DriverError(RuntimeError):
@@ -15,18 +24,26 @@ class DriverError(RuntimeError):
 class Driver:
     """Base class for device drivers.
 
-    Subclasses set :attr:`device_table` and implement :meth:`probe`.
+    Subclasses set :attr:`device_table` and implement
+    :meth:`_irq_handler`.
+
+    Args:
+        irq_entry_overhead: CPU cost charged at handler entry (context
+            save, IRQ bookkeeping).
     """
 
     #: The module device table: (vendor_id, device_id) pairs this driver
     #: claims.
     device_table: List[Tuple[int, int]] = []
 
-    def __init__(self):
+    def __init__(self, irq_entry_overhead: int = ticks.from_us(1)):
+        self.irq_entry_overhead = irq_entry_overhead
         self.kernel = None
         self.found: Optional[FoundDevice] = None
         self.device = None  # the hardware model (functional side-channel)
         self.bound = False
+        self.bar0 = 0
+        self.interrupt_mode = ""
 
     # -- binding ------------------------------------------------------------
     def matches(self, node: FoundDevice) -> bool:
@@ -43,7 +60,21 @@ class Driver:
         self.bound = True
 
     def probe(self) -> None:
-        raise NotImplementedError
+        """Check for the PCI-Express capability, choose the interrupt
+        mode, map BAR0, program MSI if it stuck, and hook
+        :meth:`_irq_handler` to the vector or line either way."""
+        if self.device is None:
+            raise DriverError(
+                f"{type(self).__name__} probed without a hardware model")
+        if self._find_cap(CAP_ID_PCIE) is None:
+            raise DriverError(f"{type(self).__name__}: device advertises "
+                              f"no PCI-Express capability")
+        self.interrupt_mode = self.choose_interrupt_mode()
+        self.bar0 = self.bar_base(0)
+        vector = self.found.interrupt_line
+        if self.interrupt_mode == "msi":
+            self.program_msi(vector)
+        self.kernel.intc.register(vector, self._irq_handler)
 
     # -- common helpers -----------------------------------------------------------
     @property
@@ -104,21 +135,44 @@ class Driver:
                           self.kernel.msi_target_addr, 4)
         self.config_write(offset + MsiCapability.DATA, vector, 2)
 
-    def register_interrupt(self) -> None:
-        """Common probe tail: program MSI when it stuck, then hook the
-        handler to the vector/line either way."""
-        vector = self.found.interrupt_line
-        if self.interrupt_mode == "msi":
-            self.program_msi(vector)
-        self.kernel.intc.register(vector, self._irq_handler)
-
     def _irq_handler(self):
         raise NotImplementedError
 
-    def require_pcie_capability(self) -> int:
-        offset = self._find_cap(CAP_ID_PCIE)
-        if offset is None:
+
+class CommandDriver(Driver):
+    """Driver for a :class:`~repro.devices.base.CommandDevice`: program
+    the command through timed MMIO register writes (each a real round
+    trip through the fabric), write ``CMD``, and complete from the
+    interrupt handler.  One command is in flight at a time, like the
+    hardware's single command slot.
+    """
+
+    def __init__(self, irq_entry_overhead: int = ticks.from_us(1)):
+        super().__init__(irq_entry_overhead)
+        self._completion = Signal("completion")
+        self._active = False
+
+    def _submit(self, writes: Iterable[Tuple[int, int, int]], command: int):
+        """Generator: write each ``(offset, value, size)`` register,
+        then ``command`` to ``CMD``.  Returns the completion signal,
+        notified with ``{"error": bool}`` from the interrupt handler."""
+        if self._active:
             raise DriverError(
-                f"{type(self).__name__}: device advertises no PCI-Express capability"
-            )
-        return offset
+                f"{type(self).__name__} handles one command at a time")
+        self._active = True
+        self._completion = Signal("completion", latch=True)
+        cpu = self.cpu
+        for offset, value, size in writes:
+            yield from cpu.timed_write(self.bar0 + offset, value, size)
+        yield from cpu.timed_write(self.bar0 + REG_CMD, command, 4)
+        return self._completion
+
+    def _irq_handler(self):
+        yield Delay(self.irq_entry_overhead)
+        resp = yield from self.cpu.timed_read(self.bar0 + REG_STATUS, 4)
+        status = self.cpu.read_value(resp)
+        if not status & STATUS_IRQ:
+            return  # spurious (line shared / already handled)
+        yield from self.cpu.timed_write(self.bar0 + REG_IRQ_CLEAR, 1, 4)
+        self._active = False
+        self._completion.notify({"error": bool(status & STATUS_ERROR)})

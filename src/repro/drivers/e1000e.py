@@ -37,12 +37,9 @@ class E1000eDriver(Driver):
         ring_entries: int = 256,
         irq_entry_overhead: int = ticks.from_us(1),
     ):
-        super().__init__()
+        super().__init__(irq_entry_overhead)
         self.ring_base = ring_base
         self.ring_entries = ring_entries
-        self.irq_entry_overhead = irq_entry_overhead
-        self.bar0 = 0
-        self.interrupt_mode = ""
         self._tx_index = 0
         self._rx_index = 0
         # (signal, frame_number) in issue order.
@@ -58,15 +55,7 @@ class E1000eDriver(Driver):
         rx_ring = self.ring_base + self.ring_entries * hw.DESCRIPTOR_BYTES
         return rx_ring + (index % self.ring_entries) * hw.DESCRIPTOR_BYTES
 
-    # -- probe ------------------------------------------------------------------
-    def probe(self) -> None:
-        if self.device is None:
-            raise DriverError("e1000e probed without a hardware model")
-        self.require_pcie_capability()
-        self.interrupt_mode = self.choose_interrupt_mode()
-        self.bar0 = self.bar_base(0)
-        self.register_interrupt()
-
+    # -- bring-up -----------------------------------------------------------------
     def bring_up(self):
         """Generator: post-probe device initialisation (link check,
         interrupt unmasking) over timed MMIO."""

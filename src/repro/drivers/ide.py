@@ -1,7 +1,7 @@
 """The storage (IDE-like) block driver.
 
 Talks to :class:`repro.devices.disk.IdeDisk` through timed MMIO: each
-request costs four register writes to program the transfer plus the
+request costs three register writes to program the transfer plus the
 command write, and the interrupt handler reads the status register and
 acknowledges — all real round trips through the PCI-Express fabric, so
 driver overhead scales with interconnect latency exactly as on the
@@ -9,67 +9,25 @@ paper's machine.
 """
 
 from repro.devices import disk as hw
-from repro.drivers.base import Driver, DriverError
-from repro.sim import ticks
-from repro.sim.process import Delay, Signal
+from repro.drivers.base import CommandDriver
 
 
-class IdeDiskDriver(Driver):
-    """Block driver for the IDE-like disk.
-
-    Args:
-        irq_entry_overhead: CPU cost charged at handler entry (context
-            save, IRQ bookkeeping).
-    """
+class IdeDiskDriver(CommandDriver):
+    """Block driver for the IDE-like disk."""
 
     device_table = [(hw.IDE_VENDOR_ID, hw.IDE_DEVICE_ID)]
 
-    def __init__(self, irq_entry_overhead: int = ticks.from_us(1)):
-        super().__init__()
-        self.irq_entry_overhead = irq_entry_overhead
-        self.bar0 = 0
-        self.interrupt_mode = ""
-        self._completion: Signal = Signal("ide.completion")
-        self._request_active = False
-
     @property
     def sector_size(self) -> int:
+        """The bound disk's sector size (4 KB before binding)."""
         return self.device.sector_size if self.device is not None else 4096
-
-    # -- probe -------------------------------------------------------------------
-    def probe(self) -> None:
-        if self.device is None:
-            raise DriverError("IDE driver probed without a hardware model")
-        self.require_pcie_capability()
-        self.interrupt_mode = self.choose_interrupt_mode()
-        self.bar0 = self.bar_base(0)
-        self.register_interrupt()
 
     # -- request path (generator: run inside a kernel process) ----------------------
     def start_request(self, lba: int, n_sectors: int, buffer_addr: int,
                       is_write: bool):
         """Program and start one DMA transfer.  Returns the completion
         signal (``yield from`` this, then ``yield WaitFor(signal)``)."""
-        if self._request_active:
-            raise DriverError("IDE driver handles one request at a time")
-        self._request_active = True
-        self._completion = Signal("ide.completion", latch=True)
-        cpu = self.cpu
-        yield from cpu.timed_write(self.bar0 + hw.REG_LBA, lba, 4)
-        yield from cpu.timed_write(self.bar0 + hw.REG_COUNT, n_sectors, 4)
-        yield from cpu.timed_write(self.bar0 + hw.REG_BUF_ADDR, buffer_addr, 8)
         command = hw.CMD_WRITE_DMA if is_write else hw.CMD_READ_DMA
-        yield from cpu.timed_write(self.bar0 + hw.REG_CMD, command, 4)
-        return self._completion
-
-    # -- interrupt handler (generator: spawned by the controller) ---------------------
-    def _irq_handler(self):
-        yield Delay(self.irq_entry_overhead)
-        resp = yield from self.cpu.timed_read(self.bar0 + hw.REG_STATUS, 4)
-        status = self.cpu.read_value(resp)
-        if not status & hw.STATUS_IRQ:
-            return  # spurious (line shared / already handled)
-        yield from self.cpu.timed_write(self.bar0 + hw.REG_IRQ_CLEAR, 1, 4)
-        error = bool(status & hw.STATUS_ERROR)
-        self._request_active = False
-        self._completion.notify({"error": error})
+        return (yield from self._submit(
+            ((hw.REG_LBA, lba, 4), (hw.REG_COUNT, n_sectors, 4),
+             (hw.REG_BUF_ADDR, buffer_addr, 8)), command))

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, List
 from repro.mem.addr import AddrRange
 from repro.pci.capabilities import PciePortType
 from repro.pcie.routing import ComponentPort, PcieRoutingEngine
-from repro.pcie.timing import PcieGen
 from repro.pcie.vp2p import VirtualP2PBridge, WILDCAT_ROOT_PORT_IDS
 from repro.sim.simobject import Simulator
 
@@ -33,25 +32,21 @@ if TYPE_CHECKING:
 
 
 class RootComplex(PcieRoutingEngine):
-    """A root complex with ``num_root_ports`` root ports.
+    """A root complex with one root port per link in ``links``.
 
-    ``spec`` holds the engine knobs; ``num_root_ports`` is the
-    topology's effective root-port count, and the root ports' VP2P
-    capability registers advertise the ``advertised`` link's generation
-    and width.
+    ``spec`` holds the engine knobs; each root port's VP2P capability
+    registers advertise its link's generation and width.
     """
 
     def __init__(self, sim: Simulator, spec: "RootComplexSpec", *,
-                 num_root_ports: int, advertised: "LinkSpec"):
+                 links: List["LinkSpec"]):
         super().__init__(sim, "root_complex", spec)
-        link_speed = PcieGen[advertised.gen].speed_code
-        for i in range(num_root_ports):
+        for i, link in enumerate(links):
             device_id = WILDCAT_ROOT_PORT_IDS[i % len(WILDCAT_ROOT_PORT_IDS)]
             vp2p = VirtualP2PBridge(
+                link,
                 device_id=device_id,
                 port_type=PciePortType.ROOT_PORT,
-                link_speed=link_speed,
-                link_width=advertised.width,
             )
             self.add_downstream_port(vp2p, name=f"root_port{i}")
 

@@ -20,12 +20,11 @@ from typing import TYPE_CHECKING, List
 from repro.mem.addr import AddrRange
 from repro.pci.capabilities import PciePortType
 from repro.pcie.routing import PcieRoutingEngine
-from repro.pcie.timing import PcieGen
 from repro.pcie.vp2p import VirtualP2PBridge
 from repro.sim.simobject import Simulator
 
 if TYPE_CHECKING:
-    from repro.system.spec import LinkSpec, SwitchSpec
+    from repro.system.spec import SwitchSpec
 
 # A generic PLX/Broadcom-style switch identity.
 PLX_VENDOR_ID = 0x10B5
@@ -35,29 +34,25 @@ PLX_SWITCH_DEVICE_ID = 0x8796
 class PcieSwitch(PcieRoutingEngine):
     """A store-and-forward PCI-Express switch.
 
-    ``spec`` names the switch and holds its engine knobs and its
-    effective downstream port count; the VP2P capability registers
-    advertise the ``advertised`` link's generation and width.
+    ``spec`` names the switch and holds its engine knobs, its uplink
+    and its downstream ports' links; each port's VP2P capability
+    registers advertise its own link's generation and width.
     """
 
-    def __init__(self, sim: Simulator, spec: "SwitchSpec", *,
-                 advertised: "LinkSpec"):
+    def __init__(self, sim: Simulator, spec: "SwitchSpec"):
         super().__init__(sim, spec.name, spec)
-        link_speed = PcieGen[advertised.gen].speed_code
         self.upstream_vp2p = VirtualP2PBridge(
+            spec.link,
             device_id=PLX_SWITCH_DEVICE_ID,
             vendor_id=PLX_VENDOR_ID,
             port_type=PciePortType.UPSTREAM_SWITCH_PORT,
-            link_speed=link_speed,
-            link_width=advertised.width,
         )
-        for i in range(spec.effective_num_ports):
+        for i, link in enumerate(spec.port_links):
             vp2p = VirtualP2PBridge(
+                link,
                 device_id=PLX_SWITCH_DEVICE_ID + 1 + i,
                 vendor_id=PLX_VENDOR_ID,
                 port_type=PciePortType.DOWNSTREAM_SWITCH_PORT,
-                link_speed=link_speed,
-                link_width=advertised.width,
             )
             self.add_downstream_port(vp2p, name=f"down_port{i}")
 

@@ -13,8 +13,14 @@ through ordinary configuration writes; the root complex and switch then
 follows whatever topology software configured.
 """
 
+from typing import TYPE_CHECKING
+
 from repro.pci.capabilities import PcieCapability, PciePortType
 from repro.pci.header import PciBridgeFunction
+from repro.pcie.timing import PcieGen
+
+if TYPE_CHECKING:
+    from repro.system.spec import LinkSpec
 
 INTEL_VENDOR_ID = 0x8086
 WILDCAT_ROOT_PORT_IDS = (0x9C90, 0x9C92, 0x9C94)
@@ -25,28 +31,27 @@ class VirtualP2PBridge(PciBridgeFunction):
     """A type-1 header + PCIe capability identifying the port role.
 
     Args:
+        link: the port's link, whose generation and width the
+            capability registers advertise (they steer no timing).
         device_id: configuration device id (the paper's root ports use
             the Wildcat ids above).
         port_type: role advertised in the PCIe capability.
-        link_speed: 1/2/3 for Gen 1/2/3 (capability registers only).
-        link_width: advertised maximum link width.
     """
 
     def __init__(
         self,
+        link: "LinkSpec",
         device_id: int = WILDCAT_ROOT_PORT_IDS[0],
         vendor_id: int = INTEL_VENDOR_ID,
         port_type: PciePortType = PciePortType.ROOT_PORT,
-        link_speed: int = 2,
-        link_width: int = 1,
     ):
         super().__init__(vendor_id, device_id)
         self.port_type = PciePortType(port_type)
         self.add_capability(
             PcieCapability(
                 port_type=self.port_type,
-                max_link_speed=link_speed,
-                max_link_width=link_width,
+                max_link_speed=PcieGen[link.gen].speed_code,
+                max_link_width=link.width,
                 slot_implemented=self.port_type
                 in (PciePortType.ROOT_PORT, PciePortType.DOWNSTREAM_SWITCH_PORT),
             ),

@@ -68,8 +68,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: silently misreading state.  Version 2: event records gained ``arg``
 #: and ``handle`` and lost ``name``.  Version 3: the disk's state lost
 #: ``written_lbas``, and a link's never-built error RNG is null.
-#: Version 4: a crossbar's state holds its layers' horizons.
-CHECKPOINT_VERSION = 4
+#: Version 4: a crossbar's state holds its layers' horizons.  Version
+#: 5: an accelerator's state holds its register file and start tick.
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):

@@ -236,6 +236,16 @@ class Distribution(Replayable, Stat):
         self._max = state["max"]
 
 
+def percentile(samples: Sequence[Number], fraction: float) -> Number:
+    """Nearest-rank percentile: the smallest sample with at least
+    ``fraction`` of ``samples`` at or below it (0.0 when empty)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = min(max(1, math.ceil(fraction * len(ordered))), len(ordered))
+    return ordered[rank - 1]
+
+
 #: Default percentile points of a :class:`Quantiles` stat: the tail
 #: percentiles fairness analysis reports (``p999`` = 99.9th).
 QUANTILE_POINTS: Tuple[Tuple[str, float], ...] = (
@@ -293,13 +303,8 @@ class Quantiles(Replayable, Stat):
         return max(self._samples) if self._samples else None
 
     def percentile(self, fraction: float) -> Number:
-        """Nearest-rank percentile: smallest sample with at least
-        ``fraction`` of the samples at or below it (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = min(max(1, math.ceil(fraction * len(ordered))), len(ordered))
-        return ordered[rank - 1]
+        """The :func:`percentile` of the retained samples."""
+        return percentile(self._samples, fraction)
 
     def value(self) -> Number:
         """Headline value: the median."""

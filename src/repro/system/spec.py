@@ -374,6 +374,13 @@ class LinkSpec(Record):
         return f"<LinkSpec {self.name!r} {self.gen} x{self.width}>"
 
 
+def _port_links(children: list, ports: int) -> List[LinkSpec]:
+    """The link each of ``ports`` downstream ports advertises: its
+    child's edge, or on an empty port the :class:`LinkSpec` defaults."""
+    return [child.link for child in children] + [LinkSpec()] * (
+        ports - len(children))
+
+
 class DeviceSpec(Record):
     """One endpoint device hanging off a root port or switch port.
 
@@ -491,6 +498,11 @@ class SwitchSpec(EngineSpec):
         return self.num_ports if self.num_ports is not None else max(
             len(self.children), 1)
 
+    @property
+    def port_links(self) -> List[LinkSpec]:
+        """The link each downstream port advertises, in port order."""
+        return _port_links(self.children, self.effective_num_ports)
+
     def validate(self) -> None:
         """Check the switch knobs and its link (the children are
         :meth:`TopologySpec.validate`'s walk to visit, once each)."""
@@ -562,6 +574,11 @@ class TopologySpec(Record):
         """Root ports actually built: ``num_root_ports`` or fan-out."""
         ports = self.root_complex.num_root_ports
         return ports if ports is not None else max(len(self.children), 1)
+
+    @property
+    def root_port_links(self) -> List[LinkSpec]:
+        """The link each root port advertises, in port order."""
+        return _port_links(self.children, self.effective_num_root_ports)
 
     def walk(self) -> Iterator[Union[SwitchSpec, DeviceSpec]]:
         """Every node of the tree, depth-first in port order — the same
@@ -671,13 +688,21 @@ def _device_without_link(device: DeviceSpec) -> Dict[str, Any]:
     return doc
 
 
+def _load_device_without_link(doc: Any, where: str,
+                              error: type) -> DeviceSpec:
+    """Read :func:`_device_without_link` back; a ``link`` is an error."""
+    if isinstance(doc, dict) and "link" in doc:
+        raise error(f"{where}: a classic PCI device has no link")
+    return DeviceSpec.from_dict(doc)
+
+
 class ClassicPciSpec(Record):
     """The pre-PCI-Express baseline: one disk on a classic shared bus.
 
     Args:
         clock_mhz: shared-bus clock, 33 or 66 MHz.
-        device: the disk's :class:`DeviceSpec`; its link is ignored
-            (a shared bus has no PCI-Express links) and only
+        device: the disk's :class:`DeviceSpec`; its document carries no
+            link (a shared bus has no PCI-Express links) and only
             ``kind="disk"`` is routable on the classic fabric.
     """
 
@@ -686,8 +711,7 @@ class ClassicPciSpec(Record):
 
     clock_mhz: int = 33
     device: Optional[DeviceSpec] = _field(
-        _device_without_link,
-        lambda doc, where, error: DeviceSpec.from_dict(doc), default=None)
+        _device_without_link, _load_device_without_link, default=None)
 
     def __post_init__(self) -> None:
         self.device = self.device or DeviceSpec("disk", name="disk")

@@ -40,7 +40,7 @@ from repro.pcie.switch import PcieSwitch
 from repro.platform.addrmap import VEXPRESS_GEM5_V1, AddressMap
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
-from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec, SpecError,
+from repro.system.spec import (ClassicPciSpec, DeviceSpec, SpecError,
                                SwitchSpec, TopologySpec, spec_from_dict)
 
 #: Device model and driver classes behind each :class:`DeviceSpec` kind.
@@ -181,18 +181,6 @@ def _boot_and_bind(system: PcieSystem, driver_specs: List[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _advertised_link(node: Union[TopologySpec, SwitchSpec]) -> LinkSpec:
-    """The LinkSpec whose gen/width an engine's VP2P bridges advertise.
-
-    Mirrors the historical builders: the root complex advertised its
-    root link, the switch its device links — i.e. the first child's
-    edge.  A childless switch falls back to its own uplink.
-    """
-    if node.children:
-        return node.children[0].link
-    return node.link  # only reachable for SwitchSpec
-
-
 def _build_subtree(sim: Simulator, system: PcieSystem,
                    node: Union[SwitchSpec, DeviceSpec], upstream_port,
                    parent_bus, enable_msi: bool) -> None:
@@ -212,7 +200,7 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
         parent_bus.add_function(0, 0, device.function)
         return
 
-    switch = PcieSwitch(sim, node, advertised=_advertised_link(node))
+    switch = PcieSwitch(sim, node)
     system.switches[node.name] = switch
     link = PcieLink.from_spec(sim, f"{node.link.name}_link", node.link)
     _connect_link(link, upstream_port, switch=switch)
@@ -229,10 +217,8 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
     system = _build_core(sim, addrmap)
     system.spec = spec
 
-    root_complex = RootComplex(
-        sim, spec.root_complex,
-        num_root_ports=spec.effective_num_root_ports,
-        advertised=_advertised_link(spec))
+    root_complex = RootComplex(sim, spec.root_complex,
+                               links=spec.root_port_links)
     _attach_root_complex(system, root_complex)
     if spec.enable_msi:
         _attach_msi_doorbell(system)

@@ -106,6 +106,42 @@ def test_command_while_busy_flags_error_without_corrupting_copy():
     assert accel.mmio_read(0, REG_STATUS, 4) & STATUS_IRQ
 
 
+def test_checkpoint_keeps_the_register_file():
+    # A completed copy leaves its registers programmed and the
+    # completion interrupt pending; a restored twin reads them back.
+    sim = Simulator()
+    accel, __ = build(sim)
+    start_copy(accel, nbytes=256)
+    sim.run()
+    twin_sim = Simulator()
+    twin, __ = build(twin_sim)
+    twin_sim.restore(sim.checkpoint())
+    for offset in (REG_SRC, REG_DST, REG_NBYTES, REG_STATUS):
+        assert twin.mmio_read(0, offset, 8) == accel.mmio_read(0, offset, 8)
+    assert twin.mmio_read(0, REG_STATUS, 4) == STATUS_IRQ
+    assert twin.mmio_read(0, REG_SRC, 8) == 0x80000000
+    assert twin.irq_pending and not twin.busy
+
+
+def test_checkpoint_during_setup_finishes_the_copy_alike():
+    # Captured while the command decodes, the copy resumes from the
+    # restored registers and is timed from its original start.
+    def run(restore_at=None):
+        sim = Simulator()
+        accel, memory = build(sim)
+        start_copy(accel, nbytes=256)
+        if restore_at is not None:
+            sim.run(until=restore_at)
+            sim, snapshot = Simulator(), sim.checkpoint()
+            accel, memory = build(sim)
+            sim.restore(snapshot)
+        sim.run()
+        return accel.copy_ticks.mean, [(p.addr, p.is_read)
+                                      for p in memory.requests]
+
+    assert run(restore_at=ticks.from_ns(100)) == run()
+
+
 def test_accel_is_a_registered_device_kind():
     from repro.drivers.accel import DmaAccelDriver
     from repro.system.spec import DEVICE_KIND_NAMES

@@ -65,10 +65,16 @@ def test_program_msi_requires_doorbell():
 
 
 def test_unimplemented_base_probe():
+    # The base probe binds a bare Driver; only its handler is missing.
     class Stub(Driver):
         device_table = [(1, 2)]
 
     system = build_system(validation_spec())
     node = system.kernel.enumerator.find(0x8086, 0x7111)[0]
+    system.kernel.intc.unregister(node.interrupt_line)  # the IDE driver's
+    stub = Stub()
+    stub.bind(system.kernel, node, system.devices["disk"])
+    assert stub.bound and stub.bar0 == stub.bar_base(0)
+    assert stub.interrupt_mode == "legacy"
     with pytest.raises(NotImplementedError):
-        Stub().bind(system.kernel, node, system.devices["disk"])
+        stub._irq_handler()

@@ -10,14 +10,15 @@ from repro.system.spec import LinkSpec, RootComplexSpec, SwitchSpec
 
 
 def make_root_complex(sim, num_root_ports: int, **knobs) -> RootComplex:
-    """A root complex with ``knobs`` set on its record, advertising a
-    default :class:`LinkSpec`."""
+    """A root complex with ``knobs`` set on its record and
+    ``num_root_ports`` root ports, each advertising a default
+    :class:`LinkSpec`."""
     return RootComplex(sim, RootComplexSpec(**knobs),
-                       num_root_ports=num_root_ports, advertised=LinkSpec())
+                       links=[LinkSpec()] * num_root_ports)
 
 
 def make_switch(sim, num_downstream_ports: int, **knobs) -> PcieSwitch:
-    """A switch named ``switch`` with ``knobs`` set on its record,
-    advertising a default :class:`LinkSpec`."""
+    """A switch named ``switch`` with ``knobs`` set on its record; its
+    empty ports advertise a default :class:`LinkSpec`."""
     spec = SwitchSpec(name="switch", num_ports=num_downstream_ports, **knobs)
-    return PcieSwitch(sim, spec, advertised=LinkSpec())
+    return PcieSwitch(sim, spec)

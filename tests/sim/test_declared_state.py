@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from repro.devices.base import CommandDevice
 from repro.devices.disk import IdeDisk
 from repro.kernel.blockio import _Prover
 from repro.mem.dram import SimpleMemory
@@ -43,7 +44,7 @@ MACHINES = {
 #: The only classes whose state is not all flat attributes, and the
 #: document keys their overrides add.
 OVERRIDES = {PcieLinkInterface: {"fc", "rng"}, IOCache: {"sets"},
-             IdeDisk: {"regs"}}
+             CommandDevice: {"regs"}, IdeDisk: set()}
 
 KINDS = {"exact", "horizon", "accumulator"}
 

@@ -9,6 +9,7 @@ trace and driver identities end to end.
 
 from repro.obs.trace import MemorySink
 from repro.pci import header as hdr
+from repro.pci.capabilities import CAP_ID_PCIE
 from repro.system.spec import (DeviceSpec, SwitchSpec, TopologySpec,
                                deep_hierarchy_spec)
 from repro.system.topology import build_system
@@ -115,6 +116,22 @@ def test_deeper_fabric_is_slower():
         return dd.result.throughput_gbps
 
     assert throughput(shallow, "sw1_disk0") > throughput(deep, "sw4_disk0")
+
+
+def test_each_port_advertises_its_own_link():
+    # sw1's upstream port and its downstream port to sw2 sit on x4
+    # links; its downstream port to the disk on an x1 link.
+    system = build_system(deep_hierarchy_spec(2, 1))
+    widths = {}
+    for node in system.kernel.enumerator.all_devices():
+        offset = dict(node.capabilities)[CAP_ID_PCIE]
+        link_caps = system.host.config_read(*node.bdf, offset + 0x0C, 4)
+        widths[node.bdf] = (link_caps >> 4) & 0x3F
+    assert widths[(0, 0, 0)] == 4  # root port -> sw1
+    assert widths[(1, 0, 0)] == 4  # sw1 upstream
+    assert widths[(2, 0, 0)] == 1  # sw1 -> disk
+    assert widths[(2, 1, 0)] == 4  # sw1 -> sw2
+    assert widths[(4, 0, 0)] == 4  # sw2 upstream
 
 
 # ------------------------------------------- depth-4 fan-out-4 (acceptance)

@@ -283,6 +283,9 @@ _HOSTILE_FIELDS = [
     (classic_pci_spec, ("device", "nmae"), "disk", "nmae"),
     (validation_spec, _DISK + ("params",), 5, "params"),
     (classic_pci_spec, ("device", "params"), "fast", "params"),
+    # A shared bus has no links: one must fail, not vanish on write.
+    (classic_pci_spec, ("device", "link"), {"width": 99, "gen": "GEN9"},
+     "link"),
     (validation_spec, ("enable_msi",), "yes", "enable_msi"),
     # A name becomes a SimObject name, where "." joins full names.
     (validation_spec, _DISK + ("name",), "", "device '': name must be"),

@@ -1,10 +1,10 @@
 """Docstring-coverage contract for the documented-surface paths.
 
 CI runs ``interrogate --fail-under 80`` over the experiment subsystem,
-the simulation kernel, the PCI-Express models, the topology spec layer
-and the benchmark harness; this test enforces the same floor with the
-stdlib checker so the contract also holds on machines where interrogate
-is not installed.
+the simulation kernel, the PCI-Express models, the endpoint devices and
+drivers, the topology spec layer and the benchmark harness; this test
+enforces the same floor with the stdlib checker so the contract also
+holds on machines where interrogate is not installed.
 """
 
 import os
@@ -19,6 +19,8 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "system"),
     os.path.join(REPO_ROOT, "src", "repro", "kernel"),
     os.path.join(REPO_ROOT, "src", "repro", "workloads"),
+    os.path.join(REPO_ROOT, "src", "repro", "devices"),
+    os.path.join(REPO_ROOT, "src", "repro", "drivers"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 
