@@ -23,15 +23,18 @@ offset name         meaning
 ====== ===========  =================================================
 """
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from repro.devices.base import (  # noqa: F401 (re-export)
     REG_CMD, REG_IRQ_CLEAR, REG_STATUS, STATUS_BUSY, STATUS_ERROR, STATUS_IRQ,
-    CommandDevice, endpoint_function)
+    CommandDevice)
 from repro.devices.dma import DmaEngine
-from repro.pci.header import Bar, PciEndpointFunction
+from repro.pci.header import Bar
 from repro.sim import ticks
-from repro.sim.simobject import SimObject, Simulator
+from repro.sim.simobject import Simulator
+
+if TYPE_CHECKING:
+    from repro.system.spec import DeviceSpec
 
 REG_SRC = 0x08
 REG_DST = 0x10
@@ -39,52 +42,25 @@ REG_NBYTES = 0x18
 
 CMD_COPY = 1
 
-ACCEL_VENDOR_ID = 0x1DE5  # Eideticom, a real PCIe NVMe-accelerator vendor
-ACCEL_DEVICE_ID = 0x3000
-
-
-def make_accel_function(msi_functional: bool = False) -> PciEndpointFunction:
-    """Config function for the accelerator: one 4 KB memory BAR and the
-    same PM → MSI → PCIe → MSI-X capability chain as the other devices
-    (pass ``msi_functional=True`` for the MSI extension)."""
-    return endpoint_function(
-        ACCEL_VENDOR_ID, ACCEL_DEVICE_ID, [Bar(4096)],
-        0x120000,  # processing accelerator
-        msi_functional)
-
 
 class DmaAccelerator(CommandDevice):
-    """The copy accelerator; see module docstring.
+    """The copy accelerator; see module docstring.  Its knobs are
+    :class:`~repro.system.spec.AccelKnobs`."""
 
-    Args:
-        setup_latency: fixed command-decode latency before the first
-            DMA packet of a copy is issued.
-        chunk: DMA packet payload size (cache line, 64 B).
-        dma_outstanding: in-flight DMA packets within one direction.
-        posted_writes: run the write-back half posted (fire-and-forget)
-            instead of waiting for every write response.
-    """
-
+    VENDOR_ID = 0x1DE5  # Eideticom, a real PCIe NVMe-accelerator vendor
+    DEVICE_ID = 0x3000
+    BARS = (Bar(4096),)
+    CLASS_CODE = 0x120000  # processing accelerator
     REGISTERS = (REG_SRC, REG_DST, REG_NBYTES)
+    #: Fixed command-decode latency before the first DMA packet of a
+    #: copy is issued.
+    SETUP_LATENCY = ticks.from_ns(200)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "accel",
-        parent: Optional[SimObject] = None,
-        setup_latency: int = ticks.from_ns(200),
-        chunk: int = 64,
-        dma_outstanding: int = 32,
-        posted_writes: bool = False,
-        pio_latency: int = ticks.from_ns(30),
-        msi_functional: bool = False,
-    ):
-        super().__init__(sim, name, make_accel_function(msi_functional),
-                         parent, pio_latency=pio_latency)
-        self.setup_latency = setup_latency
-        self.posted_writes = posted_writes
-        self.dma = DmaEngine(sim, "dma_engine", self, chunk=chunk,
-                             max_outstanding=dma_outstanding)
+    def __init__(self, sim: Simulator, spec: "DeviceSpec"):
+        super().__init__(sim, spec)
+        # Cache-line (64 B, the engine's default) DMA packets.
+        self.dma = DmaEngine(sim, "dma_engine", self,
+                             max_outstanding=self.knobs.dma_outstanding)
         self._start_tick = 0
 
         self.copies_completed = self.stats.scalar("copies_completed")
@@ -99,7 +75,7 @@ class DmaAccelerator(CommandDevice):
 
     def _run(self, command: int) -> None:
         self._start_tick = self.curtick
-        self.schedule(self.setup_latency, self._read_source)
+        self.schedule(self.SETUP_LATENCY, self._read_source)
 
     def _read_source(self) -> None:
         transfer = self.dma.read(self._regs[REG_SRC], self._regs[REG_NBYTES])
@@ -107,7 +83,7 @@ class DmaAccelerator(CommandDevice):
 
     def _write_destination(self) -> None:
         transfer = self.dma.write(self._regs[REG_DST], self._regs[REG_NBYTES],
-                                  posted=self.posted_writes)
+                                  posted=self.knobs.posted_writes)
         transfer.on_complete(lambda __: self._complete_command())
 
     def _complete_command(self) -> None:

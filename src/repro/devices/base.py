@@ -15,38 +15,43 @@ developments".  :class:`PcieDevice` is that template:
 * a legacy INTx interrupt raised through the platform interrupt
   controller at the line the enumeration software assigned.
 
-:func:`endpoint_function` builds every endpoint's config function, and
-:class:`CommandDevice` is the one-command-slot device the disk and the
-accelerator share.
+:class:`PcieDevice` builds each endpoint from its
+:class:`~repro.system.spec.DeviceSpec`, its config function through
+:func:`endpoint_function`, and :class:`CommandDevice` is the
+one-command-slot device the disk and the accelerator share.
 """
 
-from typing import Dict, List, Optional, Tuple
+import copy
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PacketQueue, SlavePort
 from repro.pci.capabilities import (CAP_ID_MSI, MsiCapability, MsixCapability,
-                                     PcieCapability, PciePortType,
-                                     PowerManagementCapability)
-from repro.pci.header import Bar, PciEndpointFunction
-from repro.sim import ticks
+                                     PciePortType, PowerManagementCapability)
+from repro.pci.header import PciEndpointFunction
+from repro.pcie.vp2p import link_capability
 from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
 
+if TYPE_CHECKING:
+    from repro.system.spec import DeviceSpec, LinkSpec
 
-def endpoint_function(vendor_id: int, device_id: int, bars: List[Bar],
-                      class_code: int, msi_functional: bool,
-                      msix_table_size: int = 1) -> PciEndpointFunction:
-    """An endpoint's configuration function: its identity and BARs, and
-    the paper's capability chain PM → MSI → PCI-Express (a Gen 2 x1
-    endpoint) → MSI-X, with everything but PCI-Express disabled unless
-    ``msi_functional`` makes MSI's enable bit writable."""
-    fn = PciEndpointFunction(vendor_id, device_id, bars=bars,
-                             class_code=class_code)
+
+def endpoint_function(device: type, link: "LinkSpec",
+                      msi_functional: bool) -> PciEndpointFunction:
+    """An endpoint's configuration function: the identity and BARs the
+    ``device`` class declares, and the paper's capability chain PM →
+    MSI → PCI-Express → MSI-X, with everything but PCI-Express disabled
+    unless ``msi_functional`` makes MSI's enable bit writable.  The
+    PCI-Express capability advertises ``link`` as a VP2P's does."""
+    fn = PciEndpointFunction(device.VENDOR_ID, device.DEVICE_ID,
+                             bars=[copy.copy(bar) for bar in device.BARS],
+                             class_code=device.CLASS_CODE)
     fn.add_capability(PowerManagementCapability())
     fn.add_capability(MsiCapability(functional=msi_functional))
-    fn.add_capability(PcieCapability(PciePortType.ENDPOINT))
-    fn.add_capability(MsixCapability(table_size=msix_table_size))
+    fn.add_capability(link_capability(PciePortType.ENDPOINT, link))
+    fn.add_capability(MsixCapability(table_size=device.MSIX_TABLE_SIZE))
     return fn
 
 
@@ -65,29 +70,29 @@ class _MsiPump:
 
 
 class PcieDevice(SimObject):
-    """Base class for endpoint device models.
+    """Base class for endpoint device models, each built from its
+    :class:`~repro.system.spec.DeviceSpec`: the spec names it, its link
+    is what its PCI-Express capability advertises, and its
+    :meth:`~repro.system.spec.DeviceSpec.knobs` set the rest.
 
-    Args:
-        function: the device's configuration-space function.
-        pio_latency: ticks from accepting an MMIO/PIO request to sending
-            its response.
-        pio_buffer: bounded in-flight PIO requests.
+    A subclass declares its identity: ``VENDOR_ID``, ``DEVICE_ID``,
+    ``BARS`` (templates, copied into each device's function),
+    ``CLASS_CODE`` and ``MSIX_TABLE_SIZE``.
     """
+
+    CLASS_CODE = 0
+    MSIX_TABLE_SIZE = 1
+    #: Bounded in-flight PIO requests.
+    PIO_BUFFER = 8
 
     in_flight = ("_pio_respq", "_dma_queue", "_dma_pumps", "_dma_waiters")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        function: PciEndpointFunction,
-        parent: Optional[SimObject] = None,
-        pio_latency: int = ticks.from_ns(30),
-        pio_buffer: int = 8,
-    ):
-        super().__init__(sim, name, parent)
-        self.function = function
-        self.pio_latency = pio_latency
+    def __init__(self, sim: Simulator, spec: "DeviceSpec"):
+        super().__init__(sim, spec.name)
+        self.knobs = spec.knobs()
+        self.function = endpoint_function(type(self), spec.link,
+                                          self.knobs.msi_functional)
+        self.pio_latency = self.knobs.pio_latency
         self.intc = None  # wired by the system builder
 
         self.pio_port = SlavePort(
@@ -102,7 +107,7 @@ class PcieDevice(SimObject):
             recv_timing_resp=self._recv_dma_response,
         )
         self._pio_respq = PacketQueue(
-            self, "pio_respq", self.pio_port.send_timing_resp, pio_buffer
+            self, "pio_respq", self.pio_port.send_timing_resp, self.PIO_BUFFER
         )
         self._pio_respq.on_space_freed = self._maybe_retry_pio
         self._dma_queue = PacketQueue(self, "dmaq", self.dma_port.send_timing_req, 64)
@@ -288,11 +293,8 @@ class CommandDevice(PcieDevice):
     #: The BAR0 offsets a driver programs before ``CMD``, in map order.
     REGISTERS: Tuple[int, ...] = ()
 
-    def __init__(self, sim: Simulator, name: str,
-                 function: PciEndpointFunction,
-                 parent: Optional[SimObject] = None,
-                 pio_latency: int = ticks.from_ns(30)):
-        super().__init__(sim, name, function, parent, pio_latency=pio_latency)
+    def __init__(self, sim: Simulator, spec: "DeviceSpec"):
+        super().__init__(sim, spec)
         self._regs: Dict[int, int] = dict.fromkeys(
             (REG_CMD, *self.REGISTERS, REG_STATUS), 0)
 

@@ -27,15 +27,17 @@ offset name         meaning
 ====== ===========  =================================================
 """
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.devices.base import (  # noqa: F401 (re-export)
     REG_CMD, REG_IRQ_CLEAR, REG_STATUS, STATUS_BUSY, STATUS_ERROR, STATUS_IRQ,
-    CommandDevice, endpoint_function)
+    CommandDevice)
 from repro.devices.dma import DmaEngine
-from repro.pci.header import Bar, PciEndpointFunction
-from repro.sim import ticks
-from repro.sim.simobject import Origin, SimObject, Simulator
+from repro.pci.header import Bar
+from repro.sim.simobject import Origin, Simulator
+
+if TYPE_CHECKING:
+    from repro.system.spec import DeviceSpec
 
 REG_LBA = 0x08
 REG_COUNT = 0x10
@@ -44,57 +46,23 @@ REG_BUF_ADDR = 0x18
 CMD_READ_DMA = 1
 CMD_WRITE_DMA = 2
 
-IDE_VENDOR_ID = 0x8086
-IDE_DEVICE_ID = 0x7111  # PIIX4 IDE, the identity gem5's IDE controller uses
-
-
-def make_disk_function(msi_functional: bool = False) -> PciEndpointFunction:
-    """Config function for the disk: one 4 KB memory BAR, the paper's
-    capability chain with everything but PCI-Express disabled (pass
-    ``msi_functional=True`` for the MSI extension)."""
-    return endpoint_function(
-        IDE_VENDOR_ID, IDE_DEVICE_ID, [Bar(4096)],
-        0x010185,  # mass storage, IDE, bus-master capable
-        msi_functional)
-
 
 class IdeDisk(CommandDevice):
-    """The storage device driven by the ``dd`` experiments.
+    """The storage device driven by the ``dd`` experiments; its knobs
+    are :class:`~repro.system.spec.DiskKnobs`."""
 
-    Args:
-        sector_size: bytes per sector (the paper transfers 4 KB
-            sectors).
-        access_latency: constant internal medium latency per sector
-            (gem5's IDE disk: 1 µs).
-        capacity_sectors: disk size.
-        posted_writes: run DMA writes posted (ablation; the paper's
-            model does not support posted writes).
-        dma_outstanding: in-flight DMA packets within one sector.
-    """
-
+    VENDOR_ID = 0x8086
+    DEVICE_ID = 0x7111  # PIIX4 IDE, the identity gem5's IDE controller uses
+    BARS = (Bar(4096),)
+    CLASS_CODE = 0x010185  # mass storage, IDE, bus-master capable
     REGISTERS = (REG_LBA, REG_COUNT, REG_BUF_ADDR)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "disk",
-        parent: Optional[SimObject] = None,
-        sector_size: int = 4096,
-        access_latency: int = ticks.from_us(1),
-        capacity_sectors: int = 1 << 30,
-        posted_writes: bool = False,
-        dma_outstanding: int = 64,
-        pio_latency: int = ticks.from_ns(30),
-        msi_functional: bool = False,
-    ):
-        super().__init__(sim, name, make_disk_function(msi_functional), parent,
-                         pio_latency=pio_latency)
-        self.sector_size = sector_size
-        self.access_latency = access_latency
-        self.capacity_sectors = capacity_sectors
-        self.posted_writes = posted_writes
+    def __init__(self, sim: Simulator, spec: "DeviceSpec"):
+        super().__init__(sim, spec)
+        self.sector_size = self.knobs.sector_size
+        self.capacity_sectors = self.knobs.capacity_sectors
         self.dma = DmaEngine(sim, "dma_engine", self,
-                             max_outstanding=dma_outstanding)
+                             max_outstanding=self.knobs.dma_outstanding)
 
         self._sectors_remaining = 0
         self._current_lba = 0
@@ -129,7 +97,7 @@ class IdeDisk(CommandDevice):
             self._complete_command()
             return
         # Constant-latency medium access, then the DMA burst.
-        self.schedule(self.access_latency, self._transfer_sector)
+        self.schedule(self.knobs.access_latency, self._transfer_sector)
 
     #: Set by the block layer for the command it submits, and called
     #: between events once the medium is ready, before each sector's
@@ -157,7 +125,7 @@ class IdeDisk(CommandDevice):
             # paper's model does not support posted writes: the barrier
             # below waits for every write response.
             transfer = self.dma.write(self._current_buf, self.sector_size,
-                                      posted=self.posted_writes)
+                                      posted=self.knobs.posted_writes)
         transfer.on_complete(lambda __: self._sector_done(start))
 
     def _sector_done(self, start_tick: int) -> None:

@@ -33,13 +33,16 @@ offset  name    meaning
 """
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Tuple
 
-from repro.devices.base import PcieDevice, endpoint_function
+from repro.devices.base import PcieDevice
 from repro.devices.dma import DmaEngine
-from repro.pci.header import Bar, PciEndpointFunction
+from repro.pci.header import Bar
 from repro.sim import ticks
-from repro.sim.simobject import SimObject, Simulator
+from repro.sim.simobject import Simulator
+
+if TYPE_CHECKING:
+    from repro.system.spec import DeviceSpec
 
 REG_CTRL = 0x00000
 REG_STATUS = 0x00008
@@ -55,50 +58,26 @@ ICR_RXT0 = 1 << 7  # receive timer / packet delivered
 
 STATUS_LINK_UP = 1 << 1
 
-INTEL_VENDOR_ID = 0x8086
-NIC_8254X_PCIE_DEVICE_ID = 0x10D3  # invokes the e1000e probe function
-
 DESCRIPTOR_BYTES = 16
 
 
-def make_nic_function(msi_functional: bool = False) -> PciEndpointFunction:
-    """The 8254x-pcie configuration function: 128 KB MMIO BAR, 32 B I/O
-    BAR, and the paper's capability chain in order (pass
-    ``msi_functional=True`` for the MSI extension)."""
-    return endpoint_function(
-        INTEL_VENDOR_ID, NIC_8254X_PCIE_DEVICE_ID,
-        [Bar(128 * 1024), Bar(0), Bar(32, io=True)],
-        0x020000,  # Ethernet controller
-        msi_functional, msix_table_size=5)
-
-
 class Nic8254xPcie(PcieDevice):
-    """See module docstring.
+    """See module docstring.  Its knobs are
+    :class:`~repro.system.spec.NicKnobs`."""
 
-    Args:
-        tx_process_latency: per-frame internal processing time.
-        loopback_wire_latency: delay between TX completion and RX
-            delivery when loopback is enabled.
-    """
+    VENDOR_ID = 0x8086
+    DEVICE_ID = 0x10D3  # invokes the e1000e probe function
+    # A 128 KB MMIO BAR and a 32 B I/O BAR.
+    BARS = (Bar(128 * 1024), Bar(0), Bar(32, io=True))
+    CLASS_CODE = 0x020000  # Ethernet controller
+    MSIX_TABLE_SIZE = 5
+    #: Per-frame internal processing time.
+    TX_PROCESS_LATENCY = ticks.from_ns(500)
+    #: Delay between TX completion and RX delivery in loopback.
+    LOOPBACK_WIRE_LATENCY = ticks.from_us(1)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "nic",
-        parent: Optional[SimObject] = None,
-        tx_process_latency: int = ticks.from_ns(500),
-        loopback_wire_latency: int = ticks.from_us(1),
-        # Register-file access time.  Calibrated against Table II: with
-        # the fabric contributing ~200 ns and the root complex 2x its
-        # latency, 120 ns here lands the sweep on the paper's
-        # 318...517 ns measurements.
-        pio_latency: int = ticks.from_ns(120),
-        msi_functional: bool = False,
-    ):
-        super().__init__(sim, name, make_nic_function(msi_functional), parent,
-                         pio_latency=pio_latency)
-        self.tx_process_latency = tx_process_latency
-        self.loopback_wire_latency = loopback_wire_latency
+    def __init__(self, sim: Simulator, spec: "DeviceSpec"):
+        super().__init__(sim, spec)
         self.dma = DmaEngine(sim, "dma_engine", self)
 
         self._regs = {
@@ -176,7 +155,7 @@ class Nic8254xPcie(PcieDevice):
         payload = self.dma.read(buf_addr, length)
         payload.on_complete(
             lambda __: self.schedule(
-                self.tx_process_latency, self._tx_writeback,
+                self.TX_PROCESS_LATENCY, self._tx_writeback,
                 (desc_addr, buf_addr, length))
         )
 
@@ -193,7 +172,8 @@ class Nic8254xPcie(PcieDevice):
         self.tx_bytes.inc(length)
         self._signal_interrupt(ICR_TXDW)
         if self._regs[REG_CTRL] & CTRL_LOOPBACK:
-            self.schedule(self.loopback_wire_latency, self._rx_deliver, length)
+            self.schedule(self.LOOPBACK_WIRE_LATENCY, self._rx_deliver,
+                          length)
         self._tx_busy = False
         self._maybe_start_tx()
 

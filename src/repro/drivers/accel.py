@@ -13,7 +13,8 @@ from repro.drivers.base import CommandDriver, DriverError
 class DmaAccelDriver(CommandDriver):
     """Driver for :class:`repro.devices.accel.DmaAccelerator`."""
 
-    device_table = [(hw.ACCEL_VENDOR_ID, hw.ACCEL_DEVICE_ID)]
+    device_table = [(hw.DmaAccelerator.VENDOR_ID,
+                     hw.DmaAccelerator.DEVICE_ID)]
 
     # -- copy path (generator: run inside a kernel process) ----------------------
     def start_copy(self, src: int, dst: int, nbytes: int):

@@ -26,18 +26,15 @@ class Driver:
 
     Subclasses set :attr:`device_table` and implement
     :meth:`_irq_handler`.
-
-    Args:
-        irq_entry_overhead: CPU cost charged at handler entry (context
-            save, IRQ bookkeeping).
     """
 
     #: The module device table: (vendor_id, device_id) pairs this driver
     #: claims.
     device_table: List[Tuple[int, int]] = []
+    #: CPU cost charged at handler entry (context save, IRQ bookkeeping).
+    IRQ_ENTRY_OVERHEAD = ticks.from_us(1)
 
-    def __init__(self, irq_entry_overhead: int = ticks.from_us(1)):
-        self.irq_entry_overhead = irq_entry_overhead
+    def __init__(self):
         self.kernel = None
         self.found: Optional[FoundDevice] = None
         self.device = None  # the hardware model (functional side-channel)
@@ -147,8 +144,8 @@ class CommandDriver(Driver):
     hardware's single command slot.
     """
 
-    def __init__(self, irq_entry_overhead: int = ticks.from_us(1)):
-        super().__init__(irq_entry_overhead)
+    def __init__(self):
+        super().__init__()
         self._completion = Signal("completion")
         self._active = False
 
@@ -168,7 +165,7 @@ class CommandDriver(Driver):
         return self._completion
 
     def _irq_handler(self):
-        yield Delay(self.irq_entry_overhead)
+        yield Delay(self.IRQ_ENTRY_OVERHEAD)
         resp = yield from self.cpu.timed_read(self.bar0 + REG_STATUS, 4)
         status = self.cpu.read_value(resp)
         if not status & STATUS_IRQ:

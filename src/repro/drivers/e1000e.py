@@ -16,30 +16,20 @@ from typing import Deque, Tuple
 
 from repro.devices import nic as hw
 from repro.drivers.base import Driver, DriverError
-from repro.sim import ticks
 from repro.sim.process import Delay, Signal
 
 
 class E1000eDriver(Driver):
-    """NIC driver; see module docstring.
+    """NIC driver; see module docstring."""
 
-    Args:
-        ring_base: DRAM address where the driver lays out its rings.
-        ring_entries: descriptors per ring.
-        irq_entry_overhead: CPU cost charged at handler entry.
-    """
+    device_table = [(hw.Nic8254xPcie.VENDOR_ID, hw.Nic8254xPcie.DEVICE_ID)]
+    #: DRAM address where the driver lays out its rings.
+    RING_BASE = 0x8100_0000
+    #: Descriptors per ring.
+    RING_ENTRIES = 256
 
-    device_table = [(hw.INTEL_VENDOR_ID, hw.NIC_8254X_PCIE_DEVICE_ID)]
-
-    def __init__(
-        self,
-        ring_base: int = 0x8100_0000,
-        ring_entries: int = 256,
-        irq_entry_overhead: int = ticks.from_us(1),
-    ):
-        super().__init__(irq_entry_overhead)
-        self.ring_base = ring_base
-        self.ring_entries = ring_entries
+    def __init__(self):
+        super().__init__()
         self._tx_index = 0
         self._rx_index = 0
         # (signal, frame_number) in issue order.
@@ -49,11 +39,11 @@ class E1000eDriver(Driver):
 
     # -- ring geometry -------------------------------------------------------
     def _tx_descriptor_addr(self, index: int) -> int:
-        return self.ring_base + (index % self.ring_entries) * hw.DESCRIPTOR_BYTES
+        return self.RING_BASE + (index % self.RING_ENTRIES) * hw.DESCRIPTOR_BYTES
 
     def _rx_descriptor_addr(self, index: int) -> int:
-        rx_ring = self.ring_base + self.ring_entries * hw.DESCRIPTOR_BYTES
-        return rx_ring + (index % self.ring_entries) * hw.DESCRIPTOR_BYTES
+        rx_ring = self.RING_BASE + self.RING_ENTRIES * hw.DESCRIPTOR_BYTES
+        return rx_ring + (index % self.RING_ENTRIES) * hw.DESCRIPTOR_BYTES
 
     # -- bring-up -----------------------------------------------------------------
     def bring_up(self):
@@ -83,7 +73,7 @@ class E1000eDriver(Driver):
         self._tx_waiters.append((done, self._frames_issued))
         self.device.post_tx_descriptor(desc_addr, buffer_addr, length)
         yield from self.cpu.timed_write(self.bar0 + hw.REG_TDT,
-                                        self._tx_index % self.ring_entries, 4)
+                                        self._tx_index % self.RING_ENTRIES, 4)
         return done
 
     def post_rx_buffer(self, buffer_addr: int, capacity: int) -> Signal:
@@ -98,7 +88,7 @@ class E1000eDriver(Driver):
 
     # -- interrupt handler ------------------------------------------------------------
     def _irq_handler(self):
-        yield Delay(self.irq_entry_overhead)
+        yield Delay(self.IRQ_ENTRY_OVERHEAD)
         resp = yield from self.cpu.timed_read(self.bar0 + hw.REG_ICR, 4)
         causes = self.cpu.read_value(resp)
         if causes & hw.ICR_TXDW:

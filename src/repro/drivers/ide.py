@@ -15,12 +15,12 @@ from repro.drivers.base import CommandDriver
 class IdeDiskDriver(CommandDriver):
     """Block driver for the IDE-like disk."""
 
-    device_table = [(hw.IDE_VENDOR_ID, hw.IDE_DEVICE_ID)]
+    device_table = [(hw.IdeDisk.VENDOR_ID, hw.IdeDisk.DEVICE_ID)]
 
     @property
     def sector_size(self) -> int:
-        """The bound disk's sector size (4 KB before binding)."""
-        return self.device.sector_size if self.device is not None else 4096
+        """The bound disk's sector size."""
+        return self.device.sector_size
 
     # -- request path (generator: run inside a kernel process) ----------------------
     def start_request(self, lba: int, n_sectors: int, buffer_addr: int,

@@ -27,12 +27,24 @@ WILDCAT_ROOT_PORT_IDS = (0x9C90, 0x9C92, 0x9C94)
 PCIE_CAP_OFFSET = 0xD8
 
 
+def link_capability(port_type: PciePortType,
+                    link: "LinkSpec") -> PcieCapability:
+    """The PCI-Express capability of a port or an endpoint on ``link``:
+    its role, the link's generation and width (they steer no timing),
+    and a slot below a root port or a switch downstream port."""
+    return PcieCapability(
+        port_type, max_link_speed=PcieGen[link.gen].speed_code,
+        max_link_width=link.width,
+        slot_implemented=port_type in (PciePortType.ROOT_PORT,
+                                       PciePortType.DOWNSTREAM_SWITCH_PORT))
+
+
 class VirtualP2PBridge(PciBridgeFunction):
     """A type-1 header + PCIe capability identifying the port role.
 
     Args:
-        link: the port's link, whose generation and width the
-            capability registers advertise (they steer no timing).
+        link: the port's link, which the capability advertises (see
+            :func:`link_capability`).
         device_id: configuration device id (the paper's root ports use
             the Wildcat ids above).
         port_type: role advertised in the PCIe capability.
@@ -47,16 +59,8 @@ class VirtualP2PBridge(PciBridgeFunction):
     ):
         super().__init__(vendor_id, device_id)
         self.port_type = PciePortType(port_type)
-        self.add_capability(
-            PcieCapability(
-                port_type=self.port_type,
-                max_link_speed=PcieGen[link.gen].speed_code,
-                max_link_width=link.width,
-                slot_implemented=self.port_type
-                in (PciePortType.ROOT_PORT, PciePortType.DOWNSTREAM_SWITCH_PORT),
-            ),
-            offset=PCIE_CAP_OFFSET,
-        )
+        self.add_capability(link_capability(self.port_type, link),
+                            offset=PCIE_CAP_OFFSET)
 
     def __repr__(self) -> str:
         return (

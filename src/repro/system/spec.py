@@ -82,11 +82,6 @@ __all__ = [
     "spec_from_dict",
 ]
 
-#: Device kinds a :class:`DeviceSpec` may name.  The model/driver
-#: classes behind each kind live in :data:`repro.system.topology.DEVICE_KINDS`
-#: (the spec layer stays pure data and imports no models).
-DEVICE_KIND_NAMES = ("disk", "nic", "accel")
-
 #: PCIe generation names accepted by :class:`LinkSpec` (the
 #: :class:`repro.pcie.timing.PcieGen` members).
 GEN_NAMES = ("GEN1", "GEN2", "GEN3")
@@ -381,6 +376,85 @@ def _port_links(children: list, ports: int) -> List[LinkSpec]:
         ports - len(children))
 
 
+class EndpointKnobs(Record):
+    """A device kind's knobs (its subclass in :data:`DEVICE_KNOBS`): the
+    only place one has a default or a range check.  Every kind has
+    ``msi_functional`` (make MSI's enable bit writable; absent, it
+    follows the topology's ``enable_msi``) and ``pio_latency`` (ticks
+    from accepting an MMIO/PIO request to sending its response)."""
+
+    what = "params"
+
+    msi_functional: bool = False
+
+    #: Knobs counting bytes or packets, at least 1; any other int knob
+    #: is a tick count, at least 0.
+    COUNTS = ("sector_size", "capacity_sectors", "dma_outstanding")
+
+    def validate(self) -> None:
+        """Type- and range-check every knob."""
+        for field in dataclasses.fields(self):
+            what = f"{self.where}: {field.name}"
+            if field.type is bool:
+                _require_type(getattr(self, field.name), bool, what)
+            else:
+                _require_int(getattr(self, field.name),
+                             int(field.name in self.COUNTS), what)
+
+
+class DiskKnobs(EndpointKnobs):
+    """The IDE-like disk's knobs.
+
+    Args:
+        sector_size: bytes per sector (the paper transfers 4 KB
+            sectors).
+        access_latency: constant internal medium latency per sector
+            (gem5's IDE disk: 1 µs).
+        capacity_sectors: disk size.
+        posted_writes: run DMA writes posted (ablation; the paper's
+            model does not support posted writes).
+        dma_outstanding: in-flight DMA packets within one sector.
+    """
+
+    pio_latency: int = ticks.from_ns(30)
+    sector_size: int = 4096
+    access_latency: int = ticks.from_us(1)
+    capacity_sectors: int = 1 << 30
+    posted_writes: bool = False
+    dma_outstanding: int = 64
+
+
+class NicKnobs(EndpointKnobs):
+    """The 8254x-pcie NIC's knobs.  Its ``pio_latency`` is the
+    register-file access time, calibrated against Table II: with the
+    fabric contributing ~200 ns and the root complex 2x its latency,
+    120 ns lands the sweep on the paper's 318...517 ns measurements."""
+
+    pio_latency: int = ticks.from_ns(120)
+
+
+class AccelKnobs(EndpointKnobs):
+    """The DMA copy accelerator's knobs.
+
+    Args:
+        dma_outstanding: in-flight DMA packets within one direction.
+        posted_writes: run the write-back half posted (fire-and-forget)
+            instead of waiting for every write response.
+    """
+
+    pio_latency: int = ticks.from_ns(30)
+    dma_outstanding: int = 32
+    posted_writes: bool = False
+
+
+#: The knob record of each device kind a :class:`DeviceSpec` may name.
+#: The model and driver classes behind each kind live in
+#: :data:`repro.system.topology.DEVICE_KINDS` (the spec layer stays pure
+#: data and imports no models).
+DEVICE_KNOBS = {"disk": DiskKnobs, "nic": NicKnobs, "accel": AccelKnobs}
+DEVICE_KIND_NAMES = tuple(DEVICE_KNOBS)
+
+
 class DeviceSpec(Record):
     """One endpoint device hanging off a root port or switch port.
 
@@ -391,10 +465,11 @@ class DeviceSpec(Record):
         name: unique instance name; auto-assigned (``disk0``, ``nic0``,
             ...) when omitted.
         link: the :class:`LinkSpec` of the edge to the parent port
-            (defaults to a Gen 2 x1 link named after the device).
-        params: extra keyword arguments for the device model
-            constructor (``access_latency``, ``posted_writes``,
-            ``msi_functional``, ... — canonical-JSON-safe values only).
+            (defaults to a Gen 2 x1 link named after the device); the
+            device's PCI-Express capability advertises its generation
+            and width.
+        params: the knobs of the kind's :data:`DEVICE_KNOBS` record
+            that the document sets, and only those (see :meth:`knobs`).
     """
 
     TAGS = {"node": "device"}
@@ -405,16 +480,34 @@ class DeviceSpec(Record):
     link: Optional[LinkSpec] = record_field(LinkSpec, default=None)
     params: Optional[Dict[str, Any]] = _field(dict, _params, default=None)
 
+    #: The enclosing topology's ``enable_msi``, which
+    #: :meth:`TopologySpec.validate` hands each of its devices (a class
+    #: attribute, so not part of the document).
+    enable_msi = False
+
     def __post_init__(self) -> None:
         self.link = self.link or LinkSpec()
         self.params = dict(self.params or {})
 
+    def knobs(self) -> EndpointKnobs:
+        """``params`` loaded through the kind's record and range-checked,
+        every absent knob at its default; the one place an absent
+        ``msi_functional`` becomes the topology's ``enable_msi``."""
+        try:
+            knobs = DEVICE_KNOBS[self.kind].from_dict(
+                {"msi_functional": self.enable_msi, **self.params})
+            knobs.validate()
+        except SpecError as error:
+            raise SpecError(f"{self.where}: {error}") from None
+        return knobs
+
     def validate(self) -> None:
-        """Check the device kind and its link."""
+        """Check the device kind, its link and its knobs."""
         _require(self.kind in DEVICE_KIND_NAMES,
                  f"{self.where}: unknown kind {self.kind!r} "
                  f"(expected one of {DEVICE_KIND_NAMES})")
         self.link.validate()
+        self.knobs()
 
     def __repr__(self) -> str:
         return f"<DeviceSpec {self.kind} {self.name!r}>"
@@ -631,7 +724,9 @@ class TopologySpec(Record):
 
     def validate(self) -> None:
         """Whole-tree consistency: knob ranges plus global name/link
-        uniqueness (the end-to-end identity guarantee)."""
+        uniqueness (the end-to-end identity guarantee).  Hands every
+        device the topology's ``enable_msi`` (see
+        :attr:`DeviceSpec.enable_msi`)."""
         _require_type(self.enable_msi, bool, "enable_msi")
         self.root_complex.validate()
         _require(self.name is None or isinstance(self.name, str),
@@ -649,6 +744,8 @@ class TopologySpec(Record):
         node_names: set = set()
         link_names: set = set()
         for node in self.walk():
+            if isinstance(node, DeviceSpec):
+                node.enable_msi = self.enable_msi
             node.validate()
             if isinstance(node, SwitchSpec):
                 bridges += 1 + node.effective_num_ports
@@ -702,8 +799,9 @@ class ClassicPciSpec(Record):
     Args:
         clock_mhz: shared-bus clock, 33 or 66 MHz.
         device: the disk's :class:`DeviceSpec`; its document carries no
-            link (a shared bus has no PCI-Express links) and only
-            ``kind="disk"`` is routable on the classic fabric.
+            link (a shared bus has none; the disk advertises the
+            :class:`LinkSpec` defaults) and only ``kind="disk"`` is
+            routable on the classic fabric.
     """
 
     TAGS = {"kind": "classic_pci"}
@@ -724,13 +822,15 @@ class ClassicPciSpec(Record):
         return self
 
     def validate(self) -> None:
-        """The classic bus models exactly one bus-master disk."""
+        """The classic bus models exactly one bus-master disk, checked
+        like any other device."""
         _require(self.clock_mhz in (33, 66),
                  f"classic PCI: clock_mhz must be 33 or 66, "
                  f"got {self.clock_mhz!r}")
         _require(self.device.kind == "disk",
                  "classic PCI supports only the disk device")
         _require_name(self.device.name, self.device.where)
+        self.device.validate()
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ClassicPciSpec":
@@ -773,13 +873,13 @@ def validation_spec(
     dllp_error_rate: float = 0.0,
     input_queue_size: int = 2,
     error_seed: int = 0x5EED,
-    posted_writes: bool = False,
-    disk_access_latency: int = ticks.from_us(1),
+    posted_writes: Optional[bool] = None,
     enable_msi: bool = False,
 ) -> TopologySpec:
     """The paper's validation topology (Section VI-A) as a spec:
     root complex ──x4── switch ──x1── IDE disk, every Figure-9 knob a
-    parameter.
+    parameter.  The disk's document writes its access latency and
+    ``posted_writes`` (None: the :class:`DiskKnobs` default).
     """
     link_common = dict(
         gen=gen, replay_buffer_size=replay_buffer_size, ack_policy=ack_policy,
@@ -789,8 +889,10 @@ def validation_spec(
     disk = DeviceSpec(
         "disk", name="disk",
         link=LinkSpec(name="disk", width=device_link_width, **link_common),
-        params=dict(access_latency=disk_access_latency,
-                    posted_writes=posted_writes,
+        params=dict(access_latency=DiskKnobs.access_latency,
+                    posted_writes=(DiskKnobs.posted_writes
+                                   if posted_writes is None
+                                   else posted_writes),
                     msi_functional=enable_msi),
     )
     switch = SwitchSpec(
@@ -836,15 +938,14 @@ def nic_spec(
     ).finalize()
 
 
-def classic_pci_spec(
-    clock_mhz: int = 33,
-    disk_access_latency: int = ticks.from_us(1),
-) -> ClassicPciSpec:
-    """The classic shared-PCI-bus baseline (Section II-A) as a spec."""
+def classic_pci_spec(clock_mhz: int = 33) -> ClassicPciSpec:
+    """The classic shared-PCI-bus baseline (Section II-A) as a spec; the
+    disk's document writes its access latency."""
     return ClassicPciSpec(
         clock_mhz=clock_mhz,
-        device=DeviceSpec("disk", name="disk",
-                          params=dict(access_latency=disk_access_latency)),
+        device=DeviceSpec(
+            "disk", name="disk",
+            params=dict(access_latency=DiskKnobs.access_latency)),
     ).finalize()
 
 

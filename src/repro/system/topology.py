@@ -43,10 +43,10 @@ from repro.sim.simobject import Simulator
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, SpecError,
                                SwitchSpec, TopologySpec, spec_from_dict)
 
-#: Device model and driver classes behind each :class:`DeviceSpec` kind.
-#: The spec layer names kinds; this registry is the single place the
-#: names meet classes, so a new device model is one entry here plus a
-#: kind name in :data:`repro.system.spec.DEVICE_KIND_NAMES`.
+#: Device model and driver classes behind each :class:`DeviceSpec` kind,
+#: the single place the spec layer's kinds meet classes: a new device
+#: model, built as ``model(sim, device_spec)``, is one entry here plus
+#: its knob record in :data:`repro.system.spec.DEVICE_KNOBS`.
 DEVICE_KINDS = {
     "disk": (IdeDisk, IdeDiskDriver),
     "nic": (Nic8254xPcie, E1000eDriver),
@@ -183,16 +183,13 @@ def _boot_and_bind(system: PcieSystem, driver_specs: List[tuple]) -> None:
 
 def _build_subtree(sim: Simulator, system: PcieSystem,
                    node: Union[SwitchSpec, DeviceSpec], upstream_port,
-                   parent_bus, enable_msi: bool) -> None:
+                   parent_bus) -> None:
     """Instantiate and wire one spec node (and, for switches, the whole
     subtree behind it) below ``upstream_port``, installing its
     configuration-space presence on ``parent_bus`` as it goes."""
     if isinstance(node, DeviceSpec):
         model_cls, __ = DEVICE_KINDS[node.kind]
-        params = dict(node.params)
-        if enable_msi:
-            params.setdefault("msi_functional", True)
-        device = model_cls(sim, name=node.name, **params)
+        device = model_cls(sim, node)
         system.devices[node.name] = device
         link = PcieLink.from_spec(sim, f"{node.link.name}_link", node.link)
         _connect_link(link, upstream_port, device=device)
@@ -208,7 +205,7 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
     down_buses = switch.register_with_host(parent_bus)
     for i, child in enumerate(node.children):
         _build_subtree(sim, system, child, switch.downstream_ports[i],
-                       down_buses[i], enable_msi)
+                       down_buses[i])
 
 
 def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
@@ -228,7 +225,7 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
     rp_buses = root_complex.register_with_host(system.host)
     for i, child in enumerate(spec.children):
         _build_subtree(sim, system, child, root_complex.root_ports[i],
-                       rp_buses[i], spec.enable_msi)
+                       rp_buses[i])
 
     driver_specs = []
     for device in spec.devices():
@@ -258,7 +255,7 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
     system.devices["pci_bus"] = bus
 
     model_cls, driver_cls = DEVICE_KINDS[spec.device.kind]
-    disk = model_cls(sim, name=spec.device.name, **spec.device.params)
+    disk = model_cls(sim, spec.device)
     system.devices[spec.device.name] = disk
 
     # CPU -> membus -> host bridge -> shared bus -> disk PIO.

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.devices.accel import (
-    ACCEL_DEVICE_ID,
-    ACCEL_VENDOR_ID,
     CMD_COPY,
     REG_CMD,
     REG_DST,
@@ -31,8 +29,9 @@ class StubIntc:
         self.raised += 1
 
 
-def build(sim, **accel_kwargs):
-    accel = DmaAccelerator(sim, **accel_kwargs)
+def build(sim, **params):
+    accel = DmaAccelerator(sim, DeviceSpec("accel", name="accel",
+                                           params=params))
     accel.intc = StubIntc()
     memory = FakeSlave(sim, "memory", latency=ticks.from_ns(50))
     accel.dma_port.bind(memory.port)
@@ -48,16 +47,16 @@ def start_copy(accel, src=0x80000000, dst=0x80100000, nbytes=256):
 
 def test_config_identity_and_capability_chain():
     sim = Simulator()
-    accel = DmaAccelerator(sim)
-    assert accel.function.vendor_id == ACCEL_VENDOR_ID
-    assert accel.function.device_id == ACCEL_DEVICE_ID
+    accel = DmaAccelerator(sim, DeviceSpec("accel", name="accel"))
+    assert accel.function.vendor_id == DmaAccelerator.VENDOR_ID
+    assert accel.function.device_id == DmaAccelerator.DEVICE_ID
     ids = [cap_id for cap_id, __ in accel.function.walk_capabilities()]
     assert ids == [0x01, 0x05, 0x10, 0x11]  # PM, MSI, PCIe, MSI-X
 
 
 def test_copy_reads_source_then_writes_destination():
     sim = Simulator()
-    accel, memory = build(sim, chunk=64)
+    accel, memory = build(sim)
     start_copy(accel, nbytes=256)
     assert accel.busy
     sim.run()

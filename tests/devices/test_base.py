@@ -4,9 +4,10 @@ import pytest
 
 from repro.devices.base import PcieDevice
 from repro.pci import header as hdr
-from repro.pci.header import Bar, PciEndpointFunction
+from repro.pci.header import Bar
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import DeviceSpec
 
 from tests.mem.helpers import FakeMaster
 
@@ -14,11 +15,14 @@ from tests.mem.helpers import FakeMaster
 class RegisterDevice(PcieDevice):
     """Exposes one 32-bit scratch register per BAR for testing."""
 
+    VENDOR_ID = 0x8086
+    DEVICE_ID = 0xBEEF
+    BARS = (Bar(4096), Bar(32, io=True))
+
     def __init__(self, sim):
-        fn = PciEndpointFunction(
-            0x8086, 0xBEEF, bars=[Bar(4096), Bar(32, io=True)]
-        )
-        super().__init__(sim, "dev", fn, pio_latency=ticks.from_ns(30))
+        # Any kind's knobs do: the template reads only the shared ones.
+        super().__init__(sim, DeviceSpec("disk", name="dev", params=dict(
+            pio_latency=ticks.from_ns(30))))
         self.scratch = {0: 0xAABBCCDD, 1: 0x11223344}
         self.writes = []
 

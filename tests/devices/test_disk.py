@@ -19,6 +19,7 @@ from repro.devices.disk import (
 from repro.mem.packet import MemCmd
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import DeviceSpec
 
 from tests.mem.helpers import FakeSlave
 
@@ -31,8 +32,8 @@ class StubIntc:
         self.raised += 1
 
 
-def build(sim, memory_latency=None, **disk_kwargs):
-    disk = IdeDisk(sim, **disk_kwargs)
+def build(sim, memory_latency=None, **params):
+    disk = IdeDisk(sim, DeviceSpec("disk", name="disk", params=params))
     disk.intc = StubIntc()
     memory = FakeSlave(
         sim, "memory",
@@ -51,7 +52,7 @@ def start_read(disk, lba=0, count=1, buf=0x80000000):
 
 def test_config_identity_and_capability_chain():
     sim = Simulator()
-    disk = IdeDisk(sim)
+    disk = IdeDisk(sim, DeviceSpec("disk", name="disk"))
     assert disk.function.vendor_id == 0x8086
     assert disk.function.device_id == 0x7111
     ids = [cap_id for cap_id, __ in disk.function.walk_capabilities()]

@@ -5,17 +5,24 @@ import pytest
 from repro.devices.base import PcieDevice
 from repro.devices.dma import DmaEngine
 from repro.mem.packet import MemCmd
-from repro.pci.header import Bar, PciEndpointFunction
+from repro.pci.header import Bar
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import DeviceSpec
 
 from tests.mem.helpers import FakeSlave
 
 
+class BareDevice(PcieDevice):
+    """The template with one memory BAR and no registers."""
+
+    VENDOR_ID = 0x8086
+    DEVICE_ID = 0x1234
+    BARS = (Bar(4096),)
+
+
 def build(sim, chunk=64, max_outstanding=8, memory_kwargs=None):
-    device = PcieDevice(
-        sim, "dev", PciEndpointFunction(0x8086, 0x1234, bars=[Bar(4096)])
-    )
+    device = BareDevice(sim, DeviceSpec("disk", name="dev"))
     engine = DmaEngine(sim, "dma", device, chunk=chunk,
                        max_outstanding=max_outstanding)
     kwargs = {"latency": ticks.from_ns(50)}

@@ -19,6 +19,7 @@ from repro.devices.nic import (
 from repro.mem.packet import MemCmd
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
+from repro.system.spec import DeviceSpec
 
 from tests.mem.helpers import FakeSlave
 
@@ -32,7 +33,7 @@ class StubIntc:
 
 
 def build(sim):
-    nic = Nic8254xPcie(sim)
+    nic = Nic8254xPcie(sim, DeviceSpec("nic", name="nic"))
     nic.intc = StubIntc()
     memory = FakeSlave(sim, "memory", latency=ticks.from_ns(50))
     nic.dma_port.bind(memory.port)
@@ -46,7 +47,7 @@ def transmit(nic, desc=0x81000000, buf=0x82000000, length=1500):
 
 def test_identity_matches_paper():
     sim = Simulator()
-    nic = Nic8254xPcie(sim)
+    nic = Nic8254xPcie(sim, DeviceSpec("nic", name="nic"))
     assert nic.function.device_id == 0x10D3  # invokes the e1000e probe
     ids = [cap_id for cap_id, __ in nic.function.walk_capabilities()]
     assert ids == [0x01, 0x05, 0x10, 0x11]  # PM -> MSI -> PCIe -> MSI-X

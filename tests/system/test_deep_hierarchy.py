@@ -10,6 +10,7 @@ trace and driver identities end to end.
 from repro.obs.trace import MemorySink
 from repro.pci import header as hdr
 from repro.pci.capabilities import CAP_ID_PCIE
+from repro.pcie.timing import PcieGen
 from repro.system.spec import (DeviceSpec, SwitchSpec, TopologySpec,
                                deep_hierarchy_spec)
 from repro.system.topology import build_system
@@ -119,19 +120,27 @@ def test_deeper_fabric_is_slower():
 
 
 def test_each_port_advertises_its_own_link():
-    # sw1's upstream port and its downstream port to sw2 sit on x4
-    # links; its downstream port to the disk on an x1 link.
-    system = build_system(deep_hierarchy_spec(2, 1))
-    widths = {}
-    for node in system.kernel.enumerator.all_devices():
-        offset = dict(node.capabilities)[CAP_ID_PCIE]
-        link_caps = system.host.config_read(*node.bdf, offset + 0x0C, 4)
-        widths[node.bdf] = (link_caps >> 4) & 0x3F
-    assert widths[(0, 0, 0)] == 4  # root port -> sw1
-    assert widths[(1, 0, 0)] == 4  # sw1 upstream
-    assert widths[(2, 0, 0)] == 1  # sw1 -> disk
-    assert widths[(2, 1, 0)] == 4  # sw1 -> sw2
-    assert widths[(4, 0, 0)] == 4  # sw2 upstream
+    # The root link, sw1's uplink and the sw1 -> sw2 link are x4; each
+    # disk, and the switch port above it, sits on a device link, Gen 2
+    # x1 or Gen 3 x8, which the disk's own capability advertises too.
+    for gen, width in (("GEN2", 1), ("GEN3", 8)):
+        system = build_system(deep_hierarchy_spec(2, 1, gen=gen, width=width))
+        links = {}
+        for node in system.kernel.enumerator.all_devices():
+            offset = dict(node.capabilities)[CAP_ID_PCIE]
+            link_caps = system.host.config_read(*node.bdf, offset + 0x0C, 4)
+            links[node.bdf] = (link_caps & 0xF, (link_caps >> 4) & 0x3F)
+        speed = PcieGen[gen].speed_code
+        assert links == {
+            (0, 0, 0): (speed, 4),  # root port -> sw1
+            (1, 0, 0): (speed, 4),  # sw1 upstream
+            (2, 0, 0): (speed, width),  # sw1 -> sw1_disk0
+            (3, 0, 0): (speed, width),  # sw1_disk0
+            (2, 1, 0): (speed, 4),  # sw1 -> sw2
+            (4, 0, 0): (speed, 4),  # sw2 upstream
+            (5, 0, 0): (speed, width),  # sw2 -> sw2_disk0
+            (6, 0, 0): (speed, width),  # sw2_disk0
+        }, gen
 
 
 # ------------------------------------------- depth-4 fan-out-4 (acceptance)

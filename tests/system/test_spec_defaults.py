@@ -9,6 +9,11 @@ pair of link timer overrides, whose None means "the
 The routing engine's four knobs are declared once, on
 :class:`EngineSpec`, which the root complex's and every switch's record
 extend: one default and one range check each.
+
+Each device kind's knobs are declared once, on its record in
+:data:`DEVICE_KNOBS`; a device model takes only its
+:class:`DeviceSpec`, and a preset that writes a device knob into its
+document reads the value from the record.
 """
 
 import dataclasses
@@ -16,14 +21,19 @@ import inspect
 
 import pytest
 
+from repro.devices.base import CommandDevice, PcieDevice
 from repro.pci.bus import PciBus
 from repro.pcie.link import PcieLink
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.routing import PcieRoutingEngine
 from repro.pcie.switch import PcieSwitch
 from repro.pcie.timing import LinkTiming
-from repro.system.spec import (EngineSpec, LinkSpec, RootComplexSpec,
-                               SpecError, SwitchSpec)
+from repro.system.spec import (DEVICE_KIND_NAMES, DEVICE_KNOBS, DeviceSpec,
+                               EngineSpec, LinkSpec, RootComplexSpec,
+                               SpecError, SwitchSpec, TopologySpec,
+                               classic_pci_spec, deep_hierarchy_spec,
+                               nic_spec, validation_spec)
+from repro.system.topology import DEVICE_KINDS
 
 #: The engine knobs, in declaration order.
 ENGINE_KNOBS = ("latency", "buffer_size", "service_interval",
@@ -100,3 +110,72 @@ def test_the_routing_engines_take_their_record():
         assert not set(parameters) & set(ENGINE_KNOBS), model.__name__
         assert all(parameter.default is inspect.Parameter.empty
                    for parameter in parameters.values()), model.__name__
+
+
+#: The presets, each called with its defaults.
+PRESETS = (validation_spec, nic_spec, classic_pci_spec,
+           lambda: deep_hierarchy_spec(1, 1))
+
+
+def _moved(record, knob):
+    """A valid value for ``knob`` other than its default."""
+    default = getattr(record, knob)
+    return not default if isinstance(default, bool) else default + 1
+
+
+def test_each_device_knob_has_one_default_on_its_kind_record():
+    assert DEVICE_KIND_NAMES == tuple(DEVICE_KNOBS) == tuple(DEVICE_KINDS)
+    for kind, record in DEVICE_KNOBS.items():
+        for knob in record.FIELDS:
+            # Declared by exactly one class the kind's record is made of.
+            declared = [cls.__name__ for cls in record.__mro__
+                        if knob in vars(cls).get("__annotations__", {})]
+            assert len(declared) == 1, (kind, knob, declared)
+    # 7 disk, 2 NIC and 4 accelerator knobs can be set by a document.
+    assert sum(len(record.FIELDS) for record in DEVICE_KNOBS.values()) == 13
+
+
+def test_each_device_knob_has_a_range_check():
+    for kind, record in DEVICE_KNOBS.items():
+        for knob in record.FIELDS:
+            device = DeviceSpec(kind, name="dev", params={knob: "1"})
+            with pytest.raises(SpecError, match=f"device 'dev': .*{knob}"):
+                device.validate()
+
+
+def test_no_device_model_constructor_defaults_a_knob():
+    for model in (PcieDevice, CommandDevice) + tuple(
+            model for model, __ in DEVICE_KINDS.values()):
+        parameters = inspect.signature(model).parameters
+        assert list(parameters) == ["sim", "spec"], model.__name__
+        assert all(parameter.default is inspect.Parameter.empty
+                   for parameter in parameters.values()), model.__name__
+    # Nor does a driver: the builder constructs each with no arguments.
+    for __, driver in DEVICE_KINDS.values():
+        assert not inspect.signature(driver).parameters, driver.__name__
+
+
+def test_no_preset_restates_a_device_default(monkeypatch):
+    knobs = {knob for record in DEVICE_KNOBS.values()
+             for knob in record.FIELDS}
+    for preset in (validation_spec, nic_spec, classic_pci_spec,
+                   deep_hierarchy_spec):
+        for name, parameter in inspect.signature(preset).parameters.items():
+            # A device knob the preset forwards defaults to the record's.
+            assert name not in knobs or parameter.default is None, name
+            kind, __, knob = name.partition("_")
+            assert knob not in getattr(DEVICE_KNOBS.get(kind), "FIELDS", ())
+    # A knob a preset's document writes follows its record's default;
+    # ``msi_functional`` is written from the topology's enable_msi.
+    for record in DEVICE_KNOBS.values():
+        for knob in record.FIELDS:
+            monkeypatch.setattr(record, knob, _moved(record, knob))
+    for preset in PRESETS:
+        spec = preset()
+        devices = (spec.devices() if isinstance(spec, TopologySpec)
+                   else [spec.device])
+        for device in devices:
+            record = DEVICE_KNOBS[device.kind]
+            for knob, value in device.params.items():
+                if knob != "msi_functional":
+                    assert value == getattr(record, knob), (spec.name, knob)

@@ -16,6 +16,7 @@ from repro.system.spec import (ClassicPciSpec, DeviceSpec, LinkSpec,
                                TopologySpec,
                                classic_pci_spec, deep_hierarchy_spec,
                                nic_spec, spec_from_dict, validation_spec)
+from repro.devices.disk import IdeDisk
 from repro.system.topology import build_system
 
 
@@ -297,6 +298,19 @@ _HOSTILE_FIELDS = [
     (validation_spec, ("children", 0, "name"), 7, "switch 7: name must be"),
     (classic_pci_spec, ("device", "name"), "", "device '': name must be"),
     (validation_spec, ("name",), 5, "topology name must be"),
+    # A device's params load through its kind's knob record.
+    (validation_spec, _DISK + ("params", "acess_latency"), 5, "acess_latency"),
+    (validation_spec, _DISK + ("params", "posted_writes"), "yes",
+     "posted_writes"),
+    (validation_spec, _DISK + ("params", "sector_size"), "4096",
+     "sector_size"),
+    (validation_spec, _DISK + ("params", "access_latency"), -5,
+     "access_latency"),
+    (validation_spec, _DISK + ("params", "sector_size"), 0, "sector_size"),
+    (validation_spec, _DISK + ("params", "dma_outstanding"), 0,
+     "dma_outstanding"),
+    (classic_pci_spec, ("device", "params", "acess_latency"), 7,
+     "acess_latency"),
 ]
 
 
@@ -312,6 +326,18 @@ def test_hostile_field_is_rejected_naming_it(preset, path, value, field):
     node[leaf] = value
     with pytest.raises(SpecError, match=field):
         spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("preset", [validation_spec, classic_pci_spec])
+def test_hostile_params_fail_naming_the_device_before_any_model(preset):
+    doc = preset().to_dict()
+    device = doc["device"] if "device" in doc else doc["children"][0][
+        "children"][0]
+    device["params"]["acess_latency"] = 5
+    with mock.patch.object(IdeDisk, "__init__") as construct:
+        with pytest.raises(SpecError, match=r"device 'disk': .*acess_latency"):
+            build_system(doc)
+    construct.assert_not_called()
 
 
 def test_deep_hierarchy_shape():
