@@ -10,6 +10,7 @@ still pending coalesce, like a level-triggered INTx wire.
 
 from typing import Callable, Dict, Optional, Set, Tuple
 
+from repro.platform.addrmap import VEXPRESS_GEM5_V1
 from repro.sim import ticks
 from repro.sim.eventq import strong_callback, weak_callback
 from repro.sim.process import Process
@@ -88,7 +89,8 @@ class MsiDoorbell(SimObject):
     memory bus and converts each landing write into an interrupt on the
     vector the write's payload names — the extension path the paper
     sketches ("A device uses MSI to write a programmed value to a
-    specified address location in order to raise an interrupt").
+    specified address location in order to raise an interrupt").  Its
+    window defaults to the platform map's ``msi_doorbell``.
     """
 
     in_flight = ("_respq",)
@@ -99,8 +101,8 @@ class MsiDoorbell(SimObject):
         name: str = "msi_doorbell",
         intc: Optional[InterruptController] = None,
         parent: Optional[SimObject] = None,
-        base: int = 0x10000000,
-        size: int = 0x1000,
+        base: int = VEXPRESS_GEM5_V1.msi_doorbell.start,
+        size: int = VEXPRESS_GEM5_V1.msi_doorbell.size,
         latency: int = ticks.from_ns(50),
     ):
         from repro.mem.addr import AddrRange

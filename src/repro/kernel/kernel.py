@@ -38,14 +38,10 @@ class OsKernel(SimObject):
         self._process_count = 0
 
     # -- boot ----------------------------------------------------------------
-    def boot(self, host, mem_window=None, io_window=None) -> List[FoundDevice]:
-        """Enumerate the PCI hierarchy (the functional part of boot)."""
-        kwargs = {}
-        if mem_window is not None:
-            kwargs["mem_window"] = mem_window
-        if io_window is not None:
-            kwargs["io_window"] = io_window
-        self.enumerator = Enumerator(host, **kwargs)
+    def boot(self, host) -> List[FoundDevice]:
+        """Enumerate the PCI hierarchy (the functional part of boot)
+        into the platform's memory and I/O windows."""
+        self.enumerator = Enumerator(host)
         return self.enumerator.enumerate()
 
     def bind_drivers(self, drivers: List, device_map: Dict) -> List:

@@ -27,6 +27,7 @@ from typing import List, Optional
 from repro.mem.addr import AddrRange
 from repro.pci import header as hdr
 from repro.pci.host import PciHost
+from repro.platform.addrmap import VEXPRESS_GEM5_V1
 
 
 class EnumerationError(RuntimeError):
@@ -116,8 +117,9 @@ class Enumerator:
     Args:
         host: the PCI host whose configuration interface to use.
         mem_window: platform MMIO window for device memory BARs
-            (Vexpress_GEM5_V1: 1 GB at 0x40000000).
-        io_window: platform I/O window (16 MB at 0x2F000000).
+            (the platform map's: 1 GB at 0x40000000).
+        io_window: platform I/O window (the platform map's: 16 MB at
+            0x2F000000).
         irq_base: first legacy interrupt line to hand out.
     """
 
@@ -127,8 +129,8 @@ class Enumerator:
     def __init__(
         self,
         host: PciHost,
-        mem_window: AddrRange = AddrRange(0x40000000, 0x40000000),
-        io_window: AddrRange = AddrRange(0x2F000000, 0x01000000),
+        mem_window: AddrRange = VEXPRESS_GEM5_V1.pci_mem,
+        io_window: AddrRange = VEXPRESS_GEM5_V1.pci_io,
         irq_base: int = 32,
     ):
         self.host = host

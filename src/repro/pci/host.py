@@ -40,6 +40,7 @@ from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PacketQueue, SlavePort
 from repro.pci.header import SECONDARY_BUS, PciBridgeFunction, PciFunction
+from repro.platform.addrmap import VEXPRESS_GEM5_V1
 from repro.sim import ticks
 from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
@@ -110,8 +111,8 @@ class PciHost(SimObject):
     """Owner of the ECAM configuration window and the config-bus tree.
 
     Args:
-        ecam_base: base address of the configuration window
-            (0x30000000 on the Vexpress_GEM5_V1 platform).
+        ecam_base: base address of the configuration window (the
+            platform map's: 0x30000000 on Vexpress_GEM5_V1).
         ecam_size: window size (256 MB covers 256 buses).
         config_latency: per-access latency of the timed interface.
     """
@@ -123,8 +124,8 @@ class PciHost(SimObject):
         sim: Simulator,
         name: str = "pci_host",
         parent: Optional[SimObject] = None,
-        ecam_base: int = 0x30000000,
-        ecam_size: int = 0x10000000,
+        ecam_base: int = VEXPRESS_GEM5_V1.pci_config.start,
+        ecam_size: int = VEXPRESS_GEM5_V1.pci_config.size,
         config_latency: int = ticks.from_ns(100),
     ):
         super().__init__(sim, name, parent)

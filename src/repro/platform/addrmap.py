@@ -8,14 +8,22 @@ assigns:
 * 1 GB at ``0x40000000`` for the PCI memory (MMIO) space,
 * DRAM from 2 GB upward (to 512 GB).
 
-Because all PCI windows sit below 2 GB, devices use 32-bit BARs.
+Because all PCI windows sit below 2 GB, devices use 32-bit BARs.  The
+MSI doorbell, an extension the paper only sketches, takes one 4 KB page
+at ``0x10000000``, clear of every window above.
+
+:data:`VEXPRESS_GEM5_V1` is the only place a platform address lives:
+the PCI host, the enumerator and the doorbell read their windows'
+defaults from it.
 """
+
+import itertools
 
 from repro.mem.addr import AddrRange
 
 
 class AddressMap:
-    """The physical address windows of a platform."""
+    """The physical address windows of a platform; no two may overlap."""
 
     def __init__(
         self,
@@ -23,21 +31,17 @@ class AddressMap:
         pci_io: AddrRange,
         pci_mem: AddrRange,
         dram: AddrRange,
+        msi_doorbell: AddrRange,
     ):
-        for a, b in (
-            (pci_config, pci_io),
-            (pci_config, pci_mem),
-            (pci_config, dram),
-            (pci_io, pci_mem),
-            (pci_io, dram),
-            (pci_mem, dram),
-        ):
+        windows = (pci_config, pci_io, pci_mem, dram, msi_doorbell)
+        for a, b in itertools.combinations(windows, 2):
             if a.overlaps(b):
                 raise ValueError(f"address windows overlap: {a} and {b}")
         self.pci_config = pci_config
         self.pci_io = pci_io
         self.pci_mem = pci_mem
         self.dram = dram
+        self.msi_doorbell = msi_doorbell
 
 
 VEXPRESS_GEM5_V1 = AddressMap(
@@ -47,4 +51,5 @@ VEXPRESS_GEM5_V1 = AddressMap(
     # The full map runs to 512 GB; 4 GB of modelled DRAM is ample for
     # every experiment while keeping addresses small.
     dram=AddrRange(0x80000000, 0x100000000),
+    msi_doorbell=AddrRange(0x10000000, 0x1000),
 )

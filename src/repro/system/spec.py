@@ -79,6 +79,7 @@ __all__ = [
     "nic_spec",
     "classic_pci_spec",
     "deep_hierarchy_spec",
+    "given",
     "spec_from_dict",
 ]
 
@@ -854,41 +855,47 @@ def spec_from_dict(doc: Dict[str, Any]) -> Union[TopologySpec, ClassicPciSpec]:
 
 # ---------------------------------------------------------------------------
 # Named spec constructors: the three legacy machines, plus the
-# deep-hierarchy exploration family.
+# deep-hierarchy exploration family.  Each passes a record only the
+# knobs it changes: a keyword left None takes its record's default.
 # ---------------------------------------------------------------------------
 
 
+def given(**knobs: Any) -> Dict[str, Any]:
+    """The ``knobs`` a caller set, to pass on to a record: a None knob is
+    left out, so the record's own default applies."""
+    return {name: value for name, value in knobs.items() if value is not None}
+
+
 def validation_spec(
-    gen: str = "GEN2",
+    gen: Optional[str] = None,
     root_link_width: int = 4,
-    device_link_width: int = 1,
-    rc_latency: int = ticks.from_ns(150),
-    switch_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
-    datapath_scope: str = "port",
+    device_link_width: Optional[int] = None,
+    switch_latency: Optional[int] = None,
+    buffer_size: Optional[int] = None,
+    replay_buffer_size: Optional[int] = None,
+    datapath_scope: Optional[str] = None,
     ack_policy: str = "immediate",
-    error_rate: float = 0.0,
-    dllp_error_rate: float = 0.0,
-    input_queue_size: int = 2,
-    error_seed: int = 0x5EED,
+    error_rate: Optional[float] = None,
+    dllp_error_rate: Optional[float] = None,
+    input_queue_size: Optional[int] = None,
     posted_writes: Optional[bool] = None,
-    enable_msi: bool = False,
+    enable_msi: Optional[bool] = None,
 ) -> TopologySpec:
     """The paper's validation topology (Section VI-A) as a spec:
     root complex ──x4── switch ──x1── IDE disk, every Figure-9 knob a
-    parameter.  The disk's document writes its access latency and
-    ``posted_writes`` (None: the :class:`DiskKnobs` default).
+    parameter.  The disk's document writes its access latency,
+    ``posted_writes`` and ``msi_functional``.
     """
-    link_common = dict(
-        gen=gen, replay_buffer_size=replay_buffer_size, ack_policy=ack_policy,
-        error_rate=error_rate, dllp_error_rate=dllp_error_rate,
-        input_queue_size=input_queue_size, error_seed=error_seed,
-    )
+    link = given(gen=gen, replay_buffer_size=replay_buffer_size,
+                 ack_policy=ack_policy, error_rate=error_rate,
+                 dllp_error_rate=dllp_error_rate,
+                 input_queue_size=input_queue_size)
+    engine = given(buffer_size=buffer_size, datapath_scope=datapath_scope)
+    if enable_msi is None:
+        enable_msi = TopologySpec.enable_msi
     disk = DeviceSpec(
         "disk", name="disk",
-        link=LinkSpec(name="disk", width=device_link_width, **link_common),
+        link=LinkSpec(**link, **given(width=device_link_width)),
         params=dict(access_latency=DiskKnobs.access_latency,
                     posted_writes=(DiskKnobs.posted_writes
                                    if posted_writes is None
@@ -897,128 +904,105 @@ def validation_spec(
     )
     switch = SwitchSpec(
         name="switch", children=[disk], num_ports=2,
-        link=LinkSpec(name="root", width=root_link_width, **link_common),
-        latency=switch_latency, buffer_size=buffer_size,
-        service_interval=service_interval, datapath_scope=datapath_scope,
+        link=LinkSpec(name="root", width=root_link_width, **link),
+        **engine, **given(latency=switch_latency),
     )
     return TopologySpec(
         children=[switch], enable_msi=enable_msi, name="validation",
-        root_complex=RootComplexSpec(
-            latency=rc_latency, buffer_size=buffer_size,
-            service_interval=service_interval,
-            datapath_scope=datapath_scope, num_root_ports=3),
+        root_complex=RootComplexSpec(num_root_ports=3, **engine),
     ).finalize()
 
 
-def nic_spec(
-    gen: str = "GEN2",
-    link_width: int = 1,
-    rc_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
-    datapath_scope: str = "port",
-    ack_policy: str = "immediate",
-    enable_msi: bool = False,
-) -> TopologySpec:
+def nic_spec(rc_latency: Optional[int] = None,
+             enable_msi: Optional[bool] = None) -> TopologySpec:
     """The Table II topology as a spec: a NIC directly on a root port."""
-    nic = DeviceSpec(
-        "nic", name="nic",
-        link=LinkSpec(name="nic", gen=gen, width=link_width,
-                      replay_buffer_size=replay_buffer_size,
-                      ack_policy=ack_policy),
-        params=dict(msi_functional=enable_msi),
-    )
+    if enable_msi is None:
+        enable_msi = TopologySpec.enable_msi
+    nic = DeviceSpec("nic", name="nic",
+                     link=LinkSpec(ack_policy="immediate"),
+                     params=dict(msi_functional=enable_msi))
     return TopologySpec(
         children=[nic], enable_msi=enable_msi, name="nic",
-        root_complex=RootComplexSpec(
-            latency=rc_latency, buffer_size=buffer_size,
-            service_interval=service_interval,
-            datapath_scope=datapath_scope, num_root_ports=3),
+        root_complex=RootComplexSpec(num_root_ports=3,
+                                     **given(latency=rc_latency)),
     ).finalize()
 
 
-def classic_pci_spec(clock_mhz: int = 33) -> ClassicPciSpec:
+def classic_pci_spec(clock_mhz: Optional[int] = None) -> ClassicPciSpec:
     """The classic shared-PCI-bus baseline (Section II-A) as a spec; the
     disk's document writes its access latency."""
     return ClassicPciSpec(
-        clock_mhz=clock_mhz,
         device=DeviceSpec(
             "disk", name="disk",
             params=dict(access_latency=DiskKnobs.access_latency)),
+        **given(clock_mhz=clock_mhz),
     ).finalize()
 
 
 def deep_hierarchy_spec(
     depth: int,
     fanout: int,
-    gen: str = "GEN2",
-    width: int = 1,
+    gen: Optional[str] = None,
+    width: Optional[int] = None,
     root_link_width: int = 4,
-    device_kind: str = "disk",
-    switch_latency: int = ticks.from_ns(150),
-    buffer_size: int = 16,
-    replay_buffer_size: int = 4,
-    service_interval: int = ticks.from_ns(42),
+    buffer_size: Optional[int] = None,
+    replay_buffer_size: Optional[int] = None,
     ack_policy: str = "immediate",
-    enable_msi: bool = False,
+    enable_msi: Optional[bool] = None,
 ) -> TopologySpec:
-    """A switch spine of ``depth`` levels with ``fanout`` devices each.
+    """A switch spine of ``depth`` levels with ``fanout`` disks each.
 
-    Level ``d`` is a switch named ``sw{d}`` carrying ``fanout`` devices
-    (``sw{d}_{kind}{i}``) on its first ports; every non-leaf switch has
+    Level ``d`` is a switch named ``sw{d}`` carrying ``fanout`` disks
+    (``sw{d}_disk{i}``) on its first ports; every non-leaf switch has
     one extra downstream port chaining to the next level, so the
-    deepest devices sit behind ``depth`` store-and-forward hops.  Total
+    deepest disks sit behind ``depth`` store-and-forward hops.  Total
     devices: ``depth * fanout`` (depth 4 × fan-out 4 = 16 devices, the
     acceptance machine of the deep-hierarchy exploration).
 
     Inter-switch links inherit ``root_link_width``; device links use
-    ``width`` — a heterogeneous fabric by construction.
+    ``width`` — a heterogeneous fabric by construction.  Every switch
+    and the root complex keep the :class:`EngineSpec` latency and
+    service interval.
 
     Args:
         depth: switch-chain length (>= 1).
-        fanout: devices per switch (>= 1).
-        gen: PCIe generation name for every link.
-        width: device-link lane count.
+        fanout: disks per switch (>= 1).
+        gen: PCIe generation name for every link (None: the
+            :class:`LinkSpec` default, Gen 2).
+        width: device-link lane count (None: the :class:`LinkSpec`
+            default, x1).
         root_link_width: lane count of the root and inter-switch links.
-        device_kind: ``"disk"`` or ``"nic"`` for every endpoint.
-        switch_latency: per-switch store-and-forward latency (ticks).
-        buffer_size: port buffers, switches and root complex alike.
-        replay_buffer_size: per-link replay buffer.
-        service_interval: datapath admission interval (ticks).
+        buffer_size: port buffers, switches and root complex alike
+            (None: the :class:`EngineSpec` default).
+        replay_buffer_size: per-link replay buffer (None: the
+            :class:`LinkSpec` default).
         ack_policy: link ACK policy.
         enable_msi: deliver device interrupts as MSI memory writes
-            through the fabric instead of legacy INTx wires.
+            through the fabric instead of legacy INTx wires (None: the
+            :class:`TopologySpec` default, INTx).
     """
     _require(depth >= 1, "deep hierarchy needs depth >= 1")
     _require(fanout >= 1, "deep hierarchy needs fanout >= 1")
-    link_common = dict(gen=gen, replay_buffer_size=replay_buffer_size,
-                       ack_policy=ack_policy)
+    link = given(gen=gen, replay_buffer_size=replay_buffer_size,
+                 ack_policy=ack_policy)
+    engine = given(buffer_size=buffer_size)
 
     # Built bottom-up: a recursive closure would be a reference cycle
     # (it holds its own cell), garbage for the collector.
     below: List[Union[SwitchSpec, DeviceSpec]] = []
     for level in range(depth, 0, -1):
         children: List[Union[SwitchSpec, DeviceSpec]] = [
-            DeviceSpec(
-                device_kind, name=f"sw{level}_{device_kind}{i}",
-                link=LinkSpec(name=f"sw{level}_{device_kind}{i}",
-                              width=width, **link_common),
-            )
+            DeviceSpec("disk", name=f"sw{level}_disk{i}",
+                       link=LinkSpec(**link, **given(width=width)))
             for i in range(fanout)
         ]
         below = [SwitchSpec(
             name=f"sw{level}", children=children + below,
-            link=LinkSpec(name=f"sw{level}", width=root_link_width,
-                          **link_common),
-            latency=switch_latency, buffer_size=buffer_size,
-            service_interval=service_interval,
+            link=LinkSpec(width=root_link_width, **link), **engine,
         )]
 
     return TopologySpec(
-        children=below,
-        root_complex=RootComplexSpec(buffer_size=buffer_size,
-                                     service_interval=service_interval),
-        enable_msi=enable_msi,
+        children=below, root_complex=RootComplexSpec(**engine),
         name=f"deep_hierarchy_d{depth}_f{fanout}",
+        **given(enable_msi=enable_msi),
     ).finalize()

@@ -15,10 +15,11 @@ Named machines are the presets of :mod:`repro.system.spec`;
 
     root complex ──Gen2 x4── switch ──Gen2 x1── IDE disk
 
-with the root-complex latency fixed at 150 ns, switch latency 150 ns,
-port buffers of 16 packets and replay buffers of 4 — every one of those
-knobs is a ``validation_spec`` keyword argument because the paper's
-Figure 9 sweeps them.
+with the root-complex and switch latencies at 150 ns, port buffers of
+16 packets and replay buffers of 4: the defaults of the spec records.
+Figure 9 sweeps the switch latency, the link widths and both buffer
+sizes, so each is a ``validation_spec`` keyword; Table II's
+root-complex latency is a ``nic_spec`` keyword.
 """
 
 from typing import Dict, List, Optional, Union
@@ -37,7 +38,7 @@ from repro.pci.host import PciHost
 from repro.pcie.link import PcieLink
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.switch import PcieSwitch
-from repro.platform.addrmap import VEXPRESS_GEM5_V1, AddressMap
+from repro.platform.addrmap import VEXPRESS_GEM5_V1
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, SpecError,
@@ -60,12 +61,14 @@ class PcieSystem:
     ``devices``/``links``/``switches``/``drivers`` are keyed by the
     spec's unique instance names — the only way to reach a part, since a
     mixed fabric has no single "the disk"; ``spec`` records the topology
-    the machine was built from.
+    the machine was built from; ``addrmap`` is the platform address
+    map every machine is built on.
     """
 
-    def __init__(self, sim: Simulator, addrmap: AddressMap):
+    addrmap = VEXPRESS_GEM5_V1
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.addrmap = addrmap
         self.membus: Optional[CoherentXBar] = None
         self.dram: Optional[SimpleMemory] = None
         self.iocache: Optional[IOCache] = None
@@ -88,20 +91,13 @@ class PcieSystem:
         return self.sim.dump_stats()
 
 
-def _build_core(sim: Simulator, addrmap: AddressMap) -> PcieSystem:
+def _build_core(sim: Simulator) -> PcieSystem:
     """The common substrate: MemBus + DRAM + IOCache + host + kernel."""
-    system = PcieSystem(sim, addrmap)
-    system.membus = CoherentXBar(
-        sim, "membus",
-        frontend_latency=ticks.from_ns(1),
-        forward_latency=ticks.from_ns(1),
-        width=64,
-        queue_depth=16,
-    )
-    system.dram = SimpleMemory(sim, "dram", addrmap.dram)
+    system = PcieSystem(sim)
+    system.membus = CoherentXBar(sim, "membus", width=64, queue_depth=16)
+    system.dram = SimpleMemory(sim, "dram", system.addrmap.dram)
     system.dram.port.bind(system.membus.attach_slave("dram_side"))
-    system.host = PciHost(sim, ecam_base=addrmap.pci_config.start,
-                          ecam_size=addrmap.pci_config.size)
+    system.host = PciHost(sim)
     system.host.port.bind(system.membus.attach_slave("pci_host_side"))
     system.kernel = OsKernel(sim)
     system.kernel.cpu.port.bind(system.membus.attach_master("cpu"))
@@ -152,11 +148,7 @@ def _boot_and_bind(system: PcieSystem, driver_specs: List[tuple]) -> None:
     same-kind devices.
     """
     kernel = system.kernel
-    kernel.boot(
-        system.host,
-        mem_window=system.addrmap.pci_mem,
-        io_window=system.addrmap.pci_io,
-    )
+    kernel.boot(system.host)
     device_map = {}
     models = {id(model): (name, model) for name, __, model in driver_specs}
     by_function = {id(model.function): model for __, __, model in driver_specs}
@@ -208,10 +200,9 @@ def _build_subtree(sim: Simulator, system: PcieSystem,
                        down_buses[i])
 
 
-def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
-                          addrmap: AddressMap) -> PcieSystem:
+def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator) -> PcieSystem:
     """Assemble, boot and bind a PCI-Express machine from a spec tree."""
-    system = _build_core(sim, addrmap)
+    system = _build_core(sim)
     system.spec = spec
 
     root_complex = RootComplex(sim, spec.root_complex,
@@ -236,8 +227,8 @@ def _build_pcie_from_spec(spec: TopologySpec, sim: Simulator,
     return system
 
 
-def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
-                             addrmap: AddressMap) -> PcieSystem:
+def _build_classic_from_spec(spec: ClassicPciSpec,
+                             sim: Simulator) -> PcieSystem:
     """Assemble the classic shared-PCI-bus baseline from a validated spec.
 
     CPU requests cross a host bridge onto the shared bus; the disk's DMA
@@ -248,7 +239,7 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
     from repro.mem.bridge import Bridge
     from repro.pci.bus import PciBus
 
-    system = _build_core(sim, addrmap)
+    system = _build_core(sim)
     system.spec = spec
 
     bus = PciBus(sim, clock_mhz=spec.clock_mhz)
@@ -270,7 +261,7 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
     # Disk DMA -> shared bus -> memory target -> IOCache -> membus.
     disk.dma_port.bind(bus.attach_master(f"{spec.device.name}_dma"))
     bus.attach_target(
-        "memory_side", ranges=lambda: [addrmap.dram]
+        "memory_side", ranges=lambda: [VEXPRESS_GEM5_V1.dram]
     ).bind(system.iocache.cpu_side)
 
     system.host.root_bus.add_function(1, 0, disk.function)
@@ -281,7 +272,6 @@ def _build_classic_from_spec(spec: ClassicPciSpec, sim: Simulator,
 def build_system(
     spec: Union[TopologySpec, ClassicPciSpec, dict],
     sim: Optional[Simulator] = None,
-    addrmap: AddressMap = VEXPRESS_GEM5_V1,
     check: Optional[bool] = None,
     partitions: Optional[int] = None,
 ) -> PcieSystem:
@@ -294,7 +284,6 @@ def build_system(
             by :func:`~repro.system.spec.spec_from_dict`).
         sim: an existing simulator to build into (a fresh one is created
             otherwise).
-        addrmap: the platform address map.
         check: arm the runtime invariant checker on the freshly built
             simulator (ignored when ``sim`` is supplied); None defers to
             the ``REPRO_CHECK`` environment variable.
@@ -326,6 +315,6 @@ def build_system(
         raise SpecError(f"cannot build a system from {type(spec).__name__}")
     sim = sim or Simulator(check=check)
     if isinstance(spec, ClassicPciSpec):
-        return _build_classic_from_spec(spec, sim, addrmap)
-    return _build_pcie_from_spec(spec, sim, addrmap)
+        return _build_classic_from_spec(spec, sim)
+    return _build_pcie_from_spec(spec, sim)
 

@@ -37,7 +37,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
 from repro.system.spec import (DeviceSpec, LinkSpec, Record, SwitchSpec,
-                               TopologySpec, record_field, records_field)
+                               TopologySpec, given, record_field,
+                               records_field)
 from repro.system.topology import build_system
 from repro.workloads.traffic import FlowSpec, TrafficEngine, TrafficError
 
@@ -79,16 +80,17 @@ class Scenario(Record):
 
 
 # -- library builders -------------------------------------------------------
+#
+# Each builder names only the knobs its experiment changes; every other
+# link and device field takes its record's default (a device given no
+# link gets the LinkSpec defaults, named after the device).
 
 def fanout_contention(
     fanout: int = 4,
-    uplink_width: int = 1,
-    gen: str = "GEN2",
+    uplink_width: Optional[int] = None,
     requests: int = 8,
     block_bytes: int = 8192,
-    error_rate: float = 0.0,
-    dllp_error_rate: float = 0.0,
-    seed: int = 1,
+    error_rate: Optional[float] = None,
 ) -> Scenario:
     """``fanout`` equal ``dd`` readers on sibling disks behind one
     shared uplink — the canonical fairness experiment.
@@ -96,94 +98,66 @@ def fanout_contention(
     The fabric is depth 2: a x4 trunk to the top switch, then the
     contended ``uplink`` (Gen 2, ``uplink_width`` lanes) down to a leaf
     switch fanning out to the disks on x4 device links, so the uplink
-    is the only bottleneck.  Error rates apply to the uplink (the
+    is the only bottleneck.  ``error_rate`` applies to the uplink (the
     stress-campaign point injects there).
     """
-    disks = [
-        DeviceSpec("disk", name=f"disk{i}",
-                   link=LinkSpec(name=f"disk{i}", gen=gen, width=4))
-        for i in range(fanout)
-    ]
+    uplink = LinkSpec(name="uplink",
+                      **given(width=uplink_width, error_rate=error_rate))
+    disks = [DeviceSpec("disk", name=f"disk{i}", link=LinkSpec(width=4))
+             for i in range(fanout)]
     topology = TopologySpec(children=[
-        SwitchSpec(name="sw_top",
-                   link=LinkSpec(name="trunk", gen=gen, width=4),
-                   children=[
-                       SwitchSpec(name="sw_leaf",
-                                  link=LinkSpec(name="uplink", gen=gen,
-                                                width=uplink_width,
-                                                error_rate=error_rate,
-                                                dllp_error_rate=dllp_error_rate),
-                                  children=disks),
-                   ]),
+        SwitchSpec(name="sw_top", link=LinkSpec(name="trunk", width=4),
+                   children=[SwitchSpec(name="sw_leaf", link=uplink,
+                                        children=disks)]),
     ]).finalize()
     flows = [
         FlowSpec(name=f"reader{i}", kind="dd_read", device=f"disk{i}",
                  requests=requests, bytes_per_request=block_bytes,
-                 seed=seed + i)
+                 seed=1 + i)
         for i in range(fanout)
     ]
     return Scenario(
         "fanout_contention", topology, flows,
         f"{fanout} equal dd readers contending at a Gen2 "
-        f"x{uplink_width} uplink")
+        f"x{uplink.width} uplink")
 
 
-def mixed_rw(requests: int = 6, block_bytes: int = 8192,
-             seed: int = 1) -> Scenario:
+def mixed_rw(requests: int = 6) -> Scenario:
     """A ``dd`` reader, a ``dd`` writer and an MMIO latency probe
     sharing one x1 root uplink (read/write/completion TLPs mixed on
     one edge)."""
     topology = TopologySpec(children=[
-        SwitchSpec(name="switch",
-                   link=LinkSpec(name="root_uplink", gen="GEN2", width=1),
-                   children=[
-                       DeviceSpec("disk", name="disk_r",
-                                  link=LinkSpec(name="disk_r", gen="GEN2",
-                                                width=1)),
-                       DeviceSpec("disk", name="disk_w",
-                                  link=LinkSpec(name="disk_w", gen="GEN2",
-                                                width=1)),
-                   ]),
+        SwitchSpec(name="switch", link=LinkSpec(name="root_uplink"),
+                   children=[DeviceSpec("disk", name="disk_r"),
+                             DeviceSpec("disk", name="disk_w")]),
     ]).finalize()
     flows = [
         FlowSpec(name="reader", kind="dd_read", device="disk_r",
-                 requests=requests, bytes_per_request=block_bytes,
-                 seed=seed),
+                 requests=requests, bytes_per_request=8192, seed=1),
         FlowSpec(name="writer", kind="dd_write", device="disk_w",
-                 requests=requests, bytes_per_request=block_bytes,
-                 seed=seed + 1),
+                 requests=requests, bytes_per_request=8192, seed=2),
         FlowSpec(name="probe", kind="mmio_read", device="disk_r",
-                 requests=requests * 2, gap=ticks.from_us(20),
-                 seed=seed + 2),
+                 requests=requests * 2, gap=ticks.from_us(20), seed=3),
     ]
     return Scenario("mixed_rw", topology, flows,
                     "reader + writer + MMIO probe on one x1 root uplink")
 
 
-def irq_storm(requests: int = 4, block_bytes: int = 8192,
-              storm_interrupts: int = 40, seed: int = 1) -> Scenario:
+def irq_storm(requests: int = 4, storm_interrupts: int = 40,
+              seed: int = 1) -> Scenario:
     """A ``dd`` reader racing a NIC that sprays jittered MSI writes at
     the CPU through the shared root port (MSI is enabled fabric-wide,
     so every interrupt is a posted memory write on the wires)."""
     topology = TopologySpec(
         enable_msi=True,
         children=[
-            SwitchSpec(name="switch",
-                       link=LinkSpec(name="root_uplink", gen="GEN2",
-                                     width=1),
-                       children=[
-                           DeviceSpec("disk", name="disk",
-                                      link=LinkSpec(name="disk", gen="GEN2",
-                                                    width=1)),
-                           DeviceSpec("nic", name="nic",
-                                      link=LinkSpec(name="nic", gen="GEN2",
-                                                    width=1)),
-                       ]),
+            SwitchSpec(name="switch", link=LinkSpec(name="root_uplink"),
+                       children=[DeviceSpec("disk", name="disk"),
+                                 DeviceSpec("nic", name="nic")]),
         ]).finalize()
     flows = [
         FlowSpec(name="reader", kind="dd_read", device="disk",
-                 requests=requests, bytes_per_request=block_bytes,
-                 seed=seed),
+                 requests=requests, bytes_per_request=8192, seed=seed),
         FlowSpec(name="storm", kind="irq_storm", device="nic",
                  requests=storm_interrupts, gap=ticks.from_us(2),
                  jitter=0.5, seed=seed + 1),
@@ -192,32 +166,25 @@ def irq_storm(requests: int = 4, block_bytes: int = 8192,
                     "dd reader racing an MSI interrupt storm")
 
 
-def nic_loopback(frames: int = 6, frame_bytes: int = 1500,
-                 seed: int = 1) -> Scenario:
+def nic_loopback(frames: int = 6) -> Scenario:
     """Two NICs streaming MAC-loopback frames side by side behind one
     switch (every frame is a TX DMA read plus an RX DMA write)."""
     topology = TopologySpec(children=[
-        SwitchSpec(name="switch",
-                   link=LinkSpec(name="root_uplink", gen="GEN2", width=2),
-                   children=[
-                       DeviceSpec("nic", name=f"nic{i}",
-                                  link=LinkSpec(name=f"nic{i}", gen="GEN2",
-                                                width=1))
-                       for i in range(2)
-                   ]),
+        SwitchSpec(name="switch", link=LinkSpec(name="root_uplink", width=2),
+                   children=[DeviceSpec("nic", name=f"nic{i}")
+                             for i in range(2)]),
     ]).finalize()
     flows = [
         FlowSpec(name=f"stream{i}", kind="nic_tx", device=f"nic{i}",
-                 requests=frames, bytes_per_request=frame_bytes,
-                 loopback=True, seed=seed + i)
+                 requests=frames, bytes_per_request=1500, loopback=True,
+                 seed=1 + i)
         for i in range(2)
     ]
     return Scenario("nic_loopback", topology, flows,
                     "two NICs streaming loopback frames side by side")
 
 
-def accel_fanout(copies: int = 4, copy_bytes: int = 16384,
-                 seed: int = 1) -> Scenario:
+def accel_fanout(copies: int = 4) -> Scenario:
     """Two DMA copy accelerators (the third device kind) fanning DMA
     read+write bursts through a shared x2 uplink.
 
@@ -227,28 +194,21 @@ def accel_fanout(copies: int = 4, copy_bytes: int = 16384,
     (see ARCHITECTURE.md, "Flow control & ordering") removed the need.
     """
     topology = TopologySpec(children=[
-        SwitchSpec(name="switch",
-                   link=LinkSpec(name="root_uplink", gen="GEN2", width=2),
-                   children=[
-                       DeviceSpec("accel", name=f"accel{i}",
-                                  link=LinkSpec(name=f"accel{i}", gen="GEN2",
-                                                width=1))
-                       for i in range(2)
-                   ]),
+        SwitchSpec(name="switch", link=LinkSpec(name="root_uplink", width=2),
+                   children=[DeviceSpec("accel", name=f"accel{i}")
+                             for i in range(2)]),
     ]).finalize()
     flows = [
         FlowSpec(name=f"copier{i}", kind="accel_copy", device=f"accel{i}",
-                 requests=copies, bytes_per_request=copy_bytes,
-                 seed=seed + i)
+                 requests=copies, bytes_per_request=16384, seed=1 + i)
         for i in range(2)
     ]
     return Scenario("accel_fanout", topology, flows,
                     "two DMA copy accelerators sharing an uplink")
 
 
-def np_storm(writers: int = 2, requests: int = 4, block_bytes: int = 16384,
-             seed: int = 1) -> Scenario:
-    """Concurrent unthrottled ``dd`` writers — a non-posted DMA read
+def np_storm(requests: int = 4) -> Scenario:
+    """Two concurrent unthrottled ``dd`` writers — a non-posted DMA read
     storm at the disks' default DMA depth (64 outstanding each).
 
     This is the exact configuration that used to livelock the fabric
@@ -262,24 +222,18 @@ def np_storm(writers: int = 2, requests: int = 4, block_bytes: int = 16384,
     it must finish checker-armed with zero violations, unpinned.
     """
     topology = TopologySpec(children=[
-        SwitchSpec(name="switch",
-                   link=LinkSpec(name="root_uplink", gen="GEN2", width=1),
-                   children=[
-                       DeviceSpec("disk", name=f"disk{i}",
-                                  link=LinkSpec(name=f"disk{i}", gen="GEN2",
-                                                width=1))
-                       for i in range(writers)
-                   ]),
+        SwitchSpec(name="switch", link=LinkSpec(name="root_uplink"),
+                   children=[DeviceSpec("disk", name=f"disk{i}")
+                             for i in range(2)]),
     ]).finalize()
     flows = [
         FlowSpec(name=f"writer{i}", kind="dd_write", device=f"disk{i}",
-                 requests=requests, bytes_per_request=block_bytes,
-                 seed=seed + i)
-        for i in range(writers)
+                 requests=requests, bytes_per_request=16384, seed=1 + i)
+        for i in range(2)
     ]
     return Scenario(
         "np_storm", topology, flows,
-        f"{writers} unthrottled dd writers (non-posted DMA read storm)")
+        "2 unthrottled dd writers (non-posted DMA read storm)")
 
 
 #: The scenario library: stable name -> zero-argument builder.  Every

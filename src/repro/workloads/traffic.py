@@ -87,7 +87,8 @@ class FlowSpec(Record):
         start_delay: ticks before the flow's first request.
         loopback: ``nic_tx`` only — enable MAC loopback and require
             every transmitted frame to return on RX.
-        mmio_offset: ``mmio_read`` only — BAR0 offset probed.
+        mmio_offset: ``mmio_read`` only — BAR0 offset probed; the
+            4-byte read must lie inside the device's BAR0.
     """
 
     what = "flow"
@@ -95,7 +96,7 @@ class FlowSpec(Record):
     #: Integer fields and their least legal value (None: any int).
     INT_FIELDS = {"requests": 1, "bytes_per_request": 1, "gap": 0,
                   "burst": 1, "seed": None, "start_delay": 0,
-                  "mmio_offset": None}
+                  "mmio_offset": 0}
 
     name: str
     kind: str
@@ -251,6 +252,11 @@ class TrafficEngine(SimObject):
                 f"flow {spec.name!r}: bytes_per_request "
                 f"{spec.bytes_per_request} is not a multiple of "
                 f"{spec.device!r}'s {driver.sector_size}-byte sector")
+        if needs == "bar0" and spec.mmio_offset + 4 > device.BARS[0].size:
+            raise TrafficError(
+                f"flow {spec.name!r}: mmio_offset {spec.mmio_offset:#x} "
+                f"puts its 4-byte read past {spec.device!r}'s "
+                f"{device.BARS[0].size:#x}-byte BAR0")
 
     # -- execution ----------------------------------------------------------
     def start(self) -> None:

@@ -14,26 +14,41 @@ Each device kind's knobs are declared once, on its record in
 :data:`DEVICE_KNOBS`; a device model takes only its
 :class:`DeviceSpec`, and a preset that writes a device knob into its
 document reads the value from the record.
+
+The presets and the library scenario builders pass a record only what
+they change: no keyword default and no literal argument equals the
+default of the record field it feeds.  Platform addresses live only in
+the address map.
 """
 
+import ast
 import dataclasses
 import inspect
+import textwrap
 
 import pytest
 
 from repro.devices.base import CommandDevice, PcieDevice
+from repro.kernel.interrupts import InterruptController, MsiDoorbell
+from repro.mem.addr import AddrRange
 from repro.pci.bus import PciBus
+from repro.pci.enumeration import Enumerator
+from repro.pci.host import PciHost
 from repro.pcie.link import PcieLink
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.routing import PcieRoutingEngine
 from repro.pcie.switch import PcieSwitch
 from repro.pcie.timing import LinkTiming
-from repro.system.spec import (DEVICE_KIND_NAMES, DEVICE_KNOBS, DeviceSpec,
-                               EngineSpec, LinkSpec, RootComplexSpec,
+from repro.platform.addrmap import VEXPRESS_GEM5_V1, AddressMap
+from repro.sim.simobject import Simulator
+from repro.system.spec import (DEVICE_KIND_NAMES, DEVICE_KNOBS,
+                               ClassicPciSpec, DeviceSpec, EndpointKnobs,
+                               EngineSpec, LinkSpec, Record, RootComplexSpec,
                                SpecError, SwitchSpec, TopologySpec,
                                classic_pci_spec, deep_hierarchy_spec,
                                nic_spec, validation_spec)
 from repro.system.topology import DEVICE_KINDS
+from repro.workloads.scenarios import SCENARIOS
 
 #: The engine knobs, in declaration order.
 ENGINE_KNOBS = ("latency", "buffer_size", "service_interval",
@@ -179,3 +194,106 @@ def test_no_preset_restates_a_device_default(monkeypatch):
             for knob, value in device.params.items():
                 if knob != "msi_functional":
                     assert value == getattr(record, knob), (spec.name, knob)
+
+
+#: Every preset and library scenario builder, with the arguments it
+#: requires.
+BUILDERS = [(validation_spec, ()), (nic_spec, ()), (classic_pci_spec, ()),
+            (deep_hierarchy_spec, (1, 1))] + [
+    (builder, ()) for builder in SCENARIOS.values()]
+
+#: The records a machine is made of (a scenario's flows are traffic).
+MACHINE_RECORDS = (LinkSpec, EngineSpec, DeviceSpec, TopologySpec,
+                   ClassicPciSpec, EndpointKnobs)
+
+#: The machine records a builder body constructs, by name.
+SPEC_CALLS = {record.__name__: record for record in (
+    LinkSpec, SwitchSpec, RootComplexSpec, TopologySpec, ClassicPciSpec,
+    DeviceSpec)}
+
+
+def _machine_fields(record):
+    """``(record type, field, value)`` for each field of each machine
+    record in ``record``'s tree; a device's params count as fields of
+    its kind's knob record."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(record, MACHINE_RECORDS):
+            yield type(record), field, value
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, Record):
+                yield from _machine_fields(item)
+    if isinstance(record, DeviceSpec):
+        knobs = DEVICE_KNOBS[record.kind]
+        fields = {field.name: field for field in dataclasses.fields(knobs)}
+        for knob, value in record.params.items():
+            yield knobs, fields[knob], value
+
+
+def test_no_builder_keyword_defaults_to_its_record_default(monkeypatch):
+    # A marker passed as one keyword shows the record fields it feeds;
+    # validation, which would reject the marker, is switched off.
+    monkeypatch.setattr(TopologySpec, "validate", lambda self: None)
+    monkeypatch.setattr(ClassicPciSpec, "validate", lambda self: None)
+    fed, restated = set(), []
+    for builder, required in BUILDERS:
+        for name, parameter in inspect.signature(builder).parameters.items():
+            # None means the record's default, which it cannot restate.
+            if parameter.default in (None, inspect.Parameter.empty):
+                continue
+            marker = object()
+            try:
+                built = builder(*required, **{name: marker})
+            except TypeError:
+                continue  # counted or computed on: it feeds no field as is
+            for record, field, value in _machine_fields(built):
+                if value is marker:
+                    fed.add((builder.__name__, name))
+                    if parameter.default == field.default:
+                        restated.append(f"{builder.__name__}({name}="
+                                        f"{parameter.default!r}) restates "
+                                        f"{record.__name__}.{field.name}")
+    assert not restated
+    # The probe sees the keywords that do feed a field.
+    assert {("validation_spec", "root_link_width"),
+            ("validation_spec", "ack_policy"),
+            ("deep_hierarchy_spec", "root_link_width"),
+            ("deep_hierarchy_spec", "ack_policy")} <= fed
+
+
+def test_no_builder_body_passes_a_record_its_default():
+    restated = []
+    for builder, __ in BUILDERS:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(builder)))
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in SPEC_CALLS):
+                continue
+            defaults = {field.name: field.default for field in
+                        dataclasses.fields(SPEC_CALLS[call.func.id])}
+            for keyword in call.keywords:
+                if (isinstance(keyword.value, ast.Constant)
+                        and keyword.arg in defaults
+                        and keyword.value.value == defaults[keyword.arg]):
+                    restated.append(f"{builder.__name__}: {call.func.id}("
+                                    f"{keyword.arg}={keyword.value.value!r})")
+    assert not restated
+
+
+def test_the_platform_defaults_read_the_address_map():
+    sim = Simulator()
+    host = PciHost(sim)
+    assert host.ecam_range == VEXPRESS_GEM5_V1.pci_config
+    enumerator = Enumerator(host)
+    assert enumerator.mem_alloc.window == VEXPRESS_GEM5_V1.pci_mem
+    assert enumerator.io_alloc.window == VEXPRESS_GEM5_V1.pci_io
+    doorbell = MsiDoorbell(sim, intc=InterruptController(sim, "intc"))
+    assert doorbell.range == VEXPRESS_GEM5_V1.msi_doorbell
+
+
+def test_an_address_map_rejects_a_doorbell_overlapping_dram():
+    windows = dict(vars(VEXPRESS_GEM5_V1))
+    windows["msi_doorbell"] = AddrRange(windows["dram"].end - 0x1000, 0x2000)
+    with pytest.raises(ValueError, match="address windows overlap"):
+        AddressMap(**windows)

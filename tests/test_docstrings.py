@@ -21,6 +21,8 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "workloads"),
     os.path.join(REPO_ROOT, "src", "repro", "devices"),
     os.path.join(REPO_ROOT, "src", "repro", "drivers"),
+    os.path.join(REPO_ROOT, "src", "repro", "platform"),
+    os.path.join(REPO_ROOT, "src", "repro", "validation"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 

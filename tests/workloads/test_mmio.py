@@ -43,3 +43,34 @@ def test_latency_includes_rc_both_ways():
     # Two RC crossings alone are 100 ns; the link, crossbar and device
     # add the rest — the paper's Table II smallest value is 318 ns.
     assert record["mean_ns"] > 150
+
+
+def _probe(mmio_offset):
+    """A NIC probe flow at ``mmio_offset``."""
+    return FlowSpec("m", "mmio_read", "nic", mmio_offset=mmio_offset)
+
+
+def test_a_negative_offset_is_rejected():
+    # BAR0 sits at the bottom of the MMIO window, so a negative offset
+    # would probe the configuration space just below it.
+    with pytest.raises(TrafficError, match="mmio_offset must be an int >= 0"):
+        _probe(-8).validate()
+
+
+@pytest.mark.parametrize("offset", [128 * 1024 - 2, 128 * 1024, 1 << 20])
+def test_an_offset_past_bar0_is_rejected_before_any_event(offset):
+    system = build_system(nic_spec())
+    events = system.sim.eventq.events_processed
+    with pytest.raises(TrafficError,
+                       match="flow 'm': mmio_offset .* 0x20000-byte BAR0"):
+        TrafficEngine(system, [_probe(offset)])
+    assert system.sim.eventq.events_processed == events
+
+
+def test_the_last_word_of_bar0_may_be_probed():
+    system = build_system(nic_spec())
+    engine = TrafficEngine(system, [_probe(128 * 1024 - 4)])
+    engine.start()
+    system.run()
+    assert engine.completed
+    assert system.devices["nic"].function.bars[0].size == 128 * 1024
