@@ -46,8 +46,9 @@ dispatches.  The checker keeps those in a ring of raw ``(when,
 priority, fn, arg)`` entries and formats them only when a violation is
 built, as exactly the ``eventq`` ``dispatch`` events the tracer would
 have recorded; arming the checker leaves the tracer off.  By default
-the first violation raises; ``record_only=True`` collects instead, for
-tests that assert on ``checker.violations``.
+the first violation raises; setting ``checker.record_only`` collects
+instead, for campaign summaries and tests that assert on
+``checker.violations``.
 """
 
 import weakref
@@ -118,27 +119,26 @@ class _LinkLedger:
 class InvariantChecker:
     """Pluggable runtime protocol-rule checker for one simulator.
 
-    Args:
-        sim: the owning :class:`~repro.sim.simobject.Simulator`.
-        context_events: how many recent dispatches the ring keeps for a
-            violation's context (0 disables context capture).
-        record_only: when True, violations are appended to
-            :attr:`violations` instead of raised — the mode campaign
-            summaries and negative tests use.
+    ``sim`` is the owning :class:`~repro.sim.simobject.Simulator`.
+    Setting :attr:`record_only` appends violations to :attr:`violations`
+    instead of raising them — the mode campaign summaries and negative
+    tests use.
     """
 
-    def __init__(self, sim, context_events: int = 64,
-                 record_only: bool = False):
+    #: How many recent dispatches the ring keeps for a violation's
+    #: context.
+    CONTEXT_EVENTS = 64
+
+    def __init__(self, sim):
         self.sim = weakref.proxy(sim)  # the Simulator owns its checker
         self.enabled = False
-        self.record_only = record_only
-        self.context_events = context_events
+        self.record_only = False
         self.violations: List[InvariantViolation] = []
         # The last dispatches as raw (when, priority, seq, fn, arg) queue
         # entries: EventQueue.run appends its own entries here.  They
         # reach the whole machine, which holds its checker, so the
         # Simulator owns the ring and the checker sees it weakly.
-        sim.dispatch_ring = deque(maxlen=context_events)
+        sim.dispatch_ring = deque(maxlen=self.CONTEXT_EVENTS)
         self._ring: Deque[tuple] = weakref.proxy(sim.dispatch_ring)
         self._last_dispatch_tick = 0
         # UpdateFC DLLP type -> flow class lookup, bound by enable().

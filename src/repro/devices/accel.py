@@ -58,7 +58,7 @@ class DmaAccelerator(CommandDevice):
 
     def __init__(self, sim: Simulator, spec: "DeviceSpec"):
         super().__init__(sim, spec)
-        # Cache-line (64 B, the engine's default) DMA packets.
+        # Cache-line (64 B, the engine's CHUNK) DMA packets.
         self.dma = DmaEngine(sim, "dma_engine", self,
                              max_outstanding=self.knobs.dma_outstanding)
         self._start_tick = 0

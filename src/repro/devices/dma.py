@@ -4,7 +4,7 @@ Device models move buffers with cache-line-sized packets — the paper's
 TLP payload rule ("cache line size for a write request or read
 response") comes from DMA engines doing exactly this.  The engine
 
-* splits a transfer into ``chunk``-byte packets;
+* splits a transfer into ``CHUNK``-byte packets;
 * keeps at most ``max_outstanding`` requests in flight;
 * signals completion when every response has returned — which is the
   paper's *no posted writes* semantics ("responses for all gem5 write
@@ -14,12 +14,13 @@ response") comes from DMA engines doing exactly this.  The engine
   ablation.
 """
 
-from typing import Optional
-
 from repro.mem.packet import MemCmd, Packet
 from repro.sim.eventq import proxy
 from repro.sim.process import Signal
 from repro.sim.simobject import SimObject, Simulator
+
+#: Packet payload size in bytes: one cache line.
+CHUNK = 64
 
 
 class DmaTransfer:
@@ -48,7 +49,7 @@ class DmaTransfer:
             and self._responses_pending + device.dma_backlog < engine.max_outstanding
             and device.dma_space > 0
         ):
-            size = min(engine.chunk, self.nbytes - self._next_offset)
+            size = min(CHUNK, self.nbytes - self._next_offset)
             addr = self.addr + self._next_offset
             self._next_offset += size
             if self.is_write:
@@ -104,25 +105,15 @@ class DmaEngine(SimObject):
 
     Args:
         device: owning device (supplies the DMA port).
-        chunk: packet payload size (cache line, 64 B).
-        max_outstanding: in-flight request window per transfer.
+        max_outstanding: in-flight request window per transfer, from the
+            device's knob record (whose check keeps it positive) or the
+            device's own constant.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        device,
-        chunk: int = 64,
-        max_outstanding: int = 32,
-    ):
+    def __init__(self, sim: Simulator, name: str, device,
+                 max_outstanding: int):
         super().__init__(sim, name, parent=device)
-        if chunk < 1:
-            raise ValueError("chunk must be positive")
-        if max_outstanding < 1:
-            raise ValueError("max_outstanding must be positive")
         self.device = self.parent
-        self.chunk = chunk
         self.max_outstanding = max_outstanding
 
         self.packets_issued = self.stats.scalar("packets_issued")

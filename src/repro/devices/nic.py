@@ -75,10 +75,13 @@ class Nic8254xPcie(PcieDevice):
     TX_PROCESS_LATENCY = ticks.from_ns(500)
     #: Delay between TX completion and RX delivery in loopback.
     LOOPBACK_WIRE_LATENCY = ticks.from_us(1)
+    #: In-flight DMA packets within one transfer.
+    DMA_OUTSTANDING = 32
 
     def __init__(self, sim: Simulator, spec: "DeviceSpec"):
         super().__init__(sim, spec)
-        self.dma = DmaEngine(sim, "dma_engine", self)
+        self.dma = DmaEngine(sim, "dma_engine", self,
+                             max_outstanding=self.DMA_OUTSTANDING)
 
         self._regs = {
             REG_CTRL: 0,

@@ -1,19 +1,19 @@
 """The block layer.
 
 Splits a read/write into hardware requests of at most
-``max_sectors_per_request`` sectors (Linux's ``max_sectors`` bound —
-with 4 KB sectors the default of 32 gives 128 KB requests), drives the
-block-device driver one request at a time (``dd`` issues synchronous
-sequential reads, so there is never queue depth to exploit), and charges
-the software costs around each request:
+``MAX_SECTORS_PER_REQUEST`` sectors (Linux's ``max_sectors`` bound —
+with 4 KB sectors, 32 gives 128 KB requests), drives the block-device
+driver one request at a time (``dd`` issues synchronous sequential
+reads, so there is never queue depth to exploit), and charges the
+software costs around each request:
 
-* ``submit_overhead`` — request construction, driver entry;
-* ``per_sector_overhead`` — per-page block/bio bookkeeping;
-* ``complete_overhead`` — end-of-request processing after the IRQ.
+* ``SUBMIT_OVERHEAD`` — request construction, driver entry;
+* ``PER_SECTOR_OVERHEAD`` — per-page block/bio bookkeeping;
+* ``COMPLETE_OVERHEAD`` — end-of-request processing after the IRQ.
 
-These constants are the calibration knobs standing in for the "OS
-overheads in gem5 for setting up the transfer" that the paper holds
-responsible for its throughput gap against the physical machine.
+These constants stand in for the "OS overheads in gem5 for setting up
+the transfer" that the paper holds responsible for its throughput gap
+against the physical machine.
 
 **Fast-forward.**  ``dd`` is synchronous, so a long transfer is one
 request repeated, and a disk command one sector repeated.  At each
@@ -282,23 +282,22 @@ class _Cursor:
 class BlockLayer(SimObject):
     """See module docstring."""
 
+    #: Sectors one hardware request carries at most.
+    MAX_SECTORS_PER_REQUEST = 32
+    #: Software cost before each request.
+    SUBMIT_OVERHEAD = ticks.from_us(4)
+    #: Software cost after each request completes.
+    COMPLETE_OVERHEAD = ticks.from_us(3)
+    #: Software cost per sector of a request, charged before it.
+    PER_SECTOR_OVERHEAD = ticks.from_us(1.0)
+
     def __init__(
         self,
         sim: Simulator,
         name: str = "block_layer",
         parent: Optional[SimObject] = None,
-        max_sectors_per_request: int = 32,
-        submit_overhead: int = ticks.from_us(4),
-        complete_overhead: int = ticks.from_us(3),
-        per_sector_overhead: int = ticks.from_us(1.0),
     ):
         super().__init__(sim, name, parent)
-        if max_sectors_per_request < 1:
-            raise ValueError("requests must carry at least one sector")
-        self.max_sectors_per_request = max_sectors_per_request
-        self.submit_overhead = submit_overhead
-        self.complete_overhead = complete_overhead
-        self.per_sector_overhead = per_sector_overhead
 
         self.requests_submitted = self.stats.scalar("requests_submitted")
         self.sectors_moved = self.stats.scalar("sectors_moved")
@@ -323,7 +322,7 @@ class BlockLayer(SimObject):
         if n_sectors < 1:
             raise ValueError("transfer needs at least one sector")
         cur = _Cursor(self.sim, lba, buffer_addr, n_sectors)
-        per_request = self.max_sectors_per_request
+        per_request = self.MAX_SECTORS_PER_REQUEST
         sector_bytes = driver.sector_size
         device = getattr(driver, "device", None)
         while cur.remaining:
@@ -332,7 +331,7 @@ class BlockLayer(SimObject):
             self.requests_submitted.inc()
             if not cur.at_completion:
                 self._maybe_pause(cur, device)
-            yield Delay(self.submit_overhead + chunk * self.per_sector_overhead)
+            yield Delay(self.SUBMIT_OVERHEAD + chunk * self.PER_SECTOR_OVERHEAD)
             sectors = self._arm_sectors(cur, device, chunk)
             completion = yield from driver.start_request(
                 cur.lba, chunk, cur.buf, is_write
@@ -343,7 +342,7 @@ class BlockLayer(SimObject):
                 sectors.close()
             if cur.at_completion:
                 self._maybe_pause(cur, device)
-            yield Delay(self.complete_overhead)
+            yield Delay(self.COMPLETE_OVERHEAD)
             self.request_ticks.sample(self.curtick - cur.start)
             self.sectors_moved.inc(chunk)
             cur.remaining -= chunk
@@ -354,7 +353,7 @@ class BlockLayer(SimObject):
     # -- fast-forward ------------------------------------------------------
     def _maybe_pause(self, cur: _Cursor, device) -> None:
         """Pause here if a snapshot could still lead to a skip."""
-        later = cur.remaining // self.max_sectors_per_request - 1
+        later = cur.remaining // self.MAX_SECTORS_PER_REQUEST - 1
         if (device is not None and cur.prover.worth_pausing(later)
                 and not _observed(self.sim)):
             self.sim.pause(
@@ -364,7 +363,7 @@ class BlockLayer(SimObject):
     def _request_boundary(self, cur: _Cursor, device, until: Optional[int],
                           limit: Optional[int]) -> None:
         """Prove and skip requests; the cursor follows a skip."""
-        per_request = self.max_sectors_per_request
+        per_request = self.MAX_SECTORS_PER_REQUEST
         before = self.curtick
         times = cur.prover.boundary(
             Origin(before, cur.buf, cur.lba, device), per_request,

@@ -18,21 +18,18 @@ from repro.sim.simobject import SimObject, Simulator
 
 
 class InterruptController(SimObject):
-    """Dispatches interrupt lines to driver handler processes.
+    """Dispatches interrupt lines to driver handler processes."""
 
-    Args:
-        dispatch_latency: ticks from assertion to handler entry.
-    """
+    #: Ticks from assertion to handler entry (GIC + trap entry).
+    DISPATCH_LATENCY = ticks.from_ns(500)
 
     def __init__(
         self,
         sim: Simulator,
         name: str = "intc",
         parent: Optional[SimObject] = None,
-        dispatch_latency: int = ticks.from_ns(500),
     ):
         super().__init__(sim, name, parent)
-        self.dispatch_latency = dispatch_latency
         # line -> generator factory (each dispatch builds a fresh one)
         # as a weak_callback pair: the kernel owns the drivers.
         self._handlers: Dict[int, Tuple] = {}
@@ -65,7 +62,7 @@ class InterruptController(SimObject):
             self.coalesced.inc()
             return
         self._pending.add(line)
-        self.schedule(self.dispatch_latency, self._dispatch, line)
+        self.schedule(self.DISPATCH_LATENCY, self._dispatch, line)
 
     # -- checkpointing -----------------------------------------------------
     # The handler-invocation counter behind ``irq{line}_{n}`` names.
@@ -90,30 +87,31 @@ class MsiDoorbell(SimObject):
     vector the write's payload names — the extension path the paper
     sketches ("A device uses MSI to write a programmed value to a
     specified address location in order to raise an interrupt").  Its
-    window defaults to the platform map's ``msi_doorbell``.
+    window defaults to the platform map's ``msi_doorbell``; ``intc`` is
+    the interrupt controller its writes raise lines on.
     """
+
+    #: Ticks from a write landing to the interrupt line rising (and to
+    #: the response of a non-posted write).
+    LATENCY = ticks.from_ns(50)
 
     in_flight = ("_respq",)
 
     def __init__(
         self,
         sim: Simulator,
+        intc: InterruptController,
         name: str = "msi_doorbell",
-        intc: Optional[InterruptController] = None,
         parent: Optional[SimObject] = None,
         base: int = VEXPRESS_GEM5_V1.msi_doorbell.start,
         size: int = VEXPRESS_GEM5_V1.msi_doorbell.size,
-        latency: int = ticks.from_ns(50),
     ):
         from repro.mem.addr import AddrRange
         from repro.mem.port import PacketQueue, SlavePort
 
         super().__init__(sim, name, parent)
-        if intc is None:
-            raise ValueError("an MSI doorbell needs an interrupt controller")
         self.intc = intc
         self.range = AddrRange(base, size)
-        self.latency = latency
         self.port = SlavePort(
             self,
             "port",
@@ -135,7 +133,7 @@ class MsiDoorbell(SimObject):
             return False
         vector = int.from_bytes(pkt.data or b"\x00", "little") & 0xFF
         self.msis_received.inc()
-        self.schedule(self.latency, self.intc.raise_irq, vector)
+        self.schedule(self.LATENCY, self.intc.raise_irq, vector)
         if pkt.needs_response:
-            self._respq.push(pkt.make_response(), self.latency)
+            self._respq.push(pkt.make_response(), self.LATENCY)
         return True

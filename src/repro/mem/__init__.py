@@ -3,10 +3,12 @@
 The Python stand-in for gem5's memory system: packets
 (:mod:`repro.mem.packet`), the timing-port protocol with retries
 (:mod:`repro.mem.port`), address ranges (:mod:`repro.mem.addr`),
-crossbars (:mod:`repro.mem.xbar`), the MemBus↔IOBus bridge
+the crossbar (:mod:`repro.mem.xbar`), the bridge between two buses
 (:mod:`repro.mem.bridge`), a DMA-coherency IOCache
 (:mod:`repro.mem.iocache`) and a simple DRAM controller
-(:mod:`repro.mem.dram`).
+(:mod:`repro.mem.dram`).  Each model's timing and sizes are constants
+of its module, not constructor keywords: the paper varies only
+PCI-Express knobs, and those live in the spec records.
 
 Everything the paper's PCI-Express model touches in gem5 is reproduced
 here with the same semantics — in particular the *retry* flow control
@@ -18,7 +20,7 @@ x8-link collapse, emerge naturally.
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, SlavePort, PacketQueue
-from repro.mem.xbar import NoncoherentXBar, CoherentXBar
+from repro.mem.xbar import NoncoherentXBar
 from repro.mem.bridge import Bridge
 from repro.mem.dram import SimpleMemory
 from repro.mem.iocache import IOCache
@@ -31,7 +33,6 @@ __all__ = [
     "SlavePort",
     "PacketQueue",
     "NoncoherentXBar",
-    "CoherentXBar",
     "Bridge",
     "SimpleMemory",
     "IOCache",

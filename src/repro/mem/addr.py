@@ -24,15 +24,19 @@ class AddrRange:
 
     @property
     def size(self) -> int:
+        """Bytes the range spans."""
         return self.end - self.start
 
     def contains(self, addr: int) -> bool:
+        """Whether ``addr`` lies in ``[start, end)``."""
         return self.start <= addr < self.end
 
     def contains_range(self, other: "AddrRange") -> bool:
+        """Whether ``other`` lies wholly inside this range."""
         return self.start <= other.start and other.end <= self.end
 
     def overlaps(self, other: "AddrRange") -> bool:
+        """Whether the two ranges share at least one address."""
         return self.start < other.end and other.start < self.end
 
     def offset(self, addr: int) -> int:

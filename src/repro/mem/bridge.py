@@ -14,46 +14,38 @@ drain, so forwarding a packet allocates no per-packet event or closure
 anywhere on the bridge path.
 """
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
 from repro.mem.port import MasterPort, PacketQueue, SlavePort
+from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
+
+#: Forwarding latency in ticks, applied to each direction.
+DELAY = ticks.from_ns(100)
+#: Bounded request buffer entries.
+REQ_QUEUE_SIZE = 16
+#: Bounded response buffer entries.
+RESP_QUEUE_SIZE = 16
 
 
 class Bridge(SimObject):
     """A one-way request / one-way response bridge between two buses.
 
-    Args:
-        delay: forwarding latency in ticks, applied to each direction.
-        req_queue_size: bounded request buffer entries.
-        resp_queue_size: bounded response buffer entries.
-        ranges: address ranges the slave side claims (what lies beyond
-            the bridge).  May be re-set later — e.g. after PCI
-            enumeration assigns device apertures.
+    Its slave side claims no address range of its own: the one user,
+    the classic machine's host bridge, wires the slave port's
+    ``get_ranges`` to the device apertures enumeration assigns.
     """
 
     in_flight = ("_req_queue", "_resp_queue")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        parent: Optional[SimObject] = None,
-        delay: int = 50_000,
-        req_queue_size: int = 16,
-        resp_queue_size: int = 16,
-        ranges: Optional[List[AddrRange]] = None,
-    ):
+    def __init__(self, sim: Simulator, name: str,
+                 parent: Optional[SimObject] = None):
         super().__init__(sim, name, parent)
-        self.delay = delay
-
         self.slave_port = SlavePort(
             self,
             "slave",
             recv_timing_req=self._recv_request,
-            ranges=ranges or [],
         )
         self.master_port = MasterPort(
             self,
@@ -61,11 +53,11 @@ class Bridge(SimObject):
             recv_timing_resp=self._recv_response,
         )
         self._req_queue = PacketQueue(
-            self, "reqq", self.master_port.send_timing_req, req_queue_size
+            self, "reqq", self.master_port.send_timing_req, REQ_QUEUE_SIZE
         )
         self._req_queue.on_space_freed = self._maybe_retry_requests
         self._resp_queue = PacketQueue(
-            self, "respq", self.slave_port.send_timing_resp, resp_queue_size
+            self, "respq", self.slave_port.send_timing_resp, RESP_QUEUE_SIZE
         )
         self._resp_queue.on_space_freed = self._maybe_retry_responses
         self.slave_port.recv_resp_retry = self._resp_queue.retry
@@ -73,17 +65,14 @@ class Bridge(SimObject):
 
         self.forwarded = self.stats.scalar("forwarded", "requests forwarded")
 
-    def set_ranges(self, ranges: List[AddrRange]) -> None:
-        self.slave_port.set_ranges(ranges)
-
     def _recv_request(self, pkt: Packet) -> bool:
-        if not self._req_queue.push(pkt, self.delay):
+        if not self._req_queue.push(pkt, DELAY):
             return False
         self.forwarded.total += 1
         return True
 
     def _recv_response(self, pkt: Packet) -> bool:
-        return self._resp_queue.push(pkt, self.delay)
+        return self._resp_queue.push(pkt, DELAY)
 
     def _maybe_retry_requests(self) -> None:
         if self.slave_port.retry_owed:

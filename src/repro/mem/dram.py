@@ -9,7 +9,7 @@ bandwidth term matters for ablations that widen the PCIe side.
 """
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
@@ -17,17 +17,17 @@ from repro.mem.port import PacketQueue, SlavePort
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
 
+#: Access latency in ticks (DDR4-ish).
+LATENCY = ticks.from_ns(30)
+#: Service rate in bytes per tick: one DDR4-2400 channel, ~19.2 GB/s.
+BANDWIDTH = 19.2e9 / ticks.S
+#: Accesses buffered before refusing.
+MAX_OUTSTANDING = 32
+
 
 class SimpleMemory(SimObject):
-    """Fixed-latency, bandwidth-limited memory.
-
-    Args:
-        range_: the address range this memory services.
-        latency: access latency in ticks (default 30 ns, DDR4-ish).
-        bandwidth: bytes per tick of service rate (default ~19.2 GB/s,
-            one DDR4-2400 channel).  ``0`` disables the limit.
-        max_outstanding: accesses buffered before refusing.
-    """
+    """Fixed-latency, bandwidth-limited memory servicing ``range_``,
+    timed by the module constants."""
 
     def __init__(
         self,
@@ -35,15 +35,9 @@ class SimpleMemory(SimObject):
         name: str,
         range_: AddrRange,
         parent: Optional[SimObject] = None,
-        latency: int = ticks.from_ns(30),
-        bandwidth: float = 19.2e9 / ticks.S,
-        max_outstanding: int = 32,
     ):
         super().__init__(sim, name, parent)
         self.range = range_
-        self.latency = latency
-        self.bandwidth = bandwidth
-        self.max_outstanding = max_outstanding
         self._in_flight = 0
         self._next_free = 0
 
@@ -54,7 +48,7 @@ class SimpleMemory(SimObject):
             ranges=[range_],
         )
         self._resp_queue = PacketQueue(
-            self, "respq", self._send_response, max_outstanding
+            self, "respq", self._send_response, MAX_OUTSTANDING
         )
         self.port.recv_resp_retry = self._resp_queue.retry
 
@@ -63,13 +57,8 @@ class SimpleMemory(SimObject):
         self.bytes_read = self.stats.scalar("bytes_read")
         self.bytes_written = self.stats.scalar("bytes_written")
 
-    def _serialization(self, pkt: Packet) -> int:
-        if self.bandwidth <= 0:
-            return 0
-        return math.ceil(pkt.size / self.bandwidth)
-
     def _recv_request(self, pkt: Packet) -> bool:
-        if self._in_flight >= self.max_outstanding:
+        if self._in_flight >= MAX_OUTSTANDING:
             return False
         if pkt.is_read:
             self.reads.total += 1
@@ -88,9 +77,9 @@ class SimpleMemory(SimObject):
         self._in_flight += 1
         now = self.eventq.curtick
         start = max(now, self._next_free)
-        service = self._serialization(pkt)
+        service = math.ceil(pkt.size / BANDWIDTH)
         self._next_free = start + service
-        done = (start - now) + service + self.latency
+        done = (start - now) + service + LATENCY
         response = pkt.make_response()
         pushed = self._resp_queue.push(response, done)
         assert pushed, "in-flight bound matches queue capacity"

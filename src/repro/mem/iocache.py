@@ -9,11 +9,11 @@ before they reach the MemBus (Figure 6).
 The model is a set-associative, write-back, write-allocate cache with
 LRU replacement:
 
-* **read hit** — respond after ``hit_latency``;
+* **read hit** — respond after ``HIT_LATENCY``;
 * **read miss** — forward a line fill to memory, respond when it
   returns (one MSHR per outstanding miss, bounded);
 * **full-line write** — allocate without fetching (DMA streams write
-  whole cache lines), mark dirty, respond after ``hit_latency``;
+  whole cache lines), mark dirty, respond after ``HIT_LATENCY``;
 * **partial write** — write-through: forward to memory and respond when
   memory acknowledges;
 * **dirty eviction** — emit a writeback through a bounded writeback
@@ -24,9 +24,26 @@ from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.mem.packet import MemCmd, Packet
-from repro.mem.port import MasterPort, PacketQueue, SlavePort
+from repro.mem.port import MasterPort, PacketQueue, PortError, SlavePort
 from repro.sim import ticks
 from repro.sim.simobject import SimObject, Simulator
+
+#: Capacity in bytes (gem5's default IOCache is as tiny: 1 KiB).
+SIZE = 1024
+#: Cache line size in bytes.
+LINE_SIZE = 64
+#: Set associativity.
+ASSOC = 4
+#: Number of sets.
+NUM_SETS = SIZE // (LINE_SIZE * ASSOC)
+#: Ticks from acceptance to response on a hit.
+HIT_LATENCY = ticks.from_ns(5)
+#: Ticks consumed before a miss is forwarded.
+LOOKUP_LATENCY = ticks.from_ns(2)
+#: Maximum outstanding misses.
+MSHRS = 16
+#: Bounded dirty-eviction buffer.
+WRITEBACK_ENTRIES = 8
 
 
 class _Line:
@@ -38,49 +55,19 @@ class _Line:
 
 
 class IOCache(SimObject):
-    """A small DMA-coherency cache (gem5's IOCache).
+    """A small DMA-coherency cache (gem5's IOCache) whose geometry and
+    timing are the module constants."""
 
-    Args:
-        size: capacity in bytes (gem5 default is tiny: 1 KiB).
-        line_size: cache line size in bytes.
-        assoc: set associativity.
-        hit_latency: ticks from acceptance to response on a hit.
-        lookup_latency: ticks consumed before a miss is forwarded.
-        mshrs: maximum outstanding misses.
-        writeback_entries: bounded dirty-eviction buffer.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        parent: Optional[SimObject] = None,
-        size: int = 1024,
-        line_size: int = 64,
-        assoc: int = 4,
-        hit_latency: int = ticks.from_ns(5),
-        lookup_latency: int = ticks.from_ns(2),
-        mshrs: int = 16,
-        writeback_entries: int = 8,
-    ):
+    def __init__(self, sim: Simulator, name: str,
+                 parent: Optional[SimObject] = None):
         super().__init__(sim, name, parent)
-        if size % (line_size * assoc) != 0:
-            raise ValueError("size must be a multiple of line_size * assoc")
-        self.line_size = line_size
-        self.assoc = assoc
-        self.num_sets = size // (line_size * assoc)
-        self.hit_latency = hit_latency
-        self.lookup_latency = lookup_latency
-        self.mshrs = mshrs
-
         # sets[index] maps tag -> _Line, ordered by recency (LRU first).
         self._sets: Dict[int, OrderedDict] = {
-            i: OrderedDict() for i in range(self.num_sets)
+            i: OrderedDict() for i in range(NUM_SETS)
         }
         # Outstanding misses / write-throughs keyed by forwarded req id.
         self._outstanding: Dict[int, Packet] = {}
         self._writebacks_in_flight = 0
-        self._writeback_entries = writeback_entries
 
         self.cpu_side = SlavePort(
             self,
@@ -93,12 +80,12 @@ class IOCache(SimObject):
             recv_timing_resp=self._recv_mem_response,
         )
         self._resp_queue = PacketQueue(
-            self, "respq", self.cpu_side.send_timing_resp, mshrs + writeback_entries
-        )
+            self, "respq", self.cpu_side.send_timing_resp,
+            MSHRS + WRITEBACK_ENTRIES)
         self._resp_queue.on_space_freed = self._maybe_retry_cpu
         self._mem_queue = PacketQueue(
-            self, "memq", self.mem_side.send_timing_req, mshrs + writeback_entries
-        )
+            self, "memq", self.mem_side.send_timing_req,
+            MSHRS + WRITEBACK_ENTRIES)
         self._mem_queue.on_space_freed = self._maybe_retry_cpu
         self.cpu_side.recv_resp_retry = self._resp_queue.retry
         self.mem_side.recv_req_retry = self._mem_queue.retry
@@ -110,11 +97,11 @@ class IOCache(SimObject):
 
     # -- geometry ------------------------------------------------------------
     def _index_tag(self, addr: int):
-        line = addr // self.line_size
-        return line % self.num_sets, line // self.num_sets
+        line = addr // LINE_SIZE
+        return line % NUM_SETS, line // NUM_SETS
 
     def _is_full_line(self, pkt: Packet) -> bool:
-        return pkt.size >= self.line_size and pkt.addr % self.line_size == 0
+        return pkt.size >= LINE_SIZE and pkt.addr % LINE_SIZE == 0
 
     def _trace_access(self, pkt: Packet, ev: str) -> None:
         trc = self.tracer
@@ -136,13 +123,13 @@ class IOCache(SimObject):
             cache_set.move_to_end(tag)
             self.hits.total += 1
             self._trace_access(pkt, "read_hit")
-            return self._resp_queue.push(pkt.make_response(), self.hit_latency)
-        if len(self._outstanding) >= self.mshrs or self._mem_queue.full:
+            return self._resp_queue.push(pkt.make_response(), HIT_LATENCY)
+        if len(self._outstanding) >= MSHRS or self._mem_queue.full:
             return False
         self.misses.total += 1
         self._outstanding[pkt.req_id] = pkt
         self._trace_access(pkt, "read_miss")
-        pushed = self._mem_queue.push(pkt, self.lookup_latency)
+        pushed = self._mem_queue.push(pkt, LOOKUP_LATENCY)
         assert pushed
         return True
 
@@ -154,7 +141,7 @@ class IOCache(SimObject):
             cache_set[tag].dirty = True
             self.hits.total += 1
             self._trace_access(pkt, "write_hit")
-            return self._respond_to_write(pkt, self.hit_latency)
+            return self._respond_to_write(pkt, HIT_LATENCY)
         if self._is_full_line(pkt):
             # Allocate without fetching; may need a writeback slot.
             if not self._can_allocate(cache_set):
@@ -164,25 +151,25 @@ class IOCache(SimObject):
             self._allocate(index, tag, dirty=True)
             self.allocations.total += 1
             self._trace_access(pkt, "write_alloc")
-            return self._respond_to_write(pkt, self.hit_latency)
+            return self._respond_to_write(pkt, HIT_LATENCY)
         # Posted partial write (an MSI message): forward and forget.
         # Nothing will ever acknowledge it, so holding an MSHR would
-        # leak the slot and wedge all DMA after ``mshrs`` interrupts.
+        # leak the slot and wedge all DMA after ``MSHRS`` interrupts.
         if not pkt.needs_response:
             if self._mem_queue.full:
                 return False
             self.misses.total += 1
             self._trace_access(pkt, "write_through")
-            pushed = self._mem_queue.push(pkt, self.lookup_latency)
+            pushed = self._mem_queue.push(pkt, LOOKUP_LATENCY)
             assert pushed
             return True
         # Partial write: write-through, respond on memory's ack.
-        if len(self._outstanding) >= self.mshrs or self._mem_queue.full:
+        if len(self._outstanding) >= MSHRS or self._mem_queue.full:
             return False
         self.misses.total += 1
         self._outstanding[pkt.req_id] = pkt
         self._trace_access(pkt, "write_through")
-        pushed = self._mem_queue.push(pkt, self.lookup_latency)
+        pushed = self._mem_queue.push(pkt, LOOKUP_LATENCY)
         assert pushed
         return True
 
@@ -193,19 +180,19 @@ class IOCache(SimObject):
 
     # -- allocation / eviction ---------------------------------------------------
     def _can_allocate(self, cache_set: OrderedDict) -> bool:
-        if len(cache_set) < self.assoc:
+        if len(cache_set) < ASSOC:
             return True
         victim = next(iter(cache_set.values()))
         if not victim.dirty:
             return True
         return (
-            self._writebacks_in_flight < self._writeback_entries
+            self._writebacks_in_flight < WRITEBACK_ENTRIES
             and not self._mem_queue.full
         )
 
     def _allocate(self, index: int, tag: int, dirty: bool) -> None:
         cache_set = self._sets[index]
-        if len(cache_set) >= self.assoc:
+        if len(cache_set) >= ASSOC:
             victim_tag, victim = cache_set.popitem(last=False)
             if victim.dirty:
                 self._emit_writeback(victim_tag, index)
@@ -213,12 +200,12 @@ class IOCache(SimObject):
 
     def _emit_writeback(self, tag: int, index: int) -> None:
         # Reconstruct the victim line address from its tag and set index.
-        addr = (tag * self.num_sets + index) * self.line_size
+        addr = (tag * NUM_SETS + index) * LINE_SIZE
         writeback = Packet(
             MemCmd.WRITE_REQ,
             addr,
-            self.line_size,
-            data=bytes(self.line_size),
+            LINE_SIZE,
+            data=bytes(LINE_SIZE),
             requestor=self.full_name,
             create_tick=self.eventq.curtick,
         )
@@ -226,7 +213,7 @@ class IOCache(SimObject):
         self.writebacks.total += 1
         self._outstanding[writeback.req_id] = writeback
         self._trace_access(writeback, "writeback")
-        pushed = self._mem_queue.push(writeback, self.lookup_latency)
+        pushed = self._mem_queue.push(writeback, LOOKUP_LATENCY)
         assert pushed, "_can_allocate reserved a slot"
 
     # -- checkpointing ----------------------------------------------------
@@ -252,7 +239,7 @@ class IOCache(SimObject):
         """Tags relative to the cursor's tag, plus the cursor's offset
         within one tag's span, so equal states also map the coming
         addresses onto the same sets."""
-        span = self.line_size * self.num_sets
+        span = LINE_SIZE * NUM_SETS
         base = origin.addr // span
         return dict(
             super().relative_state(state, origin),
@@ -276,7 +263,9 @@ class IOCache(SimObject):
     def _recv_mem_response(self, pkt: Packet) -> bool:
         original = self._outstanding.get(pkt.req_id)
         if original is None:
-            return True  # stale (shouldn't happen, but don't wedge the bus)
+            raise PortError(
+                f"{self.full_name}: response {pkt!r} matches no outstanding "
+                f"miss or writeback")
         if original.requestor == self.full_name:
             # Writeback acknowledgement.
             del self._outstanding[pkt.req_id]

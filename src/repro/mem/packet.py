@@ -32,22 +32,28 @@ class MemCmd(enum.Enum):
 
     @property
     def is_request(self) -> bool:
+        """A request (read, write, message or config access)."""
         return self._is_request
 
     @property
     def is_response(self) -> bool:
+        """A response to an earlier request."""
         return self._is_response
 
     @property
     def is_read(self) -> bool:
+        """A memory or configuration read, request or response."""
         return self._is_read
 
     @property
     def is_write(self) -> bool:
+        """A memory or configuration write, request or response, or a
+        posted message."""
         return self._is_write
 
     @property
     def is_config(self) -> bool:
+        """A configuration-space access or its response."""
         return self._is_config
 
     @property
@@ -57,6 +63,8 @@ class MemCmd(enum.Enum):
 
     @property
     def response_command(self) -> "MemCmd":
+        """The command answering this request; ValueError for a command that
+        has none."""
         try:
             return _RESPONSE_FOR[self]
         except KeyError:

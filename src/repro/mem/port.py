@@ -54,6 +54,7 @@ class Port:
 
     @property
     def bound(self) -> bool:
+        """Whether the port has a peer."""
         return self.peer is not None
 
     def _bind_peer(self, peer: "Port") -> None:
@@ -114,6 +115,8 @@ class MasterPort(Port):
 
     # -- sending requests ----------------------------------------------------
     def send_timing_req(self, pkt: Packet) -> bool:
+        """Offer a request to the peer slave; False means refused, and the
+        peer owes this port a retry."""
         peer = self.peer
         if peer is None:
             raise PortError(f"{self.full_name} is unbound")
@@ -187,6 +190,7 @@ class SlavePort(Port):
         self.retry_owed = False
 
     def bind(self, master: MasterPort) -> None:
+        """Bind this slave port to a master port (and vice versa)."""
         master.bind(self)
 
     # -- address ranges --------------------------------------------------------
@@ -194,10 +198,13 @@ class SlavePort(Port):
         return list(self._ranges)
 
     def set_ranges(self, ranges: List[AddrRange]) -> None:
+        """Replace the static address ranges this port claims."""
         self._ranges = list(ranges)
 
     # -- sending responses -------------------------------------------------------
     def send_timing_resp(self, pkt: Packet) -> bool:
+        """Offer a response to the peer master; False means refused, and the
+        peer owes this port a response retry."""
         peer = self.peer
         if peer is None:
             raise PortError(f"{self.full_name} is unbound")
@@ -286,10 +293,12 @@ class PacketQueue:
 
     @property
     def full(self) -> bool:
+        """Whether a push would be refused."""
         return len(self._entries) >= self.capacity
 
     @property
     def empty(self) -> bool:
+        """Whether no packet is waiting."""
         return not self._entries
 
     def push(self, pkt: Packet, delay: int = 0) -> bool:

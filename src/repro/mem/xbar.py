@@ -1,12 +1,15 @@
-"""Crossbars.
+"""The crossbar.
 
 gem5 connects on-chip devices, caches and memory through a coherent
 crossbar (*MemBus*) and off-chip devices through a non-coherent one
-(*IOBus*).  Both are modelled here: requests are routed to the master
-port whose peer claims the packet's address, with a per-destination
-*layer* that serializes transfers (header cycles plus payload
-serialization at the crossbar width), and bounded per-port queues that
-exert backpressure through the port retry protocol.
+(*IOBus*).  The machines built here need one crossbar, the MemBus, and
+since the IOCache is their only cache it sees no snoop traffic, so one
+non-coherent class models it: requests are routed to the master port
+whose peer claims the packet's address, with a per-destination *layer*
+that serializes transfers (header cycles plus payload serialization at
+the crossbar width), and bounded per-port queues that exert
+backpressure through the port retry protocol.  A request no port
+claims is a wiring error and raises :class:`PortError`.
 
 Responses are routed back to the slave port the request entered on,
 tracked by request id.  Routing consults the peer ports' address ranges
@@ -19,24 +22,26 @@ import math
 from types import MethodType
 from typing import Dict, List, Optional
 
-from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
 from repro.mem.port import MasterPort, PacketQueue, PortError, SlavePort
 from repro.sim.simobject import SimObject, Simulator
 
+#: Ticks to make the forwarding decision.
+FRONTEND_LATENCY = 1_000
+#: Ticks to move a packet between ports.
+FORWARD_LATENCY = 1_000
+#: Bytes moved per tick of serialization: a payload crosses in
+#: ``ceil(payload / WIDTH)`` ticks, wide enough that the crossbar never
+#: bottlenecks a PCIe link, as the MemBus in the paper's setup.
+WIDTH = 64
+#: Per-destination buffered packets before refusing.
+QUEUE_DEPTH = 16
+
 
 class NoncoherentXBar(SimObject):
-    """A non-coherent crossbar (gem5's IOBus flavour).
-
-    Args:
-        frontend_latency: ticks to make the forwarding decision.
-        forward_latency: ticks to move a packet between ports.
-        width: bytes moved per tick of serialization (payload crossing
-            time is ``ceil(payload / width)`` ticks).  The default is
-            wide enough that the crossbar never bottlenecks a PCIe link,
-            matching the role MemBus/IOBus play in the paper's setup.
-        queue_depth: per-destination buffered packets before refusing.
-    """
+    """The machine's MemBus (see the module docstring for why it is
+    non-coherent); its latencies, width and queue depth are the module
+    constants."""
 
     # The layers' horizons, keyed by port name; read only through
     # max(now, horizon).
@@ -44,21 +49,9 @@ class NoncoherentXBar(SimObject):
                     "_resp_layer_free": "horizon"}
     in_flight = ("_req_queues", "_resp_queues", "_resp_route")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        parent: Optional[SimObject] = None,
-        frontend_latency: int = 1_000,
-        forward_latency: int = 1_000,
-        width: int = 16,
-        queue_depth: int = 4,
-    ):
+    def __init__(self, sim: Simulator, name: str,
+                 parent: Optional[SimObject] = None):
         super().__init__(sim, name, parent)
-        self.frontend_latency = frontend_latency
-        self.forward_latency = forward_latency
-        self.width = width
-        self.queue_depth = queue_depth
 
         self._slave_ports: List[SlavePort] = []
         self._master_ports: List[MasterPort] = []
@@ -70,7 +63,6 @@ class NoncoherentXBar(SimObject):
         self._resp_layer_free: Dict[str, int] = {}
         # Response routing: request id -> slave port it entered on.
         self._resp_route: Dict[int, SlavePort] = {}
-        self._default_port: Optional[MasterPort] = None
 
         self.pkt_count = self.stats.scalar("pkt_count", "packets routed")
         self.bytes_moved = self.stats.scalar("bytes_moved", "payload bytes routed")
@@ -87,7 +79,7 @@ class NoncoherentXBar(SimObject):
         port.recv_timing_req = MethodType(_request_in, port)
         self._slave_ports.append(port)
         queue = PacketQueue(
-            self, f"{name}_respq", port.send_timing_resp, self.queue_depth
+            self, f"{name}_respq", port.send_timing_resp, QUEUE_DEPTH
         )
         queue.on_space_freed = self._kick_waiting_responders
         port.recv_resp_retry = queue.retry
@@ -103,7 +95,7 @@ class NoncoherentXBar(SimObject):
         port.recv_timing_resp = MethodType(_response_in, port)
         self._master_ports.append(port)
         queue = PacketQueue(
-            self, f"{name}_reqq", port.send_timing_req, self.queue_depth
+            self, f"{name}_reqq", port.send_timing_req, QUEUE_DEPTH
         )
         queue.on_space_freed = self._kick_waiting_requesters
         port.recv_req_retry = queue.retry
@@ -111,31 +103,24 @@ class NoncoherentXBar(SimObject):
         self._req_layer_free[name] = 0
         return port
 
-    def set_default_port(self, port: MasterPort) -> None:
-        """Requests matching no claimed range go to this port."""
-        if port not in self._master_ports:
-            raise ValueError(f"{port!r} is not one of this crossbar's master ports")
-        self._default_port = port
-
     # -- routing -----------------------------------------------------------
-    def _find_destination(self, addr: int) -> Optional[MasterPort]:
+    def _find_destination(self, pkt: Packet) -> MasterPort:
+        addr = pkt.addr
         for port in self._master_ports:
             if port.peer is None:
                 continue
             for rng in port.peer.get_ranges():
                 if addr in rng:
                     return port
-        return self._default_port
+        raise PortError(
+            f"{self.full_name}: no port claims address {addr:#x} for {pkt!r}"
+        )
 
     def _occupancy(self, pkt: Packet) -> int:
-        return self.frontend_latency + math.ceil(pkt.payload_size / self.width)
+        return FRONTEND_LATENCY + math.ceil(pkt.payload_size / WIDTH)
 
     def _recv_request(self, src: SlavePort, pkt: Packet) -> bool:
-        dest = self._find_destination(pkt.addr)
-        if dest is None:
-            raise PortError(
-                f"{self.full_name}: no port claims address {pkt.addr:#x} for {pkt!r}"
-            )
+        dest = self._find_destination(pkt)
         queue = self._req_queues[dest]
         if queue.full:
             self.retries.total += 1
@@ -144,7 +129,7 @@ class NoncoherentXBar(SimObject):
         start = max(now, self._req_layer_free[dest.name])
         occupancy = self._occupancy(pkt)
         self._req_layer_free[dest.name] = start + occupancy
-        delay = (start - now) + occupancy + self.forward_latency
+        delay = (start - now) + occupancy + FORWARD_LATENCY
         accepted = queue.push(pkt, delay)
         assert accepted, "queue.full checked above"
         if pkt.needs_response:
@@ -173,7 +158,7 @@ class NoncoherentXBar(SimObject):
         start = max(now, self._resp_layer_free[dest.name])
         occupancy = self._occupancy(pkt)
         self._resp_layer_free[dest.name] = start + occupancy
-        accepted = queue.push(pkt, (start - now) + occupancy + self.forward_latency)
+        accepted = queue.push(pkt, (start - now) + occupancy + FORWARD_LATENCY)
         assert accepted
         self.pkt_count.total += 1
         self.bytes_moved.total += pkt.payload_size
@@ -196,6 +181,7 @@ class NoncoherentXBar(SimObject):
 
     @property
     def outstanding_responses(self) -> int:
+        """Requests routed that still await their response."""
         return len(self._resp_route)
 
 
@@ -206,16 +192,3 @@ def _request_in(port: SlavePort, pkt: Packet) -> bool:
 
 def _response_in(port: MasterPort, pkt: Packet) -> bool:
     return port.owner._recv_response(port, pkt)
-
-
-class CoherentXBar(NoncoherentXBar):
-    """The MemBus flavour.
-
-    The real gem5 coherent crossbar adds snoop traffic between caches.
-    Our systems have a single cache (the IOCache) and an abstract
-    processor, so no snoop traffic would ever be generated; timing-wise
-    the coherent crossbar then behaves exactly like the non-coherent one
-    with its own latencies.  The subclass exists so topologies read like
-    the paper's Figure 3 and so a future multi-cache model has a seam to
-    add snooping.
-    """

@@ -7,7 +7,7 @@ PCI-vs-PCIe ablation has a real baseline:
 * **no split transactions** — a master holds the bus through
   arbitration, the address phase, the target's wait states and the data
   phases.  If the target cannot supply the data within
-  ``max_wait_states`` cycles it signals a *retry*: the master releases
+  ``MAX_WAIT_STATES`` cycles it signals a *retry*: the master releases
   the bus and retries the whole transaction later, while the target
   completes it in the background (PCI's *delayed transactions*) — the
   mechanism behind the bus's notorious ~50 % efficiency;
@@ -21,7 +21,7 @@ Masters attach through :meth:`attach_master`; targets through
 import math
 from collections import deque
 from types import MethodType
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
@@ -31,7 +31,17 @@ from repro.sim import ticks
 from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
 
+#: Electrical loads (masters plus targets) one bus drives.
 MAX_PCI_LOADS = 12
+#: Data bus width in bytes (32-bit PCI).
+WIDTH_BYTES = 4
+#: Bus cycles to win arbitration.
+ARBITRATION_CYCLES = 2
+#: Cycles a target may insert before it must signal retry.
+MAX_WAIT_STATES = 8
+#: Transactions a master may have pending with the arbiter before it is
+#: refused.
+QUEUE_DEPTH = 4
 
 
 class _Transaction:
@@ -50,15 +60,8 @@ class PciBus(SimObject):
     """See module docstring.
 
     ``clock_mhz`` is :class:`repro.system.spec.ClassicPciSpec`'s field,
-    which holds its default and its 33/66 MHz check.
-
-    Args:
-        width_bytes: data bus width (4 for 32-bit PCI).
-        arbitration_cycles: bus cycles to win arbitration.
-        max_wait_states: cycles a target may insert before it must
-            signal retry.
-        queue_depth: transactions a master may have pending with the
-            arbiter before being refused.
+    which holds its default and its 33/66 MHz check; the bus's width,
+    arbitration, wait states and queue depth are the module constants.
     """
 
     def __init__(
@@ -68,17 +71,9 @@ class PciBus(SimObject):
         parent: Optional[SimObject] = None,
         *,
         clock_mhz: int,
-        width_bytes: int = 4,
-        arbitration_cycles: int = 2,
-        max_wait_states: int = 8,
-        queue_depth: int = 4,
     ):
         super().__init__(sim, name, parent)
         self.period = ticks.from_frequency_hz(clock_mhz * 1e6)
-        self.width_bytes = width_bytes
-        self.arbitration_cycles = arbitration_cycles
-        self.max_wait_states = max_wait_states
-        self.queue_depth = queue_depth
 
         self._masters: List[SlavePort] = []
         self._targets: List[MasterPort] = []
@@ -139,7 +134,7 @@ class PciBus(SimObject):
     # -- arbitration -------------------------------------------------------------
     def _recv_request(self, src: SlavePort, pkt: Packet) -> bool:
         pending = sum(1 for t in self._queue if t.src is src)
-        if pending >= self.queue_depth:
+        if pending >= QUEUE_DEPTH:
             return False
         self._queue.append(_Transaction(pkt, src))
         self._kick()
@@ -151,14 +146,14 @@ class PciBus(SimObject):
             return
         self._busy = True
         transaction = self._queue.popleft()
-        self.schedule(self.arbitration_cycles * self.period,
+        self.schedule(ARBITRATION_CYCLES * self.period,
                       self._address_phase, transaction)
 
     def _issue_retries(self) -> None:
         for port in self._masters:
             if port.retry_owed:
                 pending = sum(1 for t in self._queue if t.src is port)
-                if pending < self.queue_depth:
+                if pending < QUEUE_DEPTH:
                     port.send_retry_req()
 
     # -- transaction phases ----------------------------------------------------------
@@ -196,7 +191,7 @@ class PciBus(SimObject):
             self._data_phases(transaction, completion)
             return
         # Hold the bus in wait states until the deadline.
-        deadline = self.max_wait_states * self.period
+        deadline = MAX_WAIT_STATES * self.period
         self.schedule(self.period + deadline, self._deadline, transaction)
 
     def _deadline(self, transaction: _Transaction) -> None:
@@ -217,7 +212,7 @@ class PciBus(SimObject):
         self.schedule(self.period, self._kick)
 
     def _data_cycles(self, pkt: Packet) -> int:
-        return max(1, math.ceil(pkt.size / self.width_bytes))
+        return max(1, math.ceil(pkt.size / WIDTH_BYTES))
 
     def _data_phases(self, transaction: _Transaction,
                      completion: Optional[Packet]) -> None:
@@ -245,6 +240,8 @@ class PciBus(SimObject):
     def _recv_completion(self, pkt: Packet) -> bool:
         transaction = self._waiting_completion.pop(pkt.req_id, None)
         if transaction is None:
-            return True  # stale
+            raise PortError(
+                f"{self.full_name}: completion {pkt!r} matches no "
+                f"transaction awaiting one")
         self._completions[pkt.req_id] = pkt
         return True

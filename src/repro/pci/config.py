@@ -78,6 +78,7 @@ class ConfigSpace:
 
     # -- software-side access ------------------------------------------------
     def read(self, offset: int, size: int = 4) -> int:
+        """The little-endian value of ``size`` bytes at ``offset``."""
         self._check(offset, size)
         return int.from_bytes(self._data[offset : offset + size], "little")
 

@@ -43,10 +43,13 @@ class _Allocator:
         self._next = window.start
 
     def align(self, alignment: int) -> int:
+        """Round the next free address up to ``alignment``; returns it."""
         self._next = -(-self._next // alignment) * alignment
         return self._next
 
     def take(self, size: int, alignment: Optional[int] = None) -> int:
+        """Allocate ``size`` bytes aligned to ``alignment`` (default: the
+        size, as BARs need); returns the start address."""
         addr = self.align(alignment or size)
         if addr + size > self.window.end:
             raise EnumerationError(
@@ -92,6 +95,7 @@ class FoundDevice:
 
     @property
     def bdf(self) -> tuple:
+        """The ``(bus, device, function)`` address."""
         return (self.bus, self.device, self.function)
 
     def endpoints(self) -> List["FoundDevice"]:
@@ -120,24 +124,24 @@ class Enumerator:
             (the platform map's: 1 GB at 0x40000000).
         io_window: platform I/O window (the platform map's: 16 MB at
             0x2F000000).
-        irq_base: first legacy interrupt line to hand out.
     """
 
     BRIDGE_WINDOW_MEM_ALIGN = 0x100000  # 1 MB granularity (type-1 decode)
     BRIDGE_WINDOW_IO_ALIGN = 0x1000  # 4 KB granularity
+    #: First legacy interrupt line handed out.
+    IRQ_BASE = 32
 
     def __init__(
         self,
         host: PciHost,
         mem_window: AddrRange = VEXPRESS_GEM5_V1.pci_mem,
         io_window: AddrRange = VEXPRESS_GEM5_V1.pci_io,
-        irq_base: int = 32,
     ):
         self.host = host
         self.mem_alloc = _Allocator(mem_window, "memory")
         self.io_alloc = _Allocator(io_window, "I/O")
         self._next_bus = 1
-        self._next_irq = irq_base
+        self._next_irq = self.IRQ_BASE
         self.roots: List[FoundDevice] = []
 
     # -- config shorthand -------------------------------------------------------
@@ -298,6 +302,7 @@ class Enumerator:
 
     # -- reporting -----------------------------------------------------------------
     def all_devices(self) -> List[FoundDevice]:
+        """Every discovered function, depth first in discovery order."""
         out: List[FoundDevice] = []
         stack = list(reversed(self.roots))
         while stack:
@@ -307,6 +312,7 @@ class Enumerator:
         return out
 
     def find(self, vendor_id: int, device_id: int) -> List[FoundDevice]:
+        """The discovered functions with this vendor and device ID."""
         return [
             node
             for node in self.all_devices()

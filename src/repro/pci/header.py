@@ -94,6 +94,7 @@ class Bar:
 
     @property
     def type_bits(self) -> int:
+        """The register's low type bits: I/O, or memory and prefetchable."""
         if self.io:
             return 0x1
         return 0x8 if self.prefetchable else 0x0
@@ -106,9 +107,13 @@ class Bar:
         return (~(self.size - 1)) & 0xFFFFFFFF
 
     def register_value(self) -> int:
+        """What software reads from the BAR register (0 for an unimplemented
+        BAR)."""
         return (self.addr & self.addr_mask) | self.type_bits if self.size else 0
 
     def range(self) -> Optional[AddrRange]:
+        """The assigned address range, or None for an unimplemented or
+        unassigned BAR."""
         if not self.size or not self.addr:
             return None
         return AddrRange(self.addr, self.size)
@@ -153,36 +158,44 @@ class PciFunction:
     # -- identity -------------------------------------------------------------
     @property
     def vendor_id(self) -> int:
+        """The Vendor ID register."""
         return self.config.read(VENDOR_ID, 2)
 
     @property
     def device_id(self) -> int:
+        """The Device ID register."""
         return self.config.read(DEVICE_ID, 2)
 
     @property
     def is_bridge(self) -> bool:
+        """Whether the header is type 1 (a PCI-to-PCI bridge)."""
         return (self.config.read(HEADER_TYPE, 1) & 0x7F) == 0x01
 
     # -- command register ---------------------------------------------------------
     @property
     def command(self) -> int:
+        """The Command register."""
         return self.config.read(COMMAND, 2)
 
     @property
     def io_enabled(self) -> bool:
+        """Whether the function decodes I/O space."""
         return bool(self.command & CMD_IO_SPACE)
 
     @property
     def memory_enabled(self) -> bool:
+        """Whether the function decodes memory space."""
         return bool(self.command & CMD_MEM_SPACE)
 
     @property
     def bus_master_enabled(self) -> bool:
+        """Whether the function may master the bus (issue DMA)."""
         return bool(self.command & CMD_BUS_MASTER)
 
     # -- interrupts --------------------------------------------------------------
     @property
     def interrupt_line(self) -> int:
+        """The Interrupt Line register enumeration assigned."""
         return self.config.read(INTERRUPT_LINE, 1)
 
     # -- capabilities --------------------------------------------------------------
@@ -226,6 +239,7 @@ class PciFunction:
         return out
 
     def find_capability(self, cap_id: int) -> Optional[int]:
+        """The offset of the first capability with ``cap_id``, or None."""
         for found_id, offset in self.walk_capabilities():
             if found_id == cap_id:
                 return offset
@@ -233,9 +247,11 @@ class PciFunction:
 
     # -- software access ----------------------------------------------------------
     def config_read(self, offset: int, size: int = 4) -> int:
+        """A software configuration read."""
         return self.config.read(offset, size)
 
     def config_write(self, offset: int, value: int, size: int = 4) -> None:
+        """A software configuration write (hooks run)."""
         self.config.write(offset, value, size)
 
 
@@ -353,14 +369,19 @@ class PciBridgeFunction(PciFunction):
     # -- bus numbers ---------------------------------------------------------
     @property
     def primary_bus(self) -> int:
+        """The Primary Bus Number register."""
         return self.config.read(PRIMARY_BUS, 1)
 
     @property
     def secondary_bus(self) -> int:
+        """The Secondary Bus Number register: the bus directly behind the
+        bridge."""
         return self.config.read(SECONDARY_BUS, 1)
 
     @property
     def subordinate_bus(self) -> int:
+        """The Subordinate Bus Number register: the highest bus behind the
+        bridge."""
         return self.config.read(SUBORDINATE_BUS, 1)
 
     # -- windows -----------------------------------------------------------------
@@ -402,6 +423,7 @@ class PciBridgeFunction(PciFunction):
         return AddrRange(base, end=limit + 1)
 
     def set_io_window(self, window: Optional[AddrRange]) -> None:
+        """Program the I/O window (4 KB aligned), or close it with None."""
         if window is None:
             self.config.set_raw(IO_BASE, 1, 0xF1)
             self.config.set_raw(IO_BASE_UPPER16, 2, 0xFFFF)
@@ -447,6 +469,8 @@ class PciBridgeFunction(PciFunction):
         return cache
 
     def forwards(self, addr: int) -> bool:
+        """Whether the bridge's windows claim ``addr``, from the decoded
+        routing cache."""
         for start, end in self._route_state()[1]:
             if start <= addr < end:
                 return True

@@ -62,6 +62,7 @@ class ConfigBus:
         self.bus_memo: Dict[int, Optional["ConfigBus"]] = {}
 
     def add_function(self, device: int, function: int, model: PciFunction) -> None:
+        """Install ``model`` at slot ``device.function``; a slot takes one."""
         if not (0 <= device <= 31 and 0 <= function <= 7):
             raise ValueError(f"invalid slot {device}.{function}")
         slot = (device, function)
@@ -88,12 +89,15 @@ class ConfigBus:
         return child
 
     def function_at(self, device: int, function: int) -> Optional[PciFunction]:
+        """The function at the slot, or None."""
         return self._functions.get((device, function))
 
     def child_behind(self, device: int, function: int) -> Optional["ConfigBus"]:
+        """The bus behind the bridge at the slot, or None."""
         return self._children.get((device, function))
 
     def bridges(self) -> Iterator[Tuple[Slot, PciBridgeFunction, "ConfigBus"]]:
+        """``(slot, bridge, child bus)`` for each bridge on this bus."""
         for slot, child in self._children.items():
             model = self._functions[slot]
             assert isinstance(model, PciBridgeFunction)
@@ -114,8 +118,10 @@ class PciHost(SimObject):
         ecam_base: base address of the configuration window (the
             platform map's: 0x30000000 on Vexpress_GEM5_V1).
         ecam_size: window size (256 MB covers 256 buses).
-        config_latency: per-access latency of the timed interface.
     """
+
+    #: Per-access latency of the timed interface.
+    CONFIG_LATENCY = ticks.from_ns(100)
 
     in_flight = ("_respq",)
 
@@ -126,11 +132,9 @@ class PciHost(SimObject):
         parent: Optional[SimObject] = None,
         ecam_base: int = VEXPRESS_GEM5_V1.pci_config.start,
         ecam_size: int = VEXPRESS_GEM5_V1.pci_config.size,
-        config_latency: int = ticks.from_ns(100),
     ):
         super().__init__(sim, name, parent)
         self.ecam_range = AddrRange(ecam_base, ecam_size)
-        self.config_latency = config_latency
         self.root_bus = ConfigBus("bus0")
 
         self.port = SlavePort(
@@ -173,14 +177,19 @@ class PciHost(SimObject):
         return cbus
 
     def function_at(self, bus: int, device: int, function: int = 0) -> Optional[PciFunction]:
+        """The function at ``bus:device.function`` as configuration cycles
+        reach it, or None."""
         return self._resolve(bus, device, function)
 
     def all_functions(self) -> List[PciFunction]:
+        """Every installed function, in structure order."""
         return [model for __, __, model in self.root_bus.walk()]
 
     # -- functional configuration access ------------------------------------------
     def config_read(self, bus: int, device: int, function: int,
                     offset: int, size: int = 4) -> int:
+        """A functional configuration read; all ones where no function
+        answers."""
         model = self._resolve(bus, device, function)
         if model is None:
             self.missed_accesses.inc()
@@ -190,6 +199,8 @@ class PciHost(SimObject):
 
     def config_write(self, bus: int, device: int, function: int,
                      offset: int, value: int, size: int = 4) -> None:
+        """A functional configuration write; dropped where no function
+        answers."""
         model = self._resolve(bus, device, function)
         if model is None:
             self.missed_accesses.inc()
@@ -226,11 +237,11 @@ class PciHost(SimObject):
         if pkt.cmd in (MemCmd.CONFIG_READ_REQ, MemCmd.READ_REQ):
             value = self.config_read(bus, device, function, register, pkt.size)
             data = value.to_bytes(pkt.size, "little")
-            self._respq.push(pkt.make_response(data), self.config_latency)
+            self._respq.push(pkt.make_response(data), self.CONFIG_LATENCY)
         elif pkt.cmd in (MemCmd.CONFIG_WRITE_REQ, MemCmd.WRITE_REQ):
             value = int.from_bytes(pkt.data or bytes(pkt.size), "little")
             self.config_write(bus, device, function, register, value, pkt.size)
-            self._respq.push(pkt.make_response(), self.config_latency)
+            self._respq.push(pkt.make_response(), self.CONFIG_LATENCY)
         else:
             raise ValueError(f"PCI host cannot service {pkt!r}")
         return True

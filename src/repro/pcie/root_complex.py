@@ -56,16 +56,6 @@ class RootComplex(PcieRoutingEngine):
         return self.downstream_ports
 
     @property
-    def upstream_slave(self):
-        """Accepts processor requests (bind to MemBus/bridge master)."""
-        return self.upstream_port.slave_port
-
-    @property
-    def upstream_master(self):
-        """Sends DMA requests toward memory (bind to the IOCache)."""
-        return self.upstream_port.master_port
-
-    @property
     def vp2ps(self) -> List[VirtualP2PBridge]:
         return [port.vp2p for port in self.downstream_ports]
 

@@ -272,6 +272,18 @@ class PcieRoutingEngine(SimObject):
         self._ports.append(port)
         return port
 
+    @property
+    def upstream_slave(self):
+        """Accepts requests from above: the processor's, through the
+        MemBus, at a root complex; the uplink's at a switch."""
+        return self.upstream_port.slave_port
+
+    @property
+    def upstream_master(self):
+        """Sends DMA requests toward memory: into the IOCache at a root
+        complex, up the uplink at a switch."""
+        return self.upstream_port.master_port
+
     def config_dict(self) -> dict:
         """The engine's knobs, recorded into stats exports; subclasses
         override to name their kind."""

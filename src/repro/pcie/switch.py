@@ -56,17 +56,6 @@ class PcieSwitch(PcieRoutingEngine):
             )
             self.add_downstream_port(vp2p, name=f"down_port{i}")
 
-    # -- aliases -------------------------------------------------------------
-    @property
-    def upstream_slave(self):
-        """Accepts requests from the root-complex side link."""
-        return self.upstream_port.slave_port
-
-    @property
-    def upstream_master(self):
-        """Sends DMA requests toward the root complex."""
-        return self.upstream_port.master_port
-
     @property
     def vp2ps(self) -> List[VirtualP2PBridge]:
         return [self.upstream_vp2p] + [p.vp2p for p in self.downstream_ports]

@@ -33,13 +33,12 @@ from repro.drivers.ide import IdeDiskDriver
 from repro.kernel.kernel import OsKernel
 from repro.mem.dram import SimpleMemory
 from repro.mem.iocache import IOCache
-from repro.mem.xbar import CoherentXBar
+from repro.mem.xbar import NoncoherentXBar
 from repro.pci.host import PciHost
 from repro.pcie.link import PcieLink
 from repro.pcie.root_complex import RootComplex
 from repro.pcie.switch import PcieSwitch
 from repro.platform.addrmap import VEXPRESS_GEM5_V1
-from repro.sim import ticks
 from repro.sim.simobject import Simulator
 from repro.system.spec import (ClassicPciSpec, DeviceSpec, SpecError,
                                SwitchSpec, TopologySpec, spec_from_dict)
@@ -69,7 +68,7 @@ class PcieSystem:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.membus: Optional[CoherentXBar] = None
+        self.membus: Optional[NoncoherentXBar] = None
         self.dram: Optional[SimpleMemory] = None
         self.iocache: Optional[IOCache] = None
         self.host: Optional[PciHost] = None
@@ -92,9 +91,13 @@ class PcieSystem:
 
 
 def _build_core(sim: Simulator) -> PcieSystem:
-    """The common substrate: MemBus + DRAM + IOCache + host + kernel."""
+    """The common substrate: MemBus + DRAM + IOCache + host + kernel.
+
+    Every part takes only its name and wiring: its timing and sizes are
+    its module's or class's constants, since the paper varies only the
+    PCI-Express knobs of the spec records."""
     system = PcieSystem(sim)
-    system.membus = CoherentXBar(sim, "membus", width=64, queue_depth=16)
+    system.membus = NoncoherentXBar(sim, "membus")
     system.dram = SimpleMemory(sim, "dram", system.addrmap.dram)
     system.dram.port.bind(system.membus.attach_slave("dram_side"))
     system.host = PciHost(sim)
@@ -250,7 +253,7 @@ def _build_classic_from_spec(spec: ClassicPciSpec,
     system.devices[spec.device.name] = disk
 
     # CPU -> membus -> host bridge -> shared bus -> disk PIO.
-    host_bridge = Bridge(sim, "host_bridge", delay=ticks.from_ns(100))
+    host_bridge = Bridge(sim, "host_bridge")
     host_bridge.slave_port.get_ranges = lambda: disk.function.bar_ranges(
         require_enable=False
     )

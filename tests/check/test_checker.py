@@ -292,14 +292,15 @@ def test_violation_context_equals_the_traced_dispatch_tail():
     sim.run()
     with pytest.raises(InvariantViolation) as exc:
         link.downstream_if._receive_dllp(PciePacket.ack(99))
-    assert len(sink.events) > sim.checker.context_events
-    assert exc.value.context == sink.events[-sim.checker.context_events:]
+    assert len(sink.events) > sim.checker.CONTEXT_EVENTS
+    assert exc.value.context == sink.events[-sim.checker.CONTEXT_EVENTS:]
 
 
-def test_zero_context_events_records_nothing():
+def test_zero_context_events_records_nothing(monkeypatch):
+    monkeypatch.setattr(InvariantChecker, "CONTEXT_EVENTS", 0)
     sim = Simulator()  # it owns the checker's ring; keep it
-    checker = InvariantChecker(sim, context_events=0,
-                               record_only=True).enable()
+    checker = InvariantChecker(sim).enable()
+    checker.record_only = True
     checker.on_dispatch(10, 0, call, probe)
     checker.on_dispatch(5, 0, call, probe)
     assert checker.recent_events() == []

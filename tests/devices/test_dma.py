@@ -21,10 +21,9 @@ class BareDevice(PcieDevice):
     BARS = (Bar(4096),)
 
 
-def build(sim, chunk=64, max_outstanding=8, memory_kwargs=None):
+def build(sim, max_outstanding=8, memory_kwargs=None):
     device = BareDevice(sim, DeviceSpec("disk", name="dev"))
-    engine = DmaEngine(sim, "dma", device, chunk=chunk,
-                       max_outstanding=max_outstanding)
+    engine = DmaEngine(sim, "dma", device, max_outstanding=max_outstanding)
     kwargs = {"latency": ticks.from_ns(50)}
     kwargs.update(memory_kwargs or {})
     memory = FakeSlave(sim, "memory", **kwargs)
@@ -117,10 +116,6 @@ def test_parameter_validation():
     device, engine, memory = build(sim)
     with pytest.raises(ValueError):
         engine.write(0x0, 0)
-    with pytest.raises(ValueError):
-        DmaEngine(sim, "bad", device, chunk=0)
-    with pytest.raises(ValueError):
-        DmaEngine(sim, "bad2", device, max_outstanding=0)
 
 
 def test_concurrent_transfers_both_complete():

@@ -8,6 +8,13 @@ from repro.sim.process import Process, Signal
 from repro.sim.simobject import Simulator
 
 
+class FreeBlockLayer(BlockLayer):
+    """A block layer without software overheads: only the driver's
+    request latency takes time."""
+
+    SUBMIT_OVERHEAD = COMPLETE_OVERHEAD = PER_SECTOR_OVERHEAD = 0
+
+
 class StubDriver:
     """Completes each request after a fixed simulated latency."""
 
@@ -39,10 +46,9 @@ def run_read(sim, layer, driver, lba, n_sectors, buf=0x90000000):
 
 
 def test_split_into_bounded_requests():
+    assert FreeBlockLayer.MAX_SECTORS_PER_REQUEST == 32
     sim = Simulator()
-    layer = BlockLayer(sim, max_sectors_per_request=32,
-                       submit_overhead=0, complete_overhead=0,
-                       per_sector_overhead=0)
+    layer = FreeBlockLayer(sim)
     driver = StubDriver(sim)
     run_read(sim, layer, driver, lba=0, n_sectors=80)
     assert [r[1] for r in driver.requests] == [32, 32, 16]
@@ -52,26 +58,23 @@ def test_split_into_bounded_requests():
     assert layer.sectors_moved.value() == 80
 
 
-def test_requests_serialized():
+def test_requests_serialized(monkeypatch):
+    monkeypatch.setattr(FreeBlockLayer, "MAX_SECTORS_PER_REQUEST", 10)
     sim = Simulator()
-    layer = BlockLayer(sim, max_sectors_per_request=10,
-                       submit_overhead=0, complete_overhead=0,
-                       per_sector_overhead=0)
+    layer = FreeBlockLayer(sim)
     driver = StubDriver(sim, request_latency=ticks.from_us(10))
     done = run_read(sim, layer, driver, lba=0, n_sectors=30)
     # Three requests, each waiting 10 us, strictly one at a time.
     assert done["tick"] >= 3 * ticks.from_us(10)
 
 
-def test_overheads_charged():
+def test_overheads_charged(monkeypatch):
+    assert (BlockLayer.SUBMIT_OVERHEAD, BlockLayer.COMPLETE_OVERHEAD,
+            BlockLayer.PER_SECTOR_OVERHEAD) == (
+        ticks.from_us(4), ticks.from_us(3), ticks.from_us(1))
+    monkeypatch.setattr(BlockLayer, "MAX_SECTORS_PER_REQUEST", 8)
     sim = Simulator()
-    layer = BlockLayer(
-        sim,
-        max_sectors_per_request=8,
-        submit_overhead=ticks.from_us(4),
-        complete_overhead=ticks.from_us(3),
-        per_sector_overhead=ticks.from_us(1),
-    )
+    layer = BlockLayer(sim)
     driver = StubDriver(sim, request_latency=0)
     done = run_read(sim, layer, driver, lba=0, n_sectors=8)
     # 4 (submit) + 8x1 (per sector) + 3 (complete) = 15 us of software.
@@ -80,8 +83,7 @@ def test_overheads_charged():
 
 def test_write_direction():
     sim = Simulator()
-    layer = BlockLayer(sim, submit_overhead=0, complete_overhead=0,
-                       per_sector_overhead=0)
+    layer = FreeBlockLayer(sim)
     driver = StubDriver(sim)
 
     def body():
@@ -94,19 +96,16 @@ def test_write_direction():
 
 def test_parameter_validation():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        BlockLayer(sim, max_sectors_per_request=0)
     layer = BlockLayer(sim, name="bl2")
     driver = StubDriver(sim)
     with pytest.raises(ValueError):
         list(layer.read(driver, 0, 0, 0x0))
 
 
-def test_request_time_distribution():
+def test_request_time_distribution(monkeypatch):
+    monkeypatch.setattr(FreeBlockLayer, "MAX_SECTORS_PER_REQUEST", 4)
     sim = Simulator()
-    layer = BlockLayer(sim, max_sectors_per_request=4,
-                       submit_overhead=0, complete_overhead=0,
-                       per_sector_overhead=0)
+    layer = FreeBlockLayer(sim)
     driver = StubDriver(sim, request_latency=ticks.from_us(5))
     run_read(sim, layer, driver, lba=0, n_sectors=8)
     assert layer.request_ticks.count == 2

@@ -99,7 +99,7 @@ def _built(spec, per_request=PER_REQUEST):
     """``spec`` built unchecked, its block layer cutting requests of
     ``per_request`` sectors."""
     system = build_system(spec, check=False)
-    system.kernel.block_layer.max_sectors_per_request = per_request
+    system.kernel.block_layer.MAX_SECTORS_PER_REQUEST = per_request
     return system
 
 

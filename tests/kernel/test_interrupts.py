@@ -9,8 +9,9 @@ from repro.sim.simobject import Simulator
 
 
 def test_handler_runs_after_dispatch_latency():
+    assert InterruptController.DISPATCH_LATENCY == ticks.from_ns(500)
     sim = Simulator()
-    intc = InterruptController(sim, dispatch_latency=ticks.from_ns(500))
+    intc = InterruptController(sim)
     fired = []
 
     def handler():
@@ -51,7 +52,7 @@ def test_unregister_then_reregister():
 
 def test_pending_assertions_coalesce():
     sim = Simulator()
-    intc = InterruptController(sim, dispatch_latency=ticks.from_ns(500))
+    intc = InterruptController(sim)
     count = []
 
     def handler():

@@ -2,27 +2,27 @@
 
 import pytest
 
+from repro.mem import iocache as iocache_module
 from repro.mem.iocache import IOCache
 from repro.mem.packet import MemCmd, Packet
+from repro.mem.port import PortError
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
 
-def build(sim, **kwargs):
-    cache = IOCache(sim, "iocache", **kwargs)
+def build(sim, monkeypatch=None, **constants):
+    """A cache between a fake master and memory; ``constants`` replace
+    the IOCache module's (``MSHRS=...``) for this test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(iocache_module, name, value)
+    cache = IOCache(sim, "iocache")
     master = FakeMaster(sim)
     mem = FakeSlave(sim, "mem", latency=ticks.from_ns(30))
     master.port.bind(cache.cpu_side)
     cache.mem_side.bind(mem.port)
     return cache, master, mem
-
-
-def test_geometry_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        IOCache(sim, "bad", size=1000, line_size=64, assoc=4)
 
 
 def test_read_miss_then_hit():
@@ -66,7 +66,7 @@ def test_dirty_eviction_emits_writeback():
     sim = Simulator()
     # 1 KiB, 64B lines, assoc 4 -> 4 sets; 5 distinct lines mapping to one
     # set force an eviction.  Set index = (addr//64) % 4.
-    cache, master, mem = build(sim, size=1024, line_size=64, assoc=4)
+    cache, master, mem = build(sim)
     stride = 4 * 64  # same set each time
     for i in range(5):
         master.write(0x10000 + i * stride, 64)
@@ -90,7 +90,7 @@ def test_write_hit_marks_dirty_no_memory_traffic():
 
 def test_read_fill_after_miss_is_clean():
     sim = Simulator()
-    cache, master, mem = build(sim, size=1024, line_size=64, assoc=4)
+    cache, master, mem = build(sim)
     master.read(0x4000, 64)
     sim.run()
     # Evicting a clean line must not produce a writeback.
@@ -101,9 +101,9 @@ def test_read_fill_after_miss_is_clean():
     assert cache.writebacks.value() == 0
 
 
-def test_sustained_dma_write_stream_all_completes():
+def test_sustained_dma_write_stream_all_completes(monkeypatch):
     sim = Simulator()
-    cache, master, mem = build(sim, writeback_entries=4)
+    cache, master, mem = build(sim, monkeypatch, WRITEBACK_ENTRIES=4)
     for i in range(64):
         master.write(0x100000 + i * 64, 64)
     sim.run(max_events=200_000)
@@ -113,22 +113,31 @@ def test_sustained_dma_write_stream_all_completes():
     assert cache.writebacks.value() >= 40
 
 
-def test_posted_partial_writes_never_hold_mshrs():
+def test_posted_partial_writes_never_hold_mshrs(monkeypatch):
     # MSI messages are partial posted writes: memory never acknowledges
     # them, so holding an MSHR per message would leak the slot and
-    # refuse all DMA after ``mshrs`` interrupts (the irq_storm wedge).
+    # refuse all DMA after ``MSHRS`` interrupts (the irq_storm wedge).
     sim = Simulator()
-    cache, master, mem = build(sim, mshrs=4)
-    for i in range(3 * cache.mshrs):
+    cache, master, mem = build(sim, monkeypatch, MSHRS=4)
+    for i in range(3 * iocache_module.MSHRS):
         pkt = Packet(MemCmd.MESSAGE, 0x10000000, 4, data=bytes(4),
                      requestor=master.full_name, create_tick=sim.curtick)
         master._queue.push(pkt, 0)
     sim.run()
     # Every message reached memory; none is parked awaiting an ack.
     messages = [p for p in mem.requests if p.cmd == MemCmd.MESSAGE]
-    assert len(messages) == 3 * cache.mshrs
+    assert len(messages) == 3 * iocache_module.MSHRS
     assert len(cache._outstanding) == 0
     # The cache still serves reads afterwards — no wedged MSHRs.
     master.read(0x1000, 64)
     sim.run()
     assert len(master.responses) == 1
+
+
+def test_stray_memory_response_raises():
+    sim = Simulator()
+    cache, master, mem = build(sim)
+    stray = Packet(MemCmd.READ_REQ, 0x1000, 64).make_response()
+    with pytest.raises(PortError,
+                       match=r"iocache: response .* matches no outstanding"):
+        mem.port.send_timing_resp(stray)

@@ -5,14 +5,21 @@ import pytest
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PortError
-from repro.mem.xbar import CoherentXBar, NoncoherentXBar
+from repro.mem import xbar as xbar_module
+from repro.mem.xbar import NoncoherentXBar
 from repro.sim.simobject import Simulator
 
 from tests.mem.helpers import FakeMaster, FakeSlave
 
 
-def build_xbar(sim, n_slaves=2, **kwargs):
-    xbar = NoncoherentXBar(sim, "iobus", **kwargs)
+def set_constants(monkeypatch, **constants):
+    """Give the crossbars this test builds other module constants."""
+    for name, value in constants.items():
+        monkeypatch.setattr(xbar_module, name, value)
+
+
+def build_xbar(sim, n_slaves=2):
+    xbar = NoncoherentXBar(sim, "iobus")
     master = FakeMaster(sim)
     master.port.bind(xbar.attach_master("cpu"))
     slaves = []
@@ -47,31 +54,6 @@ def test_unclaimed_address_raises_without_default():
         sim.run()
 
 
-def test_default_port_catches_unclaimed():
-    sim = Simulator()
-    xbar = NoncoherentXBar(sim, "bus")
-    master = FakeMaster(sim)
-    master.port.bind(xbar.attach_master("cpu"))
-    dev = FakeSlave(sim, "dev", ranges=[AddrRange(0x1000, 0x1000)])
-    dev.port.bind(xbar.attach_slave("dev_side"))
-    catchall = FakeSlave(sim, "mem", ranges=[])
-    default_port = xbar.attach_slave("mem_side")
-    catchall.port.bind(default_port)
-    xbar.set_default_port(default_port)
-    master.read(0xDEAD0000, 64)
-    sim.run()
-    assert len(catchall.requests) == 1
-
-
-def test_default_port_must_belong_to_xbar():
-    sim = Simulator()
-    xbar_a = NoncoherentXBar(sim, "a")
-    xbar_b = NoncoherentXBar(sim, "b")
-    foreign = xbar_b.attach_slave("x")
-    with pytest.raises(ValueError):
-        xbar_a.set_default_port(foreign)
-
-
 def test_port_names_are_unique_per_direction():
     # The layer horizons are keyed by port name.
     sim = Simulator()
@@ -104,23 +86,28 @@ def test_responses_return_to_originating_port():
     assert xbar.outstanding_responses == 0
 
 
-def test_latency_applied():
+def test_latency_applied(monkeypatch):
+    set_constants(monkeypatch, WIDTH=16)
     sim = Simulator()
     xbar, master, (dev0, _) = build_xbar(sim)
     master.read(0x1000, 64)
     sim.run()
     # Request path: frontend + serialization + forward; read request has
     # no payload so serialization is 0 ticks.
-    expected_req_arrival = xbar.frontend_latency + xbar.forward_latency
+    frontend = xbar_module.FRONTEND_LATENCY
+    forward = xbar_module.FORWARD_LATENCY
+    expected_req_arrival = frontend + forward
     assert dev0.request_ticks[0] == expected_req_arrival
     # Response carries 64B payload: ceil(64/16)=4 ticks serialization.
-    expected_resp = expected_req_arrival + 100 + xbar.frontend_latency + 4 + xbar.forward_latency
+    expected_resp = expected_req_arrival + 100 + frontend + 4 + forward
     assert master.response_ticks[0] == expected_resp
 
 
-def test_serialization_spaces_back_to_back_packets():
+def test_serialization_spaces_back_to_back_packets(monkeypatch):
+    set_constants(monkeypatch, FRONTEND_LATENCY=10, FORWARD_LATENCY=0,
+                  WIDTH=1)
     sim = Simulator()
-    xbar = NoncoherentXBar(sim, "bus", frontend_latency=10, forward_latency=0, width=1)
+    xbar = NoncoherentXBar(sim, "bus")
     master = FakeMaster(sim)
     master.port.bind(xbar.attach_master("cpu"))
     dev = FakeSlave(sim, "dev", ranges=[AddrRange(0x0, 0x10000)], latency=0)
@@ -152,21 +139,10 @@ def test_stats_count_packets():
     assert xbar.bytes_moved.value() == 64  # only the write carries payload
 
 
-def test_coherent_xbar_behaves_like_noncoherent():
+def test_many_requests_through_small_queues_all_complete(monkeypatch):
+    set_constants(monkeypatch, QUEUE_DEPTH=2)
     sim = Simulator()
-    xbar = CoherentXBar(sim, "membus")
-    master = FakeMaster(sim)
-    master.port.bind(xbar.attach_master("cpu"))
-    dev = FakeSlave(sim, "mem", ranges=[AddrRange(0x0, 0x10000)])
-    dev.port.bind(xbar.attach_slave("mem_side"))
-    master.read(0x40, 64)
-    sim.run()
-    assert len(master.responses) == 1
-
-
-def test_many_requests_through_small_queues_all_complete():
-    sim = Simulator()
-    xbar = NoncoherentXBar(sim, "bus", queue_depth=2)
+    xbar = NoncoherentXBar(sim, "bus")
     master = FakeMaster(sim)
     master.port.bind(xbar.attach_master("cpu"))
     dev = FakeSlave(sim, "dev", ranges=[AddrRange(0x0, 0x100000)], latency=500,

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.mem.addr import AddrRange
+from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PortError
+from repro.pci import bus as bus_module
 from repro.pci.bus import MAX_PCI_LOADS, PciBus
 from repro.sim import ticks
 from repro.sim.simobject import Simulator
@@ -14,14 +16,13 @@ from tests.mem.helpers import FakeMaster, FakeSlave
 PERIOD_33 = ticks.from_frequency_hz(33e6)
 
 
-def pci_bus(sim, **bus_kwargs):
-    """A bus at :class:`ClassicPciSpec`'s clock unless the test sets one."""
-    return PciBus(sim, **{"clock_mhz": ClassicPciSpec().clock_mhz,
-                          **bus_kwargs})
+def pci_bus(sim):
+    """A bus at :class:`ClassicPciSpec`'s clock."""
+    return PciBus(sim, clock_mhz=ClassicPciSpec().clock_mhz)
 
 
-def build(sim, target_latency=0, **bus_kwargs):
-    bus = pci_bus(sim, **bus_kwargs)
+def build(sim, target_latency=0):
+    bus = pci_bus(sim)
     master = FakeMaster(sim, "cpu")
     master.port.bind(bus.attach_master("cpu"))
     target = FakeSlave(sim, "dev", ranges=[AddrRange(0x40000000, 0x10000)],
@@ -118,15 +119,24 @@ def test_load_limit_enforced():
         bus.attach_master("one_too_many")
 
 
-def test_queue_depth_refuses_excess():
+def test_queue_depth_refuses_excess(monkeypatch):
+    monkeypatch.setattr(bus_module, "QUEUE_DEPTH", 2)
     sim = Simulator()
-    bus, master, target = build(sim, queue_depth=2,
-                                target_latency=ticks.from_us(5))
+    bus, master, target = build(sim, target_latency=ticks.from_us(5))
     for i in range(8):
         master.read(0x40000000 + 64 * i, 64)
     sim.run(max_events=1_000_000)
     # All complete eventually via the retry protocol.
     assert len(master.responses) == 8
+
+
+def test_stray_completion_raises():
+    sim = Simulator()
+    bus, master, target = build(sim)
+    stray = Packet(MemCmd.READ_REQ, 0x40000000, 64).make_response()
+    with pytest.raises(PortError,
+                       match=r"pci_bus: completion .* matches no transaction"):
+        target.port.send_timing_resp(stray)
 
 
 def test_efficiency_below_one_with_slow_target():

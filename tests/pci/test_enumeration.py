@@ -86,7 +86,7 @@ def test_interrupt_lines_assigned_uniquely():
     a, b = nic_function(), disk_function()
     host.root_bus.add_function(1, 0, a)
     host.root_bus.add_function(2, 0, b)
-    enumerator = Enumerator(host, irq_base=32)
+    enumerator = Enumerator(host)
     enumerator.enumerate()
     assert a.interrupt_line != b.interrupt_line
     assert a.interrupt_line >= 32

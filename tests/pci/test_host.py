@@ -116,7 +116,8 @@ def test_all_functions_walks_tree():
 
 def test_timed_config_access_via_port():
     sim = Simulator()
-    host = PciHost(sim, config_latency=100_000)
+    host = PciHost(sim)
+    assert host.CONFIG_LATENCY == 100_000
     fn = PciEndpointFunction(0x8086, 0x10D3)
     host.root_bus.add_function(2, 0, fn)
     master = FakeMaster(sim)

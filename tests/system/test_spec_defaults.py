@@ -19,6 +19,14 @@ The presets and the library scenario builders pass a record only what
 they change: no keyword default and no literal argument equals the
 default of the record field it feeds.  Platform addresses live only in
 the address map.
+
+The platform the fabric sits on — the MemBus, DRAM, IOCache, PCI host,
+classic bus and bridge, interrupt controller and MSI doorbell, block
+layer, DMA engine, invariant checker and enumerator — takes no knob at
+all: the paper varies only PCI-Express knobs, so each of these
+constructors takes only its name, parent, wiring, a value a spec record
+feeds it, or an address window the address map supplies.  Its timing
+and sizes are module or class constants, never a second default.
 """
 
 import ast
@@ -28,9 +36,16 @@ import textwrap
 
 import pytest
 
+from repro.check.checker import InvariantChecker
 from repro.devices.base import CommandDevice, PcieDevice
+from repro.devices.dma import DmaEngine
+from repro.kernel.blockio import BlockLayer
 from repro.kernel.interrupts import InterruptController, MsiDoorbell
 from repro.mem.addr import AddrRange
+from repro.mem.bridge import Bridge
+from repro.mem.dram import SimpleMemory
+from repro.mem.iocache import IOCache
+from repro.mem.xbar import NoncoherentXBar
 from repro.pci.bus import PciBus
 from repro.pci.enumeration import Enumerator
 from repro.pci.host import PciHost
@@ -290,6 +305,36 @@ def test_the_platform_defaults_read_the_address_map():
     assert enumerator.io_alloc.window == VEXPRESS_GEM5_V1.pci_io
     doorbell = MsiDoorbell(sim, intc=InterruptController(sim, "intc"))
     assert doorbell.range == VEXPRESS_GEM5_V1.msi_doorbell
+
+
+#: The platform models under the fabric.
+PLATFORM_MODELS = (NoncoherentXBar, Bridge, SimpleMemory, IOCache, PciHost,
+                   PciBus, InterruptController, MsiDoorbell, BlockLayer,
+                   DmaEngine, InvariantChecker, Enumerator)
+
+#: What every model is built with.
+FRAME = {"self", "sim", "name", "parent"}
+#: Wiring a builder must pass: no default.
+WIRING = {"intc", "device", "host", "range_"}
+#: Values a spec record (or a device's constant) feeds: no default.
+SPEC_FED = {"clock_mhz", "max_outstanding"}
+#: Address windows, defaulted from the platform address map.
+WINDOWS = {PciHost: {"ecam_base", "ecam_size"},
+           MsiDoorbell: {"base", "size"},
+           Enumerator: {"mem_window", "io_window"}}
+
+
+def test_no_platform_model_takes_a_knob():
+    knobs = []
+    for model in PLATFORM_MODELS:
+        for name, parameter in inspect.signature(model).parameters.items():
+            required = parameter.default is inspect.Parameter.empty
+            if (name in FRAME or name in WINDOWS.get(model, ())
+                    or (name in WIRING | SPEC_FED and required)):
+                continue
+            knobs.append(f"{model.__name__}({name}="
+                         f"{parameter.default!r})")
+    assert not knobs
 
 
 def test_an_address_map_rejects_a_doorbell_overlapping_dram():

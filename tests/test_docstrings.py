@@ -1,8 +1,9 @@
 """Docstring-coverage contract for the documented-surface paths.
 
 CI runs ``interrogate --fail-under 80`` over the experiment subsystem,
-the simulation kernel, the PCI-Express models, the endpoint devices and
-drivers, the topology spec layer and the benchmark harness; this test
+the simulation kernel, the PCI-Express models, the memory system, the
+PCI models, the endpoint devices and drivers, the topology spec layer
+and the benchmark harness; this test
 enforces the same floor with the stdlib checker so the contract also
 holds on machines where interrogate is not installed.
 """
@@ -23,6 +24,8 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "drivers"),
     os.path.join(REPO_ROOT, "src", "repro", "platform"),
     os.path.join(REPO_ROOT, "src", "repro", "validation"),
+    os.path.join(REPO_ROOT, "src", "repro", "mem"),
+    os.path.join(REPO_ROOT, "src", "repro", "pci"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 

@@ -7,6 +7,9 @@ traces from the same seeds.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +140,20 @@ def test_cli_list_names_every_scenario(capsys):
     out = capsys.readouterr().out
     for name in SCENARIOS:
         assert name in out
+
+
+def test_cli_module_runs_once_as_main():
+    # The documented entry point: the package import must not load the
+    # module first, or ``-m`` runs a second copy of it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        __import__("repro").__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.workloads.scenarios", "--list"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert all(name in proc.stdout for name in SCENARIOS)
 
 
 def test_cli_runs_one_scenario_checked(capsys):
