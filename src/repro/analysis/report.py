@@ -26,12 +26,14 @@ class Series:
         self.points: Dict = dict(points or {})
 
     def add(self, x, y) -> None:
+        """Set the value at ``x`` to ``y``."""
         self.points[x] = y
 
     def __getitem__(self, x):
         return self.points[x]
 
     def xs(self) -> List:
+        """The x-values, sorted."""
         return sorted(self.points)
 
 
@@ -45,11 +47,13 @@ class Table:
         self.series: List[Series] = []
 
     def new_series(self, name: str) -> Series:
+        """Append an empty series named ``name``; returns it."""
         series = Series(name)
         self.series.append(series)
         return series
 
     def xs(self) -> List:
+        """Every x-value any series holds, sorted."""
         out = []
         for series in self.series:
             for x in series.points:
@@ -58,6 +62,7 @@ class Table:
         return sorted(out)
 
     def render(self, fmt: str = "{:.3f}") -> str:
+        """The table as fixed-width text (see :func:`format_table`)."""
         return format_table(self, fmt)
 
 

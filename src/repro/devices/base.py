@@ -21,7 +21,6 @@ developments".  :class:`PcieDevice` is that template:
 one-command-slot device the disk and the accelerator share.
 """
 
-import copy
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.mem.addr import AddrRange
@@ -29,7 +28,7 @@ from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import MasterPort, PacketQueue, SlavePort
 from repro.pci.capabilities import (CAP_ID_MSI, MsiCapability, MsixCapability,
                                      PciePortType, PowerManagementCapability)
-from repro.pci.header import PciEndpointFunction
+from repro.pci.header import Bar, PciEndpointFunction
 from repro.pcie.vp2p import link_capability
 from repro.sim.eventq import proxy
 from repro.sim.simobject import SimObject, Simulator
@@ -46,7 +45,8 @@ def endpoint_function(device: type, link: "LinkSpec",
     unless ``msi_functional`` makes MSI's enable bit writable.  The
     PCI-Express capability advertises ``link`` as a VP2P's does."""
     fn = PciEndpointFunction(device.VENDOR_ID, device.DEVICE_ID,
-                             bars=[copy.copy(bar) for bar in device.BARS],
+                             bars=[Bar(bar.size, bar.io, bar.prefetchable)
+                                   for bar in device.BARS],
                              class_code=device.CLASS_CODE)
     fn.add_capability(PowerManagementCapability())
     fn.add_capability(MsiCapability(functional=msi_functional))

@@ -8,7 +8,7 @@ first-class interface:
 * :mod:`repro.exp.spec` — declare a :class:`Sweep` of independent,
   JSON-parameterised :class:`SweepPoint` simulations;
 * :mod:`repro.exp.cache` — memoise point results on disk, keyed by a
-  canonical hash of (runner, params, schema version);
+  canonical hash of (runner, params, code fingerprint);
 * :mod:`repro.exp.engine` — run a sweep through the cache and a pool
   of forked worker processes, merging results in declaration order so
   parallel output is byte-identical to serial (a worker that dies
@@ -39,12 +39,7 @@ Quick taste::
 """
 
 from repro.exp.bench import append_record, load_records
-from repro.exp.cache import (
-    RESULT_SCHEMA_VERSION,
-    ResultCache,
-    cache_key,
-    canonical_json,
-)
+from repro.exp.cache import ResultCache, cache_key, canonical_json
 from repro.exp.engine import (
     SweepEngine,
     SweepError,
@@ -60,7 +55,6 @@ __all__ = [
     "SweepError",
     "SweepResult",
     "ResultCache",
-    "RESULT_SCHEMA_VERSION",
     "cache_key",
     "canonical_json",
     "append_record",

@@ -4,8 +4,10 @@ Every simulation in this repository is deterministic: the same
 configuration always produces the same metrics.  That makes sweep
 results safely memoisable — the only things a cache key must capture
 are *what was run* (the runner path and its parameters) and *which
-version of the model ran it* (the schema version, bumped whenever a
-code change alters simulation results).
+code ran it*: :func:`code_fingerprint`, a hash of every module of the
+``repro`` package, so any source edit (a docstring's included) makes
+every older entry unreachable.  Nothing deletes those stale files: the
+cache directory is scratch that piles up until someone clears it.
 
 Entries are single JSON files named by the SHA-256 of the canonical
 key document, stored flat under the cache root.  Each file embeds the
@@ -16,6 +18,7 @@ correctness).  Writes are atomic (tmp file + ``os.replace``) so a
 killed run cannot leave a truncated entry that parses.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -24,17 +27,29 @@ from typing import Any, Dict, Optional
 
 from repro.system.spec import canonical_json
 
-__all__ = ["RESULT_SCHEMA_VERSION", "cache_key", "canonical_json", "ResultCache"]
-
-#: Version of the "result schema": the mapping from (runner, params) to
-#: simulation output.  Bump this whenever a code change alters what any
-#: sweep point returns (timing model fixes, new metrics, calibration
-#: changes) so stale cache entries are invalidated everywhere at once.
-RESULT_SCHEMA_VERSION = 1
+__all__ = ["cache_key", "canonical_json", "code_fingerprint", "ResultCache"]
 
 
-def cache_key(runner: str, params: Dict[str, Any],
-              schema_version: int = RESULT_SCHEMA_VERSION) -> "tuple[str, dict]":
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the sorted relative paths and bytes of every
+    ``.py`` file of the ``repro`` package: the code a result was
+    computed by.  Read once per process, at the first :func:`cache_key`
+    (a few milliseconds), never at sweep declaration."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(
+        os.path.relpath(os.path.join(folder, name), root).replace(os.sep, "/")
+        for folder, __, names in os.walk(root)
+        for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(os.path.join(root, path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{path}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
+def cache_key(runner: str, params: Dict[str, Any]) -> "tuple[str, dict]":
     """Build the cache key for one sweep point.
 
     Returns:
@@ -43,7 +58,7 @@ def cache_key(runner: str, params: Dict[str, Any],
         verification on read.
     """
     key_doc = {
-        "schema": schema_version,
+        "code": code_fingerprint(),
         "runner": runner,
         "params": params,
     }

@@ -6,7 +6,7 @@ layers:
 
 1. **Cache** — each point's result is looked up in a
    :class:`repro.exp.cache.ResultCache` keyed by the canonical hash of
-   (runner, params, schema version); hits skip simulation entirely.
+   (runner, params, code fingerprint); hits skip simulation entirely.
 2. **Fan-out** — cache misses are executed across a
    process pool forked from the declaring process (``spawn`` only where
    there is no ``fork``), so workers start with its modules imported;
@@ -32,12 +32,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exp import bench as bench_mod
-from repro.exp.cache import (
-    RESULT_SCHEMA_VERSION,
-    ResultCache,
-    cache_key,
-    canonical_json,
-)
+from repro.exp.cache import ResultCache, cache_key, canonical_json
 from repro.exp.spec import Sweep, SweepPoint, resolve_runner
 
 __all__ = ["SweepEngine", "SweepError", "SweepResult", "default_workers"]
@@ -178,19 +173,14 @@ class SweepEngine:
         workers: default worker count for :meth:`run`; None defers to
             :func:`default_workers` (the ``REPRO_SWEEP_WORKERS``
             environment variable, else serial).
-        schema_version: cache schema version; tests override this to
-            exercise invalidation, everything else should leave it at
-            :data:`repro.exp.cache.RESULT_SCHEMA_VERSION`.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
                  bench_path: Optional[str] = None,
-                 workers: Optional[int] = None,
-                 schema_version: int = RESULT_SCHEMA_VERSION):
+                 workers: Optional[int] = None):
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.bench_path = bench_path
         self.workers = workers
-        self.schema_version = schema_version
 
     def run(self, sweep: Sweep, workers: Optional[int] = None) -> SweepResult:
         """Run every point of ``sweep``; see the module doc for phases.
@@ -216,8 +206,7 @@ class SweepEngine:
         misses: List[int] = []
         keys = []
         for index, point in enumerate(points):
-            digest, key_doc = cache_key(point.runner, point.params,
-                                        self.schema_version)
+            digest, key_doc = cache_key(point.runner, point.params)
             keys.append((digest, key_doc))
             entry = self.cache.get(digest, key_doc) if self.cache else None
             if entry is not None:
@@ -253,7 +242,6 @@ class SweepEngine:
             "cache_hits": sum(1 for hit in cached.values() if hit),
             "simulated": len(misses),
             "workers": nworkers,
-            "schema_version": self.schema_version,
             "total_wall_s": total_wall_s,
             "per_point_s": per_point_s,
         }

@@ -55,8 +55,40 @@ def resolve_runner(path: str) -> Callable:
         raise ValueError(f"{module_name!r} has no runner {func_name!r}") from None
 
 
+_INF = float("inf")
+_EXACT_SCALARS = (str, int, bool, type(None))
+
+
+def _exactly_json_safe(value: Any) -> bool:
+    """Whether every node of ``value`` is exactly a JSON type (no
+    subclass) and every float finite: the quick check that builds no
+    path strings."""
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or not _exactly_json_safe(item):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        return all(map(_exactly_json_safe, value))
+    if kind is float:
+        return -_INF < value < _INF
+    return kind in _EXACT_SCALARS
+
+
 def _check_json_safe(value: Any, where: str) -> None:
-    """Reject values that would not survive a canonical-JSON round trip."""
+    """Reject values that would not survive a canonical-JSON round trip.
+
+    Walks with paths only when the quick exact-type check fails: to
+    raise naming where, or to accept a subclass (an ``IntEnum``, an
+    ``OrderedDict``, a ``str`` subclass key)."""
+    if not _exactly_json_safe(value):
+        _walk_json_safe(value, where)
+
+
+def _walk_json_safe(value: Any, where: str) -> None:
+    """The full check, raising with the path ``where`` of the first
+    value that is not canonical-JSON-safe."""
     if value is None or isinstance(value, (str, bool, int)):
         return
     if isinstance(value, float):
@@ -65,13 +97,13 @@ def _check_json_safe(value: Any, where: str) -> None:
         return
     if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _check_json_safe(item, f"{where}[{i}]")
+            _walk_json_safe(item, f"{where}[{i}]")
         return
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise ValueError(f"{where}: dict keys must be str, got {key!r}")
-            _check_json_safe(item, f"{where}[{key!r}]")
+            _walk_json_safe(item, f"{where}[{key!r}]")
         return
     raise ValueError(
         f"{where}: {type(value).__name__} is not canonical-JSON-safe; "

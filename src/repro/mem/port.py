@@ -28,7 +28,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.mem.packet import Packet
-from repro.sim.eventq import WeakCallback, labelled, proxy
+from repro.sim.eventq import WeakCallback, labelled, proxy, weak_callback
 from repro.sim.simobject import SimObject
 from repro.sim.stats import StatGroup
 
@@ -97,8 +97,11 @@ class MasterPort(Port):
         recv_req_retry: Optional[Callable[[], None]] = None,
     ):
         super().__init__(owner, name)
-        self.recv_timing_resp = recv_timing_resp or _unwired("recv_timing_resp", self)
-        self.recv_req_retry = recv_req_retry or _unwired("recv_req_retry", self)
+        # The weak pairs are stored straight, as the setters would.
+        self._recv_timing_resp = weak_callback(
+            recv_timing_resp or _unwired("recv_timing_resp", self))
+        self._recv_req_retry = weak_callback(
+            recv_req_retry or _unwired("recv_req_retry", self))
         # True while the peer owes this port a request retry.
         self.waiting_for_req_retry = False
         # True while this port owes the peer a response retry.  A plain
@@ -165,9 +168,9 @@ class SlavePort(Port):
 
     recv_timing_req = WeakCallback()
     recv_resp_retry = WeakCallback()
-    #: ``f() -> [AddrRange]`` claimed behind this port: the static
-    #: ``ranges`` unless a component with dynamic ones (a PCI bridge
-    #: programmed at boot) wires its own.
+    #: ``f() -> [AddrRange]`` claimed behind this port: a copy of the
+    #: static ``ranges`` unless a component with dynamic ones (a PCI
+    #: bridge programmed at boot) wires its own.
     get_ranges = WeakCallback()
 
     def __init__(
@@ -179,10 +182,12 @@ class SlavePort(Port):
         ranges: Optional[List[AddrRange]] = None,
     ):
         super().__init__(owner, name)
-        self.recv_timing_req = recv_timing_req or _unwired("recv_timing_req", self)
-        self.recv_resp_retry = recv_resp_retry or _unwired("recv_resp_retry", self)
-        self._ranges: List[AddrRange] = list(ranges or [])
-        self.get_ranges = self._static_ranges
+        self._recv_timing_req = weak_callback(
+            recv_timing_req or _unwired("recv_timing_req", self))
+        self._recv_resp_retry = weak_callback(
+            recv_resp_retry or _unwired("recv_resp_retry", self))
+        # A bound ``list.copy`` holds no port: each call answers a copy.
+        self._get_ranges = (list(ranges or ()).copy, None)
         # True while the peer owes this port a response retry.
         self.waiting_for_resp_retry = False
         # True while this port owes the peer a request retry (polled by
@@ -192,14 +197,6 @@ class SlavePort(Port):
     def bind(self, master: MasterPort) -> None:
         """Bind this slave port to a master port (and vice versa)."""
         master.bind(self)
-
-    # -- address ranges --------------------------------------------------------
-    def _static_ranges(self) -> List[AddrRange]:
-        return list(self._ranges)
-
-    def set_ranges(self, ranges: List[AddrRange]) -> None:
-        """Replace the static address ranges this port claims."""
-        self._ranges = list(ranges)
 
     # -- sending responses -------------------------------------------------------
     def send_timing_resp(self, pkt: Packet) -> bool:
@@ -271,7 +268,7 @@ class PacketQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.owner = proxy(owner)
         self.name = name
-        self.send_fn = send_fn
+        self._send_fn = weak_callback(send_fn)
         self.capacity = capacity
         self.eventq = owner.eventq
         self._entries: Deque[Tuple[int, Packet]] = deque()
@@ -280,8 +277,7 @@ class PacketQueue:
         # queue; it is a fire-and-forget call of _drain, bound where it
         # is scheduled (a stored bound method would be a cycle).
         self._drain_scheduled = False
-        self.on_space_freed = None
-        self.on_packet_sent = None
+        self._on_space_freed = self._on_packet_sent = (None, None)
         # Statistics.
         self.stats = owner.stats.add_child(StatGroup(name))
         self.sent = self.stats.scalar("sent", "packets drained from this queue")

@@ -52,6 +52,8 @@ class TraceSink:
     """Where trace events go.  Subclasses override :meth:`record`."""
 
     def record(self, event: dict) -> None:
+        """Take one event: a flat dict of ``t``, ``cat``, ``comp``,
+        ``ev`` and the event's own fields."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -65,6 +67,7 @@ class MemorySink(TraceSink):
         self.events: List[dict] = []
 
     def record(self, event: dict) -> None:
+        """Keep the event."""
         self.events.append(event)
 
     def to_jsonl(self, meta: Optional[dict] = None) -> str:
@@ -92,9 +95,11 @@ class JsonlSink(TraceSink):
         self._fh.write(encode_header(meta) + "\n")
 
     def record(self, event: dict) -> None:
+        """Write the event as one canonical JSON line."""
         self._fh.write(encode_event(event) + "\n")
 
     def close(self) -> None:
+        """Flush; close the file too if the sink opened it.  Idempotent."""
         if self._fh is None:
             return
         self._fh.flush()
@@ -127,6 +132,7 @@ class ChromeTraceSink(TraceSink):
         return tid
 
     def record(self, event: dict) -> None:
+        """Add the event as an instant, plus a counter sample per occupancy field."""
         comp = event["comp"]
         ts = event["t"] / 1e6  # ticks are picoseconds; ts is microseconds
         args = {k: v for k, v in event.items()
@@ -144,6 +150,7 @@ class ChromeTraceSink(TraceSink):
                 })
 
     def document(self) -> dict:
+        """The ``trace_event`` JSON document: thread names, then events."""
         metadata = [
             {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
              "args": {"name": comp}}
@@ -156,6 +163,7 @@ class ChromeTraceSink(TraceSink):
         }
 
     def write(self, path: str) -> None:
+        """Write :meth:`document` to ``path``."""
         with open(path, "w") as fh:
             json.dump(self.document(), fh, sort_keys=True)
 
@@ -185,11 +193,13 @@ class Tracer:
 
     # -- sink management ---------------------------------------------------
     def attach(self, sink: TraceSink) -> TraceSink:
+        """Send every later event to ``sink`` too (and enable tracing); returns it."""
         self.sinks.append(sink)
         self.enabled = True
         return sink
 
     def detach(self, sink: TraceSink) -> None:
+        """Stop sending to ``sink``; tracing stays enabled while any sink is left."""
         self.sinks.remove(sink)
         self.enabled = bool(self.sinks)
 
@@ -232,6 +242,8 @@ class Tracer:
 
     # -- emission ----------------------------------------------------------
     def emit(self, t: int, cat: str, comp: str, ev: str, **fields) -> None:
+        """Record one event at tick ``t`` in every sink, unless ``cat``
+        is filtered out."""
         if self.categories is not None and cat not in self.categories:
             return
         event = {"t": t, "cat": cat, "comp": comp, "ev": ev}

@@ -9,14 +9,14 @@ structure *disabled* so that the e1000e driver falls back to a legacy
 interrupt — and its VP2P bridges implement the PCI-Express structure at
 offset 0xD8 presenting themselves as root/switch ports.
 
-Each capability knows its id, its length, which registers it exposes,
-and which bits software may write.
+Each capability knows its id, its length, and one table of the
+registers it exposes and which bits software may write.
 """
 
 import enum
-from typing import Optional
+from typing import Tuple
 
-from repro.pci.config import ConfigSpace
+from repro.pci.config import ConfigSpace, Field
 
 CAP_ID_POWER_MANAGEMENT = 0x01
 CAP_ID_MSI = 0x05
@@ -43,11 +43,13 @@ class Capability:
     def install(self, config: ConfigSpace, offset: int, next_ptr: int) -> None:
         """Write this capability's registers at ``offset``; chain to
         ``next_ptr`` (0 terminates the list)."""
-        config.init_field(offset + 0, 1, self.cap_id)
-        config.init_field(offset + 1, 1, next_ptr)
-        self._install_body(config, offset)
+        config.install(((0, 1, self.cap_id, 0), (1, 1, next_ptr, 0),
+                        *self.fields()), base=offset)
 
-    def _install_body(self, config: ConfigSpace, offset: int) -> None:
+    def fields(self) -> Tuple[Field, ...]:
+        """The registers after the header, ``(offset within the
+        capability, size, value, writable mask)`` each; a register not
+        listed reads zero and is read-only."""
         raise NotImplementedError
 
 
@@ -62,12 +64,10 @@ class PowerManagementCapability(Capability):
     cap_id = CAP_ID_POWER_MANAGEMENT
     length = 8
 
-    def _install_body(self, config: ConfigSpace, offset: int) -> None:
-        # PMC: version 3 (PCI PM 1.2), no PME from any state.
-        config.init_field(offset + 2, 2, 0x0003, writable_mask=0x0000)
-        # PMCSR: stuck at D0, nothing writable.
-        config.init_field(offset + 4, 2, 0x0000, writable_mask=0x0000)
-        config.init_field(offset + 6, 2, 0x0000)
+    def fields(self) -> Tuple[Field, ...]:
+        """PMC version 3 (PCI PM 1.2) with no PME from any state; the
+        PMCSR stuck at D0, nothing writable."""
+        return ((2, 2, 0x0003, 0),)
 
 
 class MsiCapability(Capability):
@@ -94,16 +94,14 @@ class MsiCapability(Capability):
     def __init__(self, functional: bool = False):
         self.functional = functional
 
-    def _install_body(self, config: ConfigSpace, offset: int) -> None:
-        control_mask = self.ENABLE_BIT if self.functional else 0x0000
-        rw = 0xFFFFFFFF if self.functional else 0x0000_0000
-        # Message Control: 64-bit capable, one message.
-        config.init_field(offset + self.CONTROL, 2, 0x0080,
-                          writable_mask=control_mask)
-        config.init_field(offset + self.ADDRESS, 4, 0x0000_0000, writable_mask=rw)
-        config.init_field(offset + 8, 4, 0x0000_0000)  # address upper
-        config.init_field(offset + self.DATA, 2, 0x0000,
-                          writable_mask=0xFFFF if self.functional else 0x0000)
+    def fields(self) -> Tuple[Field, ...]:
+        """Message Control (64-bit capable, one message), then the
+        message address (its upper half read-only zero) and data,
+        writable only when ``functional``."""
+        if not self.functional:
+            return ((self.CONTROL, 2, 0x0080, 0),)
+        return ((self.CONTROL, 2, 0x0080, self.ENABLE_BIT),
+                (self.ADDRESS, 4, 0, 0xFFFFFFFF), (self.DATA, 2, 0, 0xFFFF))
 
 
 class MsixCapability(Capability):
@@ -117,11 +115,11 @@ class MsixCapability(Capability):
             raise ValueError(f"MSI-X table size must be 1..2048, got {table_size}")
         self.table_size = table_size
 
-    def _install_body(self, config: ConfigSpace, offset: int) -> None:
-        # Message Control: table size N-1 encoded, enable (bit 15) RO 0.
-        config.init_field(offset + 2, 2, self.table_size - 1, writable_mask=0x0000)
-        config.init_field(offset + 4, 4, 0x0000_0000)  # table offset/BIR
-        config.init_field(offset + 8, 4, 0x0000_0800)  # PBA offset/BIR
+    def fields(self) -> Tuple[Field, ...]:
+        """Message Control (table size N-1 encoded, enable bit 15
+        read-only zero), the table at offset 0 of BAR 0 and the PBA at
+        0x800, all read-only."""
+        return ((2, 2, self.table_size - 1, 0), (8, 4, 0x0000_0800, 0))
 
 
 class PcieCapability(Capability):
@@ -159,30 +157,23 @@ class PcieCapability(Capability):
         self.max_link_width = max_link_width
         self.slot_implemented = slot_implemented
 
-    def _install_body(self, config: ConfigSpace, offset: int) -> None:
+    def fields(self) -> Tuple[Field, ...]:
+        """C1 (capabilities, device and link), C2 (slot) and C3 (root);
+        device and link control always writable, slot control only with
+        a slot, root control only on a root port."""
         # PCIe Capabilities Register: version 2, port type, slot bit.
-        caps = 0x2 | (int(self.port_type) << 4)
-        if self.slot_implemented:
-            caps |= 1 << 8
-        config.init_field(offset + 0x02, 2, caps)
-        # Device Capabilities: max payload supported = 128B (code 0).
-        config.init_field(offset + 0x04, 4, 0x0000_0000)
-        # Device Control (writable) / Device Status.
-        config.init_field(offset + 0x08, 2, 0x0000, writable_mask=0xFFFF)
-        config.init_field(offset + 0x0A, 2, 0x0000)
-        # Link Capabilities: speed + width.
-        link_caps = self.max_link_speed | (self.max_link_width << 4)
-        config.init_field(offset + 0x0C, 4, link_caps)
-        # Link Control (writable) / Link Status (negotiated = max).
-        config.init_field(offset + 0x10, 2, 0x0000, writable_mask=0xFFFF)
-        link_status = self.max_link_speed | (self.max_link_width << 4)
-        config.init_field(offset + 0x12, 2, link_status)
-        # Slot Capabilities / Control / Status (C2).
-        config.init_field(offset + 0x14, 4, 0x0000_0000)
-        slot_ctl_mask = 0xFFFF if self.slot_implemented else 0x0000
-        config.init_field(offset + 0x18, 2, 0x0000, writable_mask=slot_ctl_mask)
-        config.init_field(offset + 0x1A, 2, 0x0000)
-        # Root Control / Root Status (C3).
+        caps = 0x2 | (int(self.port_type) << 4) | (self.slot_implemented << 8)
+        # Link capabilities and status (negotiated = max): speed + width.
+        link = self.max_link_speed | (self.max_link_width << 4)
         is_root = self.port_type is PciePortType.ROOT_PORT
-        config.init_field(offset + 0x1C, 2, 0x0000, writable_mask=0xFFFF if is_root else 0)
-        config.init_field(offset + 0x20, 4, 0x0000_0000)
+        # Device capabilities (max payload supported 128 B, code 0), the
+        # device/slot status and the slot capabilities read zero.
+        return (
+            (0x02, 2, caps, 0),
+            (0x08, 2, 0x0000, 0xFFFF),  # Device Control
+            (0x0C, 4, link, 0),  # Link Capabilities
+            (0x10, 2, 0x0000, 0xFFFF),  # Link Control
+            (0x12, 2, link, 0),  # Link Status
+            (0x18, 2, 0x0000, 0xFFFF if self.slot_implemented else 0),  # Slot Ctl
+            (0x1C, 2, 0x0000, 0xFFFF if is_root else 0),  # Root Control
+        )

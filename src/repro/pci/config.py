@@ -12,10 +12,13 @@ Special side-effects (BAR size probing, command-register decoding) are
 layered on top via *write hooks* registered for byte ranges.
 """
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 PCI_CONFIG_SIZE = 256
 PCIE_CONFIG_SIZE = 4096
+
+#: One reset register: ``(offset, size, value, writable_mask)``.
+Field = Tuple[int, int, int, int]
 
 
 class ConfigSpace:
@@ -48,23 +51,30 @@ class ConfigSpace:
             )
 
     # -- device-side initialisation ------------------------------------------
-    def init_field(self, offset: int, size: int, value: int, writable_mask: int = 0) -> None:
-        """Set a register's reset value and which of its bits software
-        may write.  Used by device models when building their headers."""
-        self._check(offset, size)
+    def install(self, fields: Iterable[Field], base: int = 0) -> None:
+        """Lay out reset registers in one pass: each ``(offset, size,
+        value, writable_mask)`` of ``fields``, ``base`` bytes on, gets
+        its reset value and the bits software may write, over bytes no
+        earlier field made writable (a fresh header or capability).
+        Used by device models when building their headers; a register
+        left out reads zero and is read-only."""
+        data, wmask = self._data, self._wmask
+        for offset, size, value, mask in fields:
+            offset += base
+            if offset < 0 or offset + size > self.size:
+                self._check(offset, size)
+            data[offset:offset + size] = value.to_bytes(size, "little")
+            while mask:
+                if mask & 0xFF:
+                    wmask[offset] = mask & 0xFF
+                mask >>= 8
+                offset += 1
         self.generation += 1
-        wmask = self._wmask
-        for i in range(size):
-            self._data[offset + i] = (value >> (8 * i)) & 0xFF
-            mask = (writable_mask >> (8 * i)) & 0xFF
-            if mask:
-                wmask[offset + i] = mask
-            else:
-                wmask.pop(offset + i, None)
 
     def set_raw(self, offset: int, size: int, value: int) -> None:
         """Device-side write ignoring write masks (status updates etc.)."""
-        self._check(offset, size)
+        if not (0 < size <= 8 and 0 <= offset and offset + size <= self.size):
+            self._check(offset, size)
         self.generation += 1
         for i in range(size):
             self._data[offset + i] = (value >> (8 * i)) & 0xFF
@@ -79,18 +89,22 @@ class ConfigSpace:
     # -- software-side access ------------------------------------------------
     def read(self, offset: int, size: int = 4) -> int:
         """The little-endian value of ``size`` bytes at ``offset``."""
-        self._check(offset, size)
+        if not (0 < size <= 8 and 0 <= offset and offset + size <= self.size):
+            self._check(offset, size)
         return int.from_bytes(self._data[offset : offset + size], "little")
 
     def write(self, offset: int, value: int, size: int = 4) -> None:
         """A software configuration write: lands only on writable bits,
         then triggers any hooks covering the written bytes."""
-        self._check(offset, size)
+        if not (0 < size <= 8 and 0 <= offset and offset + size <= self.size):
+            self._check(offset, size)
         self.generation += 1
+        data, wmask = self._data, self._wmask
         for i in range(size):
-            byte = (value >> (8 * i)) & 0xFF
-            mask = self._wmask.get(offset + i, 0)
-            self._data[offset + i] = (self._data[offset + i] & ~mask) | (byte & mask)
+            mask = wmask.get(offset + i)
+            if mask:
+                byte = (value >> (8 * i)) & mask
+                data[offset + i] = (data[offset + i] & ~mask) | byte
         for start, end, hook in self._write_hooks:
             if offset < end and start < offset + size:
                 hook(offset, size, value)

@@ -83,6 +83,8 @@ class FoundDevice:
         self.bus = bus
         self.device = device
         self.function = function
+        #: The ``(bus, device, function)`` address.
+        self.bdf = (bus, device, function)
         self.vendor_id = vendor_id
         self.device_id = device_id
         self.is_bridge = is_bridge
@@ -92,11 +94,6 @@ class FoundDevice:
         self.subordinate_bus: Optional[int] = None
         self.interrupt_line: Optional[int] = None
         self.capabilities: List[tuple] = []
-
-    @property
-    def bdf(self) -> tuple:
-        """The ``(bus, device, function)`` address."""
-        return (self.bus, self.device, self.function)
 
     def endpoints(self) -> List["FoundDevice"]:
         """All endpoint functions in this subtree (self included)."""
@@ -138,18 +135,15 @@ class Enumerator:
         io_window: AddrRange = VEXPRESS_GEM5_V1.pci_io,
     ):
         self.host = host
+        # Config shorthand: ``_cr(*bdf, offset, size)`` and
+        # ``_cw(*bdf, offset, value, size)``.
+        self._cr = host.config_read
+        self._cw = host.config_write
         self.mem_alloc = _Allocator(mem_window, "memory")
         self.io_alloc = _Allocator(io_window, "I/O")
         self._next_bus = 1
         self._next_irq = self.IRQ_BASE
         self.roots: List[FoundDevice] = []
-
-    # -- config shorthand -------------------------------------------------------
-    def _cr(self, bdf, offset, size=4):
-        return self.host.config_read(*bdf, offset, size)
-
-    def _cw(self, bdf, offset, value, size=4):
-        self.host.config_write(*bdf, offset, value, size)
 
     # -- the scan ----------------------------------------------------------------
     def enumerate(self) -> List[FoundDevice]:
@@ -162,14 +156,14 @@ class Enumerator:
     def _scan_bus(self, bus: int) -> List[FoundDevice]:
         found: List[FoundDevice] = []
         for device in range(32):
-            vendor = self._cr((bus, device, 0), hdr.VENDOR_ID, 2)
+            vendor = self._cr(bus, device, 0, hdr.VENDOR_ID, 2)
             if vendor == hdr.INVALID_VENDOR:
                 continue
-            header_type = self._cr((bus, device, 0), hdr.HEADER_TYPE, 1)
+            header_type = self._cr(bus, device, 0, hdr.HEADER_TYPE, 1)
             n_functions = 8 if header_type & 0x80 else 1
             for function in range(n_functions):
                 bdf = (bus, device, function)
-                vendor = self._cr(bdf, hdr.VENDOR_ID, 2)
+                vendor = self._cr(*bdf, hdr.VENDOR_ID, 2)
                 if vendor == hdr.INVALID_VENDOR:
                     continue
                 found.append(self._probe_function(bdf))
@@ -177,9 +171,9 @@ class Enumerator:
 
     def _probe_function(self, bdf) -> FoundDevice:
         bus, device, function = bdf
-        vendor = self._cr(bdf, hdr.VENDOR_ID, 2)
-        device_id = self._cr(bdf, hdr.DEVICE_ID, 2)
-        header_type = self._cr(bdf, hdr.HEADER_TYPE, 1) & 0x7F
+        vendor = self._cr(*bdf, hdr.VENDOR_ID, 2)
+        device_id = self._cr(*bdf, hdr.DEVICE_ID, 2)
+        header_type = self._cr(*bdf, hdr.HEADER_TYPE, 1) & 0x7F
         if header_type not in (0x00, 0x01):
             raise EnumerationError(
                 f"device {bus:02x}:{device:02x}.{function} has unsupported "
@@ -200,28 +194,28 @@ class Enumerator:
         if secondary > 0xFF:
             raise EnumerationError("ran out of bus numbers")
         self._next_bus += 1
-        self._cw(bdf, hdr.PRIMARY_BUS, node.bus, 1)
-        self._cw(bdf, hdr.SECONDARY_BUS, secondary, 1)
+        self._cw(*bdf, hdr.PRIMARY_BUS, node.bus, 1)
+        self._cw(*bdf, hdr.SECONDARY_BUS, secondary, 1)
         # Open the subordinate register so config cycles reach any depth
         # of the yet-unscanned subtree.
-        self._cw(bdf, hdr.SUBORDINATE_BUS, 0xFF, 1)
+        self._cw(*bdf, hdr.SUBORDINATE_BUS, 0xFF, 1)
         node.secondary_bus = secondary
         node.children = self._scan_bus(secondary)
         node.subordinate_bus = self._next_bus - 1
-        self._cw(bdf, hdr.SUBORDINATE_BUS, node.subordinate_bus, 1)
+        self._cw(*bdf, hdr.SUBORDINATE_BUS, node.subordinate_bus, 1)
 
     def _probe_bars(self, bdf) -> List[FoundBar]:
         # Disable decode while probing so a half-programmed BAR cannot
         # claim live traffic.
-        command = self._cr(bdf, hdr.COMMAND, 2)
-        self._cw(bdf, hdr.COMMAND, command & ~(hdr.CMD_IO_SPACE | hdr.CMD_MEM_SPACE), 2)
+        command = self._cr(*bdf, hdr.COMMAND, 2)
+        self._cw(*bdf, hdr.COMMAND, command & ~(hdr.CMD_IO_SPACE | hdr.CMD_MEM_SPACE), 2)
         bars: List[FoundBar] = []
         for index in range(6):
             offset = hdr.BAR0 + 4 * index
-            original = self._cr(bdf, offset, 4)
-            self._cw(bdf, offset, 0xFFFFFFFF, 4)
-            probed = self._cr(bdf, offset, 4)
-            self._cw(bdf, offset, original, 4)
+            original = self._cr(*bdf, offset, 4)
+            self._cw(*bdf, offset, 0xFFFFFFFF, 4)
+            probed = self._cr(*bdf, offset, 4)
+            self._cw(*bdf, offset, original, 4)
             if probed == 0:
                 continue  # unimplemented
             io = bool(probed & 0x1)
@@ -229,21 +223,21 @@ class Enumerator:
             size = ((~(probed & mask)) & 0xFFFFFFFF) + 1
             prefetchable = bool(probed & 0x8) and not io
             bars.append(FoundBar(index, size, io, prefetchable))
-        self._cw(bdf, hdr.COMMAND, command, 2)
+        self._cw(*bdf, hdr.COMMAND, command, 2)
         return bars
 
     def _walk_capabilities(self, bdf) -> List[tuple]:
-        status = self._cr(bdf, hdr.STATUS, 2)
+        status = self._cr(*bdf, hdr.STATUS, 2)
         if not status & hdr.STATUS_CAP_LIST:
             return []
         out = []
-        offset = self._cr(bdf, hdr.CAPABILITY_POINTER, 1)
+        offset = self._cr(*bdf, hdr.CAPABILITY_POINTER, 1)
         seen = set()
         while offset and offset not in seen:
             seen.add(offset)
-            cap_id = self._cr(bdf, offset, 1)
+            cap_id = self._cr(*bdf, offset, 1)
             out.append((cap_id, offset))
-            offset = self._cr(bdf, offset + 1, 1)
+            offset = self._cr(*bdf, offset + 1, 1)
         return out
 
     # -- resource assignment ---------------------------------------------------
@@ -255,18 +249,18 @@ class Enumerator:
 
     def _assign_endpoint(self, node: FoundDevice) -> None:
         bdf = node.bdf
-        command = self._cr(bdf, hdr.COMMAND, 2)
+        command = self._cr(*bdf, hdr.COMMAND, 2)
         for bar in node.bars:
             alloc = self.io_alloc if bar.io else self.mem_alloc
             addr = alloc.take(bar.size)
-            self._cw(bdf, hdr.BAR0 + 4 * bar.index, addr, 4)
+            self._cw(*bdf, hdr.BAR0 + 4 * bar.index, addr, 4)
             bar.assigned = AddrRange(addr, bar.size)
             command |= hdr.CMD_IO_SPACE if bar.io else hdr.CMD_MEM_SPACE
         command |= hdr.CMD_BUS_MASTER  # allow the device to DMA
-        self._cw(bdf, hdr.COMMAND, command, 2)
+        self._cw(*bdf, hdr.COMMAND, command, 2)
         node.interrupt_line = self._next_irq
         self._next_irq += 1
-        self._cw(bdf, hdr.INTERRUPT_LINE, node.interrupt_line, 1)
+        self._cw(*bdf, hdr.INTERRUPT_LINE, node.interrupt_line, 1)
 
     def _assign_bridge(self, node: FoundDevice) -> None:
         bdf = node.bdf
@@ -277,28 +271,28 @@ class Enumerator:
         mem_end = self.mem_alloc.align(self.BRIDGE_WINDOW_MEM_ALIGN)
         io_end = self.io_alloc.align(self.BRIDGE_WINDOW_IO_ALIGN)
 
-        command = self._cr(bdf, hdr.COMMAND, 2)
+        command = self._cr(*bdf, hdr.COMMAND, 2)
         if mem_end > mem_start:
-            self._cw(bdf, hdr.MEMORY_BASE, (mem_start >> 16) & 0xFFF0, 2)
-            self._cw(bdf, hdr.MEMORY_LIMIT, ((mem_end - 1) >> 16) & 0xFFF0, 2)
+            self._cw(*bdf, hdr.MEMORY_BASE, (mem_start >> 16) & 0xFFF0, 2)
+            self._cw(*bdf, hdr.MEMORY_LIMIT, ((mem_end - 1) >> 16) & 0xFFF0, 2)
             command |= hdr.CMD_MEM_SPACE
         else:
-            self._cw(bdf, hdr.MEMORY_BASE, 0xFFF0, 2)
-            self._cw(bdf, hdr.MEMORY_LIMIT, 0x0000, 2)
+            self._cw(*bdf, hdr.MEMORY_BASE, 0xFFF0, 2)
+            self._cw(*bdf, hdr.MEMORY_LIMIT, 0x0000, 2)
         if io_end > io_start:
-            self._cw(bdf, hdr.IO_BASE, ((io_start >> 8) & 0xF0) | 0x01, 1)
-            self._cw(bdf, hdr.IO_BASE_UPPER16, io_start >> 16, 2)
-            self._cw(bdf, hdr.IO_LIMIT, (((io_end - 1) >> 8) & 0xF0) | 0x01, 1)
-            self._cw(bdf, hdr.IO_LIMIT_UPPER16, (io_end - 1) >> 16, 2)
+            self._cw(*bdf, hdr.IO_BASE, ((io_start >> 8) & 0xF0) | 0x01, 1)
+            self._cw(*bdf, hdr.IO_BASE_UPPER16, io_start >> 16, 2)
+            self._cw(*bdf, hdr.IO_LIMIT, (((io_end - 1) >> 8) & 0xF0) | 0x01, 1)
+            self._cw(*bdf, hdr.IO_LIMIT_UPPER16, (io_end - 1) >> 16, 2)
             command |= hdr.CMD_IO_SPACE
         else:
-            self._cw(bdf, hdr.IO_BASE, 0xF1, 1)
-            self._cw(bdf, hdr.IO_BASE_UPPER16, 0xFFFF, 2)
-            self._cw(bdf, hdr.IO_LIMIT, 0x01, 1)
-            self._cw(bdf, hdr.IO_LIMIT_UPPER16, 0x0000, 2)
+            self._cw(*bdf, hdr.IO_BASE, 0xF1, 1)
+            self._cw(*bdf, hdr.IO_BASE_UPPER16, 0xFFFF, 2)
+            self._cw(*bdf, hdr.IO_LIMIT, 0x01, 1)
+            self._cw(*bdf, hdr.IO_LIMIT_UPPER16, 0x0000, 2)
         # Forward transactions secondary->primary (DMA) as well.
         command |= hdr.CMD_BUS_MASTER
-        self._cw(bdf, hdr.COMMAND, command, 2)
+        self._cw(*bdf, hdr.COMMAND, command, 2)
 
     # -- reporting -----------------------------------------------------------------
     def all_devices(self) -> List[FoundDevice]:

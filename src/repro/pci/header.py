@@ -14,11 +14,11 @@ the upper-16 registers, as required by the platform's I/O window at
 0x2F000000), and command-register enable bits.
 """
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.mem.addr import AddrRange
 from repro.pci.capabilities import Capability
-from repro.pci.config import ConfigSpace
+from repro.pci.config import ConfigSpace, Field
 from repro.sim.eventq import proxy
 
 # Standard header register offsets.
@@ -128,6 +128,17 @@ class PciFunction:
     """
 
     header_type_value = 0x00
+    #: The header's reset registers after its identity, each ``(offset,
+    #: size, value, writable mask)``.  Every register not listed (status,
+    #: BIST, the capability pointer until a capability is added) reads
+    #: zero and is read-only.
+    HEADER: Tuple[Field, ...] = (
+        (COMMAND, 2, 0x0000, 0x0147),
+        (CACHE_LINE_SIZE, 1, 0, 0xFF),
+        (LATENCY_TIMER, 1, 0, 0xFF),
+        (INTERRUPT_LINE, 1, 0xFF, 0xFF),
+        (INTERRUPT_PIN, 1, 0x01, 0),  # INTA#
+    )
 
     def __init__(
         self,
@@ -140,20 +151,10 @@ class PciFunction:
         self._capabilities: List[Capability] = []
         self._cap_offsets: List[int] = []
         self._next_cap_offset = 0x40
-        config = self.config
-        config.init_field(VENDOR_ID, 2, vendor_id)
-        config.init_field(DEVICE_ID, 2, device_id)
-        config.init_field(COMMAND, 2, 0x0000, writable_mask=0x0147)
-        config.init_field(STATUS, 2, 0x0000)
-        config.init_field(REVISION_ID, 1, revision)
-        config.init_field(CLASS_CODE, 3, class_code)
-        config.init_field(CACHE_LINE_SIZE, 1, 0, writable_mask=0xFF)
-        config.init_field(LATENCY_TIMER, 1, 0, writable_mask=0xFF)
-        config.init_field(HEADER_TYPE, 1, self.header_type_value)
-        config.init_field(BIST, 1, 0)
-        config.init_field(CAPABILITY_POINTER, 1, 0)
-        config.init_field(INTERRUPT_LINE, 1, 0xFF, writable_mask=0xFF)
-        config.init_field(INTERRUPT_PIN, 1, 0x01)  # INTA#
+        self.config.install((
+            (VENDOR_ID, 2, vendor_id, 0), (DEVICE_ID, 2, device_id, 0),
+            (REVISION_ID, 1, revision, 0), (CLASS_CODE, 3, class_code, 0),
+            (HEADER_TYPE, 1, self.header_type_value, 0), *self.HEADER))
 
     # -- identity -------------------------------------------------------------
     @property
@@ -213,6 +214,10 @@ class PciFunction:
             raise ValueError(f"capability offset {offset:#x} must be dword-aligned")
         if offset + cap.length > 0x100:
             raise ValueError("capability overflows the PCI-compatible region")
+        if offset < self._next_cap_offset:
+            # Install lays registers out over untouched bytes only.
+            raise ValueError(f"capability at {offset:#x} overlaps the header "
+                             f"or an earlier capability")
         cap.install(self.config, offset, next_ptr=0)
         if self._capabilities:
             # Patch the previous capability's next pointer to us.
@@ -277,20 +282,19 @@ class PciEndpointFunction(PciFunction):
         while len(bars) < 6:
             bars.append(Bar(0))
         self.bars = bars
+        # Unimplemented BARs and the expansion ROM (none) read zero.
+        fields = [(0x2C, 2, subsystem_vendor_id, 0), (0x2E, 2, subsystem_id, 0)]
         for i, bar in enumerate(self.bars):
-            offset = BAR0 + 4 * i
-            self.config.init_field(offset, 4, bar.type_bits if bar.size else 0,
-                                   writable_mask=0xFFFFFFFF if bar.size else 0)
             if bar.size:
+                offset = BAR0 + 4 * i
+                fields.append((offset, 4, bar.type_bits, 0xFFFFFFFF))
                 # The function owns its config space: the hook's edge
                 # back is a weak proxy.
                 self.config.add_write_hook(
                     offset, 4,
                     lambda off, sz, val, i=i, me=proxy(self): me._bar_written(i),
                 )
-        self.config.init_field(0x2C, 2, subsystem_vendor_id)
-        self.config.init_field(0x2E, 2, subsystem_id)
-        self.config.init_field(0x30, 4, 0)  # expansion ROM: none
+        self.config.install(fields)
 
     def _bar_written(self, index: int) -> None:
         """Apply BAR semantics: address bits only, type bits read-only.
@@ -325,6 +329,26 @@ class PciBridgeFunction(PciFunction):
     """A type-1 (PCI-to-PCI bridge) function — the VP2P header of Figure 7."""
 
     header_type_value = 0x01
+    #: Bridges in this model carry no BARs of their own (the paper sets
+    #: them to 0: "the VP2P does not implement memory-mapped registers
+    #: of its own"), and the prefetchable window is unimplemented: all
+    #: read zero and are read-only.
+    HEADER = PciFunction.HEADER + (
+        (PRIMARY_BUS, 1, 0, 0xFF),
+        (SECONDARY_BUS, 1, 0, 0xFF),
+        (SUBORDINATE_BUS, 1, 0, 0xFF),
+        # A fresh bridge decodes nothing: each window's base is above
+        # its limit.  The I/O window is 32-bit: low nibble 0x1
+        # advertises 32-bit decode, required because the platform's I/O
+        # space sits at 0x2F000000.
+        (IO_BASE, 1, 0xF1, 0xF0),
+        (IO_LIMIT, 1, 0x01, 0xF0),
+        (MEMORY_BASE, 2, 0xFFF0, 0xFFF0),
+        (MEMORY_LIMIT, 2, 0x0000, 0xFFF0),
+        (IO_BASE_UPPER16, 2, 0xFFFF, 0xFFFF),
+        (IO_LIMIT_UPPER16, 2, 0x0000, 0xFFFF),
+        (BRIDGE_CONTROL, 2, 0x0000, 0x0FFF),
+    )
 
     def __init__(
         self,
@@ -334,36 +358,8 @@ class PciBridgeFunction(PciFunction):
         revision: int = 0,
     ):
         super().__init__(vendor_id, device_id, class_code, revision)
-        config = self.config
-        # Bridges in this model carry no BARs of their own (the paper
-        # sets them to 0: "the VP2P does not implement memory-mapped
-        # registers of its own").
-        config.init_field(BAR0, 4, 0)
-        config.init_field(BAR0 + 4, 4, 0)
-        config.init_field(PRIMARY_BUS, 1, 0, writable_mask=0xFF)
-        config.init_field(SECONDARY_BUS, 1, 0, writable_mask=0xFF)
-        config.init_field(SUBORDINATE_BUS, 1, 0, writable_mask=0xFF)
-        config.init_field(SECONDARY_LATENCY_TIMER, 1, 0)
-        # 32-bit I/O window: low nibble 0x1 advertises 32-bit decode,
-        # required because the platform's I/O space sits at 0x2F000000.
-        config.init_field(IO_BASE, 1, 0x01, writable_mask=0xF0)
-        config.init_field(IO_LIMIT, 1, 0x01, writable_mask=0xF0)
-        config.init_field(SECONDARY_STATUS, 2, 0)
-        config.init_field(MEMORY_BASE, 2, 0x0000, writable_mask=0xFFF0)
-        config.init_field(MEMORY_LIMIT, 2, 0x0000, writable_mask=0xFFF0)
-        # Prefetchable window unimplemented (reads as zero, not writable).
-        config.init_field(PREFETCH_BASE, 2, 0x0000)
-        config.init_field(PREFETCH_LIMIT, 2, 0x0000)
-        config.init_field(PREFETCH_BASE_UPPER32, 4, 0)
-        config.init_field(PREFETCH_LIMIT_UPPER32, 4, 0)
-        config.init_field(IO_BASE_UPPER16, 2, 0x0000, writable_mask=0xFFFF)
-        config.init_field(IO_LIMIT_UPPER16, 2, 0x0000, writable_mask=0xFFFF)
-        config.init_field(BRIDGE_CONTROL, 2, 0x0000, writable_mask=0x0FFF)
-        # A fresh bridge decodes nothing: mem base > mem limit.
-        self.set_memory_window(None)
-        self.set_io_window(None)
-        # Decoded routing state (windows + bus range), rebuilt whenever
-        # the config space's generation moves — see _route_state().
+        # Decoded windows, rebuilt whenever the config space's
+        # generation moves — see _route_state().
         self._route_cache: Optional[tuple] = None
 
     # -- bus numbers ---------------------------------------------------------
@@ -449,13 +445,12 @@ class PciBridgeFunction(PciFunction):
         return out
 
     def _route_state(self) -> tuple:
-        """``(generation, ((start, end), ...), secondary, subordinate)``.
+        """``(generation, ((start, end), ...))``: the open windows.
 
-        The switch routes every TLP through :meth:`forwards` /
-        :meth:`routes_bus`, but the registers behind them only change
-        during enumeration — so the decoded form is cached and keyed by
-        the config space's mutation counter rather than re-read from
-        raw bytes per packet.
+        The switch routes every request TLP through :meth:`forwards`,
+        but the registers behind it only change during enumeration — so
+        the decoded form is cached and keyed by the config space's
+        mutation counter rather than re-read from raw bytes per packet.
         """
         gen = self.config.generation
         cache = self._route_cache
@@ -464,7 +459,7 @@ class PciBridgeFunction(PciFunction):
         ranges = tuple(
             (rng.start, rng.end) for rng in self.forwarding_ranges()
         )
-        cache = (gen, ranges, self.secondary_bus, self.subordinate_bus)
+        cache = (gen, ranges)
         self._route_cache = cache
         return cache
 
@@ -480,6 +475,8 @@ class PciBridgeFunction(PciFunction):
         """True if ``bus`` lies in [secondary, subordinate] — the test
         both configuration forwarding and response routing use.  An
         unconfigured bridge (secondary still 0) routes nothing, because
-        only the root bus itself is numbered 0."""
-        _, _, secondary, subordinate = self._route_state()
-        return secondary != 0 and secondary <= bus <= subordinate
+        only the root bus itself is numbered 0.  The two registers are
+        single bytes, read raw."""
+        data = self.config._data
+        secondary = data[SECONDARY_BUS]
+        return secondary != 0 and secondary <= bus <= data[SUBORDINATE_BUS]

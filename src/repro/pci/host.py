@@ -15,14 +15,17 @@ software programs bus numbers into the bridge — exactly the behaviour
 the depth-first enumeration algorithm depends on.
 
 The walk from bus 0 that answers "which bus is number N?" is memoised
-in one ``{bus number: ConfigBus or None}`` map that the whole tree
-shares and only the walk fills, so every answer is the walk's (``None``
-included).  Anything that could change an answer clears the map: the
-tree growing, or a software write to a bridge's secondary/subordinate
-registers, through the host or straight into the bridge (a write hook
-``add_bridge`` installs).  Like a bridge's decoded routing cache, the
-memo is derived state that steers nothing the registers do not, so it
-is declared in no ``state_dict``.
+in one ``{bus number: that bus's functions by slot}`` map that the whole
+tree shares and only the walk fills, so every answer is the walk's (an
+unreachable number maps to no functions).  The tree growing clears the
+map.  A software write to a bridge's secondary/subordinate registers,
+through the host or straight into the bridge (a write hook
+``add_bridge`` installs), drops only the numbers inside the bridge's
+old or new [secondary, subordinate] range: a bus outside both never
+routes through that bridge, before or after the write, so its walk
+cannot change.  Like a bridge's decoded routing cache, the memo is
+derived state that steers nothing the registers do not, so it is
+declared in no ``state_dict``.
 
 Reads of unpopulated addresses return all-ones: in the PCI-Express
 protocol a configuration response of all 1s represents an access to a
@@ -39,7 +42,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.mem.addr import AddrRange
 from repro.mem.packet import MemCmd, Packet
 from repro.mem.port import PacketQueue, SlavePort
-from repro.pci.header import SECONDARY_BUS, PciBridgeFunction, PciFunction
+from repro.pci.header import (SECONDARY_BUS, SUBORDINATE_BUS,
+                               PciBridgeFunction, PciFunction)
 from repro.platform.addrmap import VEXPRESS_GEM5_V1
 from repro.sim import ticks
 from repro.sim.eventq import proxy
@@ -47,6 +51,9 @@ from repro.sim.simobject import SimObject, Simulator
 
 Bdf = Tuple[int, int, int]
 Slot = Tuple[int, int]  # (device, function)
+
+#: The memo's answer for a bus number no walk reaches.
+_NO_FUNCTIONS: Dict[Slot, PciFunction] = {}
 
 
 class ConfigBus:
@@ -58,8 +65,8 @@ class ConfigBus:
         self._functions: Dict[Slot, PciFunction] = {}
         self._children: Dict[Slot, "ConfigBus"] = {}
         #: The host's bus-number memo, one dict shared by the whole tree
-        #: (see the module doc for what clears it).
-        self.bus_memo: Dict[int, Optional["ConfigBus"]] = {}
+        #: (see the module doc for what drops its entries).
+        self.bus_memo: Dict[int, Dict[Slot, PciFunction]] = {}
 
     def add_function(self, device: int, function: int, model: PciFunction) -> None:
         """Install ``model`` at slot ``device.function``; a slot takes one."""
@@ -79,12 +86,24 @@ class ConfigBus:
         if not isinstance(model, PciBridgeFunction):
             raise TypeError(f"add_bridge requires a bridge function, got {model!r}")
         self.add_function(device, function, model)
-        memo = self.bus_memo
         # Secondary and subordinate (0x19-0x1A) decide which numbers the
-        # bridge forwards; the primary bus number does not.
-        model.config.add_write_hook(SECONDARY_BUS, 2, lambda *_: memo.clear())
+        # bridge forwards; the primary bus number does not.  The hook
+        # holds the bus weakly: the memo holds the bridge.
+        bus, data = proxy(self), model.config._data
+        span = [data[SECONDARY_BUS], data[SUBORDINATE_BUS]]
+
+        def rerouted(*_):
+            lo, hi = span
+            new_lo, new_hi = span[:] = (data[SECONDARY_BUS],
+                                        data[SUBORDINATE_BUS])
+            memo = bus.bus_memo
+            for number in [number for number in memo
+                           if lo <= number <= hi or new_lo <= number <= new_hi]:
+                del memo[number]
+
+        model.config.add_write_hook(SECONDARY_BUS, 2, rerouted)
         child = ConfigBus(child_name or f"{self.name}.{device}.{function}")
-        child.bus_memo = memo
+        child.bus_memo = self.bus_memo
         self._children[(device, function)] = child
         return child
 
@@ -95,13 +114,6 @@ class ConfigBus:
     def child_behind(self, device: int, function: int) -> Optional["ConfigBus"]:
         """The bus behind the bridge at the slot, or None."""
         return self._children.get((device, function))
-
-    def bridges(self) -> Iterator[Tuple[Slot, PciBridgeFunction, "ConfigBus"]]:
-        """``(slot, bridge, child bus)`` for each bridge on this bus."""
-        for slot, child in self._children.items():
-            model = self._functions[slot]
-            assert isinstance(model, PciBridgeFunction)
-            yield slot, model, child
 
     def walk(self) -> Iterator[Tuple["ConfigBus", Slot, PciFunction]]:
         """Every (bus, slot, function) in this subtree, structure order."""
@@ -153,33 +165,32 @@ class PciHost(SimObject):
         )
 
     # -- structural routing ----------------------------------------------------
-    def _resolve(self, bus: int, device: int, function: int) -> Optional[PciFunction]:
-        memo = self.root_bus.bus_memo
-        try:
-            cbus = memo[bus]
-        except KeyError:
-            # A weak proxy: the memo is shared by the buses it names.
-            cbus = self._walk(bus)
-            cbus = memo[bus] = None if cbus is None else proxy(cbus)
-        return None if cbus is None else cbus.function_at(device, function)
-
-    def _walk(self, bus: int) -> Optional[ConfigBus]:
-        """The bus numbered ``bus``: from bus 0, follow the first bridge
-        whose [secondary, subordinate] range holds it, or None."""
+    def _functions_on(self, bus: int) -> Dict[Slot, PciFunction]:
+        """The functions by slot of the bus numbered ``bus``: from bus
+        0, follow the first bridge whose [secondary, subordinate] range
+        holds it.  Memoised; an unreachable number has none."""
         cbus, number = self.root_bus, 0
         while bus != number:
-            for __, bridge, child in cbus.bridges():
+            functions = cbus._functions
+            for slot, child in cbus._children.items():
+                bridge = functions[slot]
                 if bridge.routes_bus(bus):
-                    cbus, number = child, bridge._route_state()[2]
+                    cbus, number = child, bridge.config._data[SECONDARY_BUS]
                     break
             else:
-                return None
-        return cbus
+                cbus = None
+                break
+        functions = _NO_FUNCTIONS if cbus is None else cbus._functions
+        self.root_bus.bus_memo[bus] = functions
+        return functions
 
     def function_at(self, bus: int, device: int, function: int = 0) -> Optional[PciFunction]:
         """The function at ``bus:device.function`` as configuration cycles
         reach it, or None."""
-        return self._resolve(bus, device, function)
+        functions = self.root_bus.bus_memo.get(bus)
+        if functions is None:
+            functions = self._functions_on(bus)
+        return functions.get((device, function))
 
     def all_functions(self) -> List[PciFunction]:
         """Every installed function, in structure order."""
@@ -189,24 +200,28 @@ class PciHost(SimObject):
     def config_read(self, bus: int, device: int, function: int,
                     offset: int, size: int = 4) -> int:
         """A functional configuration read; all ones where no function
-        answers."""
-        model = self._resolve(bus, device, function)
+        answers.  :meth:`function_at` inlined: enumeration probes every
+        slot of every bus this way."""
+        functions = self.root_bus.bus_memo.get(bus)
+        if functions is None:
+            functions = self._functions_on(bus)
+        model = functions.get((device, function))
         if model is None:
-            self.missed_accesses.inc()
+            self.missed_accesses.total += 1
             return (1 << (8 * size)) - 1  # all-ones: no device
-        self.config_reads.inc()
-        return model.config_read(offset, size)
+        self.config_reads.total += 1
+        return model.config.read(offset, size)
 
     def config_write(self, bus: int, device: int, function: int,
                      offset: int, value: int, size: int = 4) -> None:
         """A functional configuration write; dropped where no function
         answers."""
-        model = self._resolve(bus, device, function)
+        model = self.function_at(bus, device, function)
         if model is None:
-            self.missed_accesses.inc()
+            self.missed_accesses.total += 1
             return  # writes to nowhere are dropped
-        self.config_writes.inc()
-        model.config_write(offset, value, size)
+        self.config_writes.total += 1
+        model.config.write(offset, value, size)
 
     # -- ECAM decode ------------------------------------------------------------
     def decode(self, addr: int) -> Tuple[int, int, int, int]:

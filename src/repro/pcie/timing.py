@@ -23,6 +23,7 @@ the encoding overhead: 4 ns for Gen 1, 2 ns for Gen 2, and
 """
 
 import enum
+import functools
 import math
 from fractions import Fraction
 
@@ -145,16 +146,20 @@ def ack_factor(max_payload: int, width: int) -> float:
     raise ValueError(f"max payload {max_payload} exceeds 4096 bytes")
 
 
+@functools.lru_cache(maxsize=None)
 def replay_timeout_ticks(gen: PcieGen, width: int, max_payload: int) -> int:
     """Replay-timer expiration per the spec formula, converted to ticks.
 
     InternalDelay and RxL0sAdjustment are zero, as in the paper.
+    Memoised on its arguments, every input the formula reads: each link
+    derives it three times (replay, ACK and watchdog periods) and a
+    fabric's links share a handful of geometries.
     """
     symbols = (
         Fraction(max_payload + REPLAY_FORMULA_TLP_OVERHEAD, width)
         * Fraction(ack_factor(max_payload, width)).limit_denominator(100)
     ) * 3
-    return max(1, math.ceil(symbols * gen.symbol_time_exact))
+    return max(1, math.ceil(symbols * _shared_symbol_time(gen)))
 
 
 def ack_timer_ticks(gen: PcieGen, width: int, max_payload: int) -> int:

@@ -60,7 +60,11 @@ class Scalar(Stat):
     """
 
     def __init__(self, name: str, desc: str = "", init: Number = 0):
-        super().__init__(name, desc)
+        # Stat.__init__ inlined: a machine builds hundreds of counters.
+        if not name:
+            raise ValueError("stat name must be non-empty")
+        self.name = name
+        self.desc = desc
         self._init = init
         self.total: Number = init
 
@@ -367,11 +371,15 @@ class StatGroup:
 
     def scalar(self, name: str, desc: str = "") -> Scalar:
         """Create and register a :class:`Scalar`."""
-        return self.add(Scalar(name, desc))  # type: ignore[return-value]
+        stat = Scalar(name, desc)
+        self._stats.append(stat)
+        return stat
 
     def average(self, name: str, desc: str = "") -> Average:
         """Create and register an :class:`Average`."""
-        return self.add(Average(name, desc))  # type: ignore[return-value]
+        stat = Average(name, desc)
+        self._stats.append(stat)
+        return stat
 
     def distribution(self, name: str, desc: str = "") -> Distribution:
         """Create and register a :class:`Distribution`."""
@@ -384,7 +392,9 @@ class StatGroup:
 
     def formula(self, name: str, func: Callable[[], Number], desc: str = "") -> Formula:
         """Create and register a :class:`Formula` over ``func``."""
-        return self.add(Formula(name, func, desc))  # type: ignore[return-value]
+        stat = Formula(name, func, desc)
+        self._stats.append(stat)
+        return stat
 
     def add_child(self, child: "StatGroup") -> "StatGroup":
         """Nest another group under this one; returns the child."""

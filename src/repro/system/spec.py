@@ -109,11 +109,12 @@ def _require(cond: bool, message: str) -> None:
 def _require_int(value: Any, low: int, what: str,
                  high: Optional[int] = None) -> None:
     """``value`` is an int (not a bool) of at least ``low``, at most
-    ``high``."""
-    ok = (isinstance(value, int) and not isinstance(value, bool)
-          and low <= value and (high is None or value <= high))
+    ``high``.  The message is built only on failure."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return
     bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-    _require(ok, f"{what} must be an integer {bounds}, got {value!r}")
+    raise SpecError(f"{what} must be an integer {bounds}, got {value!r}")
 
 
 def _require_optional_int(value: Any, low: int, what: str) -> None:
@@ -132,19 +133,21 @@ def _require_type(value: Any, kind: type, what: str,
 
 def _require_number(value: Any, what: str,
                     high: Optional[float] = None) -> None:
-    """``value`` is a non-negative int or float, at most ``high``."""
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and 0 <= value and (high is None or value <= high))
+    """``value`` is a non-negative int or float, at most ``high``.  The
+    message is built only on failure."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value and (high is None or value <= high)):
+        return
     bounds = ">= 0" if high is None else f"in [0, {high}]"
-    _require(ok, f"{what} must be a number {bounds}, got {value!r}")
+    raise SpecError(f"{what} must be a number {bounds}, got {value!r}")
 
 
 def _require_name(name: Any, what: str) -> None:
     """An instance name becomes a SimObject name, where ``.`` joins a
     full name: a name holding one could collide with another part's."""
-    _require(isinstance(name, str) and name != "" and "." not in name,
-             f"{what}: name must be a non-empty string without '.', "
-             f"got {name!r}")
+    if not (isinstance(name, str) and name != "" and "." not in name):
+        raise SpecError(f"{what}: name must be a non-empty string without "
+                        f"'.', got {name!r}")
 
 
 def canonical_json(doc: Any) -> str:
@@ -346,18 +349,19 @@ class LinkSpec(Record):
     def validate(self) -> None:
         """Range-check every field (name uniqueness is checked tree-wide)."""
         where = self.where
-        _require(self.gen in GEN_NAMES,
-                 f"{where}: unknown generation {self.gen!r} "
-                 f"(expected one of {GEN_NAMES})")
-        _require(self.ack_policy in ("timer", "immediate"),
-                 f"{where}: unknown ack policy {self.ack_policy!r}")
+        if self.gen not in GEN_NAMES:
+            raise SpecError(f"{where}: unknown generation {self.gen!r} "
+                            f"(expected one of {GEN_NAMES})")
+        if self.ack_policy not in ("timer", "immediate"):
+            raise SpecError(
+                f"{where}: unknown ack policy {self.ack_policy!r}")
         # Every queue holds a TLP and every flow-control class a credit.
         for field in ("width", "replay_buffer_size", "input_queue_size",
                       "p_credits", "np_credits", "cpl_credits"):
             _require_int(getattr(self, field), 1, f"{where}: {field}")
-        _require(self.width in VALID_WIDTHS,
-                 f"{where}: width must be one of {VALID_WIDTHS}, "
-                 f"got {self.width!r}")
+        if self.width not in VALID_WIDTHS:
+            raise SpecError(f"{where}: width must be one of {VALID_WIDTHS}, "
+                            f"got {self.width!r}")
         _require_int(self.max_payload, 1, f"{where}: max_payload", high=4096)
         _require_int(self.error_seed, 0, f"{where}: error_seed")
         for field in ("replay_timeout", "ack_period"):
@@ -750,19 +754,22 @@ class TopologySpec(Record):
             node.validate()
             if isinstance(node, SwitchSpec):
                 bridges += 1 + node.effective_num_ports
-            _require(node.name is not None,
-                     f"{node!r} is unnamed; call finalize() first")
+            # Messages are built only on failure: this runs per node.
+            if node.name is None:
+                raise SpecError(f"{node!r} is unnamed; call finalize() first")
             _require_name(node.name, node.where)
-            _require(node.name not in node_names,
-                     f"duplicate instance name {node.name!r}: every switch "
-                     f"and device needs a unique name (stats, traces and "
-                     f"checker violations key on it)")
+            if node.name in node_names:
+                raise SpecError(
+                    f"duplicate instance name {node.name!r}: every switch "
+                    f"and device needs a unique name (stats, traces and "
+                    f"checker violations key on it)")
             node_names.add(node.name)
-            _require(node.link.name is not None,
-                     f"{node!r}: link is unnamed; call finalize() first")
+            if node.link.name is None:
+                raise SpecError(
+                    f"{node!r}: link is unnamed; call finalize() first")
             _require_name(node.link.name, f"{node.where}: link")
-            _require(node.link.name not in link_names,
-                     f"duplicate link name {node.link.name!r}")
+            if node.link.name in link_names:
+                raise SpecError(f"duplicate link name {node.link.name!r}")
             link_names.add(node.link.name)
         _require(bridges <= MAX_BRIDGES,
                  f"the fabric needs {bridges} bus numbers below bus 0 (one "

@@ -3,7 +3,8 @@
 import json
 import os
 
-from repro.exp import RESULT_SCHEMA_VERSION, ResultCache, cache_key
+from repro.exp import ResultCache, cache_key
+from repro.exp import cache as cache_mod
 
 
 RUNNER = "tests.exp.runners:quadratic"
@@ -25,11 +26,25 @@ def test_cache_key_changes_with_config():
     assert base != other_runner
 
 
-def test_cache_key_changes_with_schema_version():
-    v1, doc1 = cache_key(RUNNER, {"x": 3}, schema_version=1)
-    v2, doc2 = cache_key(RUNNER, {"x": 3}, schema_version=2)
-    assert v1 != v2
-    assert doc1["schema"] == 1 and doc2["schema"] == 2
+def test_cache_key_changes_with_code_fingerprint(monkeypatch):
+    before, doc = cache_key(RUNNER, {"x": 3})
+    assert doc["code"] == cache_mod.code_fingerprint()
+    assert len(doc["code"]) == 64
+    monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "edited")
+    after, doc = cache_key(RUNNER, {"x": 3})
+    assert after != before and doc["code"] == "edited"
+
+
+def test_declaring_a_sweep_reads_no_code():
+    from repro.exp import Sweep, SweepEngine
+
+    cache_mod.code_fingerprint.cache_clear()
+    sweep = Sweep("s")
+    sweep.add("p", RUNNER, x=3)
+    SweepEngine(cache_dir=None)
+    assert cache_mod.code_fingerprint.cache_info().currsize == 0
+    cache_key(RUNNER, {"x": 3})
+    assert cache_mod.code_fingerprint.cache_info().currsize == 1
 
 
 def test_hit_after_put(tmp_path):
@@ -52,13 +67,13 @@ def test_miss_on_config_change(tmp_path):
     assert cache.get(other_digest, other_doc) is None
 
 
-def test_schema_bump_invalidates(tmp_path):
+def test_code_change_invalidates(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path / "cache"))
-    digest, key_doc = cache_key(RUNNER, {"x": 3}, schema_version=RESULT_SCHEMA_VERSION)
+    digest, key_doc = cache_key(RUNNER, {"x": 3})
     cache.put(digest, key_doc, {"value": 9}, elapsed_s=0.1)
-    bumped_digest, bumped_doc = cache_key(
-        RUNNER, {"x": 3}, schema_version=RESULT_SCHEMA_VERSION + 1)
-    assert cache.get(bumped_digest, bumped_doc) is None
+    assert cache.get(*cache_key(RUNNER, {"x": 3})) is not None
+    monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "edited")
+    assert cache.get(*cache_key(RUNNER, {"x": 3})) is None
 
 
 def test_corrupted_entry_is_a_miss_and_is_deleted(tmp_path):

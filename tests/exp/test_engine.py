@@ -65,12 +65,15 @@ def test_config_change_misses_cache(tmp_path):
     assert result.cached == {"p0": False, "p1": True}
 
 
-def test_schema_bump_invalidates_engine_cache(tmp_path):
+def test_code_change_invalidates_engine_cache(tmp_path, monkeypatch):
+    from repro.exp import cache as cache_mod
+
     cache_dir = str(tmp_path / "cache")
-    SweepEngine(cache_dir=cache_dir, schema_version=1).run(
-        cheap_sweep(2), workers=1)
-    result = SweepEngine(cache_dir=cache_dir, schema_version=2).run(
-        cheap_sweep(2), workers=1)
+    SweepEngine(cache_dir=cache_dir).run(cheap_sweep(2), workers=1)
+    assert SweepEngine(cache_dir=cache_dir).run(
+        cheap_sweep(2), workers=1).cache_hits == 2
+    monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "edited")
+    result = SweepEngine(cache_dir=cache_dir).run(cheap_sweep(2), workers=1)
     assert result.cache_hits == 0
 
 

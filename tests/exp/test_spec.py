@@ -50,6 +50,35 @@ def test_point_params_must_be_json_safe():
         SweepPoint("a", runners.quadratic, {"nested": {1: "non-str key"}})
 
 
+def test_json_safety_quick_check_keeps_accepted_set_and_messages():
+    import collections
+    import enum
+
+    from repro.exp.spec import _check_json_safe
+
+    class Level(enum.IntEnum):
+        HIGH = 2
+
+    class Name(str):
+        pass
+
+    # Subclasses the full walk accepts are still accepted.
+    _check_json_safe({"t": (1, [2.5, None], "x"), "lvl": Level.HIGH,
+                      "od": collections.OrderedDict(a=True),
+                      Name("k"): [Level.HIGH]}, "p")
+    # Rejections still name where, with the same messages.
+    cases = [
+        ({"t": (1, float("nan"))}, "p['t'][1]: non-finite float nan is not cacheable"),
+        ({"d": {1: "v"}}, "p['d']: dict keys must be str, got 1"),
+        ({"s": {1, 2}}, "p['s']: set is not canonical-JSON-safe"),
+        ([Level.HIGH, float("-inf")], "p[1]: non-finite float -inf is not cacheable"),
+    ]
+    for value, message in cases:
+        with pytest.raises(ValueError) as err:
+            _check_json_safe(value, "p")
+        assert str(err.value).startswith(message)
+
+
 def test_sweep_preserves_order_and_rejects_duplicates():
     sweep = Sweep("s")
     sweep.add("b", runners.quadratic, x=1)

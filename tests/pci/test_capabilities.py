@@ -67,6 +67,11 @@ def test_offset_must_be_aligned_and_fit():
         fn.add_capability(PcieCapability(), offset=0x41)
     with pytest.raises(ValueError):
         fn.add_capability(PcieCapability(), offset=0xF0)  # overflows 0x100
+    with pytest.raises(ValueError):
+        fn.add_capability(PcieCapability(), offset=0x3C)  # the header's
+    fn.add_capability(PowerManagementCapability(), offset=0x80)
+    with pytest.raises(ValueError):
+        fn.add_capability(PcieCapability(), offset=0x84)  # PM ends at 0x88
 
 
 def test_msi_enable_is_read_only_zero():

@@ -14,7 +14,7 @@ def test_sizes():
 
 def test_reads_little_endian():
     cfg = ConfigSpace()
-    cfg.init_field(0x00, 4, 0x12345678)
+    cfg.install([(0x00, 4, 0x12345678, 0)])
     assert cfg.read(0x00, 4) == 0x12345678
     assert cfg.read(0x00, 2) == 0x5678
     assert cfg.read(0x02, 2) == 0x1234
@@ -23,21 +23,21 @@ def test_reads_little_endian():
 
 def test_write_respects_mask():
     cfg = ConfigSpace()
-    cfg.init_field(0x04, 2, 0x0000, writable_mask=0x0007)
+    cfg.install([(0x04, 2, 0x0000, 0x0007)])
     cfg.write(0x04, 0xFFFF, 2)
     assert cfg.read(0x04, 2) == 0x0007
 
 
 def test_readonly_field_ignores_writes():
     cfg = ConfigSpace()
-    cfg.init_field(0x00, 2, 0x8086)
+    cfg.install([(0x00, 2, 0x8086, 0)])
     cfg.write(0x00, 0x0000, 2)
     assert cfg.read(0x00, 2) == 0x8086
 
 
 def test_set_raw_bypasses_mask():
     cfg = ConfigSpace()
-    cfg.init_field(0x06, 2, 0x0000, writable_mask=0x0000)
+    cfg.install([(0x06, 2, 0x0000, 0x0000)])
     cfg.set_raw(0x06, 2, 0x0010)
     assert cfg.read(0x06, 2) == 0x0010
 
@@ -56,7 +56,7 @@ def test_bounds_checked():
 
 def test_write_hooks_fire_on_overlap():
     cfg = ConfigSpace()
-    cfg.init_field(0x10, 4, 0, writable_mask=0xFFFFFFFF)
+    cfg.install([(0x10, 4, 0, 0xFFFFFFFF)])
     hits = []
     cfg.add_write_hook(0x10, 4, lambda off, sz, val: hits.append((off, sz, val)))
     cfg.write(0x10, 0xCAFEBABE, 4)
@@ -69,6 +69,6 @@ def test_write_hooks_fire_on_overlap():
 
 def test_hexdump_format():
     cfg = ConfigSpace()
-    cfg.init_field(0x00, 2, 0x8086)
+    cfg.install([(0x00, 2, 0x8086, 0)])
     dump = cfg.hexdump(16)
     assert dump.startswith("000: 86 80")

@@ -1,5 +1,7 @@
 """Unit tests for the PCI host and structural config routing."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,7 +161,8 @@ def _reference_bus(host, bus):
     """The un-memoised structural walk, from the raw bus-number bytes."""
     cbus, number = host.root_bus, 0
     while bus != number:
-        for __, bridge, child in cbus.bridges():
+        for slot, child in cbus._children.items():
+            bridge = cbus.function_at(*slot)
             secondary = bridge.config_read(hdr.SECONDARY_BUS, 1)
             subordinate = bridge.config_read(hdr.SUBORDINATE_BUS, 1)
             if secondary and secondary <= bus <= subordinate:
@@ -247,3 +250,34 @@ def test_memoised_resolve_equals_a_fresh_walk(programs):
                 misses += want is None
     assert host.config_reads.value() == reads
     assert host.missed_accesses.value() == misses
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6))
+def test_bridge_write_rewalks_only_its_old_and_new_ranges(index, secondary,
+                                                         subordinate):
+    sim = Simulator()
+    host = PciHost(sim)
+    bridges = _memo_tree(host)
+    for bridge, (sec, sub) in zip(bridges, ((1, 2), (2, 2), (3, 4), (4, 4))):
+        _program(bridge, sec, sub)
+    bridge = bridges[index]
+    old = range(bridge.secondary_bus, bridge.subordinate_bus + 1)
+    for bus in range(8):
+        host.function_at(bus, 0)
+    walked = []
+    real_walk = PciHost._functions_on
+
+    def counting_walk(self, bus):
+        walked.append(bus)
+        return real_walk(self, bus)
+
+    with mock.patch.object(PciHost, "_functions_on", counting_walk):
+        # One write moves both registers at once.
+        bridge.config_write(hdr.SECONDARY_BUS, secondary | subordinate << 8, 2)
+        for bus in range(8):
+            cbus = _reference_bus(host, bus)
+            want = None if cbus is None else cbus.function_at(0, 0)
+            assert host.function_at(bus, 0) is want
+    new = range(secondary, subordinate + 1)
+    assert walked and all(bus in old or bus in new for bus in walked)

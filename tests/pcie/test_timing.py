@@ -117,3 +117,36 @@ def test_speed_codes():
 def test_link_timing_equality():
     assert LinkTiming(PcieGen.GEN2, 4) == LinkTiming(PcieGen.GEN2, 4)
     assert LinkTiming(PcieGen.GEN2, 4) != LinkTiming(PcieGen.GEN3, 4)
+
+
+def _formula_ticks(gen, width, max_payload):
+    """The spec formula, derived afresh on every call."""
+    from fractions import Fraction
+    import math
+
+    symbols = (Fraction(max_payload + 28, width)
+               * Fraction(ack_factor(max_payload, width)).limit_denominator(100)
+               * 3)
+    return max(1, math.ceil(symbols * gen.symbol_time_exact))
+
+
+def test_memoised_timer_periods_equal_the_formula():
+    """Every generation x width, at every payload of the AckFactor
+    table's row edges and their neighbours (the formula is a step
+    function of the row), from an empty memo and then from a warm one."""
+    from repro.pcie import timing
+
+    replay_timeout_ticks.cache_clear()
+    edges = (128, 256, 512, 1024, 2048, 4096)
+    payloads = sorted({1, 64} | {edge + step for edge in edges
+                                 for step in (-1, 0, 1) if edge + step <= 4096})
+    for __ in range(2):
+        for gen in PcieGen:
+            for width in timing.VALID_WIDTHS:
+                for payload in payloads:
+                    want = _formula_ticks(gen, width, payload)
+                    assert replay_timeout_ticks(gen, width, payload) == want
+                    assert ack_timer_ticks(gen, width, payload) == max(1, want // 3)
+                    assert timing.fc_watchdog_ticks(gen, width, payload) == 2 * want
+    assert replay_timeout_ticks.cache_info().currsize == len(PcieGen) * len(
+        timing.VALID_WIDTHS) * len(payloads)

@@ -77,7 +77,7 @@ def test_config_write_mask_invariant(offset, size, init, mask, written):
     cfg = ConfigSpace(256)
     size = min(size, 256 - offset)
     field_mask = (1 << (8 * size)) - 1
-    cfg.init_field(offset, size, init & field_mask, writable_mask=mask & field_mask)
+    cfg.install([(offset, size, init & field_mask, mask & field_mask)])
     before = cfg.read(offset, size)
     cfg.write(offset, written & field_mask, size)
     after = cfg.read(offset, size)

@@ -26,6 +26,8 @@ SCOPED_PATHS = [
     os.path.join(REPO_ROOT, "src", "repro", "validation"),
     os.path.join(REPO_ROOT, "src", "repro", "mem"),
     os.path.join(REPO_ROOT, "src", "repro", "pci"),
+    os.path.join(REPO_ROOT, "src", "repro", "obs"),
+    os.path.join(REPO_ROOT, "src", "repro", "analysis"),
     os.path.join(REPO_ROOT, "benchmarks", "harness.py"),
 ]
 
